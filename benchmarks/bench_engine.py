@@ -1,18 +1,17 @@
 """Performance benchmarks for the simulation and ATPG engines.
 
-These track the throughput of the substrate the tables are built on
-(useful when optimizing the inner loops):
+These track the throughput of the substrate the tables are built on,
+on the default simulation path (useful when optimizing the inner
+loops):
 
 * one bit-parallel fault-simulation pass over a sequence;
-* the same pass fused (all faults in one wide word) vs chunked
-  (128 machines per word) -- the packing-policy ablation;
 * one PPSFP block over 64 combinational patterns;
 * one PODEM run per fault, averaged;
 * one full Phase-2 vector-omission run.
 
-``benchmarks/emit_bench.py`` packages the fused-vs-chunked comparison
-(over a full ``run_proposed`` pass) into ``BENCH_engine.json`` for the
-CI perf gate; the micro-benchmarks here are for interactive tuning.
+End-to-end timings with identical-result checks live in
+``benchmarks/e2e``; the micro-benchmarks here are for interactive
+tuning.
 """
 
 import random
@@ -42,30 +41,6 @@ def test_fault_sim_sequence_pass(benchmark, wb):
     assert detected
 
 
-def test_fault_sim_fused_word(benchmark, wb):
-    """All faults packed into one fused word (width="auto")."""
-    from repro.sim.fault_sim import FaultSimulator
-
-    fused_sim = FaultSimulator(wb.circuit, wb.faults, width="auto")
-    vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
-    init = random_gen.random_state(wb.circuit, seed=2)
-    detected = benchmark(fused_sim.detect, vectors, init,
-                         early_exit=False)
-    assert detected
-
-
-def test_fault_sim_chunked_word(benchmark, wb):
-    """The pre-fusion policy: 128 machines per word, many chunks."""
-    from repro.sim.fault_sim import FaultSimulator
-
-    chunked_sim = FaultSimulator(wb.circuit, wb.faults, width=128)
-    vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
-    init = random_gen.random_state(wb.circuit, seed=2)
-    detected = benchmark(chunked_sim.detect, vectors, init,
-                         early_exit=False)
-    assert detected
-
-
 def test_ppsfp_block(benchmark, wb):
     rng = random.Random(3)
     patterns = [(V.random_binary_vector(12, rng),
@@ -83,26 +58,6 @@ def test_podem_all_faults(benchmark, wb):
 
     statuses = benchmark(run_all)
     assert statuses
-
-
-def test_engine_generic_vs_codegen(benchmark, wb):
-    """Ablation: interpreting evaluator vs the code-generated one.
-
-    Times the generic engine here; compare against
-    ``test_fault_sim_sequence_pass`` (which runs on the default
-    codegen engine) for the speedup factor.
-    """
-    from repro.sim.fault_sim import FaultSimulator
-    from repro.sim.logicsim import CompiledCircuit
-
-    generic_cc = CompiledCircuit(wb.netlist.copy(), engine="generic")
-    generic_sim = FaultSimulator(generic_cc, wb.faults)
-    vectors = random_gen.random_sequence(wb.circuit, 100, seed=1)
-    init = random_gen.random_state(wb.circuit, seed=2)
-    detected = benchmark(generic_sim.detect, vectors, init,
-                         early_exit=False)
-    # Both engines agree exactly (the equivalence tests enforce it).
-    assert detected == wb.sim.detect(vectors, init, early_exit=False)
 
 
 def test_vector_omission(benchmark, wb):

@@ -5,15 +5,8 @@ every ``bench_table*`` file; each bench then times its table assembly
 and prints the regenerated rows (compare them against the paper's
 tables -- see EXPERIMENTS.md for the recorded side-by-side).
 
-Engine knobs (mirroring the CLI's ``--engine/--width/--candidate-scan``)
-apply to the shared suite run, so every table bench can be timed under
-any backend combination:
-
-* ``--repro-engine {codegen,interp,numpy,auto}`` /
-  ``REPRO_BENCH_ENGINE``
-* ``--repro-width {N,auto}`` / ``REPRO_BENCH_WIDTH``
-* ``--repro-candidate-scan {scalar,lanes}`` /
-  ``REPRO_BENCH_CANDIDATE_SCAN``
+The suite runs on the default simulation path: the C kernel when
+numpy, cffi and a C compiler are present, big-int words otherwise.
 
 Set ``REPRO_BENCH_FULL=1`` to run all reproduced circuits instead of
 the quick subset (slower by an order of magnitude).
@@ -26,30 +19,12 @@ import os
 import pytest
 
 from repro.circuits import suite as suite_mod
-from repro.core.phase1 import CANDIDATE_SCAN_MODES, DEFAULT_CANDIDATE_SCAN
 from repro.experiments import run_suite
 
 
 def pytest_addoption(parser):
     parser.addoption("--repro-full", action="store_true", default=False,
                      help="run the full circuit suite in benches")
-    parser.addoption("--repro-engine",
-                     choices=("codegen", "interp", "numpy", "auto"),
-                     default=None,
-                     help="evaluation backend for the suite run")
-    parser.addoption("--repro-width", default=None, metavar="{N,auto}",
-                     help="fault machines per word ('auto' or an int)")
-    parser.addoption("--repro-candidate-scan",
-                     choices=CANDIDATE_SCAN_MODES, default=None,
-                     help="Phase-1 scan-in selection mode")
-
-
-def _knob(request, option: str, env: str, default: str) -> str:
-    """CLI option wins, then the environment variable, then default."""
-    value = request.config.getoption(option)
-    if value is None:
-        value = os.environ.get(env) or default
-    return value
 
 
 @pytest.fixture(scope="session")
@@ -57,15 +32,5 @@ def suite_runs(request):
     """All per-circuit experiment results (computed once)."""
     full = (request.config.getoption("--repro-full")
             or os.environ.get("REPRO_BENCH_FULL") == "1")
-    engine = _knob(request, "--repro-engine", "REPRO_BENCH_ENGINE",
-                   "codegen")
-    width = _knob(request, "--repro-width", "REPRO_BENCH_WIDTH", "auto")
-    if width != "auto":
-        width = int(width)
-    candidate_scan = _knob(request, "--repro-candidate-scan",
-                           "REPRO_BENCH_CANDIDATE_SCAN",
-                           DEFAULT_CANDIDATE_SCAN)
     profiles = suite_mod.suite(quick=not full)
-    return run_suite(profiles, seed=1, delay=True,
-                     engine=engine, width=width,
-                     candidate_scan=candidate_scan, verbose=True)
+    return run_suite(profiles, seed=1, delay=True, verbose=True)

@@ -1,45 +1,10 @@
-"""Emit engine benchmarks: ``BENCH_engine.json`` / ``BENCH_phase1.json``.
+"""Emit quality benchmarks: ``BENCH_adi.json`` / ``BENCH_power.json`` /
+``BENCH_collapse.json``.
 
-Default mode runs the paper's full proposed procedure
-(:func:`repro.core.proposed.run`) twice on one synthesized circuit:
-
-* **before** -- the pre-fusion engine configuration: 128 machines per
-  word (many chunks per pass) and a *disabled* scoreboard, so no
-  cross-phase fault dropping;
-* **after** -- the wide-word configuration: ``width="auto"`` (every
-  target fused into one word) with cross-phase dropping on;
-* **numpy** -- the same fused configuration executed by the uint64
-  array backend (``engine="numpy"``, C pass kernel when a compiler is
-  present).  The arm is skipped -- recorded as ``null`` with a visible
-  notice -- when numpy is not installed.
-
-``--engine-matrix`` times one whole-fault-set ``detect`` pass per
-engine (interp, codegen, numpy) on the same circuit, best of several
-repeats, asserting identical detected sets, and emits
-``BENCH_engine_matrix.json``.
-
-``--phase1`` instead benchmarks the Phase-1 candidate scan: the scalar
-per-candidate :meth:`~repro.sim.fault_sim.FaultSimulator.detect` loop
-vs the lane-transposed
-:meth:`~repro.sim.fault_sim.FaultSimulator.detect_candidates` pass
-(micro-benchmark over ``select_scan_in``, best of several repeats),
-plus one end-to-end ``run_proposed`` per mode.  The emitted
-``BENCH_phase1.json`` asserts identical ``(chosen_index, f_si)``,
-final test sets and clock cycles under both modes.
-
-Both modes must produce byte-identical results -- the script asserts
-it and records the check in the JSON.  The emitted file carries
-circuit stats, per-arm wall clock and engine counters, and the
-speedup ratio.
-
-``--trials`` benchmarks the lane-batched trial engine: the full
-proposed procedure under ``trial_batch=1`` (scalar per-trial loops)
-vs the default ``trial_batch=64`` (Phase-3 candidate blocks, Phase-4
-merge-trial prefetching) on the numpy engine when available.  The
-emitted ``BENCH_trials.json`` records both arms' Phase-3+4 wall clock
-and asserts byte-identical results; ``--gate RATIO`` fails when the
-batched trial time exceeds ``RATIO`` x the scalar time (the committed
-artifact shows >= 2x, i.e. ratio <= 0.5, on the full circuit).
+Every mode runs on the default simulation path -- the C kernel when
+numpy, cffi and a C compiler are present, big-int words otherwise;
+the two give the same results.  Host-time numbers for that path come
+from the end-to-end benchmark in ``benchmarks/e2e``.
 
 ``--adi`` compares the Accidental-Detection-Index-guided run
 (``adi=True``, census from the random phase of combinational test
@@ -61,21 +26,6 @@ clock cycles; ``--gate`` (any value) additionally requires the
 collapsed arm to simulate strictly fewer per-fault passes and machine
 bits.
 
-``--delay`` benchmarks the at-speed workload: the profile circuit's
-final test sets (one default proposed run plus the [4]-style
-single-vector baseline) are graded by the transition-fault simulator
-(:class:`repro.delay.transition.TransitionSim`) under both routes --
-the scalar big-int loops and the wide-word packed route (uint64
-arrays + the C pass kernel).  ``BENCH_delay.json`` records both arms'
-wall clock, the full :class:`repro.delay.clocking.DelayReport`
-(TDF coverage + test-clock cycle budget per set), and an
-``identical_coverage`` flag; ``--gate RATIO`` fails when the packed
-route is less than ``RATIO`` x faster than scalar (skipped with a
-visible notice when numpy or the kernel is unavailable).  The CI job
-runs ``--delay --gate 3.0`` on the full-size circuit: the quick
-circuit's TDF workload is too small for the kernel to amortize its
-per-pass setup, so the gate would measure overhead, not the route.
-
 ``--power`` sweeps every X-fill strategy (:data:`repro.sim.values.
 FILL_STRATEGIES`) over the quick suite: one proposed-procedure run per
 (circuit, strategy), measuring the final test set's peak/average shift
@@ -89,25 +39,13 @@ that ``adjacent`` fill's peak shift WTM never exceeds ``RATIO`` times
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/emit_bench.py            # full (~3 min)
-    PYTHONPATH=src python benchmarks/emit_bench.py --quick    # CI-sized
-    PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate 1.5
-    PYTHONPATH=src python benchmarks/emit_bench.py --quick --gate-numpy 3.0
-    PYTHONPATH=src python benchmarks/emit_bench.py --engine-matrix --quick
-    PYTHONPATH=src python benchmarks/emit_bench.py --phase1   # lanes bench
-    PYTHONPATH=src python benchmarks/emit_bench.py --phase1 --quick --gate 1.0
+    PYTHONPATH=src python benchmarks/emit_bench.py --adi --gate 1.0
+    PYTHONPATH=src python benchmarks/emit_bench.py --collapse --quick \
+        --gate 1.0
     PYTHONPATH=src python benchmarks/emit_bench.py --power --gate 1.0
-    PYTHONPATH=src python benchmarks/emit_bench.py --delay --gate 3.0
 
-``--gate RATIO`` turns the script into a perf gate: exit code 1 when
-the after/lanes arm is slower than ``RATIO`` times the before/scalar
-arm (the CI perf-smoke job runs ``--quick --gate 1.5`` and
-``--phase1 --quick --gate 1.0``).  ``--gate-numpy RATIO`` additionally
-requires the numpy arm to be at least ``RATIO`` times faster than the
-fused big-int arm; it is skipped with a visible notice when numpy or a
-C compiler is unavailable.  In ``--power`` mode the gate is a quality
-gate instead: adjacent peak shift WTM vs random, per circuit (the CI
-job runs ``--power --gate 1.0``).
+``--quick`` runs the CI-sized circuit instead of the full one (the
+``--power`` sweep always runs the quick suite).
 """
 
 from __future__ import annotations
@@ -125,22 +63,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.atpg import comb_set as comb_set_mod
 from repro.atpg import random_gen
 from repro.circuits import synth
-from repro.core.combine import static_compact
-from repro.core.phase1 import detect_no_scan, select_scan_in
 from repro.core.proposed import run as run_proposed
-from repro.core.scan_test import ScanTestSet, single_vector_test
-from repro.delay import TransitionSim, measure_delay
 from repro.experiments.reporting import atomic_write_text
 from repro.power.activity import ActivityEngine
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim.counters import SimCounters
 from repro.sim import npsim
-from repro.sim.fault_sim import (DEFAULT_WIDTH, FaultSimulator,
-                                 benchmark_packing)
+from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
-from repro.sim.scoreboard import FaultScoreboard
-from repro.sim import values as V
+
+
 
 
 def _numpy_version() -> Optional[str]:
@@ -148,6 +81,8 @@ def _numpy_version() -> Optional[str]:
     if not npsim.numpy_available():
         return None
     return npsim.require_numpy().__version__
+
+
 
 #: The full-size benchmark circuit: >= 1000 collapsed faults.
 FULL_PROFILE = dict(name="bench1k", n_pi=12, n_po=10, n_ff=28,
@@ -157,364 +92,23 @@ QUICK_PROFILE = dict(name="benchq", n_pi=8, n_po=6, n_ff=12,
                      n_gates=90, seed=7, t0_length=40)
 
 
-def _run_arm(netlist, comb_tests, t0, width, dropping: bool,
-             engine: str = "codegen") -> Dict[str, Any]:
-    """One full proposed-procedure pass under a packing/drop policy."""
-    circuit = CompiledCircuit(netlist, engine=engine)
-    faults = FaultSet.collapsed(netlist)
-    counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width=width, counters=counters)
-    comb_sim = CombPatternSim(circuit, faults)
-    scoreboard = FaultScoreboard(len(faults), counters=counters,
-                                 enabled=dropping)
-    started = time.perf_counter()
-    result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          scoreboard=scoreboard)
-    seconds = time.perf_counter() - started
-    final = result.compacted_set or result.test_set
-    return {
-        "engine": engine,
-        "width": width,
-        "dropping": dropping,
-        "seconds": round(seconds, 3),
-        "counters": counters.as_dict(),
-        "result": {
-            "seq_detected": len(result.seq_detected),
-            "final_detected": len(result.final_detected),
-            "tests": len(final),
-            "cycles": final.clock_cycles(),
-            "tau_seq_length": result.tau_seq.length,
-        },
-        "_sets": (result.seq_detected, result.final_detected,
-                  tuple(final.tests)),
-    }
 
-
-def build_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
-    profile = QUICK_PROFILE if quick else FULL_PROFILE
-    netlist = synth.generate(profile["name"], profile["n_pi"],
-                             profile["n_po"], profile["n_ff"],
-                             profile["n_gates"], seed=profile["seed"])
+def _run_adi_arm(netlist, comb_tests, t0, adi: bool = False,
+                 adi_scores=None) -> Dict[str, Any]:
+    """One full proposed-procedure pass, with or without ADI."""
     circuit = CompiledCircuit(netlist)
     faults = FaultSet.collapsed(netlist)
-    comb = comb_set_mod.generate(circuit, faults, seed=seed)
-    t0 = random_gen.random_sequence(circuit, profile["t0_length"],
-                                    seed=seed)
-
-    print(f"circuit {profile['name']}: {netlist.num_gates} gates, "
-          f"{netlist.num_ffs} FFs, {len(faults)} collapsed faults, "
-          f"{len(comb.tests)} comb tests, |T0|={len(t0)}")
-
-    print("before: chunked width=128, no dropping ...", flush=True)
-    before = _run_arm(netlist, comb.tests, t0, DEFAULT_WIDTH,
-                      dropping=False)
-    print(f"  {before['seconds']}s")
-    print('after: width="auto" fused, cross-phase dropping ...',
-          flush=True)
-    after = _run_arm(netlist, comb.tests, t0, "auto", dropping=True)
-    print(f"  {after['seconds']}s")
-
-    numpy_arm: Optional[Dict[str, Any]] = None
-    if npsim.numpy_available():
-        print('numpy: width="auto" fused, uint64-array backend ...',
-              flush=True)
-        numpy_arm = _run_arm(netlist, comb.tests, t0, "auto",
-                             dropping=True, engine="numpy")
-        print(f"  {numpy_arm['seconds']}s")
-    else:
-        print("numpy arm SKIPPED: numpy is not installed "
-              "(pip install repro[fast])")
-
-    after_sets = after.pop("_sets")
-    identical = before.pop("_sets") == after_sets
-    if numpy_arm is not None:
-        identical = identical and numpy_arm.pop("_sets") == after_sets
-    if not identical:
-        print("ERROR: the arms disagree on results", file=sys.stderr)
-
-    winner, fused_s, chunked_s = benchmark_packing(circuit, faults,
-                                                   seed=seed)
-    speedup = before["seconds"] / max(after["seconds"], 1e-9)
-    numpy_speedup = None
-    if numpy_arm is not None:
-        numpy_speedup = round(
-            after["seconds"] / max(numpy_arm["seconds"], 1e-9), 2)
-    return {
-        "bench": "engine: fused wide-word + fault dropping vs chunked",
-        "circuit": {
-            "name": profile["name"],
-            "pi": netlist.num_inputs,
-            "po": netlist.num_outputs,
-            "ff": netlist.num_ffs,
-            "gates": netlist.num_gates,
-            "faults": len(faults),
-            "comb_tests": len(comb.tests),
-            "t0_length": len(t0),
-        },
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
-        },
-        "before": before,
-        "after": after,
-        "numpy": numpy_arm,
-        "speedup": round(speedup, 2),
-        "numpy_speedup": numpy_speedup,
-        "identical_results": identical,
-        "packing_probe": {
-            "winner": winner,
-            "fused_s": round(fused_s, 4),
-            "chunked_s": round(chunked_s, 4),
-        },
-    }
-
-
-def build_engine_matrix_payload(quick: bool, seed: int = 1,
-                                repeats: int = 3) -> Dict[str, Any]:
-    """The ``--engine-matrix`` payload: one ``detect`` pass per engine.
-
-    Times a whole-fault-set, no-early-exit ``detect`` pass over a
-    random binary sequence under each evaluation engine (interp,
-    codegen, numpy), best of ``repeats``, on the same circuit and
-    stimuli.  The numpy row is ``null`` when numpy is missing.  All
-    engines must return the identical detected set.
-    """
-    import random as _random
-
-    profile = QUICK_PROFILE if quick else FULL_PROFILE
-    netlist = synth.generate(profile["name"], profile["n_pi"],
-                             profile["n_po"], profile["n_ff"],
-                             profile["n_gates"], seed=profile["seed"])
-    faults = FaultSet.collapsed(netlist)
-    rng = _random.Random(seed)
-    # Long enough to amortize the per-call plan build; the per-frame
-    # engine cost is what the matrix is meant to compare.
-    frames = 128
-    vectors = [V.random_binary_vector(netlist.num_inputs, rng)
-               for _ in range(frames)]
-    init = V.random_binary_vector(netlist.num_ffs, rng)
-
-    print(f"circuit {profile['name']}: {netlist.num_gates} gates, "
-          f"{netlist.num_ffs} FFs, {len(faults)} collapsed faults, "
-          f"{frames} frames")
-
-    engines = {}
-    detected_sets = {}
-    for engine in ("interp", "codegen", "numpy"):
-        if engine == "numpy" and not npsim.numpy_available():
-            print("numpy: SKIPPED (numpy is not installed)")
-            engines[engine] = None
-            continue
-        circuit = CompiledCircuit(netlist, engine=engine)
-        sim = FaultSimulator(circuit, faults, width="auto")
-        best = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            detected = sim.detect(vectors, init, early_exit=False)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        engines[engine] = {"seconds": round(best, 4),
-                           "detected": len(detected)}
-        detected_sets[engine] = frozenset(detected)
-        print(f"{engine}: best {engines[engine]['seconds']}s "
-              f"({len(detected)} detected)")
-
-    identical = len(set(detected_sets.values())) == 1
-    if not identical:
-        print("ERROR: the engines disagree on the detected set",
-              file=sys.stderr)
-    codegen_s = engines["codegen"]["seconds"]
-
-    def _ratio(engine: str) -> Optional[float]:
-        row = engines[engine]
-        if row is None:
-            return None
-        return round(codegen_s / max(row["seconds"], 1e-9), 2)
-
-    return {
-        "bench": "engine matrix: one detect pass per evaluation engine",
-        "circuit": {
-            "name": profile["name"],
-            "pi": netlist.num_inputs,
-            "po": netlist.num_outputs,
-            "ff": netlist.num_ffs,
-            "gates": netlist.num_gates,
-            "faults": len(faults),
-            "frames": frames,
-        },
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
-        },
-        "engines": engines,
-        "speedup_vs_codegen": {e: _ratio(e)
-                               for e in ("interp", "codegen", "numpy")},
-        "identical_results": identical,
-    }
-
-
-def _run_candidate_arm(netlist, comb_tests, t0, mode: str
-                       ) -> Dict[str, Any]:
-    """One full proposed-procedure pass under a candidate-scan mode."""
-    circuit = CompiledCircuit(netlist, engine="codegen")
-    faults = FaultSet.collapsed(netlist)
     counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
+    sim = FaultSimulator(circuit, faults, counters=counters)
     comb_sim = CombPatternSim(circuit, faults)
     started = time.perf_counter()
     result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          candidate_scan=mode)
-    seconds = time.perf_counter() - started
-    final = result.compacted_set or result.test_set
-    return {
-        "candidate_scan": mode,
-        "seconds": round(seconds, 3),
-        "phase1_seconds": round(counters.phase1_s, 3),
-        "counters": counters.as_dict(),
-        "result": {
-            "seq_detected": len(result.seq_detected),
-            "final_detected": len(result.final_detected),
-            "tests": len(final),
-            "cycles": final.clock_cycles(),
-            "tau_seq_length": result.tau_seq.length,
-        },
-        "_sets": (result.seq_detected, result.final_detected,
-                  tuple(final.tests), final.clock_cycles()),
-    }
-
-
-def _time_select_scan_in(sim, t0, comb_tests, f0, selected, mode: str,
-                         repeats: int) -> Dict[str, Any]:
-    """Best-of-``repeats`` timing of one Step-2 selection pass."""
-    best = None
-    outcome = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        outcome = select_scan_in(sim, t0, comb_tests, f0, selected,
-                                 mode=mode)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return {"mode": mode, "seconds": round(best, 4),
-            "chosen_index": outcome[0], "f_si": outcome[1]}
-
-
-def build_phase1_payload(quick: bool, seed: int = 1,
-                         repeats: int = 3) -> Dict[str, Any]:
-    """The ``--phase1`` payload: scalar vs lanes candidate scan."""
-    profile = QUICK_PROFILE if quick else FULL_PROFILE
-    netlist = synth.generate(profile["name"], profile["n_pi"],
-                             profile["n_po"], profile["n_ff"],
-                             profile["n_gates"], seed=profile["seed"])
-    circuit = CompiledCircuit(netlist)
-    faults = FaultSet.collapsed(netlist)
-    comb = comb_set_mod.generate(circuit, faults, seed=seed)
-    t0 = random_gen.random_sequence(circuit, profile["t0_length"],
-                                    seed=seed)
-
-    print(f"circuit {profile['name']}: {netlist.num_gates} gates, "
-          f"{netlist.num_ffs} FFs, {len(faults)} collapsed faults, "
-          f"{len(comb.tests)} candidate states, |T0|={len(t0)}")
-
-    # Micro-benchmark: one Step-2 selection pass, best of `repeats`.
-    sim = FaultSimulator(circuit, faults, width="auto")
-    f0 = detect_no_scan(sim, t0, range(len(faults)))
-    selected = [False] * len(comb.tests)
-    print(f"select_scan_in scalar x{repeats} ...", flush=True)
-    scalar = _time_select_scan_in(sim, t0, comb.tests, f0, selected,
-                                  "scalar", repeats)
-    print(f"  best {scalar['seconds']}s")
-    print(f"select_scan_in lanes x{repeats} ...", flush=True)
-    lanes = _time_select_scan_in(sim, t0, comb.tests, f0, selected,
-                                 "lanes", repeats)
-    print(f"  best {lanes['seconds']}s")
-    identical_selection = (
-        scalar.pop("chosen_index"), scalar.pop("f_si")) == (
-        lanes.pop("chosen_index"), lanes.pop("f_si"))
-    if not identical_selection:
-        print("ERROR: scalar and lanes disagree on (chosen_index, f_si)",
-              file=sys.stderr)
-
-    # End to end: the full proposed procedure under each mode.
-    print("end-to-end run_proposed, scalar ...", flush=True)
-    e2e_scalar = _run_candidate_arm(netlist, comb.tests, t0, "scalar")
-    print(f"  {e2e_scalar['seconds']}s "
-          f"(phase1 {e2e_scalar['phase1_seconds']}s)")
-    print("end-to-end run_proposed, lanes ...", flush=True)
-    e2e_lanes = _run_candidate_arm(netlist, comb.tests, t0, "lanes")
-    print(f"  {e2e_lanes['seconds']}s "
-          f"(phase1 {e2e_lanes['phase1_seconds']}s)")
-    identical_e2e = e2e_scalar.pop("_sets") == e2e_lanes.pop("_sets")
-    if not identical_e2e:
-        print("ERROR: the two modes disagree on end-to-end results",
-              file=sys.stderr)
-
-    speedup = scalar["seconds"] / max(lanes["seconds"], 1e-9)
-    phase1_speedup = e2e_scalar["phase1_seconds"] / \
-        max(e2e_lanes["phase1_seconds"], 1e-9)
-    return {
-        "bench": "phase1: candidate-parallel lanes vs scalar scan-in "
-                 "selection",
-        "circuit": {
-            "name": profile["name"],
-            "pi": netlist.num_inputs,
-            "po": netlist.num_outputs,
-            "ff": netlist.num_ffs,
-            "gates": netlist.num_gates,
-            "faults": len(faults),
-            "comb_tests": len(comb.tests),
-            "t0_length": len(t0),
-        },
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "repeats": repeats,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "select_scan_in": {"scalar": scalar, "lanes": lanes,
-                           "speedup": round(speedup, 2)},
-        "end_to_end": {"scalar": e2e_scalar, "lanes": e2e_lanes,
-                       "phase1_speedup": round(phase1_speedup, 2)},
-        "speedup": round(speedup, 2),
-        "identical_results": identical_selection and identical_e2e,
-    }
-
-
-def _run_trial_arm(netlist, comb_tests, t0, trial_batch: int,
-                   engine: str, adi: bool = False,
-                   adi_scores=None) -> Dict[str, Any]:
-    """One full proposed-procedure pass under a trial-batch budget."""
-    circuit = CompiledCircuit(netlist, engine=engine)
-    faults = FaultSet.collapsed(netlist)
-    counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
-    comb_sim = CombPatternSim(circuit, faults)
-    started = time.perf_counter()
-    result = run_proposed(sim, comb_sim, t0, comb_tests,
-                          trial_batch=trial_batch,
                           adi=adi, adi_scores=adi_scores)
     seconds = time.perf_counter() - started
     final = result.compacted_set or result.test_set
     return {
-        "engine": engine,
-        "trial_batch": trial_batch,
         "adi": adi,
         "seconds": round(seconds, 3),
-        "phase3_seconds": round(counters.phase3_s, 3),
-        "phase4_seconds": round(counters.phase4_s, 3),
         "counters": counters.as_dict(),
         "result": {
             "seq_detected": len(result.seq_detected),
@@ -528,7 +122,7 @@ def _run_trial_arm(netlist, comb_tests, t0, trial_batch: int,
     }
 
 
-def _trials_circuit(quick: bool, seed: int):
+def _profile_circuit(quick: bool, seed: int):
     """The profile circuit plus its comb set and ``T0`` stimuli."""
     profile = QUICK_PROFILE if quick else FULL_PROFILE
     netlist = synth.generate(profile["name"], profile["n_pi"],
@@ -558,59 +152,6 @@ def _circuit_block(profile, netlist, faults, comb, t0) -> Dict[str, Any]:
     }
 
 
-def build_trials_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
-    """The ``--trials`` payload: scalar vs lane-batched trial engine.
-
-    Runs the full proposed procedure twice on the profile circuit --
-    ``trial_batch=1`` (the scalar per-trial loops) and the default
-    ``trial_batch=64`` (Phase-3 candidate blocks + Phase-4 merge-trial
-    prefetching) -- on the numpy engine when available (codegen
-    otherwise), asserting byte-identical results and reporting the
-    Phase-3+4 wall-clock ratio the CI gate checks.
-    """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    engine = "numpy" if npsim.numpy_available() else "codegen"
-
-    print(f"scalar: trial_batch=1, engine={engine} ...", flush=True)
-    scalar = _run_trial_arm(netlist, comb.tests, t0, 1, engine)
-    print(f"  {scalar['seconds']}s (p3 {scalar['phase3_seconds']}s, "
-          f"p4 {scalar['phase4_seconds']}s)")
-    print(f"batched: trial_batch=64, engine={engine} ...", flush=True)
-    batched = _run_trial_arm(netlist, comb.tests, t0, 64, engine)
-    print(f"  {batched['seconds']}s (p3 {batched['phase3_seconds']}s, "
-          f"p4 {batched['phase4_seconds']}s)")
-
-    identical = scalar.pop("_sets") == batched.pop("_sets")
-    if not identical:
-        print("ERROR: scalar and batched trials disagree on results",
-              file=sys.stderr)
-    scalar_trials = scalar["phase3_seconds"] + scalar["phase4_seconds"]
-    batched_trials = (batched["phase3_seconds"]
-                      + batched["phase4_seconds"])
-    speedup = scalar_trials / max(batched_trials, 1e-9)
-    return {
-        "bench": "trials: lane-batched Phase-3/4 trial simulation vs "
-                 "scalar loops",
-        "circuit": _circuit_block(profile, netlist, faults, comb, t0),
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "engine": engine,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
-        },
-        "scalar": scalar,
-        "batched": batched,
-        "trial_seconds": {"scalar": round(scalar_trials, 3),
-                          "batched": round(batched_trials, 3)},
-        "speedup": round(speedup, 2),
-        "identical_results": identical,
-    }
-
-
 def _run_collapse_arm(netlist, comb_tests, t0,
                       collapse: bool) -> Dict[str, Any]:
     """One full proposed-procedure pass over the uncollapsed universe.
@@ -621,11 +162,10 @@ def _run_collapse_arm(netlist, comb_tests, t0,
     the statically-proven-untestable faults.  Both arms expose the
     same fault indexing, so the result fingerprints compare directly.
     """
-    circuit = CompiledCircuit(netlist, engine="codegen")
+    circuit = CompiledCircuit(netlist)
     faults = FaultSet.uncollapsed(netlist, collapse=collapse)
     counters = SimCounters()
-    sim = FaultSimulator(circuit, faults, width="auto",
-                         counters=counters)
+    sim = FaultSimulator(circuit, faults, counters=counters)
     comb_sim = CombPatternSim(circuit, faults, counters=counters)
     n_untestable = 0
     dropped_reps = 0
@@ -750,18 +290,16 @@ def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     coverage (hard requirement), fewer total detect passes, and final
     clock cycles no worse than the baseline.
     """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    engine = "numpy" if npsim.numpy_available() else "codegen"
+    profile, netlist, faults, comb, t0 = _profile_circuit(quick, seed)
 
-    print(f"baseline: adi=off, engine={engine} ...", flush=True)
-    baseline = _run_trial_arm(netlist, comb.tests, t0, 64, engine)
+    print("baseline: adi=off ...", flush=True)
+    baseline = _run_adi_arm(netlist, comb.tests, t0)
     print(f"  {baseline['seconds']}s, "
           f"{baseline['counters']['detect_passes']} detect passes, "
           f"{baseline['result']['cycles']} cycles")
-    print(f"adi: census-guided ordering, engine={engine} ...",
-          flush=True)
-    adi_arm = _run_trial_arm(netlist, comb.tests, t0, 64, engine,
-                             adi=True, adi_scores=comb.adi)
+    print("adi: census-guided ordering ...", flush=True)
+    adi_arm = _run_adi_arm(netlist, comb.tests, t0, adi=True,
+                           adi_scores=comb.adi)
     print(f"  {adi_arm['seconds']}s, "
           f"{adi_arm['counters']['detect_passes']} detect passes, "
           f"{adi_arm['result']['cycles']} cycles, "
@@ -784,11 +322,11 @@ def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
         "config": {
             "quick": quick,
             "seed": seed,
-            "engine": engine,
             "adi_census_size": len(comb.adi),
             "python": platform.python_version(),
             "machine": platform.machine(),
             "numpy": _numpy_version(),
+            "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "baseline": baseline,
         "adi": adi_arm,
@@ -867,142 +405,6 @@ def build_power_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
     }
 
 
-def _delay_sets(netlist, comb, t0):
-    """The final test sets a ``--delay`` campaign grades.
-
-    One default proposed-procedure run (the long-sequence arm) plus
-    the [4]-style static compaction of the single-vector scan set --
-    the same proposed-vs-baseline4 pair the Delay paper table shows.
-    """
-    circuit = CompiledCircuit(netlist)
-    faults = FaultSet.collapsed(netlist)
-    sim = FaultSimulator(circuit, faults, width="auto")
-    comb_sim = CombPatternSim(circuit, faults)
-    result = run_proposed(sim, comb_sim, t0, comb.tests)
-    proposed = result.compacted_set or result.test_set
-    initial = ScanTestSet(
-        len(circuit.ff_ids),
-        [single_vector_test(t.state, t.pi) for t in comb.tests])
-    baseline = static_compact(sim, initial).test_set
-    return circuit, {"proposed": proposed, "baseline4": baseline}
-
-
-def _run_delay_route(circuit, sets, route: str,
-                     repeats: int = 3) -> Dict[str, Any]:
-    """One full TDF + clock-cost measurement under one route.
-
-    Best wall clock of ``repeats`` identical measurements -- the TDF
-    pass is sub-second, so a single sample is too noisy to gate on.
-    """
-    best = None
-    report = None
-    for _ in range(repeats):
-        counters = SimCounters()
-        tsim = TransitionSim(circuit, counters=counters, route=route)
-        started = time.perf_counter()
-        report = measure_delay(tsim, sets)
-        seconds = time.perf_counter() - started
-        if best is None or seconds < best[0]:
-            best = (seconds, counters)
-    seconds, counters = best
-    return {
-        "route": route,
-        "seconds": round(seconds, 3),
-        "repeats": repeats,
-        "tdf_passes": counters.tdf_passes,
-        "tdf_words": counters.tdf_words,
-        "detected": {label: summary.detected
-                     for label, summary in report.sets.items()},
-        "report": report.as_dict(),
-    }
-
-
-def build_delay_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
-    """The ``--delay`` payload: packed vs scalar TDF simulation.
-
-    Builds the profile circuit's final test sets once (proposed run +
-    [4] baseline), then grades them twice with
-    :class:`repro.delay.transition.TransitionSim` -- the scalar
-    big-int route and the wide-word packed route (uint64 arrays + the
-    C pass kernel) -- asserting identical per-set coverage and
-    reporting the wall-clock speedup the CI gate checks.  The packed
-    arm is skipped (recorded as ``null`` with a visible notice) when
-    numpy or the kernel is unavailable.
-    """
-    profile, netlist, faults, comb, t0 = _trials_circuit(quick, seed)
-    circuit, sets = _delay_sets(netlist, comb, t0)
-    tdf_faults = len(TransitionSim(circuit, route="scalar").faults)
-    for label, test_set in sorted(sets.items()):
-        print(f"set {label}: {len(test_set)} tests, "
-              f"{test_set.clock_cycles()} cycles, "
-              f"{test_set.at_speed_pairs()} at-speed pairs")
-
-    print(f"scalar: {tdf_faults} transition faults ...", flush=True)
-    scalar = _run_delay_route(circuit, sets, "scalar")
-    print(f"  {scalar['seconds']}s ({scalar['tdf_passes']} passes)")
-    packed = None
-    if npsim.numpy_available() and \
-            npsim.kernel_unavailable_reason() is None:
-        print("packed: wide-word route ...", flush=True)
-        packed = _run_delay_route(circuit, sets, "packed")
-        print(f"  {packed['seconds']}s ({packed['tdf_passes']} passes)")
-    else:
-        print("NOTICE: packed TDF arm skipped (numpy or the C pass "
-              "kernel is unavailable); scalar route only")
-
-    identical = (packed is None
-                 or scalar["detected"] == packed["detected"])
-    if not identical:
-        print("ERROR: packed and scalar TDF routes disagree on "
-              "coverage", file=sys.stderr)
-    speedup = (None if packed is None else
-               round(scalar["seconds"] / max(packed["seconds"], 1e-9),
-                     2))
-    report = (packed or scalar).pop("report")
-    if packed is not None:
-        scalar.pop("report")
-    return {
-        "bench": "delay: wide-word packed TDF simulation vs the "
-                 "scalar big-int route",
-        "circuit": dict(_circuit_block(profile, netlist, faults, comb,
-                                       t0), tdf_faults=tdf_faults),
-        "config": {
-            "quick": quick,
-            "seed": seed,
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "numpy": _numpy_version(),
-            "np_kernel": (npsim.kernel_unavailable_reason() is None
-                          if npsim.numpy_available() else False),
-        },
-        "scalar": scalar,
-        "packed": packed,
-        "report": report,
-        "speedup": speedup,
-        "identical_coverage": identical,
-    }
-
-
-def _delay_gate(payload: Dict[str, Any], ratio: float) -> bool:
-    """The packed route must be at least ``ratio`` x faster.
-
-    Returns True (with a visible notice) instead of failing when the
-    packed arm could not run -- numpy missing or no C compiler for
-    the pass kernel -- mirroring :func:`_numpy_gate`.
-    """
-    if payload["packed"] is None:
-        print("DELAY GATE SKIPPED: packed TDF route unavailable "
-              "(numpy or the C pass kernel is missing)")
-        return True
-    achieved = payload["speedup"]
-    if achieved < ratio:
-        print(f"DELAY GATE FAILED: packed TDF route is x{achieved:.2f} "
-              f"faster than scalar, need x{ratio:g}", file=sys.stderr)
-        return False
-    print(f"delay gate ok: x{achieved:.2f} >= x{ratio:g}")
-    return True
-
-
 def _power_gate(payload: Dict[str, Any], ratio: float) -> bool:
     """Per circuit: adjacent peak shift WTM <= ratio x random's."""
     ok = True
@@ -1020,108 +422,27 @@ def _power_gate(payload: Dict[str, Any], ratio: float) -> bool:
     return ok
 
 
-def _numpy_gate(bigint_row: Dict[str, Any],
-                numpy_row: Optional[Dict[str, Any]],
-                ratio: float, config: Dict[str, Any]) -> bool:
-    """The numpy arm must be at least ``ratio`` x faster than big-int.
-
-    Returns True (with a visible notice) instead of failing when the
-    numpy arm could not run at full speed: numpy missing, or no C
-    compiler for the pass kernel (the pure-numpy fallback is a
-    portability path, not a fast path).
-    """
-    if numpy_row is None:
-        print("NUMPY GATE SKIPPED: numpy is not installed "
-              "(pip install repro[fast])")
-        return True
-    if not config.get("np_kernel"):
-        print("NUMPY GATE SKIPPED: no C compiler for the pass kernel; "
-              "only the pure-numpy fallback ran")
-        return True
-    achieved = bigint_row["seconds"] / max(numpy_row["seconds"], 1e-9)
-    if achieved < ratio:
-        print(f"NUMPY GATE FAILED: numpy is x{achieved:.2f} faster "
-              f"than the fused big-int engine, need x{ratio:g}",
-              file=sys.stderr)
-        return False
-    print(f"numpy gate ok: x{achieved:.2f} >= x{ratio:g}")
-    return True
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--power", action="store_true",
+                      help="sweep the X-fill strategies' power on the "
+                           "quick suite (quality gate)")
+    mode.add_argument("--adi", action="store_true",
+                      help="compare ADI-guided ordering against the "
+                           "plain proposed procedure (quality gate)")
+    mode.add_argument("--collapse", action="store_true",
+                      help="compare representative-only simulation "
+                           "(+ untestability proofs) against the "
+                           "uncollapsed flow (quality gate)")
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized circuit instead of the full one")
-    parser.add_argument("--phase1", action="store_true",
-                        help="benchmark the Phase-1 candidate scan "
-                             "(lanes vs scalar) instead of the engine")
-    parser.add_argument("--engine-matrix", action="store_true",
-                        help="time one detect pass per engine "
-                             "(interp/codegen/numpy) on the same "
-                             "circuit instead of the full pipeline")
-    parser.add_argument("--power", action="store_true",
-                        help="sweep the X-fill strategies' power on "
-                             "the quick suite instead of the engine")
-    parser.add_argument("--trials", action="store_true",
-                        help="benchmark the lane-batched Phase-3/4 "
-                             "trial engine vs the scalar loops")
-    parser.add_argument("--adi", action="store_true",
-                        help="compare ADI-guided ordering against the "
-                             "plain proposed procedure (quality gate)")
-    parser.add_argument("--delay", action="store_true",
-                        help="benchmark the wide-word packed "
-                             "transition-fault route vs the scalar "
-                             "route on the final test sets")
-    parser.add_argument("--collapse", action="store_true",
-                        help="compare representative-only simulation "
-                             "(+ untestability proofs) against the "
-                             "uncollapsed flow (quality gate)")
     parser.add_argument("--gate", type=float, metavar="RATIO",
-                        help="fail (exit 1) when the after/lanes wall "
-                             "clock exceeds RATIO x before/scalar")
-    parser.add_argument("--gate-numpy", type=float, metavar="RATIO",
-                        help="fail (exit 1) when the numpy arm is "
-                             "less than RATIO x faster than the fused "
-                             "big-int arm (skipped, with a notice, "
-                             "when numpy or a C compiler is missing)")
+                        help="fail (exit 1) when the mode's quality "
+                             "gate does not hold")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("-o", "--out", default=None)
     args = parser.parse_args(argv)
-
-    if args.delay:
-        out = args.out or "BENCH_delay.json"
-        payload = build_delay_payload(quick=args.quick, seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        speedup = payload["speedup"]
-        print(f"wrote {out}: packed TDF speedup "
-              f"x{speedup if speedup is not None else '-'} "
-              f"(identical coverage: {payload['identical_coverage']})")
-        if not payload["identical_coverage"]:
-            return 1
-        if args.gate is not None and not _delay_gate(payload,
-                                                     args.gate):
-            return 1
-        return 0
-
-    if args.trials:
-        out = args.out or "BENCH_trials.json"
-        payload = build_trials_payload(quick=args.quick, seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}: phase-3/4 trial speedup "
-              f"x{payload['speedup']} (identical results: "
-              f"{payload['identical_results']})")
-        if not payload["identical_results"]:
-            return 1
-        if args.gate is not None:
-            ratio = (payload["trial_seconds"]["batched"]
-                     / max(payload["trial_seconds"]["scalar"], 1e-9))
-            if ratio > args.gate:
-                print(f"PERF GATE FAILED: batched/scalar trial time "
-                      f"= {ratio:.2f} > {args.gate}", file=sys.stderr)
-                return 1
-            print(f"perf gate ok: batched/scalar trial time "
-                  f"= {ratio:.2f} <= {args.gate}")
-        return 0
 
     if args.collapse:
         out = args.out or "BENCH_collapse.json"
@@ -1183,67 +504,18 @@ def main(argv: Optional[list] = None) -> int:
                   "baseline, identical coverage")
         return 0
 
-    if args.power:
-        out = args.out or "BENCH_power.json"
-        payload = build_power_payload(quick=args.quick, seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}: {len(payload['circuits'])} circuit(s), "
-              f"{len(payload['config']['strategies'])} strategies "
-              f"(identical detection: "
-              f"{payload['identical_detection']})")
-        if not payload["identical_detection"]:
-            return 1
-        if args.gate is not None and not _power_gate(payload, args.gate):
-            return 1
-        return 0
-
-    if args.engine_matrix:
-        out = args.out or "BENCH_engine_matrix.json"
-        payload = build_engine_matrix_payload(quick=args.quick,
-                                              seed=args.seed)
-        atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out} (identical results: "
-              f"{payload['identical_results']})")
-        if not payload["identical_results"]:
-            return 1
-        if args.gate_numpy is not None:
-            return 0 if _numpy_gate(payload["engines"]["codegen"],
-                                    payload["engines"]["numpy"],
-                                    args.gate_numpy,
-                                    payload["config"]) else 1
-        return 0
-
-    if args.phase1:
-        out = args.out or "BENCH_phase1.json"
-        payload = build_phase1_payload(quick=args.quick, seed=args.seed)
-        gate_pair = (payload["select_scan_in"]["lanes"]["seconds"],
-                     payload["select_scan_in"]["scalar"]["seconds"])
-        gate_label = "lanes/scalar"
-    else:
-        out = args.out or "BENCH_engine.json"
-        payload = build_payload(quick=args.quick, seed=args.seed)
-        gate_pair = (payload["after"]["seconds"],
-                     payload["before"]["seconds"])
-        gate_label = "fused/chunked"
-
+    # --power
+    out = args.out or "BENCH_power.json"
+    payload = build_power_payload(quick=args.quick, seed=args.seed)
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out}: speedup x{payload['speedup']} "
-          f"(identical results: {payload['identical_results']})")
-
-    if not payload["identical_results"]:
+    print(f"wrote {out}: {len(payload['circuits'])} circuit(s), "
+          f"{len(payload['config']['strategies'])} strategies "
+          f"(identical detection: "
+          f"{payload['identical_detection']})")
+    if not payload["identical_detection"]:
         return 1
-    if args.gate is not None:
-        ratio = gate_pair[0] / max(gate_pair[1], 1e-9)
-        if ratio > args.gate:
-            print(f"PERF GATE FAILED: {gate_label} = {ratio:.2f} "
-                  f"> {args.gate}", file=sys.stderr)
-            return 1
-        print(f"perf gate ok: {gate_label} = {ratio:.2f} "
-              f"<= {args.gate}")
-    if args.gate_numpy is not None and not args.phase1:
-        if not _numpy_gate(payload["after"], payload.get("numpy"),
-                           args.gate_numpy, payload["config"]):
-            return 1
+    if args.gate is not None and not _power_gate(payload, args.gate):
+        return 1
     return 0
 
 

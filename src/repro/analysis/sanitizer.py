@@ -12,9 +12,11 @@ equivalence suites, but never checked in production runs:
   scoreboard is never simulated again as a target ("never required by a
   later phase"), and every retired fault is in the final detected set
   ("retired" really means "guaranteed detected");
-* **fused/chunked agreement** -- the single fused wide word and the
-  classic chunked engine detect identical fault sets (spot-checked on
-  the first few ``detect`` calls per simulator, on bounded targets).
+* **fused/chunked agreement** -- a production ``detect`` pass (one
+  fused word, on the C kernel when it loads) and a chunked shadow on
+  the reference circuit (the interpreter, no array backend) detect
+  identical fault sets (spot-checked on the first few ``detect`` calls
+  per simulator, on bounded targets).
 
 With ``REPRO_SANITIZE`` unset (or ``0``) every hook is a cheap boolean
 check away from free.  With ``REPRO_SANITIZE=1`` a violated invariant
@@ -217,7 +219,8 @@ def check_monotone(before: Set[int], after: Set[int],
 
 def check_agreement(fused: Set[int], chunked: Set[int],
                     context: str) -> None:
-    """Fused-word and chunked-word engines must detect identical sets."""
+    """A production pass and its chunked reference shadow must detect
+    identical sets."""
     if fused != chunked:
         only_f = sorted(fused - chunked)[:10]
         only_c = sorted(chunked - fused)[:10]

@@ -20,7 +20,6 @@ from .atpg.comb_set import CombSetResult, CombTest
 from .circuits.netlist import Netlist
 from .core.combine import CombineResult, static_compact
 from .core.dynamic import DynamicResult, dynamic_compact
-from .core.phase1 import DEFAULT_CANDIDATE_SCAN
 from .core.proposed import (PhaseObserver, ProposedResult,
                             run as run_proposed)
 from .core.scan_test import ScanTestSet, single_vector_test
@@ -30,7 +29,7 @@ from .delay.transition import TransitionSim
 from .sim import values as V
 from .sim.comb_sim import CombPatternSim
 from .sim.counters import SimCounters
-from .sim.fault_sim import FaultSimulator, WidthPolicy
+from .sim.fault_sim import FaultSimulator
 from .sim.faults import FaultSet
 from .sim.logicsim import CompiledCircuit
 
@@ -75,31 +74,19 @@ class Workbench:
         return self.faultspace.difficulty_map(self.faults)
 
     @classmethod
-    def for_netlist(cls, netlist: Netlist, engine: str = "codegen",
-                    width: WidthPolicy = "auto",
-                    lint: bool = False,
+    def for_netlist(cls, netlist: Netlist, lint: bool = False,
                     static_analysis: bool = True) -> "Workbench":
         """Build the standard toolchain for one circuit.
+
+        Fault-simulation passes run on the C kernel when numpy, cffi
+        and a C compiler are present, and on big-int words otherwise;
+        results are the same either way (see
+        :attr:`repro.sim.logicsim.CompiledCircuit.array_backend`).
 
         Parameters
         ----------
         netlist:
             The circuit.
-        engine:
-            Evaluation backend: ``"codegen"`` (compiled per-circuit
-            source, the default), ``"interp"``/``"generic"`` (the
-            table-driven interpreter; ``"interp"`` is the CLI spelling
-            of ``"generic"``), ``"numpy"`` (the uint64-array backend
-            of :mod:`repro.sim.npsim`; requires the optional numpy
-            dependency and raises an actionable error without it), or
-            ``"auto"`` (numpy for large passes when available, fused
-            big-int otherwise).  All backends produce byte-identical
-            results.
-        width:
-            Fault-packing policy for the sequential simulator:
-            ``"auto"`` (fuse every target into one wide word, chunk
-            only past the fused cap) or an explicit machines-per-word
-            integer.  See :class:`repro.sim.fault_sim.FaultSimulator`.
         lint:
             Run the structural netlist lint first and carry its
             findings in :attr:`diagnostics`.  Only the cheap
@@ -115,17 +102,14 @@ class Workbench:
             no detection set, so only the machine-bit counters move.
             ``False`` skips the pass (the benchmark baseline arm).
         """
-        if engine == "interp":
-            engine = "generic"
         diagnostics: List[Diagnostic] = []
         if lint:
             from .analysis.rules import lint_netlist
             diagnostics = list(lint_netlist(netlist, xinit=False).diagnostics)
-        circuit = CompiledCircuit(netlist, engine=engine)
+        circuit = CompiledCircuit(netlist)
         faults = FaultSet.collapsed(netlist)
         counters = SimCounters()
-        sim = FaultSimulator(circuit, faults, width=width,
-                             counters=counters)
+        sim = FaultSimulator(circuit, faults, counters=counters)
         comb_sim = CombPatternSim(circuit, faults, counters=counters)
         faultspace: Optional[FaultSpaceReport] = None
         if static_analysis:
@@ -167,12 +151,10 @@ def compact_tests(
     comb_tests: Optional[Sequence[CombTest]] = None,
     run_phase4: bool = True,
     workbench: Optional[Workbench] = None,
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
     observer: Optional[PhaseObserver] = None,
     resume: Optional[Dict[str, Any]] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     adi_scores: Optional[Dict[int, int]] = None,
     scoap: bool = False,
@@ -197,9 +179,6 @@ def compact_tests(
         An explicit combinational test set; generated when omitted.
     run_phase4:
         Apply the [4] static compaction at the end.
-    candidate_scan:
-        Phase-1 Step-2 engine mode, ``"lanes"`` or ``"scalar"``; see
-        :func:`repro.core.proposed.run`.
     x_fill:
         Don't-care fill strategy for the ATPG stages (see
         :func:`repro.sim.values.fill_x`); ``"random"`` (the default)
@@ -216,11 +195,6 @@ def compact_tests(
         :func:`repro.core.proposed.run`.  When ``resume`` names a
         completed Phase 2 (or later), ``T0`` generation is skipped
         entirely -- the salvaged state already embodies it.
-    trial_batch:
-        Lane budget for batched trial simulation (Phase-3 candidate
-        blocks, Phase-4 merge-trial prefetching); results are
-        byte-identical for every value, ``1`` forces the scalar
-        loops.  See :func:`repro.core.proposed.run`.
     adi:
         Enable Accidental-Detection-Index guidance: the random phase
         of combinational test generation doubles as the ADI census
@@ -285,11 +259,9 @@ def compact_tests(
     scoap_scores = (wb.scoap_difficulty() or None) if scoap else None
     return run_proposed(wb.sim, wb.comb_sim, t0, comb_tests,
                         run_phase4=run_phase4,
-                        candidate_scan=candidate_scan,
                         merge_filter=merge_filter,
                         topoff_power_key=power_key,
                         observer=observer, resume=resume,
-                        trial_batch=trial_batch,
                         adi=adi, adi_scores=adi_scores,
                         scoap_scores=scoap_scores)
 
@@ -337,7 +309,6 @@ def measure_delay(
     sets: Dict[str, ScanTestSet],
     spec: Optional[ClockSpec] = None,
     workbench: Optional[Workbench] = None,
-    route: str = "auto",
 ) -> DelayReport:
     """Measure the at-speed quality of one or more final test sets.
 
@@ -367,14 +338,9 @@ def measure_delay(
     workbench:
         Reuse an existing toolchain (its counters absorb the
         ``tdf_*`` instrumentation); built fresh when omitted.
-    route:
-        Forwarded to :class:`~repro.delay.transition.TransitionSim`:
-        ``"auto"`` (packed wide-word route when numpy + the C kernel
-        are importable, scalar otherwise), ``"packed"`` (require it),
-        or ``"scalar"``.
     """
     wb = workbench or Workbench.for_netlist(netlist)
-    tsim = TransitionSim(wb.circuit, counters=wb.counters, route=route)
+    tsim = TransitionSim(wb.circuit, counters=wb.counters)
     return _measure_delay_sets(tsim, sets, spec=spec)
 
 

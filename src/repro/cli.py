@@ -99,21 +99,6 @@ def _resolve_profiles(names: List[str]):
     return profiles
 
 
-def _parse_width(text: str):
-    """``--width`` value: "auto" or an integer word width >= 2."""
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"width must be 'auto' or an integer, got {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            "width must be >= 2 (one good machine + one faulty)")
-    return value
-
-
 def _harness_config(args: argparse.Namespace) -> HarnessConfig:
     return HarnessConfig(timeout=args.timeout,
                          stall_timeout=args.stall_timeout,
@@ -151,11 +136,8 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
         return 2
     outcome = run_suite_resilient(profiles, seed=args.seed,
                                   delay=args.delay,
-                                  engine=args.engine, width=args.width,
-                                  candidate_scan=args.candidate_scan,
                                   x_fill=args.x_fill,
                                   power_budget=args.power_budget,
-                                  trial_batch=args.trial_batch,
                                   adi=args.adi, scoap=args.scoap,
                                   config=_harness_config(args))
     print(render_all(all_tables(outcome.runs,
@@ -179,11 +161,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     outcome = run_suite_resilient(profiles, quick=not args.full,
                                   seed=args.seed,
                                   delay=args.delay,
-                                  engine=args.engine, width=args.width,
-                                  candidate_scan=args.candidate_scan,
                                   x_fill=args.x_fill,
                                   power_budget=args.power_budget,
-                                  trial_batch=args.trial_batch,
                                   adi=args.adi, scoap=args.scoap,
                                   config=_harness_config(args),
                                   verbose=True)
@@ -502,34 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "testing (DAC 2001 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    engine_opts = argparse.ArgumentParser(add_help=False)
-    egroup = engine_opts.add_argument_group("simulation engine")
-    egroup.add_argument("--engine",
-                        choices=("interp", "codegen", "numpy", "auto"),
-                        default="codegen",
-                        help="evaluation backend: generated per-circuit "
-                             "code (codegen, default), the table-"
-                             "driven interpreter (interp), the uint64-"
-                             "array backend (numpy; needs the optional "
-                             "numpy extra), or auto (numpy for large "
-                             "passes when available, else codegen)")
-    egroup.add_argument("--width", type=_parse_width, default="auto",
-                        metavar="{N,auto}",
-                        help="fault machines per simulation word: an "
-                             "integer chunk width, or 'auto' (default) "
-                             "to fuse all targets into one wide word")
-    egroup.add_argument("--candidate-scan", choices=("scalar", "lanes"),
-                        default="lanes", dest="candidate_scan",
-                        help="Phase-1 scan-in selection mode: "
-                             "candidate-parallel transposed lanes "
-                             "(default) or one pass per candidate "
-                             "state (scalar); results are identical")
-    egroup.add_argument("--trial-batch", type=int, default=64,
-                        dest="trial_batch", metavar="N",
-                        help="trial simulations packed per lane-"
-                             "batched pass in Phases 3/4 (default: "
-                             "64; 1 disables batching; results are "
-                             "identical either way)")
+    guidance_opts = argparse.ArgumentParser(add_help=False)
+    egroup = guidance_opts.add_argument_group("ordering guidance")
     egroup.add_argument("--adi", action="store_true",
                         help="order work by the Accidental Detection "
                              "Index (arXiv:0710.4637): fused-word "
@@ -583,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_circuit = sub.add_parser("circuit", parents=[resilience,
-                                                   engine_opts,
+                                                   guidance_opts,
                                                    power_opts],
                                help="run one suite circuit")
     p_circuit.add_argument("name")
@@ -594,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "test-clock cycle budget")
     p_circuit.set_defaults(func=_cmd_circuit)
 
-    p_tables = sub.add_parser("tables", parents=[resilience, engine_opts,
+    p_tables = sub.add_parser("tables", parents=[resilience,
+                                                 guidance_opts,
                                                  power_opts],
                               help="regenerate the paper's tables")
     p_tables.add_argument("--full", action="store_true",

@@ -57,6 +57,12 @@ from ..sim import values as V
 from ..sim.fault_sim import FaultSimulator
 from .scan_test import ScanTest, ScanTestSet
 
+#: Most trial tests simulated together in one lane-batched pass: the
+#: Phase-4 merge-trial prefetch window here and the Phase-3 PPSFP
+#: candidate block in :mod:`repro.core.topoff`.  Results are identical
+#: for every value; tests may monkeypatch it.
+TRIAL_BATCH = 64
+
 # A lane-batched trial pass targets the union of the batch's essential
 # sets; past this many union faults the pass costs more than the lanes
 # save, so prefetching stops collecting candidates (soundness does not
@@ -165,7 +171,6 @@ def static_compact(
     known_detections: Optional[Dict[ScanTest, Set[int]]] = None,
     retire_to=None,
     merge_filter: Optional[Callable[[ScanTest], bool]] = None,
-    trial_batch: int = 64,
 ) -> CombineResult:
     """Compact ``test_set`` by combining test pairs ([4]).
 
@@ -213,19 +218,15 @@ def static_compact(
         (the default) keeps the procedure of [4] byte-identical.
         The predicate must be deterministic: rejected pairs are
         remembered and never retried.
-    trial_batch:
-        Maximum merge trials speculatively simulated per lane-batched
-        pass (:meth:`~repro.sim.fault_sim.FaultSimulator.
-        detect_trials`): before a cache-missing trial runs, the
-        upcoming candidate merges of the same row are prefetched, one
-        lane each, and their exact detection records cached.  Results,
-        stats and acceptance order are byte-identical to the scalar
-        procedure for every value (the equivalence suite enforces
-        it); ``1`` disables prefetching entirely.  With
-        ``max_transfer > 0`` the per-length transfer candidates batch
-        the same way, which reorders the RNG draws of a partially
-        successful attempt round relative to ``trial_batch=1`` --
-        transfers default off, so the default path is unaffected.
+
+    Merge trials are simulated in lane-batched passes
+    (:meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials`):
+    before a cache-missing trial runs, up to :data:`TRIAL_BATCH`
+    upcoming candidate merges of the same row are prefetched, one lane
+    each, and their exact detection records cached.  Results, stats
+    and acceptance order are those of trying one merge at a time.
+    With ``max_transfer > 0`` each length's transfer candidates are
+    simulated together in one batched pass too.
     """
     if target is None:
         target = set(range(len(sim.faults)))
@@ -276,16 +277,14 @@ def static_compact(
                 stats.combinations_tried += 1
                 sim.counters.combine_trials += 1
                 det_must: Optional[Set[int]] = None
-                if trial_batch > 1:
+                hit = trial_cache.get(combined)
+                if hit is None or not must <= hit[0]:
+                    _prefetch_trials(
+                        sim, tests, ess, two, i, j, failed,
+                        max_sequence_length, merge_filter, trial_cache)
                     hit = trial_cache.get(combined)
-                    if hit is None or not must <= hit[0]:
-                        _prefetch_trials(
-                            sim, tests, ess, two, i, j, failed,
-                            max_sequence_length, merge_filter,
-                            trial_batch, trial_cache)
-                        hit = trial_cache.get(combined)
-                    if hit is not None and must <= hit[0]:
-                        det_must = hit[1] & must
+                if hit is not None and must <= hit[0]:
+                    det_must = hit[1] & must
                 if det_must is None:
                     det_must = sim.detect(list(combined.vectors),
                                           combined.scan_in,
@@ -294,8 +293,7 @@ def static_compact(
                 if not must <= det_must and max_transfer > 0:
                     transfer = _find_transfer_sequence(
                         sim, first, second, must, max_transfer,
-                        transfer_pool, transfer_attempts, rng, n_pi,
-                        trial_batch=trial_batch)
+                        transfer_pool, transfer_attempts, rng, n_pi)
                     if transfer is not None:
                         with_transfer = ScanTest(
                             first.scan_in,
@@ -364,7 +362,6 @@ def _prefetch_trials(
     failed: Set[Tuple[ScanTest, ScanTest]],
     max_sequence_length: Optional[int],
     merge_filter: Optional[Callable[[ScanTest], bool]],
-    trial_batch: int,
     trial_cache: Dict[ScanTest, Tuple[Set[int], Set[int]]],
 ) -> None:
     """Speculatively simulate the upcoming merge trials of row ``i``.
@@ -396,7 +393,7 @@ def _prefetch_trials(
     musts: Dict[ScanTest, Set[int]] = {}
     union: Set[int] = set()
     jj = j
-    while jj < len(tests) and len(pending) < trial_batch:
+    while jj < len(tests) and len(pending) < TRIAL_BATCH:
         if jj == i:
             jj += 1
             continue
@@ -452,7 +449,6 @@ def _find_transfer_sequence(
     attempts: int,
     rng: random.Random,
     n_pi: int,
-    trial_batch: int = 1,
 ) -> Optional[List[V.Vector]]:
     """A transfer sequence making ``first ++ transfer ++ second`` keep
     every pair-essential fault (ref [7]), or ``None``.
@@ -462,14 +458,8 @@ def _find_transfer_sequence(
     transfer wins, since each transfer vector eats into the ``N_SV``
     cycles the combination saves.
 
-    With ``trial_batch > 1`` all candidates of a length are built
-    up front and simulated in one lane-batched pass; the winner is
-    still the lowest attempt number, but a round that would have
-    stopped early under ``trial_batch=1`` now draws RNG for its
-    remaining attempts, so pool/random choices in *later* rounds can
-    differ between batched and scalar runs.  Both remain valid
-    transfer searches; byte-identity is only promised for the paper's
-    default ``max_transfer=0`` (no call at all).
+    All candidates of a length are built up front and simulated in
+    one lane-batched pass; the winner is the lowest attempt number.
     """
 
     def _build(attempt: int, length: int) -> List[V.Vector]:
@@ -486,24 +476,14 @@ def _find_transfer_sequence(
         return transfer
 
     for length in range(1, max_transfer + 1):
-        if trial_batch > 1 and attempts > 1:
-            candidates = [_build(a, length) for a in range(attempts)]
-            sim.counters.combine_trials += len(candidates)
-            results = sim.detect_trials(
-                [(first.scan_in,
-                  list(first.vectors) + list(c) + list(second.vectors))
-                 for c in candidates],
-                target=sorted(must))
-            for cand, det in zip(candidates, results):
-                if must <= det:
-                    return cand
-            continue
-        for attempt in range(attempts):
-            transfer = _build(attempt, length)
-            trial = first.vectors + tuple(transfer) + second.vectors
-            sim.counters.combine_trials += 1
-            detected = sim.detect(list(trial), first.scan_in,
-                                  target=sorted(must), early_exit=True)
-            if must <= detected:
-                return transfer
+        candidates = [_build(a, length) for a in range(attempts)]
+        sim.counters.combine_trials += len(candidates)
+        results = sim.detect_trials(
+            [(first.scan_in,
+              list(first.vectors) + list(c) + list(second.vectors))
+             for c in candidates],
+            target=sorted(must))
+        for cand, det in zip(candidates, results):
+            if must <= det:
+                return cand
     return None

@@ -18,9 +18,10 @@ cumulative PO-detection masks per fault word) and re-simulates only
 the suffix of each tentative test -- an order-of-magnitude saving over
 re-simulating from frame 0 for long sequences.
 
-Word packing follows the simulator's policy: under ``width="auto"``
-the whole required set rides in one fused word, so each tentative
-omission costs a single suffix pass instead of one per 128-bit chunk.
+Word packing follows the simulator's policy: the whole required set
+rides in one fused word, so each tentative omission costs a single
+suffix pass, which runs on the C kernel when the circuit has an array
+backend.
 Every tentative omission bumps
 :attr:`~repro.sim.counters.SimCounters.omission_trials` and the
 suffix passes are accounted as words/frames on the simulator's
@@ -101,8 +102,8 @@ class _CheckpointedRun:
         chunk = self.chunks[chunk_index]
         ff_zero, ff_one, caught = self.states[start_frame][chunk_index]
         if not record and vectors:
-            backend = sim._array_backend_for(len(chunk.indices))
-            if backend is not None and backend.kernel_available:
+            backend = circuit.array_backend
+            if backend is not None:
                 # Array fast path: same loop inside the C kernel, with
                 # the last-frame scan-out diff folded into the caught
                 # mask (the caller ORs the two anyway).

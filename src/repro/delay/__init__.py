@@ -1,7 +1,7 @@
 """Delay-defect (transition fault) analysis of scan test sets.
 
 Two halves: :mod:`~repro.delay.transition` scores transition-fault
-coverage (with a wide-word C-kernel route and a scalar reference),
+coverage (on the C kernel when available, on big-int words otherwise),
 and :mod:`~repro.delay.clocking` prices test application under an
 on-chip test-clock generator (slow scan shifts, at-speed
 launch/capture pairs, resync overhead).  Together they put a number

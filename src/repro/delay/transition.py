@@ -26,30 +26,31 @@ Simulation routes
 -----------------
 The simulator packs all launches of a frame into bit-parallel words
 and carries them through the remaining frames together, with early
-exit once a word's faults are all detected.  Two routes execute that
-plan:
+exit once a word's faults are all detected.  The circuit decides
+which route executes that plan:
 
-* **scalar** (the reference): per-net Python big-int words, at most
-  ``width - 1`` faults per word, one interpreted ``eval_frame`` call
-  per frame per word -- exactly the semantics of the stuck-at engine's
-  big-int path.
-* **packed** (the fast path): every launch of a frame goes into one
-  multi-word ``uint64`` array chunk executed by the C pass kernel of
-  :mod:`repro.sim.npsim` -- one kernel call for the launch frame
-  (injection stems force the late value, scan-out only if it is also
-  the last frame) and one for the fault-free propagation suffix
-  (stem-free plan, primary outputs observed every frame, final state
-  scanned out).  The kernel writes the captured next state back into
-  the shared arrays between calls, so the two segments compose into
-  the exact scalar pass.
+* **packed** (when the circuit has an array backend): every launch
+  of a frame goes into one multi-word ``uint64`` array chunk executed
+  by the C pass kernel of :mod:`repro.sim.npsim` -- one kernel call
+  for the launch frame (injection stems force the late value,
+  scan-out only if it is also the last frame) and one for the
+  fault-free propagation suffix (stem-free plan, primary outputs
+  observed every frame, final state scanned out).  The kernel writes
+  the captured next state back into the shared arrays between calls,
+  so the two segments compose into the exact scalar pass.
+* **scalar** (otherwise): per-net Python big-int words, at most
+  ``_SCALAR_WIDTH - 1`` faults per word, one ``eval_frame`` call per
+  frame per word -- exactly the semantics of the stuck-at big-int
+  path.
 
 Detection is independent of how launches are grouped into words
 (every fault's machine evolves in its own bit-lane and the saturation
 break only fires once *all* lanes are caught), so the two routes are
-byte-identical; ``tests/delay/test_transition.py`` proves it with a
-hypothesis equivalence suite and -- under ``REPRO_SANITIZE=1`` -- the
-packed route spot-checks its first few captures against a scalar
-recomputation, reporting ``delay-agreement`` violations through
+byte-identical; ``tests/delay/test_transition.py`` proves it against
+the reference circuit with a hypothesis equivalence suite and --
+under ``REPRO_SANITIZE=1`` -- the packed route spot-checks its first
+few captures against a scalar recomputation, reporting
+``delay-agreement`` violations through
 :mod:`repro.analysis.sanitizer`.
 """
 
@@ -71,8 +72,8 @@ from ..sim.logicsim import CompiledCircuit
 #: per simulator when the sanitizer is armed.
 _SANITIZE_SPOT_BUDGET = 3
 
-#: Simulation routes accepted by :class:`TransitionSim`.
-ROUTES = ("auto", "packed", "scalar")
+#: Word width (launched faults + the good machine) of the scalar route.
+_SCALAR_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,9 @@ class _TdfChunk:
 class TransitionSim:
     """Transition-fault simulator bound to one circuit.
 
-    ``route`` selects the execution path: ``"scalar"`` forces the
-    big-int reference, ``"packed"`` demands the numpy + C-kernel path
-    (raising when it is unavailable), and ``"auto"`` -- the default --
-    takes the packed path when it can and falls back to scalar
-    otherwise.  The resolved choice is exposed as :attr:`route`.
-    Pass the workbench's shared
+    Captures take the packed route when the circuit has an array
+    backend and the scalar route otherwise; :attr:`route` reports
+    which.  Pass the workbench's shared
     :class:`~repro.sim.counters.SimCounters` to surface
     ``tdf_passes`` / ``tdf_words`` / ``tdf_s`` in the engine counters
     table.
@@ -138,26 +136,20 @@ class TransitionSim:
 
     def __init__(self, circuit: CompiledCircuit,
                  faults: Optional[Sequence[TransitionFault]] = None,
-                 width: int = 128,
-                 counters: Optional[SimCounters] = None,
-                 route: str = "auto") -> None:
+                 counters: Optional[SimCounters] = None) -> None:
         self.circuit = circuit
         self.faults: List[TransitionFault] = list(
             faults if faults is not None
             else all_transition_faults(circuit.netlist))
         self.index: Dict[TransitionFault, int] = {
             f: i for i, f in enumerate(self.faults)}
-        self.width = width
         self.counters = counters if counters is not None \
             else SimCounters()
         ids = circuit.netlist.net_ids
         self._nid: List[int] = [ids[f.net] for f in self.faults]
         self._src_ids = frozenset(circuit.pi_ids) | \
             frozenset(circuit.ff_ids)
-        if route not in ROUTES:
-            raise ValueError(f"unknown TDF route {route!r}; "
-                             f"use one of {ROUTES}")
-        self._backend = self._resolve_backend(route)
+        self._backend = circuit.array_backend
         self.route = "packed" if self._backend is not None else "scalar"
         self._plain_plans: "OrderedDict[int, Any]" = OrderedDict()
         self._stem_site_buf: Optional[Any] = None
@@ -167,38 +159,6 @@ class TransitionSim:
     #: Stem-free propagation plans retained, keyed by launch-group
     #: size (they are a pure function of the word width).
     _PLAIN_PLAN_CACHE_SIZE = 8
-
-    def _resolve_backend(self, route: str) -> Optional[Any]:
-        """The :class:`~repro.sim.npsim.ArrayBackend` to run packed
-        captures on, or ``None`` for the scalar route.
-
-        Reuses the circuit's registry backend when the circuit was
-        compiled for ``numpy`` / ``auto``; otherwise builds one for
-        TDF work alone (cached on the circuit -- the kernel plan
-        arrays are circuit-wide) so ``--delay`` is fast under the
-        default big-int engines too.
-        """
-        if route == "scalar":
-            return None
-        from ..sim import npsim
-        backend = self.circuit.array_backend
-        if backend is None and npsim.numpy_available():
-            backend = getattr(self.circuit, "_tdf_array_backend", None)
-            if backend is None:
-                backend = npsim.ArrayBackend(self.circuit)
-                self.circuit._tdf_array_backend = backend  # type: ignore[attr-defined]
-        if backend is not None and backend.kernel_available:
-            return backend
-        if route == "packed":
-            if backend is None:
-                raise RuntimeError(
-                    "the packed TDF route requires numpy; install the "
-                    "optional extra with `pip install repro[fast]` or "
-                    "use route='scalar'")
-            raise RuntimeError(
-                "the packed TDF route requires the compiled C pass "
-                f"kernel: {npsim.kernel_unavailable_reason()}")
-        return None
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,
@@ -284,7 +244,7 @@ class TransitionSim:
         circuit = self.circuit
         detected: Set[int] = set()
         last = test.length - 1
-        per = self.width - 1
+        per = _SCALAR_WIDTH - 1
         for start in range(0, len(launched), per):
             group = launched[start:start + per]
             mask = (1 << (len(group) + 1)) - 1
@@ -432,12 +392,12 @@ class TransitionSim:
         stems is a pure function of the group size, and the stem rows
         are set bit-by-bit straight into ``uint64`` words (``bits0`` /
         ``bits1`` hold the stuck-at-0 / stuck-at-1 machine-bit
-        positions per stem site).  Only valid on the kernel path: the
-        copy's ``chunk`` still reports empty stems, which only the
-        pure-numpy fallback evaluator consults.  The per-net site
-        table is a single reused buffer -- entries dirtied by the
-        previous launch frame are cleared here, so the plan returned
-        by the last call stays valid until the next one.
+        positions per stem site).  The copy's ``chunk`` still reports
+        empty stems; the kernel reads only the patched arrays.  The
+        per-net site table is a single reused buffer -- entries
+        dirtied by the previous launch frame are cleared here, so the
+        plan returned by the last call stays valid until the next
+        one.
         """
         np = self._backend.np
         plan = copy.copy(self._plain_plan(n_group))

@@ -97,12 +97,12 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..circuits.suite import CircuitProfile
-from ..core.phase1 import DEFAULT_CANDIDATE_SCAN
 from . import reporting
 from .reporting import Table
 from .runner import CircuitRun, resolve_profiles, run_circuit_by_name
-from .salvage import (PartialRun, SalvageStore, SalvageWriter, encode_line,
-                      load_jsonl, salvage_usable)
+from .salvage import (RESULT_KNOBS, PartialRun, SalvageStore,
+                      SalvageWriter, encode_line, load_jsonl,
+                      salvage_usable)
 from .supervision import (CHAOS_KINDS, ProgressReporter, WorkerHooks,
                           chaos_from_env, freeze, parse_chaos)
 
@@ -120,20 +120,13 @@ CHAOS_DIRECTIVES = CHAOS_KINDS
 
 ChaosFn = Callable[["JobSpec", int], Optional[str]]
 
-#: JobSpec fields a checkpointed run must have been produced under
-#: for :func:`_checkpoint_usable` to accept it.  ``delay`` is absent
-#: on purpose: it is measurement-only (never changes the produced
-#: test sets), so a delay-bearing checkpoint also serves a plain
-#: request; the reverse direction is the dedicated report-presence
-#: check in :func:`_checkpoint_usable`.
-CHECKPOINT_KNOBS = ("engine", "width", "candidate_scan", "x_fill",
-                    "power_budget", "adi", "scoap")
-
 #: Knob values assumed when a (modern, knob-recording) checkpoint
-#: predates a knob entirely -- the knob's default, under which the
-#: checkpoint was necessarily produced.  ``trial_batch`` is absent on
-#: purpose: it never changes results, so checkpoints match across any
-#: batching configuration.
+#: predates a :data:`~repro.experiments.salvage.RESULT_KNOBS` entry --
+#: the knob's default, under which the checkpoint was necessarily
+#: produced.  ``delay`` is not a result knob: it is measurement-only
+#: (never changes the produced test sets), so a delay-bearing
+#: checkpoint also serves a plain request; the reverse direction is
+#: the dedicated report-presence check in :func:`_checkpoint_usable`.
 _KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
 
 
@@ -141,19 +134,13 @@ _KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
 class JobSpec:
     """One unit of work: a circuit run under one seed / arm config.
 
-    ``engine``/``width`` select the simulation backend
-    (``"codegen"``, ``"interp"``, ``"numpy"`` or ``"auto"``, see
-    :meth:`repro.api.Workbench.for_netlist`) and fault-packing
-    policy; legacy spec dicts without an ``engine`` key default to
-    ``"codegen"`` and ``_checkpoint_usable`` rejects rows whose
-    engine differs from the requested one;
-    ``candidate_scan`` the Phase-1 Step-2 mode ("lanes" or "scalar");
-    ``x_fill``/``power_budget`` the don't-care fill strategy and the
-    optional peak shift-WTM cap (see :mod:`repro.power`).  All travel
-    across the ``spawn`` boundary as plain values (``width`` is an int
-    or the string ``"auto"``); workers read missing keys with
-    defaults, so old callers and legacy spec dicts stay compatible
-    (they default to ``random`` fill with no budget).
+    ``x_fill``/``power_budget`` are the don't-care fill strategy and
+    the optional peak shift-WTM cap (see :mod:`repro.power`).  All
+    fields travel across the ``spawn`` boundary as plain values;
+    workers read missing keys with defaults and ignore unknown ones,
+    so old callers and legacy spec dicts (including those carrying
+    the removed ``engine`` / ``width`` / ``candidate_scan`` /
+    ``trial_batch`` settings) stay compatible.
     """
 
     circuit: str
@@ -165,15 +152,8 @@ class JobSpec:
     #: spec dicts -- which carried ``with_transition`` -- default to
     #: off, and workers accept either key).
     delay: bool = False
-    engine: str = "codegen"
-    width: Union[int, str] = "auto"
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN
     x_fill: str = "random"
     power_budget: Optional[float] = None
-    #: Lane budget for batched trial simulation (Phase-3 blocks,
-    #: Phase-4 prefetch).  Never result-shaping -- excluded from
-    #: checkpoint-identity comparison.
-    trial_batch: int = 64
     #: Accidental-Detection-Index ordering guidance (result-shaping:
     #: compared on resume; legacy checkpoints count as ``False``).
     adi: bool = False
@@ -445,17 +425,17 @@ class RunStore:
 # Worker (runs in the spawned subprocess)
 # ----------------------------------------------------------------------
 
-def _spec_salvage_knobs(x_fill: str,
-                        power_budget: Optional[float]) -> Dict[str, Any]:
-    """The knobs salvage compatibility is judged on (see
-    :data:`repro.experiments.salvage.SALVAGE_KNOBS`)."""
-    return {"x_fill": x_fill, "power_budget": power_budget}
+def _result_knobs(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """The :data:`~repro.experiments.salvage.RESULT_KNOBS` of a spec
+    dict, with the :class:`JobSpec` default for any it lacks."""
+    defaults = JobSpec(circuit="")
+    return {name: spec.get(name, getattr(defaults, name))
+            for name in RESULT_KNOBS}
 
 
 def _build_hooks(circuit: str, seed: int, directive: Optional[str],
-                 run_dir: Optional[str], x_fill: str,
-                 power_budget: Optional[float], conn: Any,
-                 heartbeat_interval: float,
+                 run_dir: Optional[str], knobs: Dict[str, Any],
+                 conn: Any, heartbeat_interval: float,
                  isolated: bool) -> WorkerHooks:
     """Assemble one attempt's supervision bundle (worker side).
 
@@ -476,8 +456,7 @@ def _build_hooks(circuit: str, seed: int, directive: Optional[str],
     salvage = None
     if run_dir is not None:
         salvage = SalvageWriter(
-            SalvageStore(run_dir), circuit, seed,
-            _spec_salvage_knobs(x_fill, power_budget),
+            SalvageStore(run_dir), circuit, seed, knobs,
             corrupt_after_write=(chaos is not None
                                  and chaos.kind == "corrupt-salvage"))
     reporter = ProgressReporter(conn, heartbeat_interval)
@@ -498,11 +477,10 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
     """
     reporter = None
     try:
+        knobs = _result_knobs(spec_dict)
         hooks = _build_hooks(
-            spec_dict["circuit"], seed, directive, run_dir,
-            spec_dict.get("x_fill", "random"),
-            spec_dict.get("power_budget"), conn, heartbeat_interval,
-            isolated=True)
+            spec_dict["circuit"], seed, directive, run_dir, knobs, conn,
+            heartbeat_interval, isolated=True)
         reporter = hooks.reporter
         reporter.start()
         run = run_circuit_by_name(
@@ -511,15 +489,8 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
             with_baselines=spec_dict["with_baselines"],
             delay=bool(spec_dict.get(
                 "delay", spec_dict.get("with_transition", False))),
-            engine=spec_dict.get("engine", "codegen"),
-            width=spec_dict.get("width", "auto"),
-            candidate_scan=spec_dict.get("candidate_scan",
-                                         DEFAULT_CANDIDATE_SCAN),
-            x_fill=spec_dict.get("x_fill", "random"),
-            power_budget=spec_dict.get("power_budget"),
-            trial_batch=int(spec_dict.get("trial_batch", 64)),
-            adi=bool(spec_dict.get("adi", False)),
-            scoap=bool(spec_dict.get("scoap", False)),
+            x_fill=knobs["x_fill"], power_budget=knobs["power_budget"],
+            adi=bool(knobs["adi"]), scoap=bool(knobs["scoap"]),
             hooks=hooks)
         reporter.stop()
         conn.send(("ok", reporting.run_to_dict(run)))
@@ -552,16 +523,13 @@ def _run_attempt_inline(spec: JobSpec, seed: int,
             raise RuntimeError(f"chaos: injected {directive} (in-process)")
         run_dir = str(store.run_dir) if store is not None else None
         hooks = _build_hooks(spec.circuit, seed, directive, run_dir,
-                             spec.x_fill, spec.power_budget, conn=None,
+                             _result_knobs(asdict(spec)), conn=None,
                              heartbeat_interval=0.0, isolated=False)
         run = run_circuit_by_name(
             spec.circuit, seed=seed, arms=spec.arms,
             with_baselines=spec.with_baselines,
-            delay=spec.delay,
-            engine=spec.engine, width=spec.width,
-            candidate_scan=spec.candidate_scan,
-            x_fill=spec.x_fill, power_budget=spec.power_budget,
-            trial_batch=spec.trial_batch, adi=spec.adi,
+            delay=spec.delay, x_fill=spec.x_fill,
+            power_budget=spec.power_budget, adi=spec.adi,
             scoap=spec.scoap, hooks=hooks)
         return "ok", run
     except Exception:
@@ -768,7 +736,7 @@ def _checkpoint_usable(run: CircuitRun, spec: JobSpec) -> bool:
     if run.knobs:
         # Modern checkpoints record the exact knobs they were
         # produced under; any mismatch means recompute.
-        for name in CHECKPOINT_KNOBS:
+        for name in RESULT_KNOBS:
             recorded = run.knobs.get(name, _KNOB_DEFAULTS.get(name))
             if recorded != getattr(spec, name):
                 return False
@@ -829,8 +797,7 @@ def _finish(state: _JobState, status: str, payload: Any,
     if store is not None:
         payload_salvage = store.salvage.load(spec.circuit, spec.seed)
         if payload_salvage is not None and salvage_usable(
-                payload_salvage,
-                _spec_salvage_knobs(spec.x_fill, spec.power_budget),
+                payload_salvage, _result_knobs(asdict(spec)),
                 spec.seed):
             partial = PartialRun.from_salvage(
                 payload_salvage,
@@ -1004,12 +971,8 @@ def run_suite_resilient(
     arms: Sequence[str] = ("seqgen", "random"),
     with_baselines: bool = True,
     delay: bool = False,
-    engine: str = "codegen",
-    width: Union[int, str] = "auto",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     scoap: bool = False,
     config: Optional[HarnessConfig] = None,
@@ -1024,10 +987,7 @@ def run_suite_resilient(
     """
     specs = [JobSpec(circuit=p.name, seed=seed, arms=tuple(arms),
                      with_baselines=with_baselines,
-                     delay=delay,
-                     engine=engine, width=width,
-                     candidate_scan=candidate_scan,
-                     x_fill=x_fill, power_budget=power_budget,
-                     trial_batch=trial_batch, adi=adi, scoap=scoap)
+                     delay=delay, x_fill=x_fill,
+                     power_budget=power_budget, adi=adi, scoap=scoap)
              for p in resolve_profiles(profiles, quick=quick)]
     return run_jobs(specs, config=config, verbose=verbose)

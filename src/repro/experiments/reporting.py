@@ -299,22 +299,21 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
     words and wall clock (``tdf_passes`` / ``tdf_words`` / ``tdf_s``),
     the numpy backend's pass count (``np``), and the trial-batch trio
     (``trials`` lane-batched trial passes, ``lanes`` trials carried,
-    ``adi`` ADI ordering decisions) -- plus the engine knob the run
-    executed under (``eng``, from :attr:`CircuitRun.knobs`).  Runs
-    restored from old checkpoints render as ``-`` for whichever
-    counters or knobs they lack.
+    ``adi`` ADI ordering decisions).  ``np`` is the record of what
+    ran: zero when every pass ran on big-int words.  Runs restored
+    from old checkpoints render as ``-`` for whichever counters they
+    lack.
     """
     table = Table("Engine counters",
-                  ["circuit", "eng", "frames", "words", "mach/word",
+                  ["circuit", "frames", "words", "mach/word",
                    "dropped", "repacks", "np", "trials", "lanes",
                    "adi", "p1_s", "p2_s", "p3_s", "p4_s", "pw_words",
                    "pw_s", "tdf_passes", "tdf_words", "tdf_s",
                    "seconds"])
     for run in runs:
         c = run.counters
-        engine = run.knobs.get("engine")
         if c:
-            table.add_row(run.name, engine, c.get("frames"),
+            table.add_row(run.name, c.get("frames"),
                           c.get("words"), c.get("machines_per_word"),
                           c.get("faults_dropped"), c.get("repacks"),
                           c.get("np_passes"),
@@ -327,8 +326,8 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
                           c.get("tdf_s"),
                           run.seconds)
         else:
-            table.add_row(run.name, engine, None, None, None, None,
+            table.add_row(run.name, None, None, None, None, None,
                           None, None, None, None, None, None, None,
-                          None, None, None, None, None, None, None,
+                          None, None, None, None, None, None,
                           run.seconds)
     return table

@@ -21,7 +21,6 @@ from ..atpg import random_gen, seqgen
 from ..circuits.suite import CircuitProfile, suite
 from ..core.combine import CombineResult
 from ..core.dynamic import DynamicResult
-from ..core.phase1 import DEFAULT_CANDIDATE_SCAN
 from ..core.proposed import ProposedResult
 from ..core.scan_test import ScanTestSet
 from ..delay.clocking import DelayReport, measure_delay
@@ -74,11 +73,13 @@ class CircuitRun:
     #: with ``delay=True``); see
     #: :class:`repro.delay.clocking.DelayReport`.
     delay: Optional[DelayReport] = None
-    #: The result-shaping knobs this run was produced under (engine,
-    #: width, candidate_scan, x_fill, power_budget).  The harness
-    #: compares these against a resumed job's spec so a checkpoint
-    #: written under different knobs is recomputed, not reused.
-    #: Empty for runs restored from pre-knob checkpoints.
+    #: The knobs this run was produced under (the result-shaping
+    #: :data:`repro.experiments.salvage.RESULT_KNOBS` plus ``delay``).
+    #: The harness compares these against a resumed job's spec so a
+    #: checkpoint written under different knobs is recomputed, not
+    #: reused.  Empty for runs restored from pre-knob checkpoints;
+    #: older checkpoints may also carry since-removed simulation
+    #: knobs, which are ignored.
     knobs: Dict[str, Any] = field(default_factory=dict)
     #: Faults the static fault-space analyzer *proved* untestable
     #: (constant lines, unobservable cones, const-blocked paths; see
@@ -108,12 +109,8 @@ def run_circuit(
     arms: Sequence[str] = ("seqgen", "random"),
     with_baselines: bool = True,
     delay: bool = False,
-    engine: str = "codegen",
-    width="auto",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     scoap: bool = False,
     hooks: Optional[Any] = None,
@@ -136,25 +133,17 @@ def run_circuit(
         plus the test-clock cycle budget, recorded as
         :attr:`CircuitRun.delay` (and, flattened, in
         :attr:`CircuitRun.transition`).
-    engine, width:
-        Simulation backend (``"codegen"``, ``"interp"``, ``"numpy"``
-        or ``"auto"``) and fault-packing policy, forwarded to
-        :meth:`repro.api.Workbench.for_netlist`.
-    candidate_scan:
-        Phase-1 Step-2 mode ("lanes" or "scalar"), forwarded to
-        :func:`repro.api.compact_tests`.
     x_fill, power_budget:
         Don't-care fill strategy and optional peak shift-WTM budget,
         forwarded to :func:`repro.api.compact_tests` /
         :func:`repro.api.baseline_static`.  The power of every final
         test set is measured regardless (it is cheap) and recorded in
         :attr:`CircuitRun.power`.
-    trial_batch, adi:
-        Lane budget for batched trial simulation and the
-        Accidental-Detection-Index ordering switch, forwarded to
-        :func:`repro.api.compact_tests` (with the comb-set ADI census
-        when ``adi`` is on).  ``trial_batch`` never changes results;
-        ``adi`` off keeps the run byte-identical to prior versions.
+    adi:
+        The Accidental-Detection-Index ordering switch, forwarded to
+        :func:`repro.api.compact_tests` with the comb-set ADI census.
+        Off (the default) keeps the run byte-identical to prior
+        versions.
     scoap:
         SCOAP testability-ordering switch, forwarded to
         :func:`repro.api.compact_tests`: the static difficulty map
@@ -169,8 +158,7 @@ def run_circuit(
     """
     started = time.time()
     netlist = profile.build()
-    wb = api.Workbench.for_netlist(netlist, engine=engine, width=width,
-                                   lint=True)
+    wb = api.Workbench.for_netlist(netlist, lint=True)
     comb = comb_set_mod.generate(wb.circuit, wb.faults, seed=seed,
                                  x_fill=x_fill)
     if hooks is not None:
@@ -205,10 +193,8 @@ def run_circuit(
         result = api.compact_tests(
             netlist, seed=seed, t0_source=source, t0_length=length,
             comb_tests=comb.tests, workbench=wb,
-            candidate_scan=candidate_scan,
             x_fill=x_fill, power_budget=power_budget,
-            observer=observer, resume=resume,
-            trial_batch=trial_batch, adi=adi,
+            observer=observer, resume=resume, adi=adi,
             adi_scores=comb.adi if adi else None,
             scoap=scoap)
         arm_result = ArmResult(
@@ -269,12 +255,8 @@ def run_circuit(
         power=power,
         delay=delay_report,
         knobs={
-            "engine": engine,
-            "width": width,
-            "candidate_scan": candidate_scan,
             "x_fill": x_fill,
             "power_budget": power_budget,
-            "trial_batch": trial_batch,
             "adi": adi,
             "scoap": scoap,
             "delay": delay,
@@ -289,12 +271,8 @@ def run_circuit_by_name(
     arms: Sequence[str] = ("seqgen", "random"),
     with_baselines: bool = True,
     delay: bool = False,
-    engine: str = "codegen",
-    width="auto",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     scoap: bool = False,
     hooks: Optional[Any] = None,
@@ -313,11 +291,8 @@ def run_circuit_by_name(
     from ..circuits.suite import profile as lookup
     return run_circuit(lookup(name), seed=seed, arms=arms,
                        with_baselines=with_baselines,
-                       delay=delay,
-                       engine=engine, width=width,
-                       candidate_scan=candidate_scan,
-                       x_fill=x_fill, power_budget=power_budget,
-                       trial_batch=trial_batch, adi=adi, scoap=scoap,
+                       delay=delay, x_fill=x_fill,
+                       power_budget=power_budget, adi=adi, scoap=scoap,
                        hooks=hooks)
 
 
@@ -338,12 +313,8 @@ def run_suite(
     arms: Sequence[str] = ("seqgen", "random"),
     with_baselines: bool = True,
     delay: bool = False,
-    engine: str = "codegen",
-    width="auto",
-    candidate_scan: str = DEFAULT_CANDIDATE_SCAN,
     x_fill: str = "random",
     power_budget: Optional[float] = None,
-    trial_batch: int = 64,
     adi: bool = False,
     scoap: bool = False,
     verbose: bool = False,
@@ -362,11 +333,8 @@ def run_suite(
     for profile in profiles:
         run = run_circuit(profile, seed=seed, arms=arms,
                           with_baselines=with_baselines,
-                          delay=delay,
-                          engine=engine, width=width,
-                          candidate_scan=candidate_scan,
-                          x_fill=x_fill, power_budget=power_budget,
-                          trial_batch=trial_batch, adi=adi,
+                          delay=delay, x_fill=x_fill,
+                          power_budget=power_budget, adi=adi,
                           scoap=scoap)
         if verbose:  # pragma: no cover - console feedback only
             print(f"  {profile.name}: {run.seconds:.1f}s")

@@ -62,11 +62,12 @@ QUARANTINE_DIR = "quarantine"
 #: Directory (under a run dir) holding per-job salvage files.
 SALVAGE_DIR = "salvage"
 
-#: Spec knobs that must match for salvaged state to be reused.  The
-#: engine/width/candidate-scan knobs are deliberately absent: the
-#: equivalence suite proves them byte-identical, so salvage written
-#: under one backend is valid under any other.
-SALVAGE_KNOBS = ("x_fill", "power_budget")
+#: The result-shaping job knobs: a checkpoint or salvage file is reused
+#: only when it was produced under the same value of every one.
+#: Simulation settings change no result, so none is listed; the knobs
+#: older runs recorded for them (``engine``, ``width``,
+#: ``candidate_scan``, ``trial_batch``) are ignored.
+RESULT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
 
 
 class CorruptLine(ValueError):
@@ -244,16 +245,15 @@ def salvage_usable(payload: Mapping[str, Any],
     """Salvaged state may seed a retry only under identical inputs.
 
     The seed must match exactly (a perturbed-seed attempt would mix
-    two different random streams into one result) and every
-    result-shaping knob in :data:`SALVAGE_KNOBS` must agree.
+    two different random streams into one result) and the salvage
+    must record every knob in :data:`RESULT_KNOBS` with the value the
+    spec asks for; salvage that lacks one is not reused.
     """
     if payload.get("seed") != seed:
         return False
     knobs = payload.get("knobs", {})
-    for name in SALVAGE_KNOBS:
-        if knobs.get(name) != spec_knobs.get(name):
-            return False
-    return True
+    return all(name in knobs and knobs[name] == spec_knobs.get(name)
+               for name in RESULT_KNOBS)
 
 
 # ----------------------------------------------------------------------

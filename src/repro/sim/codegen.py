@@ -1,4 +1,4 @@
-"""Code-generated circuit evaluation (the fast engine).
+"""Code-generated circuit evaluation (the production evaluator).
 
 The generic :meth:`CompiledCircuit.eval_frame` interprets an op list:
 per gate it unpacks a tuple, dispatches on the opcode and indexes the
@@ -9,55 +9,34 @@ two of bitwise expressions -- and compiles it once per circuit.
 
 The generated function is a drop-in for ``eval_frame`` (same
 signature, same fault-injection semantics, including per-gate stem
-forcing and fanout-branch overrides).  Equivalence against the generic
-engine is enforced by tests over random circuits and injection masks;
-pick the engine with ``CompiledCircuit(netlist, engine=...)``.
+forcing and fanout-branch overrides).  Every
+:class:`~repro.sim.logicsim.CompiledCircuit` uses it; the interpreter
+stays as the reference (``CompiledCircuit(netlist, _reference=True)``),
+and the equivalence tests compare the two over random circuits and
+injection masks.
 
 The generated source is **word-width and chunk-count agnostic**: no
 literal in it depends on ``mask`` or on how many faulty machines the
 caller packed per word.  The same compiled function therefore serves
-the good-machine simulator (mask 1), the 128-bit chunked fault
-simulator, and the fused wide-word engine (one multi-thousand-bit
-word per pass) without recompilation -- the width lives entirely in
-the big-int operands.  Keep it that way: baking a width into the
-source would force one compile per packing policy and break the
-``width="auto"`` adaptive switch in :mod:`repro.sim.fault_sim`.
-
-The module emits two flavors behind the same source-text cache:
-
-* the **big-int** evaluator (:func:`generate_source`), operating on
-  per-net Python-int word pairs;
-* the **numpy** evaluator (:func:`generate_numpy_source`), the same
-  unrolled program over ``(n_nets, n_words)`` ``uint64`` arrays --
-  one row slice per net, in-place ufunc calls on the fast path, and
-  the width living in ``n_words`` instead of the operand.  It is the
-  portable executor of :mod:`repro.sim.npsim` (used when the C
-  kernel is unavailable) and shares the big-int flavor's injection
-  semantics verbatim: the branch slow path rebinds blended fanin
-  rows and folds through :func:`_eval_lists_np`, the array-safe twin
-  of :func:`~repro.sim.logicsim._eval_lists` (same folds, but never
-  an augmented assignment -- ndarray ``&=`` would mutate the shared
-  mask array that big-int rebinding leaves untouched).
+the good-machine simulator (mask 1), chunked fault simulation, and the
+fused wide-word passes (one multi-thousand-bit word per pass) without
+recompilation -- the width lives entirely in the big-int operands.
+Keep it that way: baking a width into the source would force one
+compile per packing.
 
 Compiled code objects are cached by source text, so building many
 :class:`~repro.sim.logicsim.CompiledCircuit` instances over copies of
 the same netlist (benchmark harnesses, equivalence sweeps, worker
 subprocesses re-importing a suite circuit) pays the bytecode
-compilation once per distinct circuit per process.  The two flavors
-emit different text for the same netlist, so they occupy distinct
-cache slots and never collide.
+compilation once per distinct circuit per process.
 
-Typical speedup on 100-gate circuits is 1.5-2.5x for the whole fault
-simulation stack (measured in ``benchmarks/bench_engine.py``).
+Typical speedup over the interpreter on 100-gate circuits is 1.5-2.5x
+for the whole big-int fault simulation stack.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List
-
-from ..circuits.netlist import Netlist
-
-# Opcode values mirror logicsim's (kept in sync by the import below).
 
 #: Source-text -> compiled code object cache (process lifetime; the
 #: source embeds every net id, so identical text implies an identical
@@ -152,165 +131,5 @@ def build_evaluator(circuit) -> Callable:
         code = compile(source, f"<codegen:{circuit.netlist.name}>", "exec")
         _CODE_CACHE[source] = code
     namespace = {"_eval_lists": _eval_lists}
-    exec(code, namespace)
-    return namespace["eval_frame"]
-
-
-def _eval_lists_np(opcode: int, fz: List, fo: List, mask):
-    """Array twin of :func:`~repro.sim.logicsim._eval_lists`.
-
-    Same fold semantics, but every operation is non-augmented: the
-    big-int original uses ``o &= bo`` style folds, which rebind for
-    immutable ints but would *mutate the shared mask array* for
-    ndarrays.  The numpy evaluator's namespace binds this function
-    under the ``_eval_lists`` name.
-    """
-    from .logicsim import (_INVERTING, OP_AND, OP_BUF, OP_CONST0,
-                           OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_XNOR,
-                           OP_XOR)
-    if opcode == OP_AND or opcode == OP_NAND:
-        z, o = 0, mask
-        for bz, bo in zip(fz, fo):
-            z = z | bz
-            o = o & bo
-    elif opcode == OP_OR or opcode == OP_NOR:
-        z, o = mask, 0
-        for bz, bo in zip(fz, fo):
-            z = z & bz
-            o = o | bo
-    elif opcode == OP_XOR or opcode == OP_XNOR:
-        z, o = fz[0], fo[0]
-        for bz, bo in zip(fz[1:], fo[1:]):
-            z, o = (z & bz) | (o & bo), (z & bo) | (o & bz)
-    elif opcode == OP_NOT or opcode == OP_BUF:
-        z, o = fz[0], fo[0]
-    elif opcode == OP_CONST0:
-        return mask, 0
-    else:
-        return 0, mask
-    if opcode in _INVERTING:
-        z, o = o, z
-    return z, o
-
-
-def _emit_reduce(emit: Callable[[str], None], fn: str, dest: str,
-                 terms: List[str]) -> None:
-    """Emit an in-place ufunc reduction of ``terms`` into ``dest``."""
-    if len(terms) == 1:
-        emit(f"    _np.copyto({dest}, {terms[0]})")
-        return
-    emit(f"    _np.{fn}({terms[0]}, {terms[1]}, out={dest})")
-    for term in terms[2:]:
-        emit(f"    _np.{fn}({dest}, {term}, out={dest})")
-
-
-def generate_numpy_source(circuit) -> str:
-    """The Python source of the numpy-flavored evaluator.
-
-    Same signature and injection semantics as :func:`generate_source`,
-    but ``zero`` / ``one`` are ``(n_nets, n_words)`` ``uint64``
-    arrays, ``mask`` is an ``(n_words,)`` row, and stem / branch
-    masks are rows too.  The fast path writes gate outputs with
-    in-place ``_np.bitwise_*`` calls (no per-gate allocation); the
-    branch slow path rebinds blended fanin rows -- creating fresh
-    arrays, exactly like the big-int flavor's immutable ints -- and
-    reuses ``_eval_lists``.
-    """
-    from .logicsim import (OP_AND, OP_BUF, OP_CONST0, OP_CONST1,
-                           OP_NAND, OP_NOR, OP_NOT, OP_OR, OP_XNOR,
-                           OP_XOR)
-    lines: List[str] = [
-        "def eval_frame(zero, one, mask, stems=None, branch=None):",
-        "    _z = zero",
-        "    _o = one",
-    ]
-    emit = lines.append
-
-    def emit_fast(opcode: int, out: int, zs: List[str],
-                  os_: List[str], indent: str = "    ") -> None:
-        def ind(line: str) -> None:
-            emit(indent + line.lstrip())
-
-        if opcode == OP_AND:
-            _emit_reduce(ind, "bitwise_or", f"_z[{out}]", zs)
-            _emit_reduce(ind, "bitwise_and", f"_o[{out}]", os_)
-        elif opcode == OP_NAND:
-            _emit_reduce(ind, "bitwise_or", f"_o[{out}]", zs)
-            _emit_reduce(ind, "bitwise_and", f"_z[{out}]", os_)
-        elif opcode == OP_OR:
-            _emit_reduce(ind, "bitwise_and", f"_z[{out}]", zs)
-            _emit_reduce(ind, "bitwise_or", f"_o[{out}]", os_)
-        elif opcode == OP_NOR:
-            _emit_reduce(ind, "bitwise_and", f"_o[{out}]", zs)
-            _emit_reduce(ind, "bitwise_or", f"_z[{out}]", os_)
-        elif opcode == OP_NOT:
-            ind(f"    _np.copyto(_z[{out}], {os_[0]})")
-            ind(f"    _np.copyto(_o[{out}], {zs[0]})")
-        elif opcode == OP_BUF:
-            ind(f"    _np.copyto(_z[{out}], {zs[0]})")
-            ind(f"    _np.copyto(_o[{out}], {os_[0]})")
-        elif opcode in (OP_XOR, OP_XNOR):
-            ind(f"    _a, _b = {zs[0]}, {os_[0]}")
-            for zf, of in zip(zs[1:], os_[1:]):
-                ind(f"    _a, _b = (_a & {zf}) | (_b & {of}), "
-                    f"(_a & {of}) | (_b & {zf})")
-            if opcode == OP_XNOR:
-                ind(f"    _z[{out}] = _b")
-                ind(f"    _o[{out}] = _a")
-            else:
-                ind(f"    _z[{out}] = _a")
-                ind(f"    _o[{out}] = _b")
-        elif opcode == OP_CONST0:
-            ind(f"    _np.copyto(_z[{out}], mask)")
-            ind(f"    _o[{out}] = 0")
-        else:  # OP_CONST1
-            ind(f"    _z[{out}] = 0")
-            ind(f"    _np.copyto(_o[{out}], mask)")
-
-    for opcode, out, fins in circuit.ops:
-        zs = [f"_z[{f}]" for f in fins]
-        os_ = [f"_o[{f}]" for f in fins]
-        if len(fins) > 0:
-            emit(f"    if branch and {out} in branch:")
-            emit(f"        _fz = [{', '.join(zs)}]")
-            emit(f"        _fo = [{', '.join(os_)}]")
-            emit(f"        for _pin, _m0, _m1 in branch[{out}]:")
-            emit("            _keep = mask & ~(_m0 | _m1)")
-            emit("            _fz[_pin] = (_fz[_pin] & _keep) | _m0")
-            emit("            _fo[_pin] = (_fo[_pin] & _keep) | _m1")
-            emit(f"        _t, _u = _eval_lists({opcode}, _fz, _fo, "
-                 "mask)")
-            emit(f"        _z[{out}] = _t")
-            emit(f"        _o[{out}] = _u")
-            emit("    else:")
-            emit_fast(opcode, out, zs, os_, indent="        ")
-        else:
-            emit_fast(opcode, out, zs, os_)
-        emit(f"    if stems and {out} in stems:")
-        emit(f"        _m0, _m1 = stems[{out}]")
-        emit("        _keep = mask & ~(_m0 | _m1)")
-        emit(f"        _z[{out}] = (_z[{out}] & _keep) | _m0")
-        emit(f"        _o[{out}] = (_o[{out}] & _keep) | _m1")
-    if len(lines) == 3:
-        emit("    pass")
-    return "\n".join(lines) + "\n"
-
-
-def build_numpy_evaluator(circuit) -> Callable:
-    """Compile the numpy-flavored evaluator for ``circuit``.
-
-    Shares :data:`_CODE_CACHE` with the big-int flavor (the emitted
-    text differs, so the flavors cache independently).  Raises an
-    actionable error without numpy.
-    """
-    from .npsim import require_numpy
-    np = require_numpy()
-    source = generate_numpy_source(circuit)
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = compile(source,
-                       f"<codegen-numpy:{circuit.netlist.name}>", "exec")
-        _CODE_CACHE[source] = code
-    namespace = {"_eval_lists": _eval_lists_np, "_np": np}
     exec(code, namespace)
     return namespace["eval_frame"]

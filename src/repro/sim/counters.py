@@ -11,9 +11,8 @@ omission/combination trials the compaction procedures ran.
 The point is to make engine work *measurable*: the wide-word fusion
 and fault-dropping optimizations claim to reduce words-evaluated and
 raise effective machines/word -- these counters are what
-``benchmarks/emit_bench.py`` dumps into ``BENCH_engine.json`` and what
-the CLI surfaces per circuit, so a perf regression shows up as a
-number, not a feeling.
+``benchmarks/e2e`` reports per workload and what the CLI surfaces per
+circuit, so a perf regression shows up as a number, not a feeling.
 
 Counting convention
 -------------------
@@ -22,9 +21,9 @@ Counting convention
 * ``words`` -- word evaluations: one per ``eval_frame`` call made on
   behalf of fault simulation (``frames x chunks``, minus early exits).
 * ``machines`` -- total faulty-machine bits across evaluated words;
-  ``machines / words`` is the effective packing density (the fused
-  engine pushes this toward the full fault-set size, the 128-bit
-  chunked engine caps it at 127).
+  ``machines / words`` is the effective packing density (fusion
+  pushes this toward the full fault-set size; a small ``fused_cap``
+  caps it).
 * ``faults_dropped`` -- faults retired from simulation because a
   scoreboard already knew them detected, or because an in-pass repack
   removed their machine bits mid-sequence.
@@ -58,9 +57,9 @@ the phase timers, these render as dashes for legacy checkpoints.
 
 Backend counters
 ----------------
-``np_passes`` counts pass *chunks* executed by the numpy array
-backend (:mod:`repro.sim.npsim`) -- zero under the big-int engines,
-so it doubles as a cheap "did the numpy engine actually run?" probe
+``np_passes`` counts pass *chunks* executed by the C kernel
+(:mod:`repro.sim.npsim`) -- zero when everything ran on big-int
+words, so it doubles as a cheap "did the kernel actually run?" probe
 for tests and benchmarks.  Legacy checkpoints lack the key and
 render as dashes.
 

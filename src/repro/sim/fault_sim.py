@@ -8,36 +8,24 @@ the *number of words*, not their width: Python integers are
 arbitrary-precision, and one 4096-bit AND is far cheaper than 32
 separate 128-bit evaluation passes.
 
-Packing policy (``width=``):
+Packing: every active fault of a pass is packed into a single word
+pair per net, falling back to balanced chunks of at most
+:data:`FUSED_CAP` machines for huge fault sets (beyond a few thousand
+machine bits the per-digit cost of big-int arithmetic starts to win
+over the per-pass interpreter overhead).  Tests and the sanitizer's
+chunked shadow pass a smaller ``fused_cap`` to force multi-chunk
+packing.
 
-* ``"auto"`` (default) -- **wide-word fusion**: every active fault of
-  a pass is packed into a single word pair per net, falling back to
-  balanced chunks of at most :data:`FUSED_CAP` machines for huge
-  fault sets (beyond a few thousand machine bits the per-digit cost
-  of big-int arithmetic starts to win over the per-pass interpreter
-  overhead; :func:`benchmark_packing` measures the crossover for a
-  concrete circuit).  The cap honors the ``REPRO_FUSED_CAP``
-  environment variable, read at :class:`FaultSimulator`
-  *construction* (not at module import -- each simulator snapshots
-  the value, so tests and benchmarks can override it per instance;
-  an explicit ``fused_cap=`` argument beats the environment).
-* an integer ``N`` -- classic fixed-width chunking with ``N - 1``
-  faulty machines per word (the pre-fusion engine; ``N = 128`` is the
-  historical default, kept as :data:`DEFAULT_WIDTH`).
-
-Execution backend (``CompiledCircuit(engine=...)``): the packed words
-are evaluated either as Python big-ints (engines ``"generic"`` /
-``"codegen"``) or as ``uint64`` arrays driven by the
-:mod:`repro.sim.npsim` backend (engine ``"numpy"``, optional
-dependency).  ``engine="auto"`` routes each :meth:`FaultSimulator.
-detect` / :meth:`FaultSimulator.run_with_records` pass to the array
-backend when its compiled C kernel is available and the pass packs
-at least :data:`NUMPY_AUTO_MIN_MACHINES` machines, and stays on the
-fused big-int path otherwise (:func:`benchmark_engines` measures the
-crossover for a concrete circuit).  Backends are result-identical:
-per-machine logic values do not depend on how words are stored, and
-the cross-backend equivalence suite plus the ``REPRO_SANITIZE``
-shadow checks enforce it.
+Execution: when the circuit has an array backend
+(:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
+cffi and a C compiler present), every pass chunk of :meth:`detect`,
+:meth:`run_with_records`, :meth:`detect_candidates` and
+:meth:`detect_trials` runs on the C kernel of :mod:`repro.sim.npsim`
+over ``uint64`` arrays; otherwise the same packed words are evaluated
+as Python big-ints by the circuit's code-generated evaluator.  The
+two are result-identical: per-machine logic values do not depend on
+how words are stored, and the production-vs-reference equivalence
+suites plus the ``REPRO_SANITIZE`` shadow checks enforce it.
 
 Fault dropping: :meth:`FaultSimulator.detect` retires
 already-detected machines *mid-pass* (``early_exit=True``) by
@@ -46,12 +34,12 @@ detections into a shared
 :class:`~repro.sim.scoreboard.FaultScoreboard` so later phases build
 smaller injection words.  Both mechanisms are pure accelerations:
 per-machine logic values are independent of packing, so detection
-sets are identical under every width policy (enforced by the
+sets are identical however faults are packed (enforced by the
 equivalence test suite).
 
 Instrumentation: every simulator bumps a
 :class:`~repro.sim.counters.SimCounters` (frames, word evaluations,
-machine bits, drops, repacks) -- see ``benchmarks/emit_bench.py``.
+machine bits, drops, repacks), rendered as the Engine-counters table.
 
 Three entry points cover all the needs of the compaction procedures:
 
@@ -79,10 +67,8 @@ captured by the final frame.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import values as V
 from ..analysis import sanitizer
@@ -91,39 +77,10 @@ from .faults import Fault, FaultSet
 from .logicsim import CompiledCircuit
 from .scoreboard import FaultScoreboard
 
-#: Historical fixed chunk width (127 faulty machines + the good bit).
-DEFAULT_WIDTH = 128
-
-#: Machine-bit cap per fused word under ``width="auto"``.  Beyond this
-#: the per-digit cost of big-int ops outweighs the saved passes, so
-#: auto mode falls back to balanced chunks of at most this many
-#: machines.  Override with the ``REPRO_FUSED_CAP`` environment
-#: variable (read at :class:`FaultSimulator` construction, so tests
-#: and benchmarks can override it per simulator); measure a specific
-#: circuit with :func:`benchmark_packing`.
+#: Machine-bit cap per fused word.  Beyond this the per-digit cost of
+#: big-int ops outweighs the saved passes, so passes fall back to
+#: balanced chunks of at most this many machines.
 FUSED_CAP = 4096
-
-
-def _resolve_fused_cap() -> int:
-    """The effective fused cap: ``REPRO_FUSED_CAP`` or the default."""
-    return int(os.environ.get("REPRO_FUSED_CAP", FUSED_CAP))
-
-
-#: Minimum machines (faulty + good) a pass must pack before
-#: ``engine="auto"`` routes it through the numpy array backend.  Small
-#: passes lose: the C kernel call plus plan-array construction cost a
-#: few hundred microseconds, which only amortizes once the big-int
-#: loop would evaluate a wide-ish word over enough gates.  Override
-#: with the ``REPRO_NP_AUTO_MIN`` environment variable (read at
-#: :class:`FaultSimulator` construction, like ``REPRO_FUSED_CAP``);
-#: measure a concrete circuit with :func:`benchmark_engines`.
-NUMPY_AUTO_MIN_MACHINES = 64
-
-
-def _resolve_np_auto_min() -> int:
-    """The effective auto threshold: ``REPRO_NP_AUTO_MIN`` or default."""
-    return int(os.environ.get("REPRO_NP_AUTO_MIN",
-                              NUMPY_AUTO_MIN_MACHINES))
 
 #: In-pass retirement fires only when a word still has at least this
 #: many machines (repacking tiny words saves nothing) ...
@@ -136,14 +93,12 @@ _REPACK_MIN_FRAMES_LEFT = 8
 _REPACK_MIN_GROUPS = 8
 
 #: Under ``REPRO_SANITIZE`` each simulator cross-checks its first few
-#: ``detect`` passes against a freshly packed shadow engine (fused vs
-#: chunked agreement) ...
+#: ``detect`` passes against a chunked shadow on the reference circuit
+#: (fused vs chunked, production vs reference agreement) ...
 _SANITIZE_SPOT_BUDGET = 3
 #: ... but only for passes small enough that the doubled work stays
 #: negligible.
 _SANITIZE_SPOT_TARGET_CAP = 256
-
-WidthPolicy = Union[int, str]
 
 
 @dataclass
@@ -316,9 +271,9 @@ class SimRecords:
 class FaultSimulator:
     """Parallel-fault simulator bound to one circuit and one fault set.
 
-    ``width`` selects the packing policy (see the module docstring):
-    ``"auto"`` fuses each pass's faults into one wide word (capped at
-    :data:`FUSED_CAP` machines), an int gives fixed-width chunking.
+    Each pass fuses its faults into one wide word, or into balanced
+    chunks of at most ``fused_cap`` machines (default
+    :data:`FUSED_CAP`; see the module docstring).
 
     ``scan_positions`` turns the simulator into a *partial-scan* model:
     scan-in vectors cover (and scan-outs observe) only the flip-flops
@@ -331,32 +286,15 @@ class FaultSimulator:
     """
 
     def __init__(self, circuit: CompiledCircuit, faults: FaultSet,
-                 width: WidthPolicy = "auto",
                  scan_positions: Optional[Sequence[int]] = None,
                  counters: Optional[SimCounters] = None,
-                 fused_cap: Optional[int] = None) -> None:
-        if fused_cap is None:
-            fused_cap = _resolve_fused_cap()
-        if width == "auto":
-            if fused_cap < 2:
-                raise ValueError("fused_cap must allow at least one "
-                                 "faulty machine")
-        elif isinstance(width, int):
-            if width < 2:
-                raise ValueError(
-                    "width must allow at least one faulty machine")
-        else:
-            raise ValueError(f"unknown width policy {width!r}; "
-                             f"use an int >= 2 or 'auto'")
+                 fused_cap: int = FUSED_CAP) -> None:
+        if fused_cap < 2:
+            raise ValueError("fused_cap must allow at least one faulty "
+                             "machine")
         self.circuit = circuit
         self.faults = faults
-        self.width = width
         self.fused_cap = fused_cap
-        self.np_auto_min = _resolve_np_auto_min()
-        #: Sanitizer shadows set this to pin the big-int path, so a
-        #: cross-check of an array-backend pass is cross-*backend* as
-        #: well as cross-packing.
-        self._force_bigint = False
         self.counters = counters if counters is not None else SimCounters()
         if scan_positions is None:
             self.scan_positions: Optional[List[int]] = None
@@ -394,30 +332,6 @@ class FaultSimulator:
                     self._spec.append(("ff", self._ff_pos[gate_name]))
                 else:
                     self._spec.append(("branch", ids[gate_name], pin))
-
-    # ------------------------------------------------------------------
-    def _array_backend_for(self, n_machines: int) -> Optional[Any]:
-        """The array backend to run a pass chunk with, or ``None``.
-
-        ``engine="numpy"`` always routes to the backend (C kernel or
-        pure-numpy fallback).  ``engine="auto"`` routes only when the
-        kernel compiled and the chunk packs at least
-        ``np_auto_min`` machines -- otherwise the fused big-int path
-        is faster.  Big-int engines (and sanitizer shadows) get
-        ``None``.
-        """
-        if self._force_bigint:
-            return None
-        engine = self.circuit.engine
-        if engine == "numpy":
-            return self.circuit.array_backend
-        if engine == "auto":
-            backend = self.circuit.array_backend
-            if (backend is None or not backend.kernel_available or
-                    n_machines + 1 < self.np_auto_min):
-                return None
-            return backend
-        return None
 
     # ------------------------------------------------------------------
     def set_adi_order(self, scores: Optional[Dict[int, int]]) -> None:
@@ -483,14 +397,12 @@ class FaultSimulator:
     def resolve_width(self, n_targets: int) -> int:
         """The word width a pass over ``n_targets`` faults will use.
 
-        ``"auto"`` fuses everything into one word up to
-        ``fused_cap`` machines; beyond that, balanced chunks (all
-        within one machine of each other) no wider than the cap --
-        e.g. 9000 faults over a 4096 cap become three ~3000-machine
-        words rather than two full ones and a 808-machine remainder.
+        Everything fuses into one word up to ``fused_cap`` machines;
+        beyond that, balanced chunks (all within one machine of each
+        other) no wider than the cap -- e.g. 9000 faults over a 4096
+        cap become three ~3000-machine words rather than two full ones
+        and a 808-machine remainder.
         """
-        if self.width != "auto":
-            return self.width
         if n_targets <= 0:
             return 2
         cap = self.fused_cap
@@ -730,8 +642,8 @@ class FaultSimulator:
         detected: Set[int] = set()
         last = len(vectors) - 1
         longest = 0
+        backend = self.circuit.array_backend
         for chunk in chunks:
-            backend = self._array_backend_for(len(chunk.indices))
             if backend is not None:
                 longest = max(longest, backend.run_detect_chunk(
                     self, chunk, vectors, init_state, scan_out,
@@ -812,38 +724,29 @@ class FaultSimulator:
         scan_observe: Optional[Sequence[int]], detected: Set[int],
     ) -> None:
         """Spot-check one finished ``detect`` pass against a shadow
-        simulator using the *opposite* packing policy (fused vs
-        chunked), with early exit and retirement off.  The shadow
-        always runs the big-int path (``_force_bigint``), so when the
-        primary pass went through the numpy array backend this is a
-        cross-backend check as well as a cross-packing one.  Budgeted
-        per simulator and capped in target size; see the sanitizer
-        module.
+        simulator on the reference circuit (the interpreter, no array
+        backend) that splits the targets over at least two chunks,
+        with early exit and retirement off.  The check is thus
+        production vs reference as well as fused vs chunked.
+        Budgeted per simulator and capped in target size; see the
+        sanitizer module.
         """
         if not 0 < len(target_list) <= _SANITIZE_SPOT_TARGET_CAP:
             return
         self._sanitize_spots_left -= 1
-        if self.width == "auto":
-            # Force genuine chunking: split the targets over >= 2 words.
-            shadow_width: WidthPolicy = max(2, len(target_list) // 2 + 1)
-        else:
-            shadow_width = "auto"
-        shadow = FaultSimulator(self.circuit, self.faults,
-                                width=shadow_width,
-                                counters=SimCounters())
+        shadow_cap = max(2, len(target_list) // 2 + 1)
+        shadow = FaultSimulator(
+            CompiledCircuit(self.circuit.netlist, _reference=True),
+            self.faults, counters=SimCounters(), fused_cap=shadow_cap)
         shadow._sanitize_shadow = True
-        shadow._force_bigint = True
-        other = shadow.detect(vectors, init_state=full_state,
-                              target=target_list, scan_out=scan_out,
-                              observe_po=observe_po, early_exit=False,
-                              scan_observe=scan_observe)
-        fused, chunked = ((set(detected), other)
-                          if self.width == "auto"
-                          else (other, set(detected)))
+        chunked = shadow.detect(vectors, init_state=full_state,
+                                target=target_list, scan_out=scan_out,
+                                observe_po=observe_po, early_exit=False,
+                                scan_observe=scan_observe)
         sanitizer.check_agreement(
-            fused, chunked,
+            set(detected), chunked,
             f"FaultSimulator.detect ({len(target_list)} targets, "
-            f"width={self.width!r} vs {shadow_width!r})")
+            f"fused vs reference fused_cap={shadow_cap})")
 
     # ------------------------------------------------------------------
     def run_with_records(
@@ -873,8 +776,8 @@ class FaultSimulator:
         counters.frames += n_frames
         po_first: Dict[int, int] = {}
         scan_diff: List[Set[int]] = [set() for _ in range(n_frames)]
+        backend = self.circuit.array_backend
         for chunk in chunks:
-            backend = self._array_backend_for(len(chunk.indices))
             if backend is not None:
                 backend.run_records_chunk(self, chunk, vectors,
                                           init_state, scan_observe,
@@ -927,11 +830,10 @@ class FaultSimulator:
     # ------------------------------------------------------------------
 
     def _lane_groups_per_word(self, n_lanes: int) -> int:
-        """Fault groups per lane-transposed word: the packing cap
-        (fused cap under ``"auto"``, the chunk width otherwise) divided
-        by the lanes each group occupies, never below one group."""
-        cap = self.fused_cap if self.width == "auto" else self.width
-        return max(1, cap // n_lanes)
+        """Fault groups per lane-transposed word: the fused cap
+        divided by the lanes each group occupies, never below one
+        group."""
+        return max(1, self.fused_cap // n_lanes)
 
     def _build_lane_chunks(self, indices: Sequence[int], n_lanes: int,
                            groups_per_word: Optional[int] = None
@@ -1093,10 +995,9 @@ class FaultSimulator:
                                    List[Optional[List[Tuple[int, int]]]],
                                    List[int]]] = None
         longest = 0
+        backend = self.circuit.array_backend
         for chunk in lane_chunks:
-            backend = self._array_backend_for(
-                chunk.n_groups * chunk.n_lanes)
-            if backend is not None and backend.kernel_available:
+            if backend is not None:
                 if trial_form is None:
                     lane_mask = (1 << n_lanes) - 1
                     pi_words = [
@@ -1289,8 +1190,8 @@ class FaultSimulator:
         scan_observe=scan_observe) for (s, v) in trials]`` (the
         equivalence suite enforces this bit for bit).  This is the
         engine behind Phase-4 merge-trial prefetching and the batched
-        transfer-sequence checks; passes route through the array
-        backend's lane kernel under ``engine="numpy"`` / ``"auto"``.
+        transfer-sequence checks; with an array backend its passes run
+        on the lane kernel.
         """
         trial_list = list(trials)
         n_lanes = len(trial_list)
@@ -1330,10 +1231,9 @@ class FaultSimulator:
                     chunk, "FaultSimulator.detect_trials")
         lane_mask = (1 << n_lanes) - 1
         longest = 0
+        backend = self.circuit.array_backend
         for chunk in chunks:
-            backend = self._array_backend_for(
-                chunk.n_groups * chunk.n_lanes)
-            if backend is not None and backend.kernel_available:
+            if backend is not None:
                 caught, frames_done = backend.run_lane_chunk(
                     self, chunk, max_frames, pi_words, acts, ends,
                     init_words, good_po, good_scan, slot_pos,
@@ -1396,7 +1296,7 @@ class FaultSimulator:
                         e |= 1 << k
             acts.append(a)
             ends.append(e)
-        backend = self._array_backend_for(n_lanes)
+        backend = circuit.array_backend
         n_pi = len(circuit.pi_ids)
         pi_words: List[List[Tuple[int, int]]]
         if backend is not None:
@@ -1413,7 +1313,7 @@ class FaultSimulator:
                           if scan_observe is None else scan_observe)
         init_words = [V.pack_lanes([s[ff_pos] for s, _ in full_trials])
                       for ff_pos in range(len(circuit.ff_ids))]
-        if backend is not None and backend.kernel_available:
+        if backend is not None:
             # The per-frame Python loop below dominates batched trial
             # passes; one kernel call computes the same good values.
             po_frames, scan_frames = backend.run_good_lane_pass(
@@ -1527,82 +1427,6 @@ class FaultSimulator:
                   else self.faults.indices(target_faults))
         detected = self.detect(vectors, init_state, target, **kwargs)
         return {self.faults[i] for i in detected}
-
-
-def benchmark_packing(
-    circuit: CompiledCircuit,
-    faults: FaultSet,
-    frames: int = 8,
-    chunk_width: int = DEFAULT_WIDTH,
-    seed: int = 0,
-) -> Tuple[str, float, float]:
-    """Measure fused vs chunked packing on a concrete circuit.
-
-    Runs one short random-sequence pass over the whole fault set under
-    each policy and returns ``(winner, fused_seconds, chunked_seconds)``
-    where ``winner`` is ``"auto"`` or ``chunk_width``-as-int semantics
-    (``"chunked"``).  This is the measurement behind the ``"auto"``
-    heuristics: on every circuit we have benchmarked, fusion wins until
-    word widths reach several thousand bits (:data:`FUSED_CAP`), which
-    is why ``"auto"`` simply fuses below the cap.  Use this helper when
-    validating the cap for an unusual circuit; ``emit_bench.py``
-    records its verdict in ``BENCH_engine.json``.
-    """
-    import random as _random
-    rng = _random.Random(seed)
-    vectors = [V.random_binary_vector(len(circuit.pi_ids), rng)
-               for _ in range(frames)]
-    init = V.random_binary_vector(len(circuit.ff_ids), rng)
-    timings = []
-    for policy in ("auto", chunk_width):
-        sim = FaultSimulator(circuit, faults, width=policy)
-        start = time.perf_counter()
-        sim.detect(vectors, init, early_exit=False)
-        timings.append(time.perf_counter() - start)
-    fused_s, chunked_s = timings
-    return ("auto" if fused_s <= chunked_s else "chunked",
-            fused_s, chunked_s)
-
-
-def benchmark_engines(
-    circuit: CompiledCircuit,
-    faults: FaultSet,
-    frames: int = 8,
-    seed: int = 0,
-) -> Tuple[str, float, Optional[float]]:
-    """Measure the fused big-int engine vs the numpy backend.
-
-    The backend-selection counterpart of :func:`benchmark_packing`:
-    one short random-sequence ``detect`` pass over the whole fault
-    set per engine, on fresh ``CompiledCircuit`` instances over the
-    same netlist.  Returns ``(winner, bigint_seconds,
-    numpy_seconds)`` where ``winner`` is ``"numpy"`` or ``"codegen"``
-    and ``numpy_seconds`` is ``None`` when numpy is unavailable (the
-    big-int engine wins by default).  This is the measurement behind
-    :data:`NUMPY_AUTO_MIN_MACHINES`; ``emit_bench.py
-    --engine-matrix`` records per-engine timings in the benchmark
-    artifact.
-    """
-    import random as _random
-    from .npsim import numpy_available
-    rng = _random.Random(seed)
-    vectors = [V.random_binary_vector(len(circuit.pi_ids), rng)
-               for _ in range(frames)]
-    init = V.random_binary_vector(len(circuit.ff_ids), rng)
-
-    def _time(engine: str) -> float:
-        compiled = CompiledCircuit(circuit.netlist, engine=engine)
-        sim = FaultSimulator(compiled, faults, width="auto")
-        start = time.perf_counter()
-        sim.detect(vectors, init, early_exit=False)
-        return time.perf_counter() - start
-
-    bigint_s = _time("codegen")
-    if not numpy_available():
-        return "codegen", bigint_s, None
-    numpy_s = _time("numpy")
-    return (("numpy" if numpy_s <= bigint_s else "codegen"),
-            bigint_s, numpy_s)
 
 
 @dataclass

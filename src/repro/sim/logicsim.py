@@ -17,11 +17,12 @@ The sequential simulation model is the standard one for full-scan work:
 Unknown values propagate pessimistically (X in, X out unless the gate's
 controlling value decides the output).
 
-Width contract: :meth:`CompiledCircuit.eval_frame` (both engines) is
-agnostic to the machine word width -- ``mask`` carries the active
-bits and every operation is a big-int bitwise op, so the same
-evaluator serves a 1-bit good-machine pass, a 128-bit chunk, or a
-fused multi-thousand-bit word without any per-width code.  The fused
+Width contract: :meth:`CompiledCircuit.eval_frame` (the interpreter
+below and the code-generated evaluator alike) is agnostic to the
+machine word width -- ``mask`` carries the active bits and every
+operation is a big-int bitwise op, so the same evaluator serves a
+1-bit good-machine pass, a 128-bit chunk, or a fused
+multi-thousand-bit word without any per-width code.  The fused
 wide-word fault simulator depends on this: do not introduce
 width-sensitive constants here or in :mod:`repro.sim.codegen`.
 """
@@ -47,13 +48,6 @@ _OPCODES = {
 #: Opcodes whose output is the complement of the underlying function.
 _INVERTING = {OP_NAND, OP_NOR, OP_XNOR, OP_NOT}
 
-#: Engine names :class:`CompiledCircuit` accepts.  ``"interp"`` is the
-#: CLI-facing alias of ``"generic"``; ``"numpy"`` routes fault-sim
-#: passes through :mod:`repro.sim.npsim` (requires the optional numpy
-#: dependency); ``"auto"`` uses numpy for large passes when available
-#: and falls back to the fused big-int path otherwise.
-ENGINES = ("generic", "interp", "codegen", "numpy", "auto")
-
 
 class CompiledCircuit:
     """A netlist compiled for fast frame evaluation.
@@ -73,48 +67,24 @@ class CompiledCircuit:
         ``(opcode, out_id, fanin_ids)`` triples in topological order.
     """
 
-    def __init__(self, netlist: Netlist, engine: str = "codegen") -> None:
+    def __init__(self, netlist: Netlist, _reference: bool = False) -> None:
         """Compile ``netlist`` for simulation.
 
-        ``engine`` selects the evaluation backend (:data:`ENGINES`):
+        A circuit evaluates frames with the code-generated big-int
+        evaluator (:mod:`repro.sim.codegen`), and its fault-simulation
+        pass chunks run on the C kernel of :mod:`repro.sim.npsim`
+        whenever that kernel can serve it (see :attr:`array_backend`).
 
-        * ``"codegen"`` (default) generates and compiles a
-          circuit-specialized function (see :mod:`repro.sim.codegen`,
-          1.5-2.5x faster);
-        * ``"generic"`` (alias ``"interp"``) uses the interpreting
-          loop below;
-        * ``"numpy"`` keeps the codegen evaluator for scalar work but
-          routes whole fault-simulation passes through the
-          :mod:`repro.sim.npsim` array backend (requires numpy --
-          raises here, eagerly and actionably, without it);
-        * ``"auto"`` is ``"numpy"`` when numpy is available and its
-          executor beats big-int for the pass at hand, silently
-          ``"codegen"`` otherwise.
-
-        All engines are exactly equivalent result-wise (enforced by
-        the equivalence suite and the ``REPRO_SANITIZE`` shadow
-        checks).
-
-        Raises
-        ------
-        ValueError
-            On an unknown engine name.
-        ImportError
-            On ``engine="numpy"`` without numpy installed.
+        ``_reference=True`` builds the independent reference instead:
+        the interpreting :meth:`eval_frame` below and no array backend.
+        Only the equivalence tests and the sanitizer's shadow checks
+        use it; results are identical either way.
         """
         if not netlist.is_compiled():
             netlist.compile()
         self.netlist = netlist
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"use one of {ENGINES}")
-        if engine == "interp":
-            engine = "generic"
-        self.engine = engine
         self._array_backend: Optional[object] = None
-        if engine == "numpy":
-            from .npsim import require_numpy
-            require_numpy()
+        self._backend_resolved = _reference
         ids = netlist.net_ids
         self.n_nets = netlist.num_nets
         self.pi_ids: List[int] = [ids[n] for n in netlist.inputs]
@@ -130,31 +100,29 @@ class CompiledCircuit:
                 ids[gname],
                 tuple(ids[f] for f in gate.fanins),
             ))
-        if engine != "generic":
+        if not _reference:
             from .codegen import build_evaluator
             # Instance attribute shadows the method: all simulators
-            # transparently use the specialized evaluator.  The numpy
-            # and auto engines keep this big-int evaluator too -- the
-            # good-machine / combinational simulators and the
-            # lane-transposed candidate scan stay on big-int words.
+            # transparently use the specialized evaluator.
             self.eval_frame = build_evaluator(self)
 
     # ------------------------------------------------------------------
     @property
     def array_backend(self) -> Optional[object]:
-        """The :class:`~repro.sim.npsim.ArrayBackend` for this circuit.
+        """The :class:`~repro.sim.npsim.ArrayBackend` that runs this
+        circuit's pass chunks on the C kernel, or ``None``.
 
-        Built lazily on first use.  ``None`` unless the engine is
-        ``"numpy"`` or ``"auto"``, or (for ``"auto"``) when numpy is
-        unavailable -- callers fall back to the big-int path.
+        Resolved once, on first use.  ``None`` means every pass runs
+        on big-int words: numpy, cffi or a C compiler is missing, or a
+        gate has more fanins than the kernel holds
+        (:func:`repro.sim.npsim.kernel_unavailable_reason` says
+        which), or this is the reference circuit.
         """
-        if self.engine not in ("numpy", "auto"):
-            return None
-        if self._array_backend is None:
-            from .npsim import ArrayBackend, numpy_available
-            if self.engine == "auto" and not numpy_available():
-                return None
-            self._array_backend = ArrayBackend(self)
+        if not self._backend_resolved:
+            self._backend_resolved = True
+            from .npsim import ArrayBackend, kernel_unavailable_reason
+            if kernel_unavailable_reason(self) is None:
+                self._array_backend = ArrayBackend(self)
         return self._array_backend
 
     # ------------------------------------------------------------------

@@ -1,47 +1,43 @@
-"""numpy word-array simulation backend (the ``--engine numpy`` path).
+"""The C-kernel pass executor: fault simulation on ``uint64`` arrays.
 
-The big-int engine keeps every net's packed machines in a pair of
+The big-int path keeps every net's packed machines in a pair of
 Python integers and pays interpreter overhead per gate *and* per
 frame: one arbitrary-precision bitwise op is cheap, but a 330-gate
 frame costs hundreds of microseconds of bytecode dispatch, dict
 probes for injection sites, and list traffic on the branch-fault
-slow path.  This module re-hosts a pass in numpy: per-net words
-become a pair of ``(n_nets, n_words)`` ``uint64`` arrays (net-major
--- see DESIGN.md section 13 for the layout rationale) and the whole
-pass loop runs through one of two executors:
+slow path.  This module re-hosts a pass chunk on arrays: per-net
+words become a pair of ``(n_nets, n_words)`` ``uint64`` arrays
+(net-major -- see DESIGN.md section 13 for the layout rationale) and
+the whole pass loop runs in a *circuit-independent* C kernel,
+compiled once per process with cffi and the system C compiler.  The
+circuit (opcode/fanin tables) and the chunk's injection sites (stem /
+fanout-branch / flip-flop-branch forcing masks) are handed over as
+dense plan arrays, so a frame costs a few microseconds with zero
+per-frame Python work; Python regains control only at pass
+boundaries and at in-pass repack points.
 
-* **C kernel** (the fast path): a *circuit-independent* pass loop
-  compiled once per process with cffi and the system C compiler.
-  The circuit (opcode/fanin tables) and the chunk's injection sites
-  (stem / fanout-branch / flip-flop-branch forcing masks) are handed
-  over as dense plan arrays, so a frame costs a few microseconds
-  with zero per-frame Python work; Python regains control only at
-  pass boundaries and at in-pass repack points.
-* **pure-numpy fallback**: a per-frame loop over the numpy-flavored
-  specialized evaluator emitted by :mod:`repro.sim.codegen`
-  (column-sliced array expressions, same injection semantics).  It
-  exists so ``--engine numpy`` works without a C toolchain; it is
-  *slower* than the fused big-int engine at typical widths, which is
-  why ``engine="auto"`` only routes here when the kernel is
-  available.
-
-Both executors mirror :meth:`repro.sim.fault_sim.FaultSimulator`'s
-big-int pass loops operation for operation -- load, source stems,
-topological gate evaluation with branch overrides and post-gate stem
-forcing, next-state capture with flip-flop branch blends, PO / scan
+With numpy, cffi and a C compiler present, every fault-simulation
+pass chunk runs here; otherwise
+:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
+and everything runs on big-int words
+(:func:`kernel_unavailable_reason` says why).  The kernel mirrors
+:class:`repro.sim.fault_sim.FaultSimulator`'s big-int pass loops
+operation for operation -- load, source stems, topological gate
+evaluation with branch overrides and post-gate stem forcing,
+next-state capture with flip-flop branch blends, PO / scan
 observation, the ``caught`` bookkeeping, the saturation break and
 the in-pass repack trigger -- so detection sets are byte-identical
-under every backend (enforced by ``tests/sim/test_engine_equivalence
-.py`` and the sanitizer's cross-backend spot checks).
+either way (enforced by the production-vs-reference equivalence
+suites and the sanitizer's shadow checks).
 
-numpy (and cffi) are optional dependencies: install the ``fast``
-extra (``pip install repro[fast]``).  Importing this module without
-numpy raises :class:`MissingNumpyError` with that instruction.
+numpy and cffi are optional dependencies: install the ``fast`` extra
+(``pip install repro[fast]``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -67,10 +63,10 @@ def require_numpy() -> Any:
         import numpy
     except ImportError as exc:  # pragma: no cover - numpy present in CI
         raise MissingNumpyError(
-            "the numpy simulation backend requires numpy; install the "
-            "optional extra with `pip install repro[fast]` (or use "
-            "--engine codegen / --engine auto, which fall back to the "
-            "fused big-int engine)") from exc
+            "the C-kernel array backend requires numpy; install the "
+            "optional extra with `pip install repro[fast]`.  Without "
+            "it every simulation runs on big-int words, with the "
+            "same results") from exc
     return numpy
 
 
@@ -740,10 +736,31 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
     return _KERNEL
 
 
-def kernel_unavailable_reason() -> Optional[str]:
-    """Why the C kernel is unavailable (None when it loaded)."""
+#: Most fanins one gate may have on the kernel route (the kernel holds
+#: a gate's fanin row pointers in fixed arrays of this size).
+MAX_FANIN = 64
+
+
+def kernel_unavailable_reason(
+        circuit: "Optional[CompiledCircuit]" = None) -> Optional[str]:
+    """Why pass chunks cannot run on the C kernel, or ``None``.
+
+    Without ``circuit`` this reports on the host: numpy, cffi and a C
+    compiler (or a cached kernel) are all needed.  With ``circuit`` it
+    also reports a gate with more than :data:`MAX_FANIN` fanins, which
+    keeps that circuit on big-int words.
+    """
+    if importlib.util.find_spec("numpy") is None:
+        return "numpy is not installed"
     _load_kernel()
-    return _KERNEL_ERROR
+    if _KERNEL_ERROR is not None:
+        return _KERNEL_ERROR
+    if circuit is not None:
+        arity = max([len(fins) for _, _, fins in circuit.ops] or [0])
+        if arity > MAX_FANIN:
+            return (f"a gate has {arity} fanins; the kernel holds at "
+                    f"most {MAX_FANIN}")
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -838,23 +855,6 @@ class _ChunkPlan:
         #: (see :meth:`ArrayBackend._kernel_segment`).
         self._kptrs: Optional[Tuple[Any, ...]] = None
 
-    # Dict-of-rows view for the pure-numpy evaluator (same shapes the
-    # big-int eval_frame contract uses, with array masks).
-    def stems_rows(self) -> Dict[int, Tuple[Any, Any]]:
-        return {nid: (self.st_f0[int(self.stem_site[nid])],
-                      self.st_f1[int(self.stem_site[nid])])
-                for nid in self.chunk.stems}
-
-    def branch_rows(self) -> Dict[int, List[Tuple[int, Any, Any]]]:
-        out: Dict[int, List[Tuple[int, Any, Any]]] = {}
-        for nid, entries in self.chunk.branch.items():
-            start = int(self.br_start[nid])
-            out[nid] = [
-                (int(self.br_pin[start + i]), self.br_f0[start + i],
-                 self.br_f1[start + i])
-                for i in range(len(entries))]
-        return out
-
 
 # ----------------------------------------------------------------------
 # The backend
@@ -862,25 +862,23 @@ class _ChunkPlan:
 
 
 class ArrayBackend:
-    """numpy array pass executor bound to one compiled circuit.
+    """C-kernel pass executor bound to one compiled circuit.
 
-    Built lazily by :class:`~repro.sim.logicsim.CompiledCircuit` for
-    ``engine="numpy"`` / ``"auto"``.  ``use_kernel`` forces the
-    executor choice (``None`` = kernel when available, unless the
-    ``REPRO_NP_KERNEL=py`` environment override is set).
+    Built by :attr:`repro.sim.logicsim.CompiledCircuit.array_backend`
+    when :func:`kernel_unavailable_reason` finds nothing missing for
+    the circuit; constructing one directly requires the same.
     """
 
-    def __init__(self, circuit: "CompiledCircuit",
-                 use_kernel: Optional[bool] = None) -> None:
+    def __init__(self, circuit: "CompiledCircuit") -> None:
+        reason = kernel_unavailable_reason(circuit)
+        if reason is not None:
+            raise ValueError(f"no C-kernel backend: {reason}")
         self.np = require_numpy()
         np = self.np
         self.circuit = circuit
         ops = circuit.ops
         self.n_gates = len(ops)
         self.max_arity = max([len(f) for _, _, f in ops] or [1])
-        if self.max_arity > 64:  # pragma: no cover - absurd netlists
-            raise ValueError(
-                "numpy backend supports gates with at most 64 fanins")
         self.g_op = np.asarray([op for op, _, _ in ops] or [0],
                                dtype=np.int32)
         self.g_out = np.asarray([out for _, out, _ in ops] or [0],
@@ -897,13 +895,10 @@ class ArrayBackend:
         self.ff_ids = np.asarray(circuit.ff_ids or [0], dtype=np.int32)
         self.ffd_ids = np.asarray(circuit.ff_d_ids or [0],
                                   dtype=np.int32)
-        if use_kernel is None:
-            use_kernel = os.environ.get("REPRO_NP_KERNEL") != "py"
-        self._kernel = _load_kernel() if use_kernel else None
+        self._kernel = _load_kernel()
         #: Lazily built cffi casts of the circuit-constant arrays
         #: (see :meth:`_kernel_segment`).
         self._const_ptrs: Optional[Tuple[Any, ...]] = None
-        self._evaluator: Optional[Any] = None
         # Fault-free injection plans for the good lane pass, keyed by
         # word width (circuit-wide, so safely shared across simulators).
         self._empty_plans: Dict[int, Tuple[Any, ...]] = {}
@@ -945,20 +940,6 @@ class ArrayBackend:
             cache.move_to_end(key)
             plan.chunk = chunk
         return plan
-
-    # ------------------------------------------------------------------
-    @property
-    def kernel_available(self) -> bool:
-        """True when passes run through the compiled C kernel."""
-        return self._kernel is not None
-
-    @property
-    def evaluator(self) -> Any:
-        """The codegen-emitted numpy evaluator (fallback executor)."""
-        if self._evaluator is None:
-            from .codegen import build_numpy_evaluator
-            self._evaluator = build_numpy_evaluator(self.circuit)
-        return self._evaluator
 
     # ------------------------------------------------------------------
     def _init_state(self, plan: _ChunkPlan,
@@ -1092,46 +1073,6 @@ class ArrayBackend:
         return int(status), int(stop[0]), int(frames[0])
 
     # ------------------------------------------------------------------
-    def _py_frame(self, plan: _ChunkPlan, zero: Any, one: Any,
-                  vector: V.Vector, stems_rows: Dict[int, Any],
-                  branch_rows: Dict[int, Any]) -> Tuple[Any, Any]:
-        """One fallback frame: load, stems, evaluate; returns the
-        next-state rows (with flip-flop branch blends applied)."""
-        np = self.np
-        for nid, val in zip(self.circuit.pi_ids, vector):
-            if val == V.ZERO:
-                zero[nid] = plan.mask
-                one[nid] = 0
-            elif val == V.ONE:
-                zero[nid] = 0
-                one[nid] = plan.mask
-            else:
-                zero[nid] = 0
-                one[nid] = 0
-        for nid in plan.chunk.src_stem_ids:
-            site = int(plan.stem_site[nid])
-            keep = plan.st_keep[site]
-            zero[nid] = (zero[nid] & keep) | plan.st_f0[site]
-            one[nid] = (one[nid] & keep) | plan.st_f1[site]
-        self.evaluator(zero, one, plan.mask, stems_rows, branch_rows)
-        ns_zero = zero[self.ffd_ids].copy()
-        ns_one = one[self.ffd_ids].copy()
-        for i in range(plan.n_ffbr):
-            pos = int(plan.ffbr_pos[i])
-            keep = plan.ffbr_keep[i]
-            ns_zero[pos] = (ns_zero[pos] & keep) | plan.ffbr_f0[i]
-            ns_one[pos] = (ns_one[pos] & keep) | plan.ffbr_f1[i]
-        return ns_zero, ns_one
-
-    def _diff_int(self, zero_row: Any, one_row: Any) -> int:
-        """:meth:`FaultSimulator._diff_word` over array rows."""
-        if int(one_row[0]) & 1:
-            return V.array_to_word(zero_row)
-        if int(zero_row[0]) & 1:
-            return V.array_to_word(one_row)
-        return 0
-
-    # ------------------------------------------------------------------
     def run_detect_chunk(
         self, sim: "FaultSimulator", chunk: "_Chunk",
         vectors: Sequence[V.Vector], init_state: V.Vector,
@@ -1145,7 +1086,6 @@ class ArrayBackend:
         accounting) and accumulates into ``detected``.  Returns the
         number of frames simulated.
         """
-        from . import fault_sim as FS
         np = self.np
         counters = sim.counters
         counters.np_passes += 1
@@ -1161,87 +1101,37 @@ class ArrayBackend:
         ns_one = np.zeros_like(ns_zero)
         frames_total = 0
         frame = 0
-        if self.kernel_available:
-            while frame <= last:
-                status, stop, frames = self._kernel_segment(
-                    plan, zero, one, vec_arr, frame, last, observe_po,
-                    scan_out, scan_observe, early_exit, None, None,
-                    ns_zero, ns_one, caught_arr)
-                frames_total += frames
-                counters.note_words(frames, len(chunk.indices))
-                if status != _STATUS_REPACK:
-                    break
-                caught_int = V.array_to_word(caught_arr)
-                n_dropped = 0
-                for pos, fid in enumerate(chunk.indices):
-                    if caught_int & chunk.bit_of(pos):
-                        detected.add(fid)
-                        n_dropped += 1
-                ns_z_ints = [V.array_to_word(ns_zero[i])
-                             for i in range(len(self.circuit.ff_ids))]
-                ns_o_ints = [V.array_to_word(ns_one[i])
-                             for i in range(len(self.circuit.ff_ids))]
-                chunk, zw, ow = sim._repack(chunk, caught_int,
-                                            ns_z_ints, ns_o_ints)
-                counters.repacks += 1
-                counters.faults_dropped += n_dropped
-                plan = _ChunkPlan(self, chunk)
-                zero, one = self._state_from_words(plan, zw, ow)
-                caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
-                ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
-                                    plan.n_words), dtype=np.uint64)
-                ns_one = np.zeros_like(ns_zero)
-                frame = stop + 1
-            caught = V.array_to_word(caught_arr)
-        else:
-            caught = 0
-            stems_rows = plan.stems_rows()
-            branch_rows = plan.branch_rows()
-            while frame <= last:
-                ns_z2, ns_o2 = self._py_frame(plan, zero, one,
-                                              vectors[frame],
-                                              stems_rows, branch_rows)
-                counters.note_words(1, len(chunk.indices))
-                frames_total += 1
-                if observe_po:
-                    for nid in self.circuit.po_ids:
-                        caught |= self._diff_int(zero[nid], one[nid])
-                if scan_out and frame == last:
-                    positions = (range(len(self.circuit.ff_ids))
-                                 if scan_observe is None
-                                 else scan_observe)
-                    for pos in positions:
-                        caught |= self._diff_int(ns_z2[pos],
-                                                 ns_o2[pos])
-                caught &= ~1
-                if caught == chunk.mask & ~1:
-                    break
-                if (early_exit and caught and
-                        len(chunk.indices) >= FS._REPACK_MIN_MACHINES
-                        and last - frame >= FS._REPACK_MIN_FRAMES_LEFT
-                        and 2 * bin(caught).count("1") >=
-                        len(chunk.indices)):
-                    n_dropped = 0
-                    for pos, fid in enumerate(chunk.indices):
-                        if caught & chunk.bit_of(pos):
-                            detected.add(fid)
-                            n_dropped += 1
-                    ns_z_ints = [V.array_to_word(row) for row in ns_z2]
-                    ns_o_ints = [V.array_to_word(row) for row in ns_o2]
-                    chunk, zw, ow = sim._repack(chunk, caught,
-                                                ns_z_ints, ns_o_ints)
-                    counters.repacks += 1
-                    counters.faults_dropped += n_dropped
-                    plan = _ChunkPlan(self, chunk)
-                    stems_rows = plan.stems_rows()
-                    branch_rows = plan.branch_rows()
-                    zero, one = self._state_from_words(plan, zw, ow)
-                    caught = 0
-                    frame += 1
-                    continue
-                zero[self.ff_ids] = ns_z2
-                one[self.ff_ids] = ns_o2
-                frame += 1
+        while frame <= last:
+            status, stop, frames = self._kernel_segment(
+                plan, zero, one, vec_arr, frame, last, observe_po,
+                scan_out, scan_observe, early_exit, None, None,
+                ns_zero, ns_one, caught_arr)
+            frames_total += frames
+            counters.note_words(frames, len(chunk.indices))
+            if status != _STATUS_REPACK:
+                break
+            caught_int = V.array_to_word(caught_arr)
+            n_dropped = 0
+            for pos, fid in enumerate(chunk.indices):
+                if caught_int & chunk.bit_of(pos):
+                    detected.add(fid)
+                    n_dropped += 1
+            ns_z_ints = [V.array_to_word(ns_zero[i])
+                         for i in range(len(self.circuit.ff_ids))]
+            ns_o_ints = [V.array_to_word(ns_one[i])
+                         for i in range(len(self.circuit.ff_ids))]
+            chunk, zw, ow = sim._repack(chunk, caught_int,
+                                        ns_z_ints, ns_o_ints)
+            counters.repacks += 1
+            counters.faults_dropped += n_dropped
+            plan = _ChunkPlan(self, chunk)
+            zero, one = self._state_from_words(plan, zw, ow)
+            caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
+            ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
+                                plan.n_words), dtype=np.uint64)
+            ns_one = np.zeros_like(ns_zero)
+            frame = stop + 1
+        caught = V.array_to_word(caught_arr)
         for pos, fid in enumerate(chunk.indices):
             if caught & chunk.bit_of(pos):
                 detected.add(fid)
@@ -1265,10 +1155,8 @@ class ArrayBackend:
         with the scan-out diff folded into the returned mask (the
         caller ORs them anyway).  Returns ``(mask, frames_run)``.
 
-        Kernel-only: the caller keeps the big-int path when the
-        kernel is unavailable (the pure-numpy fallback is slower
-        than the fused big-int loop on these short passes) and for
-        ``record=True`` rebuilds, which need per-frame trails.
+        The caller keeps the big-int path for ``record=True``
+        rebuilds, which need per-frame trails.
         """
         np = self.np
         counters = sim.counters
@@ -1317,10 +1205,6 @@ class ArrayBackend:
         arithmetic, before the one-shot array conversion.  Returns
         ``(caught, frames_done)`` with ``caught`` a big-int over the
         chunk's ``n_groups * n_lanes`` bits.
-
-        Kernel-only: callers keep the big-int lane loops when the
-        kernel is unavailable (the pure-numpy fallback loses to the
-        fused big-int engine on these passes).
         """
         np = self.np
         counters = sim.counters
@@ -1470,8 +1354,6 @@ class ArrayBackend:
         frames where some trial ends (``None`` elsewhere).  This pass
         dominated batched Phase-4 trials when it ran frame by frame
         in Python; one kernel call replaces the whole loop.
-
-        Kernel-only, like :meth:`run_lane_chunk`.
         """
         np = self.np
         counters = sim.counters
@@ -1589,34 +1471,15 @@ class ArrayBackend:
         zero, one = self._init_state(plan, init_state)
         rec_po = np.zeros((n_frames, W), dtype=np.uint64)
         rec_scan = np.zeros((n_frames, W), dtype=np.uint64)
-        if self.kernel_available:
-            vec_arr = self._vec_array(vectors)
-            ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                               dtype=np.uint64)
-            ns_one = np.zeros_like(ns_zero)
-            caught = np.zeros(W, dtype=np.uint64)
-            self._kernel_segment(
-                plan, zero, one, vec_arr, 0, n_frames - 1, True, True,
-                scan_observe, False, rec_po, rec_scan, ns_zero, ns_one,
-                caught)
-        else:
-            stems_rows = plan.stems_rows()
-            branch_rows = plan.branch_rows()
-            for frame, vector in enumerate(vectors):
-                ns_z2, ns_o2 = self._py_frame(plan, zero, one, vector,
-                                              stems_rows, branch_rows)
-                po_now = 0
-                for nid in self.circuit.po_ids:
-                    po_now |= self._diff_int(zero[nid], one[nid])
-                rec_po[frame] = V.word_to_array(po_now, W)
-                sdiff = 0
-                positions = (range(len(self.circuit.ff_ids))
-                             if scan_observe is None else scan_observe)
-                for pos in positions:
-                    sdiff |= self._diff_int(ns_z2[pos], ns_o2[pos])
-                rec_scan[frame] = V.word_to_array(sdiff, W)
-                zero[self.ff_ids] = ns_z2
-                one[self.ff_ids] = ns_o2
+        vec_arr = self._vec_array(vectors)
+        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
+                           dtype=np.uint64)
+        ns_one = np.zeros_like(ns_zero)
+        caught = np.zeros(W, dtype=np.uint64)
+        self._kernel_segment(
+            plan, zero, one, vec_arr, 0, n_frames - 1, True, True,
+            scan_observe, False, rec_po, rec_scan, ns_zero, ns_one,
+            caught)
         counters.note_words(n_frames, len(chunk.indices))
         po_seen = 0
         for frame in range(n_frames):

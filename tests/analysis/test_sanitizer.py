@@ -7,7 +7,7 @@ from repro.analysis.sanitizer import SanitizerError
 from repro.atpg import random_gen
 from repro.circuits import synth
 from repro.sim.counters import SimCounters
-from repro.sim.fault_sim import FaultSimulator
+from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
@@ -90,24 +90,24 @@ class TestScoreboardChecks:
             sanitizer.check_agreement({1, 2}, {1, 3}, "t")
 
 
-def _sim(width="auto", seed=5):
+def _sim(fused_cap=FUSED_CAP, seed=5):
     net = synth.generate("sani", 4, 3, 5, 40, seed=seed)
     cc = CompiledCircuit(net)
     fs = FaultSet.collapsed(net)
-    return FaultSimulator(cc, fs, width=width), cc, fs
+    return FaultSimulator(cc, fs, fused_cap=fused_cap), cc, fs
 
 
 class TestChunkChecks:
     def test_real_chunks_pass(self, monkeypatch):
         _arm(monkeypatch)
-        sim, _, fs = _sim(width=8)
+        sim, _, fs = _sim(fused_cap=8)
         for chunk in sim._build_chunks(list(range(len(fs)))):
             sanitizer.check_chunk(chunk, "test")
         assert sanitizer.violations() == []
 
     def test_tampered_stem_caught(self, monkeypatch):
         _arm(monkeypatch)
-        sim, _, fs = _sim(width=8)
+        sim, _, fs = _sim(fused_cap=8)
         chunk = sim._build_chunks(list(range(len(fs))))[0]
         net_id, (m0, m1) = next(iter(chunk.stems.items()))
         # Force one machine bit to both 0 and 1.
@@ -117,7 +117,7 @@ class TestChunkChecks:
 
     def test_good_bit_claim_caught(self, monkeypatch):
         _arm(monkeypatch)
-        sim, _, fs = _sim(width=8)
+        sim, _, fs = _sim(fused_cap=8)
         chunk = sim._build_chunks(list(range(len(fs))))[0]
         net_id, (m0, m1) = next(iter(chunk.stems.items()))
         chunk.stems[net_id] = (m0 | 1, m1)  # claims the good machine

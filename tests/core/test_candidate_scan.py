@@ -1,13 +1,12 @@
-"""Candidate-parallel Phase-1 scan-in selection: lanes == scalar.
+"""Candidate-parallel Phase-1 scan-in selection vs the scalar oracle.
 
 The lane-transposed candidate scan
 (:meth:`repro.sim.fault_sim.FaultSimulator.detect_candidates` driving
-``select_scan_in(mode="lanes")``) is a pure packing strategy: it must
-reproduce the scalar per-candidate loop bit for bit -- the same
-``(chosen_index, f_si)`` including the paper's unselected-preferred
-tie-break, on any circuit, any width policy, and any X-laden candidate
-set.  These properties are what justified flipping the default mode to
-``"lanes"``.
+:func:`repro.core.phase1.select_scan_in`) is a pure packing strategy:
+it must reproduce the paper's per-candidate loop bit for bit -- the
+same ``(chosen_index, f_si)`` including the unselected-preferred
+tie-break, on any circuit, fused cap and X-laden candidate set, in
+both production configurations (see :mod:`tests.reference`).
 """
 
 import random
@@ -20,9 +19,9 @@ from repro.circuits import synth
 from repro.core import phase1
 from repro.sim import fault_sim as fault_sim_mod
 from repro.sim import values as V
-from repro.sim.fault_sim import FaultSimulator
+from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
-from repro.sim.logicsim import CompiledCircuit
+from tests.reference import production_circuits, reference_circuit
 
 _N_PI = 4
 _N_FF = 5
@@ -31,18 +30,32 @@ _CACHE = {}
 
 
 def circuit_for(seed):
-    """Small random sequential circuit, cached across examples."""
+    """Small random sequential circuit, cached across examples:
+    ``(production circuits, reference circuit, fault set)``."""
     if seed not in _CACHE:
         net = synth.generate("cscan", _N_PI, 3, _N_FF, 30, seed=seed)
-        cc_codegen = CompiledCircuit(net, engine="codegen")
-        cc_generic = CompiledCircuit(net.copy(), engine="generic")
-        fs = FaultSet.collapsed(net)
-        _CACHE[seed] = (cc_codegen, cc_generic, fs)
+        _CACHE[seed] = (production_circuits(net), reference_circuit(net),
+                        FaultSet.collapsed(net))
     return _CACHE[seed]
 
 
 circuit_seeds = st.integers(0, 9)
-widths = st.sampled_from([2, 5, "auto"])
+fused_caps = st.sampled_from([2, 5, FUSED_CAP])
+
+
+def _scalar_oracle(sim, t0, tests, f0, selected):
+    """The paper's Step 2 verbatim: one detect pass per test, the
+    largest detected set wins, ties prefer unselected tests, then the
+    first index."""
+    remaining = sorted(set(range(len(sim.faults))) - f0)
+    best, best_key, best_det = -1, None, set()
+    for j, test in enumerate(tests):
+        det = sim.detect(t0, test.state, target=remaining,
+                         early_exit=False)
+        key = (len(det), not selected[j])
+        if best_key is None or key > best_key:
+            best, best_key, best_det = j, key, det
+    return best, best_det | f0
 
 
 def _state(rng, data):
@@ -69,62 +82,59 @@ def _comb_tests(rng, data, n):
 
 class TestScalarVsLanes:
     @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_selection_identical(self, seed, width, data):
-        """(chosen_index, f_si) agree across modes, engines, widths."""
-        cc_codegen, cc_generic, fs = circuit_for(seed)
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_selection_identical(self, seed, cap, data):
+        """(chosen_index, f_si) match the scalar oracle on the
+        reference, in every production configuration and fused cap."""
+        production, reference, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         t0 = [V.random_binary_vector(_N_PI, rng)
               for _ in range(data.draw(st.integers(1, 8)))]
         tests = _comb_tests(rng, data, data.draw(st.integers(1, 7)))
         selected = [data.draw(st.booleans()) for _ in tests]
-        sim_ref = FaultSimulator(cc_codegen, fs, width="auto")
+        sim_ref = FaultSimulator(reference, fs)
         f0 = phase1.detect_no_scan(sim_ref, t0)
-        reference = phase1.select_scan_in(sim_ref, t0, tests, f0,
-                                          selected, mode="scalar")
-        for circuit in (cc_codegen, cc_generic):
-            sim = FaultSimulator(circuit, fs, width=width)
-            got = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                        mode="lanes")
-            assert got == reference
+        want = _scalar_oracle(sim_ref, t0, tests, f0, selected)
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs, fused_cap=cap)
+            got = phase1.select_scan_in(sim, t0, tests, f0, selected)
+            assert got == want
 
     @settings(max_examples=15, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
     def test_forced_total_tie(self, seed, data):
         """With target a subset of f0, every candidate counts zero:
-        the winner must still match scalar (first unselected test,
-        else index 0)."""
-        cc, _, fs = circuit_for(seed)
+        the winner is the first unselected test, else index 0."""
+        production, _, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(3)]
         tests = _comb_tests(rng, data, 5)
         selected = [data.draw(st.booleans()) for _ in tests]
-        sim = FaultSimulator(cc, fs)
         f0 = set(range(len(fs)))          # nothing left to detect
         target = set(range(len(fs)))
-        scalar = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                       target=target, mode="scalar")
-        lanes = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                      target=target, mode="lanes")
-        assert scalar == lanes
         expected = selected.index(False) if False in selected else 0
-        assert scalar[0] == expected
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs)
+            got = phase1.select_scan_in(sim, t0, tests, f0, selected,
+                                        target=target)
+            assert got == (expected, f0)
 
     def test_detect_candidates_matches_detect_loop(self):
         """The simulator primitive itself: per-lane sets == per-state
-        detect passes, including empty-candidate and empty-target."""
-        cc, _, fs = circuit_for(0)
+        reference detect passes, including empty-candidate and
+        empty-target."""
+        production, reference, fs = circuit_for(0)
         rng = random.Random(7)
-        sim = FaultSimulator(cc, fs)
         vectors = [V.random_binary_vector(_N_PI, rng) for _ in range(6)]
         states = [V.random_binary_vector(_N_FF, rng) for _ in range(4)]
-        got = sim.detect_candidates(vectors, states)
-        want = [sim.detect(vectors, s, early_exit=False)
-                for s in states]
-        assert got == want
-        assert sim.detect_candidates(vectors, []) == []
-        empty = sim.detect_candidates(vectors, states, target=[])
-        assert empty == [set()] * len(states)
+        ref = FaultSimulator(reference, fs)
+        want = [ref.detect(vectors, s, early_exit=False) for s in states]
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs)
+            assert sim.detect_candidates(vectors, states) == want
+            assert sim.detect_candidates(vectors, []) == []
+            empty = sim.detect_candidates(vectors, states, target=[])
+            assert empty == [set()] * len(states)
 
     def test_lane_repack_preserves_per_lane_sets(self, monkeypatch):
         """Aggressive in-pass group retirement never changes a lane's
@@ -132,35 +142,38 @@ class TestScalarVsLanes:
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_GROUPS", 1)
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("lrepack", 5, 4, 6, 60, seed=3)
-        cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
         rng = random.Random(11)
         vectors = [V.random_binary_vector(5, rng) for _ in range(20)]
         states = [V.random_binary_vector(6, rng) for _ in range(5)]
-        sim = FaultSimulator(cc, fs)
-        got = sim.detect_candidates(vectors, states)
-        assert sim.counters.repacks > 0
-        assert sim.counters.faults_dropped > 0
-        want = [sim.detect(vectors, s, early_exit=False)
-                for s in states]
-        assert got == want
+        ref = FaultSimulator(reference_circuit(net), fs)
+        want = [ref.detect(vectors, s, early_exit=False) for s in states]
+        for circuit in production_circuits(net):
+            sim = FaultSimulator(circuit, fs)
+            assert sim.detect_candidates(vectors, states) == want
+            if circuit.array_backend is None:
+                # Only the big-int lane loop retires groups mid-pass.
+                assert sim.counters.repacks > 0
+                assert sim.counters.faults_dropped > 0
 
     def test_unknown_mode_rejected(self):
-        cc, _, fs = circuit_for(0)
-        sim = FaultSimulator(cc, fs)
+        """There is no candidate-scan mode option: the lanes route
+        always runs."""
+        _, reference, fs = circuit_for(0)
+        sim = FaultSimulator(reference, fs)
         tests = [CombTest(state=(V.ZERO,) * _N_FF, pi=(V.ZERO,) * _N_PI)]
-        with pytest.raises(ValueError, match="candidate-scan mode"):
+        with pytest.raises(TypeError, match="mode"):
             phase1.select_scan_in(sim, [(V.ZERO,) * _N_PI], tests,
                                   set(), [False], mode="vectorized")
 
 
 class TestDedup:
-    def test_duplicate_states_simulated_once(self):
-        """Regression: tests sharing a state part cost one pass, and
+    def test_duplicate_states_simulated_once(self, monkeypatch):
+        """Regression: tests sharing a state part cost one lane, and
         the winner maps back to the first unselected duplicate."""
-        cc, _, fs = circuit_for(1)
+        _, reference, fs = circuit_for(1)
         rng = random.Random(5)
-        sim = FaultSimulator(cc, fs)
+        sim = FaultSimulator(reference, fs)
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(5)]
         state = V.random_binary_vector(_N_FF, rng)
         # Indices 0 and 2 share a state; 0 is selected, 2 is not.
@@ -169,49 +182,40 @@ class TestDedup:
                  CombTest(state=state, pi=V.random_binary_vector(_N_PI, rng))]
         selected = [True, True, False]
         f0 = phase1.detect_no_scan(sim, t0)
-        before = sim.counters.detect_passes
-        index, _ = phase1.select_scan_in(sim, t0, tests, f0, selected,
-                                         mode="scalar")
-        # One unique state -> exactly one scalar detect pass.
-        assert sim.counters.detect_passes - before == 1
+        lanes = []
+        real = sim.detect_candidates
+
+        def spy(vectors, init_states, **kwargs):
+            lanes.append(len(init_states))
+            return real(vectors, init_states, **kwargs)
+
+        monkeypatch.setattr(sim, "detect_candidates", spy)
+        index, _ = phase1.select_scan_in(sim, t0, tests, f0, selected)
+        # One unique state -> one candidate lane in one call.
+        assert lanes == [1]
         # All counts tie; the first unselected test must win.
         assert index == 2
 
     def test_dedup_preserves_first_index_tie_break(self):
         """All duplicates unselected: the first index wins, exactly as
         the undeduplicated loop would pick."""
-        cc, _, fs = circuit_for(2)
+        production, reference, fs = circuit_for(2)
         rng = random.Random(9)
-        sim = FaultSimulator(cc, fs)
         t0 = [V.random_binary_vector(_N_PI, rng) for _ in range(4)]
         state = V.random_binary_vector(_N_FF, rng)
         tests = [CombTest(state=state, pi=V.random_binary_vector(_N_PI, rng))
                  for _ in range(3)]
-        f0 = phase1.detect_no_scan(sim, t0)
-        for mode in phase1.CANDIDATE_SCAN_MODES:
-            index, _ = phase1.select_scan_in(sim, t0, tests, f0,
-                                             [False] * 3, mode=mode)
+        f0 = phase1.detect_no_scan(FaultSimulator(reference, fs), t0)
+        for circuit in [reference] + production:
+            index, _ = phase1.select_scan_in(FaultSimulator(circuit, fs),
+                                             t0, tests, f0, [False] * 3)
             assert index == 0
 
 
 class TestFusedCapAtConstruction:
-    def test_env_override_read_per_simulator(self, monkeypatch):
-        """REPRO_FUSED_CAP applies to simulators built *after* the
-        environment change -- no import-time freeze."""
-        cc, _, fs = circuit_for(3)
-        default = FaultSimulator(cc, fs)
-        assert default.fused_cap == fault_sim_mod.FUSED_CAP
-        monkeypatch.setenv("REPRO_FUSED_CAP", "64")
-        overridden = FaultSimulator(cc, fs)
-        assert overridden.fused_cap == 64
-        assert overridden.resolve_width(100) <= 64
-        # An explicit argument beats the environment.
-        explicit = FaultSimulator(cc, fs, fused_cap=128)
-        assert explicit.fused_cap == 128
-
     def test_cap_bounds_lane_groups(self, monkeypatch):
-        """The lane packer honours the per-simulator cap too."""
-        cc, _, fs = circuit_for(3)
+        """The lane packer honours the per-simulator cap."""
+        _, cc, fs = circuit_for(3)
         sim = FaultSimulator(cc, fs, fused_cap=16)
         assert sim._lane_groups_per_word(4) == 4
         chunks = sim._build_lane_chunks(range(10), n_lanes=4)

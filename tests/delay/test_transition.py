@@ -8,21 +8,16 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import library, synth
 from repro.core.scan_test import ScanTest, ScanTestSet
 from repro.delay import transition as transition_mod
-from repro.delay.transition import (ROUTES, TransitionFault,
-                                    TransitionSim, all_transition_faults)
+from repro.delay.transition import (TransitionFault, TransitionSim,
+                                    all_transition_faults)
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
 from repro.sim.logicsim import CompiledCircuit, simulate_sequence
-
-try:
-    from repro.sim import npsim
-    _PACKED_OK = (npsim.numpy_available()
-                  and npsim.kernel_unavailable_reason() is None)
-except ImportError:  # pragma: no cover - numpy present in CI
-    _PACKED_OK = False
+from tests.reference import (KERNEL, production_circuit,
+                             production_circuits, reference_circuit)
 
 needs_packed = pytest.mark.skipif(
-    not _PACKED_OK, reason="packed TDF route needs numpy + C kernel")
+    not KERNEL, reason="packed TDF route needs numpy + C kernel")
 
 
 def oracle_detects(netlist, fault, test):
@@ -166,7 +161,7 @@ class TestTestSets:
 
 
 # ----------------------------------------------------------------------
-# Route selection and the packed (wide-word) execution path
+# Routes: the packed (wide-word kernel) and scalar (big-int) captures
 # ----------------------------------------------------------------------
 
 _N_PI = 4
@@ -176,18 +171,14 @@ _EQ_CACHE = {}
 
 
 def sims_for(seed):
-    """One scalar + one packed simulator per engine, cached across
-    hypothesis examples (fault lists and packing plans are per-circuit
-    and expensive to rebuild every example)."""
+    """``(production sims, reference sim)``, cached across hypothesis
+    examples (fault lists and packing plans are per-circuit and
+    expensive to rebuild every example)."""
     if seed not in _EQ_CACHE:
         net = synth.generate("tdfeq", _N_PI, _N_FF, 4, 25, seed=seed)
-        pairs = []
-        for engine in ("codegen", "generic"):
-            cc = CompiledCircuit(net.copy(), engine=engine)
-            scalar = TransitionSim(cc, route="scalar")
-            packed = TransitionSim(cc, route="packed")
-            pairs.append((scalar, packed))
-        _EQ_CACHE[seed] = pairs
+        _EQ_CACHE[seed] = (
+            [TransitionSim(cc) for cc in production_circuits(net)],
+            TransitionSim(reference_circuit(net)))
     return _EQ_CACHE[seed]
 
 
@@ -208,23 +199,26 @@ def _vectors(data, rng, n):
 
 class TestRouteSelection:
     def test_unknown_route_rejected(self, s27):
-        with pytest.raises(ValueError, match="unknown TDF route"):
+        """There is no route option: the circuit decides."""
+        with pytest.raises(TypeError, match="route"):
             TransitionSim(CompiledCircuit(s27), route="fused")
-        assert ROUTES == ("auto", "packed", "scalar")
 
     def test_scalar_route_forced(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="scalar")
+        """The reference circuit has no array backend: scalar."""
+        sim = TransitionSim(reference_circuit(s27))
         assert sim.route == "scalar"
 
     def test_auto_resolves(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="auto")
-        assert sim.route in ("packed", "scalar")
-        if _PACKED_OK:
-            assert sim.route == "packed"
+        """Production resolves to packed exactly when the circuit has
+        an array backend, and to scalar without the kernel."""
+        sim = TransitionSim(CompiledCircuit(s27))
+        assert sim.route == ("packed" if KERNEL else "scalar")
+        bigint = TransitionSim(production_circuit(s27, kernel=False))
+        assert bigint.route == "scalar"
 
     @needs_packed
     def test_packed_route_forced(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="packed")
+        sim = TransitionSim(production_circuit(s27, kernel=True))
         assert sim.route == "packed"
 
     def test_counters_surface_tdf_fields(self, s27):
@@ -242,11 +236,10 @@ class TestRouteSelection:
         assert back.tdf_words == counters.tdf_words
 
 
-@needs_packed
 class TestRouteEquivalence:
-    """The packed kernel route must be byte-identical to the scalar
-    big-int reference -- including X-laden stimuli, restricted targets
-    and multi-word launch groups -- on both big-int engines."""
+    """Both production routes must be byte-identical to the reference
+    -- including X-laden stimuli, restricted targets and multi-word
+    launch groups."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=eq_seeds, data=st.data())
@@ -254,13 +247,10 @@ class TestRouteEquivalence:
         rng = random.Random(data.draw(st.integers(0, 999)))
         vectors = _vectors(data, rng, data.draw(st.integers(1, 10)))
         test = ScanTest(V.random_binary_vector(_N_FF, rng), vectors)
-        results = []
-        for scalar, packed in sims_for(seed):
-            got_scalar = scalar.detect_test(test)
-            got_packed = packed.detect_test(test)
-            assert got_packed == got_scalar
-            results.append(got_packed)
-        assert results[0] == results[1]  # engines agree too
+        production, reference = sims_for(seed)
+        want = reference.detect_test(test)
+        for sim in production:
+            assert sim.detect_test(test) == want
 
     @settings(max_examples=20, deadline=None)
     @given(seed=eq_seeds, data=st.data())
@@ -270,43 +260,46 @@ class TestRouteEquivalence:
         rng = random.Random(data.draw(st.integers(0, 999)))
         vectors = _vectors(data, rng, data.draw(st.integers(2, 8)))
         test = ScanTest(V.random_binary_vector(_N_FF, rng), vectors)
-        scalar, packed = sims_for(seed)[0]
-        full = scalar.detect_test(test)
+        production, reference = sims_for(seed)
+        full = reference.detect_test(test)
         if not full:
             return
         k = data.draw(st.integers(1, len(full)))
         some = set(sorted(full)[:k])
-        assert packed.detect_test(test, some) == \
-            scalar.detect_test(test, some) == some
+        for sim in production:
+            assert sim.detect_test(test, some) == some
 
     def test_length_one_detects_nothing_packed(self, s27):
-        sim = TransitionSim(CompiledCircuit(s27), route="packed")
-        test = ScanTest(V.vec("000"), (V.vec("1111"),))
-        assert sim.detect_test(test) == set()
+        for circuit in production_circuits(s27):
+            sim = TransitionSim(circuit)
+            test = ScanTest(V.vec("000"), (V.vec("1111"),))
+            assert sim.detect_test(test) == set()
 
     def test_multi_word_launch_groups(self):
-        """A circuit with > 63 faults forces multi-word uint64 chunks;
-        detection must still match the scalar route exactly."""
+        """A circuit with > 63 faults forces multi-word uint64 chunks
+        (and several scalar words); detection must still match the
+        reference exactly."""
         net = synth.generate("tdfwide", 5, 4, 8, 80, seed=11)
-        cc = CompiledCircuit(net)
-        scalar = TransitionSim(cc, route="scalar")
-        packed = TransitionSim(cc, route="packed")
-        assert len(packed.faults) > 63
+        reference = TransitionSim(reference_circuit(net))
+        assert len(reference.faults) > 63
         rng = random.Random(2)
         tests = [ScanTest(V.random_binary_vector(4, rng),
                           tuple(V.random_binary_vector(5, rng)
                                 for _ in range(12)))
                  for _ in range(3)]
         ts = ScanTestSet(4, tests)
-        assert packed.detect_test_set(ts) == scalar.detect_test_set(ts)
+        want = reference.detect_test_set(ts)
+        for circuit in production_circuits(net):
+            assert TransitionSim(circuit).detect_test_set(ts) == want
 
+    @needs_packed
     def test_sanitizer_spot_checks_packed_captures(self, monkeypatch):
         """With REPRO_SANITIZE armed the packed route recomputes its
         first captures on the scalar shadow; agreement means no
         violation is reported and the spot budget is consumed."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         net = synth.generate("tdfsan", 4, 3, 5, 30, seed=5)
-        sim = TransitionSim(CompiledCircuit(net), route="packed")
+        sim = TransitionSim(production_circuit(net, kernel=True))
         rng = random.Random(9)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(10))
@@ -315,6 +308,7 @@ class TestRouteEquivalence:
         assert sim._sanitize_spots_left < \
             transition_mod._SANITIZE_SPOT_BUDGET
 
+    @needs_packed
     def test_shadow_does_not_distort_counters(self, monkeypatch):
         """The sanitizer's scalar shadow recomputation must not bump
         the TDF counters: armed and unarmed runs count the same."""
@@ -329,8 +323,7 @@ class TestRouteEquivalence:
                 monkeypatch.setenv("REPRO_SANITIZE", "1")
             else:
                 monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-            sim = TransitionSim(CompiledCircuit(net.copy()),
-                                route="packed")
+            sim = TransitionSim(production_circuit(net, kernel=True))
             sim.detect_test(test)
             counts.append((sim.counters.tdf_passes,
                            sim.counters.tdf_words))

@@ -108,25 +108,42 @@ class TestSerialization:
         text = reporting.engine_counters_table([back]).render()
         assert "s27" in text and "-" in text
 
+    @staticmethod
+    def _run_legacy_spec(**removed):
+        """Run one worker in process on a spec dict that still carries
+        removed settings; returns the produced run."""
+        import multiprocessing
+        from dataclasses import asdict
+        legacy = dict(asdict(_spec()), **removed)
+        parent, child = multiprocessing.Pipe()
+        harness._worker_main(child, legacy, 1, None,
+                             heartbeat_interval=60.0)
+        messages = []
+        while parent.poll():
+            try:
+                messages.append(parent.recv())
+            except EOFError:  # the worker closed its end
+                break
+        status, payload = messages[-1]
+        assert status == "ok", payload
+        run = reporting.run_from_dict(payload)
+        for name in removed:
+            assert name not in run.knobs
+        return run
+
     def test_engine_width_travel_through_jobspec(self):
-        spec = _spec(engine="interp", width=16)
-        outcome = run_jobs([spec], config=_cfg(isolate=True))
-        assert outcome.ok
-        run = outcome.runs[0]
+        """A legacy spec dict still carrying engine/width crosses the
+        worker boundary: the worker ignores them and runs the one
+        production path."""
+        run = self._run_legacy_spec(engine="interp", width=16)
         assert run.counters["words"] >= run.counters["frames"]
 
     def test_candidate_scan_travels_through_jobspec(self):
-        """The candidate-scan knob crosses the spawn boundary, and a
-        spec dict without the field (old checkpoint) still loads."""
-        spec = _spec(candidate_scan="scalar")
-        outcome = run_jobs([spec], config=_cfg(isolate=True))
-        assert outcome.ok
-        assert outcome.runs[0].counters["candidate_passes"] == 0
-        from dataclasses import asdict
-        legacy = asdict(_spec())
-        del legacy["candidate_scan"]
-        assert JobSpec(**legacy).candidate_scan == \
-            harness.DEFAULT_CANDIDATE_SCAN
+        """Likewise for the removed Phase-1 and trial-batch settings:
+        Phase 1 still runs its candidate-parallel pass."""
+        run = self._run_legacy_spec(candidate_scan="scalar",
+                                    trial_batch=1)
+        assert run.counters["candidate_passes"] > 0
 
     def test_roundtrip_preserves_tables(self, s27_full_run):
         back = reporting.run_from_dict(
@@ -471,13 +488,13 @@ class TestPowerSerialization:
         assert "-" in text
 
     def test_engine_column_and_legacy_dashes(self, s27_full_run):
-        """The counters table shows the engine knob (``eng``) and the
-        numpy pass count (``np``); a checkpoint from before either
-        field renders dashes in those columns, not a KeyError."""
+        """The counters table records what ran -- the kernel pass
+        count (``np``) -- and no longer echoes an engine knob; a
+        checkpoint from before the field renders a dash, not a
+        KeyError."""
         table = reporting.engine_counters_table([s27_full_run])
-        assert "eng" in table.headers and "np" in table.headers
+        assert "np" in table.headers and "eng" not in table.headers
         row = dict(zip(table.headers, table.rows[0]))
-        assert row["eng"] == s27_full_run.knobs["engine"]
         assert row["np"] == s27_full_run.counters["np_passes"]
         data = reporting.run_to_dict(s27_full_run)
         del data["knobs"]
@@ -485,7 +502,7 @@ class TestPowerSerialization:
         back = reporting.run_from_dict(data)
         legacy = reporting.engine_counters_table([back])
         row = dict(zip(legacy.headers, legacy.rows[0]))
-        assert row["eng"] is None and row["np"] is None
+        assert row["np"] is None
         assert "-" in legacy.render()
 
     def test_jobspec_defaults_from_legacy_dict(self):
@@ -539,16 +556,16 @@ class TestPowerSerialization:
     def test_checkpoint_usable_rejects_every_knob(self, s27_full_run):
         """Every JobSpec result-shaping knob participates in the
         checkpoint compatibility check, including on legacy spec
-        dicts rebuilt without the newer fields."""
+        dicts rebuilt without the newer fields; the removed simulation
+        settings a legacy checkpoint recorded do not."""
         from dataclasses import asdict
-        from repro.experiments.harness import (CHECKPOINT_KNOBS,
-                                               _checkpoint_usable)
+        from repro.experiments.harness import _checkpoint_usable
+        from repro.experiments.salvage import RESULT_KNOBS
         base = _spec(arms=("seqgen", "random"), with_baselines=True,
                      delay=True)
-        different = {"engine": "interp", "width": 4,
-                     "candidate_scan": "scalar", "x_fill": "adjacent",
-                     "power_budget": 9.0, "adi": True, "scoap": True}
-        assert set(different) == set(CHECKPOINT_KNOBS)
+        different = {"x_fill": "adjacent", "power_budget": 9.0,
+                     "adi": True, "scoap": True}
+        assert set(different) == set(RESULT_KNOBS)
         for name, value in different.items():
             spec = _spec(arms=("seqgen", "random"), with_baselines=True,
                          **{"delay": True, name: value})
@@ -556,10 +573,14 @@ class TestPowerSerialization:
         # A legacy spec dict (pre-knob fields stripped) resolves to the
         # defaults and must still accept the matching checkpoint.
         legacy = asdict(base)
-        for name in ("engine", "width", "candidate_scan", "x_fill",
-                     "power_budget", "adi", "scoap"):
+        for name in RESULT_KNOBS:
             legacy.pop(name, None)
         assert _checkpoint_usable(s27_full_run, JobSpec(**legacy))
+        # A checkpoint that recorded the removed settings is reused.
+        data = reporting.run_to_dict(s27_full_run)
+        data["knobs"].update(engine="interp", width=4,
+                             candidate_scan="scalar", trial_batch=1)
+        assert _checkpoint_usable(reporting.run_from_dict(data), base)
 
     def test_checkpoint_usable_delay_asymmetric(self, s27_full_run):
         """--delay is measurement-only: a delay-bearing checkpoint

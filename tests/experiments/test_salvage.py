@@ -171,29 +171,36 @@ class TestSalvageStore:
         store.discard("s27", 1)  # idempotent
 
     def test_usability_gate(self):
-        payload = {"seed": 1,
-                   "knobs": {"x_fill": "random", "power_budget": None}}
-        knobs = {"x_fill": "random", "power_budget": None}
+        knobs = {"x_fill": "random", "power_budget": None,
+                 "adi": False, "scoap": False}
+        payload = {"seed": 1, "knobs": dict(knobs)}
         assert salvage_usable(payload, knobs, 1)
         assert not salvage_usable(payload, knobs, 2)
-        assert not salvage_usable(payload,
-                                  {"x_fill": "adjacent",
-                                   "power_budget": None}, 1)
-        assert not salvage_usable(payload,
-                                  {"x_fill": "random",
-                                   "power_budget": 9.0}, 1)
+        for name, other in (("x_fill", "adjacent"), ("power_budget", 9.0),
+                            ("adi", True), ("scoap", True)):
+            # Either direction: flagged salvage never serves a plain
+            # spec, plain salvage never serves a flagged one.
+            flagged = dict(knobs, **{name: other})
+            assert not salvage_usable(payload, flagged, 1), name
+            assert not salvage_usable({"seed": 1, "knobs": flagged},
+                                      knobs, 1), name
+        # Salvage that does not record every result knob (written
+        # before adi/scoap were checked) is never reused.
+        legacy = {"seed": 1,
+                  "knobs": {"x_fill": "random", "power_budget": None}}
+        assert not salvage_usable(legacy, knobs, 1)
 
 
 class TestSalvageWriter:
-    KNOBS = {"x_fill": "random", "power_budget": None}
+    KNOBS = {"x_fill": "random", "power_budget": None, "adi": False,
+             "scoap": False}
 
     def test_incompatible_prior_salvage_discarded(self, tmp_path):
         store = SalvageStore(tmp_path)
         writer = SalvageWriter(store, "s27", 1, self.KNOBS)
         writer.set_meta({"n_faults": 32})
         other = SalvageWriter(store, "s27", 1,
-                              {"x_fill": "adjacent",
-                               "power_budget": None})
+                              dict(self.KNOBS, x_fill="adjacent"))
         assert other.payload["meta"] == {}
         assert other.payload["knobs"]["x_fill"] == "adjacent"
 
@@ -321,6 +328,38 @@ class TestPhaseResume:
         assert run.counters["omission_trials"] == 0
         for key in dead_phases:
             assert run.counters[key] == 0.0
+
+    @pytest.mark.parametrize("knob", ["adi", "scoap"])
+    def test_flagged_salvage_not_reused_across_knobs(self, tmp_path,
+                                                     knob):
+        """Salvage left by a run under a result-shaping flag is not
+        reused by a resume without it, nor the other way round: the
+        resume recomputes and matches a fresh run under its own
+        knobs."""
+        def crash(spec, attempt):
+            return "crash@phase4"
+
+        for first, second in (({knob: True}, {}), ({}, {knob: True})):
+            run_dir = tmp_path / f"first-{sorted(first)}"
+            died = run_jobs([_spec(**first)],
+                            config=_cfg(isolate=False, run_dir=run_dir,
+                                        chaos=crash))
+            assert not died.ok
+            assert died.records[0].salvaged_phase == 3
+            resumed = run_jobs([_spec(**second)],
+                               config=_cfg(isolate=False,
+                                           run_dir=run_dir, resume=True))
+            fresh = run_jobs([_spec(**second)],
+                             config=_cfg(isolate=False))
+            assert resumed.ok and fresh.ok
+            run = resumed.runs[0]
+            assert run.counters["candidate_passes"] > 0
+            assert run.knobs[knob] == bool(second)
+            got, want = (reporting.proposed_to_dict(
+                o.runs[0].arms["random"].result)
+                for o in (resumed, fresh))
+            assert json.dumps(got, sort_keys=True) == \
+                json.dumps(want, sort_keys=True)
 
     def test_salvage_discarded_after_success(self, tmp_path):
         outcome = run_jobs(

@@ -1,8 +1,10 @@
-"""Equivalence tests: code-generated engine vs the generic interpreter.
+"""Equivalence tests: the code-generated evaluator vs the interpreter.
 
-The two engines must produce bit-identical results for every
-evaluation mode the simulators use -- plain good-machine runs, stem
-injection, branch injection, multi-machine words.
+Production circuits evaluate frames with the code-generated evaluator;
+the reference circuit interprets the op list.  The two must produce
+bit-identical results for every evaluation mode the simulators use --
+plain good-machine runs, stem injection, branch injection,
+multi-machine words.
 """
 
 import random
@@ -16,6 +18,8 @@ from repro.sim.codegen import generate_source
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit, simulate_sequence
+from tests.reference import (production_circuit, production_circuits,
+                             reference_circuit)
 
 
 def random_injections(circuit, rng, mask):
@@ -54,8 +58,8 @@ class TestEquivalence:
     def test_random_frames_identical(self, seed):
         rng = random.Random(seed)
         net = synth.generate("cg", 4, 3, 4, 30, seed=seed % 40)
-        generic = CompiledCircuit(net, engine="generic")
-        fast = CompiledCircuit(net.copy(), engine="codegen")
+        generic = reference_circuit(net)
+        fast = CompiledCircuit(net)
         mask = (1 << rng.randint(1, 9)) - 1
         stems, branch = random_injections(generic, rng, mask)
         z1, o1 = load_words(generic, rng, mask)
@@ -69,43 +73,43 @@ class TestEquivalence:
         rng = random.Random(7)
         vectors = [V.random_binary_vector(4, rng) for _ in range(25)]
         init = V.vec("010")
-        results = []
-        for engine in ("generic", "codegen"):
-            cc = CompiledCircuit(s27.copy(), engine=engine)
-            fs = FaultSet.collapsed(cc.netlist)
+        fs = FaultSet.collapsed(s27)
+        want = FaultSimulator(reference_circuit(s27), fs).detect(
+            vectors, init, early_exit=False)
+        for cc in production_circuits(s27):
             sim = FaultSimulator(cc, fs)
-            results.append(sim.detect(vectors, init, early_exit=False))
-        assert results[0] == results[1]
+            assert sim.detect(vectors, init, early_exit=False) == want
 
     def test_good_machine_identical(self):
         net = library.counter(4)
         rng = random.Random(1)
         vectors = [(rng.randint(0, 1),) for _ in range(20)]
-        a = simulate_sequence(CompiledCircuit(net, engine="generic"),
-                              vectors, (V.ZERO,) * 4)
-        b = simulate_sequence(CompiledCircuit(net.copy(),
-                                              engine="codegen"),
-                              vectors, (V.ZERO,) * 4)
+        a = simulate_sequence(reference_circuit(net), vectors,
+                              (V.ZERO,) * 4)
+        b = simulate_sequence(CompiledCircuit(net), vectors,
+                              (V.ZERO,) * 4)
         assert a.po_frames == b.po_frames
         assert a.state_frames == b.state_frames
 
 
 class TestMechanics:
     def test_source_is_valid_python(self, s27):
-        cc = CompiledCircuit(s27, engine="generic")
+        cc = reference_circuit(s27)
         source = generate_source(cc)
         compile(source, "<test>", "exec")
         assert "def eval_frame" in source
 
     def test_unknown_engine_rejected(self, s27):
-        with pytest.raises(ValueError, match="unknown engine"):
+        """There is no engine option: production is one path."""
+        with pytest.raises(TypeError, match="engine"):
             CompiledCircuit(s27, engine="turbo")
 
     def test_default_is_codegen(self, s27):
         cc = CompiledCircuit(s27)
-        assert cc.engine == "codegen"
         # Instance attribute shadows the class method.
         assert "eval_frame" in cc.__dict__
+        # Only the reference keeps the interpreter.
+        assert "eval_frame" not in reference_circuit(s27).__dict__
 
     def test_speedup_exists(self):
         """The whole point: the fast engine should not be slower."""
@@ -114,90 +118,31 @@ class TestMechanics:
         rng = random.Random(2)
         vectors = [V.random_binary_vector(5, rng) for _ in range(120)]
         timings = {}
-        for engine in ("generic", "codegen"):
-            cc = CompiledCircuit(net.copy(), engine=engine)
-            fs = FaultSet.collapsed(cc.netlist)
+        fs = FaultSet.collapsed(net)
+        init = V.random_binary_vector(10, rng)
+        # Both evaluators on big-int words: time the evaluator, not
+        # the C kernel.
+        for engine, cc in (("generic", reference_circuit(net)),
+                           ("codegen", production_circuit(net, False))):
             sim = FaultSimulator(cc, fs)
             start = time.perf_counter()
-            sim.detect(vectors, V.random_binary_vector(10, rng),
-                       early_exit=False)
+            sim.detect(vectors, init, early_exit=False)
             timings[engine] = time.perf_counter() - start
         # Allow noise, but codegen must not be significantly slower.
         assert timings["codegen"] <= timings["generic"] * 1.15
 
 
 class TestCodeCache:
-    """The source-text code cache serves both evaluator flavors."""
-
-    def _flavors(self, net):
-        import repro.sim.codegen as codegen
-        cc = CompiledCircuit(net, engine="codegen")
-        bigint_src = generate_source(cc)
-        numpy_src = codegen.generate_numpy_source(cc)
-        return codegen, cc, bigint_src, numpy_src
-
-    def test_flavors_cache_independently(self):
-        """One netlist yields two distinct cache slots -- the big-int
-        and numpy sources differ, so neither evicts or shadows the
-        other."""
-        pytest.importorskip("numpy")
-        import repro.sim.codegen as codegen
-        net = synth.generate("cache2f", 4, 3, 4, 30, seed=11)
-        codegen_mod, cc, bigint_src, numpy_src = self._flavors(net)
-        assert bigint_src != numpy_src
-        from repro.sim.codegen import (build_evaluator,
-                                       build_numpy_evaluator)
-        build_evaluator(cc)
-        build_numpy_evaluator(cc)
-        assert bigint_src in codegen_mod._CODE_CACHE
-        assert numpy_src in codegen_mod._CODE_CACHE
+    """The source-text code cache."""
 
     def test_repeated_builds_hit_cache(self):
         """Rebuilding a CompiledCircuit over the same netlist reuses
         the compiled code object instead of recompiling."""
         import repro.sim.codegen as codegen
         net = synth.generate("cachehit", 4, 3, 4, 30, seed=12)
-        CompiledCircuit(net, engine="codegen")
-        source = generate_source(CompiledCircuit(net, engine="generic"))
+        CompiledCircuit(net)
+        source = generate_source(reference_circuit(net))
         cached = codegen._CODE_CACHE.get(source)
         assert cached is not None
-        CompiledCircuit(net.copy(), engine="codegen")
+        CompiledCircuit(net.copy())
         assert codegen._CODE_CACHE[source] is cached
-
-    def test_numpy_repeated_builds_hit_cache(self):
-        pytest.importorskip("numpy")
-        import repro.sim.codegen as codegen
-        from repro.sim.codegen import build_numpy_evaluator
-        net = synth.generate("cachehitnp", 4, 3, 4, 30, seed=13)
-        cc = CompiledCircuit(net, engine="codegen")
-        build_numpy_evaluator(cc)
-        source = codegen.generate_numpy_source(cc)
-        cached = codegen._CODE_CACHE[source]
-        build_numpy_evaluator(CompiledCircuit(net.copy(),
-                                              engine="codegen"))
-        assert codegen._CODE_CACHE[source] is cached
-
-    def test_numpy_flavor_matches_bigint_flavor(self):
-        """Both flavors of the emitted evaluator compute the same
-        frame on the same injections (arrays converted at the edge)."""
-        np = pytest.importorskip("numpy")
-        from repro.sim.codegen import build_numpy_evaluator
-        from repro.sim.values import array_to_word, word_to_array
-        rng = random.Random(21)
-        net = synth.generate("cgnp", 4, 3, 4, 30, seed=21)
-        cc = CompiledCircuit(net, engine="codegen")
-        np_eval = build_numpy_evaluator(cc)
-        mask = (1 << 7) - 1
-        stems, branch = random_injections(cc, rng, mask)
-        z1, o1 = load_words(cc, rng, mask)
-        za = np.vstack([word_to_array(w, 1) for w in z1])
-        oa = np.vstack([word_to_array(w, 1) for w in o1])
-        cc.eval_frame(z1, o1, mask, stems, branch)
-        np_eval(za, oa, word_to_array(mask, 1),
-                {nid: (word_to_array(m0, 1), word_to_array(m1, 1))
-                 for nid, (m0, m1) in stems.items()},
-                {out: [(pin, word_to_array(m0, 1), word_to_array(m1, 1))
-                       for pin, m0, m1 in entries]
-                 for out, entries in branch.items()})
-        assert [array_to_word(r) for r in za] == z1
-        assert [array_to_word(r) for r in oa] == o1

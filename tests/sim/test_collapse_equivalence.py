@@ -6,8 +6,8 @@ simulators run one representative per equivalence class and re-inflate
 the detections to the members.  Against the really-uncollapsed set
 (``collapse=False``) every reported quantity -- detection sets,
 per-test detections, records, coverage -- must match exactly, on
-random synthetic circuits, across every engine, with and without the
-untestable-fault exclusion.
+random synthetic circuits, on the reference and both production
+configurations, with and without the untestable-fault exclusion.
 """
 
 import random
@@ -24,6 +24,7 @@ from repro.sim.comb_sim import CombPatternSim
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet, fault_classes
 from repro.sim.logicsim import CompiledCircuit
+from tests.reference import production_circuits, reference_circuit
 
 _N_PI = 4
 
@@ -31,18 +32,11 @@ _CACHE = {}
 
 
 def circuits_for(seed):
-    """Random circuit + one CompiledCircuit per engine, cached."""
+    """Random circuit + the reference and production circuits
+    (reference first), cached."""
     if seed not in _CACHE:
         net = synth.generate("collapse", _N_PI, 3, 5, 35, seed=seed)
-        engines = [CompiledCircuit(net, engine="codegen"),
-                   CompiledCircuit(net.copy(), engine="generic")]
-        try:
-            from repro.sim.npsim import numpy_available
-            if numpy_available():
-                engines.append(CompiledCircuit(net.copy(),
-                                               engine="numpy"))
-        except ImportError:  # pragma: no cover - numpy present in CI
-            pass
+        engines = [reference_circuit(net)] + production_circuits(net)
         collapsed = FaultSet.uncollapsed(net, collapse=True)
         plain = FaultSet.uncollapsed(net, collapse=False)
         report = analyze_faultspace(net)

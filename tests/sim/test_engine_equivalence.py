@@ -1,28 +1,38 @@
-"""Engine equivalence: fused, chunked and codegen must agree exactly.
+"""Production vs reference: every simulation route must agree exactly.
 
-The wide-word fusion, the in-pass repack and the codegen backend are
-pure packing/evaluation strategies -- none of them may change a single
-detection.  These properties drive random circuits, widths, scan
-configurations and X-laden vectors through every engine combination
-and require byte-identical detection sets.
+Production runs each pass chunk on the C kernel when it loads and on
+big-int codegen words otherwise; the reference is the interpreter
+with no array backend (see :mod:`tests.reference`).  Wide-word
+fusion, multi-chunk packing, the in-pass repack and the kernel are
+pure execution strategies -- none of them may change a single
+detection.  These properties drive random circuits, fused caps, scan
+configurations, restricted targets and X-laden vectors through both
+production configurations and require byte-identical results.
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
 from repro.atpg import random_gen
 from repro.circuits import synth
+from repro.circuits.netlist import Netlist
 from repro.core.combine import _detections
-from repro.core.scan_test import ScanTest
+from repro.core.scan_test import ScanTest, ScanTestSet
+from repro.sim.comb_sim import CombPatternSim
 from repro.sim import fault_sim as fault_sim_mod
+from repro.sim import npsim
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
-from repro.sim.fault_sim import FaultSimulator
+from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
+from tests.reference import (KERNEL, production_circuits,
+                             reference_circuit)
 
 _N_PI = 4
 
@@ -30,18 +40,31 @@ _CACHE = {}
 
 
 def circuit_for(seed):
-    """Small random sequential circuit, cached across examples."""
+    """Small random sequential circuit, cached across examples:
+    ``(production circuits, reference circuit, fault set)``."""
     if seed not in _CACHE:
         net = synth.generate("equiv", _N_PI, 3, 5, 30, seed=seed)
-        cc_codegen = CompiledCircuit(net, engine="codegen")
-        cc_generic = CompiledCircuit(net.copy(), engine="generic")
-        fs = FaultSet.collapsed(net)
-        _CACHE[seed] = (cc_codegen, cc_generic, fs)
+        _CACHE[seed] = (production_circuits(net), reference_circuit(net),
+                        FaultSet.collapsed(net))
     return _CACHE[seed]
 
 
+def production_for(seed, kernel):
+    """The production circuit of one configuration, with the
+    reference circuit and fault set."""
+    production, reference, fs = circuit_for(seed)
+    circuit, = [c for c in production
+                if (c.array_backend is not None) == kernel]
+    return circuit, reference, fs
+
+
+needs_kernel = pytest.mark.skipif(not KERNEL,
+                                  reason="the C kernel is unavailable")
+
 circuit_seeds = st.integers(0, 14)
-widths = st.sampled_from([2, 5, 128, "auto"])
+#: Fused caps: 2 and 5 force many-chunk packing, 128 a few chunks on
+#: the larger circuits, FUSED_CAP one fused word.
+fused_caps = st.sampled_from([2, 5, 128, FUSED_CAP])
 
 
 def _vectors(data, rng, n):
@@ -56,64 +79,93 @@ def _vectors(data, rng, n):
     return out
 
 
+def _target(data, rng, n_faults):
+    """``None`` (every fault) or a random restricted target."""
+    if data.draw(st.booleans()):
+        return None
+    return sorted(rng.sample(range(n_faults), rng.randrange(n_faults)))
+
+
+# The properties, each checked in both production configurations: the
+# big-int one by TestEngineEquivalence, the kernel one by
+# TestNumpyBackendEquivalence.
+
+def check_detect(kernel, seed, cap, data):
+    """``detect`` under any fused cap agrees with the reference."""
+    circuit, reference, fs = production_for(seed, kernel)
+    rng = random.Random(data.draw(st.integers(0, 999)))
+    vectors = _vectors(data, rng, data.draw(st.integers(1, 10)))
+    init = (V.random_binary_vector(len(reference.ff_ids), rng)
+            if data.draw(st.booleans()) else None)
+    target = _target(data, rng, len(fs))
+    scan_out = data.draw(st.booleans())
+    early_exit = data.draw(st.booleans())
+
+    want = FaultSimulator(reference, fs).detect(
+        vectors, init, target=target, scan_out=scan_out,
+        early_exit=False)
+    sim = FaultSimulator(circuit, fs, fused_cap=cap)
+    got = sim.detect(vectors, init, target=target, scan_out=scan_out,
+                     early_exit=early_exit)
+    assert got == want
+    if not kernel:
+        assert sim.counters.np_passes == 0
+    elif target is None or target:
+        assert sim.counters.np_passes > 0
+
+
+def check_partial_scan(kernel, seed, cap, data):
+    """Agreement holds when scan-out observes a subset of FFs."""
+    circuit, reference, fs = production_for(seed, kernel)
+    rng = random.Random(data.draw(st.integers(0, 999)))
+    n_ff = len(reference.ff_ids)
+    observe = sorted(rng.sample(range(n_ff),
+                                data.draw(st.integers(0, n_ff))))
+    vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
+    init = V.random_binary_vector(n_ff, rng)
+
+    want = FaultSimulator(reference, fs).detect(
+        vectors, init, scan_observe=observe, early_exit=False)
+    got = FaultSimulator(circuit, fs, fused_cap=cap).detect(
+        vectors, init, scan_observe=observe, early_exit=False)
+    assert got == want
+
+
+def check_records(kernel, seed, cap, data):
+    """run_with_records yields the same truncated-test detections
+    whatever the packing or the route."""
+    circuit, reference, fs = production_for(seed, kernel)
+    rng = random.Random(data.draw(st.integers(0, 999)))
+    vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
+    init = V.random_binary_vector(len(reference.ff_ids), rng)
+    target = _target(data, rng, len(fs))
+
+    ref = FaultSimulator(reference, fs).run_with_records(
+        vectors, init, target=target)
+    alt = FaultSimulator(circuit, fs, fused_cap=cap).run_with_records(
+        vectors, init, target=target)
+    for frame in range(len(vectors)):
+        assert (ref.detected_with_scanout_at(frame)
+                == alt.detected_with_scanout_at(frame))
+
+
 class TestEngineEquivalence:
+    """The big-int configuration (no kernel) vs the reference."""
+
     @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_detect_sets_identical(self, seed, width, data):
-        """Every (engine, width) pair agrees with the reference
-        (codegen, fused) detection set on the same test."""
-        cc_codegen, cc_generic, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        n = data.draw(st.integers(1, 10))
-        vectors = _vectors(data, rng, n)
-        init = (V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-                if data.draw(st.booleans()) else None)
-        scan_out = data.draw(st.booleans())
-        early_exit = data.draw(st.booleans())
-
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
-            vectors, init, scan_out=scan_out, early_exit=False)
-        for circuit in (cc_codegen, cc_generic):
-            sim = FaultSimulator(circuit, fs, width=width)
-            got = sim.detect(vectors, init, scan_out=scan_out,
-                             early_exit=early_exit)
-            assert got == reference
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_detect_sets_identical(self, seed, cap, data):
+        check_detect(False, seed, cap, data)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_partial_scan_observation(self, seed, width, data):
-        """Agreement holds when scan-out observes a subset of FFs."""
-        cc_codegen, cc_generic, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        n_ff = len(cc_codegen.ff_ids)
-        observe = sorted(rng.sample(range(n_ff),
-                                    data.draw(st.integers(0, n_ff))))
-        vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
-        init = V.random_binary_vector(n_ff, rng)
-
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
-            vectors, init, scan_observe=observe, early_exit=False)
-        got = FaultSimulator(cc_generic, fs, width=width).detect(
-            vectors, init, scan_observe=observe, early_exit=False)
-        assert got == reference
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_partial_scan_observation(self, seed, cap, data):
+        check_partial_scan(False, seed, cap, data)
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, width=widths, data=st.data())
-    def test_records_identical(self, seed, width, data):
-        """run_with_records yields the same truncated-test detections
-        whatever the packing policy or engine."""
-        cc_codegen, cc_generic, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
-        init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-
-        ref = FaultSimulator(cc_codegen, fs, width="auto")\
-            .run_with_records(vectors, init)
-        alt = FaultSimulator(cc_generic, fs, width=width)\
-            .run_with_records(vectors, init)
-        for frame in range(len(vectors)):
-            assert (ref.detected_with_scanout_at(frame)
-                    == alt.detected_with_scanout_at(frame))
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_records_identical(self, seed, cap, data):
+        check_records(False, seed, cap, data)
 
 
 class TestRepack:
@@ -123,19 +175,20 @@ class TestRepack:
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("repack", 5, 4, 8, 80, seed=3)
-        cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        vectors = random_gen.random_sequence(cc, 30, seed=1)
-        init = random_gen.random_state(cc, seed=2)
+        reference = reference_circuit(net)
+        vectors = random_gen.random_sequence(reference, 30, seed=1)
+        init = random_gen.random_state(reference, seed=2)
 
-        plain = FaultSimulator(cc, fs, width="auto").detect(
+        plain = FaultSimulator(reference, fs).detect(
             vectors, init, early_exit=False)
-        repacking = FaultSimulator(cc, fs, width="auto")
-        got = repacking.detect(vectors, init, early_exit=True)
-        # early_exit/repack are pure shortcuts: the set is unchanged.
-        assert got == plain
-        assert repacking.counters.repacks > 0
-        assert repacking.counters.faults_dropped > 0
+        for circuit in production_circuits(net):
+            repacking = FaultSimulator(circuit, fs)
+            got = repacking.detect(vectors, init, early_exit=True)
+            # early_exit/repack are pure shortcuts: the set is unchanged.
+            assert got == plain
+            assert repacking.counters.repacks > 0
+            assert repacking.counters.faults_dropped > 0
 
     def test_repack_detects_same_on_hard_targets(self, monkeypatch):
         """When early_exit cannot trigger the all-caught break (some
@@ -144,19 +197,20 @@ class TestRepack:
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("repack2", 4, 3, 6, 50, seed=9)
-        cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        vectors = random_gen.random_sequence(cc, 25, seed=4)
-        init = random_gen.random_state(cc, seed=5)
+        reference = reference_circuit(net)
+        vectors = random_gen.random_sequence(reference, 25, seed=4)
+        init = random_gen.random_state(reference, seed=5)
 
-        plain = FaultSimulator(cc, fs, width="auto").detect(
+        plain = FaultSimulator(reference, fs).detect(
             vectors, init, early_exit=False)
         if len(plain) == len(fs):  # pragma: no cover - seed-dependent
             pytest.skip("every fault detected: early exit would fire")
-        repacking = FaultSimulator(cc, fs, width="auto")
-        got = repacking.detect(vectors, init, early_exit=True)
-        assert got == plain
-        assert repacking.counters.repacks > 0
+        for circuit in production_circuits(net):
+            repacking = FaultSimulator(circuit, fs)
+            got = repacking.detect(vectors, init, early_exit=True)
+            assert got == plain
+            assert repacking.counters.repacks > 0
 
 
 class TestWidthPolicy:
@@ -164,7 +218,7 @@ class TestWidthPolicy:
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         assert sim.resolve_width(50) == 51
         assert len(sim._build_chunks(range(50))) == 1
 
@@ -172,12 +226,11 @@ class TestWidthPolicy:
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto", fused_cap=101)
+        sim = FaultSimulator(cc, fs, fused_cap=101)
         # 250 targets over a 101-machine cap -> 3 balanced chunks.
         assert sim.resolve_width(250) == 85  # ceil(250/3) + good machine
         # And over the real fault list: chunks within one of each other.
-        small = FaultSimulator(cc, fs, width="auto",
-                               fused_cap=len(fs) // 2)
+        small = FaultSimulator(cc, fs, fused_cap=len(fs) // 2)
         chunks = small._build_chunks(range(len(fs)))
         sizes = [len(c.indices) for c in chunks]
         assert len(sizes) >= 2
@@ -188,10 +241,10 @@ class TestWidthPolicy:
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        with pytest.raises(ValueError):
-            FaultSimulator(cc, fs, width=1)
-        with pytest.raises(ValueError):
-            FaultSimulator(cc, fs, width="wide")
+        with pytest.raises(ValueError, match="fused_cap"):
+            FaultSimulator(cc, fs, fused_cap=1)
+        with pytest.raises(TypeError):
+            FaultSimulator(cc, fs, width="auto")
 
 
 class TestScoreboard:
@@ -311,7 +364,7 @@ class TestCounters:
         net = synth.generate("cnt", 3, 2, 4, 20, seed=1)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         vectors = random_gen.random_sequence(cc, 10, seed=0)
         sim.detect(vectors, None, early_exit=False)
         assert sim.counters.detect_passes == 1
@@ -325,7 +378,7 @@ class TestCombineCache:
         net = synth.generate("cache", 4, 3, 5, 30, seed=2)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         rng = random.Random(0)
         tests = [ScanTest(V.random_binary_vector(5, rng),
                           (V.random_binary_vector(4, rng),))
@@ -342,7 +395,7 @@ class TestCombineCache:
         net = synth.generate("cache", 4, 3, 5, 30, seed=2)
         cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs, width="auto")
+        sim = FaultSimulator(cc, fs)
         rng = random.Random(1)
         test = ScanTest(V.random_binary_vector(5, rng),
                         (V.random_binary_vector(4, rng),))
@@ -367,119 +420,45 @@ class TestScanoutRegression:
             records.earliest_safe_scanout({0})
 
 
-# ----------------------------------------------------------------------
-# numpy array backend (optional dependency: repro[fast])
-# ----------------------------------------------------------------------
-
-try:
-    from repro.sim.npsim import (ArrayBackend, kernel_unavailable_reason,
-                                 numpy_available)
-    _HAS_NUMPY = numpy_available()
-    _HAS_KERNEL = _HAS_NUMPY and kernel_unavailable_reason() is None
-except ImportError:  # pragma: no cover - numpy present in CI
-    _HAS_NUMPY = _HAS_KERNEL = False
-
-needs_numpy = pytest.mark.skipif(not _HAS_NUMPY,
-                                 reason="numpy not installed")
-
-_NP_CACHE = {}
-
-
-def numpy_circuits_for(seed):
-    """One ``engine="numpy"`` circuit per executor path: the C kernel
-    (when a compiler is present) and the pure-numpy fallback."""
-    if seed not in _NP_CACHE:
-        net = synth.generate("equiv", _N_PI, 3, 5, 30, seed=seed)
-        out = []
-        if _HAS_KERNEL:
-            out.append(CompiledCircuit(net.copy(), engine="numpy"))
-        cc_py = CompiledCircuit(net.copy(), engine="numpy")
-        cc_py._array_backend = ArrayBackend(cc_py, use_kernel=False)
-        out.append(cc_py)
-        _NP_CACHE[seed] = out
-    return _NP_CACHE[seed]
-
-
-@needs_numpy
 class TestNumpyBackendEquivalence:
-    """``--engine numpy`` must be byte-identical to the big-int
-    engines under both executors (C kernel and pure-numpy fallback),
-    including X-laden stimuli, partial scan and early exit."""
+    """The kernel configuration vs the reference."""
 
+    @needs_kernel
     @settings(max_examples=40, deadline=None)
-    @given(seed=circuit_seeds, data=st.data())
-    def test_detect_sets_identical(self, seed, data):
-        cc_codegen, _, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        vectors = _vectors(data, rng, data.draw(st.integers(1, 10)))
-        init = (V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-                if data.draw(st.booleans()) else None)
-        scan_out = data.draw(st.booleans())
-        early_exit = data.draw(st.booleans())
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_detect_sets_identical(self, seed, cap, data):
+        check_detect(True, seed, cap, data)
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
-            vectors, init, scan_out=scan_out, early_exit=False)
-        for cc_np in numpy_circuits_for(seed):
-            sim = FaultSimulator(cc_np, fs, width="auto")
-            got = sim.detect(vectors, init, scan_out=scan_out,
-                             early_exit=early_exit)
-            assert got == reference
-            assert sim.counters.np_passes > 0
-
+    @needs_kernel
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, data=st.data())
-    def test_partial_scan_observation(self, seed, data):
-        cc_codegen, _, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        n_ff = len(cc_codegen.ff_ids)
-        observe = sorted(rng.sample(range(n_ff),
-                                    data.draw(st.integers(0, n_ff))))
-        vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
-        init = V.random_binary_vector(n_ff, rng)
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_partial_scan_observation(self, seed, cap, data):
+        check_partial_scan(True, seed, cap, data)
 
-        reference = FaultSimulator(cc_codegen, fs, width="auto").detect(
-            vectors, init, scan_observe=observe, early_exit=False)
-        for cc_np in numpy_circuits_for(seed):
-            got = FaultSimulator(cc_np, fs, width="auto").detect(
-                vectors, init, scan_observe=observe, early_exit=False)
-            assert got == reference
-
+    @needs_kernel
     @settings(max_examples=25, deadline=None)
-    @given(seed=circuit_seeds, data=st.data())
-    def test_records_identical(self, seed, data):
-        cc_codegen, _, fs = circuit_for(seed)
-        rng = random.Random(data.draw(st.integers(0, 999)))
-        vectors = _vectors(data, rng, data.draw(st.integers(1, 6)))
-        init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-
-        ref = FaultSimulator(cc_codegen, fs, width="auto")\
-            .run_with_records(vectors, init)
-        for cc_np in numpy_circuits_for(seed):
-            alt = FaultSimulator(cc_np, fs, width="auto")\
-                .run_with_records(vectors, init)
-            for frame in range(len(vectors)):
-                assert (ref.detected_with_scanout_at(frame)
-                        == alt.detected_with_scanout_at(frame))
+    @given(seed=circuit_seeds, cap=fused_caps, data=st.data())
+    def test_records_identical(self, seed, cap, data):
+        check_records(True, seed, cap, data)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=circuit_seeds, data=st.data())
     def test_omission_identical(self, seed, data):
-        """Phase-2 suffix trials route through the kernel; the
-        shortened test, its detections and the trial-by-trial search
-        path must match the big-int engine exactly."""
+        """Phase-2 suffix trials run on the kernel when it loads; the
+        shortened test, its detections, the trial-by-trial search path
+        and the frame/word accounting must match the reference."""
         from repro.core.omission import omit_vectors
-        from repro.core.scan_test import ScanTest
-        cc_codegen, _, fs = circuit_for(seed)
+        production, reference, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         vectors = _vectors(data, rng, data.draw(st.integers(4, 12)))
-        init = V.random_binary_vector(len(cc_codegen.ff_ids), rng)
-        required = set(FaultSimulator(cc_codegen, fs, width="auto")
+        init = V.random_binary_vector(len(reference.ff_ids), rng)
+        required = set(FaultSimulator(reference, fs)
                        .detect(vectors, init, early_exit=False))
         test = ScanTest(tuple(init), tuple(tuple(v) for v in vectors))
-        ref_sim = FaultSimulator(cc_codegen, fs, width="auto")
+        ref_sim = FaultSimulator(reference, fs)
         ref = omit_vectors(ref_sim, test, set(required))
-        for cc_np in numpy_circuits_for(seed):
-            sim = FaultSimulator(cc_np, fs, width="auto")
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs)
             got = omit_vectors(sim, test, set(required))
             assert got.test == ref.test
             assert got.detected == ref.detected
@@ -488,107 +467,176 @@ class TestNumpyBackendEquivalence:
                 (ref_sim.counters.frames, ref_sim.counters.words)
 
 
-@needs_numpy
 class TestNumpyRepack:
     def test_forced_repacks_identical(self, monkeypatch):
         """Aggressive in-pass retirement repacks inside the kernel's
-        pass loop (and the fallback's); sets, repack counts and word
-        accounting stay exactly the big-int engine's."""
+        pass loop; sets, repack counts and word accounting stay
+        exactly the reference's."""
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
         monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("repack", 5, 4, 8, 80, seed=3)
-        cc = CompiledCircuit(net)
         fs = FaultSet.collapsed(net)
-        vectors = random_gen.random_sequence(cc, 30, seed=1)
-        init = random_gen.random_state(cc, seed=2)
+        reference = reference_circuit(net)
+        vectors = random_gen.random_sequence(reference, 30, seed=1)
+        init = random_gen.random_state(reference, seed=2)
 
-        ref_sim = FaultSimulator(cc, fs, width="auto")
-        reference = ref_sim.detect(vectors, init, early_exit=True)
+        ref_sim = FaultSimulator(reference, fs)
+        want = ref_sim.detect(vectors, init, early_exit=True)
         assert ref_sim.counters.repacks > 0
 
-        for use_kernel in ([True, False] if _HAS_KERNEL else [False]):
-            cc_np = CompiledCircuit(net.copy(), engine="numpy")
-            cc_np._array_backend = ArrayBackend(cc_np,
-                                                use_kernel=use_kernel)
-            sim = FaultSimulator(cc_np, fs, width="auto")
+        for circuit in production_circuits(net):
+            sim = FaultSimulator(circuit, fs)
             got = sim.detect(vectors, init, early_exit=True)
-            assert got == reference
+            assert got == want
             c, r = sim.counters, ref_sim.counters
             assert (c.repacks, c.faults_dropped) == \
                 (r.repacks, r.faults_dropped)
             assert (c.frames, c.words, c.machines) == \
                 (r.frames, r.words, r.machines)
-            assert c.np_passes > 0
+            assert (c.np_passes > 0) == (circuit.array_backend is not None)
 
 
-@needs_numpy
 class TestEngineSelection:
+    @needs_kernel
     def test_auto_threshold_routes_by_machine_count(self):
-        """engine="auto" uses the array backend only for chunks at or
-        above the probe threshold (and only when the kernel loaded);
-        engine="numpy" always uses it."""
+        """No machine-count threshold: a chunk of any size, down to a
+        single faulty machine, runs on the kernel."""
         net = synth.generate("autoeq", 4, 3, 5, 40, seed=1)
         fs = FaultSet.collapsed(net)
-        cc = CompiledCircuit(net, engine="auto")
-        sim = FaultSimulator(cc, fs, width="auto")
-        if not _HAS_KERNEL:
-            assert sim._array_backend_for(10 ** 6) is None
-            return
-        assert sim._array_backend_for(sim.np_auto_min - 2) is None
-        assert sim._array_backend_for(sim.np_auto_min) is not None
-        sim._force_bigint = True
-        assert sim._array_backend_for(10 ** 6) is None
+        cc = CompiledCircuit(net)
+        vectors = random_gen.random_sequence(cc, 4, seed=1)
+        sim = FaultSimulator(cc, fs, fused_cap=2)
+        sim.detect(vectors, None, target=[0, 1, 2], early_exit=False)
+        assert sim.counters.np_passes == 3   # three 1-machine chunks
 
     def test_auto_env_override(self, monkeypatch):
-        if not _HAS_KERNEL:
-            pytest.skip("no C kernel: auto never routes to numpy")
-        monkeypatch.setenv("REPRO_NP_AUTO_MIN", "3")
+        """The environment overrides of the removed routing knobs are
+        not read: the fused cap and the route stay the production
+        ones."""
+        monkeypatch.setenv("REPRO_NP_AUTO_MIN", "100000")
+        monkeypatch.setenv("REPRO_FUSED_CAP", "3")
+        monkeypatch.setenv("REPRO_NP_KERNEL", "py")
         net = synth.generate("autoeq2", 4, 3, 5, 40, seed=1)
         fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(CompiledCircuit(net, engine="auto"), fs)
-        assert sim.np_auto_min == 3
-        assert sim._array_backend_for(2) is not None
+        cc = CompiledCircuit(net)
+        sim = FaultSimulator(cc, fs)
+        assert sim.fused_cap == FUSED_CAP
+        sim.detect(random_gen.random_sequence(cc, 3, seed=2), None,
+                   early_exit=False)
+        assert sim.counters.np_passes == (1 if KERNEL else 0)
 
     def test_auto_agrees_with_codegen(self):
+        """The two production configurations agree on a longer test
+        with every fault in one fused word."""
         net = synth.generate("autoeq3", 4, 3, 6, 50, seed=2)
         fs = FaultSet.collapsed(net)
-        vectors = random_gen.random_sequence(
-            CompiledCircuit(net), 12, seed=3)
-        init = random_gen.random_state(CompiledCircuit(net), seed=4)
-        ref = FaultSimulator(CompiledCircuit(net, engine="codegen"),
-                             fs, width="auto").detect(
-            vectors, init, early_exit=False)
-        got = FaultSimulator(CompiledCircuit(net, engine="auto"),
-                             fs, width="auto").detect(
-            vectors, init, early_exit=False)
-        assert got == ref
+        reference = reference_circuit(net)
+        vectors = random_gen.random_sequence(reference, 12, seed=3)
+        init = random_gen.random_state(reference, seed=4)
+        got = [FaultSimulator(cc, fs).detect(vectors, init,
+                                             early_exit=False)
+               for cc in production_circuits(net)]
+        assert got == [FaultSimulator(reference, fs).detect(
+            vectors, init, early_exit=False)] * len(got)
 
     def test_missing_numpy_raises_actionable_error(self, monkeypatch):
-        """CompiledCircuit(engine="numpy") surfaces MissingNumpyError
-        eagerly at construction when numpy cannot be imported."""
-        from repro.sim import logicsim, npsim
-
-        def _raise():
-            raise npsim.MissingNumpyError("install repro[fast]")
-
-        monkeypatch.setattr(npsim, "require_numpy", _raise)
-        net = synth.generate("noeq", 3, 2, 3, 15, seed=0)
+        """Without numpy, require_numpy raises an actionable error,
+        while circuits silently run on big-int words and say why."""
+        monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(npsim.MissingNumpyError,
                            match=r"repro\[fast\]"):
-            logicsim.CompiledCircuit(net, engine="numpy")
+            npsim.require_numpy()
+        net = synth.generate("noeq", 3, 2, 3, 15, seed=0)
+        circuit = CompiledCircuit(net)
+        assert circuit.array_backend is None
+        assert npsim.kernel_unavailable_reason(circuit) == \
+            "numpy is not installed"
 
     def test_sanitizer_shadow_is_cross_backend(self, monkeypatch):
-        """With the sanitizer armed, a numpy-engine detect is spot
-        checked against a big-int shadow with the opposite packing --
-        and the shadow really is big-int (_force_bigint)."""
+        """With the sanitizer armed, a production detect is spot
+        checked against a chunked shadow on the reference circuit."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
+        shadows = []
+
+        class Spy(CompiledCircuit):
+            def __init__(self, netlist, _reference=False):
+                shadows.append(_reference)
+                super().__init__(netlist, _reference=_reference)
+
+        monkeypatch.setattr(fault_sim_mod, "CompiledCircuit", Spy)
         net = synth.generate("sancb", 4, 3, 5, 40, seed=6)
         fs = FaultSet.collapsed(net)
-        cc = CompiledCircuit(net, engine="numpy")
-        sim = FaultSimulator(cc, fs, width="auto")
+        cc = CompiledCircuit(net)
+        sim = FaultSimulator(cc, fs)
         vectors = random_gen.random_sequence(cc, 6, seed=1)
         init = random_gen.random_state(cc, seed=2)
         sim.detect(vectors, init, early_exit=False)
-        assert sim.counters.np_passes > 0
+        assert shadows == [True]
+        assert (sim.counters.np_passes > 0) == KERNEL
         assert sim._sanitize_spots_left < fault_sim_mod.\
             _SANITIZE_SPOT_BUDGET
+
+
+def _wide_gate_netlist(n_fanins=65):
+    """A small sequential circuit around one ``n_fanins``-input AND."""
+    net = Netlist("wide")
+    sources = ["a", "b", "c", "q0", "q1"]
+    for name in sources[:3]:
+        net.add_input(name)
+    for i in range(n_fanins):
+        kind = ("BUF", "NOT")[i % 2] if i < 10 else "BUF"
+        net.add_gate(f"g{i}", kind, [sources[i % len(sources)]])
+    net.add_gate("w", "AND", [f"g{i}" for i in range(n_fanins)])
+    net.add_gate("d0", "XOR", ["w", "a"])
+    net.add_gate("d1", "OR", ["q0", "b"])
+    net.add_dff("q0", "d0")
+    net.add_dff("q1", "d1")
+    net.add_gate("o", "NAND", ["q1", "c"])
+    net.add_output("w")
+    net.add_output("o")
+    return net
+
+
+class TestWideGates:
+    def test_65_fanin_gate_runs_on_bigint(self):
+        """A gate wider than the kernel holds keeps its circuit on
+        big-int words, with the reason reported; detect, measure_delay
+        and compact_tests all match the reference."""
+        net = _wide_gate_netlist()
+        wb = api.Workbench.for_netlist(net)
+        assert wb.circuit.array_backend is None
+        reason = npsim.kernel_unavailable_reason(wb.circuit)
+        assert reason is not None
+        if KERNEL:
+            assert "65 fanins" in reason
+        with pytest.raises(ValueError):
+            npsim.ArrayBackend(wb.circuit)
+
+        reference = reference_circuit(net)
+        fs = wb.faults
+        rng = random.Random(4)
+        vectors = [V.random_binary_vector(3, rng) for _ in range(8)]
+        init = V.random_binary_vector(2, rng)
+        assert wb.sim.detect(vectors, init, early_exit=False) == \
+            FaultSimulator(reference, fs).detect(vectors, init,
+                                                 early_exit=False)
+
+        result = api.compact_tests(net, seed=1, t0_source="random",
+                                   t0_length=20, workbench=wb)
+        ref_wb = api.Workbench(
+            netlist=net, circuit=reference, faults=fs,
+            sim=FaultSimulator(reference, fs),
+            comb_sim=CombPatternSim(reference, fs))
+        ref_result = api.compact_tests(net, seed=1, t0_source="random",
+                                       t0_length=20, workbench=ref_wb)
+        final = result.compacted_set or result.test_set
+        assert final.tests == \
+            (ref_result.compacted_set or ref_result.test_set).tests
+        assert result.final_detected == ref_result.final_detected
+
+        sets = {"proposed": final,
+                "scan": ScanTestSet(2, [ScanTest(init, tuple(vectors))])}
+        report = api.measure_delay(net, sets, workbench=wb)
+        want = api.measure_delay(net, sets, workbench=ref_wb)
+        assert report.engine == want.engine == "scalar"
+        assert report.as_dict() == want.as_dict()

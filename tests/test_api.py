@@ -14,30 +14,33 @@ class TestWorkbench:
         assert len(wb.faults) == 32
 
     def test_engine_and_width_knobs(self, s27):
-        wb = api.Workbench.for_netlist(s27, engine="interp", width=8)
-        assert wb.circuit.engine == "generic"  # CLI alias resolved
-        assert wb.sim.width == 8
-        auto = api.Workbench.for_netlist(s27)
-        assert auto.circuit.engine == "codegen"
-        assert auto.sim.width == "auto"
+        """Neither knob exists: the workbench builds the one
+        production configuration."""
+        from repro.sim.fault_sim import FUSED_CAP
+        for knob in ({"engine": "interp"}, {"width": 8}):
+            with pytest.raises(TypeError):
+                api.Workbench.for_netlist(s27, **knob)
+        assert api.Workbench.for_netlist(s27).sim.fused_cap == FUSED_CAP
 
     def test_counters_property_is_sims(self, s27):
         wb = api.Workbench.for_netlist(s27)
         assert wb.counters is wb.sim.counters
 
     def test_bad_engine_rejected(self, s27):
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(TypeError, match="engine"):
             api.Workbench.for_netlist(s27, engine="fpga")
 
     def test_numpy_and_auto_engines(self, s27):
-        pytest.importorskip("numpy")
-        wb = api.Workbench.for_netlist(s27, engine="numpy")
-        assert wb.circuit.engine == "numpy"
-        assert wb.circuit.array_backend is not None
-        auto = api.Workbench.for_netlist(s27, engine="auto")
-        assert auto.circuit.engine == "auto"
-        # auto still detects correctly whatever executor it picked.
-        assert len(auto.faults) == len(wb.faults)
+        """The workbench runs its passes on the C kernel exactly when
+        the kernel can serve the circuit, even a pass this small."""
+        from repro.sim import npsim
+        from repro.sim import values as V
+        wb = api.Workbench.for_netlist(s27)
+        on_kernel = npsim.kernel_unavailable_reason(wb.circuit) is None
+        assert (wb.circuit.array_backend is not None) == on_kernel
+        wb.sim.detect([V.vec("1010")], V.vec("010"), target=[0],
+                      early_exit=False)
+        assert (wb.counters.np_passes > 0) == on_kernel
 
 
 class TestCompactTests:

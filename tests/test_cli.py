@@ -26,20 +26,11 @@ class TestParser:
         assert "Engine counters" in out
 
     def test_circuit_engine_width_flags(self, capsys):
-        assert main(["circuit", "s27", "--engine", "interp",
-                     "--width", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "Engine counters" in out
-        # The chunked run packs at most 15 faulty machines per word.
-        assert "Table 1" in out
-
-    def test_width_auto_accepted(self):
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--width", "auto"])
-        assert args.width == "auto"
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--width", "64"])
-        assert args.width == 64
+        """The simulation-option flags are gone: usage error, exit 2."""
+        for flags in (["--engine", "numpy"], ["--width", "16"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["circuit", "s27", *flags])
+            assert exc.value.code == 2
 
     def test_width_rejects_garbage(self):
         with pytest.raises(SystemExit):
@@ -54,34 +45,26 @@ class TestParser:
             build_parser().parse_args(
                 ["circuit", "s27", "--engine", "fpga"])
 
-    def test_engine_choices_include_numpy_and_auto(self):
-        for engine in ("interp", "codegen", "numpy", "auto"):
-            args = build_parser().parse_args(
-                ["circuit", "s27", "--engine", engine])
-            assert args.engine == engine
-
     def test_circuit_numpy_engine(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["circuit", "s27", "--engine", "numpy"]) == 0
+        """``circuit`` runs its passes on the C kernel by default when
+        the kernel loads: the Engine-counters ``np`` column counts
+        them."""
+        from repro.sim import npsim
+        assert main(["circuit", "s27"]) == 0
         out = capsys.readouterr().out
-        assert "Engine counters" in out
-        assert "numpy" in out  # the eng column records the knob
+        lines = out[out.index("Engine counters"):].splitlines()
+        headers, row = lines[1].split(), lines[3].split()
+        np_passes = int(dict(zip(headers, row))["np"])
+        assert (np_passes > 0) == \
+            (npsim.kernel_unavailable_reason() is None)
 
     def test_candidate_scan_flag(self, capsys):
-        args = build_parser().parse_args(["circuit", "s27"])
-        assert args.candidate_scan == "lanes"
-        args = build_parser().parse_args(
-            ["circuit", "s27", "--candidate-scan", "scalar"])
-        assert args.candidate_scan == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["circuit", "s27", "--candidate-scan", "vectorized"])
-
-    def test_circuit_candidate_scan_scalar_runs(self, capsys):
-        assert main(["circuit", "s27", "--candidate-scan",
-                     "scalar"]) == 0
-        out = capsys.readouterr().out
-        assert "Engine counters" in out
+        """So are the Phase-1 and trial-batch flags."""
+        for flags in (["--candidate-scan", "scalar"],
+                      ["--trial-batch", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["circuit", "s27", *flags])
+            assert exc.value.code == 2
 
     def test_circuit_unknown(self, capsys):
         assert main(["circuit", "sXXX"]) == 2
