@@ -100,7 +100,7 @@ def _run_adi_arm(netlist, comb_tests, t0, adi: bool = False,
     faults = FaultSet.collapsed(netlist)
     counters = SimCounters()
     sim = FaultSimulator(circuit, faults, counters=counters)
-    comb_sim = CombPatternSim(circuit, faults)
+    comb_sim = CombPatternSim(sim)
     started = time.perf_counter()
     result = run_proposed(sim, comb_sim, t0, comb_tests,
                           adi=adi, adi_scores=adi_scores)
@@ -166,7 +166,7 @@ def _run_collapse_arm(netlist, comb_tests, t0,
     faults = FaultSet.uncollapsed(netlist, collapse=collapse)
     counters = SimCounters()
     sim = FaultSimulator(circuit, faults, counters=counters)
-    comb_sim = CombPatternSim(circuit, faults, counters=counters)
+    comb_sim = CombPatternSim(sim)
     n_untestable = 0
     dropped_reps = 0
     if collapse:
@@ -177,7 +177,6 @@ def _run_collapse_arm(netlist, comb_tests, t0,
         if untestable:
             dropped_reps = len(faults.untestable_reps(untestable))
             sim.set_untestable(sorted(untestable))
-            comb_sim.set_untestable(sorted(untestable))
     started = time.perf_counter()
     result = run_proposed(sim, comb_sim, t0, comb_tests)
     seconds = time.perf_counter() - started

@@ -4,10 +4,11 @@ The wide-word fault-simulation engines (DESIGN.md sections 8-9) rest on
 invariants that are argued in prose and sampled by the hypothesis
 equivalence suites, but never checked in production runs:
 
-* **lane-packing disjointness** -- in candidate-parallel simulation
-  every fault group owns a contiguous, non-overlapping block of lanes,
-  the good/forced stem masks never claim a machine bit outside their
-  chunk, and no stem forces a net to 0 and 1 for the same machine;
+* **lane-packing disjointness** -- in lane-transposed (trial-parallel)
+  simulation every fault group owns a contiguous, non-overlapping
+  block of lanes, the good/forced stem masks never claim a machine bit
+  outside their chunk, and no stem forces a net to 0 and 1 for the
+  same machine;
 * **scoreboard soundness** -- a fault retired by the cross-phase
   scoreboard is never simulated again as a target ("never required by a
   later phase"), and every retired fault is in the final detected set
@@ -135,7 +136,7 @@ def _ff_branch_masks(entries: Iterable[Tuple[int, int, int]],
         _mask_pair("ff_branch", pos, m0, m1, universe, context)
 
 
-def check_lane_chunk(chunk: Any, context: str = "detect_candidates") -> None:
+def check_lane_chunk(chunk: Any, context: str = "detect_trials") -> None:
     """Lane-packing disjointness of one ``_LaneChunk``.
 
     Group ``g`` must own exactly the contiguous lane block

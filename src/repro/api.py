@@ -36,7 +36,10 @@ from .sim.logicsim import CompiledCircuit
 
 @dataclass
 class Workbench:
-    """Compiled circuit + fault set + simulators, built once."""
+    """Compiled circuit + fault set + simulator, built once.
+
+    ``comb_sim`` is the combinational-pattern adapter over ``sim``.
+    """
 
     netlist: Netlist
     circuit: CompiledCircuit
@@ -97,7 +100,8 @@ class Workbench:
             Run the static fault-space pass
             (:func:`repro.analysis.faultspace.analyze_faultspace`),
             carry the report in :attr:`faultspace`, and exclude the
-            proven-untestable faults from both simulators.  Provably
+            proven-untestable faults from the fault simulator (the
+            pattern adapter :attr:`comb_sim` wraps it).  Provably
             result-identical -- a proven-untestable fault appears in
             no detection set, so only the machine-bit counters move.
             ``False`` skips the pass (the benchmark baseline arm).
@@ -108,9 +112,8 @@ class Workbench:
             diagnostics = list(lint_netlist(netlist, xinit=False).diagnostics)
         circuit = CompiledCircuit(netlist)
         faults = FaultSet.collapsed(netlist)
-        counters = SimCounters()
-        sim = FaultSimulator(circuit, faults, counters=counters)
-        comb_sim = CombPatternSim(circuit, faults, counters=counters)
+        sim = FaultSimulator(circuit, faults)
+        comb_sim = CombPatternSim(sim)
         faultspace: Optional[FaultSpaceReport] = None
         if static_analysis:
             from .analysis.faultspace import analyze_faultspace
@@ -118,7 +121,6 @@ class Workbench:
             untestable = faultspace.untestable_indices(faults)
             if untestable:
                 sim.set_untestable(sorted(untestable))
-                comb_sim.set_untestable(sorted(untestable))
         return cls(
             netlist=netlist,
             circuit=circuit,

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim import values as V
 from ..sim.comb_sim import CombPatternSim, Pattern
+from ..sim.fault_sim import FaultSimulator
 from ..sim.faults import FaultSet
 from ..sim.logicsim import CompiledCircuit
 from .podem import ABORTED, Podem, REDUNDANT, TESTABLE
@@ -105,7 +106,8 @@ def random_selected(
     consecutive blocks with no new detection.
     """
     rng = random.Random(seed)
-    sim = CombPatternSim(circuit, faults, scan_positions=scan_positions)
+    sim = CombPatternSim(
+        FaultSimulator(circuit, faults, scan_positions=scan_positions))
     n_ff = (len(circuit.ff_ids) if scan_positions is None
             else len(scan_positions))
     n_pi = len(circuit.pi_ids)
@@ -173,7 +175,8 @@ def generate(
     result = random_selected(circuit, faults, seed=seed,
                              max_patterns=random_patterns, block=block,
                              scan_positions=scan_positions)
-    sim = CombPatternSim(circuit, faults, scan_positions=scan_positions)
+    sim = CombPatternSim(
+        FaultSimulator(circuit, faults, scan_positions=scan_positions))
     podem = Podem(circuit, faults, backtrack_limit=backtrack_limit,
                   scan_positions=scan_positions)
     undetected = set(range(len(faults))) - result.detected
@@ -225,7 +228,8 @@ def compact_tests(
     only tests that detect at least one not-yet-credited fault; the kept
     set still detects all of ``must_detect``.
     """
-    sim = CombPatternSim(circuit, faults, scan_positions=scan_positions)
+    sim = CombPatternSim(
+        FaultSimulator(circuit, faults, scan_positions=scan_positions))
     remaining = set(must_detect)
     kept: List[CombTest] = []
     for test in reversed(list(tests)):

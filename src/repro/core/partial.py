@@ -174,13 +174,13 @@ def workbench_for(plan: PartialScanPlan) -> PartialWorkbench:
     circuit = CompiledCircuit(plan.netlist)
     faults = FaultSet.collapsed(plan.netlist)
     positions = None if plan.is_full_scan else plan.positions
+    sim = FaultSimulator(circuit, faults, scan_positions=positions)
     return PartialWorkbench(
         plan=plan,
         circuit=circuit,
         faults=faults,
-        sim=FaultSimulator(circuit, faults, scan_positions=positions),
-        comb_sim=CombPatternSim(circuit, faults,
-                                scan_positions=positions),
+        sim=sim,
+        comb_sim=CombPatternSim(sim),
     )
 
 

@@ -78,10 +78,10 @@ def top_off(
     ``None`` (the default) keeps the paper's selection byte-identical.
 
     Candidate tests are simulated in PPSFP pattern blocks of up to
-    ``min(TRIAL_BATCH, comb_sim.block)`` patterns per good+faulty pass
-    (:data:`repro.core.combine.TRIAL_BATCH`).  Per-pattern detection
-    is independent, so ``detects``/``n(f)``/``last(f)`` -- and hence
-    the selection -- are those of simulating one pattern at a time.
+    :data:`repro.core.combine.TRIAL_BATCH` patterns per good+faulty
+    pass.  Per-pattern detection is independent, so
+    ``detects``/``n(f)``/``last(f)`` -- and hence the selection -- are
+    those of simulating one pattern at a time.
 
     ``adi`` (fault index -> Accidental Detection Index, see
     :meth:`~repro.sim.scoreboard.FaultScoreboard.record_adi`) inserts
@@ -106,24 +106,17 @@ def top_off(
     n_of: Dict[int, int] = {}
     last_of: Dict[int, int] = {}
     order = sorted(remaining)
-    step = max(1, min(comb_sim.block, combine.TRIAL_BATCH))
+    step = combine.TRIAL_BATCH
     for base in range(0, len(comb_tests), step):
         block = comb_tests[base:base + step]
-        if len(block) > 1:
-            masks = comb_sim.detect_block(
-                [t.as_pattern() for t in block], order)
-            block_hits: List[Set[int]] = [set() for _ in block]
-            for fid, pmask in masks.items():
-                while pmask:
-                    low = pmask & -pmask
-                    block_hits[low.bit_length() - 1].add(fid)
-                    pmask ^= low
-            if counters is not None:
-                counters.trial_passes += 1
-                counters.trial_lanes += len(block)
-        else:
-            block_hits = [comb_sim.detect_single(t.as_pattern(), order)
-                          for t in block]
+        masks = comb_sim.detect_block([t.as_pattern() for t in block],
+                                      order)
+        block_hits: List[Set[int]] = [set() for _ in block]
+        for fid, pmask in masks.items():
+            while pmask:
+                low = pmask & -pmask
+                block_hits[low.bit_length() - 1].add(fid)
+                pmask ^= low
         for off, hits in enumerate(block_hits):
             detects.append(hits)
             for fid in hits:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import sanitizer
@@ -66,6 +66,7 @@ from ..circuits.netlist import Netlist
 from ..core.scan_test import ScanTest, ScanTestSet
 from ..sim import values as V
 from ..sim.counters import SimCounters
+from ..sim.fault_sim import _Chunk
 from ..sim.logicsim import CompiledCircuit
 
 #: Packed launch-group captures cross-checked against the scalar route
@@ -100,27 +101,6 @@ def all_transition_faults(netlist: Netlist) -> List[TransitionFault]:
         faults.append(TransitionFault(net, True))
         faults.append(TransitionFault(net, False))
     return faults
-
-
-@dataclass
-class _TdfChunk:
-    """Duck-typed injection chunk for the wide-word TDF capture.
-
-    Carries the same ``indices`` / ``mask`` / ``stems`` / ``branch`` /
-    ``ff_branch`` / ``src_stem_ids`` fields a
-    :class:`repro.sim.fault_sim._Chunk` does, which is all
-    :class:`repro.sim.npsim._ChunkPlan` consumes.  TDF injection only
-    ever uses whole-stem forcing (the late transition pins the net's
-    old value for one frame), so the branch tables stay empty.
-    """
-
-    indices: List[int]
-    mask: int
-    stems: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    branch: Dict[int, List[Tuple[int, int, int]]] = field(
-        default_factory=dict)
-    ff_branch: List[Tuple[int, int, int]] = field(default_factory=list)
-    src_stem_ids: List[int] = field(default_factory=list)
 
 
 class TransitionSim:
@@ -370,8 +350,10 @@ class TransitionSim:
         plan = self._plain_plans.get(n_group)
         if plan is None:
             from ..sim import npsim
-            chunk = _TdfChunk(indices=list(range(n_group)),
-                              mask=(1 << (n_group + 1)) - 1)
+            # TDF injection only ever forces whole stems (see
+            # _stem_plan), so the template chunk carries no sites.
+            chunk = _Chunk(indices=list(range(n_group)),
+                           mask=(1 << (n_group + 1)) - 1)
             plan = npsim._ChunkPlan(self._backend, chunk)
             self._plain_plans[n_group] = plan
             if len(self._plain_plans) > self._PLAIN_PLAN_CACHE_SIZE:

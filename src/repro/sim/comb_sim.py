@@ -1,4 +1,4 @@
-"""Pattern-parallel combinational fault simulation (PPSFP).
+"""Combinational patterns on the fault simulator (PPSFP).
 
 For full-scan work every length-1 scan test is a *combinational* test on
 the pseudo-combinational circuit whose inputs are the primary inputs
@@ -6,169 +6,60 @@ plus the flip-flop outputs (pseudo primary inputs) and whose outputs are
 the primary outputs plus the flip-flop data nets (pseudo primary
 outputs, observed by the scan-out).
 
-This simulator packs up to 128 test patterns into the bits of one word
-pair per net: one fault-free evaluation serves all patterns, then each
-target fault is injected and evaluated once against the whole block.
-It is the workhorse of combinational test-set generation
-(:mod:`repro.atpg.comb_set`) and of Phase 3 top-off.
+:class:`CombPatternSim` adapts that pattern format to the one fault
+simulator, :class:`~repro.sim.fault_sim.FaultSimulator`.  A block of
+patterns is simulated pattern-parallel: one
+:meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call with one
+single-frame trial per pattern, each fault injected across all pattern
+lanes at once.  A single pattern is one
+:meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass with the faults
+in the lanes.  It is the workhorse of combinational test-set generation
+(:mod:`repro.atpg.comb_set`), Phase 3 top-off and the dynamic baseline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from . import values as V
 from .counters import SimCounters
-from .faults import FaultSet
-from .logicsim import CompiledCircuit
-
-DEFAULT_BLOCK = 128
+from .fault_sim import FaultSimulator
 
 #: A combinational pattern: (flip-flop state vector, primary input vector).
 Pattern = Tuple[V.Vector, V.Vector]
 
 
 class CombPatternSim:
-    """PPSFP simulator bound to one circuit and fault set.
+    """Pattern-format adapter over one :class:`FaultSimulator`.
 
-    ``scan_positions`` selects partial scan: pattern state vectors
-    cover only those flip-flops (the rest are X) and only their
-    captured values are observable.  ``None`` means full scan.
-
-    ``counters`` aggregates instrumentation (pass a shared
-    :class:`~repro.sim.counters.SimCounters` to pool with a
-    :class:`~repro.sim.fault_sim.FaultSimulator`); the per-fault
-    faulty evaluations land in ``comb_passes``.
+    Everything but the pattern format comes from ``sim``: the fault
+    set, the partial-scan positions (pattern state vectors then cover
+    only the scanned flip-flops, and only their captured values are
+    observed), the proven-untestable exclusion, the width checks and
+    the :class:`~repro.sim.counters.SimCounters`.  Each call adds the
+    number of representative faults it simulates to ``comb_passes``.
     """
 
-    def __init__(self, circuit: CompiledCircuit, faults: FaultSet,
-                 block: int = DEFAULT_BLOCK,
-                 scan_positions: Optional[Sequence[int]] = None,
-                 counters: Optional[SimCounters] = None) -> None:
-        self.circuit = circuit
-        self.faults = faults
-        self.block = block
-        self.counters = counters if counters is not None else SimCounters()
-        self._untestable: frozenset = frozenset()
-        if scan_positions is None:
-            self.scan_positions: Optional[List[int]] = None
-            self._state_ids = list(circuit.ff_ids)
-            self._observed_ppo = list(circuit.ff_d_ids)
-            self._observed_ff = set(range(len(circuit.ff_ids)))
-        else:
-            self.scan_positions = sorted(scan_positions)
-            self._state_ids = [circuit.ff_ids[p]
-                               for p in self.scan_positions]
-            self._observed_ppo = [circuit.ff_d_ids[p]
-                                  for p in self.scan_positions]
-            self._observed_ff = set(self.scan_positions)
-        net = circuit.netlist
-        ids = net.net_ids
-        ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
-        self._source_ids = set(circuit.pi_ids) | set(circuit.ff_ids)
-        # Injection spec per fault, as in FaultSimulator but full-mask.
-        self._spec: List[Tuple] = []
-        for fault in faults:
-            if fault.pin is None:
-                self._spec.append(("stem", ids[fault.net], fault.stuck))
-            else:
-                gate_name, pin = fault.pin
-                gate = net.gates[gate_name]
-                if gate.gtype == "DFF":
-                    self._spec.append(
-                        ("ff", ff_pos[gate_name], fault.stuck,
-                         ids[gate.fanins[0]]))
-                else:
-                    self._spec.append(
-                        ("branch", ids[gate_name], pin, fault.stuck))
+    def __init__(self, sim: FaultSimulator) -> None:
+        self.sim = sim
 
-    # ------------------------------------------------------------------
-    def set_untestable(self, indices: Optional[Sequence[int]]) -> None:
-        """Exclude proven-untestable faults from every future block.
+    @property
+    def counters(self) -> SimCounters:
+        return self.sim.counters
 
-        Mirrors :meth:`~repro.sim.fault_sim.FaultSimulator.
-        set_untestable`: sound because a proven-untestable fault is in
-        no detection set, so no returned block result changes.  (The
-        ``untestable_dropped`` counter is bumped only by the
-        sequential simulator -- the two usually share one
-        :class:`~repro.sim.counters.SimCounters`.)
-        """
-        if not indices:
-            self._untestable = frozenset()
-            return
-        self._untestable = self.faults.untestable_reps(set(indices))
-
-    # ------------------------------------------------------------------
-    def _load_sources(self, patterns: Sequence[Pattern]
-                      ) -> Tuple[List[int], List[int], int]:
-        """Pack the block of patterns into per-net source words."""
-        mask = (1 << len(patterns)) - 1
-        zero = [0] * self.circuit.n_nets
-        one = [0] * self.circuit.n_nets
-        for p, (state, pi) in enumerate(patterns):
-            bit = 1 << p
-            for nid, val in zip(self._state_ids, state):
-                if val == V.ZERO:
-                    zero[nid] |= bit
-                elif val == V.ONE:
-                    one[nid] |= bit
-            for nid, val in zip(self.circuit.pi_ids, pi):
-                if val == V.ZERO:
-                    zero[nid] |= bit
-                elif val == V.ONE:
-                    one[nid] |= bit
-        return zero, one, mask
-
-    def good_block(self, patterns: Sequence[Pattern]
-                   ) -> Tuple[List[int], List[int], int]:
-        """Fault-free evaluation of a pattern block.
-
-        Returns ``(zero, one, mask)`` per-net word arrays (all nets
-        evaluated), reusable across the per-fault passes.
-        """
-        zero, one, mask = self._load_sources(patterns)
-        self.circuit.eval_frame(zero, one, mask)
-        return zero, one, mask
-
-    # ------------------------------------------------------------------
-    def _faulty_observe(self, spec: Tuple, zero: List[int], one: List[int],
-                        mask: int) -> Tuple[List[int], List[int],
-                                            Optional[Tuple[int, int, int]]]:
-        """Evaluate the faulty circuit for the whole block.
-
-        Returns ``(fzero, fone, ff_override)`` where ``ff_override`` is
-        ``(ff_pos, z, o)`` for DFF data-pin faults (the captured value of
-        that one flip-flop differs from the data net's value).
-        """
-        kind = spec[0]
-        stems: Dict[int, Tuple[int, int]] = {}
-        branch: Dict[int, List[Tuple[int, int, int]]] = {}
-        ff_override = None
-        fzero = list(zero)
-        fone = list(one)
-        if kind == "stem":
-            _, nid, stuck = spec
-            stems[nid] = (0, mask) if stuck else (mask, 0)
-            if nid in self._source_ids:
-                fzero[nid] = mask if not stuck else 0
-                fone[nid] = mask if stuck else 0
-        elif kind == "branch":
-            _, out_id, pin, stuck = spec
-            branch[out_id] = [(pin, mask if stuck == 0 else 0,
-                               mask if stuck == 1 else 0)]
-        else:  # DFF data-pin branch fault: only the captured bit differs
-            _, ff_pos, stuck, _d_nid = spec
-            z = mask if stuck == 0 else 0
-            o = mask if stuck == 1 else 0
-            return list(zero), list(one), (ff_pos, z, o)
-        self.circuit.eval_frame(fzero, fone, mask, stems, branch)
-        return fzero, fone, ff_override
+    def _counted(self, target: Optional[Sequence[int]]) -> Sequence[int]:
+        """``target`` (default: every fault), its simulated
+        representatives added to ``comb_passes``."""
+        if target is None:
+            target = range(len(self.sim.faults))
+        sim_target, _ = self.sim._prepare_target(target)
+        self.sim.counters.comb_passes += len(sim_target)
+        return target
 
     def detect_block(
         self,
         patterns: Sequence[Pattern],
         target: Optional[Sequence[int]] = None,
-        good: Optional[Tuple[List[int], List[int], int]] = None,
     ) -> Dict[int, int]:
         """Which patterns detect which target faults.
 
@@ -176,48 +67,17 @@ class CombPatternSim:
         fault detected by at least one pattern in the block (bit ``p``
         set means pattern ``p`` detects it).
         """
-        if len(patterns) > self.block:
-            raise ValueError(
-                f"block of {len(patterns)} exceeds width {self.block}")
-        if target is None:
-            target = range(len(self.faults))
-        sim_target, expand = self.faults.collapse_target(
-            target, self._untestable)
-        if good is None:
-            good = self.good_block(patterns)
-        gzero, gone, mask = good
-        observe = list(self.circuit.po_ids) + list(self._observed_ppo)
-        result: Dict[int, int] = {}
-        for fid in sim_target:
-            spec = self._spec[fid]
-            self.counters.comb_passes += 1
-            fzero, fone, ff_override = self._faulty_observe(
-                spec, gzero, gone, mask)
-            caught = 0
-            if ff_override is not None:
-                ff_pos, z, o = ff_override
-                if ff_pos not in self._observed_ff:
-                    continue  # capture lands in an unscanned flip-flop
-                nid = self.circuit.ff_d_ids[ff_pos]
-                # Good captured value vs forced faulty value.
-                caught = (gone[nid] & z) | (gzero[nid] & o)
-            else:
-                for nid in observe:
-                    # Binary good/faulty differences only.
-                    caught |= (gone[nid] & fzero[nid]) | \
-                              (gzero[nid] & fone[nid])
-            caught &= mask
-            if caught:
-                result[fid] = caught
-        if expand is not None:
-            # Re-inflate representative hits to the requested members:
-            # class members share every per-pattern detection exactly.
-            result = {m: pmask for rep, pmask in result.items()
-                      for m in expand[rep]}
-        return result
+        per_pattern = self.sim.detect_trials(
+            [(state, [pi]) for state, pi in patterns],
+            self._counted(target))
+        masks: Dict[int, int] = {}
+        for p, hits in enumerate(per_pattern):
+            for fid in hits:
+                masks[fid] = masks.get(fid, 0) | 1 << p
+        return masks
 
     def detect_single(self, pattern: Pattern,
                       target: Optional[Sequence[int]] = None) -> Set[int]:
         """Faults detected by one combinational pattern."""
-        hits = self.detect_block([pattern], target)
-        return set(hits)
+        state, pi = pattern
+        return self.sim.detect([pi], state, self._counted(target))

@@ -66,15 +66,15 @@ render as dashes.
 Trial-batch counters
 --------------------
 ``trial_passes`` counts lane-batched trial passes (one per
-:meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call and
-one per Phase-3 top-off candidate block), ``trial_lanes`` the trials
-those passes carried -- ``trial_lanes / trial_passes`` is the
-effective trial-batching density.  ``adi_orderings`` counts the
-Accidental-Detection-Index ordering decisions applied (fused-word
-packing, Phase-3 target order, Phase-1 candidate scoring); it stays
-zero unless the ``--adi`` knob is on (or ``--scoap``, which reuses
-the packing-order hook when ADI is off).  All three render as
-dashes for legacy checkpoints.
+:meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call,
+including the calls behind Phase-1 candidate scans and PPSFP pattern
+blocks), ``trial_lanes`` the trials those passes carried --
+``trial_lanes / trial_passes`` is the effective trial-batching
+density.  ``adi_orderings`` counts the Accidental-Detection-Index
+ordering decisions applied (fused-word packing, Phase-3 target
+order, Phase-1 candidate scoring); it stays zero unless the ``--adi``
+knob is on (or ``--scoap``, which reuses the packing-order hook when
+ADI is off).  All three render as dashes for legacy checkpoints.
 
 Transition-fault counters
 -------------------------
@@ -91,14 +91,14 @@ checkpoints.
 
 Static fault-space counters
 ---------------------------
-``comb_passes`` counts per-fault faulty evaluations by the PPSFP
-combinational simulator (:class:`~repro.sim.comb_sim.CombPatternSim`
--- one per injected fault per pattern block): the cost the
-representative-only simulation of equivalence collapsing actually
-shrinks, since ``detect_passes`` counts *calls* and is identical
-with or without collapsing.  ``untestable_dropped`` counts faults
-excluded from simulation because the static analyzer *proved* them
-untestable (bumped once per
+``comb_passes`` counts, for each call into the combinational-pattern
+adapter (:class:`~repro.sim.comb_sim.CombPatternSim` -- one pattern
+block or one single pattern), the representative faults it
+simulates: the cost the representative-only simulation of
+equivalence collapsing actually shrinks, since ``detect_passes``
+counts *calls* and is identical with or without collapsing.
+``untestable_dropped`` counts faults excluded from simulation
+because the static analyzer *proved* them untestable (bumped once per
 :meth:`~repro.sim.fault_sim.FaultSimulator.set_untestable`
 installation, not per pass).  ``scoap_orderings`` counts SCOAP
 difficulty-ordering decisions applied (Phase-1 candidate scoring,

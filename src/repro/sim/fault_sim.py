@@ -19,13 +19,13 @@ packing.
 Execution: when the circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
 cffi and a C compiler present), every pass chunk of :meth:`detect`,
-:meth:`run_with_records`, :meth:`detect_candidates` and
-:meth:`detect_trials` runs on the C kernel of :mod:`repro.sim.npsim`
-over ``uint64`` arrays; otherwise the same packed words are evaluated
-as Python big-ints by the circuit's code-generated evaluator.  The
-two are result-identical: per-machine logic values do not depend on
-how words are stored, and the production-vs-reference equivalence
-suites plus the ``REPRO_SANITIZE`` shadow checks enforce it.
+:meth:`run_with_records` and :meth:`detect_trials` runs on the C
+kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays; otherwise
+the same packed words are evaluated as Python big-ints by the
+circuit's code-generated evaluator.  The two are result-identical:
+per-machine logic values do not depend on how words are stored, and
+the production-vs-reference equivalence suites plus the
+``REPRO_SANITIZE`` shadow checks enforce it.
 
 Fault dropping: :meth:`FaultSimulator.detect` retires
 already-detected machines *mid-pass* (``early_exit=True``) by
@@ -41,23 +41,35 @@ Instrumentation: every simulator bumps a
 :class:`~repro.sim.counters.SimCounters` (frames, word evaluations,
 machine bits, drops, repacks), rendered as the Engine-counters table.
 
-Three entry points cover all the needs of the compaction procedures:
+This is the package's one stuck-at fault simulator.  It packs machines
+two ways, and four entry points cover all the needs of the compaction
+procedures:
 
-* :meth:`FaultSimulator.detect` -- which target faults does a test
-  ``(SI, T)`` (or a scan-less sequence) detect?  Supports early exit and
-  in-pass retirement, used heavily by vector omission and combining.
-* :meth:`FaultSimulator.run_with_records` -- a single full pass that
-  records, per fault, the first frame with a primary-output difference
-  and, per frame, which faults would be caught by a scan-out at that
-  frame.  This turns the paper's Phase-1 Step 3 scan over all candidate
-  scan-out times into one simulation plus a cheap post-pass (the result
-  is identical to simulating every candidate, by construction).
-* :meth:`FaultSimulator.detect_candidates` -- the *transposed* packing
-  mode: candidate scan-in states occupy the lanes (one lane per
-  candidate, per-lane initial flip-flop state) and each fault is
-  injected across all lanes at once, turning the ``|C|`` sequence
-  passes of Phase-1 Step 2 into ``ceil(F / groups-per-word)`` passes
-  with per-lane detection words.  See DESIGN.md section 9.
+* :meth:`FaultSimulator.detect` -- the faults ride in the lanes of one
+  test: which target faults does a test ``(SI, T)`` (or a scan-less
+  sequence) detect?  Supports early exit and in-pass retirement, used
+  heavily by vector omission and combining.
+* :meth:`FaultSimulator.run_with_records` -- the same packing, in a
+  single full pass that records, per fault, the first frame with a
+  primary-output difference and, per frame, which faults would be
+  caught by a scan-out at that frame.  This turns the paper's Phase-1
+  Step 3 scan over all candidate scan-out times into one simulation
+  plus a cheap post-pass (the result is identical to simulating every
+  candidate, by construction).
+* :meth:`FaultSimulator.detect_trials` -- the *transposed* packing: the
+  tests ride in the lanes (one lane per ``(SI, T)`` trial, with its own
+  scan-in state and vectors) and each fault is injected across all
+  lanes at once, one fault per lane block, giving per-lane detection
+  words.  Phase-4 merge trials run on it.
+* :meth:`FaultSimulator.detect_candidates` -- :meth:`detect_trials`
+  over trials that share one sequence: the ``|C|`` sequence passes of
+  Phase-1 Step 2 become ``ceil(F / groups-per-word)`` passes.  See
+  DESIGN.md section 9.
+
+Single-frame scan patterns reach the same two packings through the
+:class:`~repro.sim.comb_sim.CombPatternSim` adapter: a PPSFP pattern
+block is one :meth:`detect_trials` call, a single pattern one
+:meth:`detect` pass.
 
 Detection semantics (see DESIGN.md section 4): a binary good/faulty
 difference at a primary output in any functional frame, or -- when a
@@ -88,9 +100,6 @@ _REPACK_MIN_MACHINES = 64
 #: ... at least half of them are already caught, and at least this many
 #: frames remain to amortize the bit-gather cost of the repack.
 _REPACK_MIN_FRAMES_LEFT = 8
-#: Lane-transposed passes repack only words carrying at least this many
-#: fault groups (mirrors ``_REPACK_MIN_MACHINES`` for candidate lanes).
-_REPACK_MIN_GROUPS = 8
 
 #: Under ``REPRO_SANITIZE`` each simulator cross-checks its first few
 #: ``detect`` passes against a chunked shadow on the reference circuit
@@ -126,10 +135,10 @@ class _LaneChunk:
 
     The word is laid out as ``n_groups`` blocks of ``n_lanes`` bits:
     block ``g`` carries fault ``indices[g]`` simulated simultaneously
-    in every candidate lane (lane ``k`` of every block starts from
-    candidate ``k``'s scan-in state).  There is no good-machine bit --
-    the fault-free reference comes from a separate good pass over the
-    same lanes.  ``stems``/``branch``/``ff_branch`` use the same mask
+    in every trial lane (lane ``k`` of every block runs trial ``k``:
+    its scan-in state and its vectors).  There is no good-machine bit
+    -- the fault-free reference comes from a separate good pass over
+    the same lanes.  ``stems``/``branch``/``ff_branch`` use the same mask
     format as :class:`_Chunk`, with each fault's masks covering its
     whole lane block.
     """
@@ -155,17 +164,6 @@ class _LaneChunk:
         """
         block = 1 << self.n_lanes
         return (block ** self.n_groups - 1) // (block - 1)
-
-
-def _gather_blocks(word: int, keep_groups: Sequence[int],
-                   n_lanes: int) -> int:
-    """Concatenate the ``n_lanes``-bit blocks of ``word`` selected by
-    ``keep_groups`` (in order) into a narrower word."""
-    lane_mask = (1 << n_lanes) - 1
-    out = 0
-    for new_g, g in enumerate(keep_groups):
-        out |= ((word >> (g * n_lanes)) & lane_mask) << (new_g * n_lanes)
-    return out
 
 
 def _pack_trial_pi_lanes(
@@ -826,7 +824,7 @@ class FaultSimulator:
         return SimRecords(n_frames, po_first, scan_diff)
 
     # ------------------------------------------------------------------
-    # Candidate-parallel (lane-transposed) simulation
+    # Lane-transposed simulation: the tests ride in the lanes
     # ------------------------------------------------------------------
 
     def _lane_groups_per_word(self, n_lanes: int) -> int:
@@ -835,13 +833,11 @@ class FaultSimulator:
         group."""
         return max(1, self.fused_cap // n_lanes)
 
-    def _build_lane_chunks(self, indices: Sequence[int], n_lanes: int,
-                           groups_per_word: Optional[int] = None
-                           ) -> List[_LaneChunk]:
+    def _build_lane_chunks(self, indices: Sequence[int],
+                           n_lanes: int) -> List[_LaneChunk]:
         """Balanced lane-transposed chunks over sorted ``indices``."""
         ordered = sorted(indices)
-        if groups_per_word is None:
-            groups_per_word = self._lane_groups_per_word(n_lanes)
+        groups_per_word = self._lane_groups_per_word(n_lanes)
         n_chunks = max(1, -(-len(ordered) // groups_per_word)) \
             if ordered else 0
         adi = self._adi_order
@@ -887,49 +883,6 @@ class FaultSimulator:
             chunks.append(chunk)
         return chunks
 
-    def _good_candidate_pass(
-        self, vectors: Sequence[V.Vector],
-        full_states: Sequence[V.Vector],
-        observe_po: bool, scan_out: bool,
-        scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[List[List[Tuple[int, int]]],
-               Optional[List[Tuple[int, int]]]]:
-        """One fault-free pass with candidate ``k`` in lane ``k``.
-
-        Returns ``(po_frames, final_state)``: the per-frame primary-
-        output lane words (empty inner lists when ``observe_po`` is
-        false) and the flip-flop lane words captured by the last frame
-        at the observed positions (None without ``scan_out``).
-        """
-        circuit = self.circuit
-        n_lanes = len(full_states)
-        lane_mask = (1 << n_lanes) - 1
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for ff_pos, nid in enumerate(circuit.ff_ids):
-            zero[nid], one[nid] = V.pack_lanes(
-                [s[ff_pos] for s in full_states])
-        po_frames: List[List[Tuple[int, int]]] = []
-        final_state: Optional[List[Tuple[int, int]]] = None
-        last = len(vectors) - 1
-        for frame, vector in enumerate(vectors):
-            for nid, val in zip(circuit.pi_ids, vector):
-                zero[nid], one[nid] = V.pack_scalar(val, lane_mask)
-            circuit.eval_frame(zero, one, lane_mask)
-            self.counters.note_words(1, n_lanes)
-            po_frames.append([(zero[nid], one[nid])
-                              for nid in circuit.po_ids]
-                             if observe_po else [])
-            ns = [(zero[nid], one[nid]) for nid in circuit.ff_d_ids]
-            if scan_out and frame == last:
-                if scan_observe is None:
-                    final_state = ns
-                else:
-                    final_state = [ns[pos] for pos in scan_observe]
-            for nid, (z, o) in zip(circuit.ff_ids, ns):
-                zero[nid], one[nid] = z, o
-        return po_frames, final_state
-
     def detect_candidates(
         self,
         vectors: Sequence[V.Vector],
@@ -940,228 +893,24 @@ class FaultSimulator:
         scan_observe: Optional[Sequence[int]] = None,
     ) -> List[Set[int]]:
         """Per-candidate detection sets of ``(SI_k, vectors)``, all at
-        once -- the transposed packing mode behind Phase-1 scan-in
-        selection.
+        once -- the pass behind Phase-1 scan-in selection.
 
-        Instead of one full-sequence :meth:`detect` pass per candidate
-        scan-in state (faults in the lanes, ``|C|`` passes), the
-        *candidates* occupy the lanes: one fault-free pass simulates
-        every candidate's good machine simultaneously (gates evaluate
-        bitwise, so lanes never interact), then the target faults are
-        packed ``groups x lanes`` into wide words and each fault is
-        injected across all candidate lanes in one pass.  Per-lane
-        detection is the usual binary good/faulty difference, compared
-        lane-by-lane against the recorded good pass.  A fault caught
-        in every lane retires mid-pass (its lane block repacks away);
-        it contributes to every candidate equally, so retirement can
-        never change the per-candidate counts this method reports.
+        The candidates are :meth:`detect_trials` trials that all share
+        one sequence: instead of one full-sequence :meth:`detect` pass
+        per candidate scan-in state (``|C|`` passes), the candidates
+        occupy the lanes and each target fault is injected across all
+        of them at once (see DESIGN.md section 9).
 
         Returns one detected-fault-index set per candidate, exactly
         equal to ``[detect(vectors, s, target, early_exit=False) for s
         in init_states]`` (the equivalence suite enforces this bit for
         bit).
         """
-        self._check_vectors(vectors)
-        full_states = [self.embed_state(s) for s in init_states]
-        if scan_observe is None:
-            scan_observe = self.scan_positions
-        n_lanes = len(full_states)
-        detected: List[Set[int]] = [set() for _ in range(n_lanes)]
-        if n_lanes == 0:
-            return detected
-        if target is None:
-            target = range(len(self.faults))
-        sim_target, expand = self._prepare_target(target)
-        target_list = sorted(sim_target)
-        counters = self.counters
-        counters.candidate_passes += 1
-        if not vectors or not target_list:
-            return detected
-        good_po, good_scan = self._good_candidate_pass(
-            vectors, full_states, observe_po, scan_out, scan_observe)
-        counters.frames += len(vectors)
-        init_words = [V.pack_lanes([s[ff_pos] for s in full_states])
-                      for ff_pos in range(len(self.circuit.ff_ids))]
-        lane_chunks = self._build_lane_chunks(target_list, n_lanes)
-        if sanitizer.enabled():
-            for chunk in lane_chunks:
-                sanitizer.check_lane_chunk(
-                    chunk, "FaultSimulator.detect_candidates")
-        # Lazily-built trial-form inputs for the array backend: every
-        # lane shares the PI sequence, is active on every frame, and
-        # (with scan_out) ends on the last frame.
-        trial_form: Optional[Tuple[List[List[Tuple[int, int]]],
-                                   List[int], List[int],
-                                   List[Optional[List[Tuple[int, int]]]],
-                                   List[int]]] = None
-        longest = 0
-        backend = self.circuit.array_backend
-        for chunk in lane_chunks:
-            if backend is not None:
-                if trial_form is None:
-                    lane_mask = (1 << n_lanes) - 1
-                    pi_words = [
-                        [V.pack_scalar(val, lane_mask) for val in vec]
-                        for vec in vectors]
-                    acts = [lane_mask] * len(vectors)
-                    ends = [0] * len(vectors)
-                    scan_frames: List[
-                        Optional[List[Tuple[int, int]]]] = \
-                        [None] * len(vectors)
-                    if scan_out and good_scan is not None:
-                        ends[-1] = lane_mask
-                        scan_frames[-1] = list(good_scan)
-                    slot_pos = list(
-                        range(len(self.circuit.ff_ids))
-                        if scan_observe is None else scan_observe)
-                    trial_form = (pi_words, acts, ends, scan_frames,
-                                  slot_pos)
-                pi_words, acts, ends, scan_frames, slot_pos = trial_form
-                caught, frames_done = backend.run_lane_chunk(
-                    self, chunk, len(vectors), pi_words, acts, ends,
-                    init_words, good_po, scan_frames, slot_pos,
-                    observe_po)
-                longest = max(longest, frames_done)
-                lane_mask = (1 << n_lanes) - 1
-                for g, fid in enumerate(chunk.indices):
-                    lanes = (caught >> (g * n_lanes)) & lane_mask
-                    k = 0
-                    while lanes:
-                        if lanes & 1:
-                            detected[k].add(fid)
-                        lanes >>= 1
-                        k += 1
-                continue
-            longest = max(longest, self._run_lane_chunk(
-                chunk, vectors, init_words, good_po, good_scan,
-                observe_po, scan_out, scan_observe, detected))
-        counters.frames += longest
-        if expand is not None:
-            detected = [self._expand_detected(lane, expand)
-                        for lane in detected]
-        return detected
-
-    def _run_lane_chunk(
-        self, chunk: _LaneChunk, vectors: Sequence[V.Vector],
-        init_words: Sequence[Tuple[int, int]],
-        good_po: List[List[Tuple[int, int]]],
-        good_scan: Optional[List[Tuple[int, int]]],
-        observe_po: bool, scan_out: bool,
-        scan_observe: Optional[Sequence[int]],
-        detected: List[Set[int]],
-    ) -> int:
-        """One faulty pass over a lane-transposed chunk.
-
-        Accumulates per-lane detections into ``detected`` and returns
-        the number of frames actually simulated.
-        """
-        circuit = self.circuit
-        counters = self.counters
-        n_lanes = chunk.n_lanes
-        lane_mask = (1 << n_lanes) - 1
-        rep = chunk.replication
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for (z, o), nid in zip(init_words, circuit.ff_ids):
-            zero[nid], one[nid] = z * rep, o * rep
-        caught = 0
-        frame = 0
-        frames_done = 0
-        last = len(vectors) - 1
-        while frame <= last:
-            full_mask = chunk.mask
-            for nid, val in zip(circuit.pi_ids, vectors[frame]):
-                zero[nid], one[nid] = V.pack_scalar(val, full_mask)
-            for nid in chunk.src_stem_ids:
-                m0, m1 = chunk.stems[nid]
-                keep = full_mask & ~(m0 | m1)
-                zero[nid] = (zero[nid] & keep) | m0
-                one[nid] = (one[nid] & keep) | m1
-            circuit.eval_frame(zero, one, full_mask, chunk.stems,
-                               chunk.branch)
-            counters.note_words(1, chunk.n_groups * n_lanes)
-            frames_done += 1
-            ns_zero = [zero[nid] for nid in circuit.ff_d_ids]
-            ns_one = [one[nid] for nid in circuit.ff_d_ids]
-            for pos, m0, m1 in chunk.ff_branch:
-                keep = full_mask & ~(m0 | m1)
-                ns_zero[pos] = (ns_zero[pos] & keep) | m0
-                ns_one[pos] = (ns_one[pos] & keep) | m1
-            if observe_po:
-                frame_po = good_po[frame]
-                for po_i, nid in enumerate(circuit.po_ids):
-                    gz, go = frame_po[po_i]
-                    # Lane detected <=> good binary b, faulty binary ~b.
-                    caught |= ((gz * rep) & one[nid]) | \
-                              ((go * rep) & zero[nid])
-            if scan_out and frame == last:
-                positions = (range(len(ns_zero)) if scan_observe is None
-                             else scan_observe)
-                for slot, pos in enumerate(positions):
-                    gz, go = good_scan[slot]
-                    caught |= ((gz * rep) & ns_one[pos]) | \
-                              ((go * rep) & ns_zero[pos])
-            if caught == chunk.mask:
-                # Every fault caught in every lane: no later frame nor
-                # the scan-out can change any per-lane set.
-                break
-            if (chunk.n_groups >= _REPACK_MIN_GROUPS and
-                    last - frame >= _REPACK_MIN_FRAMES_LEFT and caught):
-                saturated = [
-                    g for g in range(chunk.n_groups)
-                    if (caught >> (g * n_lanes)) & lane_mask == lane_mask]
-                if 2 * len(saturated) >= chunk.n_groups:
-                    # Retire faults detected in every lane: they add
-                    # one to every candidate count, so dropping their
-                    # lane blocks cannot change the argmax inputs.
-                    for g in saturated:
-                        fid = chunk.indices[g]
-                        for lane_set in detected:
-                            lane_set.add(fid)
-                    sat_set = set(saturated)
-                    keep_groups = [g for g in range(chunk.n_groups)
-                                   if g not in sat_set]
-                    remaining = [chunk.indices[g] for g in keep_groups]
-                    new_chunk = self._build_lane_chunks(
-                        remaining, n_lanes,
-                        groups_per_word=len(remaining))[0]
-                    if sanitizer.enabled():
-                        sanitizer.check_lane_chunk(
-                            new_chunk,
-                            "FaultSimulator.detect_candidates repack")
-                    gathered_z = [0] * circuit.n_nets
-                    gathered_o = [0] * circuit.n_nets
-                    for ff_pos, nid in enumerate(circuit.ff_ids):
-                        gathered_z[nid] = _gather_blocks(
-                            ns_zero[ff_pos], keep_groups, n_lanes)
-                        gathered_o[nid] = _gather_blocks(
-                            ns_one[ff_pos], keep_groups, n_lanes)
-                    # Partially-caught lanes of surviving groups stay
-                    # caught across the repack.
-                    caught = _gather_blocks(caught, keep_groups, n_lanes)
-                    zero, one = gathered_z, gathered_o
-                    chunk = new_chunk
-                    rep = chunk.replication
-                    counters.repacks += 1
-                    counters.faults_dropped += len(saturated)
-                    frame += 1
-                    continue
-            for nid, z, o in zip(circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
-            frame += 1
-        for g, fid in enumerate(chunk.indices):
-            lanes = (caught >> (g * n_lanes)) & lane_mask
-            k = 0
-            while lanes:
-                if lanes & 1:
-                    detected[k].add(fid)
-                lanes >>= 1
-                k += 1
-        return frames_done
-
-    # ------------------------------------------------------------------
-    # Trial-parallel (lane-batched independent tests) simulation
-    # ------------------------------------------------------------------
+        self.counters.candidate_passes += 1
+        return self.detect_trials(
+            [(state, vectors) for state in init_states], target=target,
+            scan_out=scan_out, observe_po=observe_po,
+            scan_observe=scan_observe)
 
     def detect_trials(
         self,
@@ -1174,22 +923,23 @@ class FaultSimulator:
         """Per-trial detection sets of *independent* tests, all at once.
 
         Each trial is a ``(scan_in, vectors)`` pair -- its own scan-in
-        state *and* its own PI sequence, unlike
-        :meth:`detect_candidates` where every lane shares one
-        sequence.  Trials occupy the lanes of lane-transposed words
-        (one good pass simulates every trial's fault-free machine
-        simultaneously, then each target fault is injected across all
-        trial lanes), with two per-frame lane masks handling unequal
-        lengths: lanes past their own last frame receive X inputs,
-        stop being observed at primary outputs, and take their
-        scan-out diff exactly at their own last frame.
+        state and its own PI sequence.  Trials occupy the lanes of
+        lane-transposed words (one good pass simulates every trial's
+        fault-free machine simultaneously, then each target fault is
+        injected across all trial lanes), with two per-frame lane masks
+        handling unequal lengths: lanes past their own last frame
+        receive X inputs, stop being observed at primary outputs, and
+        take their scan-out diff exactly at their own last frame.
 
         Returns one detected-fault-index set per trial, exactly equal
         to ``[detect(list(v), s, target=target, scan_out=scan_out,
         observe_po=observe_po, early_exit=False,
         scan_observe=scan_observe) for (s, v) in trials]`` (the
         equivalence suite enforces this bit for bit).  This is the
-        engine behind Phase-4 merge-trial prefetching and the batched
+        pass behind Phase-1 candidate scans (:meth:`detect_candidates`),
+        PPSFP pattern blocks
+        (:meth:`repro.sim.comb_sim.CombPatternSim.detect_block`),
+        Phase-4 merge-trial prefetching and the batched
         transfer-sequence checks; with an array backend its passes run
         on the lane kernel.
         """
@@ -1214,12 +964,12 @@ class FaultSimulator:
         max_frames = max(len(v) for _, v in full_trials)
         if max_frames == 0 or not target_list:
             return results
-        pi_words, acts, ends, good_po, good_scan = \
-            self._good_trial_pass(full_trials, max_frames, observe_po,
-                                  scan_out, scan_observe)
-        counters.frames += max_frames
         init_words = [V.pack_lanes([s[ff_pos] for s, _ in full_trials])
                       for ff_pos in range(len(self.circuit.ff_ids))]
+        pi_words, acts, ends, good_po, good_scan = \
+            self._good_trial_pass(full_trials, max_frames, init_words,
+                                  observe_po, scan_out, scan_observe)
+        counters.frames += max_frames
         slot_pos: List[int] = []
         if scan_out:
             slot_pos = list(range(len(self.circuit.ff_ids))
@@ -1260,7 +1010,8 @@ class FaultSimulator:
 
     def _good_trial_pass(
         self, full_trials: Sequence[Tuple[V.Vector, Sequence[V.Vector]]],
-        max_frames: int, observe_po: bool, scan_out: bool,
+        max_frames: int, init_words: Sequence[Tuple[int, int]],
+        observe_po: bool, scan_out: bool,
         scan_observe: Optional[Sequence[int]],
     ) -> Tuple[List[List[Tuple[int, int]]], List[int], List[int],
                List[List[Tuple[int, int]]],
@@ -1284,18 +1035,19 @@ class FaultSimulator:
         circuit = self.circuit
         n_lanes = len(full_trials)
         lane_mask = (1 << n_lanes) - 1
-        acts: List[int] = []
-        ends: List[int] = []
-        for f in range(max_frames):
-            a = 0
-            e = 0
-            for k, (_, vecs) in enumerate(full_trials):
-                if f < len(vecs):
-                    a |= 1 << k
-                    if f == len(vecs) - 1:
-                        e |= 1 << k
-            acts.append(a)
-            ends.append(e)
+        # Mark each trial's last frame, then sweep backwards so
+        # acts[f] gathers every lane ending at f or later: O(frames +
+        # lanes), where a per-frame scan of every trial would cost
+        # O(frames x lanes) on a long candidate sequence.
+        ends = [0] * max_frames
+        for k, (_, vecs) in enumerate(full_trials):
+            if vecs:
+                ends[len(vecs) - 1] |= 1 << k
+        acts = [0] * max_frames
+        active = 0
+        for f in range(max_frames - 1, -1, -1):
+            active |= ends[f]
+            acts[f] = active
         backend = circuit.array_backend
         n_pi = len(circuit.pi_ids)
         pi_words: List[List[Tuple[int, int]]]
@@ -1311,8 +1063,6 @@ class FaultSimulator:
                     for p in range(n_pi)])
         slot_positions = (range(len(circuit.ff_ids))
                           if scan_observe is None else scan_observe)
-        init_words = [V.pack_lanes([s[ff_pos] for s, _ in full_trials])
-                      for ff_pos in range(len(circuit.ff_ids))]
         if backend is not None:
             # The per-frame Python loop below dominates batched trial
             # passes; one kernel call computes the same good values.
@@ -1325,8 +1075,8 @@ class FaultSimulator:
         one = [0] * circuit.n_nets
         for nid, (z, o) in zip(circuit.ff_ids, init_words):
             zero[nid], one[nid] = z, o
-        po_frames: List[List[Tuple[int, int]]] = []
-        scan_frames: List[Optional[List[Tuple[int, int]]]] = []
+        po_frames = []
+        scan_frames = []
         for frame in range(max_frames):
             for (pz, po_), nid in zip(pi_words[frame], circuit.pi_ids):
                 zero[nid], one[nid] = pz, po_
@@ -1355,10 +1105,11 @@ class FaultSimulator:
     ) -> Tuple[int, int]:
         """One faulty big-int pass over a trial-lane chunk.
 
-        Mirrors :meth:`_run_lane_chunk` with per-lane PI words and
-        the ``acts`` / ``ends`` gating (no in-pass repack: trial
-        batches are short and bounded at 64 lanes).  Returns
-        ``(caught, frames_done)``.
+        Every fault group sees the per-lane PI words; primary outputs
+        are observed on the ``acts`` lanes and the scan-out diff is
+        taken on the ``ends`` lanes.  A word leaves the pass early only
+        once every lane of every group is caught (no in-pass repack).
+        Returns ``(caught, frames_done)``.
         """
         circuit = self.circuit
         counters = self.counters

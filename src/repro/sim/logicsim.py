@@ -142,11 +142,10 @@ class CompiledCircuit:
 
         The evaluation is strictly bitwise and width-agnostic: machine
         bits never interact, and no bit has special meaning at this
-        layer.  This is the contract the lane-transposed candidate
-        scan (:meth:`repro.sim.fault_sim.FaultSimulator.
-        detect_candidates`) relies on -- it re-purposes the lanes to
-        carry one candidate scan-in state each instead of one faulty
-        machine each, with no changes here.
+        layer.  This is the contract the lane-transposed trial pass
+        (:meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`)
+        relies on -- it re-purposes the lanes to carry one test each
+        instead of one faulty machine each, with no changes here.
 
         Fault injection (used by the fault simulator):
 

@@ -768,6 +768,16 @@ def kernel_unavailable_reason(
 # ----------------------------------------------------------------------
 
 
+def _u64p(ffi: Any, arr: Any) -> Any:
+    """A ``u64*`` kernel argument for a uint64 array."""
+    return ffi.cast("u64*", arr.ctypes.data)
+
+
+def _i32p(ffi: Any, arr: Any) -> Any:
+    """An ``int*`` kernel argument for an int32 array."""
+    return ffi.cast("int*", arr.ctypes.data)
+
+
 def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
     """Big-int words as a ``(max(1, len(words)), n_words)`` uint64
     array, in one buffer conversion (a per-row
@@ -794,7 +804,10 @@ class _ChunkPlan:
     and must be passed explicitly for :class:`_LaneChunk` layouts
     (``n_groups * n_lanes``, no good bit) -- both chunk flavors carry
     the same ``mask`` / ``stems`` / ``branch`` / ``ff_branch`` /
-    ``src_stem_ids`` fields this plan consumes.
+    ``src_stem_ids`` fields this plan consumes.  The fault-free plan
+    of the good lane pass and the transition-fault capture templates
+    (:mod:`repro.delay.transition`) are plans of site-free
+    :class:`_Chunk` instances.
     """
 
     def __init__(self, backend: "ArrayBackend",
@@ -850,10 +863,10 @@ class _ChunkPlan:
         self.ffbr_keep = _rows_array(
             np, [chunk.mask & ~(m0 | m1)
                  for _, m0, m1 in chunk.ff_branch], W)
-        #: Lazily built cffi casts of this plan's arrays; reset to
+        #: Lazily built kernel arguments of this plan; reset to
         #: ``None`` whenever the arrays are swapped after construction
-        #: (see :meth:`ArrayBackend._kernel_segment`).
-        self._kptrs: Optional[Tuple[Any, ...]] = None
+        #: (see :meth:`ArrayBackend._plan_args`).
+        self._kptrs: Optional[Tuple[Any, Tuple[Any, ...]]] = None
 
 
 # ----------------------------------------------------------------------
@@ -896,12 +909,12 @@ class ArrayBackend:
         self.ffd_ids = np.asarray(circuit.ff_d_ids or [0],
                                   dtype=np.int32)
         self._kernel = _load_kernel()
-        #: Lazily built cffi casts of the circuit-constant arrays
-        #: (see :meth:`_kernel_segment`).
-        self._const_ptrs: Optional[Tuple[Any, ...]] = None
+        #: Lazily built circuit-constant kernel arguments (see
+        #: :meth:`_circuit_args`).
+        self._circuit_kargs: Optional[Tuple[Any, ...]] = None
         # Fault-free injection plans for the good lane pass, keyed by
         # word width (circuit-wide, so safely shared across simulators).
-        self._empty_plans: Dict[int, Tuple[Any, ...]] = {}
+        self._empty_plans: Dict[int, _ChunkPlan] = {}
 
     #: Plans retained by :meth:`_plan_for`.  Small: pipeline phases
     #: re-simulate a handful of target sets over and over (Phase-2
@@ -983,6 +996,46 @@ class ArrayBackend:
         return np.ascontiguousarray(arr)
 
     # ------------------------------------------------------------------
+    # Pointer casts dominate short kernel calls (a TDF capture runs two
+    # segments per launch frame, a trial pass two lane calls), so the
+    # circuit-constant and plan-constant arguments are cast once and
+    # reused by every entry point.
+    def _circuit_args(self) -> Tuple[Any, ...]:
+        """The circuit-constant kernel arguments: gate tables, then
+        the PI / PO / flip-flop id lists with their counts."""
+        if self._circuit_kargs is None:
+            ffi, _ = self._kernel  # type: ignore[misc]
+            c = self.circuit
+            self._circuit_kargs = (
+                self.n_gates, _i32p(ffi, self.g_op),
+                _i32p(ffi, self.g_out),
+                ffi.cast("long*", self.g_foff.ctypes.data),
+                _i32p(ffi, self.g_fan),
+                len(c.pi_ids), _i32p(ffi, self.pi_ids),
+                len(c.po_ids), _i32p(ffi, self.po_ids),
+                len(c.ff_ids), _i32p(ffi, self.ff_ids),
+                _i32p(ffi, self.ffd_ids))
+        return self._circuit_kargs
+
+    def _plan_args(self, plan: _ChunkPlan) -> Tuple[Any, Tuple[Any, ...]]:
+        """``(mask, sites)``: a plan's word mask and its injection
+        tables (stems, source stems, branches, flip-flop branches,
+        with their counts) as kernel arguments, cached on the plan."""
+        if plan._kptrs is None:
+            ffi, _ = self._kernel  # type: ignore[misc]
+            plan._kptrs = (_u64p(ffi, plan.mask), (
+                _i32p(ffi, plan.stem_site), _u64p(ffi, plan.st_f0),
+                _u64p(ffi, plan.st_f1), _u64p(ffi, plan.st_keep),
+                len(plan.src_stem_ids), _i32p(ffi, plan.src_stem_ids),
+                _i32p(ffi, plan.src_stem_site),
+                _i32p(ffi, plan.br_start), _i32p(ffi, plan.br_count),
+                _i32p(ffi, plan.br_pin), _u64p(ffi, plan.br_f0),
+                _u64p(ffi, plan.br_f1), _u64p(ffi, plan.br_keep),
+                plan.n_ffbr, _i32p(ffi, plan.ffbr_pos),
+                _u64p(ffi, plan.ffbr_f0), _u64p(ffi, plan.ffbr_f1),
+                _u64p(ffi, plan.ffbr_keep)))
+        return plan._kptrs
+
     def _kernel_segment(
         self, plan: _ChunkPlan, zero: Any, one: Any, vec_arr: Any,
         start: int, last: int, observe_po: bool, scan_out: bool,
@@ -995,13 +1048,6 @@ class ArrayBackend:
         np = self.np
         ffi, lib = self._kernel  # type: ignore[misc]
         W = plan.n_words
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
         if scan_observe is None:
             n_scan_obs = -1
             scan_obs = np.zeros(1, dtype=np.int32)
@@ -1013,63 +1059,20 @@ class ArrayBackend:
         scr_o = np.zeros((self.max_arity, W), dtype=np.uint64)
         stop = ffi.new("long*")
         frames = ffi.new("long*")
-        # Pointer casts dominate short segments (a TDF capture runs
-        # two per launch frame), so the backend-constant and
-        # plan-constant casts are built once and reused; the plan
-        # cache is invalidated (set to None) by anyone who swaps a
-        # plan's arrays after construction.
-        if self._const_ptrs is None:
-            self._const_ptrs = (
-                i32p(self.g_op), i32p(self.g_out),
-                ffi.cast("long*", self.g_foff.ctypes.data),
-                i32p(self.g_fan), i32p(self.pi_ids),
-                i32p(self.po_ids), i32p(self.ff_ids),
-                i32p(self.ffd_ids))
-        (p_gop, p_gout, p_gfoff, p_gfan, p_pi, p_po, p_ff,
-         p_ffd) = self._const_ptrs
-        if getattr(plan, "_kptrs", None) is None:
-            plan._kptrs = (
-                u64p(plan.mask), i32p(plan.stem_site),
-                u64p(plan.st_f0), u64p(plan.st_f1),
-                u64p(plan.st_keep), i32p(plan.src_stem_ids),
-                i32p(plan.src_stem_site), i32p(plan.br_start),
-                i32p(plan.br_count), i32p(plan.br_pin),
-                u64p(plan.br_f0), u64p(plan.br_f1),
-                u64p(plan.br_keep), i32p(plan.ffbr_pos),
-                u64p(plan.ffbr_f0), u64p(plan.ffbr_f1),
-                u64p(plan.ffbr_keep))
-        (p_mask, p_site, p_stf0, p_stf1, p_stkeep, p_srcids,
-         p_srcsite, p_brstart, p_brcount, p_brpin, p_brf0, p_brf1,
-         p_brkeep, p_ffbrpos, p_ffbrf0, p_ffbrf1,
-         p_ffbrkeep) = plan._kptrs
+        p_mask, p_sites = self._plan_args(plan)
         status = lib.repro_run_pass(
-            u64p(zero), u64p(one), p_mask, W,
-            self.n_gates, p_gop, p_gout,
-            p_gfoff,
-            p_gfan,
-            len(self.circuit.pi_ids), p_pi,
-            len(self.circuit.po_ids), p_po,
-            len(self.circuit.ff_ids), p_ff,
-            p_ffd,
-            p_site,
-            p_stf0, p_stf1, p_stkeep,
-            len(plan.src_stem_ids),
-            p_srcids, p_srcsite,
-            p_brstart, p_brcount,
-            p_brpin, p_brf0, p_brf1,
-            p_brkeep,
-            plan.n_ffbr, p_ffbrpos,
-            p_ffbrf0, p_ffbrf1,
-            p_ffbrkeep,
+            _u64p(ffi, zero), _u64p(ffi, one), p_mask, W,
+            *self._circuit_args(), *p_sites,
             ffi.cast("unsigned char*", vec_arr.ctypes.data),
             start, last,
-            int(observe_po), int(scan_out), n_scan_obs, i32p(scan_obs),
+            int(observe_po), int(scan_out), n_scan_obs,
+            _i32p(ffi, scan_obs),
             int(early_exit), FS._REPACK_MIN_MACHINES,
             FS._REPACK_MIN_FRAMES_LEFT, len(plan.chunk.indices),
-            u64p(rec_po) if rec_po is not None else ffi.NULL,
-            u64p(rec_scan) if rec_scan is not None else ffi.NULL,
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o),
-            u64p(caught), stop, frames)
+            _u64p(ffi, rec_po) if rec_po is not None else ffi.NULL,
+            _u64p(ffi, rec_scan) if rec_scan is not None else ffi.NULL,
+            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
+            _u64p(ffi, scr_o), _u64p(ffi, caught), stop, frames)
         return int(status), int(stop[0]), int(frames[0])
 
     # ------------------------------------------------------------------
@@ -1194,13 +1197,10 @@ class ArrayBackend:
         good_scan: Sequence[Optional[Sequence[Tuple[int, int]]]],
         slot_pos: Sequence[int], observe_po: bool,
     ) -> Tuple[int, int]:
-        """One lane-transposed pass chunk on the C kernel.
+        """One chunk of :meth:`FaultSimulator.detect_trials` on the C
+        kernel (per-lane PI words, ragged ``acts`` / ``ends`` masks).
 
-        Serves both :meth:`FaultSimulator.detect_trials` (per-lane PI
-        words, ragged ``acts`` / ``ends`` masks) and the kernel route
-        of :meth:`FaultSimulator.detect_candidates` (shared PI words,
-        all lanes active, scan-out only on the last frame).  All lane
-        words arrive *unreplicated* (one block wide); the block
+        All lane words arrive *unreplicated* (one block wide); the block
         replication across fault groups happens here, in big-int
         arithmetic, before the one-shot array conversion.  Returns
         ``(caught, frames_done)`` with ``caught`` a big-int over the
@@ -1276,65 +1276,35 @@ class ArrayBackend:
         scr_o = np.zeros_like(scr_z)
         caught_arr = np.zeros(W, dtype=np.uint64)
         ffi, lib = self._kernel  # type: ignore[misc]
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
         frames = ffi.new("long*")
+        p_mask, p_sites = self._plan_args(plan)
         lib.repro_run_lane_pass(
-            u64p(zero), u64p(one), u64p(plan.mask), W,
-            self.n_gates, i32p(self.g_op), i32p(self.g_out),
-            ffi.cast("long*", self.g_foff.ctypes.data),
-            i32p(self.g_fan),
-            len(self.circuit.pi_ids), i32p(self.pi_ids),
-            len(self.circuit.po_ids), i32p(self.po_ids),
-            len(self.circuit.ff_ids), i32p(self.ff_ids),
-            i32p(self.ffd_ids),
-            i32p(plan.stem_site),
-            u64p(plan.st_f0), u64p(plan.st_f1), u64p(plan.st_keep),
-            len(plan.src_stem_ids),
-            i32p(plan.src_stem_ids), i32p(plan.src_stem_site),
-            i32p(plan.br_start), i32p(plan.br_count),
-            i32p(plan.br_pin), u64p(plan.br_f0), u64p(plan.br_f1),
-            u64p(plan.br_keep),
-            plan.n_ffbr, i32p(plan.ffbr_pos),
-            u64p(plan.ffbr_f0), u64p(plan.ffbr_f1),
-            u64p(plan.ffbr_keep),
+            _u64p(ffi, zero), _u64p(ffi, one), p_mask, W,
+            *self._circuit_args(), *p_sites,
             n_frames,
-            u64p(pi_z), u64p(pi_o), u64p(act_arr), u64p(end_arr),
-            int(observe_po), u64p(gp_z), u64p(gp_o),
-            n_slots, i32p(slot_arr), u64p(sc_z), u64p(sc_o),
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o),
-            u64p(caught_arr), frames)
+            _u64p(ffi, pi_z), _u64p(ffi, pi_o), _u64p(ffi, act_arr),
+            _u64p(ffi, end_arr),
+            int(observe_po), _u64p(ffi, gp_z), _u64p(ffi, gp_o),
+            n_slots, _i32p(ffi, slot_arr), _u64p(ffi, sc_z),
+            _u64p(ffi, sc_o),
+            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
+            _u64p(ffi, scr_o), _u64p(ffi, caught_arr), frames)
         frames_done = int(frames[0])
         counters.note_words(frames_done,
                             chunk.n_groups * chunk.n_lanes)
         return V.array_to_word(caught_arr), frames_done
 
     # ------------------------------------------------------------------
-    def _empty_plan_for(self, W: int) -> Tuple[Any, ...]:
-        """Cached no-fault plan arrays for the good lane pass."""
-        cached = self._empty_plans.get(W)
-        if cached is None:
-            np = self.np
-            n_nets = self.circuit.n_nets
-            cached = (
-                np.full(n_nets, -1, dtype=np.int32),   # stem_site
-                np.zeros((1, W), dtype=np.uint64),     # st_f0
-                np.zeros((1, W), dtype=np.uint64),     # st_f1
-                np.zeros((1, W), dtype=np.uint64),     # st_keep
-                np.zeros(n_nets, dtype=np.int32),      # br_start
-                np.zeros(n_nets, dtype=np.int32),      # br_count
-                np.zeros(1, dtype=np.int32),           # br_pin
-                np.zeros((1, W), dtype=np.uint64),     # br_f0
-                np.zeros((1, W), dtype=np.uint64),     # br_f1
-                np.zeros((1, W), dtype=np.uint64),     # br_keep
-            )
-            self._empty_plans[W] = cached
-        return cached
+    def _empty_plan_for(self, W: int) -> _ChunkPlan:
+        """Cached no-fault plan of ``W`` words for the good lane pass
+        (a site-free chunk; the pass supplies its own lane mask)."""
+        plan = self._empty_plans.get(W)
+        if plan is None:
+            from .fault_sim import _Chunk
+            plan = _ChunkPlan(self, _Chunk(indices=[], mask=0),
+                              n_bits=64 * W)
+            self._empty_plans[W] = plan
+        return plan
 
     def run_good_lane_pass(
         self, sim: "FaultSimulator", n_lanes: int, n_frames: int,
@@ -1390,33 +1360,23 @@ class ArrayBackend:
         ns_one = np.zeros_like(ns_zero)
         scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
         scr_o = np.zeros_like(scr_z)
-        (stem_site, st_f0, st_f1, st_keep, br_start, br_count,
-         br_pin, br_f0, br_f1, br_keep) = self._empty_plan_for(W)
         ffi, lib = self._kernel  # type: ignore[misc]
-
-        def u64p(arr: Any) -> Any:
-            return ffi.cast("u64*", arr.ctypes.data)
-
-        def i32p(arr: Any) -> Any:
-            return ffi.cast("int*", arr.ctypes.data)
-
+        # The good pass takes the stem and branch tables only.
+        _, (site, st_f0, st_f1, st_keep, _, _, _, br_start, br_count,
+            br_pin, br_f0, br_f1, br_keep, _, _, _, _, _) = \
+            self._plan_args(self._empty_plan_for(W))
         lib.repro_run_good_lane_pass(
-            u64p(zero), u64p(one), u64p(mask), W,
-            self.n_gates, i32p(self.g_op), i32p(self.g_out),
-            ffi.cast("long*", self.g_foff.ctypes.data),
-            i32p(self.g_fan),
-            len(self.circuit.pi_ids), i32p(self.pi_ids),
-            n_po, i32p(self.po_ids),
-            len(self.circuit.ff_ids), i32p(self.ff_ids),
-            i32p(self.ffd_ids),
-            i32p(stem_site), u64p(st_f0), u64p(st_f1), u64p(st_keep),
-            i32p(br_start), i32p(br_count),
-            i32p(br_pin), u64p(br_f0), u64p(br_f1), u64p(br_keep),
+            _u64p(ffi, zero), _u64p(ffi, one), _u64p(ffi, mask), W,
+            *self._circuit_args(),
+            site, st_f0, st_f1, st_keep,
+            br_start, br_count, br_pin, br_f0, br_f1, br_keep,
             n_frames,
-            u64p(pi_z), u64p(pi_o),
-            int(observe_po), u64p(gp_z), u64p(gp_o),
-            n_slots, i32p(slot_arr), u64p(sc_z), u64p(sc_o),
-            u64p(ns_zero), u64p(ns_one), u64p(scr_z), u64p(scr_o))
+            _u64p(ffi, pi_z), _u64p(ffi, pi_o),
+            int(observe_po), _u64p(ffi, gp_z), _u64p(ffi, gp_o),
+            n_slots, _i32p(ffi, slot_arr), _u64p(ffi, sc_z),
+            _u64p(ffi, sc_o),
+            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
+            _u64p(ffi, scr_o))
         counters.note_words(n_frames, n_lanes)
 
         def _rows_to_words(arr: Any, n_rows: int) -> List[int]:

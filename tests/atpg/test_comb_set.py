@@ -3,7 +3,6 @@
 import pytest
 
 from repro.atpg import comb_set
-from repro.sim.comb_sim import CombPatternSim
 
 
 class TestGenerate:
@@ -21,7 +20,7 @@ class TestGenerate:
 
     def test_set_actually_detects_claimed(self, s27_bench, s27_comb):
         wb, result = s27_bench, s27_comb
-        csim = CombPatternSim(wb.circuit, wb.faults)
+        csim = wb.comb_sim
         covered = set()
         for test in result.tests:
             covered |= csim.detect_single(test.as_pattern(),
@@ -49,7 +48,7 @@ class TestRandomSelected:
     def test_every_kept_pattern_useful(self, s27_bench):
         wb = s27_bench
         result = comb_set.random_selected(wb.circuit, wb.faults, seed=3)
-        csim = CombPatternSim(wb.circuit, wb.faults)
+        csim = wb.comb_sim
         # Simulating in order with fault dropping, every test must
         # contribute at least one first detection.
         remaining = set(result.detected)
@@ -72,7 +71,7 @@ class TestCompaction:
         wb, result = s27_bench, s27_comb
         compacted = comb_set.compact_tests(
             wb.circuit, wb.faults, result.tests, result.detected)
-        csim = CombPatternSim(wb.circuit, wb.faults)
+        csim = wb.comb_sim
         covered = set()
         for test in compacted:
             covered |= csim.detect_single(test.as_pattern(),

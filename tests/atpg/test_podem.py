@@ -10,13 +10,14 @@ from repro.circuits import synth
 from repro.circuits.netlist import Netlist
 from repro.sim import values as V
 from repro.sim.comb_sim import CombPatternSim
+from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 
 
 def exhaustive_detectable(circuit, faults):
     """Ground truth by trying every input/state combination."""
-    csim = CombPatternSim(circuit, faults)
+    csim = CombPatternSim(FaultSimulator(circuit, faults))
     n_ff = len(circuit.ff_ids)
     n_pi = len(circuit.pi_ids)
     assert n_ff + n_pi <= 10, "too large for exhaustive check"
@@ -33,7 +34,7 @@ class TestS27:
     def test_all_faults_testable_and_verified(self, s27_bench):
         wb = s27_bench
         podem = Podem(wb.circuit, wb.faults)
-        csim = CombPatternSim(wb.circuit, wb.faults)
+        csim = wb.comb_sim
         rng = random.Random(0)
         for i in range(len(wb.faults)):
             result = podem.generate(i)

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from repro.atpg.comb_set import CombTest
 from repro.circuits import synth
 from repro.core import phase1
-from repro.sim import fault_sim as fault_sim_mod
 from repro.sim import values as V
 from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
@@ -136,11 +135,10 @@ class TestScalarVsLanes:
             empty = sim.detect_candidates(vectors, states, target=[])
             assert empty == [set()] * len(states)
 
-    def test_lane_repack_preserves_per_lane_sets(self, monkeypatch):
-        """Aggressive in-pass group retirement never changes a lane's
-        detection set (mirrors the scalar repack property)."""
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_GROUPS", 1)
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
+    def test_lane_repack_preserves_per_lane_sets(self):
+        """A long sequence over many lanes, where most faults are
+        caught in every lane early on: each lane's detection set still
+        equals its own reference pass."""
         net = synth.generate("lrepack", 5, 4, 6, 60, seed=3)
         fs = FaultSet.collapsed(net)
         rng = random.Random(11)
@@ -151,10 +149,6 @@ class TestScalarVsLanes:
         for circuit in production_circuits(net):
             sim = FaultSimulator(circuit, fs)
             assert sim.detect_candidates(vectors, states) == want
-            if circuit.array_backend is None:
-                # Only the big-int lane loop retires groups mid-pass.
-                assert sim.counters.repacks > 0
-                assert sim.counters.faults_dropped > 0
 
     def test_unknown_mode_rejected(self):
         """There is no candidate-scan mode option: the lanes route

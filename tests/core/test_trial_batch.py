@@ -179,12 +179,12 @@ class TestBatchedTopOff:
         comb_tests = self._comb_tests(reference, seed=1)
         undetected = set(range(len(fs)))
         monkeypatch.setattr(combine, "TRIAL_BATCH", 1)
-        scalar = top_off(CombPatternSim(reference, fs), comb_tests,
-                         undetected)
+        scalar = top_off(CombPatternSim(FaultSimulator(reference, fs)),
+                         comb_tests, undetected)
         monkeypatch.setattr(combine, "TRIAL_BATCH", trial_batch)
         for circuit in production:
-            batched = top_off(CombPatternSim(circuit, fs), comb_tests,
-                              undetected)
+            batched = top_off(CombPatternSim(FaultSimulator(circuit, fs)),
+                              comb_tests, undetected)
             assert batched.tests == scalar.tests
             assert batched.chosen_indices == scalar.chosen_indices
             assert batched.covered == scalar.covered
@@ -196,7 +196,7 @@ class TestBatchedTopOff:
         production, reference, fs = circuits_for(4)
         comb_tests = self._comb_tests(reference, seed=2)
         undetected = set(range(len(fs)))
-        sim = CombPatternSim(production[0], fs)
+        sim = CombPatternSim(FaultSimulator(production[0], fs))
         plain = top_off(sim, comb_tests, undetected)
         scored = top_off(sim, comb_tests, undetected, adi={})
         assert scored.chosen_indices == plain.chosen_indices
@@ -206,7 +206,7 @@ class TestBatchedTopOff:
         production, reference, fs = circuits_for(4)
         comb_tests = self._comb_tests(reference, seed=3)
         undetected = set(range(len(fs)))
-        sim = CombPatternSim(production[0], fs)
+        sim = CombPatternSim(FaultSimulator(production[0], fs))
         plain = top_off(sim, comb_tests, undetected)
         rng = random.Random(0)
         adi = {f: rng.randrange(0, 5) for f in range(len(fs))}

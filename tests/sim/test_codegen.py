@@ -117,17 +117,22 @@ class TestMechanics:
         net = synth.generate("perf", 5, 5, 10, 120, seed=9)
         rng = random.Random(2)
         vectors = [V.random_binary_vector(5, rng) for _ in range(120)]
-        timings = {}
         fs = FaultSet.collapsed(net)
         init = V.random_binary_vector(10, rng)
         # Both evaluators on big-int words: time the evaluator, not
         # the C kernel.
-        for engine, cc in (("generic", reference_circuit(net)),
-                           ("codegen", production_circuit(net, False))):
-            sim = FaultSimulator(cc, fs)
-            start = time.perf_counter()
-            sim.detect(vectors, init, early_exit=False)
-            timings[engine] = time.perf_counter() - start
+        sims = {"generic": FaultSimulator(reference_circuit(net), fs),
+                "codegen": FaultSimulator(production_circuit(net, False),
+                                          fs)}
+        timings = {engine: float("inf") for engine in sims}
+        # The minimum of interleaved runs: one sample per evaluator
+        # is at the mercy of whatever else the host is doing.
+        for _ in range(5):
+            for engine, sim in sims.items():
+                start = time.perf_counter()
+                sim.detect(vectors, init, early_exit=False)
+                timings[engine] = min(timings[engine],
+                                      time.perf_counter() - start)
         # Allow noise, but codegen must not be significantly slower.
         assert timings["codegen"] <= timings["generic"] * 1.15
 

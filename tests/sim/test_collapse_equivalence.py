@@ -130,14 +130,14 @@ class TestCollapsedDetectIdentical:
         engines, collapsed, plain, untestable = circuits_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         n_ff = len(engines[0].ff_ids)
-        patterns = [(V.random_binary_vector(_N_PI, rng),
-                     V.random_binary_vector(n_ff, rng))
+        patterns = [(V.random_binary_vector(n_ff, rng),
+                     V.random_binary_vector(_N_PI, rng))
                     for _ in range(data.draw(st.integers(1, 5)))]
 
-        ref_sim = CombPatternSim(engines[0], plain)
-        col_sim = CombPatternSim(engines[0], collapsed)
+        ref_sim = CombPatternSim(FaultSimulator(engines[0], plain))
+        col_sim = CombPatternSim(FaultSimulator(engines[0], collapsed))
         if data.draw(st.booleans()):
-            col_sim.set_untestable(sorted(untestable))
+            col_sim.sim.set_untestable(sorted(untestable))
         ref = ref_sim.detect_block(patterns)
         got = col_sim.detect_block(patterns)
         assert got == ref
@@ -168,11 +168,15 @@ class TestUntestableExclusion:
         fs = FaultSet.uncollapsed(net)
         cc = CompiledCircuit(net)
         sim = FaultSimulator(cc, fs)
-        comb = CombPatternSim(cc, fs, counters=sim.counters)
+        comb = CombPatternSim(sim)
         sim.set_untestable([0, 1])
-        comb.set_untestable([0, 1])
-        # Shared counters: only the sequential sim bumps the counter.
-        assert sim.counters.untestable_dropped == 2
+        # The adapter shares the simulator's exclusion and counters:
+        # one installation, counted once.
+        assert comb.counters.untestable_dropped == 2
+        rng = random.Random(0)
+        pattern = (V.random_binary_vector(3, rng),
+                   V.random_binary_vector(3, rng))
+        assert not comb.detect_single(pattern) & {0, 1}
 
 
 class TestPoStemRegression:

@@ -288,7 +288,7 @@ class TestScoreboard:
             cc = CompiledCircuit(net.copy())
             fs = FaultSet.collapsed(net)
             sim = FaultSimulator(cc, fs)
-            comb_sim = CombPatternSim(cc, fs)
+            comb_sim = CombPatternSim(sim)
             comb = comb_set_mod.generate(cc, fs, seed=1)
             t0 = random_gen.random_sequence(cc, 60, seed=1)
             board = FaultScoreboard(len(fs), counters=sim.counters,
@@ -623,10 +623,10 @@ class TestWideGates:
 
         result = api.compact_tests(net, seed=1, t0_source="random",
                                    t0_length=20, workbench=wb)
+        ref_sim = FaultSimulator(reference, fs)
         ref_wb = api.Workbench(
-            netlist=net, circuit=reference, faults=fs,
-            sim=FaultSimulator(reference, fs),
-            comb_sim=CombPatternSim(reference, fs))
+            netlist=net, circuit=reference, faults=fs, sim=ref_sim,
+            comb_sim=CombPatternSim(ref_sim))
         ref_result = api.compact_tests(net, seed=1, t0_source="random",
                                        t0_length=20, workbench=ref_wb)
         final = result.compacted_set or result.test_set
