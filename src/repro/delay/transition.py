@@ -24,10 +24,15 @@ test sets fare poorly here and the paper's long-sequence sets shine.
 
 Simulation routes
 -----------------
-The simulator packs all launches of a frame into bit-parallel words
-and carries them through the remaining frames together, with early
-exit once a word's faults are all detected.  The circuit decides
-which route executes that plan:
+Launches are read off one lane-batched good-machine pass
+(:func:`repro.sim.logicsim.simulate_lanes`): a whole test set runs at
+once, test ``k`` in lane ``k``, and a net launches in frame ``t`` of
+test ``k`` when lane ``k`` of its frame-``t-1`` and frame-``t`` words
+hold the two values of the transition.  The simulator then packs all
+launches of a frame into bit-parallel words and carries them through
+the remaining frames together, with early exit once a word's faults
+are all detected.  The circuit decides which route executes that
+plan:
 
 * **packed** (when the circuit has an array backend): every launch
   of a frame goes into one multi-word ``uint64`` array chunk executed
@@ -67,7 +72,8 @@ from ..core.scan_test import ScanTest, ScanTestSet
 from ..sim import values as V
 from ..sim.counters import SimCounters
 from ..sim.fault_sim import _Chunk
-from ..sim.logicsim import CompiledCircuit
+from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
+                            simulate_lanes)
 
 #: Packed launch-group captures cross-checked against the scalar route
 #: per simulator when the sanitizer is armed.
@@ -144,38 +150,23 @@ class TransitionSim:
     def detect_test(self, test: ScanTest,
                     target: Optional[Set[int]] = None) -> Set[int]:
         """Transition-fault indices detected by one scan test."""
-        with self.counters.phase_timer("tdf"):
-            return self._detect_test(test, target)
-
-    def _detect_test(self, test: ScanTest,
-                     target: Optional[Set[int]]) -> Set[int]:
-        circuit = self.circuit
         if target is None:
             target = set(range(len(self.faults)))
+        with self.counters.phase_timer("tdf"):
+            frames = simulate_lanes(self.circuit,
+                                    [(test.scan_in, test.vectors)])
+            return self._detect_lane(test, frames, 0, target)
+
+    def _detect_lane(self, test: ScanTest, frames: Sequence[LaneFrame],
+                     lane: int, target: Set[int]) -> Set[int]:
+        """Faults of ``target`` that ``test``, riding in lane ``lane``
+        of the good-machine ``frames``, detects."""
         remaining = set(target)
         detected: Set[int] = set()
         if test.length < 2 or not remaining:
             return detected
-
-        # Good-machine pass recording every net value per frame.
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for nid, val in zip(circuit.ff_ids, test.scan_in):
-            zero[nid], one[nid] = V.pack_scalar(val, 1)
-        frames: List[Tuple[List[int], List[int]]] = []
-        states: List[V.Vector] = []
-        for vector in test.vectors:
-            for nid, val in zip(circuit.pi_ids, vector):
-                zero[nid], one[nid] = V.pack_scalar(val, 1)
-            circuit.eval_frame(zero, one, 1)
-            frames.append((list(zero), list(one)))
-            captured = tuple(
-                V.word_scalar(zero[nid], one[nid])
-                for nid in circuit.ff_d_ids)
-            states.append(captured)
-            for nid, val in zip(circuit.ff_ids, captured):
-                zero[nid], one[nid] = V.pack_scalar(val, 1)
-
+        bit = 1 << lane
+        ff_d_ids = self.circuit.ff_d_ids
         packed = self._backend is not None
         vec_arr = self._backend._vec_array(test.vectors) if packed \
             else None
@@ -186,40 +177,40 @@ class TransitionSim:
             for fid in remaining:
                 nid = self._nid[fid]
                 if self.faults[fid].rising:
-                    if prev_zero[nid] & 1 and cur_one[nid] & 1:
+                    if prev_zero[nid] & cur_one[nid] & bit:
                         launched.append(fid)
-                else:
-                    if prev_one[nid] & 1 and cur_zero[nid] & 1:
-                        launched.append(fid)
+                elif prev_one[nid] & cur_zero[nid] & bit:
+                    launched.append(fid)
             if not launched:
                 continue
+            # The state the launch frame starts from: what frame t - 1
+            # captured.
+            state = lane_vector(frames[t - 1], ff_d_ids, lane)
             if packed:
-                caught = self._capture_packed(test, states, frames,
-                                              t, sorted(launched),
-                                              vec_arr)
+                caught = self._capture_packed(test, state, t,
+                                              sorted(launched), vec_arr)
             else:
-                caught = self._capture_and_propagate(
-                    test, states, frames, t, sorted(launched))
+                caught = self._capture_and_propagate(test, state, t,
+                                                     sorted(launched))
             detected |= caught
             remaining -= caught
             if not remaining:
                 break
         return detected
 
-    def _capture_and_propagate(self, test: ScanTest,
-                               states: Sequence[V.Vector],
-                               frames: Sequence,
+    def _capture_and_propagate(self, test: ScanTest, state: V.Vector,
                                launch: int,
                                launched: Sequence[int],
                                count: bool = True) -> Set[int]:
         """Bit-parallel check for one launch frame (scalar route).
 
-        Frame ``launch`` is evaluated with the late-transition values
-        forced (stuck-at-old); the resulting error state then runs
-        through the remaining frames fault-free, observed at primary
-        outputs each frame and at the final captured state.
-        ``count=False`` suppresses the counter bumps (the sanitizer's
-        shadow recomputation must not distort the measurements).
+        Frame ``launch`` starts from the good-machine ``state`` and is
+        evaluated with the late-transition values forced
+        (stuck-at-old); the resulting error state then runs through
+        the remaining frames fault-free, observed at primary outputs
+        each frame and at the final captured state.  ``count=False``
+        suppresses the counter bumps (the sanitizer's shadow
+        recomputation must not distort the measurements).
         """
         circuit = self.circuit
         detected: Set[int] = set()
@@ -238,8 +229,6 @@ class TransitionSim:
                 stems[nid] = (old0 | m0, old1 | m1)
             zero = [0] * circuit.n_nets
             one = [0] * circuit.n_nets
-            state = (test.scan_in if launch == 0
-                     else states[launch - 1])
             for nid, val in zip(circuit.ff_ids, state):
                 zero[nid], one[nid] = V.pack_scalar(val, mask)
             if count:
@@ -278,9 +267,7 @@ class TransitionSim:
         return detected
 
     # ------------------------------------------------------------------
-    def _capture_packed(self, test: ScanTest,
-                        states: Sequence[V.Vector],
-                        frames: Sequence,
+    def _capture_packed(self, test: ScanTest, state: V.Vector,
                         launch: int,
                         launched: Sequence[int],
                         vec_arr: Any) -> Set[int]:
@@ -312,8 +299,7 @@ class TransitionSim:
             (bits0 if self.faults[fid].rising else bits1)[i].append(
                 pos + 1)
         plan = self._stem_plan(len(group), site_of, bits0, bits1)
-        # launch >= 1 always: frame 0 is never a launch frame.
-        zero, one = backend._init_state(plan, states[launch - 1])
+        zero, one = backend._init_state(plan, state)
         W = plan.n_words
         caught_arr = np.zeros(W, dtype=np.uint64)
         ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
@@ -339,8 +325,7 @@ class TransitionSim:
                     if caught & (1 << (pos + 1))}
         if sanitizer.enabled() and self._sanitize_spots_left > 0:
             self._sanitize_spots_left -= 1
-            self._spot_check(test, states, frames, launch, group,
-                             detected)
+            self._spot_check(test, state, launch, group, detected)
         return detected
 
     def _plain_plan(self, n_group: int) -> Any:
@@ -412,14 +397,11 @@ class TransitionSim:
             [site_of[nid] for nid in src], dtype=np.int32)
         return plan
 
-    def _spot_check(self, test: ScanTest,
-                    states: Sequence[V.Vector],
-                    frames: Sequence, launch: int,
-                    group: Sequence[int],
+    def _spot_check(self, test: ScanTest, state: V.Vector,
+                    launch: int, group: Sequence[int],
                     detected: Set[int]) -> None:
         """Scalar shadow recomputation of one packed capture."""
-        scalar = self._capture_and_propagate(test, states, frames,
-                                             launch, group,
+        scalar = self._capture_and_propagate(test, state, launch, group,
                                              count=False)
         if scalar != detected:
             sanitizer.report_violation(
@@ -430,15 +412,24 @@ class TransitionSim:
 
     # ------------------------------------------------------------------
     def detect_test_set(self, test_set: ScanTestSet) -> Set[int]:
-        """Union of transition faults detected across a test set."""
+        """Union of transition faults detected across a test set.
+
+        One lane-batched good-machine pass serves every test of the
+        set; tests shorter than two vectors launch nothing and are
+        left out of it.
+        """
         remaining = set(range(len(self.faults)))
         detected: Set[int] = set()
-        for test in test_set:
-            if not remaining:
-                break
-            caught = self.detect_test(test, remaining)
-            detected |= caught
-            remaining -= caught
+        with self.counters.phase_timer("tdf"):
+            tests = [test for test in test_set if test.length >= 2]
+            frames = simulate_lanes(
+                self.circuit, [(t.scan_in, t.vectors) for t in tests])
+            for lane, test in enumerate(tests):
+                if not remaining:
+                    break
+                caught = self._detect_lane(test, frames, lane, remaining)
+                detected |= caught
+                remaining -= caught
         return detected
 
     def coverage_percent(self, test_set: ScanTestSet) -> float:

@@ -37,13 +37,16 @@ Capture (functional) power
 --------------------------
 For the functional cycles of a test we count *good-machine toggles*:
 the number of nets whose value changes between consecutive frames.
-Each frame's full net valuation is packed into a single pair of
-big ints (bit ``n`` of the word is net ``n`` -- the same transposed
-packing idea as :func:`repro.sim.values.pack_lanes`, with nets in the
-lanes), so the toggle count between two frames is one popcount.  A
-net that is X in either frame never counts.  A test applying ``m``
-vectors yields ``m - 1`` toggle counts (single-vector tests score 0:
-there is no consecutive functional frame pair).
+All tests still to be measured share one lane-batched good-machine
+pass (:func:`repro.sim.logicsim.simulate_lanes`, test ``k`` in lane
+``k``), so one word per net says which tests toggle it between two
+frames.  A bit-sliced counter sums those words over the nets -- word
+``i`` of the counter holds bit ``i`` of every lane's count, and each
+net's word is added with lane-parallel carries -- and the per-test
+counts are read out of the lanes at the end.  A net that is X in
+either frame never counts.  A test applying ``m`` vectors yields
+``m - 1`` toggle counts (single-vector tests score 0: there is no
+consecutive functional frame pair).
 
 Sanitizer hook
 --------------
@@ -62,21 +65,12 @@ from ..analysis import sanitizer
 from ..core.scan_test import ScanTest, ScanTestSet
 from ..sim import values as V
 from ..sim.counters import SimCounters
-from ..sim.logicsim import CompiledCircuit
+from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
+                            simulate_lanes)
 
 #: Bit-parallel measurements cross-checked against a scalar
 #: recomputation per engine when the sanitizer is armed.
 _SANITIZE_SPOT_BUDGET = 3
-
-
-if hasattr(int, "bit_count"):
-    def _popcount(word: int) -> int:
-        # Native popcount (3.10+): one C call per word instead of
-        # formatting the whole big int as a string.
-        return word.bit_count()  # type: ignore[attr-defined]
-else:  # pragma: no cover - exercised only on the 3.9 floor
-    def _popcount(word: int) -> int:
-        return bin(word).count("1")
 
 
 def _pack_scan(vector: Sequence[int]) -> Tuple[int, int]:
@@ -263,7 +257,8 @@ class ActivityEngine:
     def test_power(self, test: ScanTest) -> TestPower:
         """Measure one scan test (cached)."""
         with self.counters.phase_timer("power"):
-            return self._measure(test)
+            self._measure([test])
+            return self._cache[test]
 
     def set_power(self, tests: Iterable[ScanTest]) -> SetPower:
         """Measure a whole test set (accepts a
@@ -271,66 +266,39 @@ class ActivityEngine:
         tests)."""
         if isinstance(tests, ScanTestSet):
             tests = tests.tests
+        tests = list(tests)
         with self.counters.phase_timer("power"):
             self.counters.power_passes += 1
-            return SetPower([self._measure(t) for t in tests])
+            self._measure(tests)
+            return SetPower([self._cache[t] for t in tests])
 
     # ------------------------------------------------------------------
-    def _measure(self, test: ScanTest) -> TestPower:
-        cached = self._cache.get(test)
-        if cached is not None:
-            return cached
+    def _measure(self, tests: Sequence[ScanTest]) -> None:
+        """Measure and cache every distinct uncached test of ``tests``
+        in one lane pass."""
+        todo = list(dict.fromkeys(t for t in tests if t not in self._cache))
+        if not todo:
+            return
         circuit = self.circuit
-        n_ff = len(circuit.ff_ids)
-        if len(test.scan_in) != n_ff:
-            raise ValueError(
-                f"scan-in width {len(test.scan_in)} != {n_ff} "
-                f"flip-flops")
-
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for nid, val in zip(circuit.ff_ids, test.scan_in):
-            zero[nid], one[nid] = V.pack_scalar(val, 1)
-
-        # Good-machine frame loop; every frame's full net valuation is
-        # packed into one (fzero, fone) big-int pair for the toggle
-        # popcounts.
-        toggles: List[int] = []
-        popcount = _popcount  # hoisted: one global lookup, not per frame
-        prev_zero = prev_one = 0
-        state: V.Vector = test.scan_in
-        for frame, vector in enumerate(test.vectors):
-            for nid, val in zip(circuit.pi_ids, vector):
-                zero[nid], one[nid] = V.pack_scalar(val, 1)
-            circuit.eval_frame(zero, one, 1)
-            fzero = 0
-            fone = 0
-            for nid in range(circuit.n_nets):
-                fzero |= zero[nid] << nid
-                fone |= one[nid] << nid
-            if frame:
-                toggles.append(popcount((prev_one & fzero) |
-                                        (prev_zero & fone)))
-            prev_zero, prev_one = fzero, fone
-            state = tuple(
-                V.word_scalar(zero[nid], one[nid])
-                for nid in circuit.ff_d_ids)
-            for nid, val in zip(circuit.ff_ids, state):
-                zero[nid], one[nid] = V.pack_scalar(val, 1)
-        self.counters.power_words += len(test.vectors)
-
-        result = TestPower(
-            scan_in_wtm=scan_in_wtm(test.scan_in),
-            scan_out_wtm=scan_out_wtm(state),
-            peak_capture=max(toggles) if toggles else 0,
-            total_capture=sum(toggles),
-            frames=len(test.vectors),
-        )
-        if sanitizer.enabled() and self._sanitize_spots_left > 0:
-            self._sanitize_spots_left -= 1
-            self._spot_check(test, state, toggles, result)
-        self._cache[test] = result
-        return result
+        frames = simulate_lanes(circuit,
+                                [(t.scan_in, t.vectors) for t in todo])
+        lengths = [t.length for t in todo]
+        for lane, (test, toggles) in enumerate(
+                zip(todo, _lane_toggles(frames, lengths))):
+            state = lane_vector(frames[test.length - 1], circuit.ff_d_ids,
+                                lane)
+            result = TestPower(
+                scan_in_wtm=scan_in_wtm(test.scan_in),
+                scan_out_wtm=scan_out_wtm(state),
+                peak_capture=max(toggles) if toggles else 0,
+                total_capture=sum(toggles),
+                frames=test.length,
+            )
+            self.counters.power_words += test.length
+            if sanitizer.enabled() and self._sanitize_spots_left > 0:
+                self._sanitize_spots_left -= 1
+                self._spot_check(test, state, toggles, result)
+            self._cache[test] = result
 
     # ------------------------------------------------------------------
     def _spot_check(self, test: ScanTest, scan_out: V.Vector,
@@ -356,6 +324,39 @@ class ActivityEngine:
                 "power-agreement",
                 f"capture toggle mismatch: bit-parallel {toggles}, "
                 f"scalar {scalar}")
+
+
+def _lane_toggles(frames: Sequence[LaneFrame],
+                  lengths: Sequence[int]) -> List[List[int]]:
+    """Per-lane toggle counts of a lane pass: entry ``f - 1`` of lane
+    ``k``'s list counts the nets whose binary value differs between
+    frames ``f - 1`` and ``f``, for ``1 <= f < lengths[k]``.
+
+    The nets' toggle words are summed by a bit-sliced counter:
+    ``planes[i]`` holds bit ``i`` of every lane's count, and adding a
+    word ripples its carries up the planes lane-parallel.
+    """
+    out: List[List[int]] = [[] for _ in lengths]
+    for f in range(1, len(frames)):
+        prev_zero, prev_one = frames[f - 1]
+        cur_zero, cur_one = frames[f]
+        planes: List[int] = []
+        for pz, po, cz, co in zip(prev_zero, prev_one, cur_zero, cur_one):
+            carry = (po & cz) | (pz & co)
+            i = 0
+            while carry:
+                if i == len(planes):
+                    planes.append(carry)
+                    break
+                planes[i], carry = planes[i] ^ carry, planes[i] & carry
+                i += 1
+        for lane, length in enumerate(lengths):
+            if f < length:
+                count = 0
+                for i, plane in enumerate(planes):
+                    count |= ((plane >> lane) & 1) << i
+                out[lane].append(count)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -51,8 +51,9 @@ Power-engine counters
 ---------------------
 ``power_passes`` counts test-set power measurements (one per
 :meth:`~repro.power.activity.ActivityEngine.set_power` call),
-``power_words`` the packed frame words the activity engine evaluated,
-and ``power_s`` its wall clock (via ``phase_timer("power")``).  Like
+``power_words`` the test frames the activity engine measured (each
+distinct test once; its lane-batched good pass shares words across
+tests), and ``power_s`` its wall clock (via ``phase_timer("power")``).  Like
 the phase timers, these render as dashes for legacy checkpoints.
 
 Backend counters
@@ -84,8 +85,9 @@ TransitionSim` -- one per packed word of launched faults carried
 through the remaining frames), ``tdf_words`` the word evaluations
 those passes performed (frames simulated per pass, summed), and
 ``tdf_s`` the simulator's wall clock (via ``phase_timer("tdf")``).
-The good-machine recording pass is excluded: these counters measure
-the faulty-capture work the wide-word packing actually shrinks.
+The lane-batched good-machine pass is excluded: these counters
+measure the faulty-capture work the wide-word packing actually
+shrinks.
 Like the other families, all three render as dashes for legacy
 checkpoints.
 

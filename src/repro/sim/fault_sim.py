@@ -20,9 +20,11 @@ Execution: when the circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
 cffi and a C compiler present), every pass chunk of :meth:`detect`,
 :meth:`run_with_records` and :meth:`detect_trials` runs on the C
-kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays; otherwise
-the same packed words are evaluated as Python big-ints by the
-circuit's code-generated evaluator.  The two are result-identical:
+kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays, and so does
+every :class:`IncrementalFaultSim` step; otherwise the same packed
+words are evaluated as Python big-ints by
+:meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`.  The two are
+result-identical:
 per-machine logic values do not depend on how words are stored, and
 the production-vs-reference equivalence suites plus the
 ``REPRO_SANITIZE`` shadow checks enforce it.
@@ -86,7 +88,8 @@ from . import values as V
 from ..analysis import sanitizer
 from .counters import SimCounters
 from .faults import Fault, FaultSet
-from .logicsim import CompiledCircuit
+from .logicsim import (CompiledCircuit, LaneFrame, check_state,
+                       check_vectors, simulate_lanes)
 from .scoreboard import FaultScoreboard
 
 #: Machine-bit cap per fused word.  Beyond this the per-digit cost of
@@ -548,14 +551,6 @@ class FaultSimulator:
         return new_chunk, zero, one
 
     # ------------------------------------------------------------------
-    def _check_vectors(self, vectors: Sequence[V.Vector]) -> None:
-        n_pi = len(self.circuit.pi_ids)
-        for i, vector in enumerate(vectors):
-            if len(vector) != n_pi:
-                raise ValueError(
-                    f"vector {i} has width {len(vector)}, expected "
-                    f"{n_pi} primary inputs")
-
     def embed_state(self, state: Optional[V.Vector]) -> V.Vector:
         """Expand a scan-width state vector to full flip-flop width.
 
@@ -567,9 +562,7 @@ class FaultSimulator:
         if state is None:
             return V.all_x(n_ff)
         if self.scan_positions is None:
-            if len(state) != n_ff:
-                raise ValueError(
-                    f"state width {len(state)} != {n_ff} flip-flops")
+            check_state(self.circuit, state)
             return tuple(state)
         if len(state) != len(self.scan_positions):
             raise ValueError(
@@ -623,7 +616,7 @@ class FaultSimulator:
         """
         if target is None:
             target = range(len(self.faults))
-        self._check_vectors(vectors)
+        check_vectors(self.circuit, vectors)
         init_state = self.embed_state(init_state)
         if scan_observe is None:
             scan_observe = self.scan_positions
@@ -762,7 +755,7 @@ class FaultSimulator:
         """
         if target is None:
             target = range(len(self.faults))
-        self._check_vectors(vectors)
+        check_vectors(self.circuit, vectors)
         init_state = self.embed_state(init_state)
         if scan_observe is None:
             scan_observe = self.scan_positions
@@ -950,7 +943,7 @@ class FaultSimulator:
             return results
         full_trials: List[Tuple[V.Vector, List[V.Vector]]] = []
         for state, vectors in trial_list:
-            self._check_vectors(vectors)
+            check_vectors(self.circuit, vectors)
             full_trials.append((self.embed_state(state), list(vectors)))
         if scan_observe is None:
             scan_observe = self.scan_positions
@@ -1016,7 +1009,9 @@ class FaultSimulator:
     ) -> Tuple[List[List[Tuple[int, int]]], List[int], List[int],
                List[List[Tuple[int, int]]],
                List[Optional[List[Tuple[int, int]]]]]:
-        """One fault-free pass with trial ``k`` in lane ``k``.
+        """One fault-free pass with trial ``k`` in lane ``k``: the
+        kernel's good lane pass, or
+        :func:`~repro.sim.logicsim.simulate_lanes` on big-int words.
 
         Returns ``(pi_words, acts, ends, po_frames, scan_frames)``:
 
@@ -1034,7 +1029,6 @@ class FaultSimulator:
         """
         circuit = self.circuit
         n_lanes = len(full_trials)
-        lane_mask = (1 << n_lanes) - 1
         # Mark each trial's last frame, then sweep backwards so
         # acts[f] gathers every lane ending at f or later: O(frames +
         # lanes), where a per-frame scan of every trial would cost
@@ -1049,50 +1043,34 @@ class FaultSimulator:
             active |= ends[f]
             acts[f] = active
         backend = circuit.array_backend
-        n_pi = len(circuit.pi_ids)
-        pi_words: List[List[Tuple[int, int]]]
-        if backend is not None:
-            pi_words = _pack_trial_pi_lanes(backend.np, full_trials,
-                                            max_frames, n_pi)
-        else:
-            pi_words = []
-            for f in range(max_frames):
-                pi_words.append([
-                    V.pack_lanes([vecs[f][p] if f < len(vecs) else V.X
-                                  for _, vecs in full_trials])
-                    for p in range(n_pi)])
         slot_positions = (range(len(circuit.ff_ids))
                           if scan_observe is None else scan_observe)
         if backend is not None:
-            # The per-frame Python loop below dominates batched trial
-            # passes; one kernel call computes the same good values.
+            # The per-frame good pass dominates batched trial passes;
+            # one kernel call computes the good values.
+            pi_words = _pack_trial_pi_lanes(backend.np, full_trials,
+                                            max_frames,
+                                            len(circuit.pi_ids))
             po_frames, scan_frames = backend.run_good_lane_pass(
                 self, n_lanes, max_frames, pi_words, ends,
                 init_words, observe_po, list(slot_positions),
                 scan_out)
             return pi_words, acts, ends, po_frames, scan_frames
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for nid, (z, o) in zip(circuit.ff_ids, init_words):
-            zero[nid], one[nid] = z, o
-        po_frames = []
-        scan_frames = []
-        for frame in range(max_frames):
-            for (pz, po_), nid in zip(pi_words[frame], circuit.pi_ids):
-                zero[nid], one[nid] = pz, po_
-            circuit.eval_frame(zero, one, lane_mask)
-            self.counters.note_words(1, n_lanes)
-            po_frames.append([(zero[nid], one[nid])
-                              for nid in circuit.po_ids]
-                             if observe_po else [])
-            ns = [(zero[nid], one[nid]) for nid in circuit.ff_d_ids]
-            if scan_out and ends[frame]:
-                scan_frames.append([ns[pos] for pos in slot_positions])
-            else:
-                scan_frames.append(None)
-            for nid, (z, o) in zip(circuit.ff_ids, ns):
-                zero[nid], one[nid] = z, o
-        return pi_words, acts, ends, po_frames, scan_frames
+        frames = simulate_lanes(circuit, full_trials)
+        self.counters.note_words(max_frames, n_lanes)
+        slot_ids = [circuit.ff_d_ids[pos] for pos in slot_positions]
+
+        def words(frame: LaneFrame,
+                  nids: Sequence[int]) -> List[Tuple[int, int]]:
+            zero, one = frame
+            return [(zero[nid], one[nid]) for nid in nids]
+
+        return ([words(frame, circuit.pi_ids) for frame in frames],
+                acts, ends,
+                [words(frame, circuit.po_ids) if observe_po else []
+                 for frame in frames],
+                [words(frame, slot_ids) if scan_out and ends[f] else None
+                 for f, frame in enumerate(frames)])
 
     def _run_trial_chunk(
         self, chunk: _LaneChunk, n_frames: int,
@@ -1194,26 +1172,33 @@ class IncrementalFaultSim:
     Used by the sequential sequence generator: carries the good and
     faulty machine state words across frames so a candidate next vector
     can be evaluated (:meth:`preview`) or committed (:meth:`apply`) in
-    one combinational evaluation per word.
+    one combinational evaluation per word.  When the circuit has an
+    array backend each chunk's state lives in kernel arrays across
+    steps and every step is a one-frame records-mode kernel call;
+    otherwise the words are big-ints.
 
     Detection here is PO-only (the no-scan setting of the paper's
-    ``T0`` generation); :meth:`scan_diff_count` exposes how many
-    undetected faults a scan-out *would* catch right now.
+    ``T0`` generation); a preview also reports how many undetected
+    faults a scan-out after the candidate vector would catch.
     """
 
     def __init__(self, parent: FaultSimulator,
                  init_state: Optional[V.Vector] = None,
                  target: Optional[Sequence[int]] = None) -> None:
         self.parent = parent
-        circuit = parent.circuit
         init_state = parent.embed_state(init_state)
         if target is None:
             target = range(len(parent.faults))
         sim_target, expand = parent._prepare_target(target)
         self._expand = expand
         self.chunks = parent._build_chunks(sim_target)
-        self._words = [parent._init_words(c, init_state)
-                       for c in self.chunks]
+        self._backend = parent.circuit.array_backend
+        if self._backend is None:
+            self._words: List[Any] = [parent._init_words(c, init_state)
+                                      for c in self.chunks]
+        else:
+            self._words = [self._backend.step_state(parent, c, init_state)
+                           for c in self.chunks]
         self._caught = [0] * len(self.chunks)
         self.detected: Set[int] = set()
         self.n_frames = 0
@@ -1232,16 +1217,23 @@ class IncrementalFaultSim:
         return total
 
     # ------------------------------------------------------------------
-    def _eval_chunk(self, chunk: _Chunk, zero: List[int], one: List[int],
-                    vector: V.Vector) -> Tuple[int, int, List[int],
-                                               List[int]]:
-        """Evaluate one frame for one chunk; returns
-        ``(po_diff, scan_diff, ns_zero, ns_one)``."""
+    def _step(self, ci: int, vector: V.Vector,
+              commit: bool) -> Tuple[int, int]:
+        """Evaluate one frame for chunk ``ci``; returns ``(po_diff,
+        scan_diff)``.  The flip-flops advance only when ``commit``."""
         parent = self.parent
+        chunk = self.chunks[ci]
+        parent.counters.note_words(1, len(chunk.indices))
+        if self._backend is not None:
+            po_diff, scan_diff = self._backend.run_step(
+                parent, self._words[ci], vector, commit)
+            return po_diff & ~1, scan_diff & ~1
+        zero, one = self._words[ci]
+        if not commit:
+            zero, one = list(zero), list(one)
         parent._load_frame(chunk, zero, one, vector)
         parent.circuit.eval_frame(zero, one, chunk.mask, chunk.stems,
                                   chunk.branch)
-        parent.counters.note_words(1, len(chunk.indices))
         ns_zero, ns_one = parent._next_state_words(chunk, zero, one)
         po_diff = 0
         for nid in parent.circuit.po_ids:
@@ -1249,30 +1241,29 @@ class IncrementalFaultSim:
         scan_diff = 0
         for z, o in zip(ns_zero, ns_one):
             scan_diff |= parent._diff_word(z, o)
-        return po_diff & ~1, scan_diff & ~1, ns_zero, ns_one
+        if commit:
+            for nid, z, o in zip(parent.circuit.ff_ids, ns_zero, ns_one):
+                zero[nid], one[nid] = z, o
+        return po_diff & ~1, scan_diff & ~1
 
     def preview(self, vector: V.Vector) -> StepPreview:
         """Evaluate a candidate next vector without committing it."""
+        check_vectors(self.parent.circuit, [vector])
         new_po = 0
         sdiff_total = 0
         for ci, chunk in enumerate(self.chunks):
-            zero, one = self._words[ci]
-            zc, oc = list(zero), list(one)
-            po_diff, scan_diff, _, _ = self._eval_chunk(chunk, zc, oc,
-                                                        vector)
-            fresh = po_diff & ~self._caught[ci]
-            new_po += self._bit_weight(chunk, fresh)
+            po_diff, scan_diff = self._step(ci, vector, commit=False)
+            new_po += self._bit_weight(chunk, po_diff & ~self._caught[ci])
             sdiff_total += self._bit_weight(
                 chunk, scan_diff & ~self._caught[ci])
         return StepPreview(new_po, sdiff_total)
 
     def apply(self, vector: V.Vector) -> Set[int]:
         """Commit a vector; returns the newly PO-detected fault indices."""
+        check_vectors(self.parent.circuit, [vector])
         newly: Set[int] = set()
         for ci, chunk in enumerate(self.chunks):
-            zero, one = self._words[ci]
-            po_diff, _, ns_zero, ns_one = self._eval_chunk(chunk, zero,
-                                                           one, vector)
+            po_diff, _ = self._step(ci, vector, commit=True)
             fresh = po_diff & ~self._caught[ci]
             if fresh:
                 for pos, fid in enumerate(chunk.indices):
@@ -1282,9 +1273,6 @@ class IncrementalFaultSim:
                         else:
                             newly.update(self._expand[fid])
                 self._caught[ci] |= fresh
-            for nid, z, o in zip(self.parent.circuit.ff_ids, ns_zero,
-                                 ns_one):
-                zero[nid], one[nid] = z, o
         self.detected |= newly
         self.n_frames += 1
         self.parent.counters.frames += 1
@@ -1295,18 +1283,7 @@ class IncrementalFaultSim:
         circuit = self.parent.circuit
         if not self.chunks:
             return V.all_x(len(circuit.ff_ids))
-        zero, one = self._words[0]
+        zero, one = (self._words[0] if self._backend is None
+                     else self._words[0].first_words())
         return tuple(V.word_scalar(zero[nid], one[nid])
                      for nid in circuit.ff_ids)
-
-    def scan_diff_count(self) -> int:
-        """Undetected faults a scan-out right now would catch."""
-        total = 0
-        for ci, chunk in enumerate(self.chunks):
-            zero, one = self._words[ci]
-            sdiff = 0
-            for nid in self.parent.circuit.ff_ids:
-                sdiff |= self.parent._diff_word(zero[nid], one[nid])
-            total += self._bit_weight(chunk,
-                                      sdiff & ~1 & ~self._caught[ci])
-        return total

@@ -17,14 +17,17 @@ The sequential simulation model is the standard one for full-scan work:
 Unknown values propagate pessimistically (X in, X out unless the gate's
 controlling value decides the output).
 
-Width contract: :meth:`CompiledCircuit.eval_frame` (the interpreter
-below and the code-generated evaluator alike) is agnostic to the
+Good-machine simulation is lane-batched: :func:`simulate_lanes` runs
+many tests at once, test ``k`` in bit ``k`` of every word, and
+:func:`simulate_sequence` is its one-lane case.
+
+Width contract: :meth:`CompiledCircuit.eval_frame` is agnostic to the
 machine word width -- ``mask`` carries the active bits and every
 operation is a big-int bitwise op, so the same evaluator serves a
-1-bit good-machine pass, a 128-bit chunk, or a fused
+one-lane good-machine pass, a 128-bit chunk, or a fused
 multi-thousand-bit word without any per-width code.  The fused
 wide-word fault simulator depends on this: do not introduce
-width-sensitive constants here or in :mod:`repro.sim.codegen`.
+width-sensitive constants here.
 """
 
 from __future__ import annotations
@@ -70,15 +73,15 @@ class CompiledCircuit:
     def __init__(self, netlist: Netlist, _reference: bool = False) -> None:
         """Compile ``netlist`` for simulation.
 
-        A circuit evaluates frames with the code-generated big-int
-        evaluator (:mod:`repro.sim.codegen`), and its fault-simulation
-        pass chunks run on the C kernel of :mod:`repro.sim.npsim`
-        whenever that kernel can serve it (see :attr:`array_backend`).
+        A circuit's fault-simulation pass chunks run on the C kernel
+        of :mod:`repro.sim.npsim` whenever that kernel can serve it
+        (see :attr:`array_backend`); everything else evaluates frames
+        with :meth:`eval_frame` on big-int words.
 
         ``_reference=True`` builds the independent reference instead:
-        the interpreting :meth:`eval_frame` below and no array backend.
-        Only the equivalence tests and the sanitizer's shadow checks
-        use it; results are identical either way.
+        a circuit with no array backend.  Only the equivalence tests
+        and the sanitizer's shadow checks use it; results are
+        identical either way.
         """
         if not netlist.is_compiled():
             netlist.compile()
@@ -100,11 +103,6 @@ class CompiledCircuit:
                 ids[gname],
                 tuple(ids[f] for f in gate.fanins),
             ))
-        if not _reference:
-            from .codegen import build_evaluator
-            # Instance attribute shadows the method: all simulators
-            # transparently use the specialized evaluator.
-            self.eval_frame = build_evaluator(self)
 
     # ------------------------------------------------------------------
     @property
@@ -276,6 +274,86 @@ class SeqSimResult:
         return self.state_frames[-1]
 
 
+#: One frame of a lane pass: per-net ``(zero, one)`` lane words.
+LaneFrame = Tuple[List[int], List[int]]
+
+
+def check_state(circuit: CompiledCircuit, state: V.Vector) -> None:
+    """Raise ``ValueError`` unless ``state`` has one value per
+    flip-flop."""
+    n_ff = len(circuit.ff_ids)
+    if len(state) != n_ff:
+        raise ValueError(f"state width {len(state)} != {n_ff} flip-flops")
+
+
+def check_vectors(circuit: CompiledCircuit,
+                  vectors: Sequence[V.Vector]) -> None:
+    """Raise ``ValueError`` unless every vector has one value per
+    primary input."""
+    n_pi = len(circuit.pi_ids)
+    for i, vector in enumerate(vectors):
+        if len(vector) != n_pi:
+            raise ValueError(
+                f"vector width {len(vector)} != {n_pi} primary inputs "
+                f"(vector {i})")
+
+
+def simulate_lanes(
+    circuit: CompiledCircuit,
+    tests: Sequence[Tuple[Optional[V.Vector], Sequence[V.Vector]]],
+) -> List[LaneFrame]:
+    """Simulate the fault-free machine over many tests at once.
+
+    Test ``k`` is an ``(init_state, vectors)`` pair (``None`` means an
+    all-X initial state) and rides in bit ``k`` of every word: its
+    flip-flops start from its own state and its primary inputs take
+    its own vectors, then X once it has ended.
+
+    Returns one :data:`LaneFrame` per frame of the longest test.  In
+    frame ``f`` the flip-flop nets hold the state the frame starts
+    from and every other net its value in that frame, so the
+    flip-flop data nets hold the state the frame captures.  Lane ``k``
+    is meaningful only in frames ``f < len(vectors_k)``; read it with
+    :func:`lane_vector`.
+
+    Raises
+    ------
+    ValueError
+        On a state or vector width that does not match the circuit.
+    """
+    n_ff = len(circuit.ff_ids)
+    states: List[V.Vector] = []
+    for init_state, vectors in tests:
+        state = V.all_x(n_ff) if init_state is None else init_state
+        check_state(circuit, state)
+        check_vectors(circuit, vectors)
+        states.append(state)
+    ended = V.all_x(len(circuit.pi_ids))
+    mask = (1 << len(tests)) - 1
+    zero = [0] * circuit.n_nets
+    one = [0] * circuit.n_nets
+    for nid, column in zip(circuit.ff_ids, zip(*states)):
+        zero[nid], one[nid] = V.pack_lanes(column)
+    frames: List[LaneFrame] = []
+    for f in range(max((len(v) for _, v in tests), default=0)):
+        inputs = [v[f] if f < len(v) else ended for _, v in tests]
+        for nid, column in zip(circuit.pi_ids, zip(*inputs)):
+            zero[nid], one[nid] = V.pack_lanes(column)
+        circuit.eval_frame(zero, one, mask)
+        frames.append((list(zero), list(one)))
+        captured = [(zero[nid], one[nid]) for nid in circuit.ff_d_ids]
+        for nid, (z, o) in zip(circuit.ff_ids, captured):
+            zero[nid], one[nid] = z, o
+    return frames
+
+
+def lane_vector(frame: LaneFrame, nids: Sequence[int],
+                lane: int = 0) -> V.Vector:
+    """Lane ``lane``'s values of the nets ``nids`` in one frame."""
+    zero, one = frame
+    return tuple(V.word_scalar(zero[nid], one[nid], lane) for nid in nids)
+
+
 def simulate_sequence(
     circuit: CompiledCircuit,
     vectors: Sequence[V.Vector],
@@ -298,38 +376,12 @@ def simulate_sequence(
     ValueError
         On vector/state width mismatches or an empty sequence.
     """
-    n_pi = len(circuit.pi_ids)
-    n_ff = len(circuit.ff_ids)
     if not vectors:
         raise ValueError("empty input sequence")
-    if init_state is None:
-        init_state = V.all_x(n_ff)
-    if len(init_state) != n_ff:
-        raise ValueError(
-            f"state width {len(init_state)} != {n_ff} flip-flops")
-
-    zero = [0] * circuit.n_nets
-    one = [0] * circuit.n_nets
-    for nid, val in zip(circuit.ff_ids, init_state):
-        zero[nid], one[nid] = V.pack_scalar(val, 1)
-
-    po_frames: List[V.Vector] = []
-    state_frames: List[V.Vector] = []
-    for vector in vectors:
-        if len(vector) != n_pi:
-            raise ValueError(
-                f"vector width {len(vector)} != {n_pi} primary inputs")
-        for nid, val in zip(circuit.pi_ids, vector):
-            zero[nid], one[nid] = V.pack_scalar(val, 1)
-        circuit.eval_frame(zero, one, 1)
-        po_frames.append(tuple(
-            V.word_scalar(zero[nid], one[nid]) for nid in circuit.po_ids))
-        next_state = tuple(
-            V.word_scalar(zero[nid], one[nid]) for nid in circuit.ff_d_ids)
-        state_frames.append(next_state)
-        for nid, val in zip(circuit.ff_ids, next_state):
-            zero[nid], one[nid] = V.pack_scalar(val, 1)
-    return SeqSimResult(po_frames, state_frames)
+    frames = simulate_lanes(circuit, [(init_state, vectors)])
+    return SeqSimResult(
+        [lane_vector(frame, circuit.po_ids) for frame in frames],
+        [lane_vector(frame, circuit.ff_d_ids) for frame in frames])
 
 
 def simulate_comb(

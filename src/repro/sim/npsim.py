@@ -17,7 +17,9 @@ per-frame Python work; Python regains control only at pass
 boundaries and at in-pass repack points.
 
 With numpy, cffi and a C compiler present, every fault-simulation
-pass chunk runs here; otherwise
+pass chunk runs here, and so does every step of an incremental
+(sequence-generation) simulation: a one-frame records-mode call on
+arrays kept across steps; otherwise
 :attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
 and everything runs on big-int words
 (:func:`kernel_unavailable_reason` says why).  The kernel mirrors
@@ -869,6 +871,32 @@ class _ChunkPlan:
         self._kptrs: Optional[Tuple[Any, Tuple[Any, ...]]] = None
 
 
+class _StepArrays:
+    """Kernel-array state of one chunk of an
+    :class:`~repro.sim.fault_sim.IncrementalFaultSim`, kept across its
+    steps: the per-net words, with the flip-flop rows holding the
+    current state, plus the one-frame record and next-state buffers
+    of :meth:`ArrayBackend.run_step`."""
+
+    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan,
+                 init_state: V.Vector) -> None:
+        np = backend.np
+        W = plan.n_words
+        self.plan = plan
+        self.zero, self.one = backend._init_state(plan, init_state)
+        self.rec_po = np.zeros((1, W), dtype=np.uint64)
+        self.rec_scan = np.zeros((1, W), dtype=np.uint64)
+        self.ns_zero = np.zeros((max(1, len(backend.circuit.ff_ids)), W),
+                                dtype=np.uint64)
+        self.ns_one = np.zeros_like(self.ns_zero)
+        self.caught = np.zeros(W, dtype=np.uint64)
+
+    def first_words(self) -> Tuple[List[int], List[int]]:
+        """Per-net words of the first 64 machines (the good machine is
+        bit 0)."""
+        return self.zero[:, 0].tolist(), self.one[:, 0].tolist()
+
+
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
@@ -1410,6 +1438,38 @@ class ArrayBackend:
         else:
             scan_frames = [None] * n_frames
         return po_frames, scan_frames
+
+    # ------------------------------------------------------------------
+    def step_state(self, sim: "FaultSimulator", chunk: "_Chunk",
+                   init_state: V.Vector) -> _StepArrays:
+        """The array state an incremental simulation of ``chunk``
+        starts from."""
+        return _StepArrays(self, self._plan_for(sim, chunk), init_state)
+
+    def run_step(self, sim: "FaultSimulator", arrays: _StepArrays,
+                 vector: V.Vector, commit: bool) -> Tuple[int, int]:
+        """One frame of an incremental simulation: a one-frame
+        records-mode kernel call on ``arrays``.
+
+        Returns the frame's ``(po_diff, scan_diff)`` machine words.
+        Records mode always advances the flip-flop rows, so unless
+        ``commit`` they are saved before the call and restored after
+        it (every other row is reloaded or recomputed next frame).
+        """
+        sim.counters.np_passes += 1
+        ff_ids = self.circuit.ff_ids
+        if not commit:
+            saved_zero = arrays.zero[ff_ids]
+            saved_one = arrays.one[ff_ids]
+        self._kernel_segment(
+            arrays.plan, arrays.zero, arrays.one, self._vec_array([vector]),
+            0, 0, True, True, None, False, arrays.rec_po, arrays.rec_scan,
+            arrays.ns_zero, arrays.ns_one, arrays.caught)
+        if not commit:
+            arrays.zero[ff_ids] = saved_zero
+            arrays.one[ff_ids] = saved_one
+        return (V.array_to_word(arrays.rec_po[0]),
+                V.array_to_word(arrays.rec_scan[0]))
 
     # ------------------------------------------------------------------
     def run_records_chunk(

@@ -12,8 +12,8 @@ from repro.delay.transition import (TransitionFault, TransitionSim,
                                     all_transition_faults)
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
-from repro.sim.logicsim import CompiledCircuit, simulate_sequence
-from tests.reference import (KERNEL, production_circuit,
+from repro.sim.logicsim import CompiledCircuit, simulate_lanes
+from tests.reference import (KERNEL, mixed_scan_tests, production_circuit,
                              production_circuits, reference_circuit)
 
 needs_packed = pytest.mark.skipif(
@@ -165,7 +165,8 @@ class TestTestSets:
 # ----------------------------------------------------------------------
 
 _N_PI = 4
-_N_FF = 3
+_N_PO = 3
+_N_FF = 4
 
 _EQ_CACHE = {}
 
@@ -175,7 +176,7 @@ def sims_for(seed):
     examples (fault lists and packing plans are per-circuit and
     expensive to rebuild every example)."""
     if seed not in _EQ_CACHE:
-        net = synth.generate("tdfeq", _N_PI, _N_FF, 4, 25, seed=seed)
+        net = synth.generate("tdfeq", _N_PI, _N_PO, _N_FF, 25, seed=seed)
         _EQ_CACHE[seed] = (
             [TransitionSim(cc) for cc in production_circuits(net)],
             TransitionSim(reference_circuit(net)))
@@ -283,11 +284,11 @@ class TestRouteEquivalence:
         reference = TransitionSim(reference_circuit(net))
         assert len(reference.faults) > 63
         rng = random.Random(2)
-        tests = [ScanTest(V.random_binary_vector(4, rng),
+        tests = [ScanTest(V.random_binary_vector(net.num_ffs, rng),
                           tuple(V.random_binary_vector(5, rng)
                                 for _ in range(12)))
                  for _ in range(3)]
-        ts = ScanTestSet(4, tests)
+        ts = ScanTestSet(net.num_ffs, tests)
         want = reference.detect_test_set(ts)
         for circuit in production_circuits(net):
             assert TransitionSim(circuit).detect_test_set(ts) == want
@@ -303,7 +304,7 @@ class TestRouteEquivalence:
         rng = random.Random(9)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(10))
-        sim.detect_test(ScanTest(V.random_binary_vector(3, rng),
+        sim.detect_test(ScanTest(V.random_binary_vector(net.num_ffs, rng),
                                  vectors))
         assert sim._sanitize_spots_left < \
             transition_mod._SANITIZE_SPOT_BUDGET
@@ -316,7 +317,7 @@ class TestRouteEquivalence:
         rng = random.Random(3)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(8))
-        test = ScanTest(V.random_binary_vector(3, rng), vectors)
+        test = ScanTest(V.random_binary_vector(net.num_ffs, rng), vectors)
         counts = []
         for armed in (False, True):
             if armed:
@@ -328,3 +329,51 @@ class TestRouteEquivalence:
             counts.append((sim.counters.tdf_passes,
                            sim.counters.tdf_words))
         assert counts[0] == counts[1]
+
+
+class TestLanePass:
+    """The lane-batched good-machine pass behind ``detect_test_set``:
+    read lane by lane, it must detect per test exactly what the
+    reference detects test by test."""
+
+    @pytest.mark.parametrize("n_tests", [6, 70])
+    def test_per_test_sets_match_reference(self, n_tests):
+        net = synth.generate("tdflane", 4, 3, 5, 30, seed=4)
+        tests = mixed_scan_tests(net, n_tests, n_tests)
+        reference = TransitionSim(reference_circuit(net))
+        want = [reference.detect_test(t) for t in tests]
+        if n_tests < 10:
+            for test, found in zip(tests, want):
+                assert found == {i for i, f in enumerate(reference.faults)
+                                 if oracle_detects(net, f, test)}
+        for circuit in production_circuits(net):
+            sim = TransitionSim(circuit)
+            frames = simulate_lanes(
+                circuit, [(t.scan_in, t.vectors) for t in tests])
+            every = set(range(len(sim.faults)))
+            assert [sim._detect_lane(t, frames, lane, every)
+                    for lane, t in enumerate(tests)] == want
+            assert [sim.detect_test(t) for t in tests] == want
+            assert sim.detect_test_set(
+                ScanTestSet(net.num_ffs, tests)) == set().union(*want)
+
+    def test_mis_sized_tests_rejected(self):
+        """Short and long scan-ins and short PI vectors raise instead
+        of being truncated or padded."""
+        net = synth.generate("tdfeq", 4, 3, 4, 25, seed=0)
+        rng = random.Random(1)
+        vectors = tuple(V.random_binary_vector(4, rng) for _ in range(6))
+        good = ScanTest(V.random_binary_vector(4, rng), vectors)
+        bad = [(ScanTest(good.scan_in[:3], vectors), "state width"),
+               (ScanTest(good.scan_in + (V.ONE,) * 3, vectors),
+                "state width"),
+               (ScanTest(good.scan_in, tuple(v[:2] for v in vectors)),
+                "vector width")]
+        for circuit in production_circuits(net):
+            sim = TransitionSim(circuit)
+            assert sim.detect_test(good)
+            for test, match in bad:
+                with pytest.raises(ValueError, match=match):
+                    sim.detect_test(test)
+                with pytest.raises(ValueError, match=match):
+                    sim.detect_test_set([good, test])

@@ -10,8 +10,12 @@ from repro.power.activity import (ActivityEngine, PowerReport, SetPower,
                                   SetPowerSummary, scan_in_wtm,
                                   scan_out_wtm)
 from repro.core.scan_test import ScanTest, single_vector_test
+from repro.circuits import synth
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
+from repro.sim.logicsim import simulate_sequence
+from tests.reference import (mixed_scan_tests, production_circuits,
+                             reference_circuit)
 
 scan_vectors = st.lists(st.sampled_from([V.ZERO, V.ONE, V.X]),
                         min_size=1, max_size=40).map(tuple)
@@ -117,6 +121,62 @@ class TestEngine:
         armed = ActivityEngine(s27_bench.circuit)
         for test in self._tests(s27_bench, s27_comb):
             assert armed.test_power(test) == plain.test_power(test)
+
+
+def _reference_power(net, test):
+    """A test's power from the scalar shadows on the reference
+    circuit, test by test."""
+    circuit = reference_circuit(net)
+    toggles = activity._scalar_capture_toggles(circuit, test)
+    final = simulate_sequence(circuit, list(test.vectors),
+                              test.scan_in).final_state
+    return activity.TestPower(
+        scan_in_wtm=activity._scalar_wtm_in(test.scan_in),
+        scan_out_wtm=activity._scalar_wtm_out(final),
+        peak_capture=max(toggles) if toggles else 0,
+        total_capture=sum(toggles), frames=test.length)
+
+
+class TestLanePass:
+    """The lane-batched good-machine pass behind ``set_power`` and its
+    bit-sliced toggle counter against the scalar references."""
+
+    @pytest.mark.parametrize("n_tests", [6, 70])
+    def test_set_power_matches_scalar_reference(self, n_tests):
+        net = synth.generate("pwlane", 4, 3, 5, 30, seed=4)
+        tests = mixed_scan_tests(net, n_tests, n_tests)
+        want = [_reference_power(net, t) for t in tests]
+        for circuit in production_circuits(net):
+            counters = SimCounters()
+            engine = ActivityEngine(circuit, counters)
+            assert engine.set_power(tests).tests == want
+            # Duplicates are measured once; later calls hit the cache.
+            assert counters.power_words == sum(t.length
+                                               for t in set(tests))
+            assert [engine.test_power(t) for t in tests] == want
+            assert counters.power_words == sum(t.length
+                                               for t in set(tests))
+            fresh = ActivityEngine(circuit)
+            assert [fresh.test_power(t) for t in tests] == want
+
+    def test_mis_sized_tests_rejected(self):
+        """Short and long scan-ins and short PI vectors raise instead
+        of being measured."""
+        net = synth.generate("tdfeq", 4, 3, 4, 25, seed=0)
+        rng = random.Random(1)
+        vectors = tuple(V.random_binary_vector(4, rng) for _ in range(6))
+        good = ScanTest(V.random_binary_vector(4, rng), vectors)
+        bad = [(ScanTest(good.scan_in[:3], vectors), "state width"),
+               (ScanTest(good.scan_in + (V.ONE,) * 3, vectors),
+                "state width"),
+               (ScanTest(good.scan_in, tuple(v[:2] for v in vectors)),
+                "vector width")]
+        for circuit in production_circuits(net):
+            for test, match in bad:
+                with pytest.raises(ValueError, match=match):
+                    ActivityEngine(circuit).test_power(test)
+                with pytest.raises(ValueError, match=match):
+                    ActivityEngine(circuit).set_power([good, test])
 
 
 class TestSummaries:

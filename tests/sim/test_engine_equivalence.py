@@ -1,8 +1,8 @@
 """Production vs reference: every simulation route must agree exactly.
 
 Production runs each pass chunk on the C kernel when it loads and on
-big-int codegen words otherwise; the reference is the interpreter
-with no array backend (see :mod:`tests.reference`).  Wide-word
+big-int words otherwise; the reference is a circuit with no array
+backend (see :mod:`tests.reference`).  Wide-word
 fusion, multi-chunk packing, the in-pass repack and the kernel are
 pure execution strategies -- none of them may change a single
 detection.  These properties drive random circuits, fused caps, scan

@@ -17,6 +17,7 @@ from repro.sim import values as V
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import Fault, FaultSet
 from repro.sim.logicsim import CompiledCircuit, simulate_sequence
+from tests.reference import production_circuits, reference_circuit
 
 FAULT_NET = "__fault__"
 
@@ -117,6 +118,19 @@ class TestConsistency:
         assert wide.detect(vectors, init, early_exit=False) == \
             narrow.detect(vectors, init, early_exit=False)
 
+    def test_fault_sim_results_identical(self, s27):
+        """Both production configurations detect what the reference
+        detects."""
+        rng = random.Random(7)
+        vectors = [V.random_binary_vector(4, rng) for _ in range(25)]
+        init = V.vec("010")
+        fs = FaultSet.collapsed(s27)
+        want = FaultSimulator(reference_circuit(s27), fs).detect(
+            vectors, init, early_exit=False)
+        for cc in production_circuits(s27):
+            sim = FaultSimulator(cc, fs)
+            assert sim.detect(vectors, init, early_exit=False) == want
+
     def test_early_exit_matches_full(self, s27):
         rng = random.Random(6)
         vectors = [V.random_binary_vector(4, rng) for _ in range(30)]
@@ -186,37 +200,144 @@ class TestRecords:
             records.earliest_safe_scanout(set(range(len(faults))))
 
 
+def _incremental_nets():
+    """s27 and a synthetic circuit with several dozen faults."""
+    return [library.s27(), synth.generate("incq", 5, 3, 6, 60, seed=3)]
+
+
+def _incremental_configs(net):
+    """``(label, faults, reference faults, simulator options, scan-in)``
+    per configuration: full scan from a scan-in state and from all-X,
+    several chunks, partial scan and collapsed targets."""
+    rng = random.Random(net.num_ffs)
+    n_ff = net.num_ffs
+    collapsed = FaultSet.collapsed(net)
+    positions = list(range(0, n_ff, 2))
+    return [
+        ("full", collapsed, collapsed, {},
+         V.random_binary_vector(n_ff, rng)),
+        ("no-scan", collapsed, collapsed, {}, None),
+        ("chunks", collapsed, collapsed, {"fused_cap": 5},
+         V.random_binary_vector(n_ff, rng)),
+        ("partial", collapsed, collapsed, {"scan_positions": positions},
+         V.random_binary_vector(len(positions), rng)),
+        ("classes", FaultSet.uncollapsed(net, collapse=True),
+         FaultSet.uncollapsed(net, collapse=False), {"fused_cap": 17},
+         V.random_binary_vector(n_ff, rng)),
+    ]
+
+
+def _step_vectors(net, seed, n):
+    """Candidate vectors, a few of them X-laden."""
+    rng = random.Random(seed)
+    return [V.random_binary_vector(net.num_inputs, rng) if k % 4
+            else tuple(rng.choice((V.ZERO, V.ONE, V.X))
+                       for _ in range(net.num_inputs))
+            for k in range(n)]
+
+
+def _transcript(sim, init, steps):
+    """Preview every candidate of each step, then apply the first;
+    record what the public API reports."""
+    inc = sim.incremental(init_state=init)
+    out = [inc.good_state()]
+    for pool in steps:
+        out.append([(p.new_po_detections, p.scan_diff_faults)
+                    for p in map(inc.preview, pool)])
+        out.append(sorted(inc.apply(pool[0])))
+        out.append(inc.good_state())
+    out.append((sorted(inc.detected), inc.n_frames))
+    return out
+
+
+def _incremental_cases():
+    """Every (production sim, reference sim, scan-in, label)."""
+    for net in _incremental_nets():
+        reference = reference_circuit(net)
+        for label, faults, ref_faults, opts, init in \
+                _incremental_configs(net):
+            want = FaultSimulator(reference, ref_faults, **opts)
+            for circuit in production_circuits(net):
+                yield (FaultSimulator(circuit, faults, **opts), want,
+                       init, f"{net.name}/{label}")
+
+
 class TestIncremental:
-    def test_apply_matches_batch(self, s27):
-        rng = random.Random(10)
-        vectors = [V.random_binary_vector(4, rng) for _ in range(15)]
-        faults = FaultSet.collapsed(s27)
-        sim = FaultSimulator(CompiledCircuit(s27), faults)
-        inc = sim.incremental(init_state=None)
-        for v in vectors:
-            inc.apply(v)
-        batch = sim.detect(vectors, None, scan_out=False,
-                           early_exit=False)
-        assert inc.detected == batch
+    """:class:`IncrementalFaultSim` in both production configurations
+    against the reference, through the public API only."""
 
-    def test_preview_does_not_mutate(self, s27):
-        faults = FaultSet.collapsed(s27)
-        sim = FaultSimulator(CompiledCircuit(s27), faults)
-        inc = sim.incremental()
-        before = [([list(z) for z in (w[0],)], None) for w in inc._words]
-        snapshot = [(list(w[0]), list(w[1])) for w in inc._words]
-        inc.preview(V.vec("1010"))
-        after = [(list(w[0]), list(w[1])) for w in inc._words]
-        assert snapshot == after
-        assert inc.n_frames == 0
+    def test_apply_matches_batch(self):
+        """``detected`` equals a batch no-scan-out detect, and the
+        reference's."""
+        for sim, ref, init, label in _incremental_cases():
+            net = sim.circuit.netlist
+            vectors = _step_vectors(net, 10, 15)
+            inc = sim.incremental(init_state=init)
+            for v in vectors:
+                inc.apply(v)
+            batch = sim.detect(vectors, init, scan_out=False,
+                               early_exit=False)
+            assert inc.detected == batch, label
+            inc_ref = ref.incremental(init_state=init)
+            for v in vectors:
+                inc_ref.apply(v)
+            assert inc.detected == inc_ref.detected, label
 
-    def test_preview_counts_match_apply(self, s27):
-        rng = random.Random(11)
-        faults = FaultSet.collapsed(s27)
-        sim = FaultSimulator(CompiledCircuit(s27), faults)
-        inc = sim.incremental()
-        for _ in range(10):
-            v = V.random_binary_vector(4, rng)
-            preview = inc.preview(v)
-            newly = inc.apply(v)
-            assert preview.new_po_detections == len(newly)
+    def test_preview_does_not_mutate(self):
+        """Previews leave the state alone: two previews agree, and an
+        apply after a preview equals an apply alone."""
+        for sim, _, init, label in _incremental_cases():
+            net = sim.circuit.netlist
+            vectors = _step_vectors(net, 12, 8)
+            plain = sim.incremental(init_state=init)
+            probed = sim.incremental(init_state=init)
+            for k, v in enumerate(vectors):
+                other = vectors[(k + 3) % len(vectors)]
+                state = probed.good_state()
+                first = probed.preview(other)
+                assert probed.preview(other) == first, label
+                assert probed.good_state() == state, label
+                assert probed.n_frames == k, label
+                assert probed.apply(v) == plain.apply(v), label
+                assert probed.good_state() == plain.good_state(), label
+            assert probed.detected == plain.detected, label
+
+    def test_preview_counts_match_apply(self):
+        for sim, _, init, label in _incremental_cases():
+            net = sim.circuit.netlist
+            inc = sim.incremental(init_state=init)
+            for v in _step_vectors(net, 11, 10):
+                preview = inc.preview(v)
+                newly = inc.apply(v)
+                assert preview.new_po_detections == len(newly), label
+
+    def test_transcript_matches_reference(self):
+        """Previews, detections and good states agree with the
+        reference step for step."""
+        for sim, ref, init, label in _incremental_cases():
+            net = sim.circuit.netlist
+            vectors = _step_vectors(net, 13, 36)
+            steps = [vectors[k:k + 3] for k in range(0, 36, 3)]
+            assert _transcript(sim, init, steps) == \
+                _transcript(ref, init, steps), label
+
+    def test_good_state_matches_good_machine(self):
+        for sim, _, init, label in _incremental_cases():
+            net = sim.circuit.netlist
+            vectors = _step_vectors(net, 14, 9)
+            inc = sim.incremental(init_state=init)
+            full = sim.embed_state(init)
+            for k, v in enumerate(vectors):
+                inc.apply(v)
+                want = simulate_sequence(reference_circuit(net),
+                                         vectors[:k + 1], full)
+                assert inc.good_state() == want.final_state, label
+
+    def test_mis_sized_vector_rejected(self):
+        for sim, _, init, _ in _incremental_cases():
+            inc = sim.incremental(init_state=init)
+            short = (V.ZERO,) * (len(sim.circuit.pi_ids) - 1)
+            with pytest.raises(ValueError, match="vector width"):
+                inc.preview(short)
+            with pytest.raises(ValueError, match="vector width"):
+                inc.apply(short + (V.ONE, V.ONE))

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import synth
 from repro.circuits.netlist import Netlist
 from repro.sim import values as V
-from repro.sim.logicsim import (CompiledCircuit, simulate_comb,
+from repro.sim.logicsim import (CompiledCircuit, lane_vector,
+                                simulate_comb, simulate_lanes,
                                 simulate_sequence)
+from tests.reference import reference_circuit
 
 
 def single_gate(gtype, arity):
@@ -93,6 +95,85 @@ class TestGateSemantics:
         cc = CompiledCircuit(net.compile())
         po, _ = simulate_comb(cc, (V.X,), (V.X,))
         assert po[0] == V.ONE
+
+
+class TestCompile:
+    def test_unknown_engine_rejected(self, s27):
+        """There is no engine option: production is one path."""
+        with pytest.raises(TypeError, match="engine"):
+            CompiledCircuit(s27, engine="turbo")
+
+    def test_one_evaluator(self, s27):
+        """Production and reference circuits evaluate frames with the
+        same interpreting method; they differ only in the array
+        backend."""
+        for circuit in (CompiledCircuit(s27), reference_circuit(s27)):
+            assert "eval_frame" not in circuit.__dict__
+            assert type(circuit).eval_frame is CompiledCircuit.eval_frame
+
+
+def _one_test_frames(cc, state, vectors):
+    """Every net's scalar value per frame of one test, frame by frame
+    with one-bit words."""
+    zero = [0] * cc.n_nets
+    one = [0] * cc.n_nets
+    for nid, val in zip(cc.ff_ids, state or V.all_x(len(cc.ff_ids))):
+        zero[nid], one[nid] = V.pack_scalar(val, 1)
+    frames = []
+    for vector in vectors:
+        for nid, val in zip(cc.pi_ids, vector):
+            zero[nid], one[nid] = V.pack_scalar(val, 1)
+        cc.eval_frame(zero, one, 1)
+        frames.append(tuple(V.word_scalar(zero[n], one[n])
+                            for n in range(cc.n_nets)))
+        captured = [(zero[d], one[d]) for d in cc.ff_d_ids]
+        for nid, (z, o) in zip(cc.ff_ids, captured):
+            zero[nid], one[nid] = z, o
+    return frames
+
+
+class TestLanes:
+    """:func:`simulate_lanes` against one-test runs."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           n_tests=st.sampled_from([1, 2, 63, 64, 65, 130]))
+    def test_lanes_match_one_test_runs(self, seed, n_tests):
+        """Unequal lengths, X-laden vectors and states, an all-X state
+        and more than 64 lanes: every lane reads its own test's run."""
+        rng = random.Random(seed)
+        net = synth.generate("lanes", 3, 2, 4, 25, seed=seed % 20)
+        cc = CompiledCircuit(net)
+        values = (V.ZERO, V.ONE, V.X)
+        tests = []
+        for _ in range(n_tests):
+            state = (None if rng.random() < 0.1 else
+                     tuple(rng.choice(values) for _ in range(4)))
+            vectors = [tuple(rng.choice(values) for _ in range(3))
+                       for _ in range(rng.randint(1, 6))]
+            tests.append((state, vectors))
+        frames = simulate_lanes(cc, tests)
+        assert len(frames) == max(len(v) for _, v in tests)
+        nets = range(cc.n_nets)
+        for lane, (state, vectors) in enumerate(tests):
+            want = _one_test_frames(cc, state, vectors)
+            got = [lane_vector(frames[f], nets, lane)
+                   for f in range(len(vectors))]
+            assert got == want, lane
+
+    def test_no_tests(self, s27):
+        assert simulate_lanes(CompiledCircuit(s27), []) == []
+
+    def test_mis_sized_tests_rejected(self, s27):
+        cc = CompiledCircuit(s27)
+        good = (V.vec("000"), [V.vec("0000")])
+        for bad, match in (((V.vec("00"), [V.vec("0000")]), "state width"),
+                           ((V.vec("0000"), [V.vec("0000")]),
+                            "state width"),
+                           ((V.vec("000"), [V.vec("000")]),
+                            "vector width")):
+            with pytest.raises(ValueError, match=match):
+                simulate_lanes(cc, [good, bad])
 
 
 class TestSequence:
