@@ -112,8 +112,7 @@ def _detections(sim: FaultSimulator, tests: Sequence[ScanTest],
     for t in tests:
         det = cache.get(t)
         if det is None:
-            det = sim.detect(list(t.vectors), t.scan_in, target=target,
-                             early_exit=False)
+            det = sim.detect(list(t.vectors), t.scan_in, target=target)
             cache[t] = det
         out.append(det & target_set)
     return out
@@ -288,8 +287,7 @@ def static_compact(
                 if det_must is None:
                     det_must = sim.detect(list(combined.vectors),
                                           combined.scan_in,
-                                          target=sorted(must),
-                                          early_exit=True)
+                                          target=sorted(must))
                 if not must <= det_must and max_transfer > 0:
                     transfer = _find_transfer_sequence(
                         sim, first, second, must, max_transfer,
@@ -307,8 +305,7 @@ def static_compact(
                             det_must = sim.detect(
                                 list(combined.vectors),
                                 combined.scan_in,
-                                target=sorted(must),
-                                early_exit=True)
+                                target=sorted(must))
                             if must <= det_must:
                                 stats.transfers_used += 1
                                 stats.transfer_vectors_added += \
@@ -318,8 +315,7 @@ def static_compact(
                     if det_full is None:
                         det_full = sim.detect(list(combined.vectors),
                                               combined.scan_in,
-                                              target=order,
-                                              early_exit=False)
+                                              target=order)
                         cache[combined] = det_full
                     else:
                         det_full = det_full & target

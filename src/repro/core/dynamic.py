@@ -118,8 +118,7 @@ def dynamic_compact(
         while len(vectors) < max_extension:
             # Only count gains this trial would keep when scanned out
             # right here -- the online procedure commits as it goes.
-            so_far = sim.detect(vectors, scan_in, target=sorted(pending),
-                                early_exit=False)
+            so_far = sim.detect(vectors, scan_in, target=sorted(pending))
             extension = _find_transfer(sim, scan_in, vectors, detects,
                                        comb_tests, unused,
                                        pending - so_far)
@@ -132,15 +131,13 @@ def dynamic_compact(
         # Final accounting: what the finished test actually detects
         # (extensions can move the scan-out past an earlier capture, so
         # interim credits are never trusted).
-        final = sim.detect(vectors, scan_in, target=sorted(remaining),
-                           early_exit=False)
+        final = sim.detect(vectors, scan_in, target=sorted(remaining))
         if not final and len(vectors) > 1:
             # Guarantee progress: fall back to the bare seed test,
             # which detects its seed fault by construction.
             vectors = [tuple(start.pi)]
             final = sim.detect(vectors, scan_in,
-                               target=sorted(remaining),
-                               early_exit=False)
+                               target=sorted(remaining))
         if not final:
             # The seed fault is combinationally detected by this test;
             # reaching here means it was already covered elsewhere.
@@ -178,8 +175,7 @@ def _find_transfer(
             unused.discard(index)
             continue
         trial = vectors + [tuple(comb_tests[index].pi)]
-        gained = sim.detect(trial, scan_in, target=sorted(needed),
-                            early_exit=True)
+        gained = sim.detect(trial, scan_in, target=sorted(needed))
         if needed <= gained:
             return index, gained
     return None

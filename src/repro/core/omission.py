@@ -21,7 +21,11 @@ re-simulating from frame 0 for long sequences.
 Word packing follows the simulator's policy: the whole required set
 rides in one fused word, so each tentative omission costs a single
 suffix pass, which runs on the C kernel when the circuit has an array
-backend.
+backend.  That route packs the required set once per run, into a plan
+and arena of its own, and converts each checkpoint to arrays at most
+once.  It does not use the simulator's fault-universe plan: the
+injection sites of faults outside the required set would run on every
+frame of every trial.
 Every tentative omission bumps
 :attr:`~repro.sim.counters.SimCounters.omission_trials` and the
 suffix passes are accounted as words/frames on the simulator's
@@ -31,7 +35,7 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from ..sim import values as V
 from ..sim.fault_sim import FaultSimulator, _Chunk
@@ -67,6 +71,9 @@ class _CheckpointedRun:
     ``states[f]`` holds, per chunk, the flip-flop word pair *after*
     frame ``f`` (index 0 is the scan-in state, before any frame) and
     the cumulative PO-detection mask up to and including frame ``f``.
+    With an array backend, suffix trials run on the kernel, each chunk
+    in an arena built once, from checkpoints converted to arrays on
+    first use (``_rows[f]``, dropped with ``states[f]``).
     """
 
     def __init__(self, sim: FaultSimulator, scan_in: V.Vector,
@@ -88,6 +95,11 @@ class _CheckpointedRun:
                 ff_one.append(o)
             init.append((ff_zero, ff_one, 0))
         self.states: List[List[Tuple[List[int], List[int], int]]] = [init]
+        self._backend = sim.circuit.array_backend
+        self._arenas = ([] if self._backend is None else
+                        [self._backend.arena(chunk) for chunk in chunks])
+        self._rows: List[List[Optional[Tuple[Any, ...]]]] = [
+            [None] * len(chunks)]
 
     def _run_suffix(self, chunk_index: int, start_frame: int,
                     vectors: Sequence[V.Vector], record: bool
@@ -101,18 +113,6 @@ class _CheckpointedRun:
         circuit = self.circuit
         chunk = self.chunks[chunk_index]
         ff_zero, ff_one, caught = self.states[start_frame][chunk_index]
-        if not record and vectors:
-            backend = circuit.array_backend
-            if backend is not None:
-                # Array fast path: same loop inside the C kernel, with
-                # the last-frame scan-out diff folded into the caught
-                # mask (the caller ORs the two anyway).
-                mask, frames_run = backend.run_suffix_chunk(
-                    sim, chunk, vectors, ff_zero, ff_one, caught,
-                    sim.scan_positions)
-                if chunk_index == 0:
-                    sim.counters.frames += frames_run
-                return mask, 0, []
         zero = [0] * circuit.n_nets
         one = [0] * circuit.n_nets
         for nid, z, o in zip(circuit.ff_ids, ff_zero, ff_one):
@@ -150,6 +150,24 @@ class _CheckpointedRun:
             sim.counters.frames += frames_run
         return caught, scan_diff, trail
 
+    def _kernel_suffix(self, chunk_index: int, start_frame: int,
+                       vectors: Sequence[V.Vector]) -> List[int]:
+        """The ``record=False`` suffix trial of one chunk on the C
+        kernel: the faults it detects, the last-frame scan-out
+        included."""
+        sim = self.sim
+        backend = self._backend
+        arena = self._arenas[chunk_index]
+        rows = self._rows[start_frame]
+        if rows[chunk_index] is None:
+            rows[chunk_index] = backend.checkpoint_rows(
+                arena, *self.states[start_frame][chunk_index])
+        found, frames_run = backend.run_suffix_chunk(
+            sim, arena, vectors, rows[chunk_index], sim.scan_positions)
+        if chunk_index == 0:
+            sim.counters.frames += frames_run
+        return found
+
     def detected_by(self, start_frame: int,
                     suffix: Sequence[V.Vector]) -> Set[int]:
         """Faults detected by checkpoint-prefix + ``suffix`` test."""
@@ -161,6 +179,10 @@ class _CheckpointedRun:
                     # Every fault of this chunk is already PO-detected
                     # within the untouched prefix: no need to simulate.
                     detected.update(chunk.indices)
+                    continue
+                if self._arenas:
+                    detected.update(self._kernel_suffix(ci, start_frame,
+                                                        suffix))
                     continue
                 caught, scan_diff, _ = self._run_suffix(ci, start_frame,
                                                         suffix, False)
@@ -184,6 +206,7 @@ class _CheckpointedRun:
         """Adopt prefix+suffix as the new current sequence, extending
         checkpoints past ``start_frame`` from the recorded trail."""
         del self.states[start_frame + 1:]
+        del self._rows[start_frame + 1:]
         trails = []
         for ci in range(len(self.chunks)):
             _, _, trail = self._run_suffix(ci, start_frame, suffix, True)
@@ -191,6 +214,7 @@ class _CheckpointedRun:
         for f in range(len(suffix)):
             self.states.append([trails[ci][f]
                                 for ci in range(len(self.chunks))])
+            self._rows.append([None] * len(self.chunks))
 
 
 def omit_vectors(

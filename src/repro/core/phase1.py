@@ -75,7 +75,7 @@ def detect_no_scan(sim: FaultSimulator, t0: Sequence[V.Vector],
                    target: Optional[Sequence[int]] = None) -> Set[int]:
     """Step 1: faults detected by ``T0`` without using scan."""
     return sim.detect(list(t0), init_state=None, target=target,
-                      scan_out=False, early_exit=False)
+                      scan_out=False)
 
 
 def select_scan_in(

@@ -326,7 +326,6 @@ def run(
                 seq_detected = scoreboard.retired_within(target)
                 seq_detected |= sim.detect(list(tau.vectors), tau.scan_in,
                                            target=scoreboard.active(target),
-                                           early_exit=False,
                                            retire_to=scoreboard)
 
                 undetected = target - seq_detected

@@ -310,14 +310,12 @@ class TransitionSim:
         counters.tdf_passes += 1
         status, _, frames_run = backend._kernel_segment(
             plan, zero, one, vec_arr, launch, launch, True,
-            launch == last, None, False, None, None,
-            ns_zero, ns_one, caught_arr)
+            launch == last, ns_zero, ns_one, caught_arr)
         if launch < last and status != npsim._STATUS_SATURATED:
             plain = self._plain_plan(len(group))
             _, _, more = backend._kernel_segment(
                 plain, zero, one, vec_arr, launch + 1, last, True,
-                True, None, False, None, None, ns_zero, ns_one,
-                caught_arr)
+                True, ns_zero, ns_one, caught_arr)
             frames_run += more
         counters.tdf_words += frames_run
         caught = V.array_to_word(caught_arr) & ~1

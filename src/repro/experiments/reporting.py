@@ -293,20 +293,21 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
     Columns come from :class:`repro.sim.counters.SimCounters`:
     logical frames simulated, word evaluations, average faulty
     machines packed per word, faults dropped by the cross-phase
-    scoreboard, in-pass repacks, the per-phase wall-clock timers
+    scoreboard, the per-phase wall-clock timers
     (``p1_s`` .. ``p4_s``), the power engine's words and wall clock
     (``pw_words`` / ``pw_s``), the transition-fault engine's passes,
     words and wall clock (``tdf_passes`` / ``tdf_words`` / ``tdf_s``),
-    the numpy backend's pass count (``np``), and the trial-batch trio
+    the C kernel's pass count (``np``), and the trial-batch trio
     (``trials`` lane-batched trial passes, ``lanes`` trials carried,
     ``adi`` ADI ordering decisions).  ``np`` is the record of what
     ran: zero when every pass ran on big-int words.  Runs restored
     from old checkpoints render as ``-`` for whichever counters they
-    lack.
+    lack; a ``repacks`` count they carry (the in-pass repack is gone)
+    is not shown.
     """
     table = Table("Engine counters",
                   ["circuit", "frames", "words", "mach/word",
-                   "dropped", "repacks", "np", "trials", "lanes",
+                   "dropped", "np", "trials", "lanes",
                    "adi", "p1_s", "p2_s", "p3_s", "p4_s", "pw_words",
                    "pw_s", "tdf_passes", "tdf_words", "tdf_s",
                    "seconds"])
@@ -315,8 +316,7 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
         if c:
             table.add_row(run.name, c.get("frames"),
                           c.get("words"), c.get("machines_per_word"),
-                          c.get("faults_dropped"), c.get("repacks"),
-                          c.get("np_passes"),
+                          c.get("faults_dropped"), c.get("np_passes"),
                           c.get("trial_passes"), c.get("trial_lanes"),
                           c.get("adi_orderings"),
                           c.get("phase1_s"), c.get("phase2_s"),
@@ -327,7 +327,7 @@ def engine_counters_table(runs: Sequence["CircuitRun"]) -> Table:
                           run.seconds)
         else:
             table.add_row(run.name, None, None, None, None, None,
-                          None, None, None, None, None, None, None,
+                          None, None, None, None, None, None,
                           None, None, None, None, None, None,
                           run.seconds)
     return table

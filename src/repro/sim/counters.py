@@ -5,7 +5,7 @@ Every :class:`~repro.sim.fault_sim.FaultSimulator` owns a
 and bumps it from the inner loops: how many logical frames were
 simulated, how many packed words were evaluated (``frames x chunks``),
 how many machine bits those words carried, how many faults were
-retired before or during a pass, and how many tentative
+retired before a pass, and how many tentative
 omission/combination trials the compaction procedures ran.
 
 The point is to make engine work *measurable*: the wide-word fusion
@@ -23,12 +23,11 @@ Counting convention
 * ``machines`` -- total faulty-machine bits across evaluated words;
   ``machines / words`` is the effective packing density (fusion
   pushes this toward the full fault-set size; a small ``fused_cap``
-  caps it).
+  caps it).  A part of the C kernel's fault-universe plan counts its
+  live (target) machines, so at the default cap these counts equal
+  the big-int path's.
 * ``faults_dropped`` -- faults retired from simulation because a
-  scoreboard already knew them detected, or because an in-pass repack
-  removed their machine bits mid-sequence.
-* ``repacks`` -- in-pass word compactions performed by
-  :meth:`~repro.sim.fault_sim.FaultSimulator.detect`.
+  scoreboard already knew them detected.
 * ``detect_passes`` / ``record_passes`` / ``candidate_passes`` --
   calls into :meth:`~repro.sim.fault_sim.FaultSimulator.detect` /
   :meth:`~repro.sim.fault_sim.FaultSimulator.run_with_records` /
@@ -58,8 +57,9 @@ the phase timers, these render as dashes for legacy checkpoints.
 
 Backend counters
 ----------------
-``np_passes`` counts pass *chunks* executed by the C kernel
-(:mod:`repro.sim.npsim`) -- zero when everything ran on big-int
+``np_passes`` counts the passes executed by the C kernel
+(:mod:`repro.sim.npsim`), one per chunk or fault-universe part a call
+runs -- zero when everything ran on big-int
 words, so it doubles as a cheap "did the kernel actually run?" probe
 for tests and benchmarks.  Legacy checkpoints lack the key and
 render as dashes.
@@ -127,7 +127,6 @@ class SimCounters:
     words: int = 0
     machines: int = 0
     faults_dropped: int = 0
-    repacks: int = 0
     detect_passes: int = 0
     record_passes: int = 0
     candidate_passes: int = 0

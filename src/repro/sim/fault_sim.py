@@ -9,39 +9,41 @@ arbitrary-precision, and one 4096-bit AND is far cheaper than 32
 separate 128-bit evaluation passes.
 
 Packing: every active fault of a pass is packed into a single word
-pair per net, falling back to balanced chunks of at most
+pair per net, falling back to balanced parts of at most
 :data:`FUSED_CAP` machines for huge fault sets (beyond a few thousand
 machine bits the per-digit cost of big-int arithmetic starts to win
 over the per-pass interpreter overhead).  Tests and the sanitizer's
-chunked shadow pass a smaller ``fused_cap`` to force multi-chunk
+chunked shadow pass a smaller ``fused_cap`` to force multi-part
 packing.
 
 Execution: when the circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
-cffi and a C compiler present), every pass chunk of :meth:`detect`,
+cffi and a C compiler present), every pass of :meth:`detect`,
 :meth:`run_with_records` and :meth:`detect_trials` runs on the C
 kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays, and so does
-every :class:`IncrementalFaultSim` step; otherwise the same packed
-words are evaluated as Python big-ints by
+every :class:`IncrementalFaultSim` step.  :meth:`detect` and
+:meth:`run_with_records` then share the simulator's fault-universe
+plan, built on first use: every representative sits at a fixed
+machine bit in a part of at most ``fused_cap`` machines, and a call
+marks its targets live.  Otherwise each call packs its own target
+and the words are evaluated as Python big-ints by
 :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`.  The two are
 result-identical:
 per-machine logic values do not depend on how words are stored, and
 the production-vs-reference equivalence suites plus the
 ``REPRO_SANITIZE`` shadow checks enforce it.
 
-Fault dropping: :meth:`FaultSimulator.detect` retires
-already-detected machines *mid-pass* (``early_exit=True``) by
-repacking the survivors into a narrower word, and can report
-detections into a shared
-:class:`~repro.sim.scoreboard.FaultScoreboard` so later phases build
-smaller injection words.  Both mechanisms are pure accelerations:
+Fault dropping: a pass stops as soon as every target machine is
+caught, and :meth:`FaultSimulator.detect` can report detections into
+a shared :class:`~repro.sim.scoreboard.FaultScoreboard` so later
+phases simulate smaller targets.  Both are pure accelerations:
 per-machine logic values are independent of packing, so detection
 sets are identical however faults are packed (enforced by the
 equivalence test suite).
 
 Instrumentation: every simulator bumps a
 :class:`~repro.sim.counters.SimCounters` (frames, word evaluations,
-machine bits, drops, repacks), rendered as the Engine-counters table.
+machine bits, drops), rendered as the Engine-counters table.
 
 This is the package's one stuck-at fault simulator.  It packs machines
 two ways, and four entry points cover all the needs of the compaction
@@ -49,8 +51,8 @@ procedures:
 
 * :meth:`FaultSimulator.detect` -- the faults ride in the lanes of one
   test: which target faults does a test ``(SI, T)`` (or a scan-less
-  sequence) detect?  Supports early exit and in-pass retirement, used
-  heavily by vector omission and combining.
+  sequence) detect?  Stops once every target is caught; used heavily
+  by combining and the baselines.
 * :meth:`FaultSimulator.run_with_records` -- the same packing, in a
   single full pass that records, per fault, the first frame with a
   primary-output difference and, per frame, which faults would be
@@ -92,17 +94,12 @@ from .logicsim import (CompiledCircuit, LaneFrame, check_state,
                        check_vectors, simulate_lanes)
 from .scoreboard import FaultScoreboard
 
-#: Machine-bit cap per fused word.  Beyond this the per-digit cost of
-#: big-int ops outweighs the saved passes, so passes fall back to
-#: balanced chunks of at most this many machines.
+#: Machine-bit cap per fused word: the size of one part of a packing
+#: (the good bit included).  Beyond this the per-digit cost of big-int
+#: ops outweighs the saved passes, so passes fall back to balanced
+#: parts of at most this many machines; the fault-universe plan of the
+#: kernel route is split the same way.
 FUSED_CAP = 4096
-
-#: In-pass retirement fires only when a word still has at least this
-#: many machines (repacking tiny words saves nothing) ...
-_REPACK_MIN_MACHINES = 64
-#: ... at least half of them are already caught, and at least this many
-#: frames remain to amortize the bit-gather cost of the repack.
-_REPACK_MIN_FRAMES_LEFT = 8
 
 #: Under ``REPRO_SANITIZE`` each simulator cross-checks its first few
 #: ``detect`` passes against a chunked shadow on the reference circuit
@@ -320,6 +317,10 @@ class FaultSimulator:
         #: Representative indices of proven-untestable classes (set
         #: via :meth:`set_untestable`); excluded from every pass.
         self._untestable: frozenset = frozenset()
+        #: The kernel route's fault-universe plan of :meth:`detect`
+        #: and :meth:`run_with_records` (an ``npsim._Universe``), built
+        #: on first use and dropped whenever the packing changes.
+        self._universe: Optional[Any] = None
         # Precompute per-fault injection spec:
         #   ("stem", net_id) | ("branch", out_net_id, pin) | ("ff", ff_pos)
         self._spec: List[Tuple[Any, ...]] = []
@@ -350,6 +351,7 @@ class FaultSimulator:
         that share a simulator across runs must clear it when done.
         """
         self._adi_order = scores
+        self._universe = None
 
     # ------------------------------------------------------------------
     def set_untestable(self, indices: Optional[Sequence[int]]) -> None:
@@ -364,6 +366,7 @@ class FaultSimulator:
         tracked per class representative.  Pass ``None`` (or an empty
         sequence) to clear.
         """
+        self._universe = None
         if not indices:
             self._untestable = frozenset()
             return
@@ -511,46 +514,6 @@ class FaultSimulator:
         return 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _gather_bits(word: int, positions: Sequence[int]) -> int:
-        """Compress ``word`` to the machine bits at ``positions`` (in
-        order): bit ``positions[i]`` of ``word`` becomes bit ``i``."""
-        out = 0
-        for i, p in enumerate(positions):
-            out |= ((word >> p) & 1) << i
-        return out
-
-    def _repack(self, chunk: _Chunk, caught: int,
-                ns_zero: List[int], ns_one: List[int]
-                ) -> Tuple[_Chunk, List[int], List[int]]:
-        """In-pass retirement: rebuild the pass state without the
-        machines in ``caught``.
-
-        Returns ``(new_chunk, zero, one)`` where the word arrays hold
-        the surviving machines' flip-flop state (gathered from the
-        next-state words) and every other net is zero -- sources are
-        reloaded and gate outputs recomputed on the next frame, so no
-        stale wide bits can leak into the narrower pass.
-        """
-        keep_positions = [0]       # the good machine always survives
-        remaining: List[int] = []
-        for pos, fid in enumerate(chunk.indices):
-            if not caught & chunk.bit_of(pos):
-                keep_positions.append(pos + 1)
-                remaining.append(fid)
-        new_chunk = self._build_chunks(remaining,
-                                       width=len(remaining) + 1)[0]
-        if sanitizer.enabled():
-            sanitizer.check_chunk(new_chunk, "FaultSimulator.detect repack")
-        n = self.circuit.n_nets
-        zero = [0] * n
-        one = [0] * n
-        for ff_pos, nid in enumerate(self.circuit.ff_ids):
-            zero[nid] = self._gather_bits(ns_zero[ff_pos], keep_positions)
-            one[nid] = self._gather_bits(ns_one[ff_pos], keep_positions)
-        return new_chunk, zero, one
-
-    # ------------------------------------------------------------------
     def embed_state(self, state: Optional[V.Vector]) -> V.Vector:
         """Expand a scan-width state vector to full flip-flop width.
 
@@ -601,10 +564,9 @@ class FaultSimulator:
         observe_po:
             When false, primary outputs are ignored (useful in tests).
         early_exit:
-            Stop as soon as every target fault is detected, and retire
-            already-caught machines mid-pass by repacking the survivors
-            into a narrower word (in-pass fault dropping; the returned
-            set is unaffected).
+            Accepted for compatibility; it has no effect.  Every pass
+            stops as soon as all of its target faults are caught,
+            which cannot change the returned set.
         scan_observe:
             Flip-flop positions readable by the scan-out; ``None``
             means all (full scan).  A partial-scan chain observes only
@@ -621,79 +583,28 @@ class FaultSimulator:
         if scan_observe is None:
             scan_observe = self.scan_positions
         sim_target, expand = self._prepare_target(target)
-        chunks = self._build_chunks(sim_target)
-        if sanitizer.enabled():
-            if retire_to is not None:
-                sanitizer.check_fresh_targets(retire_to, target,
-                                              "FaultSimulator.detect")
-            for chunk in chunks:
-                sanitizer.check_chunk(chunk, "FaultSimulator.detect")
+        if sanitizer.enabled() and retire_to is not None:
+            sanitizer.check_fresh_targets(retire_to, target,
+                                          "FaultSimulator.detect")
         counters = self.counters
         counters.detect_passes += 1
         detected: Set[int] = set()
-        last = len(vectors) - 1
         longest = 0
         backend = self.circuit.array_backend
-        for chunk in chunks:
-            if backend is not None:
-                longest = max(longest, backend.run_detect_chunk(
-                    self, chunk, vectors, init_state, scan_out,
-                    observe_po, early_exit, scan_observe, detected))
-                continue
-            zero, one = self._init_words(chunk, init_state)
-            caught = 0  # machine bits already detected in this chunk
-            frame = 0
-            frames_done = 0
-            while frame <= last:
-                vector = vectors[frame]
-                self._load_frame(chunk, zero, one, vector)
-                self.circuit.eval_frame(zero, one, chunk.mask,
-                                        chunk.stems, chunk.branch)
-                counters.note_words(1, len(chunk.indices))
-                frames_done += 1
-                ns_zero, ns_one = self._next_state_words(chunk, zero, one)
-                if observe_po:
-                    for nid in self.circuit.po_ids:
-                        caught |= self._diff_word(zero[nid], one[nid])
-                if scan_out and frame == last:
-                    if scan_observe is None:
-                        for z, o in zip(ns_zero, ns_one):
-                            caught |= self._diff_word(z, o)
-                    else:
-                        for pos in scan_observe:
-                            caught |= self._diff_word(ns_zero[pos],
-                                                      ns_one[pos])
-                caught &= ~1
-                if caught == chunk.mask & ~1:
-                    # Saturated: every machine of this chunk is caught,
-                    # so no further frame (or the scan-out) can change
-                    # the result -- sound whatever ``early_exit`` says.
-                    break
-                if (early_exit and caught and
-                        len(chunk.indices) >= _REPACK_MIN_MACHINES and
-                        last - frame >= _REPACK_MIN_FRAMES_LEFT and
-                        2 * bin(caught).count("1") >= len(chunk.indices)):
-                    # In-pass retirement: bank the caught faults and
-                    # carry on with a word half (or less) the size.
-                    n_dropped = 0
-                    for pos, fid in enumerate(chunk.indices):
-                        if caught & chunk.bit_of(pos):
-                            detected.add(fid)
-                            n_dropped += 1
-                    chunk, zero, one = self._repack(chunk, caught,
-                                                    ns_zero, ns_one)
-                    counters.repacks += 1
-                    counters.faults_dropped += n_dropped
-                    caught = 0
-                    frame += 1
-                    continue
-                for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
-                    zero[nid], one[nid] = z, o
-                frame += 1
-            longest = max(longest, frames_done)
-            for pos, fid in enumerate(chunk.indices):
-                if caught & chunk.bit_of(pos):
-                    detected.add(fid)
+        if backend is not None:
+            for arena, n_live in self._universe_parts(backend, sim_target):
+                found, frames_done = backend.run_detect_chunk(
+                    self, arena, n_live, vectors, init_state, scan_out,
+                    observe_po, scan_observe)
+                detected.update(found)
+                longest = max(longest, frames_done)
+        else:
+            for chunk in self._build_chunks(sim_target):
+                if sanitizer.enabled():
+                    sanitizer.check_chunk(chunk, "FaultSimulator.detect")
+                longest = max(longest, self._detect_chunk(
+                    chunk, vectors, init_state, scan_out, observe_po,
+                    scan_observe, detected))
         counters.frames += longest
         if (sanitizer.enabled() and not self._sanitize_shadow and
                 self._sanitize_spots_left > 0 and vectors):
@@ -709,6 +620,58 @@ class FaultSimulator:
             retire_to.retire(detected)
         return detected
 
+    def _universe_parts(self, backend: Any, sim_target: Sequence[int]
+                        ) -> List[Tuple[Any, int]]:
+        """The universe parts ``sim_target`` makes live, with their
+        live-machine counts (the universe is built on first use)."""
+        if self._universe is None:
+            self._universe = backend.universe(self)
+        parts: List[Tuple[Any, int]] = self._universe.select(sim_target)
+        return parts
+
+    def _detect_chunk(self, chunk: _Chunk, vectors: Sequence[V.Vector],
+                      init_state: V.Vector, scan_out: bool,
+                      observe_po: bool,
+                      scan_observe: Optional[Sequence[int]],
+                      detected: Set[int]) -> int:
+        """One chunk of :meth:`detect` on big-int words; adds its
+        detections to ``detected`` and returns the frames run."""
+        counters = self.counters
+        zero, one = self._init_words(chunk, init_state)
+        caught = 0  # machine bits already detected in this chunk
+        frames_done = 0
+        last = len(vectors) - 1
+        for frame, vector in enumerate(vectors):
+            self._load_frame(chunk, zero, one, vector)
+            self.circuit.eval_frame(zero, one, chunk.mask,
+                                    chunk.stems, chunk.branch)
+            counters.note_words(1, len(chunk.indices))
+            frames_done += 1
+            ns_zero, ns_one = self._next_state_words(chunk, zero, one)
+            if observe_po:
+                for nid in self.circuit.po_ids:
+                    caught |= self._diff_word(zero[nid], one[nid])
+            if scan_out and frame == last:
+                if scan_observe is None:
+                    for z, o in zip(ns_zero, ns_one):
+                        caught |= self._diff_word(z, o)
+                else:
+                    for pos in scan_observe:
+                        caught |= self._diff_word(ns_zero[pos],
+                                                  ns_one[pos])
+            caught &= ~1
+            if caught == chunk.mask & ~1:
+                # Saturated: every machine of this chunk is caught, so
+                # no further frame (or the scan-out) can change the
+                # result.
+                break
+            for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
+                zero[nid], one[nid] = z, o
+        for pos, fid in enumerate(chunk.indices):
+            if caught & chunk.bit_of(pos):
+                detected.add(fid)
+        return frames_done
+
     def _sanitize_agreement(
         self, vectors: Sequence[V.Vector], full_state: V.Vector,
         target_list: List[int], scan_out: bool, observe_po: bool,
@@ -717,7 +680,7 @@ class FaultSimulator:
         """Spot-check one finished ``detect`` pass against a shadow
         simulator on the reference circuit (the interpreter, no array
         backend) that splits the targets over at least two chunks,
-        with early exit and retirement off.  The check is thus
+        on big-int words.  The check is thus
         production vs reference as well as fused vs chunked.
         Budgeted per simulator and capped in target size; see the
         sanitizer module.
@@ -732,7 +695,7 @@ class FaultSimulator:
         shadow._sanitize_shadow = True
         chunked = shadow.detect(vectors, init_state=full_state,
                                 target=target_list, scan_out=scan_out,
-                                observe_po=observe_po, early_exit=False,
+                                observe_po=observe_po,
                                 scan_observe=scan_observe)
         sanitizer.check_agreement(
             set(detected), chunked,
@@ -760,7 +723,6 @@ class FaultSimulator:
         if scan_observe is None:
             scan_observe = self.scan_positions
         sim_target, expand = self._prepare_target(target)
-        chunks = self._build_chunks(sim_target)
         counters = self.counters
         counters.record_passes += 1
         n_frames = len(vectors)
@@ -768,45 +730,15 @@ class FaultSimulator:
         po_first: Dict[int, int] = {}
         scan_diff: List[Set[int]] = [set() for _ in range(n_frames)]
         backend = self.circuit.array_backend
-        for chunk in chunks:
-            if backend is not None:
-                backend.run_records_chunk(self, chunk, vectors,
+        if backend is not None:
+            for arena, n_live in self._universe_parts(backend, sim_target):
+                backend.run_records_chunk(self, arena, n_live, vectors,
                                           init_state, scan_observe,
                                           po_first, scan_diff)
-                continue
-            zero, one = self._init_words(chunk, init_state)
-            po_seen = 0
-            for frame, vector in enumerate(vectors):
-                self._load_frame(chunk, zero, one, vector)
-                self.circuit.eval_frame(zero, one, chunk.mask,
-                                        chunk.stems, chunk.branch)
-                counters.note_words(1, len(chunk.indices))
-                ns_zero, ns_one = self._next_state_words(chunk, zero, one)
-                po_now = 0
-                for nid in self.circuit.po_ids:
-                    po_now |= self._diff_word(zero[nid], one[nid])
-                po_new = po_now & ~po_seen & ~1
-                if po_new:
-                    for pos, fid in enumerate(chunk.indices):
-                        if po_new & chunk.bit_of(pos):
-                            po_first[fid] = frame
-                    po_seen |= po_new
-                sdiff = 0
-                if scan_observe is None:
-                    for z, o in zip(ns_zero, ns_one):
-                        sdiff |= self._diff_word(z, o)
-                else:
-                    for pos in scan_observe:
-                        sdiff |= self._diff_word(ns_zero[pos],
-                                                 ns_one[pos])
-                sdiff &= ~1
-                if sdiff:
-                    frame_set = scan_diff[frame]
-                    for pos, fid in enumerate(chunk.indices):
-                        if sdiff & chunk.bit_of(pos):
-                            frame_set.add(fid)
-                for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
-                    zero[nid], one[nid] = z, o
+        else:
+            for chunk in self._build_chunks(sim_target):
+                self._records_chunk(chunk, vectors, init_state,
+                                    scan_observe, po_first, scan_diff)
         if expand is not None:
             # Members share the representative's per-frame behavior
             # exactly, so each record entry re-inflates verbatim.
@@ -815,6 +747,47 @@ class FaultSimulator:
             scan_diff = [self._expand_detected(s, expand)
                          for s in scan_diff]
         return SimRecords(n_frames, po_first, scan_diff)
+
+    def _records_chunk(self, chunk: _Chunk, vectors: Sequence[V.Vector],
+                       init_state: V.Vector,
+                       scan_observe: Optional[Sequence[int]],
+                       po_first: Dict[int, int],
+                       scan_diff: List[Set[int]]) -> None:
+        """One chunk of :meth:`run_with_records` on big-int words."""
+        counters = self.counters
+        zero, one = self._init_words(chunk, init_state)
+        po_seen = 0
+        for frame, vector in enumerate(vectors):
+            self._load_frame(chunk, zero, one, vector)
+            self.circuit.eval_frame(zero, one, chunk.mask,
+                                    chunk.stems, chunk.branch)
+            counters.note_words(1, len(chunk.indices))
+            ns_zero, ns_one = self._next_state_words(chunk, zero, one)
+            po_now = 0
+            for nid in self.circuit.po_ids:
+                po_now |= self._diff_word(zero[nid], one[nid])
+            po_new = po_now & ~po_seen & ~1
+            if po_new:
+                for pos, fid in enumerate(chunk.indices):
+                    if po_new & chunk.bit_of(pos):
+                        po_first[fid] = frame
+                po_seen |= po_new
+            sdiff = 0
+            if scan_observe is None:
+                for z, o in zip(ns_zero, ns_one):
+                    sdiff |= self._diff_word(z, o)
+            else:
+                for pos in scan_observe:
+                    sdiff |= self._diff_word(ns_zero[pos],
+                                             ns_one[pos])
+            sdiff &= ~1
+            if sdiff:
+                frame_set = scan_diff[frame]
+                for pos, fid in enumerate(chunk.indices):
+                    if sdiff & chunk.bit_of(pos):
+                        frame_set.add(fid)
+            for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
+                zero[nid], one[nid] = z, o
 
     # ------------------------------------------------------------------
     # Lane-transposed simulation: the tests ride in the lanes
@@ -895,9 +868,8 @@ class FaultSimulator:
         of them at once (see DESIGN.md section 9).
 
         Returns one detected-fault-index set per candidate, exactly
-        equal to ``[detect(vectors, s, target, early_exit=False) for s
-        in init_states]`` (the equivalence suite enforces this bit for
-        bit).
+        equal to ``[detect(vectors, s, target) for s in init_states]``
+        (the equivalence suite enforces this bit for bit).
         """
         self.counters.candidate_passes += 1
         return self.detect_trials(
@@ -926,8 +898,8 @@ class FaultSimulator:
 
         Returns one detected-fault-index set per trial, exactly equal
         to ``[detect(list(v), s, target=target, scan_out=scan_out,
-        observe_po=observe_po, early_exit=False,
-        scan_observe=scan_observe) for (s, v) in trials]`` (the
+        observe_po=observe_po, scan_observe=scan_observe) for (s, v)
+        in trials]`` (the
         equivalence suite enforces this bit for bit).  This is the
         pass behind Phase-1 candidate scans (:meth:`detect_candidates`),
         PPSFP pattern blocks
@@ -1172,10 +1144,13 @@ class IncrementalFaultSim:
     Used by the sequential sequence generator: carries the good and
     faulty machine state words across frames so a candidate next vector
     can be evaluated (:meth:`preview`) or committed (:meth:`apply`) in
-    one combinational evaluation per word.  When the circuit has an
-    array backend each chunk's state lives in kernel arrays across
-    steps and every step is a one-frame records-mode kernel call;
-    otherwise the words are big-ints.
+    one combinational evaluation per word.  Its target is fixed, so
+    its chunks are packed once, on creation.  When the circuit has an
+    array backend each chunk gets its own plan and arena, built once:
+    the chunk's state lives in the arena across steps, every step is a
+    one-frame records-mode kernel call, and the machine words are
+    ``uint64`` rows decoded with numpy; otherwise the words are
+    big-ints.
 
     Detection here is PO-only (the no-scan setting of the paper's
     ``T0`` generation); a preview also reports how many undetected
@@ -1193,41 +1168,70 @@ class IncrementalFaultSim:
         self._expand = expand
         self.chunks = parent._build_chunks(sim_target)
         self._backend = parent.circuit.array_backend
-        if self._backend is None:
-            self._words: List[Any] = [parent._init_words(c, init_state)
-                                      for c in self.chunks]
-        else:
-            self._words = [self._backend.step_state(parent, c, init_state)
-                           for c in self.chunks]
-        self._caught = [0] * len(self.chunks)
+        # Per chunk: its big-int words, or its arena on the kernel;
+        # and its PO-caught machines (an int, or a uint64 row).
+        self._words: List[Any] = []
+        self._caught: List[Any] = []
+        #: Kernel route: per chunk, the faults each machine bit stands
+        #: for (1, or its requested-member count under collapsing).
+        self._weights: List[Any] = []
+        for chunk in self.chunks:
+            if self._backend is None:
+                self._words.append(parent._init_words(chunk, init_state))
+                self._caught.append(0)
+                continue
+            arena = self._backend.arena(chunk)
+            arena.load_scan_in(init_state)
+            self._words.append(arena)
+            self._caught.append(arena.caught.copy())
+            weights = (arena.fault_of >= 0).astype(arena.np.int64)
+            if expand is not None:
+                weights[1:len(chunk.indices) + 1] = [
+                    len(expand[fid]) for fid in chunk.indices]
+            self._weights.append(weights)
         self.detected: Set[int] = set()
         self.n_frames = 0
 
-    def _bit_weight(self, chunk: _Chunk, word: int) -> int:
-        """Faults a machine-bit word stands for: a plain popcount
-        without class translation, otherwise each representative bit
-        weighted by its requested-member count (so previews match the
-        uncollapsed arm's counts exactly)."""
+    def _bit_weight(self, ci: int, word: Any) -> int:
+        """Faults a machine-bit word of chunk ``ci`` stands for: a
+        plain popcount without class translation, otherwise each
+        representative bit weighted by its requested-member count (so
+        previews match the uncollapsed arm's counts exactly)."""
+        if self._backend is not None:
+            return int(self._weights[ci][self._words[ci].bits(word)].sum())
         if self._expand is None:
             return bin(word).count("1")
+        chunk = self.chunks[ci]
         total = 0
         for pos, fid in enumerate(chunk.indices):
             if word & chunk.bit_of(pos):
                 total += len(self._expand[fid])
         return total
 
+    def _faults_in(self, ci: int, word: Any) -> List[int]:
+        """Fault indices of chunk ``ci`` at the bits set in ``word``."""
+        if self._backend is not None:
+            faults: List[int] = self._words[ci].faults_in(word)
+            return faults
+        if not word:
+            return []
+        chunk = self.chunks[ci]
+        return [fid for pos, fid in enumerate(chunk.indices)
+                if word & chunk.bit_of(pos)]
+
     # ------------------------------------------------------------------
     def _step(self, ci: int, vector: V.Vector,
-              commit: bool) -> Tuple[int, int]:
+              commit: bool) -> Tuple[Any, Any]:
         """Evaluate one frame for chunk ``ci``; returns ``(po_diff,
         scan_diff)``.  The flip-flops advance only when ``commit``."""
         parent = self.parent
         chunk = self.chunks[ci]
         parent.counters.note_words(1, len(chunk.indices))
         if self._backend is not None:
-            po_diff, scan_diff = self._backend.run_step(
-                parent, self._words[ci], vector, commit)
-            return po_diff & ~1, scan_diff & ~1
+            # The good machine (bit 0) never differs from itself, so
+            # the kernel's diff rows never carry it.
+            return self._backend.run_step(parent, self._words[ci],
+                                          vector, commit)
         zero, one = self._words[ci]
         if not commit:
             zero, one = list(zero), list(one)
@@ -1251,28 +1255,26 @@ class IncrementalFaultSim:
         check_vectors(self.parent.circuit, [vector])
         new_po = 0
         sdiff_total = 0
-        for ci, chunk in enumerate(self.chunks):
+        for ci in range(len(self.chunks)):
             po_diff, scan_diff = self._step(ci, vector, commit=False)
-            new_po += self._bit_weight(chunk, po_diff & ~self._caught[ci])
-            sdiff_total += self._bit_weight(
-                chunk, scan_diff & ~self._caught[ci])
+            caught = self._caught[ci]
+            new_po += self._bit_weight(ci, po_diff & ~caught)
+            sdiff_total += self._bit_weight(ci, scan_diff & ~caught)
         return StepPreview(new_po, sdiff_total)
 
     def apply(self, vector: V.Vector) -> Set[int]:
         """Commit a vector; returns the newly PO-detected fault indices."""
         check_vectors(self.parent.circuit, [vector])
         newly: Set[int] = set()
-        for ci, chunk in enumerate(self.chunks):
+        for ci in range(len(self.chunks)):
             po_diff, _ = self._step(ci, vector, commit=True)
             fresh = po_diff & ~self._caught[ci]
-            if fresh:
-                for pos, fid in enumerate(chunk.indices):
-                    if fresh & chunk.bit_of(pos):
-                        if self._expand is None:
-                            newly.add(fid)
-                        else:
-                            newly.update(self._expand[fid])
-                self._caught[ci] |= fresh
+            for fid in self._faults_in(ci, fresh):
+                if self._expand is None:
+                    newly.add(fid)
+                else:
+                    newly.update(self._expand[fid])
+            self._caught[ci] = self._caught[ci] | fresh
         self.detected |= newly
         self.n_frames += 1
         self.parent.counters.frames += 1
@@ -1283,7 +1285,12 @@ class IncrementalFaultSim:
         circuit = self.parent.circuit
         if not self.chunks:
             return V.all_x(len(circuit.ff_ids))
-        zero, one = (self._words[0] if self._backend is None
-                     else self._words[0].first_words())
-        return tuple(V.word_scalar(zero[nid], one[nid])
-                     for nid in circuit.ff_ids)
+        if self._backend is None:
+            zero, one = self._words[0]
+            return tuple(V.word_scalar(zero[nid], one[nid])
+                         for nid in circuit.ff_ids)
+        arena = self._words[0]
+        good_zero = (arena.zero[arena.ff_rows, 0] & 1).tolist()
+        good_one = (arena.one[arena.ff_rows, 0] & 1).tolist()
+        return tuple(V.word_scalar(z, o)
+                     for z, o in zip(good_zero, good_one))

@@ -5,21 +5,30 @@ Python integers and pays interpreter overhead per gate *and* per
 frame: one arbitrary-precision bitwise op is cheap, but a 330-gate
 frame costs hundreds of microseconds of bytecode dispatch, dict
 probes for injection sites, and list traffic on the branch-fault
-slow path.  This module re-hosts a pass chunk on arrays: per-net
-words become a pair of ``(n_nets, n_words)`` ``uint64`` arrays
-(net-major -- see DESIGN.md section 13 for the layout rationale) and
-the whole pass loop runs in a *circuit-independent* C kernel,
-compiled once per process with cffi and the system C compiler.  The
-circuit (opcode/fanin tables) and the chunk's injection sites (stem /
+slow path.  This module re-hosts a pass on arrays: per-net words
+become a pair of ``(n_nets, n_words)`` ``uint64`` arrays (net-major
+-- see DESIGN.md section 13 for the layout rationale) and the whole
+pass loop runs in a *circuit-independent* C kernel, compiled once
+per process with cffi and the system C compiler.  The circuit
+(opcode/fanin tables) and a plan's injection sites (stem /
 fanout-branch / flip-flop-branch forcing masks) are handed over as
 dense plan arrays, so a frame costs a few microseconds with zero
 per-frame Python work; Python regains control only at pass
-boundaries and at in-pass repack points.
+boundaries.
+
+The set-up of a pass is paid once per plan, not once per call.  A
+simulator's ``detect`` and ``run_with_records`` calls share one
+*fault-universe plan* (:class:`_Universe`): every simulated
+representative has a fixed machine bit, and a call selects its
+targets with a live-machine mask.  An incremental (sequence-
+generation) simulation and a Phase-2 checkpointed run each build a
+plan of their own fixed target once.  Every plan owns an
+:class:`_Arena`: its buffers and kernel pointers are created once
+and reused by every call.  Detections are decoded from the caught
+and record words with numpy.
 
 With numpy, cffi and a C compiler present, every fault-simulation
-pass chunk runs here, and so does every step of an incremental
-(sequence-generation) simulation: a one-frame records-mode call on
-arrays kept across steps; otherwise
+pass runs here; otherwise
 :attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
 and everything runs on big-int words
 (:func:`kernel_unavailable_reason` says why).  The kernel mirrors
@@ -27,10 +36,10 @@ and everything runs on big-int words
 operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
 next-state capture with flip-flop branch blends, PO / scan
-observation, the ``caught`` bookkeeping, the saturation break and
-the in-pass repack trigger -- so detection sets are byte-identical
-either way (enforced by the production-vs-reference equivalence
-suites and the sanitizer's shadow checks).
+observation, the ``caught`` bookkeeping and the saturation break --
+so detection sets are byte-identical either way (enforced by the
+production-vs-reference equivalence suites and the sanitizer's
+shadow checks).
 
 numpy and cffi are optional dependencies: install the ``fast`` extra
 (``pip install repro[fast]``).
@@ -44,7 +53,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from collections import OrderedDict
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Set, Tuple, Union)
 
@@ -222,7 +230,7 @@ static void repro_eval_gates(
 }
 
 int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, long W,
+    u64* zero, u64* one, const u64* mask, const u64* live, long W,
     long n_gates, const int* g_op, const int* g_out,
     const long* g_foff, const int* g_fan,
     long n_pi, const int* pi_ids,
@@ -240,8 +248,6 @@ int repro_run_pass(
     long start_frame, long last_frame,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
-    int early_exit, long repack_min_machines,
-    long repack_min_frames_left, long n_machines,
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
@@ -336,27 +342,15 @@ int repro_run_pass(
         }
         caught[0] &= ~1ULL;
         {
+            /* Saturated once every live machine is caught: machines
+               outside `live` ride along but never hold a pass open. */
             int sat = 1;
             for (w = 0; w < W; w++) {
-                u64 m = mask[w];
+                u64 m = live[w];
                 if (w == 0) m &= ~1ULL;
-                if (caught[w] != m) { sat = 0; break; }
+                if ((caught[w] & m) != m) { sat = 0; break; }
             }
             if (sat) { *stop_frame = f; return 1; }
-        }
-        if (early_exit) {
-            u64 any = 0;
-            long pc = 0;
-            for (w = 0; w < W; w++) {
-                any |= caught[w];
-                pc += __builtin_popcountll(caught[w]);
-            }
-            if (any && n_machines >= repack_min_machines &&
-                    (last_frame - f) >= repack_min_frames_left &&
-                    2 * pc >= n_machines) {
-                *stop_frame = f;
-                return 2;
-            }
         }
         for (i = 0; i < n_ff; i++) {
             u64* z = zero + (long)ff_ids[i] * W;
@@ -377,8 +371,8 @@ int repro_run_pass(
    (and pre-replicated across blocks) from a separate good pass.
    `act` masks the lanes still inside their own sequence at a frame
    (PO observation), `end_mask` the lanes whose last frame it is
-   (scan-out diff against the captured state).  No repack, no early
-   exit beyond full saturation (status 1); mirrors FaultSimulator.
+   (scan-out diff against the captured state).  No early exit
+   beyond full saturation (status 1); mirrors FaultSimulator.
    _run_trial_chunk word for word. */
 int repro_run_lane_pass(
     u64* zero, u64* one, const u64* mask, long W,
@@ -572,7 +566,7 @@ void repro_run_good_lane_pass(
 _KERNEL_CDEF = """
 typedef unsigned long long u64;
 int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, long W,
+    u64* zero, u64* one, const u64* mask, const u64* live, long W,
     long n_gates, const int* g_op, const int* g_out,
     const long* g_foff, const int* g_fan,
     long n_pi, const int* pi_ids,
@@ -590,8 +584,6 @@ int repro_run_pass(
     long start_frame, long last_frame,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
-    int early_exit, long repack_min_machines,
-    long repack_min_frames_left, long n_machines,
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
@@ -645,7 +637,9 @@ void repro_run_good_lane_pass(
 #: Kernel pass-loop return codes.
 _STATUS_DONE = 0
 _STATUS_SATURATED = 1
-_STATUS_REPACK = 2
+
+#: Compiler flags of the kernel build (part of the cache key).
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
 #: Process-lifetime kernel cache: (ffi, lib) or an unavailability
 #: reason string.  Compiled lazily on first backend construction.
@@ -665,17 +659,21 @@ def _find_cc() -> Optional[str]:
 def _kernel_cache_path() -> Optional[str]:
     """Cross-process kernel cache: ``$REPRO_KERNEL_CACHE/<hash>.so``.
 
-    The filename is keyed on the kernel source *and* its cdef, so a
-    restored cache directory (CI persists it across jobs) can never
-    dlopen a shared object built from different source -- a source
-    change simply misses the cache and recompiles.  Unset env means
-    no cache: every process compiles into its own tempdir as before.
+    The filename is keyed on the kernel source, its cdef, the ``$CC``
+    value and the compile flags, so a restored cache directory (CI
+    persists it across jobs) can never dlopen a shared object built
+    from different source or by a different compiler -- a change to
+    any of them simply misses the cache and recompiles (and a ``$CC``
+    that names no compiler reports that, whatever the cache holds).
+    Unset env means no cache: every process compiles the kernel
+    itself.
     """
     root = os.environ.get("REPRO_KERNEL_CACHE")
     if not root:
         return None
-    digest = hashlib.sha256(
-        (_KERNEL_CDEF + _KERNEL_SOURCE).encode()).hexdigest()[:16]
+    key = "\0".join((_KERNEL_CDEF, _KERNEL_SOURCE,
+                     os.environ.get("CC", ""), *_CFLAGS))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(root, f"repro_kernel-{digest}.so")
 
 
@@ -684,7 +682,10 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
 
     Returns ``(ffi, lib)`` or ``None`` (reason in
     :func:`kernel_unavailable_reason`).  Never raises: a missing
-    compiler or cffi just disables the fast path.
+    compiler or cffi just disables the fast path.  The build
+    directory is removed once the library is loaded (and published
+    to the cache, when one is configured); a loaded shared object
+    stays mapped after its file is unlinked.
     """
     global _KERNEL, _KERNEL_ERROR, _KERNEL_TRIED
     if _KERNEL_TRIED:
@@ -710,30 +711,32 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
         _KERNEL_ERROR = "no C compiler found (set $CC)"
         return None
     tmpdir = tempfile.mkdtemp(prefix="repro-np-kernel-")
-    c_path = os.path.join(tmpdir, "repro_kernel.c")
-    so_path = os.path.join(tmpdir, "repro_kernel.so")
     try:
-        with open(c_path, "w") as handle:
-            handle.write(_KERNEL_SOURCE)
-        subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", so_path, c_path],
-            check=True, capture_output=True, timeout=120)
-        ffi = FFI()
-        ffi.cdef(_KERNEL_CDEF)
-        lib = ffi.dlopen(so_path)
-    except Exception as exc:  # pragma: no cover - toolchain-specific
-        _KERNEL_ERROR = f"kernel build failed: {exc}"
-        return None
-    if cached is not None:
+        c_path = os.path.join(tmpdir, "repro_kernel.c")
+        so_path = os.path.join(tmpdir, "repro_kernel.so")
         try:
-            os.makedirs(os.path.dirname(cached), exist_ok=True)
-            # Atomic publish: concurrent processes may race here, but
-            # every writer produces an identical file.
-            tmp_copy = f"{cached}.tmp-{os.getpid()}"
-            shutil.copy(so_path, tmp_copy)
-            os.replace(tmp_copy, cached)
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
+            with open(c_path, "w") as handle:
+                handle.write(_KERNEL_SOURCE)
+            subprocess.run([cc, *_CFLAGS, "-o", so_path, c_path],
+                           check=True, capture_output=True, timeout=120)
+            ffi = FFI()
+            ffi.cdef(_KERNEL_CDEF)
+            lib = ffi.dlopen(so_path)
+        except Exception as exc:  # pragma: no cover - toolchain-specific
+            _KERNEL_ERROR = f"kernel build failed: {exc}"
+            return None
+        if cached is not None:
+            try:
+                os.makedirs(os.path.dirname(cached), exist_ok=True)
+                # Atomic publish: concurrent processes may race here,
+                # but every writer produces an identical file.
+                tmp_copy = f"{cached}.tmp-{os.getpid()}"
+                shutil.copy(so_path, tmp_copy)
+                os.replace(tmp_copy, cached)
+            except OSError:  # pragma: no cover - read-only cache dir
+                pass
+    finally:
+        shutil.rmtree(tmpdir, ignore_errors=True)
     _KERNEL = (ffi, lib)
     return _KERNEL
 
@@ -871,30 +874,189 @@ class _ChunkPlan:
         self._kptrs: Optional[Tuple[Any, Tuple[Any, ...]]] = None
 
 
-class _StepArrays:
-    """Kernel-array state of one chunk of an
-    :class:`~repro.sim.fault_sim.IncrementalFaultSim`, kept across its
-    steps: the per-net words, with the flip-flop rows holding the
-    current state, plus the one-frame record and next-state buffers
-    of :meth:`ArrayBackend.run_step`."""
+class _Arena:
+    """The buffers and kernel arguments of one plan, created once.
 
-    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan,
-                 init_state: V.Vector) -> None:
+    Every ``repro_run_pass`` call of the plan runs in these buffers:
+    the per-net state rows (the flip-flop rows carry state between
+    calls), the next-state and branch-scratch rows, the ``caught`` and
+    ``live`` words and the stop-frame / frame-count cells, each cast
+    to a kernel pointer here.  The vector and record buffers grow on
+    demand and are recast only when they grow.  ``live`` starts as
+    the plan's whole mask; a universe part narrows it per call.
+    ``fault_of[b]`` is the fault index at machine bit ``b`` (``-1``
+    for the good bit and the padding).
+    """
+
+    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan) -> None:
         np = backend.np
+        self.np = np
+        ffi, self._lib = backend._kernel  # type: ignore[misc]
+        self._ffi = ffi
+        circuit = backend.circuit
         W = plan.n_words
         self.plan = plan
-        self.zero, self.one = backend._init_state(plan, init_state)
-        self.rec_po = np.zeros((1, W), dtype=np.uint64)
-        self.rec_scan = np.zeros((1, W), dtype=np.uint64)
-        self.ns_zero = np.zeros((max(1, len(backend.circuit.ff_ids)), W),
+        self.ff_rows = backend.ff_rows
+        self.n_machines = len(plan.chunk.indices)
+        self.fault_of = np.full(64 * W, -1, dtype=np.int64)
+        self.fault_of[1:self.n_machines + 1] = plan.chunk.indices
+        self.zero = np.zeros((circuit.n_nets, W), dtype=np.uint64)
+        self.one = np.zeros_like(self.zero)
+        self.ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
                                 dtype=np.uint64)
         self.ns_one = np.zeros_like(self.ns_zero)
+        self.scr_z = np.zeros((backend.max_arity, W), dtype=np.uint64)
+        self.scr_o = np.zeros_like(self.scr_z)
         self.caught = np.zeros(W, dtype=np.uint64)
+        self.live = plan.mask.copy()
+        self._frames = ffi.new("long*")
+        p_mask, p_sites = backend._plan_args(plan)
+        self._head = (_u64p(ffi, self.zero), _u64p(ffi, self.one), p_mask,
+                      _u64p(ffi, self.live), W, *backend._circuit_args(),
+                      *p_sites)
+        self._tail = (_u64p(ffi, self.ns_zero), _u64p(ffi, self.ns_one),
+                      _u64p(ffi, self.scr_z), _u64p(ffi, self.scr_o),
+                      _u64p(ffi, self.caught), ffi.new("long*"),
+                      self._frames)
+        self.vecs = np.zeros((0, len(circuit.pi_ids)), dtype=np.uint8)
+        self._vecs_p = ffi.NULL
+        self.rec_po = np.zeros((0, W), dtype=np.uint64)
+        self.rec_scan = np.zeros_like(self.rec_po)
+        self._rec_p = (ffi.NULL, ffi.NULL)
+        self._obs_key: Optional[Tuple[int, ...]] = None
+        self._obs = np.zeros(1, dtype=np.int32)
+        self._obs_p = _i32p(ffi, self._obs)
 
-    def first_words(self) -> Tuple[List[int], List[int]]:
-        """Per-net words of the first 64 machines (the good machine is
-        bit 0)."""
-        return self.zero[:, 0].tolist(), self.one[:, 0].tolist()
+    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
+        """Copy a PI sequence into the vector buffer (frame 0 first);
+        returns its frame count."""
+        n = len(vectors)
+        if n > len(self.vecs):
+            self.vecs = self.np.zeros((max(n, 2 * len(self.vecs)),
+                                       self.vecs.shape[1]),
+                                      dtype=self.np.uint8)
+            self._vecs_p = self._ffi.cast("unsigned char*",
+                                          self.vecs.ctypes.data)
+        if n:
+            self.vecs[:n] = vectors
+        return n
+
+    def load_scan_in(self, state: V.Vector) -> None:
+        """Pack the flip-flop rows from a scan-in vector
+        (:func:`repro.sim.values.pack_scalar` semantics) and clear the
+        caught words."""
+        np = self.np
+        values = np.asarray(state, dtype=np.uint8)[:, None]
+        mask = self.plan.mask
+        self.zero[self.ff_rows] = (values == V.ZERO) * mask
+        self.one[self.ff_rows] = (values == V.ONE) * mask
+        self.caught.fill(0)
+
+    def run(self, n_frames: int, observe_po: bool, scan_out: bool,
+            scan_observe: Optional[Sequence[int]],
+            records: bool = False) -> int:
+        """One kernel pass over the first ``n_frames`` loaded vectors;
+        returns the frames it ran.  With ``records`` the pass fills
+        ``rec_po`` / ``rec_scan`` row by row and never stops early."""
+        np, ffi = self.np, self._ffi
+        if n_frames > len(self.vecs):
+            raise ValueError(f"{n_frames}-frame pass over a "
+                             f"{len(self.vecs)}-frame vector buffer")
+        if records and n_frames > len(self.rec_po):
+            rows = max(n_frames, 2 * len(self.rec_po))
+            self.rec_po = np.zeros((rows, self.plan.n_words),
+                                   dtype=np.uint64)
+            self.rec_scan = np.zeros_like(self.rec_po)
+            self._rec_p = (_u64p(ffi, self.rec_po),
+                           _u64p(ffi, self.rec_scan))
+        key = None if scan_observe is None else tuple(scan_observe)
+        if key != self._obs_key:
+            if key and not all(0 <= p < len(self.ff_rows) for p in key):
+                raise ValueError(f"scan-out position outside the "
+                                 f"{len(self.ff_rows)} flip-flops")
+            self._obs = np.asarray(key or (0,), dtype=np.int32)
+            self._obs_p = _i32p(ffi, self._obs)
+            self._obs_key = key
+        # The kernel adds to the frames cell rather than overwriting it.
+        self._frames[0] = 0
+        self._lib.repro_run_pass(
+            *self._head, self._vecs_p, 0, n_frames - 1, int(observe_po),
+            int(scan_out), -1 if key is None else len(key), self._obs_p,
+            *(self._rec_p if records else (ffi.NULL, ffi.NULL)),
+            *self._tail)
+        return int(self._frames[0])
+
+    def bits(self, words: Any) -> Any:
+        """Ascending machine-bit positions set in a word row (bit ``b``
+        is bit ``b % 64`` of word ``b // 64``)."""
+        np = self.np
+        return np.flatnonzero(np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8),
+            bitorder="little"))
+
+    def faults_in(self, words: Any) -> List[int]:
+        """Fault indices at the machine bits set in ``words`` (the good
+        bit stands for none)."""
+        fids: List[int] = self.fault_of[self.bits(words)].tolist()
+        return fids if not fids or fids[0] >= 0 else fids[1:]
+
+
+class _Universe:
+    """A simulator's fault-universe plan for ``detect`` and
+    ``run_with_records``.
+
+    Every representative the simulator can simulate (proven-untestable
+    classes left out) has a fixed machine bit: ``_build_chunks`` runs
+    once over all of them, giving balanced parts of at most
+    ``fused_cap`` machines, and each part is one plan with its arena.
+    A call sets each part's ``live`` words to its target's bits plus
+    the good bit and skips the parts with no live bit; every word of
+    the other parts runs, and a part stops once its live machines are
+    caught.
+    """
+
+    def __init__(self, backend: "ArrayBackend",
+                 sim: "FaultSimulator") -> None:
+        from ..analysis import sanitizer
+        np = backend.np
+        self.np = np
+        reps, _ = sim._prepare_target(range(len(sim.faults)))
+        self.parts: List[_Arena] = []
+        # Per fault: its part and machine bit (bit 0, the good
+        # machine's, marks a fault outside the universe).
+        self.part_of = np.zeros(len(sim.faults), dtype=np.intp)
+        self.bit_of = np.zeros(len(sim.faults), dtype=np.intp)
+        for k, chunk in enumerate(sim._build_chunks(reps)):
+            if sanitizer.enabled():
+                sanitizer.check_chunk(chunk, "FaultSimulator universe")
+            idx = np.asarray(chunk.indices, dtype=np.intp)
+            self.part_of[idx] = k
+            self.bit_of[idx] = np.arange(1, len(idx) + 1)
+            self.parts.append(_Arena(backend, _ChunkPlan(backend, chunk)))
+
+    def select(self, target: Sequence[int]) -> List[Tuple[_Arena, int]]:
+        """Point the ``live`` words of every part ``target`` touches
+        at it; returns those parts, in order, with their live-machine
+        counts."""
+        np = self.np
+        t = np.asarray(target, dtype=np.intp)
+        if not len(t):
+            return []
+        bits = self.bit_of[t]
+        if bits.min() == 0:
+            raise ValueError("target fault outside the simulator's "
+                             "universe")
+        parts = self.part_of[t] if len(self.parts) > 1 else None
+        selected: List[Tuple[_Arena, int]] = []
+        for k in ([0] if parts is None else np.unique(parts).tolist()):
+            arena = self.parts[k]
+            flags = np.zeros(len(arena.fault_of), dtype=bool)
+            flags[bits if parts is None else bits[parts == k]] = True
+            n_live = int(np.count_nonzero(flags))
+            flags[0] = True   # the good machine
+            arena.live[:] = np.packbits(flags, bitorder="little").view("<u8")
+            selected.append((arena, n_live))
+        return selected
 
 
 # ----------------------------------------------------------------------
@@ -936,6 +1098,8 @@ class ArrayBackend:
         self.ff_ids = np.asarray(circuit.ff_ids or [0], dtype=np.int32)
         self.ffd_ids = np.asarray(circuit.ff_d_ids or [0],
                                   dtype=np.int32)
+        #: Flip-flop state rows (empty when there are none).
+        self.ff_rows = np.asarray(circuit.ff_ids, dtype=np.intp)
         self._kernel = _load_kernel()
         #: Lazily built circuit-constant kernel arguments (see
         #: :meth:`_circuit_args`).
@@ -944,43 +1108,14 @@ class ArrayBackend:
         # word width (circuit-wide, so safely shared across simulators).
         self._empty_plans: Dict[int, _ChunkPlan] = {}
 
-    #: Plans retained by :meth:`_plan_for`.  Small: pipeline phases
-    #: re-simulate a handful of target sets over and over (Phase-2
-    #: omission trials alone issue thousands of short passes on the
-    #: same set), and one bench1k plan is only a few hundred KB.
-    _PLAN_CACHE_SIZE = 8
+    def universe(self, sim: "FaultSimulator") -> _Universe:
+        """A new fault-universe plan of ``sim`` (see :class:`_Universe`)."""
+        return _Universe(self, sim)
 
-    def _plan_for(self, sim: "FaultSimulator",
-                  chunk: "Union[_Chunk, _LaneChunk]",
-                  n_bits: Optional[int] = None) -> _ChunkPlan:
-        """The injection plan for ``chunk``, LRU-cached by fault set.
-
-        A chunk's stems/branches/mask are a pure function of its
-        fault indices (in order) for a fixed circuit and fault list,
-        so an equal index tuple means an identical plan.  Lane-chunk
-        plans additionally depend on the lane count (the injection
-        masks replicate per lane block), which ``n_bits`` encodes
-        into the key.  The cache lives on the simulator (not this
-        backend, which is shared per-circuit across simulators whose
-        fault lists may differ).  Repacked chunks are per-call
-        transients and bypass the cache.
-        """
-        cache: "OrderedDict[Tuple[Any, ...], _ChunkPlan]" = \
-            sim.__dict__.setdefault("_np_plan_cache", OrderedDict())
-        if n_bits is None:
-            key: Tuple[Any, ...] = tuple(chunk.indices)
-        else:
-            key = ("lane", n_bits, *chunk.indices)
-        plan = cache.get(key)
-        if plan is None:
-            plan = _ChunkPlan(self, chunk, n_bits)
-            cache[key] = plan
-            if len(cache) > self._PLAN_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
-            plan.chunk = chunk
-        return plan
+    def arena(self, chunk: "_Chunk") -> _Arena:
+        """A plan of ``chunk``, built once, with its arena: the kernel
+        route of a consumer whose target is fixed."""
+        return _Arena(self, _ChunkPlan(self, chunk))
 
     # ------------------------------------------------------------------
     def _init_state(self, plan: _ChunkPlan,
@@ -996,22 +1131,6 @@ class ArrayBackend:
                 zero[nid] = plan.mask
             elif val == V.ONE:
                 one[nid] = plan.mask
-        return zero, one
-
-    def _state_from_words(self, plan: _ChunkPlan,
-                          zero_words: Sequence[int],
-                          one_words: Sequence[int]) -> Tuple[Any, Any]:
-        """Array state from full per-net big-int word lists (used to
-        resume after an in-pass repack)."""
-        np = self.np
-        W = plan.n_words
-        zero = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        one = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        for nid in self.circuit.ff_ids:
-            if zero_words[nid]:
-                zero[nid] = V.word_to_array(zero_words[nid], W)
-            if one_words[nid]:
-                one[nid] = V.word_to_array(one_words[nid], W)
         return zero, one
 
     def _vec_array(self, vectors: Sequence[V.Vector]) -> Any:
@@ -1067,152 +1186,89 @@ class ArrayBackend:
     def _kernel_segment(
         self, plan: _ChunkPlan, zero: Any, one: Any, vec_arr: Any,
         start: int, last: int, observe_po: bool, scan_out: bool,
-        scan_observe: Optional[Sequence[int]], early_exit: bool,
-        rec_po: Optional[Any], rec_scan: Optional[Any],
         ns_zero: Any, ns_one: Any, caught: Any,
     ) -> Tuple[int, int, int]:
-        """One kernel call; returns ``(status, stop_frame, frames)``."""
-        from . import fault_sim as FS
+        """One kernel call on caller-owned arrays, every machine of the
+        plan live (the transition-fault captures); returns ``(status,
+        stop_frame, frames)``."""
         np = self.np
         ffi, lib = self._kernel  # type: ignore[misc]
         W = plan.n_words
-        if scan_observe is None:
-            n_scan_obs = -1
-            scan_obs = np.zeros(1, dtype=np.int32)
-        else:
-            n_scan_obs = len(scan_observe)
-            scan_obs = np.asarray(list(scan_observe) or [0],
-                                  dtype=np.int32)
+        scan_obs = np.zeros(1, dtype=np.int32)
         scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
         scr_o = np.zeros((self.max_arity, W), dtype=np.uint64)
         stop = ffi.new("long*")
         frames = ffi.new("long*")
         p_mask, p_sites = self._plan_args(plan)
         status = lib.repro_run_pass(
-            _u64p(ffi, zero), _u64p(ffi, one), p_mask, W,
+            _u64p(ffi, zero), _u64p(ffi, one), p_mask, p_mask, W,
             *self._circuit_args(), *p_sites,
             ffi.cast("unsigned char*", vec_arr.ctypes.data),
-            start, last,
-            int(observe_po), int(scan_out), n_scan_obs,
-            _i32p(ffi, scan_obs),
-            int(early_exit), FS._REPACK_MIN_MACHINES,
-            FS._REPACK_MIN_FRAMES_LEFT, len(plan.chunk.indices),
-            _u64p(ffi, rec_po) if rec_po is not None else ffi.NULL,
-            _u64p(ffi, rec_scan) if rec_scan is not None else ffi.NULL,
+            start, last, int(observe_po), int(scan_out), -1,
+            _i32p(ffi, scan_obs), ffi.NULL, ffi.NULL,
             _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
             _u64p(ffi, scr_o), _u64p(ffi, caught), stop, frames)
         return int(status), int(stop[0]), int(frames[0])
 
     # ------------------------------------------------------------------
     def run_detect_chunk(
-        self, sim: "FaultSimulator", chunk: "_Chunk",
+        self, sim: "FaultSimulator", arena: _Arena, n_live: int,
         vectors: Sequence[V.Vector], init_state: V.Vector,
-        scan_out: bool, observe_po: bool, early_exit: bool,
-        scan_observe: Optional[Sequence[int]], detected: Set[int],
-    ) -> int:
-        """One chunk of :meth:`FaultSimulator.detect` on arrays.
+        scan_out: bool, observe_po: bool,
+        scan_observe: Optional[Sequence[int]],
+    ) -> Tuple[List[int], int]:
+        """One universe part of :meth:`FaultSimulator.detect`: a kernel
+        pass that stops once the part's live machines are caught.
 
-        Mirrors the big-int chunk loop exactly (saturation break,
-        in-pass repack via the parent's :meth:`_repack`, counter
-        accounting) and accumulates into ``detected``.  Returns the
-        number of frames simulated.
+        Returns ``(detected, frames_run)``: the live faults caught.
         """
-        np = self.np
         counters = sim.counters
         counters.np_passes += 1
-        last = len(vectors) - 1
-        if last < 0:
-            return 0
-        vec_arr = self._vec_array(vectors)
-        plan = self._plan_for(sim, chunk)
-        zero, one = self._init_state(plan, init_state)
-        caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
-                            plan.n_words), dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        frames_total = 0
-        frame = 0
-        while frame <= last:
-            status, stop, frames = self._kernel_segment(
-                plan, zero, one, vec_arr, frame, last, observe_po,
-                scan_out, scan_observe, early_exit, None, None,
-                ns_zero, ns_one, caught_arr)
-            frames_total += frames
-            counters.note_words(frames, len(chunk.indices))
-            if status != _STATUS_REPACK:
-                break
-            caught_int = V.array_to_word(caught_arr)
-            n_dropped = 0
-            for pos, fid in enumerate(chunk.indices):
-                if caught_int & chunk.bit_of(pos):
-                    detected.add(fid)
-                    n_dropped += 1
-            ns_z_ints = [V.array_to_word(ns_zero[i])
-                         for i in range(len(self.circuit.ff_ids))]
-            ns_o_ints = [V.array_to_word(ns_one[i])
-                         for i in range(len(self.circuit.ff_ids))]
-            chunk, zw, ow = sim._repack(chunk, caught_int,
-                                        ns_z_ints, ns_o_ints)
-            counters.repacks += 1
-            counters.faults_dropped += n_dropped
-            plan = _ChunkPlan(self, chunk)
-            zero, one = self._state_from_words(plan, zw, ow)
-            caught_arr = np.zeros(plan.n_words, dtype=np.uint64)
-            ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)),
-                                plan.n_words), dtype=np.uint64)
-            ns_one = np.zeros_like(ns_zero)
-            frame = stop + 1
-        caught = V.array_to_word(caught_arr)
-        for pos, fid in enumerate(chunk.indices):
-            if caught & chunk.bit_of(pos):
-                detected.add(fid)
-        return frames_total
+        n_frames = arena.load_vectors(vectors)
+        if n_frames == 0:
+            return [], 0
+        arena.load_scan_in(init_state)
+        frames = arena.run(n_frames, observe_po, scan_out, scan_observe)
+        counters.note_words(frames, n_live)
+        return arena.faults_in(arena.caught & arena.live), frames
 
     # ------------------------------------------------------------------
-    def run_suffix_chunk(
-        self, sim: "FaultSimulator", chunk: "_Chunk",
-        vectors: Sequence[V.Vector], ff_zero: Sequence[int],
-        ff_one: Sequence[int], caught: int,
-        scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[int, int]:
-        """One chunk of a Phase-2 omission suffix trial on arrays.
-
-        Resumes from a checkpoint (per-flip-flop big-int word pairs
-        plus the cumulative PO ``caught`` mask), runs the suffix with
-        PO observation every frame and scan-out on the last frame,
-        and stops early once every machine is caught -- exactly the
-        ``record=False`` big-int loop in
-        :meth:`repro.core.omission._CheckpointedRun._run_suffix`,
-        with the scan-out diff folded into the returned mask (the
-        caller ORs them anyway).  Returns ``(mask, frames_run)``.
-
-        The caller keeps the big-int path for ``record=True``
-        rebuilds, which need per-frame trails.
-        """
+    def checkpoint_rows(self, arena: _Arena, ff_zero: Sequence[int],
+                        ff_one: Sequence[int], caught: int) -> Tuple[Any, ...]:
+        """A Phase-2 checkpoint (per-flip-flop big-int word pairs and
+        the cumulative PO ``caught`` mask) as arena-width arrays."""
         np = self.np
+        W = arena.plan.n_words
+        n_ff = len(ff_zero)
+        return (_rows_array(np, ff_zero, W)[:n_ff],
+                _rows_array(np, ff_one, W)[:n_ff],
+                V.word_to_array(caught, W))
+
+    def run_suffix_chunk(
+        self, sim: "FaultSimulator", arena: _Arena,
+        vectors: Sequence[V.Vector], checkpoint: Tuple[Any, ...],
+        scan_observe: Optional[Sequence[int]],
+    ) -> Tuple[List[int], int]:
+        """One chunk of a Phase-2 omission suffix trial on the kernel.
+
+        Resumes from a checkpoint of :meth:`checkpoint_rows`, runs the
+        suffix with PO observation every frame and scan-out on the
+        last frame, and stops early once every machine is caught --
+        exactly the ``record=False`` big-int loop in
+        :meth:`repro.core.omission._CheckpointedRun._run_suffix`, with
+        the scan-out diff folded into the caught words (the caller
+        ORs them anyway).  Returns ``(detected, frames_run)``.
+        """
         counters = sim.counters
         counters.np_passes += 1
-        last = len(vectors) - 1
-        if last < 0:
-            return caught, 0
-        plan = self._plan_for(sim, chunk)
-        W = plan.n_words
-        zero = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        one = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        if self.circuit.ff_ids:
-            zero[self.ff_ids] = _rows_array(np, list(ff_zero), W)
-            one[self.ff_ids] = _rows_array(np, list(ff_one), W)
-        caught_arr = V.word_to_array(caught, W)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        vec_arr = self._vec_array(vectors)
-        _, _, frames = self._kernel_segment(
-            plan, zero, one, vec_arr, 0, last, True, True,
-            scan_observe, False, None, None, ns_zero, ns_one,
-            caught_arr)
-        counters.note_words(frames, len(chunk.indices))
-        return V.array_to_word(caught_arr), frames
+        n_frames = arena.load_vectors(vectors)
+        ff_zero, ff_one, caught = checkpoint
+        arena.zero[arena.ff_rows] = ff_zero
+        arena.one[arena.ff_rows] = ff_one
+        arena.caught[:] = caught
+        frames = arena.run(n_frames, True, True, scan_observe)
+        counters.note_words(frames, arena.n_machines)
+        return arena.faults_in(arena.caught), frames
 
     # ------------------------------------------------------------------
     def run_lane_chunk(
@@ -1238,7 +1294,7 @@ class ArrayBackend:
         counters = sim.counters
         counters.np_passes += 1
         n_bits = chunk.n_groups * chunk.n_lanes
-        plan = self._plan_for(sim, chunk, n_bits=n_bits)
+        plan = _ChunkPlan(self, chunk, n_bits)
         W = plan.n_words
         rep = chunk.replication
         n_nets = self.circuit.n_nets
@@ -1440,79 +1496,65 @@ class ArrayBackend:
         return po_frames, scan_frames
 
     # ------------------------------------------------------------------
-    def step_state(self, sim: "FaultSimulator", chunk: "_Chunk",
-                   init_state: V.Vector) -> _StepArrays:
-        """The array state an incremental simulation of ``chunk``
-        starts from."""
-        return _StepArrays(self, self._plan_for(sim, chunk), init_state)
-
-    def run_step(self, sim: "FaultSimulator", arrays: _StepArrays,
-                 vector: V.Vector, commit: bool) -> Tuple[int, int]:
+    def run_step(self, sim: "FaultSimulator", arena: _Arena,
+                 vector: V.Vector, commit: bool) -> Tuple[Any, Any]:
         """One frame of an incremental simulation: a one-frame
-        records-mode kernel call on ``arrays``.
+        records-mode kernel call in ``arena``.
 
-        Returns the frame's ``(po_diff, scan_diff)`` machine words.
+        Returns the frame's ``(po_diff, scan_diff)`` machine words (rows
+        of the arena's record buffers, valid until its next call).
         Records mode always advances the flip-flop rows, so unless
         ``commit`` they are saved before the call and restored after
         it (every other row is reloaded or recomputed next frame).
         """
         sim.counters.np_passes += 1
-        ff_ids = self.circuit.ff_ids
+        rows = arena.ff_rows
         if not commit:
-            saved_zero = arrays.zero[ff_ids]
-            saved_one = arrays.one[ff_ids]
-        self._kernel_segment(
-            arrays.plan, arrays.zero, arrays.one, self._vec_array([vector]),
-            0, 0, True, True, None, False, arrays.rec_po, arrays.rec_scan,
-            arrays.ns_zero, arrays.ns_one, arrays.caught)
+            saved_zero = arena.zero[rows]
+            saved_one = arena.one[rows]
+        arena.load_vectors((vector,))
+        arena.run(1, True, True, None, records=True)
         if not commit:
-            arrays.zero[ff_ids] = saved_zero
-            arrays.one[ff_ids] = saved_one
-        return (V.array_to_word(arrays.rec_po[0]),
-                V.array_to_word(arrays.rec_scan[0]))
+            arena.zero[rows] = saved_zero
+            arena.one[rows] = saved_one
+        return arena.rec_po[0], arena.rec_scan[0]
 
     # ------------------------------------------------------------------
     def run_records_chunk(
-        self, sim: "FaultSimulator", chunk: "_Chunk",
+        self, sim: "FaultSimulator", arena: _Arena, n_live: int,
         vectors: Sequence[V.Vector], init_state: V.Vector,
         scan_observe: Optional[Sequence[int]],
         po_first: Dict[int, int], scan_diff: List[Set[int]],
     ) -> None:
-        """One chunk of :meth:`FaultSimulator.run_with_records` on
-        arrays (no early exit; per-frame PO / scan-out diff words)."""
+        """One universe part of :meth:`FaultSimulator.run_with_records`
+        (no early exit; per-frame PO / scan-out diff words), decoded
+        into ``po_first`` and ``scan_diff`` for the live faults."""
         np = self.np
         counters = sim.counters
         counters.np_passes += 1
-        n_frames = len(vectors)
+        n_frames = arena.load_vectors(vectors)
         if n_frames == 0:
             return
-        plan = self._plan_for(sim, chunk)
-        W = plan.n_words
-        zero, one = self._init_state(plan, init_state)
-        rec_po = np.zeros((n_frames, W), dtype=np.uint64)
-        rec_scan = np.zeros((n_frames, W), dtype=np.uint64)
-        vec_arr = self._vec_array(vectors)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        caught = np.zeros(W, dtype=np.uint64)
-        self._kernel_segment(
-            plan, zero, one, vec_arr, 0, n_frames - 1, True, True,
-            scan_observe, False, rec_po, rec_scan, ns_zero, ns_one,
-            caught)
-        counters.note_words(n_frames, len(chunk.indices))
-        po_seen = 0
+        arena.load_scan_in(init_state)
+        arena.run(n_frames, True, True, scan_observe, records=True)
+        counters.note_words(n_frames, n_live)
+        live = arena.live.copy()
+        live[0] &= ~np.uint64(1)
+
+        def bit_matrix(rec: Any) -> Any:
+            # Row f, column b: machine bit b differs at frame f.
+            return np.unpackbits(
+                (rec[:n_frames] & live).astype("<u8", copy=False)
+                .view(np.uint8), axis=1, bitorder="little")
+
+        po_bits = bit_matrix(arena.rec_po)
+        seen = np.flatnonzero(po_bits.any(axis=0))
+        po_first.update(zip(arena.fault_of[seen].tolist(),
+                            po_bits[:, seen].argmax(axis=0).tolist()))
+        frames, bits = np.nonzero(bit_matrix(arena.rec_scan))
+        fids = arena.fault_of[bits].tolist()
+        bounds = np.searchsorted(frames, np.arange(n_frames + 1)).tolist()
         for frame in range(n_frames):
-            po_now = V.array_to_word(rec_po[frame])
-            po_new = po_now & ~po_seen & ~1
-            if po_new:
-                for pos, fid in enumerate(chunk.indices):
-                    if po_new & chunk.bit_of(pos):
-                        po_first[fid] = frame
-                po_seen |= po_new
-            sdiff = V.array_to_word(rec_scan[frame]) & ~1
-            if sdiff:
-                frame_set = scan_diff[frame]
-                for pos, fid in enumerate(chunk.indices):
-                    if sdiff & chunk.bit_of(pos):
-                        frame_set.add(fid)
+            if bounds[frame] < bounds[frame + 1]:
+                scan_diff[frame].update(
+                    fids[bounds[frame]:bounds[frame + 1]])

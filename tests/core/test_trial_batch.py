@@ -26,8 +26,7 @@ from repro.sim import values as V
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import FaultSet
-from repro.sim.logicsim import CompiledCircuit
-from tests.reference import KERNEL, production_circuits, reference_circuit
+from tests.reference import production_circuits, reference_circuit
 
 _N_PI = 4
 
@@ -248,38 +247,3 @@ class TestAdiOrdering:
         scored = select_scan_in(sim, t0, comb_tests, set(), selected,
                                 adi={})
         assert scored == plain
-
-
-@pytest.mark.skipif(not KERNEL, reason="needs the C kernel")
-class TestPlanCacheEviction:
-    def test_lru_bound_and_eviction(self):
-        """The per-simulator plan cache stays bounded and evicts LRU."""
-        from repro.sim.npsim import ArrayBackend
-
-        net = synth.generate("plancache", 4, 3, 5, 40, seed=2)
-        cc = CompiledCircuit(net)
-        fs = FaultSet.collapsed(net)
-        sim = FaultSimulator(cc, fs)
-        backend = cc.array_backend
-        assert isinstance(backend, ArrayBackend)
-        size = ArrayBackend._PLAN_CACHE_SIZE
-        chunks = []
-        for start in range(size + 3):
-            chunk = sim._build_chunks(range(start, start + 4))[0]
-            chunks.append(chunk)
-            backend._plan_for(sim, chunk)
-        cache = sim._np_plan_cache
-        assert len(cache) == size
-        # The oldest keys were evicted, the newest survive.
-        assert tuple(chunks[0].indices) not in cache
-        assert tuple(chunks[-1].indices) in cache
-        # A hit refreshes recency: re-touch the oldest survivor, then
-        # insert one more plan; the survivor must outlive the
-        # next-oldest entry.
-        survivor = next(iter(cache))
-        backend._plan_for(sim, sim._build_chunks(list(survivor))[0])
-        fresh = sim._build_chunks(range(100, 104))[0]
-        backend._plan_for(sim, fresh)
-        assert survivor in cache
-        assert tuple(fresh.indices) in cache
-        assert len(cache) == size

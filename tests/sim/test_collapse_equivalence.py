@@ -19,6 +19,8 @@ from repro.analysis.faultspace import analyze_faultspace
 from repro.atpg import random_gen
 from repro.circuits import synth
 from repro.circuits.netlist import Netlist
+from repro.core.omission import omit_vectors
+from repro.core.scan_test import ScanTest
 from repro.sim import values as V
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim.fault_sim import FaultSimulator
@@ -144,6 +146,32 @@ class TestCollapsedDetectIdentical:
         if collapsed.has_classes:
             assert (col_sim.counters.comb_passes
                     < ref_sim.counters.comb_passes)
+
+
+class TestCollapsedOmissionIdentical:
+    def test_omission_identical(self):
+        """Phase 2 on a rep-aware fault set returns the shortened test,
+        detections, trials and omissions of the uncollapsed set, in
+        both production configurations: its required set names class
+        members, and every one of them must stay detected."""
+        net = synth.generate("repaware", 5, 4, 6, 60, seed=3)
+        collapsed = FaultSet.uncollapsed(net, collapse=True)
+        plain = FaultSet.uncollapsed(net, collapse=False)
+        for circuit in production_circuits(net):
+            vectors = random_gen.random_sequence(circuit, 24, seed=1)
+            scan_in = random_gen.random_state(circuit, seed=2)
+            test = ScanTest(tuple(scan_in), tuple(vectors))
+            required = FaultSimulator(circuit, plain).detect(vectors,
+                                                             scan_in)
+            # Precondition: some required faults are not their class's
+            # representative.
+            assert any(collapsed.rep_of[f] != f for f in required)
+            want = omit_vectors(FaultSimulator(circuit, plain), test,
+                                set(required))
+            got = omit_vectors(FaultSimulator(circuit, collapsed), test,
+                               set(required))
+            assert (got.test, got.detected, got.trials, got.omitted) == \
+                (want.test, want.detected, want.trials, want.omitted)
 
 
 class TestUntestableExclusion:

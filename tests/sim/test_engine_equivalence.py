@@ -3,9 +3,9 @@
 Production runs each pass chunk on the C kernel when it loads and on
 big-int words otherwise; the reference is a circuit with no array
 backend (see :mod:`tests.reference`).  Wide-word
-fusion, multi-chunk packing, the in-pass repack and the kernel are
-pure execution strategies -- none of them may change a single
-detection.  These properties drive random circuits, fused caps, scan
+fusion, multi-part packing, the kernel's fault-universe plan and
+the kernel itself are pure execution strategies -- none of them may
+change a single detection.  These properties drive random circuits, fused caps, scan
 configurations, restricted targets and X-laden vectors through both
 production configurations and require byte-identical results.
 """
@@ -169,11 +169,9 @@ class TestEngineEquivalence:
 
 
 class TestRepack:
-    def test_repack_preserves_detections(self, monkeypatch):
-        """Forcing aggressive in-pass retirement changes counters,
-        never the detection set."""
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
+    def test_repack_preserves_detections(self):
+        """``early_exit`` is accepted and has no effect: the detection
+        set is the reference's either way."""
         net = synth.generate("repack", 5, 4, 8, 80, seed=3)
         fs = FaultSet.collapsed(net)
         reference = reference_circuit(net)
@@ -183,19 +181,14 @@ class TestRepack:
         plain = FaultSimulator(reference, fs).detect(
             vectors, init, early_exit=False)
         for circuit in production_circuits(net):
-            repacking = FaultSimulator(circuit, fs)
-            got = repacking.detect(vectors, init, early_exit=True)
-            # early_exit/repack are pure shortcuts: the set is unchanged.
+            got = FaultSimulator(circuit, fs).detect(vectors, init,
+                                                     early_exit=True)
             assert got == plain
-            assert repacking.counters.repacks > 0
-            assert repacking.counters.faults_dropped > 0
 
-    def test_repack_detects_same_on_hard_targets(self, monkeypatch):
-        """When early_exit cannot trigger the all-caught break (some
-        fault is never detected), the repacking pass must still find
-        exactly the full detection set."""
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
+    def test_repack_detects_same_on_hard_targets(self):
+        """When the all-caught break cannot fire (some fault is never
+        detected), the pass must still find exactly the full detection
+        set."""
         net = synth.generate("repack2", 4, 3, 6, 50, seed=9)
         fs = FaultSet.collapsed(net)
         reference = reference_circuit(net)
@@ -207,10 +200,9 @@ class TestRepack:
         if len(plain) == len(fs):  # pragma: no cover - seed-dependent
             pytest.skip("every fault detected: early exit would fire")
         for circuit in production_circuits(net):
-            repacking = FaultSimulator(circuit, fs)
-            got = repacking.detect(vectors, init, early_exit=True)
+            got = FaultSimulator(circuit, fs).detect(vectors, init,
+                                                     early_exit=True)
             assert got == plain
-            assert repacking.counters.repacks > 0
 
 
 class TestWidthPolicy:
@@ -315,7 +307,7 @@ class TestCounters:
 
     def test_dict_round_trip(self):
         c = SimCounters(frames=7, words=3, machines=30,
-                        faults_dropped=2, repacks=1, detect_passes=4)
+                        faults_dropped=2, detect_passes=4)
         d = c.as_dict()
         assert d["machines_per_word"] == 10.0
         back = SimCounters.from_dict(d)
@@ -327,6 +319,7 @@ class TestCounters:
         are ignored, present timer fields stay float."""
         legacy = {"frames": 9, "words": 4, "machines": 40,
                   "machines_per_word": 10.0,    # derived, not a field
+                  "repacks": 2,                 # a removed field
                   "retired_total": 3}           # a key we never had
         back = SimCounters.from_dict(legacy)
         assert back.frames == 9 and back.words == 4
@@ -468,12 +461,9 @@ class TestNumpyBackendEquivalence:
 
 
 class TestNumpyRepack:
-    def test_forced_repacks_identical(self, monkeypatch):
-        """Aggressive in-pass retirement repacks inside the kernel's
-        pass loop; sets, repack counts and word accounting stay
+    def test_forced_repacks_identical(self):
+        """With ``early_exit`` passed, sets and word accounting stay
         exactly the reference's."""
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_MACHINES", 2)
-        monkeypatch.setattr(fault_sim_mod, "_REPACK_MIN_FRAMES_LEFT", 1)
         net = synth.generate("repack", 5, 4, 8, 80, seed=3)
         fs = FaultSet.collapsed(net)
         reference = reference_circuit(net)
@@ -482,18 +472,87 @@ class TestNumpyRepack:
 
         ref_sim = FaultSimulator(reference, fs)
         want = ref_sim.detect(vectors, init, early_exit=True)
-        assert ref_sim.counters.repacks > 0
 
         for circuit in production_circuits(net):
             sim = FaultSimulator(circuit, fs)
             got = sim.detect(vectors, init, early_exit=True)
             assert got == want
             c, r = sim.counters, ref_sim.counters
-            assert (c.repacks, c.faults_dropped) == \
-                (r.repacks, r.faults_dropped)
             assert (c.frames, c.words, c.machines) == \
                 (r.frames, r.words, r.machines)
             assert (c.np_passes > 0) == (circuit.array_backend is not None)
+
+
+def _interleaved_calls(circuit, fs, fused_cap):
+    """One fixed script of interleaved calls on one simulator:
+    ``detect``, ``run_with_records``, ``omit_vectors`` and the
+    ``preview`` / ``apply`` steps of one incremental run, over
+    sequences that grow and shrink, with ``set_untestable`` and
+    ``set_adi_order`` installed after the first round.  Returns every
+    result, in order, and the simulator."""
+    from repro.core.omission import omit_vectors
+    sim = FaultSimulator(circuit, fs, fused_cap=fused_cap)
+    rng = random.Random(11)
+    n_ff = len(circuit.ff_ids)
+    inc = sim.incremental()
+    results = []
+    for round_no, length in enumerate((6, 14, 3, 1, 9, 2, 12)):
+        vectors = [V.random_binary_vector(_N_PI, rng) if rng.random() < 0.8
+                   else tuple(rng.choice((V.ZERO, V.ONE, V.X))
+                              for _ in range(_N_PI))
+                   for _ in range(length)]
+        init = V.random_binary_vector(n_ff, rng)
+        target = sorted(rng.sample(range(len(fs)),
+                                   rng.randrange(1, len(fs))))
+        results.append(inc.preview(vectors[0]))
+        results.append(sim.detect(vectors, init, target=target))
+        results.append(inc.preview(vectors[-1]))
+        records = sim.run_with_records(vectors, init, target=target)
+        results.append([records.detected_with_scanout_at(frame)
+                        for frame in range(length)])
+        results.append(inc.apply(vectors[0]))
+        required = sim.detect(vectors, init)
+        omitted = omit_vectors(sim, ScanTest(tuple(init), tuple(vectors)),
+                               required)
+        results.append((omitted.test, omitted.detected, omitted.trials,
+                        omitted.omitted))
+        results.append(sim.detect(vectors[:1], None, scan_out=False))
+        results.append(inc.preview(vectors[-1]))
+        if round_no == 0:
+            # Any exclusion does, as long as both sides install it.
+            sim.set_untestable(list(range(0, len(fs), 7)))
+            sim.set_adi_order({f: rng.randrange(5) for f in range(len(fs))})
+    results.append(inc.good_state())
+    return results, sim
+
+
+class TestRepeatedKernelCalls:
+    """Every kernel-route plan reuses its buffers and cells across calls
+    (the simulator's fault universe, an incremental run's arenas, a
+    Phase-2 run's arenas), so no call may leak into the next: repeated
+    and interleaved calls on one simulator give the reference's
+    results, and at the default fused cap its work counters too."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_default_cap_matches_reference(self, seed):
+        production, reference, fs = circuit_for(seed)
+        want, ref_sim = _interleaved_calls(reference, fs, FUSED_CAP)
+        for circuit in production:
+            got, sim = _interleaved_calls(circuit, fs, FUSED_CAP)
+            assert got == want
+            c, r = sim.counters, ref_sim.counters
+            assert (c.frames, c.words, c.machines) == \
+                (r.frames, r.words, r.machines)
+            assert (c.np_passes > 0) == (circuit.array_backend is not None)
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_small_cap_matches_reference(self, seed):
+        """With a cap of 8 machines the universe has many parts."""
+        production, reference, fs = circuit_for(seed)
+        want, _ = _interleaved_calls(reference, fs, FUSED_CAP)
+        for circuit in production:
+            got, _ = _interleaved_calls(circuit, fs, 8)
+            assert got == want
 
 
 class TestEngineSelection:

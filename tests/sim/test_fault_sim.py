@@ -165,6 +165,16 @@ class TestConsistency:
         with pytest.raises(ValueError):
             FaultSimulator(CompiledCircuit(s27), faults, fused_cap=1)
 
+    def test_out_of_range_scan_position_raises(self, s27):
+        """A scan-out position past the last flip-flop raises in every
+        configuration (the kernel would read past its next-state rows)."""
+        faults = FaultSet.collapsed(s27)
+        for circuit in production_circuits(s27):
+            sim = FaultSimulator(circuit, faults)
+            with pytest.raises((ValueError, IndexError)):
+                sim.detect([V.vec("1111")], V.vec("000"),
+                           scan_observe=[0, 3])
+
 
 class TestRecords:
     def test_matches_truncated_sims(self, s27):
