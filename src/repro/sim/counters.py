@@ -59,7 +59,8 @@ Backend counters
 ----------------
 ``np_passes`` counts the passes executed by the C kernel
 (:mod:`repro.sim.npsim`), one per chunk or fault-universe part a call
-runs -- zero when everything ran on big-int
+runs; a Phase-2 rebuild runs one one-frame pass per chunk and rebuilt
+frame -- zero when everything ran on big-int
 words, so it doubles as a cheap "did the kernel actually run?" probe
 for tests and benchmarks.  Legacy checkpoints lack the key and
 render as dashes.

@@ -16,22 +16,28 @@ over the per-pass interpreter overhead).  Tests and the sanitizer's
 chunked shadow pass a smaller ``fused_cap`` to force multi-part
 packing.
 
-Execution: when the circuit has an array backend
+Execution: every pass of :meth:`detect` and :meth:`run_with_records`,
+every :class:`IncrementalFaultSim` step and every Phase-2 suffix trial
+and rebuild frame runs in a *pass store*; the consumers are written
+once, against the one interface both stores share.  When the
+circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
-cffi and a C compiler present), every pass of :meth:`detect`,
-:meth:`run_with_records` and :meth:`detect_trials` runs on the C
-kernel of :mod:`repro.sim.npsim` over ``uint64`` arrays, and so does
-every :class:`IncrementalFaultSim` step.  :meth:`detect` and
-:meth:`run_with_records` then share the simulator's fault-universe
-plan, built on first use: every representative sits at a fixed
-machine bit in a part of at most ``fused_cap`` machines, and a call
-marks its targets live.  Otherwise each call packs its own target
-and the words are evaluated as Python big-ints by
-:meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`.  The two are
-result-identical:
-per-machine logic values do not depend on how words are stored, and
-the production-vs-reference equivalence suites plus the
-``REPRO_SANITIZE`` shadow checks enforce it.
+cffi and a C compiler present) the stores are the C kernel's arenas of
+:mod:`repro.sim.npsim` over ``uint64`` arrays: :meth:`detect` and
+:meth:`run_with_records` share the simulator's fault-universe plan,
+built on first use (every representative sits at a fixed machine bit
+in a part of at most ``fused_cap`` machines, and a call marks its
+targets live), while an incremental simulation and a Phase-2 run each
+keep an arena per chunk of their own target.  Otherwise the stores
+are word arenas (:class:`_WordArena`): one chunk's words as big-ints,
+evaluated by :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`
+in a loop that mirrors the kernel's.  Only the two store factories,
+:meth:`FaultSimulator._pass_stores` and
+:meth:`FaultSimulator._run_stores`, tell the two apart.  They are
+result-identical: per-machine logic values do not depend on how words
+are stored, and the production-vs-reference equivalence suites plus
+the ``REPRO_SANITIZE`` shadow checks enforce it.  The lane passes of
+:meth:`detect_trials` keep a route of their own on each.
 
 Fault dropping: a pass stops as soon as every target machine is
 caught, and :meth:`FaultSimulator.detect` can report detections into
@@ -84,7 +90,8 @@ captured by the final frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from . import values as V
 from ..analysis import sanitizer
@@ -116,17 +123,11 @@ class _Chunk:
 
     indices: List[int]                 # global fault index of bit w+1
     mask: int                          # all machine bits incl. good bit 0
-    stem0: Dict[int, int] = field(default_factory=dict)
-    stem1: Dict[int, int] = field(default_factory=dict)
     stems: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     branch: Dict[int, List[Tuple[int, int, int]]] = field(
         default_factory=dict)
     ff_branch: List[Tuple[int, int, int]] = field(default_factory=list)
     src_stem_ids: List[int] = field(default_factory=list)
-
-    def bit_of(self, position: int) -> int:
-        """Machine bit for the fault at local position ``position``."""
-        return 1 << (position + 1)
 
 
 @dataclass
@@ -200,6 +201,200 @@ def _pack_trial_pi_lanes(
                 tz[p] |= zrow[p] << base
                 to[p] |= orow[p] << base
     return [list(zip(pi_z[f], pi_o[f])) for f in range(max_frames)]
+
+
+def _set_bits(word: int) -> List[int]:
+    """Ascending positions of the bits set in ``word``."""
+    text = bin(word)[:1:-1]          # bit b at index b
+    out: List[int] = []
+    b = text.find("1")
+    while b >= 0:
+        out.append(b)
+        b = text.find("1", b + 1)
+    return out
+
+
+def _diff_or(zero: Sequence[int], one: Sequence[int],
+             rows: Iterable[int]) -> int:
+    """Machines whose binary value on any of ``rows`` differs from the
+    good machine's (bit 0, which therefore never appears)."""
+    acc = 0
+    for r in rows:
+        if one[r] & 1:
+            acc |= zero[r]
+        elif zero[r] & 1:
+            acc |= one[r]
+    return acc
+
+
+class _WordArena:
+    """One chunk's machines on big-int words: the twin of the kernel's
+    :class:`repro.sim.npsim._Arena`, with the same interface.
+
+    It holds the per-net word pairs (the flip-flop entries carry state
+    between calls), the ``caught`` and ``live`` words and the record
+    words of the last records-mode pass.  :meth:`run` mirrors
+    ``repro_run_pass`` step for step in both of its modes, so
+    :meth:`FaultSimulator.detect`, :meth:`FaultSimulator.run_with_records`,
+    :class:`IncrementalFaultSim` and Phase 2's checkpointed run are
+    each written once, against either store.  ``live`` is always the
+    whole chunk.  A checkpoint (:meth:`save`) is the flip-flop zero and
+    one words and ``caught``, as big-ints.
+    """
+
+    def __init__(self, sim: "FaultSimulator", chunk: _Chunk) -> None:
+        circuit = sim.circuit
+        self.circuit = circuit
+        self.chunk = chunk
+        self.n_machines = len(chunk.indices)
+        mask = chunk.mask
+        self.live = mask
+        self.caught = 0
+        self.zero = [0] * circuit.n_nets
+        self.one = [0] * circuit.n_nets
+        self.vecs: Sequence[V.Vector] = ()
+        self.rec_po: List[int] = []
+        self.rec_scan: List[int] = []
+        self._weights: Optional[List[int]] = None
+        # Source-stem and flip-flop-branch blends: (row, m0, m1, keep).
+        self._src = [(nid, m0, m1, mask & ~(m0 | m1))
+                     for nid in chunk.src_stem_ids
+                     for m0, m1 in (chunk.stems[nid],)]
+        self._ffbr = [(pos, m0, m1, mask & ~(m0 | m1))
+                      for pos, m0, m1 in chunk.ff_branch]
+
+    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
+        """Take a PI sequence (frame 0 first); returns its frame
+        count."""
+        self.vecs = vectors
+        return len(vectors)
+
+    def load_scan_in(self, state: V.Vector) -> None:
+        """Pack the flip-flop words from a scan-in vector and clear the
+        caught word."""
+        zero, one, mask = self.zero, self.one, self.chunk.mask
+        for nid, val in zip(self.circuit.ff_ids, state):
+            zero[nid], one[nid] = V.pack_scalar(val, mask)
+        self.caught = 0
+
+    def run(self, n_frames: int, observe_po: bool, scan_out: bool,
+            scan_observe: Optional[Sequence[int]],
+            records: bool = False) -> int:
+        """One pass over the first ``n_frames`` loaded vectors; returns
+        the frames it ran.
+
+        Detect mode adds the PO diffs (and, with ``scan_out``, the last
+        frame's scan-out diff) to ``caught`` and stops once every live
+        machine is caught, without advancing the flip-flops past that
+        frame.  With ``records`` the pass fills ``rec_po`` /
+        ``rec_scan`` frame by frame and never stops early.
+        """
+        circuit, chunk = self.circuit, self.chunk
+        zero, one, mask = self.zero, self.one, chunk.mask
+        stems, branch = chunk.stems, chunk.branch
+        po_ids, ff_ids, ffd_ids = \
+            circuit.po_ids, circuit.ff_ids, circuit.ff_d_ids
+        obs = range(len(ff_ids)) if scan_observe is None else scan_observe
+        want = self.live & ~1
+        caught = self.caught
+        if records:
+            self.rec_po = [0] * n_frames
+            self.rec_scan = [0] * n_frames
+        for f in range(n_frames):
+            for nid, val in zip(circuit.pi_ids, self.vecs[f]):
+                zero[nid], one[nid] = V.pack_scalar(val, mask)
+            for nid, m0, m1, keep in self._src:
+                zero[nid] = (zero[nid] & keep) | m0
+                one[nid] = (one[nid] & keep) | m1
+            circuit.eval_frame(zero, one, mask, stems, branch)
+            ns_zero = [zero[nid] for nid in ffd_ids]
+            ns_one = [one[nid] for nid in ffd_ids]
+            for pos, m0, m1, keep in self._ffbr:
+                ns_zero[pos] = (ns_zero[pos] & keep) | m0
+                ns_one[pos] = (ns_one[pos] & keep) | m1
+            if records:
+                self.rec_po[f] = _diff_or(zero, one, po_ids)
+                self.rec_scan[f] = _diff_or(ns_zero, ns_one, obs)
+            else:
+                if observe_po:
+                    caught |= _diff_or(zero, one, po_ids)
+                if scan_out and f == n_frames - 1:
+                    caught |= _diff_or(ns_zero, ns_one, obs)
+                if (caught & want) == want:
+                    self.caught = caught
+                    return f + 1
+            for nid, z, o in zip(ff_ids, ns_zero, ns_one):
+                zero[nid], one[nid] = z, o
+        self.caught = caught
+        return n_frames
+
+    def saturated(self) -> bool:
+        """Whether every live machine is caught."""
+        want = self.live & ~1
+        return (self.caught & want) == want
+
+    def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
+        """Add to ``caught`` what a scan-out of the current flip-flop
+        state detects."""
+        ff_ids = self.circuit.ff_ids
+        rows = (ff_ids if scan_observe is None
+                else [ff_ids[pos] for pos in scan_observe])
+        self.caught |= _diff_or(self.zero, self.one, rows)
+
+    def save(self) -> Tuple[List[int], List[int], int]:
+        """A checkpoint of the flip-flop words and ``caught``."""
+        ff_ids = self.circuit.ff_ids
+        return ([self.zero[nid] for nid in ff_ids],
+                [self.one[nid] for nid in ff_ids], self.caught)
+
+    def restore(self, checkpoint: Tuple[List[int], List[int], int]
+                ) -> None:
+        """Load a checkpoint into the flip-flop words and ``caught``."""
+        ff_zero, ff_one, self.caught = checkpoint
+        zero, one = self.zero, self.one
+        for nid, z, o in zip(self.circuit.ff_ids, ff_zero, ff_one):
+            zero[nid], one[nid] = z, o
+
+    def faults_in(self, words: int) -> List[int]:
+        """Fault indices at the machine bits set in ``words`` (the good
+        bit stands for none)."""
+        indices = self.chunk.indices
+        return [indices[b - 1] for b in _set_bits(words) if b]
+
+    def bit_weights(self, expand: Optional[Dict[int, List[int]]]) -> None:
+        """Weigh each machine by the requested faults it stands for: its
+        class's member count under translation (``expand``), else 1."""
+        self._weights = (None if expand is None else
+                         [len(expand[fid]) for fid in self.chunk.indices])
+
+    def weight(self, words: int) -> int:
+        """The faults the machine bits of ``words`` stand for."""
+        if self._weights is None:
+            return bin(words >> 1).count("1")
+        weights = self._weights
+        return sum(weights[b - 1] for b in _set_bits(words) if b)
+
+    def good_state(self) -> V.Vector:
+        """The fault-free machine's flip-flop state."""
+        zero, one = self.zero, self.one
+        return tuple(V.word_scalar(zero[nid], one[nid])
+                     for nid in self.circuit.ff_ids)
+
+    def records(self, n_frames: int, po_first: Dict[int, int],
+                scan_diff: List[Set[int]]) -> None:
+        """Decode the last records-mode pass: each fault's first
+        PO-detecting frame into ``po_first`` and, per frame, the faults
+        a scan-out there detects into ``scan_diff``."""
+        seen = 0
+        for frame in range(n_frames):
+            fresh = self.rec_po[frame] & ~seen
+            if fresh:
+                for fid in self.faults_in(fresh):
+                    po_first[fid] = frame
+                seen |= fresh
+            if self.rec_scan[frame]:
+                scan_diff[frame].update(
+                    self.faults_in(self.rec_scan[frame]))
 
 
 @dataclass
@@ -415,103 +610,114 @@ class FaultSimulator:
         n_chunks = -(-n_targets // (cap - 1))     # ceil division
         return -(-n_targets // n_chunks) + 1
 
-    def _build_chunks(self, indices: Sequence[int],
-                      width: Optional[int] = None) -> List[_Chunk]:
+    def _balanced_groups(self, indices: Sequence[int],
+                         per: int) -> List[List[int]]:
+        """``indices`` split over ``ceil(n / per)`` sorted groups whose
+        sizes are within one of each other (see :meth:`resolve_width`).
+
+        With an ADI order installed (:meth:`set_adi_order`) and more
+        than one group, the faults are grouped by descending ADI, so
+        the easy (high-ADI) faults share words that saturate and stop
+        early and the hard ones gather in the trailing words.  A single
+        group is order-invariant, so the reorder only fires (and only
+        counts) when it can matter.
+        """
         ordered = sorted(indices)
-        if width is None:
-            width = self.resolve_width(len(ordered))
-        chunks: List[_Chunk] = []
-        per = width - 1
-        # Spread the faults evenly over ceil(n/per) chunks instead of
-        # filling chunks to `per` and leaving a short remainder: sizes
-        # end up within one machine of each other.
-        n_chunks = max(1, -(-len(ordered) // per)) if ordered else 0
+        n_groups = -(-len(ordered) // per)
         adi = self._adi_order
-        if adi is not None and n_chunks > 1:
-            # ADI packing: group easy (high-ADI) faults together so
-            # their words saturate and break early, and concentrate
-            # the hard faults in the trailing words.  A single-chunk
-            # packing is order-invariant, so the reorder only fires
-            # (and only counts) when it can matter.
-            order = adi
-            ordered.sort(key=lambda fid: (-order.get(fid, 0), fid))
+        if adi is not None and n_groups > 1:
+            ordered.sort(key=lambda fid: (-adi.get(fid, 0), fid))
             self.counters.adi_orderings += 1
         groups: List[List[int]] = []
         start = 0
-        for k in range(n_chunks):
-            size = len(ordered) // n_chunks + \
-                (1 if k < len(ordered) % n_chunks else 0)
+        for k in range(n_groups):
+            size = len(ordered) // n_groups + \
+                (1 if k < len(ordered) % n_groups else 0)
             groups.append(sorted(ordered[start:start + size]))
             start += size
-        for group in groups:
+        return groups
+
+    def _inject(self, chunk: Union[_Chunk, _LaneChunk],
+                sites: Sequence[int]) -> None:
+        """Fill ``chunk``'s injection tables: fault ``chunk.indices[k]``
+        forces the machine bits ``sites[k]`` at its stem, fanout
+        branch or flip-flop data pin."""
+        for fid, bits in zip(chunk.indices, sites):
+            spec = self._spec[fid]
+            m0, m1 = (0, bits) if self.faults[fid].stuck else (bits, 0)
+            if spec[0] == "stem":
+                old0, old1 = chunk.stems.get(spec[1], (0, 0))
+                chunk.stems[spec[1]] = (old0 | m0, old1 | m1)
+            elif spec[0] == "branch":
+                chunk.branch.setdefault(spec[1], []).append(
+                    (spec[2], m0, m1))
+            else:  # ff data-pin branch fault
+                chunk.ff_branch.append((spec[1], m0, m1))
+        chunk.src_stem_ids = [
+            nid for nid in chunk.stems if nid in self._source_ids]
+
+    def _build_chunks(self, indices: Sequence[int]) -> List[_Chunk]:
+        """Balanced chunks over ``indices``, each at most
+        :meth:`resolve_width` machines: fault ``k`` of a chunk is
+        machine bit ``k + 1`` (bit 0 is the good machine)."""
+        chunks: List[_Chunk] = []
+        per = self.resolve_width(len(indices)) - 1
+        for group in self._balanced_groups(indices, per):
             chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
-            for pos, fid in enumerate(group):
-                bit = chunk.bit_of(pos)
-                spec = self._spec[fid]
-                stuck = self.faults[fid].stuck
-                if spec[0] == "stem":
-                    target = chunk.stem1 if stuck else chunk.stem0
-                    target[spec[1]] = target.get(spec[1], 0) | bit
-                elif spec[0] == "branch":
-                    m0 = bit if stuck == 0 else 0
-                    m1 = bit if stuck == 1 else 0
-                    chunk.branch.setdefault(spec[1], []).append(
-                        (spec[2], m0, m1))
-                else:  # ff data-pin branch fault
-                    m0 = bit if stuck == 0 else 0
-                    m1 = bit if stuck == 1 else 0
-                    chunk.ff_branch.append((spec[1], m0, m1))
-            chunk.stems = {
-                nid: (chunk.stem0.get(nid, 0), chunk.stem1.get(nid, 0))
-                for nid in set(chunk.stem0) | set(chunk.stem1)}
-            chunk.src_stem_ids = [
-                nid for nid in chunk.stems if nid in self._source_ids]
+            self._inject(chunk, [2 << pos for pos in range(len(group))])
             chunks.append(chunk)
         return chunks
 
-    @staticmethod
-    def _apply_stem(chunk: _Chunk, zero: List[int], one: List[int],
-                    nid: int) -> None:
-        m0 = chunk.stem0.get(nid, 0)
-        m1 = chunk.stem1.get(nid, 0)
-        keep = chunk.mask & ~(m0 | m1)
-        zero[nid] = (zero[nid] & keep) | m0
-        one[nid] = (one[nid] & keep) | m1
+    # ------------------------------------------------------------------
+    # The two pass stores: kernel arenas and big-int word arenas
+    # ------------------------------------------------------------------
 
-    def _init_words(self, chunk: _Chunk, init_state: V.Vector
-                    ) -> Tuple[List[int], List[int]]:
-        n = self.circuit.n_nets
-        zero = [0] * n
-        one = [0] * n
-        for nid, val in zip(self.circuit.ff_ids, init_state):
-            zero[nid], one[nid] = V.pack_scalar(val, chunk.mask)
-        return zero, one
+    def _pass_stores(self, sim_target: Sequence[int]
+                     ) -> List[Tuple[Any, int]]:
+        """The stores one :meth:`detect` or :meth:`run_with_records`
+        call runs, with their live-machine counts: the parts of the
+        fault-universe plan ``sim_target`` makes live (the plan is
+        built on first use), or fresh word arenas over its chunks."""
+        backend = self.circuit.array_backend
+        if backend is not None:
+            if self._universe is None:
+                self._universe = backend.universe(self)
+            parts: List[Tuple[Any, int]] = self._universe.select(sim_target)
+            return parts
+        stores: List[Tuple[Any, int]] = []
+        for chunk in self._build_chunks(sim_target):
+            if sanitizer.enabled():
+                sanitizer.check_chunk(chunk, "FaultSimulator.detect")
+            stores.append((_WordArena(self, chunk), len(chunk.indices)))
+        return stores
 
-    def _load_frame(self, chunk: _Chunk, zero: List[int], one: List[int],
-                    vector: V.Vector) -> None:
-        for nid, val in zip(self.circuit.pi_ids, vector):
-            zero[nid], one[nid] = V.pack_scalar(val, chunk.mask)
-        for nid in chunk.src_stem_ids:
-            self._apply_stem(chunk, zero, one, nid)
+    def _run_stores(self, chunks: Sequence[_Chunk]) -> List[Any]:
+        """One store per chunk of a fixed target, kept for a whole run
+        (an incremental simulation, a Phase-2 omission): a kernel arena
+        with its own plan, or a word arena."""
+        backend = self.circuit.array_backend
+        if backend is not None:
+            return [backend.arena(self, chunk) for chunk in chunks]
+        return [_WordArena(self, chunk) for chunk in chunks]
 
-    def _next_state_words(self, chunk: _Chunk, zero: List[int],
-                          one: List[int]) -> Tuple[List[int], List[int]]:
-        ns_zero = [zero[nid] for nid in self.circuit.ff_d_ids]
-        ns_one = [one[nid] for nid in self.circuit.ff_d_ids]
-        for pos, m0, m1 in chunk.ff_branch:
-            keep = chunk.mask & ~(m0 | m1)
-            ns_zero[pos] = (ns_zero[pos] & keep) | m0
-            ns_one[pos] = (ns_one[pos] & keep) | m1
-        return ns_zero, ns_one
+    def _scan_observe(self, scan_observe: Optional[Sequence[int]]
+                      ) -> Optional[Sequence[int]]:
+        """The flip-flop positions a call's scan-out reads: the scan
+        chain's by default.
 
-    @staticmethod
-    def _diff_word(zero: int, one: int) -> int:
-        """Machines whose binary value differs from the good (bit 0) value."""
-        if one & 1:
-            return zero
-        if zero & 1:
-            return one
-        return 0
+        Raises
+        ------
+        ValueError
+            If a position is not a flip-flop position (a negative one
+            included: no store may index from the end).
+        """
+        if scan_observe is None:
+            return self.scan_positions
+        n_ff = len(self.circuit.ff_ids)
+        if not all(0 <= pos < n_ff for pos in scan_observe):
+            raise ValueError(f"scan-out position outside the {n_ff} "
+                             f"flip-flops")
+        return scan_observe
 
     # ------------------------------------------------------------------
     def embed_state(self, state: Optional[V.Vector]) -> V.Vector:
@@ -569,8 +775,9 @@ class FaultSimulator:
             which cannot change the returned set.
         scan_observe:
             Flip-flop positions readable by the scan-out; ``None``
-            means all (full scan).  A partial-scan chain observes only
-            its scanned flip-flops.
+            means the scan chain's (every flip-flop under full scan,
+            only the scanned ones under partial scan).  A position
+            outside the flip-flops raises :class:`ValueError`.
         retire_to:
             Optional shared scoreboard; every detected fault is
             retired into it (the caller asserts this test is part of
@@ -580,8 +787,7 @@ class FaultSimulator:
             target = range(len(self.faults))
         check_vectors(self.circuit, vectors)
         init_state = self.embed_state(init_state)
-        if scan_observe is None:
-            scan_observe = self.scan_positions
+        scan_observe = self._scan_observe(scan_observe)
         sim_target, expand = self._prepare_target(target)
         if sanitizer.enabled() and retire_to is not None:
             sanitizer.check_fresh_targets(retire_to, target,
@@ -590,21 +796,14 @@ class FaultSimulator:
         counters.detect_passes += 1
         detected: Set[int] = set()
         longest = 0
-        backend = self.circuit.array_backend
-        if backend is not None:
-            for arena, n_live in self._universe_parts(backend, sim_target):
-                found, frames_done = backend.run_detect_chunk(
-                    self, arena, n_live, vectors, init_state, scan_out,
-                    observe_po, scan_observe)
-                detected.update(found)
-                longest = max(longest, frames_done)
-        else:
-            for chunk in self._build_chunks(sim_target):
-                if sanitizer.enabled():
-                    sanitizer.check_chunk(chunk, "FaultSimulator.detect")
-                longest = max(longest, self._detect_chunk(
-                    chunk, vectors, init_state, scan_out, observe_po,
-                    scan_observe, detected))
+        for store, n_live in self._pass_stores(sim_target):
+            n_frames = store.load_vectors(vectors)
+            store.load_scan_in(init_state)
+            frames = store.run(n_frames, observe_po, scan_out,
+                               scan_observe)
+            counters.note_words(frames, n_live)
+            detected.update(store.faults_in(store.caught & store.live))
+            longest = max(longest, frames)
         counters.frames += longest
         if (sanitizer.enabled() and not self._sanitize_shadow and
                 self._sanitize_spots_left > 0 and vectors):
@@ -619,58 +818,6 @@ class FaultSimulator:
         if retire_to is not None:
             retire_to.retire(detected)
         return detected
-
-    def _universe_parts(self, backend: Any, sim_target: Sequence[int]
-                        ) -> List[Tuple[Any, int]]:
-        """The universe parts ``sim_target`` makes live, with their
-        live-machine counts (the universe is built on first use)."""
-        if self._universe is None:
-            self._universe = backend.universe(self)
-        parts: List[Tuple[Any, int]] = self._universe.select(sim_target)
-        return parts
-
-    def _detect_chunk(self, chunk: _Chunk, vectors: Sequence[V.Vector],
-                      init_state: V.Vector, scan_out: bool,
-                      observe_po: bool,
-                      scan_observe: Optional[Sequence[int]],
-                      detected: Set[int]) -> int:
-        """One chunk of :meth:`detect` on big-int words; adds its
-        detections to ``detected`` and returns the frames run."""
-        counters = self.counters
-        zero, one = self._init_words(chunk, init_state)
-        caught = 0  # machine bits already detected in this chunk
-        frames_done = 0
-        last = len(vectors) - 1
-        for frame, vector in enumerate(vectors):
-            self._load_frame(chunk, zero, one, vector)
-            self.circuit.eval_frame(zero, one, chunk.mask,
-                                    chunk.stems, chunk.branch)
-            counters.note_words(1, len(chunk.indices))
-            frames_done += 1
-            ns_zero, ns_one = self._next_state_words(chunk, zero, one)
-            if observe_po:
-                for nid in self.circuit.po_ids:
-                    caught |= self._diff_word(zero[nid], one[nid])
-            if scan_out and frame == last:
-                if scan_observe is None:
-                    for z, o in zip(ns_zero, ns_one):
-                        caught |= self._diff_word(z, o)
-                else:
-                    for pos in scan_observe:
-                        caught |= self._diff_word(ns_zero[pos],
-                                                  ns_one[pos])
-            caught &= ~1
-            if caught == chunk.mask & ~1:
-                # Saturated: every machine of this chunk is caught, so
-                # no further frame (or the scan-out) can change the
-                # result.
-                break
-            for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
-        for pos, fid in enumerate(chunk.indices):
-            if caught & chunk.bit_of(pos):
-                detected.add(fid)
-        return frames_done
 
     def _sanitize_agreement(
         self, vectors: Sequence[V.Vector], full_state: V.Vector,
@@ -720,8 +867,7 @@ class FaultSimulator:
             target = range(len(self.faults))
         check_vectors(self.circuit, vectors)
         init_state = self.embed_state(init_state)
-        if scan_observe is None:
-            scan_observe = self.scan_positions
+        scan_observe = self._scan_observe(scan_observe)
         sim_target, expand = self._prepare_target(target)
         counters = self.counters
         counters.record_passes += 1
@@ -729,16 +875,12 @@ class FaultSimulator:
         counters.frames += n_frames
         po_first: Dict[int, int] = {}
         scan_diff: List[Set[int]] = [set() for _ in range(n_frames)]
-        backend = self.circuit.array_backend
-        if backend is not None:
-            for arena, n_live in self._universe_parts(backend, sim_target):
-                backend.run_records_chunk(self, arena, n_live, vectors,
-                                          init_state, scan_observe,
-                                          po_first, scan_diff)
-        else:
-            for chunk in self._build_chunks(sim_target):
-                self._records_chunk(chunk, vectors, init_state,
-                                    scan_observe, po_first, scan_diff)
+        for store, n_live in self._pass_stores(sim_target):
+            store.load_vectors(vectors)
+            store.load_scan_in(init_state)
+            store.run(n_frames, True, True, scan_observe, records=True)
+            counters.note_words(n_frames, n_live)
+            store.records(n_frames, po_first, scan_diff)
         if expand is not None:
             # Members share the representative's per-frame behavior
             # exactly, so each record entry re-inflates verbatim.
@@ -747,47 +889,6 @@ class FaultSimulator:
             scan_diff = [self._expand_detected(s, expand)
                          for s in scan_diff]
         return SimRecords(n_frames, po_first, scan_diff)
-
-    def _records_chunk(self, chunk: _Chunk, vectors: Sequence[V.Vector],
-                       init_state: V.Vector,
-                       scan_observe: Optional[Sequence[int]],
-                       po_first: Dict[int, int],
-                       scan_diff: List[Set[int]]) -> None:
-        """One chunk of :meth:`run_with_records` on big-int words."""
-        counters = self.counters
-        zero, one = self._init_words(chunk, init_state)
-        po_seen = 0
-        for frame, vector in enumerate(vectors):
-            self._load_frame(chunk, zero, one, vector)
-            self.circuit.eval_frame(zero, one, chunk.mask,
-                                    chunk.stems, chunk.branch)
-            counters.note_words(1, len(chunk.indices))
-            ns_zero, ns_one = self._next_state_words(chunk, zero, one)
-            po_now = 0
-            for nid in self.circuit.po_ids:
-                po_now |= self._diff_word(zero[nid], one[nid])
-            po_new = po_now & ~po_seen & ~1
-            if po_new:
-                for pos, fid in enumerate(chunk.indices):
-                    if po_new & chunk.bit_of(pos):
-                        po_first[fid] = frame
-                po_seen |= po_new
-            sdiff = 0
-            if scan_observe is None:
-                for z, o in zip(ns_zero, ns_one):
-                    sdiff |= self._diff_word(z, o)
-            else:
-                for pos in scan_observe:
-                    sdiff |= self._diff_word(ns_zero[pos],
-                                             ns_one[pos])
-            sdiff &= ~1
-            if sdiff:
-                frame_set = scan_diff[frame]
-                for pos, fid in enumerate(chunk.indices):
-                    if sdiff & chunk.bit_of(pos):
-                        frame_set.add(fid)
-            for nid, z, o in zip(self.circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
 
     # ------------------------------------------------------------------
     # Lane-transposed simulation: the tests ride in the lanes
@@ -801,51 +902,16 @@ class FaultSimulator:
 
     def _build_lane_chunks(self, indices: Sequence[int],
                            n_lanes: int) -> List[_LaneChunk]:
-        """Balanced lane-transposed chunks over sorted ``indices``."""
-        ordered = sorted(indices)
-        groups_per_word = self._lane_groups_per_word(n_lanes)
-        n_chunks = max(1, -(-len(ordered) // groups_per_word)) \
-            if ordered else 0
-        adi = self._adi_order
-        if adi is not None and n_chunks > 1:
-            # Same ADI packing as _build_chunks: high-ADI lane blocks
-            # share words so those words saturate early.
-            order = adi
-            ordered.sort(key=lambda fid: (-order.get(fid, 0), fid))
-            self.counters.adi_orderings += 1
+        """Balanced lane-transposed chunks over ``indices``: fault ``g``
+        of a chunk occupies lane block ``g``."""
         lane_mask = (1 << n_lanes) - 1
         chunks: List[_LaneChunk] = []
-        start = 0
-        for k in range(n_chunks):
-            size = len(ordered) // n_chunks + \
-                (1 if k < len(ordered) % n_chunks else 0)
-            group = sorted(ordered[start:start + size])
-            start += size
+        for group in self._balanced_groups(
+                indices, self._lane_groups_per_word(n_lanes)):
             chunk = _LaneChunk(indices=group, n_lanes=n_lanes,
                                mask=(1 << (len(group) * n_lanes)) - 1)
-            stem0: Dict[int, int] = {}
-            stem1: Dict[int, int] = {}
-            for g, fid in enumerate(group):
-                block = lane_mask << (g * n_lanes)
-                spec = self._spec[fid]
-                stuck = self.faults[fid].stuck
-                if spec[0] == "stem":
-                    target = stem1 if stuck else stem0
-                    target[spec[1]] = target.get(spec[1], 0) | block
-                elif spec[0] == "branch":
-                    m0 = block if stuck == 0 else 0
-                    m1 = block if stuck == 1 else 0
-                    chunk.branch.setdefault(spec[1], []).append(
-                        (spec[2], m0, m1))
-                else:  # ff data-pin branch fault
-                    m0 = block if stuck == 0 else 0
-                    m1 = block if stuck == 1 else 0
-                    chunk.ff_branch.append((spec[1], m0, m1))
-            chunk.stems = {
-                nid: (stem0.get(nid, 0), stem1.get(nid, 0))
-                for nid in set(stem0) | set(stem1)}
-            chunk.src_stem_ids = [
-                nid for nid in chunk.stems if nid in self._source_ids]
+            self._inject(chunk, [lane_mask << (g * n_lanes)
+                                 for g in range(len(group))])
             chunks.append(chunk)
         return chunks
 
@@ -917,8 +983,7 @@ class FaultSimulator:
         for state, vectors in trial_list:
             check_vectors(self.circuit, vectors)
             full_trials.append((self.embed_state(state), list(vectors)))
-        if scan_observe is None:
-            scan_observe = self.scan_positions
+        scan_observe = self._scan_observe(scan_observe)
         if target is None:
             target = range(len(self.faults))
         sim_target, expand = self._prepare_target(target)
@@ -1142,15 +1207,14 @@ class IncrementalFaultSim:
     """Frame-at-a-time fault simulation with lookahead.
 
     Used by the sequential sequence generator: carries the good and
-    faulty machine state words across frames so a candidate next vector
-    can be evaluated (:meth:`preview`) or committed (:meth:`apply`) in
-    one combinational evaluation per word.  Its target is fixed, so
-    its chunks are packed once, on creation.  When the circuit has an
-    array backend each chunk gets its own plan and arena, built once:
-    the chunk's state lives in the arena across steps, every step is a
-    one-frame records-mode kernel call, and the machine words are
-    ``uint64`` rows decoded with numpy; otherwise the words are
-    big-ints.
+    faulty machine state across frames so a candidate next vector can
+    be evaluated (:meth:`preview`) or committed (:meth:`apply`) in one
+    combinational evaluation per chunk.  Its target is fixed, so its
+    chunks are packed once, on creation, each into a store of its own
+    (a kernel arena or a word arena, see
+    :meth:`FaultSimulator._run_stores`) that keeps the chunk's state
+    across steps.  Every step is a one-frame records-mode pass; the
+    store's ``caught`` word holds the machines already PO-caught.
 
     Detection here is PO-only (the no-scan setting of the paper's
     ``T0`` generation); a preview also reports how many undetected
@@ -1167,114 +1231,47 @@ class IncrementalFaultSim:
         sim_target, expand = parent._prepare_target(target)
         self._expand = expand
         self.chunks = parent._build_chunks(sim_target)
-        self._backend = parent.circuit.array_backend
-        # Per chunk: its big-int words, or its arena on the kernel;
-        # and its PO-caught machines (an int, or a uint64 row).
-        self._words: List[Any] = []
-        self._caught: List[Any] = []
-        #: Kernel route: per chunk, the faults each machine bit stands
-        #: for (1, or its requested-member count under collapsing).
-        self._weights: List[Any] = []
-        for chunk in self.chunks:
-            if self._backend is None:
-                self._words.append(parent._init_words(chunk, init_state))
-                self._caught.append(0)
-                continue
-            arena = self._backend.arena(chunk)
-            arena.load_scan_in(init_state)
-            self._words.append(arena)
-            self._caught.append(arena.caught.copy())
-            weights = (arena.fault_of >= 0).astype(arena.np.int64)
-            if expand is not None:
-                weights[1:len(chunk.indices) + 1] = [
-                    len(expand[fid]) for fid in chunk.indices]
-            self._weights.append(weights)
+        self._stores = parent._run_stores(self.chunks)
+        for store in self._stores:
+            store.load_scan_in(init_state)
+            store.bit_weights(expand)
         self.detected: Set[int] = set()
         self.n_frames = 0
 
-    def _bit_weight(self, ci: int, word: Any) -> int:
-        """Faults a machine-bit word of chunk ``ci`` stands for: a
-        plain popcount without class translation, otherwise each
-        representative bit weighted by its requested-member count (so
-        previews match the uncollapsed arm's counts exactly)."""
-        if self._backend is not None:
-            return int(self._weights[ci][self._words[ci].bits(word)].sum())
-        if self._expand is None:
-            return bin(word).count("1")
-        chunk = self.chunks[ci]
-        total = 0
-        for pos, fid in enumerate(chunk.indices):
-            if word & chunk.bit_of(pos):
-                total += len(self._expand[fid])
-        return total
-
-    def _faults_in(self, ci: int, word: Any) -> List[int]:
-        """Fault indices of chunk ``ci`` at the bits set in ``word``."""
-        if self._backend is not None:
-            faults: List[int] = self._words[ci].faults_in(word)
-            return faults
-        if not word:
-            return []
-        chunk = self.chunks[ci]
-        return [fid for pos, fid in enumerate(chunk.indices)
-                if word & chunk.bit_of(pos)]
-
-    # ------------------------------------------------------------------
-    def _step(self, ci: int, vector: V.Vector,
-              commit: bool) -> Tuple[Any, Any]:
-        """Evaluate one frame for chunk ``ci``; returns ``(po_diff,
-        scan_diff)``.  The flip-flops advance only when ``commit``."""
-        parent = self.parent
-        chunk = self.chunks[ci]
-        parent.counters.note_words(1, len(chunk.indices))
-        if self._backend is not None:
-            # The good machine (bit 0) never differs from itself, so
-            # the kernel's diff rows never carry it.
-            return self._backend.run_step(parent, self._words[ci],
-                                          vector, commit)
-        zero, one = self._words[ci]
-        if not commit:
-            zero, one = list(zero), list(one)
-        parent._load_frame(chunk, zero, one, vector)
-        parent.circuit.eval_frame(zero, one, chunk.mask, chunk.stems,
-                                  chunk.branch)
-        ns_zero, ns_one = parent._next_state_words(chunk, zero, one)
-        po_diff = 0
-        for nid in parent.circuit.po_ids:
-            po_diff |= parent._diff_word(zero[nid], one[nid])
-        scan_diff = 0
-        for z, o in zip(ns_zero, ns_one):
-            scan_diff |= parent._diff_word(z, o)
-        if commit:
-            for nid, z, o in zip(parent.circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
-        return po_diff & ~1, scan_diff & ~1
+    def _step(self, store: Any, vector: V.Vector) -> Tuple[Any, Any]:
+        """Run one frame in ``store``; returns its ``(po_diff,
+        scan_diff)`` machine words.  The flip-flops advance."""
+        self.parent.counters.note_words(1, store.n_machines)
+        store.load_vectors((vector,))
+        store.run(1, True, True, None, records=True)
+        return store.rec_po[0], store.rec_scan[0]
 
     def preview(self, vector: V.Vector) -> StepPreview:
         """Evaluate a candidate next vector without committing it."""
         check_vectors(self.parent.circuit, [vector])
         new_po = 0
         sdiff_total = 0
-        for ci in range(len(self.chunks)):
-            po_diff, scan_diff = self._step(ci, vector, commit=False)
-            caught = self._caught[ci]
-            new_po += self._bit_weight(ci, po_diff & ~caught)
-            sdiff_total += self._bit_weight(ci, scan_diff & ~caught)
+        for store in self._stores:
+            saved = store.save()
+            po_diff, scan_diff = self._step(store, vector)
+            new_po += store.weight(po_diff & ~store.caught)
+            sdiff_total += store.weight(scan_diff & ~store.caught)
+            store.restore(saved)
         return StepPreview(new_po, sdiff_total)
 
     def apply(self, vector: V.Vector) -> Set[int]:
         """Commit a vector; returns the newly PO-detected fault indices."""
         check_vectors(self.parent.circuit, [vector])
         newly: Set[int] = set()
-        for ci in range(len(self.chunks)):
-            po_diff, _ = self._step(ci, vector, commit=True)
-            fresh = po_diff & ~self._caught[ci]
-            for fid in self._faults_in(ci, fresh):
+        for store in self._stores:
+            po_diff, _ = self._step(store, vector)
+            fresh = po_diff & ~store.caught
+            for fid in store.faults_in(fresh):
                 if self._expand is None:
                     newly.add(fid)
                 else:
                     newly.update(self._expand[fid])
-            self._caught[ci] = self._caught[ci] | fresh
+            store.caught |= fresh
         self.detected |= newly
         self.n_frames += 1
         self.parent.counters.frames += 1
@@ -1282,15 +1279,7 @@ class IncrementalFaultSim:
 
     def good_state(self) -> V.Vector:
         """The fault-free machine's current flip-flop state."""
-        circuit = self.parent.circuit
-        if not self.chunks:
-            return V.all_x(len(circuit.ff_ids))
-        if self._backend is None:
-            zero, one = self._words[0]
-            return tuple(V.word_scalar(zero[nid], one[nid])
-                         for nid in circuit.ff_ids)
-        arena = self._words[0]
-        good_zero = (arena.zero[arena.ff_rows, 0] & 1).tolist()
-        good_one = (arena.one[arena.ff_rows, 0] & 1).tolist()
-        return tuple(V.word_scalar(z, o)
-                     for z, o in zip(good_zero, good_one))
+        if not self._stores:
+            return V.all_x(len(self.parent.circuit.ff_ids))
+        state: V.Vector = self._stores[0].good_state()
+        return state

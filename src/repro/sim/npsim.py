@@ -25,14 +25,20 @@ generation) simulation and a Phase-2 checkpointed run each build a
 plan of their own fixed target once.  Every plan owns an
 :class:`_Arena`: its buffers and kernel pointers are created once
 and reused by every call.  Detections are decoded from the caught
-and record words with numpy.
+and record words with numpy.  The arena is a *pass store*: it saves
+and restores the flip-flop rows and ``caught`` (Phase-2 checkpoints
+stay arrays; a rebuild records its trail with one-frame calls),
+weighs and decodes machine bits and reads the good state, so the
+consumers in :mod:`repro.sim.fault_sim` and :mod:`repro.core.omission`
+are written once against it and its big-int twin,
+:class:`repro.sim.fault_sim._WordArena`.
 
 With numpy, cffi and a C compiler present, every fault-simulation
 pass runs here; otherwise
 :attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
 and everything runs on big-int words
 (:func:`kernel_unavailable_reason` says why).  The kernel mirrors
-:class:`repro.sim.fault_sim.FaultSimulator`'s big-int pass loops
+the word arena's pass loop and the big-int lane pass
 operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
 next-state capture with flip-flop branch blends, PO / scan
@@ -59,6 +65,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 from . import values as V
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .counters import SimCounters
     from .fault_sim import FaultSimulator, _Chunk, _LaneChunk
     from .logicsim import CompiledCircuit
 
@@ -875,7 +882,9 @@ class _ChunkPlan:
 
 
 class _Arena:
-    """The buffers and kernel arguments of one plan, created once.
+    """The buffers and kernel arguments of one plan, created once: the
+    kernel's pass store (its big-int twin, with the same interface, is
+    :class:`repro.sim.fault_sim._WordArena`).
 
     Every ``repro_run_pass`` call of the plan runs in these buffers:
     the per-net state rows (the flip-flop rows carry state between
@@ -885,12 +894,16 @@ class _Arena:
     demand and are recast only when they grow.  ``live`` starts as
     the plan's whole mask; a universe part narrows it per call.
     ``fault_of[b]`` is the fault index at machine bit ``b`` (``-1``
-    for the good bit and the padding).
+    for the good bit and the padding).  A checkpoint (:meth:`save`) is
+    the flip-flop rows and ``caught``, as arrays.
+    Every :meth:`run` counts one kernel pass in ``counters``.
     """
 
-    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan) -> None:
+    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan,
+                 counters: "SimCounters") -> None:
         np = backend.np
         self.np = np
+        self.counters = counters
         ffi, self._lib = backend._kernel  # type: ignore[misc]
         self._ffi = ffi
         circuit = backend.circuit
@@ -909,6 +922,7 @@ class _Arena:
         self.scr_o = np.zeros_like(self.scr_z)
         self.caught = np.zeros(W, dtype=np.uint64)
         self.live = plan.mask.copy()
+        self._weights: Any = None
         self._frames = ffi.new("long*")
         p_mask, p_sites = backend._plan_args(plan)
         self._head = (_u64p(ffi, self.zero), _u64p(ffi, self.one), p_mask,
@@ -957,8 +971,10 @@ class _Arena:
             records: bool = False) -> int:
         """One kernel pass over the first ``n_frames`` loaded vectors;
         returns the frames it ran.  With ``records`` the pass fills
-        ``rec_po`` / ``rec_scan`` row by row and never stops early."""
+        ``rec_po`` / ``rec_scan`` row by row and never stops early.
+        The caller validates ``scan_observe``."""
         np, ffi = self.np, self._ffi
+        self.counters.np_passes += 1
         if n_frames > len(self.vecs):
             raise ValueError(f"{n_frames}-frame pass over a "
                              f"{len(self.vecs)}-frame vector buffer")
@@ -971,9 +987,6 @@ class _Arena:
                            _u64p(ffi, self.rec_scan))
         key = None if scan_observe is None else tuple(scan_observe)
         if key != self._obs_key:
-            if key and not all(0 <= p < len(self.ff_rows) for p in key):
-                raise ValueError(f"scan-out position outside the "
-                                 f"{len(self.ff_rows)} flip-flops")
             self._obs = np.asarray(key or (0,), dtype=np.int32)
             self._obs_p = _i32p(ffi, self._obs)
             self._obs_key = key
@@ -999,6 +1012,84 @@ class _Arena:
         bit stands for none)."""
         fids: List[int] = self.fault_of[self.bits(words)].tolist()
         return fids if not fids or fids[0] >= 0 else fids[1:]
+
+    def saturated(self) -> bool:
+        """Whether every live machine is caught."""
+        want = self.live.copy()
+        want[0] &= ~self.np.uint64(1)
+        return bool(((self.caught & want) == want).all())
+
+    def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
+        """Add to ``caught`` what a scan-out of the current flip-flop
+        state detects (``repro_diff_acc`` on every observed row)."""
+        np = self.np
+        rows = (self.ff_rows if scan_observe is None
+                else self.ff_rows[list(scan_observe)])
+        zero, one = self.zero[rows], self.one[rows]
+        diff = np.where((one[:, :1] & 1).astype(bool), zero,
+                        np.where((zero[:, :1] & 1).astype(bool), one, 0))
+        self.caught |= np.bitwise_or.reduce(diff, axis=0)
+
+    def save(self) -> Tuple[Any, Any, Any]:
+        """A checkpoint of the flip-flop rows and ``caught``."""
+        return (self.zero[self.ff_rows], self.one[self.ff_rows],
+                self.caught.copy())
+
+    def restore(self, checkpoint: Tuple[Any, Any, Any]) -> None:
+        """Load a checkpoint into the flip-flop rows and ``caught``."""
+        ff_zero, ff_one, caught = checkpoint
+        self.zero[self.ff_rows] = ff_zero
+        self.one[self.ff_rows] = ff_one
+        self.caught[:] = caught
+
+    def bit_weights(self, expand: Optional[Dict[int, List[int]]]) -> None:
+        """Weigh each machine by the requested faults it stands for: its
+        class's member count under translation (``expand``), else 1."""
+        weights = (self.fault_of >= 0).astype(self.np.int64)
+        if expand is not None:
+            weights[1:self.n_machines + 1] = [
+                len(expand[fid]) for fid in self.plan.chunk.indices]
+        self._weights = weights
+
+    def weight(self, words: Any) -> int:
+        """The faults the machine bits of ``words`` stand for."""
+        return int(self._weights[self.bits(words)].sum())
+
+    def good_state(self) -> V.Vector:
+        """The fault-free machine's flip-flop state."""
+        good_zero = (self.zero[self.ff_rows, 0] & 1).tolist()
+        good_one = (self.one[self.ff_rows, 0] & 1).tolist()
+        return tuple(V.word_scalar(z, o)
+                     for z, o in zip(good_zero, good_one))
+
+    def records(self, n_frames: int, po_first: Dict[int, int],
+                scan_diff: List[Set[int]]) -> None:
+        """Decode the last records-mode pass for the live faults: each
+        one's first PO-detecting frame into ``po_first`` and, per
+        frame, those a scan-out there detects into ``scan_diff``."""
+        np = self.np
+        if not n_frames:
+            return
+        live = self.live.copy()
+        live[0] &= ~np.uint64(1)
+
+        def bit_matrix(rec: Any) -> Any:
+            # Row f, column b: machine bit b differs at frame f.
+            return np.unpackbits(
+                (rec[:n_frames] & live).astype("<u8", copy=False)
+                .view(np.uint8), axis=1, bitorder="little")
+
+        po_bits = bit_matrix(self.rec_po)
+        seen = np.flatnonzero(po_bits.any(axis=0))
+        po_first.update(zip(self.fault_of[seen].tolist(),
+                            po_bits[:, seen].argmax(axis=0).tolist()))
+        frames, bits = np.nonzero(bit_matrix(self.rec_scan))
+        fids = self.fault_of[bits].tolist()
+        bounds = np.searchsorted(frames, np.arange(n_frames + 1)).tolist()
+        for frame in range(n_frames):
+            if bounds[frame] < bounds[frame + 1]:
+                scan_diff[frame].update(
+                    fids[bounds[frame]:bounds[frame + 1]])
 
 
 class _Universe:
@@ -1032,7 +1123,8 @@ class _Universe:
             idx = np.asarray(chunk.indices, dtype=np.intp)
             self.part_of[idx] = k
             self.bit_of[idx] = np.arange(1, len(idx) + 1)
-            self.parts.append(_Arena(backend, _ChunkPlan(backend, chunk)))
+            self.parts.append(_Arena(backend, _ChunkPlan(backend, chunk),
+                                     sim.counters))
 
     def select(self, target: Sequence[int]) -> List[Tuple[_Arena, int]]:
         """Point the ``live`` words of every part ``target`` touches
@@ -1112,10 +1204,10 @@ class ArrayBackend:
         """A new fault-universe plan of ``sim`` (see :class:`_Universe`)."""
         return _Universe(self, sim)
 
-    def arena(self, chunk: "_Chunk") -> _Arena:
+    def arena(self, sim: "FaultSimulator", chunk: "_Chunk") -> _Arena:
         """A plan of ``chunk``, built once, with its arena: the kernel
-        route of a consumer whose target is fixed."""
-        return _Arena(self, _ChunkPlan(self, chunk))
+        store of a consumer whose target is fixed."""
+        return _Arena(self, _ChunkPlan(self, chunk), sim.counters)
 
     # ------------------------------------------------------------------
     def _init_state(self, plan: _ChunkPlan,
@@ -1209,66 +1301,6 @@ class ArrayBackend:
             _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
             _u64p(ffi, scr_o), _u64p(ffi, caught), stop, frames)
         return int(status), int(stop[0]), int(frames[0])
-
-    # ------------------------------------------------------------------
-    def run_detect_chunk(
-        self, sim: "FaultSimulator", arena: _Arena, n_live: int,
-        vectors: Sequence[V.Vector], init_state: V.Vector,
-        scan_out: bool, observe_po: bool,
-        scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[List[int], int]:
-        """One universe part of :meth:`FaultSimulator.detect`: a kernel
-        pass that stops once the part's live machines are caught.
-
-        Returns ``(detected, frames_run)``: the live faults caught.
-        """
-        counters = sim.counters
-        counters.np_passes += 1
-        n_frames = arena.load_vectors(vectors)
-        if n_frames == 0:
-            return [], 0
-        arena.load_scan_in(init_state)
-        frames = arena.run(n_frames, observe_po, scan_out, scan_observe)
-        counters.note_words(frames, n_live)
-        return arena.faults_in(arena.caught & arena.live), frames
-
-    # ------------------------------------------------------------------
-    def checkpoint_rows(self, arena: _Arena, ff_zero: Sequence[int],
-                        ff_one: Sequence[int], caught: int) -> Tuple[Any, ...]:
-        """A Phase-2 checkpoint (per-flip-flop big-int word pairs and
-        the cumulative PO ``caught`` mask) as arena-width arrays."""
-        np = self.np
-        W = arena.plan.n_words
-        n_ff = len(ff_zero)
-        return (_rows_array(np, ff_zero, W)[:n_ff],
-                _rows_array(np, ff_one, W)[:n_ff],
-                V.word_to_array(caught, W))
-
-    def run_suffix_chunk(
-        self, sim: "FaultSimulator", arena: _Arena,
-        vectors: Sequence[V.Vector], checkpoint: Tuple[Any, ...],
-        scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[List[int], int]:
-        """One chunk of a Phase-2 omission suffix trial on the kernel.
-
-        Resumes from a checkpoint of :meth:`checkpoint_rows`, runs the
-        suffix with PO observation every frame and scan-out on the
-        last frame, and stops early once every machine is caught --
-        exactly the ``record=False`` big-int loop in
-        :meth:`repro.core.omission._CheckpointedRun._run_suffix`, with
-        the scan-out diff folded into the caught words (the caller
-        ORs them anyway).  Returns ``(detected, frames_run)``.
-        """
-        counters = sim.counters
-        counters.np_passes += 1
-        n_frames = arena.load_vectors(vectors)
-        ff_zero, ff_one, caught = checkpoint
-        arena.zero[arena.ff_rows] = ff_zero
-        arena.one[arena.ff_rows] = ff_one
-        arena.caught[:] = caught
-        frames = arena.run(n_frames, True, True, scan_observe)
-        counters.note_words(frames, arena.n_machines)
-        return arena.faults_in(arena.caught), frames
 
     # ------------------------------------------------------------------
     def run_lane_chunk(
@@ -1494,67 +1526,3 @@ class ArrayBackend:
         else:
             scan_frames = [None] * n_frames
         return po_frames, scan_frames
-
-    # ------------------------------------------------------------------
-    def run_step(self, sim: "FaultSimulator", arena: _Arena,
-                 vector: V.Vector, commit: bool) -> Tuple[Any, Any]:
-        """One frame of an incremental simulation: a one-frame
-        records-mode kernel call in ``arena``.
-
-        Returns the frame's ``(po_diff, scan_diff)`` machine words (rows
-        of the arena's record buffers, valid until its next call).
-        Records mode always advances the flip-flop rows, so unless
-        ``commit`` they are saved before the call and restored after
-        it (every other row is reloaded or recomputed next frame).
-        """
-        sim.counters.np_passes += 1
-        rows = arena.ff_rows
-        if not commit:
-            saved_zero = arena.zero[rows]
-            saved_one = arena.one[rows]
-        arena.load_vectors((vector,))
-        arena.run(1, True, True, None, records=True)
-        if not commit:
-            arena.zero[rows] = saved_zero
-            arena.one[rows] = saved_one
-        return arena.rec_po[0], arena.rec_scan[0]
-
-    # ------------------------------------------------------------------
-    def run_records_chunk(
-        self, sim: "FaultSimulator", arena: _Arena, n_live: int,
-        vectors: Sequence[V.Vector], init_state: V.Vector,
-        scan_observe: Optional[Sequence[int]],
-        po_first: Dict[int, int], scan_diff: List[Set[int]],
-    ) -> None:
-        """One universe part of :meth:`FaultSimulator.run_with_records`
-        (no early exit; per-frame PO / scan-out diff words), decoded
-        into ``po_first`` and ``scan_diff`` for the live faults."""
-        np = self.np
-        counters = sim.counters
-        counters.np_passes += 1
-        n_frames = arena.load_vectors(vectors)
-        if n_frames == 0:
-            return
-        arena.load_scan_in(init_state)
-        arena.run(n_frames, True, True, scan_observe, records=True)
-        counters.note_words(n_frames, n_live)
-        live = arena.live.copy()
-        live[0] &= ~np.uint64(1)
-
-        def bit_matrix(rec: Any) -> Any:
-            # Row f, column b: machine bit b differs at frame f.
-            return np.unpackbits(
-                (rec[:n_frames] & live).astype("<u8", copy=False)
-                .view(np.uint8), axis=1, bitorder="little")
-
-        po_bits = bit_matrix(arena.rec_po)
-        seen = np.flatnonzero(po_bits.any(axis=0))
-        po_first.update(zip(arena.fault_of[seen].tolist(),
-                            po_bits[:, seen].argmax(axis=0).tolist()))
-        frames, bits = np.nonzero(bit_matrix(arena.rec_scan))
-        fids = arena.fault_of[bits].tolist()
-        bounds = np.searchsorted(frames, np.arange(n_frames + 1)).tolist()
-        for frame in range(n_frames):
-            if bounds[frame] < bounds[frame + 1]:
-                scan_diff[frame].update(
-                    fids[bounds[frame]:bounds[frame + 1]])

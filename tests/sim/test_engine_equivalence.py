@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.atpg import random_gen
-from repro.circuits import synth
+from repro.circuits import library, synth
 from repro.circuits.netlist import Netlist
 from repro.core.combine import _detections
+from repro.core.omission import _CheckpointedRun, omit_vectors
 from repro.core.scan_test import ScanTest, ScanTestSet
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim import fault_sim as fault_sim_mod
@@ -31,8 +32,8 @@ from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
-from tests.reference import (KERNEL, production_circuits,
-                             reference_circuit)
+from tests.reference import (KERNEL, production_circuit,
+                             production_circuits, reference_circuit)
 
 _N_PI = 4
 
@@ -435,29 +436,135 @@ class TestNumpyBackendEquivalence:
         check_records(True, seed, cap, data)
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=circuit_seeds, data=st.data())
-    def test_omission_identical(self, seed, data):
-        """Phase-2 suffix trials run on the kernel when it loads; the
-        shortened test, its detections, the trial-by-trial search path
-        and the frame/word accounting must match the reference."""
-        from repro.core.omission import omit_vectors
+    @given(seed=circuit_seeds, cap=fused_caps, partial=st.booleans(),
+           data=st.data())
+    def test_omission_identical(self, seed, cap, partial, data):
+        """Phase 2 runs on the kernel when it loads; the shortened
+        test, its detections, the trial-by-trial search path and the
+        frame/word/machine accounting must match the reference, under
+        any fused cap, from X-laden scan-ins, under full or partial
+        scan."""
         production, reference, fs = circuit_for(seed)
         rng = random.Random(data.draw(st.integers(0, 999)))
         vectors = _vectors(data, rng, data.draw(st.integers(4, 12)))
-        init = V.random_binary_vector(len(reference.ff_ids), rng)
-        required = set(FaultSimulator(reference, fs)
-                       .detect(vectors, init, early_exit=False))
-        test = ScanTest(tuple(init), tuple(tuple(v) for v in vectors))
-        ref_sim = FaultSimulator(reference, fs)
-        ref = omit_vectors(ref_sim, test, set(required))
-        for circuit in production:
-            sim = FaultSimulator(circuit, fs)
+        n_ff = len(reference.ff_ids)
+        positions = (sorted(rng.sample(range(n_ff), rng.randint(1, n_ff)))
+                     if partial else None)
+        init = tuple(rng.choice((V.ZERO, V.ONE, V.X)) for _ in
+                     range(n_ff if positions is None else len(positions)))
+        test = ScanTest(init, tuple(tuple(v) for v in vectors))
+
+        def run(circuit):
+            sim = FaultSimulator(circuit, fs, scan_positions=positions,
+                                 fused_cap=cap)
+            required = FaultSimulator(
+                reference, fs, scan_positions=positions).detect(
+                    vectors, init)
             got = omit_vectors(sim, test, set(required))
-            assert got.test == ref.test
-            assert got.detected == ref.detected
-            assert got.trials == ref.trials
-            assert (sim.counters.frames, sim.counters.words) == \
-                (ref_sim.counters.frames, ref_sim.counters.words)
+            c = sim.counters
+            return ((got.test, got.detected, got.trials, got.omitted),
+                    (c.frames, c.words, c.machines))
+
+        want = run(reference)
+        for circuit in production:
+            assert run(circuit) == want
+
+
+def _checkpoint_words(checkpoint):
+    """A Phase-2 checkpoint as big-ints, whichever store made it."""
+    zero, one, caught = checkpoint
+    if isinstance(caught, int):
+        return list(zero), list(one), caught
+    return ([V.array_to_word(row) for row in zero],
+            [V.array_to_word(row) for row in one],
+            V.array_to_word(caught))
+
+
+class TestOmissionCheckpoints:
+    @pytest.mark.parametrize("circuit", production_circuits(
+        synth.generate("equiv", _N_PI, 3, 5, 30, seed=3)),
+        ids=lambda c: "kernel" if c.array_backend is not None
+        else "bigint")
+    def test_checkpoints_follow_the_machines(self, circuit):
+        """Every checkpoint of a rebuild holds the machines' state after
+        its frame and their PO detections up to it -- also in a chunk
+        that is fully PO-caught partway through the rebuild, whose
+        later checkpoints must still advance (a pass that stops once
+        every machine is caught would leave the flip-flops behind).
+        The empty-suffix scan-out at each checkpoint matches a scan-out
+        of the simulated prefix."""
+        fs = FaultSet.collapsed(circuit.netlist)
+        sim = FaultSimulator(circuit, fs, fused_cap=2)
+        vectors = random_gen.random_sequence(circuit, 10, seed=1)
+        init = random_gen.random_state(circuit, seed=2)
+        required = sorted(sim.detect(vectors, init))
+        chunks = sim._build_chunks(required)
+        run = _CheckpointedRun(sim, init, chunks)
+        run.rebuild(0, vectors)
+
+        reference = FaultSimulator(reference_circuit(circuit.netlist), fs)
+        caught_early = 0
+        for frame in range(len(vectors) + 1):
+            for chunk, checkpoint in zip(chunks, run.states[frame]):
+                prefix = fault_sim_mod._WordArena(reference, chunk)
+                prefix.load_scan_in(init)
+                prefix.load_vectors(vectors[:frame])
+                prefix.run(frame, True, True, None, records=True)
+                po = 0
+                for word in prefix.rec_po:
+                    po |= word
+                assert _checkpoint_words(checkpoint) == \
+                    (*prefix.save()[:2], po)
+                if po == chunk.mask & ~1 and frame < len(vectors):
+                    caught_early += 1
+            assert run.detected_by(frame, []) == \
+                reference.detect(vectors[:frame], init, target=required)
+        assert caught_early > 0   # the saturated case did occur
+
+
+class TestKernelConfiguration:
+    @needs_kernel
+    @pytest.mark.parametrize("net, cap", [
+        (library.s27(), FUSED_CAP),
+        (synth.generate("nointerp", 4, 3, 6, 50, seed=2), 8)],
+        ids=["s27", "synthetic-cap8"])
+    def test_no_interpreter_frames(self, net, cap, monkeypatch):
+        """With the kernel loaded, no fault-simulation frame of
+        ``detect``, ``run_with_records``, an incremental run or Phase 2
+        runs on the interpreter: with ``eval_frame`` made to raise,
+        every call completes, with the reference's results."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        circuit = production_circuit(net, kernel=True)
+
+        def interpreted(*args, **kwargs):
+            raise AssertionError("a frame ran on the interpreter")
+
+        monkeypatch.setattr(circuit, "eval_frame", interpreted)
+        fs = FaultSet.collapsed(net)
+
+        def script(circuit):
+            sim = FaultSimulator(circuit, fs, fused_cap=cap)
+            rng = random.Random(5)
+            vectors = [V.random_binary_vector(net.num_inputs, rng)
+                       for _ in range(12)]
+            init = V.random_binary_vector(net.num_ffs, rng)
+            required = sim.detect(vectors, init)
+            records = sim.run_with_records(vectors, init)
+            out = [required, sim.detect(vectors, None, scan_out=False),
+                   [records.detected_with_scanout_at(frame)
+                    for frame in range(len(vectors))]]
+            inc = sim.incremental(init_state=init)
+            for vector in vectors:
+                out += [inc.preview(vector), inc.apply(vector)]
+            out.append(inc.good_state())
+            omitted = omit_vectors(sim, ScanTest(init, tuple(vectors)),
+                                   required)
+            out.append((omitted.test, omitted.detected, omitted.trials))
+            return out, len(sim._build_chunks(sorted(required)))
+
+        got, n_chunks = script(circuit)
+        assert got == script(reference_circuit(net))[0]
+        assert (n_chunks > 1) == (cap == 8)
 
 
 class TestNumpyRepack:
@@ -490,7 +597,6 @@ def _interleaved_calls(circuit, fs, fused_cap):
     sequences that grow and shrink, with ``set_untestable`` and
     ``set_adi_order`` installed after the first round.  Returns every
     result, in order, and the simulator."""
-    from repro.core.omission import omit_vectors
     sim = FaultSimulator(circuit, fs, fused_cap=fused_cap)
     rng = random.Random(11)
     n_ff = len(circuit.ff_ids)

@@ -166,14 +166,23 @@ class TestConsistency:
             FaultSimulator(CompiledCircuit(s27), faults, fused_cap=1)
 
     def test_out_of_range_scan_position_raises(self, s27):
-        """A scan-out position past the last flip-flop raises in every
-        configuration (the kernel would read past its next-state rows)."""
+        """A scan-out position outside the flip-flops -- past the last
+        one, or negative -- raises ValueError in every configuration
+        (the kernel would read outside its next-state rows, and a
+        big-int pass would silently observe another flip-flop)."""
         faults = FaultSet.collapsed(s27)
         for circuit in production_circuits(s27):
             sim = FaultSimulator(circuit, faults)
-            with pytest.raises((ValueError, IndexError)):
-                sim.detect([V.vec("1111")], V.vec("000"),
-                           scan_observe=[0, 3])
+            for observe in ([0, 3], [-1]):
+                with pytest.raises(ValueError, match="scan-out position"):
+                    sim.detect([V.vec("1111")], V.vec("000"),
+                               scan_observe=observe)
+                with pytest.raises(ValueError, match="scan-out position"):
+                    sim.run_with_records([V.vec("1111")], V.vec("000"),
+                                         scan_observe=observe)
+                with pytest.raises(ValueError, match="scan-out position"):
+                    sim.detect_trials([(V.vec("000"), [V.vec("1111")])],
+                                      scan_observe=observe)
 
 
 class TestRecords:
