@@ -4,11 +4,12 @@ The wide-word fault-simulation engines (DESIGN.md sections 8-9) rest on
 invariants that are argued in prose and sampled by the hypothesis
 equivalence suites, but never checked in production runs:
 
-* **lane-packing disjointness** -- in lane-transposed (trial-parallel)
-  simulation every fault group owns a contiguous, non-overlapping
-  block of lanes, the good/forced stem masks never claim a machine bit
-  outside their chunk, and no stem forces a net to 0 and 1 for the
-  same machine;
+* **packing disjointness** (``lane-disjoint``) -- every chunk a pass
+  packs covers its good bit 0 plus one machine per fault, no injection
+  mask claims the good machine or a bit outside the chunk, and no site
+  forces a machine to both 0 and 1 (checked on every chunk of
+  ``detect``'s word arenas, the fault-universe plan and every
+  ``detect_trials`` pass);
 * **scoreboard soundness** -- a fault retired by the cross-phase
   scoreboard is never simulated again as a target ("never required by a
   later phase"), and every retired fault is in the final detected set
@@ -16,8 +17,10 @@ equivalence suites, but never checked in production runs:
 * **fused/chunked agreement** -- a production ``detect`` pass (one
   fused word, on the C kernel when it loads) and a chunked shadow on
   the reference circuit (the interpreter, no array backend) detect
-  identical fault sets (spot-checked on the first few ``detect`` calls
-  per simulator, on bounded targets).
+  identical fault sets, and every trial of a production
+  ``detect_trials`` pass detects what one reference ``detect`` of that
+  trial detects (each spot-checked on the first few calls per
+  simulator, on bounded targets).
 
 With ``REPRO_SANITIZE`` unset (or ``0``) every hook is a cheap boolean
 check away from free.  With ``REPRO_SANITIZE=1`` a violated invariant
@@ -134,36 +137,6 @@ def _ff_branch_masks(entries: Iterable[Tuple[int, int, int]],
     """``entries``: [(flip-flop position, force-0, force-1), ...]."""
     for pos, m0, m1 in entries:
         _mask_pair("ff_branch", pos, m0, m1, universe, context)
-
-
-def check_lane_chunk(chunk: Any, context: str = "detect_trials") -> None:
-    """Lane-packing disjointness of one ``_LaneChunk``.
-
-    Group ``g`` must own exactly the contiguous lane block
-    ``[g*n_lanes, (g+1)*n_lanes)``; the union of the blocks must be the
-    chunk mask; and every injection mask must stay inside the mask with
-    no machine bit forced to both values.
-    """
-    n_lanes = chunk.n_lanes
-    n_groups = chunk.n_groups
-    block = (1 << n_lanes) - 1
-    union = 0
-    for g in range(n_groups):
-        blk = block << (g * n_lanes)
-        if union & blk:
-            report_violation(
-                "lane-disjoint",
-                f"{context}: lane block of group {g} overlaps an "
-                f"earlier group")
-        union |= blk
-    if union != chunk.mask:
-        report_violation(
-            "lane-disjoint",
-            f"{context}: chunk mask {bin(chunk.mask)} is not the union "
-            f"of its {n_groups} lane block(s) {bin(union)}")
-    _mask_pairs("stem", chunk.stems, chunk.mask, context)
-    _branch_masks("branch", chunk.branch, chunk.mask, context)
-    _ff_branch_masks(chunk.ff_branch, chunk.mask, context)
 
 
 def check_chunk(chunk: Any, context: str = "detect") -> None:

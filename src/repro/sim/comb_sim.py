@@ -10,11 +10,13 @@ outputs, observed by the scan-out).
 simulator, :class:`~repro.sim.fault_sim.FaultSimulator`.  A block of
 patterns is simulated pattern-parallel: one
 :meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call with one
-single-frame trial per pattern, each fault injected across all pattern
-lanes at once.  A single pattern is one
-:meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass with the faults
-in the lanes.  It is the workhorse of combinational test-set generation
-(:mod:`repro.atpg.comb_set`), Phase 3 top-off and the dynamic baseline.
+single-frame trial per pattern, pattern ``p`` in block ``p`` of every
+chunk's words (its good machine at bit 0, the chunk's faulty machines
+after it).  A single pattern is one
+:meth:`~repro.sim.fault_sim.FaultSimulator.detect` pass, the same
+layout with one block.  It is the workhorse of combinational
+test-set generation (:mod:`repro.atpg.comb_set`), Phase 3 top-off and
+the dynamic baseline.
 """
 
 from __future__ import annotations

@@ -59,22 +59,27 @@ Backend counters
 ----------------
 ``np_passes`` counts the passes executed by the C kernel
 (:mod:`repro.sim.npsim`), one per chunk or fault-universe part a call
-runs; a Phase-2 rebuild runs one one-frame pass per chunk and rebuilt
-frame -- zero when everything ran on big-int
+runs (a multi-trial pass runs one per chunk, with no separate
+fault-free pass); a Phase-2 rebuild runs one one-frame pass per chunk
+and rebuilt frame -- zero when everything ran on big-int
 words, so it doubles as a cheap "did the kernel actually run?" probe
 for tests and benchmarks.  Legacy checkpoints lack the key and
 render as dashes.
 
 Trial-batch counters
 --------------------
-``trial_passes`` counts lane-batched trial passes (one per
+``trial_passes`` counts multi-trial passes (one per
 :meth:`~repro.sim.fault_sim.FaultSimulator.detect_trials` call,
 including the calls behind Phase-1 candidate scans and PPSFP pattern
-blocks), ``trial_lanes`` the trials those passes carried --
-``trial_lanes / trial_passes`` is the effective trial-batching
-density.  ``adi_orderings`` counts the Accidental-Detection-Index
-ordering decisions applied (fused-word packing, Phase-3 target
-order, Phase-1 candidate scoring); it stays zero unless the ``--adi``
+blocks), ``trial_lanes`` the trials those passes carried (one block
+each) -- ``trial_lanes / trial_passes`` is the effective
+trial-batching density.  Such a pass counts each chunk's frames as
+word evaluations carrying the chunk's faults times the trials (good
+machines are not counted) and adds its longest chunk's frames to
+``frames``; it runs no separate fault-free pass.  ``adi_orderings``
+counts the Accidental-Detection-Index ordering decisions applied
+(fused-word packing, Phase-3 target order, Phase-1 candidate
+scoring); it stays zero unless the ``--adi``
 knob is on (or ``--scoap``, which reuses the packing-order hook when
 ADI is off).  All three render as dashes for legacy checkpoints.
 

@@ -16,28 +16,28 @@ over the per-pass interpreter overhead).  Tests and the sanitizer's
 chunked shadow pass a smaller ``fused_cap`` to force multi-part
 packing.
 
-Execution: every pass of :meth:`detect` and :meth:`run_with_records`,
-every :class:`IncrementalFaultSim` step and every Phase-2 suffix trial
-and rebuild frame runs in a *pass store*; the consumers are written
-once, against the one interface both stores share.  When the
-circuit has an array backend
+Execution: every pass of :meth:`detect`, :meth:`run_with_records`
+and :meth:`detect_trials`, every :class:`IncrementalFaultSim` step and
+every Phase-2 suffix trial and rebuild frame runs in a *pass store*;
+the consumers are written once, against the one interface both stores
+share.  When the circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
 cffi and a C compiler present) the stores are the C kernel's arenas of
 :mod:`repro.sim.npsim` over ``uint64`` arrays: :meth:`detect` and
 :meth:`run_with_records` share the simulator's fault-universe plan,
 built on first use (every representative sits at a fixed machine bit
 in a part of at most ``fused_cap`` machines, and a call marks its
-targets live), while an incremental simulation and a Phase-2 run each
-keep an arena per chunk of their own target.  Otherwise the stores
-are word arenas (:class:`_WordArena`): one chunk's words as big-ints,
-evaluated by :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`
-in a loop that mirrors the kernel's.  Only the two store factories,
+targets live), while an incremental simulation, a Phase-2 run and a
+multi-trial pass each keep an arena per chunk of their own target.
+Otherwise the stores are word arenas (:class:`_WordArena`): one
+chunk's words as big-ints, evaluated by
+:meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame` in a loop that
+mirrors the kernel's.  Only the two store factories,
 :meth:`FaultSimulator._pass_stores` and
 :meth:`FaultSimulator._run_stores`, tell the two apart.  They are
 result-identical: per-machine logic values do not depend on how words
 are stored, and the production-vs-reference equivalence suites plus
-the ``REPRO_SANITIZE`` shadow checks enforce it.  The lane passes of
-:meth:`detect_trials` keep a route of their own on each.
+the ``REPRO_SANITIZE`` shadow checks enforce it.
 
 Fault dropping: a pass stops as soon as every target machine is
 caught, and :meth:`FaultSimulator.detect` can report detections into
@@ -51,9 +51,10 @@ Instrumentation: every simulator bumps a
 :class:`~repro.sim.counters.SimCounters` (frames, word evaluations,
 machine bits, drops), rendered as the Engine-counters table.
 
-This is the package's one stuck-at fault simulator.  It packs machines
-two ways, and four entry points cover all the needs of the compaction
-procedures:
+This is the package's one stuck-at fault simulator.  It has one
+machine layout -- a test's fault-free machine at bit 0, the faulty
+machines after it -- and four entry points cover all the needs of the
+compaction procedures:
 
 * :meth:`FaultSimulator.detect` -- the faults ride in the lanes of one
   test: which target faults does a test ``(SI, T)`` (or a scan-less
@@ -66,17 +67,17 @@ procedures:
   Step 3 scan over all candidate scan-out times into one simulation
   plus a cheap post-pass (the result is identical to simulating every
   candidate, by construction).
-* :meth:`FaultSimulator.detect_trials` -- the *transposed* packing: the
-  tests ride in the lanes (one lane per ``(SI, T)`` trial, with its own
-  scan-in state and vectors) and each fault is injected across all
-  lanes at once, one fault per lane block, giving per-lane detection
-  words.  Phase-4 merge trials run on it.
+* :meth:`FaultSimulator.detect_trials` -- many independent ``(SI, T)``
+  trials in one pass: trial ``k`` takes block ``k`` of every chunk's
+  words, a whole number of words laid out as :meth:`detect` lays out
+  one test (its own good machine at bit 0, its own scan-in state and
+  vectors), each block observed through its own last frame.  Phase-4
+  merge trials run on it.
 * :meth:`FaultSimulator.detect_candidates` -- :meth:`detect_trials`
   over trials that share one sequence: the ``|C|`` sequence passes of
-  Phase-1 Step 2 become ``ceil(F / groups-per-word)`` passes.  See
-  DESIGN.md section 9.
+  Phase-1 Step 2 become one pass per chunk.  See DESIGN.md section 9.
 
-Single-frame scan patterns reach the same two packings through the
+Single-frame scan patterns reach the same simulator through the
 :class:`~repro.sim.comb_sim.CombPatternSim` adapter: a PPSFP pattern
 block is one :meth:`detect_trials` call, a single pattern one
 :meth:`detect` pass.
@@ -90,15 +91,15 @@ captured by the final frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple, Union)
+                    Tuple)
 
 from . import values as V
 from ..analysis import sanitizer
 from .counters import SimCounters
 from .faults import Fault, FaultSet
-from .logicsim import (CompiledCircuit, LaneFrame, check_state,
-                       check_vectors, simulate_lanes)
+from .logicsim import CompiledCircuit, check_state, check_vectors
 from .scoreboard import FaultScoreboard
 
 #: Machine-bit cap per fused word: the size of one part of a packing
@@ -130,77 +131,70 @@ class _Chunk:
     src_stem_ids: List[int] = field(default_factory=list)
 
 
-@dataclass
-class _LaneChunk:
-    """Injection data for one word of *lane-transposed* faulty machines.
+class _TrialBlocks:
+    """The tests of one multi-trial pass, test ``b`` in block ``b``.
 
-    The word is laid out as ``n_groups`` blocks of ``n_lanes`` bits:
-    block ``g`` carries fault ``indices[g]`` simulated simultaneously
-    in every trial lane (lane ``k`` of every block runs trial ``k``:
-    its scan-in state and its vectors).  There is no good-machine bit
-    -- the fault-free reference comes from a separate good pass over
-    the same lanes.  ``stems``/``branch``/``ff_branch`` use the same mask
-    format as :class:`_Chunk`, with each fault's masks covering its
-    whole lane block.
+    The scan-in states and the PI sequences are kept as block-major
+    bytes (a sequence padded with X past its end), with each test's
+    last frame.  :meth:`FaultSimulator.detect_trials` builds them once
+    and every chunk's store loads them: a kernel arena as arrays, a
+    word arena as selector words (:meth:`words`), memoised per block
+    stride.
     """
 
-    indices: List[int]                 # fault id of lane block g
-    n_lanes: int
-    mask: int                          # all n_groups * n_lanes bits
-    stems: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    branch: Dict[int, List[Tuple[int, int, int]]] = field(
-        default_factory=dict)
-    ff_branch: List[Tuple[int, int, int]] = field(default_factory=list)
-    src_stem_ids: List[int] = field(default_factory=list)
+    def __init__(self, states: Sequence[V.Vector],
+                 sequences: Sequence[Sequence[V.Vector]],
+                 n_ff: int, n_pi: int) -> None:
+        self.n_blocks = len(states)
+        self.n_ff, self.n_pi = n_ff, n_pi
+        self.last = [len(seq) - 1 for seq in sequences]
+        self.n_frames = n = max(self.last) + 1
+        self.state_bytes = bytes(chain.from_iterable(states))
+        pad = (V.X,) * n_pi
+        self.pi_bytes = bytes(chain.from_iterable(chain.from_iterable(
+            chain(seq, repeat(pad, n - len(seq))) for seq in sequences)))
+        self._words: Dict[int, Tuple[Any, ...]] = {}
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.indices)
+    def words(self, stride: int) -> Tuple[Any, ...]:
+        """Selector words at a block stride of ``stride`` bits, where
+        bit ``b * stride`` stands for block ``b``: ``(states, frames,
+        runs, ends)`` with the ``(zero, one)`` selector pair of each
+        flip-flop's scan-in value, of each PI's value per frame, and
+        per frame the blocks still running and those ending there."""
+        memo = self._words.get(stride)
+        if memo is None:
+            step, n, n_pi = stride // 8, self.n_frames, self.n_pi
+            states = [_spread(self.state_bytes[i::self.n_ff], step)
+                      for i in range(self.n_ff)]
+            frames = [[_spread(self.pi_bytes[f * n_pi + p::n * n_pi], step)
+                       for p in range(n_pi)] for f in range(n)]
+            ends = [0] * n
+            for b, last in enumerate(self.last):
+                if last >= 0:
+                    ends[last] |= 1 << (b * stride)
+            runs = [0] * n
+            running = 0
+            for f in range(n - 1, -1, -1):
+                running |= ends[f]
+                runs[f] = running
+            memo = self._words[stride] = (states, frames, runs, ends)
+        return memo
 
-    @property
-    def replication(self) -> int:
-        """Multiplier replicating an ``n_lanes``-bit word into every
-        lane block.  The shifted copies occupy disjoint bit ranges, so
-        ``word * replication`` is an exact concatenation (no carries).
-        """
-        block = 1 << self.n_lanes
-        return (block ** self.n_groups - 1) // (block - 1)
+
+#: Byte translations picking the blocks whose value is 0 / is 1.
+_PICK = tuple(bytes(int(i == v) for i in range(256))
+              for v in (V.ZERO, V.ONE))
 
 
-def _pack_trial_pi_lanes(
-    np: Any,
-    full_trials: Sequence[Tuple[V.Vector, Sequence[V.Vector]]],
-    max_frames: int, n_pi: int,
-) -> List[List[Tuple[int, int]]]:
-    """Vectorised trial PI packing: ``pi_words[f][p]`` lane words.
-
-    Equivalent to per-position :func:`~repro.sim.values.pack_lanes`
-    over the trials (lane ``k`` carries trial ``k``'s vector value
-    while active, X past its own end), but built from one uint8 value
-    cube and two weighted reductions per 64-lane block -- the
-    per-frame/per-PI Python packing loop is the top cost of a batched
-    trial pass on circuits with more than a handful of inputs.
-    """
-    n_lanes = len(full_trials)
-    vals = np.full((max_frames, n_pi, n_lanes), V.X, dtype=np.uint8)
-    for k, (_, vecs) in enumerate(full_trials):
-        if vecs:
-            arr = np.asarray(vecs, dtype=np.uint8)
-            vals[:arr.shape[0], :, k] = arr
-    pi_z = [[0] * n_pi for _ in range(max_frames)]
-    pi_o = [[0] * n_pi for _ in range(max_frames)]
-    for base in range(0, n_lanes, 64):
-        sub = vals[:, :, base:base + 64]
-        weights = np.left_shift(
-            np.uint64(1), np.arange(sub.shape[2], dtype=np.uint64))
-        zw = ((sub == V.ZERO) * weights).sum(axis=2).tolist()
-        ow = ((sub == V.ONE) * weights).sum(axis=2).tolist()
-        for f in range(max_frames):
-            zrow, orow, tz, to = zw[f], ow[f], pi_z[f], pi_o[f]
-            for p in range(n_pi):
-                tz[p] |= zrow[p] << base
-                to[p] |= orow[p] << base
-    return [list(zip(pi_z[f], pi_o[f])) for f in range(max_frames)]
+def _spread(values: bytes, step: int) -> Tuple[int, int]:
+    """The ``(zero, one)`` selector words of one value per block: bit
+    ``8 * step * b`` is set where block ``b``'s value is 0 / is 1."""
+    words = []
+    for pick in _PICK:
+        buf = bytearray(len(values) * step)
+        buf[::step] = values.translate(pick)
+        words.append(int.from_bytes(buf, "little"))
+    return words[0], words[1]
 
 
 def _set_bits(word: int) -> List[int]:
@@ -215,15 +209,24 @@ def _set_bits(word: int) -> List[int]:
 
 
 def _diff_or(zero: Sequence[int], one: Sequence[int],
-             rows: Iterable[int]) -> int:
-    """Machines whose binary value on any of ``rows`` differs from the
-    good machine's (bit 0, which therefore never appears)."""
+             rows: Iterable[int], tile: int = 1, block: int = 0) -> int:
+    """Machines whose binary value on any of ``rows`` differs from
+    their good machine's (bit 0, which therefore never appears).
+
+    With several blocks (``tile`` has bit 0 of each, ``block`` is one
+    block's mask) each block compares with its own good machine: the
+    multiply spreads each block's good bit over its block."""
     acc = 0
+    if tile == 1:
+        for r in rows:
+            if one[r] & 1:
+                acc |= zero[r]
+            elif zero[r] & 1:
+                acc |= one[r]
+        return acc
     for r in rows:
-        if one[r] & 1:
-            acc |= zero[r]
-        elif zero[r] & 1:
-            acc |= one[r]
+        z, o = zero[r], one[r]
+        acc |= ((o & tile) * block & z) | ((z & tile) * block & o)
     return acc
 
 
@@ -236,46 +239,89 @@ class _WordArena:
     words of the last records-mode pass.  :meth:`run` mirrors
     ``repro_run_pass`` step for step in both of its modes, so
     :meth:`FaultSimulator.detect`, :meth:`FaultSimulator.run_with_records`,
-    :class:`IncrementalFaultSim` and Phase 2's checkpointed run are
-    each written once, against either store.  ``live`` is always the
-    whole chunk.  A checkpoint (:meth:`save`) is the flip-flop zero and
-    one words and ``caught``, as big-ints.
+    :class:`IncrementalFaultSim`, Phase 2's checkpointed run and
+    :meth:`FaultSimulator.detect_trials` are each written once, against
+    either store.  ``live`` is always the whole chunk.  A checkpoint
+    (:meth:`save`) is the flip-flop zero and one words and ``caught``,
+    as big-ints.
+
+    With ``n_blocks`` blocks the chunk's machines repeat once per block
+    at a stride of whole 64-bit words (``stride`` bits), as on the
+    kernel: ``tile`` has bit 0 of every block, and the injection masks
+    are the chunk's times ``tile``.  Such a store loads one test per
+    block (:meth:`load_blocks`), runs, and decodes per block
+    (:meth:`faults_by_block`).
     """
 
-    def __init__(self, sim: "FaultSimulator", chunk: _Chunk) -> None:
+    def __init__(self, sim: "FaultSimulator", chunk: _Chunk,
+                 n_blocks: int = 1) -> None:
         circuit = sim.circuit
         self.circuit = circuit
         self.chunk = chunk
         self.n_machines = len(chunk.indices)
-        mask = chunk.mask
+        self.n_blocks = n_blocks
+        self.stride = 64 * ((self.n_machines + 64) // 64)
+        self.tile = tile = (((1 << (n_blocks * self.stride)) - 1) //
+                            ((1 << self.stride) - 1))
+        self.mask = mask = chunk.mask * tile
+        self.stems, self.branch = chunk.stems, chunk.branch
+        if n_blocks > 1:
+            self.stems = {nid: (m0 * tile, m1 * tile)
+                          for nid, (m0, m1) in chunk.stems.items()}
+            self.branch = {out: [(pin, m0 * tile, m1 * tile)
+                                 for pin, m0, m1 in entries]
+                           for out, entries in chunk.branch.items()}
         self.live = mask
         self.caught = 0
         self.zero = [0] * circuit.n_nets
         self.one = [0] * circuit.n_nets
         self.vecs: Sequence[V.Vector] = ()
+        # Per-frame (PI words, running, ending) of a block load.
+        self._blocks: Optional[Tuple[Any, Any, Any]] = None
         self.rec_po: List[int] = []
         self.rec_scan: List[int] = []
         self._weights: Optional[List[int]] = None
         # Source-stem and flip-flop-branch blends: (row, m0, m1, keep).
         self._src = [(nid, m0, m1, mask & ~(m0 | m1))
                      for nid in chunk.src_stem_ids
-                     for m0, m1 in (chunk.stems[nid],)]
-        self._ffbr = [(pos, m0, m1, mask & ~(m0 | m1))
+                     for m0, m1 in (self.stems[nid],)]
+        self._ffbr = [(pos, m0 * tile, m1 * tile,
+                       mask & ~((m0 | m1) * tile))
                       for pos, m0, m1 in chunk.ff_branch]
 
     def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
         """Take a PI sequence (frame 0 first); returns its frame
         count."""
         self.vecs = vectors
+        self._blocks = None
         return len(vectors)
 
     def load_scan_in(self, state: V.Vector) -> None:
         """Pack the flip-flop words from a scan-in vector and clear the
         caught word."""
-        zero, one, mask = self.zero, self.one, self.chunk.mask
+        zero, one, mask = self.zero, self.one, self.mask
         for nid, val in zip(self.circuit.ff_ids, state):
             zero[nid], one[nid] = V.pack_scalar(val, mask)
         self.caught = 0
+
+    def load_blocks(self, blocks: _TrialBlocks) -> int:
+        """Load one test per block: block ``b`` gets test ``b``'s
+        scan-in state and PI sequence (X past its end) and observes
+        through its last frame.  Clears the caught word; returns the
+        longest sequence's frame count."""
+        if blocks.n_blocks != self.n_blocks:
+            raise ValueError(f"{blocks.n_blocks} tests for "
+                             f"{self.n_blocks} blocks")
+        states, frames, runs, ends = blocks.words(self.stride)
+        block = self.chunk.mask
+        for nid, (z, o) in zip(self.circuit.ff_ids, states):
+            self.zero[nid], self.one[nid] = z * block, o * block
+        self.caught = 0
+        self._blocks = ([[(z * block, o * block) for z, o in frame]
+                         for frame in frames],
+                        [r * block for r in runs],
+                        [e * block for e in ends])
+        return blocks.n_frames
 
     def run(self, n_frames: int, observe_po: bool, scan_out: bool,
             scan_observe: Optional[Sequence[int]],
@@ -286,23 +332,28 @@ class _WordArena:
         Detect mode adds the PO diffs (and, with ``scan_out``, the last
         frame's scan-out diff) to ``caught`` and stops once every live
         machine is caught, without advancing the flip-flops past that
-        frame.  With ``records`` the pass fills ``rec_po`` /
+        frame; after a block load each block observes through its own
+        last frame.  With ``records`` the pass fills ``rec_po`` /
         ``rec_scan`` frame by frame and never stops early.
         """
-        circuit, chunk = self.circuit, self.chunk
-        zero, one, mask = self.zero, self.one, chunk.mask
-        stems, branch = chunk.stems, chunk.branch
-        po_ids, ff_ids, ffd_ids = \
-            circuit.po_ids, circuit.ff_ids, circuit.ff_d_ids
+        circuit, blocks = self.circuit, self._blocks
+        zero, one, mask, tile = self.zero, self.one, self.mask, self.tile
+        stems, branch, block = self.stems, self.branch, self.chunk.mask
+        pi_ids, po_ids, ff_ids, ffd_ids = (circuit.pi_ids, circuit.po_ids,
+                                           circuit.ff_ids, circuit.ff_d_ids)
         obs = range(len(ff_ids)) if scan_observe is None else scan_observe
-        want = self.live & ~1
+        want = self.live & ~tile
         caught = self.caught
         if records:
             self.rec_po = [0] * n_frames
             self.rec_scan = [0] * n_frames
         for f in range(n_frames):
-            for nid, val in zip(circuit.pi_ids, self.vecs[f]):
-                zero[nid], one[nid] = V.pack_scalar(val, mask)
+            if blocks is None:
+                for nid, val in zip(pi_ids, self.vecs[f]):
+                    zero[nid], one[nid] = V.pack_scalar(val, mask)
+            else:
+                for nid, (z, o) in zip(pi_ids, blocks[0][f]):
+                    zero[nid], one[nid] = z, o
             for nid, m0, m1, keep in self._src:
                 zero[nid] = (zero[nid] & keep) | m0
                 one[nid] = (one[nid] & keep) | m1
@@ -316,10 +367,19 @@ class _WordArena:
                 self.rec_po[f] = _diff_or(zero, one, po_ids)
                 self.rec_scan[f] = _diff_or(ns_zero, ns_one, obs)
             else:
-                if observe_po:
-                    caught |= _diff_or(zero, one, po_ids)
-                if scan_out and f == n_frames - 1:
-                    caught |= _diff_or(ns_zero, ns_one, obs)
+                if blocks is None:
+                    if observe_po:
+                        caught |= _diff_or(zero, one, po_ids)
+                    if scan_out and f == n_frames - 1:
+                        caught |= _diff_or(ns_zero, ns_one, obs)
+                else:
+                    running, ending = blocks[1][f], blocks[2][f]
+                    if observe_po and running:
+                        caught |= running & _diff_or(zero, one, po_ids,
+                                                     tile, block)
+                    if scan_out and ending:
+                        caught |= ending & _diff_or(ns_zero, ns_one, obs,
+                                                    tile, block)
                 if (caught & want) == want:
                     self.caught = caught
                     return f + 1
@@ -330,7 +390,7 @@ class _WordArena:
 
     def saturated(self) -> bool:
         """Whether every live machine is caught."""
-        want = self.live & ~1
+        want = self.live & ~self.tile
         return (self.caught & want) == want
 
     def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
@@ -360,6 +420,15 @@ class _WordArena:
         bit stands for none)."""
         indices = self.chunk.indices
         return [indices[b - 1] for b in _set_bits(words) if b]
+
+    def faults_by_block(self) -> List[List[int]]:
+        """Per block, the fault indices of its caught machines."""
+        indices, stride = self.chunk.indices, self.stride
+        out: List[List[int]] = [[] for _ in range(self.n_blocks)]
+        for bit in _set_bits(self.caught):
+            b, k = divmod(bit, stride)
+            out[b].append(indices[k - 1])
+        return out
 
     def bit_weights(self, expand: Optional[Dict[int, List[int]]]) -> None:
         """Weigh each machine by the requested faults it stands for: its
@@ -504,6 +573,7 @@ class FaultSimulator:
         self._source_ids = set(circuit.pi_ids) | set(circuit.ff_ids)
         self._ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
+        self._sanitize_trial_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_shadow = False
         #: Optional fault-ordering hint for multi-chunk packing (set
         #: via :meth:`set_adi_order`); ``None`` keeps the default
@@ -637,8 +707,7 @@ class FaultSimulator:
             start += size
         return groups
 
-    def _inject(self, chunk: Union[_Chunk, _LaneChunk],
-                sites: Sequence[int]) -> None:
+    def _inject(self, chunk: _Chunk, sites: Sequence[int]) -> None:
         """Fill ``chunk``'s injection tables: fault ``chunk.indices[k]``
         forces the machine bits ``sites[k]`` at its stem, fanout
         branch or flip-flop data pin."""
@@ -656,12 +725,15 @@ class FaultSimulator:
         chunk.src_stem_ids = [
             nid for nid in chunk.stems if nid in self._source_ids]
 
-    def _build_chunks(self, indices: Sequence[int]) -> List[_Chunk]:
-        """Balanced chunks over ``indices``, each at most
-        :meth:`resolve_width` machines: fault ``k`` of a chunk is
-        machine bit ``k + 1`` (bit 0 is the good machine)."""
+    def _build_chunks(self, indices: Sequence[int],
+                      per: Optional[int] = None) -> List[_Chunk]:
+        """Balanced chunks over ``indices``, each of at most ``per``
+        faults (default: :meth:`resolve_width` machines): fault ``k``
+        of a chunk is machine bit ``k + 1`` (bit 0 is the good
+        machine)."""
         chunks: List[_Chunk] = []
-        per = self.resolve_width(len(indices)) - 1
+        if per is None:
+            per = self.resolve_width(len(indices)) - 1
         for group in self._balanced_groups(indices, per):
             chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
             self._inject(chunk, [2 << pos for pos in range(len(group))])
@@ -691,14 +763,17 @@ class FaultSimulator:
             stores.append((_WordArena(self, chunk), len(chunk.indices)))
         return stores
 
-    def _run_stores(self, chunks: Sequence[_Chunk]) -> List[Any]:
-        """One store per chunk of a fixed target, kept for a whole run
-        (an incremental simulation, a Phase-2 omission): a kernel arena
-        with its own plan, or a word arena."""
+    def _run_stores(self, chunks: Sequence[_Chunk],
+                    n_blocks: int = 1) -> List[Any]:
+        """One store of ``n_blocks`` blocks per chunk of a fixed
+        target, kept for a whole run (an incremental simulation, a
+        Phase-2 omission, a multi-trial pass): a kernel arena with its
+        own plan, or a word arena."""
         backend = self.circuit.array_backend
         if backend is not None:
-            return [backend.arena(self, chunk) for chunk in chunks]
-        return [_WordArena(self, chunk) for chunk in chunks]
+            return [backend.arena(self, chunk, n_blocks)
+                    for chunk in chunks]
+        return [_WordArena(self, chunk, n_blocks) for chunk in chunks]
 
     def _scan_observe(self, scan_observe: Optional[Sequence[int]]
                       ) -> Optional[Sequence[int]]:
@@ -836,18 +911,24 @@ class FaultSimulator:
             return
         self._sanitize_spots_left -= 1
         shadow_cap = max(2, len(target_list) // 2 + 1)
-        shadow = FaultSimulator(
-            CompiledCircuit(self.circuit.netlist, _reference=True),
-            self.faults, counters=SimCounters(), fused_cap=shadow_cap)
-        shadow._sanitize_shadow = True
-        chunked = shadow.detect(vectors, init_state=full_state,
-                                target=target_list, scan_out=scan_out,
-                                observe_po=observe_po,
-                                scan_observe=scan_observe)
+        chunked = self._shadow(shadow_cap).detect(
+            vectors, init_state=full_state, target=target_list,
+            scan_out=scan_out, observe_po=observe_po,
+            scan_observe=scan_observe)
         sanitizer.check_agreement(
             set(detected), chunked,
             f"FaultSimulator.detect ({len(target_list)} targets, "
             f"fused vs reference fused_cap={shadow_cap})")
+
+    def _shadow(self, fused_cap: int = FUSED_CAP) -> "FaultSimulator":
+        """A simulator of the same faults on the reference circuit (the
+        interpreter, no array backend) that runs no spot checks of its
+        own: the sanitizer's shadow."""
+        shadow = FaultSimulator(
+            CompiledCircuit(self.circuit.netlist, _reference=True),
+            self.faults, counters=SimCounters(), fused_cap=fused_cap)
+        shadow._sanitize_shadow = True
+        return shadow
 
     # ------------------------------------------------------------------
     def run_with_records(
@@ -891,29 +972,8 @@ class FaultSimulator:
         return SimRecords(n_frames, po_first, scan_diff)
 
     # ------------------------------------------------------------------
-    # Lane-transposed simulation: the tests ride in the lanes
+    # Multi-trial simulation: one test per block
     # ------------------------------------------------------------------
-
-    def _lane_groups_per_word(self, n_lanes: int) -> int:
-        """Fault groups per lane-transposed word: the fused cap
-        divided by the lanes each group occupies, never below one
-        group."""
-        return max(1, self.fused_cap // n_lanes)
-
-    def _build_lane_chunks(self, indices: Sequence[int],
-                           n_lanes: int) -> List[_LaneChunk]:
-        """Balanced lane-transposed chunks over ``indices``: fault ``g``
-        of a chunk occupies lane block ``g``."""
-        lane_mask = (1 << n_lanes) - 1
-        chunks: List[_LaneChunk] = []
-        for group in self._balanced_groups(
-                indices, self._lane_groups_per_word(n_lanes)):
-            chunk = _LaneChunk(indices=group, n_lanes=n_lanes,
-                               mask=(1 << (len(group) * n_lanes)) - 1)
-            self._inject(chunk, [lane_mask << (g * n_lanes)
-                                 for g in range(len(group))])
-            chunks.append(chunk)
-        return chunks
 
     def detect_candidates(
         self,
@@ -929,9 +989,9 @@ class FaultSimulator:
 
         The candidates are :meth:`detect_trials` trials that all share
         one sequence: instead of one full-sequence :meth:`detect` pass
-        per candidate scan-in state (``|C|`` passes), the candidates
-        occupy the lanes and each target fault is injected across all
-        of them at once (see DESIGN.md section 9).
+        per candidate scan-in state (``|C|`` passes), each candidate
+        takes one block of every chunk's words, so one pass per chunk
+        serves them all (see DESIGN.md section 9).
 
         Returns one detected-fault-index set per candidate, exactly
         equal to ``[detect(vectors, s, target) for s in init_states]``
@@ -954,228 +1014,96 @@ class FaultSimulator:
         """Per-trial detection sets of *independent* tests, all at once.
 
         Each trial is a ``(scan_in, vectors)`` pair -- its own scan-in
-        state and its own PI sequence.  Trials occupy the lanes of
-        lane-transposed words (one good pass simulates every trial's
-        fault-free machine simultaneously, then each target fault is
-        injected across all trial lanes), with two per-frame lane masks
-        handling unequal lengths: lanes past their own last frame
-        receive X inputs, stop being observed at primary outputs, and
-        take their scan-out diff exactly at their own last frame.
+        state and its own PI sequence.  Trial ``k`` takes block ``k``
+        of every chunk's words: the layout :meth:`detect` gives one
+        test (the trial's fault-free machine at bit 0, the chunk's
+        faulty machines after it), once per trial.  A block takes X
+        inputs past its own last frame, observes the primary outputs
+        through that frame and its scan-out exactly there.  A chunk
+        holds at most ``fused_cap // len(trials)`` faults (at least
+        one), in balanced groups.
 
         Returns one detected-fault-index set per trial, exactly equal
         to ``[detect(list(v), s, target=target, scan_out=scan_out,
         observe_po=observe_po, scan_observe=scan_observe) for (s, v)
-        in trials]`` (the
-        equivalence suite enforces this bit for bit).  This is the
-        pass behind Phase-1 candidate scans (:meth:`detect_candidates`),
-        PPSFP pattern blocks
+        in trials]`` (the equivalence suite enforces this bit for
+        bit).  This is the pass behind Phase-1 candidate scans
+        (:meth:`detect_candidates`), PPSFP pattern blocks
         (:meth:`repro.sim.comb_sim.CombPatternSim.detect_block`),
         Phase-4 merge-trial prefetching and the batched
-        transfer-sequence checks; with an array backend its passes run
-        on the lane kernel.
+        transfer-sequence checks.
         """
         trial_list = list(trials)
-        n_lanes = len(trial_list)
-        results: List[Set[int]] = [set() for _ in range(n_lanes)]
-        if n_lanes == 0:
+        n_trials = len(trial_list)
+        results: List[Set[int]] = [set() for _ in range(n_trials)]
+        if n_trials == 0:
             return results
-        full_trials: List[Tuple[V.Vector, List[V.Vector]]] = []
+        states: List[V.Vector] = []
+        sequences: List[Sequence[V.Vector]] = []
         for state, vectors in trial_list:
             check_vectors(self.circuit, vectors)
-            full_trials.append((self.embed_state(state), list(vectors)))
+            states.append(self.embed_state(state))
+            sequences.append(vectors)
         scan_observe = self._scan_observe(scan_observe)
         if target is None:
             target = range(len(self.faults))
         sim_target, expand = self._prepare_target(target)
-        target_list = sorted(sim_target)
         counters = self.counters
         counters.trial_passes += 1
-        counters.trial_lanes += n_lanes
-        max_frames = max(len(v) for _, v in full_trials)
-        if max_frames == 0 or not target_list:
+        counters.trial_lanes += n_trials
+        if not any(sequences) or not sim_target:
             return results
-        init_words = [V.pack_lanes([s[ff_pos] for s, _ in full_trials])
-                      for ff_pos in range(len(self.circuit.ff_ids))]
-        pi_words, acts, ends, good_po, good_scan = \
-            self._good_trial_pass(full_trials, max_frames, init_words,
-                                  observe_po, scan_out, scan_observe)
-        counters.frames += max_frames
-        slot_pos: List[int] = []
-        if scan_out:
-            slot_pos = list(range(len(self.circuit.ff_ids))
-                            if scan_observe is None else scan_observe)
-        chunks = self._build_lane_chunks(target_list, n_lanes)
+        blocks = _TrialBlocks(states, sequences, len(self.circuit.ff_ids),
+                              len(self.circuit.pi_ids))
+        chunks = self._build_chunks(sim_target,
+                                    max(1, self.fused_cap // n_trials))
         if sanitizer.enabled():
             for chunk in chunks:
-                sanitizer.check_lane_chunk(
-                    chunk, "FaultSimulator.detect_trials")
-        lane_mask = (1 << n_lanes) - 1
+                sanitizer.check_chunk(chunk, "FaultSimulator.detect_trials")
         longest = 0
-        backend = self.circuit.array_backend
-        for chunk in chunks:
-            if backend is not None:
-                caught, frames_done = backend.run_lane_chunk(
-                    self, chunk, max_frames, pi_words, acts, ends,
-                    init_words, good_po, good_scan, slot_pos,
-                    observe_po)
-            else:
-                caught, frames_done = self._run_trial_chunk(
-                    chunk, max_frames, pi_words, acts, ends,
-                    init_words, good_po, good_scan, slot_pos,
-                    observe_po)
-            longest = max(longest, frames_done)
-            for g, fid in enumerate(chunk.indices):
-                lanes = (caught >> (g * n_lanes)) & lane_mask
-                k = 0
-                while lanes:
-                    if lanes & 1:
-                        results[k].add(fid)
-                    lanes >>= 1
-                    k += 1
+        for chunk, store in zip(chunks, self._run_stores(chunks, n_trials)):
+            frames = store.run(store.load_blocks(blocks), observe_po,
+                               scan_out, scan_observe)
+            counters.note_words(frames, len(chunk.indices) * n_trials)
+            longest = max(longest, frames)
+            for hits, fids in zip(results, store.faults_by_block()):
+                hits.update(fids)
         counters.frames += longest
+        if (sanitizer.enabled() and not self._sanitize_shadow and
+                self._sanitize_trial_spots_left > 0):
+            self._sanitize_trials(states, sequences, sorted(sim_target),
+                                  scan_out, observe_po, scan_observe,
+                                  results)
         if expand is not None:
-            results = [self._expand_detected(lane, expand)
-                       for lane in results]
+            results = [self._expand_detected(hits, expand)
+                       for hits in results]
         return results
 
-    def _good_trial_pass(
-        self, full_trials: Sequence[Tuple[V.Vector, Sequence[V.Vector]]],
-        max_frames: int, init_words: Sequence[Tuple[int, int]],
-        observe_po: bool, scan_out: bool,
+    def _sanitize_trials(
+        self, states: Sequence[V.Vector],
+        sequences: Sequence[Sequence[V.Vector]], target_list: List[int],
+        scan_out: bool, observe_po: bool,
         scan_observe: Optional[Sequence[int]],
-    ) -> Tuple[List[List[Tuple[int, int]]], List[int], List[int],
-               List[List[Tuple[int, int]]],
-               List[Optional[List[Tuple[int, int]]]]]:
-        """One fault-free pass with trial ``k`` in lane ``k``: the
-        kernel's good lane pass, or
-        :func:`~repro.sim.logicsim.simulate_lanes` on big-int words.
-
-        Returns ``(pi_words, acts, ends, po_frames, scan_frames)``:
-
-        * ``pi_words[f][p]`` -- the lane word pair of PI ``p`` at
-          frame ``f`` (trial ``k``'s own vector value while active,
-          X once past its end);
-        * ``acts[f]`` / ``ends[f]`` -- lane masks of the trials still
-          active at frame ``f`` / whose *last* frame is ``f``;
-        * ``po_frames[f]`` -- per-PO good lane words (empty lists
-          when ``observe_po`` is false);
-        * ``scan_frames[f]`` -- per-observed-slot good lane words of
-          the state captured by frame ``f`` when some trial ends
-          there (``None`` otherwise, and everywhere without
-          ``scan_out``).
-        """
-        circuit = self.circuit
-        n_lanes = len(full_trials)
-        # Mark each trial's last frame, then sweep backwards so
-        # acts[f] gathers every lane ending at f or later: O(frames +
-        # lanes), where a per-frame scan of every trial would cost
-        # O(frames x lanes) on a long candidate sequence.
-        ends = [0] * max_frames
-        for k, (_, vecs) in enumerate(full_trials):
-            if vecs:
-                ends[len(vecs) - 1] |= 1 << k
-        acts = [0] * max_frames
-        active = 0
-        for f in range(max_frames - 1, -1, -1):
-            active |= ends[f]
-            acts[f] = active
-        backend = circuit.array_backend
-        slot_positions = (range(len(circuit.ff_ids))
-                          if scan_observe is None else scan_observe)
-        if backend is not None:
-            # The per-frame good pass dominates batched trial passes;
-            # one kernel call computes the good values.
-            pi_words = _pack_trial_pi_lanes(backend.np, full_trials,
-                                            max_frames,
-                                            len(circuit.pi_ids))
-            po_frames, scan_frames = backend.run_good_lane_pass(
-                self, n_lanes, max_frames, pi_words, ends,
-                init_words, observe_po, list(slot_positions),
-                scan_out)
-            return pi_words, acts, ends, po_frames, scan_frames
-        frames = simulate_lanes(circuit, full_trials)
-        self.counters.note_words(max_frames, n_lanes)
-        slot_ids = [circuit.ff_d_ids[pos] for pos in slot_positions]
-
-        def words(frame: LaneFrame,
-                  nids: Sequence[int]) -> List[Tuple[int, int]]:
-            zero, one = frame
-            return [(zero[nid], one[nid]) for nid in nids]
-
-        return ([words(frame, circuit.pi_ids) for frame in frames],
-                acts, ends,
-                [words(frame, circuit.po_ids) if observe_po else []
-                 for frame in frames],
-                [words(frame, slot_ids) if scan_out and ends[f] else None
-                 for f, frame in enumerate(frames)])
-
-    def _run_trial_chunk(
-        self, chunk: _LaneChunk, n_frames: int,
-        pi_words: Sequence[Sequence[Tuple[int, int]]],
-        acts: Sequence[int], ends: Sequence[int],
-        init_words: Sequence[Tuple[int, int]],
-        good_po: Sequence[Sequence[Tuple[int, int]]],
-        good_scan: Sequence[Optional[Sequence[Tuple[int, int]]]],
-        slot_pos: Sequence[int], observe_po: bool,
-    ) -> Tuple[int, int]:
-        """One faulty big-int pass over a trial-lane chunk.
-
-        Every fault group sees the per-lane PI words; primary outputs
-        are observed on the ``acts`` lanes and the scan-out diff is
-        taken on the ``ends`` lanes.  A word leaves the pass early only
-        once every lane of every group is caught (no in-pass repack).
-        Returns ``(caught, frames_done)``.
-        """
-        circuit = self.circuit
-        counters = self.counters
-        n_lanes = chunk.n_lanes
-        rep = chunk.replication
-        full_mask = chunk.mask
-        zero = [0] * circuit.n_nets
-        one = [0] * circuit.n_nets
-        for (z, o), nid in zip(init_words, circuit.ff_ids):
-            zero[nid], one[nid] = z * rep, o * rep
-        caught = 0
-        frames_done = 0
-        for frame in range(n_frames):
-            for (pz, po_), nid in zip(pi_words[frame], circuit.pi_ids):
-                zero[nid], one[nid] = pz * rep, po_ * rep
-            for nid in chunk.src_stem_ids:
-                m0, m1 = chunk.stems[nid]
-                keep = full_mask & ~(m0 | m1)
-                zero[nid] = (zero[nid] & keep) | m0
-                one[nid] = (one[nid] & keep) | m1
-            circuit.eval_frame(zero, one, full_mask, chunk.stems,
-                               chunk.branch)
-            counters.note_words(1, chunk.n_groups * n_lanes)
-            frames_done += 1
-            ns_zero = [zero[nid] for nid in circuit.ff_d_ids]
-            ns_one = [one[nid] for nid in circuit.ff_d_ids]
-            for pos, m0, m1 in chunk.ff_branch:
-                keep = full_mask & ~(m0 | m1)
-                ns_zero[pos] = (ns_zero[pos] & keep) | m0
-                ns_one[pos] = (ns_one[pos] & keep) | m1
-            if observe_po and acts[frame]:
-                act_rep = acts[frame] * rep
-                frame_po = good_po[frame]
-                for po_i, nid in enumerate(circuit.po_ids):
-                    gz, go = frame_po[po_i]
-                    caught |= act_rep & (((gz * rep) & one[nid]) |
-                                         ((go * rep) & zero[nid]))
-            frame_scan = good_scan[frame]
-            if frame_scan is not None:
-                end_rep = ends[frame] * rep
-                for slot_i, pos in enumerate(slot_pos):
-                    gz, go = frame_scan[slot_i]
-                    caught |= end_rep & (((gz * rep) & ns_one[pos]) |
-                                         ((go * rep) & ns_zero[pos]))
-            if caught == full_mask:
-                # Every fault caught in every trial lane: no later
-                # frame can change any per-trial set.
-                break
-            for nid, z, o in zip(circuit.ff_ids, ns_zero, ns_one):
-                zero[nid], one[nid] = z, o
-        return caught, frames_done
+        results: Sequence[Set[int]],
+    ) -> None:
+        """Spot-check one finished :meth:`detect_trials` call: each
+        trial re-runs as one :meth:`detect` on the reference circuit
+        (the interpreter, no array backend), which must detect the same
+        representatives.  Budgeted per simulator and capped in target
+        size, as :meth:`_sanitize_agreement` is."""
+        if not 0 < len(target_list) <= _SANITIZE_SPOT_TARGET_CAP:
+            return
+        self._sanitize_trial_spots_left -= 1
+        shadow = self._shadow()
+        for k, (state, vectors) in enumerate(zip(states, sequences)):
+            sanitizer.check_agreement(
+                results[k],
+                shadow.detect(vectors, init_state=state, target=target_list,
+                              scan_out=scan_out, observe_po=observe_po,
+                              scan_observe=scan_observe),
+                f"FaultSimulator.detect_trials (trial {k} of "
+                f"{len(states)}, {len(target_list)} targets, vs one "
+                f"reference detect)")
 
     # ------------------------------------------------------------------
     def incremental(self, init_state: Optional[V.Vector] = None,

@@ -140,10 +140,13 @@ class CompiledCircuit:
 
         The evaluation is strictly bitwise and width-agnostic: machine
         bits never interact, and no bit has special meaning at this
-        layer.  This is the contract the lane-transposed trial pass
+        layer.  Two callers rely on this contract: the good-machine
+        lane pass (:func:`simulate_lanes`) puts one test in each bit,
+        and a multi-trial fault-simulation pass
         (:meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`)
-        relies on -- it re-purposes the lanes to carry one test each
-        instead of one faulty machine each, with no changes here.
+        repeats one block of machines -- a good machine at its bit 0,
+        the faulty ones after it -- once per test, each block with its
+        own inputs, with no changes here.
 
         Fault injection (used by the fault simulator):
 

@@ -22,10 +22,12 @@ simulator's ``detect`` and ``run_with_records`` calls share one
 representative has a fixed machine bit, and a call selects its
 targets with a live-machine mask.  An incremental (sequence-
 generation) simulation and a Phase-2 checkpointed run each build a
-plan of their own fixed target once.  Every plan owns an
-:class:`_Arena`: its buffers and kernel pointers are created once
-and reused by every call.  Detections are decoded from the caught
-and record words with numpy.  The arena is a *pass store*: it saves
+plan of their own fixed target once, and a multi-trial pass one plan
+per chunk whose words repeat in one block per trial.  Every plan owns
+an :class:`_Arena`: its buffers and kernel pointers are created once,
+after the plan is validated (:func:`_check_plan`), and reused by every
+call.  Detections are decoded from the caught and record words with
+numpy.  The arena is a *pass store*: it saves
 and restores the flip-flop rows and ``caught`` (Phase-2 checkpoints
 stay arrays; a rebuild records its trail with one-frame calls),
 weighs and decodes machine bits and reads the good state, so the
@@ -37,9 +39,9 @@ With numpy, cffi and a C compiler present, every fault-simulation
 pass runs here; otherwise
 :attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
 and everything runs on big-int words
-(:func:`kernel_unavailable_reason` says why).  The kernel mirrors
-the word arena's pass loop and the big-int lane pass
-operation for operation -- load, source stems, topological gate
+(:func:`kernel_unavailable_reason` says why).  The kernel has one
+entry point, ``repro_run_pass``, and mirrors the word arena's pass
+loop operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
 next-state capture with flip-flop branch blends, PO / scan
 observation, the ``caught`` bookkeeping and the saturation break --
@@ -60,13 +62,13 @@ import shutil
 import subprocess
 import tempfile
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Set, Tuple, Union)
+                    Set, Tuple)
 
 from . import values as V
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .counters import SimCounters
-    from .fault_sim import FaultSimulator, _Chunk, _LaneChunk
+    from .fault_sim import FaultSimulator, _Chunk, _TrialBlocks
     from .logicsim import CompiledCircuit
 
 
@@ -127,10 +129,23 @@ static void repro_diff_acc(const u64* z, const u64* o, u64* acc,
     }
 }
 
+/* The scan-out diff of one block (words [at, at + BW) of each row)
+   over the observed next-state rows: every flip-flop when
+   n_scan_obs < 0, else the listed positions. */
+static void repro_scan_diff(const u64* ns_zero, const u64* ns_one,
+                            long W, long n_ff, long n_scan_obs,
+                            const int* scan_obs, u64* acc, long at,
+                            long BW) {
+    long i, n = n_scan_obs < 0 ? n_ff : n_scan_obs;
+    for (i = 0; i < n; i++) {
+        long r = n_scan_obs < 0 ? i : (long)scan_obs[i];
+        repro_diff_acc(ns_zero + r * W + at, ns_one + r * W + at,
+                       acc + at, BW);
+    }
+}
+
 /* One frame of gate evaluation in topological order, with fanout-
-   branch overrides and post-gate stem forcing -- shared by the
-   detect/records pass and the lane-transposed trial pass so the two
-   can never drift apart. */
+   branch overrides and post-gate stem forcing. */
 static void repro_eval_gates(
     u64* zero, u64* one, const u64* mask, long W,
     long n_gates, const int* g_op, const int* g_out,
@@ -236,6 +251,14 @@ static void repro_eval_gates(
     }
 }
 
+/* A pass over frames start_frame..last_frame.  The W words of a row
+   are n_blocks blocks of W / n_blocks words; each block is one test
+   with its own fault-free machine at its bit 0 and the plan's faulty
+   machines after it.  vecs holds frames x blocks x PIs values, and
+   block b observes its POs through frame block_last[b] and its
+   scan-out at that frame (a NULL block_last: every block ends at
+   last_frame).  Records mode fills per-frame PO and scan-out diff
+   rows instead and never stops early. */
 int repro_run_pass(
     u64* zero, u64* one, const u64* mask, const u64* live, long W,
     long n_gates, const int* g_op, const int* g_out,
@@ -253,6 +276,7 @@ int repro_run_pass(
     const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
     const unsigned char* vecs,
     long start_frame, long last_frame,
+    long n_blocks, const long* block_last,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
     u64* rec_po, u64* rec_scan,
@@ -261,17 +285,20 @@ int repro_run_pass(
     u64* caught, long* stop_frame, long* frames_done)
 {
     long f, p, i, w, b;
+    long BW = W / n_blocks;
     for (f = start_frame; f <= last_frame; f++) {
-        /* Load primary inputs (pack_scalar semantics: 0 -> zero row,
-           1 -> one row, X -> neither). */
-        const unsigned char* vec = vecs + f * n_pi;
+        /* Load primary inputs, each block under its own mask words
+           (pack_scalar semantics: 0 -> zero row, 1 -> one row, X ->
+           neither). */
         for (p = 0; p < n_pi; p++) {
             u64* z = zero + (long)pi_ids[p] * W;
             u64* o = one + (long)pi_ids[p] * W;
-            unsigned char v = vec[p];
-            for (w = 0; w < W; w++) {
-                z[w] = (v == 0) ? mask[w] : 0;
-                o[w] = (v == 1) ? mask[w] : 0;
+            for (b = 0; b < n_blocks; b++) {
+                unsigned char v = vecs[(f * n_blocks + b) * n_pi + p];
+                for (w = b * BW; w < (b + 1) * BW; w++) {
+                    z[w] = (v == 0) ? mask[w] : 0;
+                    o[w] = (v == 1) ? mask[w] : 0;
+                }
             }
         }
         /* Stems on source nets (PIs and FF outputs), every frame. */
@@ -307,56 +334,41 @@ int repro_run_pass(
             u64* rp = rec_po + f * W;
             u64* rs = rec_scan + f * W;
             for (w = 0; w < W; w++) { rp[w] = 0; rs[w] = 0; }
-            for (i = 0; i < n_po; i++)
-                repro_diff_acc(zero + (long)po_ids[i] * W,
-                               one + (long)po_ids[i] * W, rp, W);
-            if (n_scan_obs < 0) {
-                for (i = 0; i < n_ff; i++)
-                    repro_diff_acc(ns_zero + i * W, ns_one + i * W,
-                                   rs, W);
-            } else {
-                for (i = 0; i < n_scan_obs; i++)
-                    repro_diff_acc(ns_zero + (long)scan_obs[i] * W,
-                                   ns_one + (long)scan_obs[i] * W,
-                                   rs, W);
+            for (b = 0; b < n_blocks; b++) {
+                for (i = 0; i < n_po; i++)
+                    repro_diff_acc(zero + (long)po_ids[i] * W + b * BW,
+                                   one + (long)po_ids[i] * W + b * BW,
+                                   rp + b * BW, BW);
+                repro_scan_diff(ns_zero, ns_one, W, n_ff, n_scan_obs,
+                                scan_obs, rs, b * BW, BW);
             }
-            for (i = 0; i < n_ff; i++) {
-                u64* z = zero + (long)ff_ids[i] * W;
-                u64* o = one + (long)ff_ids[i] * W;
-                for (w = 0; w < W; w++) {
-                    z[w] = ns_zero[i * W + w];
-                    o[w] = ns_one[i * W + w];
-                }
-            }
-            continue;
-        }
-        /* Detect mode: accumulate caught machines. */
-        if (observe_po)
-            for (i = 0; i < n_po; i++)
-                repro_diff_acc(zero + (long)po_ids[i] * W,
-                               one + (long)po_ids[i] * W, caught, W);
-        if (scan_out && f == last_frame) {
-            if (n_scan_obs < 0) {
-                for (i = 0; i < n_ff; i++)
-                    repro_diff_acc(ns_zero + i * W, ns_one + i * W,
-                                   caught, W);
-            } else {
-                for (i = 0; i < n_scan_obs; i++)
-                    repro_diff_acc(ns_zero + (long)scan_obs[i] * W,
-                                   ns_one + (long)scan_obs[i] * W,
-                                   caught, W);
-            }
-        }
-        caught[0] &= ~1ULL;
-        {
-            /* Saturated once every live machine is caught: machines
-               outside `live` ride along but never hold a pass open. */
+        } else {
+            /* Detect mode: each block adds its PO diffs through its
+               last frame and its scan-out diff at that frame to the
+               caught machines. */
             int sat = 1;
-            for (w = 0; w < W; w++) {
-                u64 m = live[w];
-                if (w == 0) m &= ~1ULL;
-                if ((caught[w] & m) != m) { sat = 0; break; }
+            for (b = 0; b < n_blocks; b++) {
+                long last = block_last ? block_last[b] : last_frame;
+                if (observe_po && f <= last)
+                    for (i = 0; i < n_po; i++)
+                        repro_diff_acc(
+                            zero + (long)po_ids[i] * W + b * BW,
+                            one + (long)po_ids[i] * W + b * BW,
+                            caught + b * BW, BW);
+                if (scan_out && f == last)
+                    repro_scan_diff(ns_zero, ns_one, W, n_ff,
+                                    n_scan_obs, scan_obs, caught,
+                                    b * BW, BW);
+                caught[b * BW] &= ~1ULL;
             }
+            /* Saturated once every live faulty machine is caught:
+               machines outside `live` ride along but never hold a
+               pass open. */
+            for (b = 0; b < n_blocks && sat; b++)
+                for (w = b * BW; w < (b + 1) * BW && sat; w++) {
+                    u64 m = w == b * BW ? live[w] & ~1ULL : live[w];
+                    if ((caught[w] & m) != m) sat = 0;
+                }
             if (sat) { *stop_frame = f; return 1; }
         }
         for (i = 0; i < n_ff; i++) {
@@ -370,203 +382,6 @@ int repro_run_pass(
     }
     *stop_frame = last_frame + 1;
     return 0;
-}
-
-/* Lane-transposed trial pass: each lane carries an independent test
-   (its own scan-in state and PI sequence), each lane *block* one
-   injected fault, and the fault-free reference arrives pre-computed
-   (and pre-replicated across blocks) from a separate good pass.
-   `act` masks the lanes still inside their own sequence at a frame
-   (PO observation), `end_mask` the lanes whose last frame it is
-   (scan-out diff against the captured state).  No early exit
-   beyond full saturation (status 1); mirrors FaultSimulator.
-   _run_trial_chunk word for word. */
-int repro_run_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    const u64* act, const u64* end_mask,
-    int observe_po,
-    const u64* good_po_z, const u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    const u64* good_sc_z, const u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* frames_done)
-{
-    long f, p, i, w, b;
-    for (f = 0; f < n_frames; f++) {
-        /* Load per-lane primary-input words (pre-replicated). */
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            const u64* pz = pi_zero + (f * n_pi + p) * W;
-            const u64* po = pi_one + (f * n_pi + p) * W;
-            for (w = 0; w < W; w++) { z[w] = pz[w]; o[w] = po[w]; }
-        }
-        for (i = 0; i < n_src_stem; i++) {
-            long nid = src_stem_ids[i];
-            long s = src_stem_site[i];
-            repro_blend(zero + nid * W, one + nid * W,
-                        st_f0 + s * W, st_f1 + s * W,
-                        st_keep + s * W, W);
-        }
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
-        (*frames_done)++;
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            u64* nz = ns_zero + i * W;
-            u64* no = ns_one + i * W;
-            for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
-        }
-        for (b = 0; b < n_ffbr; b++)
-            repro_blend(ns_zero + (long)ffbr_pos[b] * W,
-                        ns_one + (long)ffbr_pos[b] * W,
-                        ffbr_f0 + b * W, ffbr_f1 + b * W,
-                        ffbr_keep + b * W, W);
-        if (observe_po) {
-            const u64* a = act + f * W;
-            for (i = 0; i < n_po; i++) {
-                const u64* gz = good_po_z + (f * n_po + i) * W;
-                const u64* go = good_po_o + (f * n_po + i) * W;
-                const u64* fz = zero + (long)po_ids[i] * W;
-                const u64* fo = one + (long)po_ids[i] * W;
-                for (w = 0; w < W; w++)
-                    caught[w] |= a[w] &
-                        ((gz[w] & fo[w]) | (go[w] & fz[w]));
-            }
-        }
-        if (n_slots) {
-            const u64* e = end_mask + f * W;
-            u64 any_end = 0;
-            for (w = 0; w < W; w++) any_end |= e[w];
-            if (any_end) {
-                for (i = 0; i < n_slots; i++) {
-                    const u64* gz = good_sc_z + (f * n_slots + i) * W;
-                    const u64* go = good_sc_o + (f * n_slots + i) * W;
-                    const u64* nz = ns_zero + (long)slot_pos[i] * W;
-                    const u64* no = ns_one + (long)slot_pos[i] * W;
-                    for (w = 0; w < W; w++)
-                        caught[w] |= e[w] &
-                            ((gz[w] & no[w]) | (go[w] & nz[w]));
-                }
-            }
-        }
-        {
-            int sat = 1;
-            for (w = 0; w < W; w++)
-                if (caught[w] != mask[w]) { sat = 0; break; }
-            if (sat) return 1;
-        }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
-    }
-    return 0;
-}
-
-/* Fault-free lane pass: the good-value reference for the trial pass
-   above.  Each lane carries one trial's own PI sequence; no faults
-   are injected (the caller passes an empty plan: stem_site all -1,
-   br_count all 0).  Emits per-frame PO lane words and the captured
-   next-state words of the observed scan slots -- every frame, the
-   Python caller slices by its end masks.  Mirrors FaultSimulator.
-   _good_trial_pass word for word. */
-void repro_run_good_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    int observe_po, u64* good_po_z, u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    u64* good_sc_z, u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o)
-{
-    long f, p, i, w;
-    for (f = 0; f < n_frames; f++) {
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            const u64* pz = pi_zero + (f * n_pi + p) * W;
-            const u64* po = pi_one + (f * n_pi + p) * W;
-            for (w = 0; w < W; w++) { z[w] = pz[w]; o[w] = po[w]; }
-        }
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
-        if (observe_po) {
-            u64* gz = good_po_z + f * n_po * W;
-            u64* go = good_po_o + f * n_po * W;
-            for (i = 0; i < n_po; i++) {
-                const u64* z = zero + (long)po_ids[i] * W;
-                const u64* o = one + (long)po_ids[i] * W;
-                for (w = 0; w < W; w++) {
-                    gz[i * W + w] = z[w];
-                    go[i * W + w] = o[w];
-                }
-            }
-        }
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                ns_zero[i * W + w] = dz[w];
-                ns_one[i * W + w] = dn[w];
-            }
-        }
-        if (n_slots) {
-            u64* sz = good_sc_z + f * n_slots * W;
-            u64* so = good_sc_o + f * n_slots * W;
-            for (i = 0; i < n_slots; i++) {
-                long pos = slot_pos[i];
-                for (w = 0; w < W; w++) {
-                    sz[i * W + w] = ns_zero[pos * W + w];
-                    so[i * W + w] = ns_one[pos * W + w];
-                }
-            }
-        }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
-    }
 }
 """
 
@@ -589,56 +404,13 @@ int repro_run_pass(
     const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
     const unsigned char* vecs,
     long start_frame, long last_frame,
+    long n_blocks, const long* block_last,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
     u64* caught, long* stop_frame, long* frames_done);
-int repro_run_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    const u64* act, const u64* end_mask,
-    int observe_po,
-    const u64* good_po_z, const u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    const u64* good_sc_z, const u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* frames_done);
-void repro_run_good_lane_pass(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_frames,
-    const u64* pi_zero, const u64* pi_one,
-    int observe_po, u64* good_po_z, u64* good_po_o,
-    long n_slots, const int* slot_pos,
-    u64* good_sc_z, u64* good_sc_o,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o);
 """
 
 #: Kernel pass-loop return codes.
@@ -792,9 +564,8 @@ def _i32p(ffi: Any, arr: Any) -> Any:
 
 def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
     """Big-int words as a ``(max(1, len(words)), n_words)`` uint64
-    array, in one buffer conversion (a per-row
-    :func:`~repro.sim.values.word_to_array` loop is the plan-build
-    hot spot on short passes)."""
+    array, in one buffer conversion (bit ``w`` of a word is bit
+    ``w % 64`` of element ``w // 64``)."""
     if not words:
         return np.zeros((1, n_words), dtype=np.uint64)
     size = n_words * 8
@@ -804,44 +575,45 @@ def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
 
 
 class _ChunkPlan:
-    """Dense array form of one :class:`_Chunk`'s injection data.
+    """Dense array form of one :class:`_Chunk`'s injection data, tiled
+    over ``n_blocks`` blocks.
 
     Blend order mirrors the big-int engine exactly: branch entries
     apply in their list order, flip-flop branch entries likewise, and
     every blend uses its own ``keep = mask & ~(m0 | m1)`` -- so
     repeated sites on one pin compose identically.
 
-    ``n_bits`` is the word width in machine bits; it defaults to the
-    :class:`_Chunk` layout (``len(indices) + 1`` for the good bit)
-    and must be passed explicitly for :class:`_LaneChunk` layouts
-    (``n_groups * n_lanes``, no good bit) -- both chunk flavors carry
-    the same ``mask`` / ``stems`` / ``branch`` / ``ff_branch`` /
-    ``src_stem_ids`` fields this plan consumes.  The fault-free plan
-    of the good lane pass and the transition-fault capture templates
-    (:mod:`repro.delay.transition`) are plans of site-free
-    :class:`_Chunk` instances.
+    A block is the whole number of words that hold the chunk's good
+    bit 0 and its faulty machines.  Every row repeats one block's
+    words ``n_blocks`` times, so each block carries the same machines
+    (one test per block in a multi-trial pass, see
+    :meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`).  The
+    transition-fault capture templates (:mod:`repro.delay.transition`)
+    are single-block plans of site-free :class:`_Chunk` instances.
     """
 
-    def __init__(self, backend: "ArrayBackend",
-                 chunk: "Union[_Chunk, _LaneChunk]",
-                 n_bits: Optional[int] = None) -> None:
+    def __init__(self, backend: "ArrayBackend", chunk: "_Chunk",
+                 n_blocks: int = 1) -> None:
         np = backend.np
         self.chunk = chunk
-        if n_bits is None:
-            n_bits = len(chunk.indices) + 1
-        self.n_words = (n_bits + 63) // 64
-        W = self.n_words
-        self.mask = V.word_to_array(chunk.mask, W)
+        self.n_blocks = n_blocks
+        block_words = (len(chunk.indices) + 64) // 64
+        self.n_words = block_words * n_blocks
         n_nets = backend.circuit.n_nets
 
+        def rows(words: Sequence[int]) -> Any:
+            arr = _rows_array(np, words, block_words)
+            return arr if n_blocks == 1 else np.tile(arr, (1, n_blocks))
+
+        self.mask = rows([chunk.mask])[0]
         stems = list(chunk.stems.items())
         self.stem_site = np.full(n_nets, -1, dtype=np.int32)
         for i, (nid, _) in enumerate(stems):
             self.stem_site[nid] = i
-        self.st_f0 = _rows_array(np, [m0 for _, (m0, _) in stems], W)
-        self.st_f1 = _rows_array(np, [m1 for _, (_, m1) in stems], W)
-        self.st_keep = _rows_array(
-            np, [chunk.mask & ~(m0 | m1) for _, (m0, m1) in stems], W)
+        self.st_f0 = rows([m0 for _, (m0, _) in stems])
+        self.st_f1 = rows([m1 for _, (_, m1) in stems])
+        self.st_keep = rows([chunk.mask & ~(m0 | m1)
+                             for _, (m0, m1) in stems])
         self.src_stem_ids = np.asarray(chunk.src_stem_ids,
                                        dtype=np.int32)
         self.src_stem_site = np.asarray(
@@ -859,26 +631,100 @@ class _ChunkPlan:
                 br_pin.append(pin)
                 br_rows.append((m0, m1))
         self.br_pin = np.asarray(br_pin or [0], dtype=np.int32)
-        self.br_f0 = _rows_array(np, [m0 for m0, _ in br_rows], W)
-        self.br_f1 = _rows_array(np, [m1 for _, m1 in br_rows], W)
-        self.br_keep = _rows_array(
-            np, [chunk.mask & ~(m0 | m1) for m0, m1 in br_rows], W)
+        self.br_f0 = rows([m0 for m0, _ in br_rows])
+        self.br_f1 = rows([m1 for _, m1 in br_rows])
+        self.br_keep = rows([chunk.mask & ~(m0 | m1)
+                             for m0, m1 in br_rows])
 
         self.n_ffbr = len(chunk.ff_branch)
         self.ffbr_pos = np.asarray(
             [pos for pos, _, _ in chunk.ff_branch] or [0],
             dtype=np.int32)
-        self.ffbr_f0 = _rows_array(
-            np, [m0 for _, m0, _ in chunk.ff_branch], W)
-        self.ffbr_f1 = _rows_array(
-            np, [m1 for _, _, m1 in chunk.ff_branch], W)
-        self.ffbr_keep = _rows_array(
-            np, [chunk.mask & ~(m0 | m1)
-                 for _, m0, m1 in chunk.ff_branch], W)
+        self.ffbr_f0 = rows([m0 for _, m0, _ in chunk.ff_branch])
+        self.ffbr_f1 = rows([m1 for _, _, m1 in chunk.ff_branch])
+        self.ffbr_keep = rows([chunk.mask & ~(m0 | m1)
+                               for _, m0, m1 in chunk.ff_branch])
         #: Lazily built kernel arguments of this plan; reset to
         #: ``None`` whenever the arrays are swapped after construction
         #: (see :meth:`ArrayBackend._plan_args`).
         self._kptrs: Optional[Tuple[Any, Tuple[Any, ...]]] = None
+
+
+#: A plan's ``uint64`` row arrays, in groups that share a row count.
+_PLAN_ROWS = (("st_f0", "st_f1", "st_keep"), ("br_f0", "br_f1", "br_keep"),
+              ("ffbr_f0", "ffbr_f1", "ffbr_keep"))
+#: A plan's ``int32`` index arrays.
+_PLAN_INDEX = ("stem_site", "src_stem_ids", "src_stem_site", "br_start",
+               "br_count", "br_pin", "ffbr_pos")
+
+
+def _check_plan(backend: "ArrayBackend", plan: _ChunkPlan) -> None:
+    """Raise :class:`ValueError` unless the kernel can safely run
+    ``plan``: every array has the dtype, C-contiguity and word count
+    the kernel assumes, and every index it follows stays inside the
+    array it indexes (stem sites and source stems, branch row ranges
+    and pins, flip-flop branch positions), with a block count that
+    divides the words."""
+    np = backend.np
+    W, n_nets = plan.n_words, backend.circuit.n_nets
+
+    def bad(what: str) -> ValueError:
+        return ValueError(f"malformed kernel plan: {what}")
+
+    if plan.n_blocks < 1 or W < 1 or W % plan.n_blocks:
+        raise bad(f"{plan.n_blocks} blocks over {W} words")
+    for name in ("mask",) + sum(_PLAN_ROWS, ()):
+        arr = getattr(plan, name)
+        if (arr.dtype != np.uint64 or not arr.flags.c_contiguous or
+                arr.ndim != (1 if name == "mask" else 2) or
+                arr.shape[-1] != W):
+            raise bad(f"{name} is not a C-contiguous uint64 array of "
+                      f"{W}-word rows")
+    for name in _PLAN_INDEX:
+        arr = getattr(plan, name)
+        if (arr.dtype != np.int32 or not arr.flags.c_contiguous or
+                arr.ndim != 1):
+            raise bad(f"{name} is not a C-contiguous int32 vector")
+    n_rows: List[int] = []
+    for group in _PLAN_ROWS:
+        counts = {len(getattr(plan, name)) for name in group}
+        if len(counts) != 1:
+            raise bad(f"{'/'.join(group)} row counts differ")
+        n_rows.append(counts.pop())
+    n_stems, n_br, n_ffbr = n_rows
+
+    def inside(arr: Any, low: int, high: int) -> bool:
+        return not len(arr) or (int(arr.min()) >= low and
+                                int(arr.max()) < high)
+
+    if (len(plan.stem_site) != n_nets or
+            not inside(plan.stem_site, -1, n_stems)):
+        raise bad("a stem site lies outside the stem rows")
+    if (len(plan.src_stem_site) != len(plan.src_stem_ids) or
+            not inside(plan.src_stem_ids, 0, n_nets) or
+            not inside(plan.src_stem_site, 0, n_stems)):
+        raise bad("a source stem lies outside the nets or stem rows")
+    start, count = plan.br_start, plan.br_count
+    if (len(start) != n_nets or len(count) != n_nets or
+            len(plan.br_pin) != n_br or not inside(count, 0, n_br + 1)):
+        raise bad("branch tables do not match the nets or rows")
+    nets = np.flatnonzero(count)
+    if len(nets):
+        first = start[nets].astype(np.int64)
+        width = count[nets].astype(np.int64)
+        if first.min() < 0 or (first + width).max() > n_br:
+            raise bad("a branch range runs past the branch rows")
+        # Each branch row's pin, against its gate's fanin count.
+        rows = np.repeat(first - np.cumsum(width) + width, width) + \
+            np.arange(int(width.sum()))
+        pins = plan.br_pin[rows]
+        if (pins < 0).any() or (
+                pins >= np.repeat(backend.net_arity[nets], width)).any():
+            raise bad("a branch pin lies past its gate's fanins")
+    if (not 0 <= plan.n_ffbr <= n_ffbr or len(plan.ffbr_pos) != n_ffbr or
+            not inside(plan.ffbr_pos[:plan.n_ffbr], 0,
+                       len(backend.circuit.ff_ids))):
+        raise bad("a flip-flop branch lies outside the flip-flops")
 
 
 class _Arena:
@@ -893,14 +739,20 @@ class _Arena:
     to a kernel pointer here.  The vector and record buffers grow on
     demand and are recast only when they grow.  ``live`` starts as
     the plan's whole mask; a universe part narrows it per call.
-    ``fault_of[b]`` is the fault index at machine bit ``b`` (``-1``
-    for the good bit and the padding).  A checkpoint (:meth:`save`) is
-    the flip-flop rows and ``caught``, as arrays.
+    ``fault_of[b]`` is the fault index at machine bit ``b`` of a block
+    (``-1`` for the good bit and the padding).  A checkpoint
+    (:meth:`save`) is the flip-flop rows and ``caught``, as arrays.
     Every :meth:`run` counts one kernel pass in ``counters``.
+
+    A plan of several blocks runs one test per block: such a store
+    only loads (:meth:`load_blocks`), runs and decodes per block
+    (:meth:`faults_by_block`).  The plan is validated
+    (:func:`_check_plan`) before any pointer to it is cast.
     """
 
     def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan,
                  counters: "SimCounters") -> None:
+        _check_plan(backend, plan)
         np = backend.np
         self.np = np
         self.counters = counters
@@ -911,7 +763,9 @@ class _Arena:
         self.plan = plan
         self.ff_rows = backend.ff_rows
         self.n_machines = len(plan.chunk.indices)
-        self.fault_of = np.full(64 * W, -1, dtype=np.int64)
+        self.n_blocks = plan.n_blocks
+        self.block_words = W // plan.n_blocks
+        self.fault_of = np.full(64 * self.block_words, -1, dtype=np.int64)
         self.fault_of[1:self.n_machines + 1] = plan.chunk.indices
         self.zero = np.zeros((circuit.n_nets, W), dtype=np.uint64)
         self.one = np.zeros_like(self.zero)
@@ -932,8 +786,14 @@ class _Arena:
                       _u64p(ffi, self.scr_z), _u64p(ffi, self.scr_o),
                       _u64p(ffi, self.caught), ffi.new("long*"),
                       self._frames)
-        self.vecs = np.zeros((0, len(circuit.pi_ids)), dtype=np.uint8)
+        self.n_pi = len(circuit.pi_ids)
+        self.vecs = np.zeros((0, self.n_blocks * self.n_pi), dtype=np.uint8)
         self._vecs_p = ffi.NULL
+        # Each block's last frame; a single block ends where the pass
+        # does.
+        self.block_last = np.zeros(self.n_blocks, dtype=np.int64)
+        self._blocks = (self.n_blocks, ffi.NULL if self.n_blocks == 1 else
+                        ffi.cast("long*", self.block_last.ctypes.data))
         self.rec_po = np.zeros((0, W), dtype=np.uint64)
         self.rec_scan = np.zeros_like(self.rec_po)
         self._rec_p = (ffi.NULL, ffi.NULL)
@@ -941,16 +801,20 @@ class _Arena:
         self._obs = np.zeros(1, dtype=np.int32)
         self._obs_p = _i32p(ffi, self._obs)
 
-    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
-        """Copy a PI sequence into the vector buffer (frame 0 first);
-        returns its frame count."""
-        n = len(vectors)
+    def _vector_rows(self, n: int) -> None:
+        """Grow the vector buffer to at least ``n`` frames."""
         if n > len(self.vecs):
             self.vecs = self.np.zeros((max(n, 2 * len(self.vecs)),
                                        self.vecs.shape[1]),
                                       dtype=self.np.uint8)
             self._vecs_p = self._ffi.cast("unsigned char*",
                                           self.vecs.ctypes.data)
+
+    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
+        """Copy a PI sequence into the vector buffer (frame 0 first);
+        returns its frame count."""
+        n = len(vectors)
+        self._vector_rows(n)
         if n:
             self.vecs[:n] = vectors
         return n
@@ -965,6 +829,40 @@ class _Arena:
         self.zero[self.ff_rows] = (values == V.ZERO) * mask
         self.one[self.ff_rows] = (values == V.ONE) * mask
         self.caught.fill(0)
+
+    def load_blocks(self, blocks: "_TrialBlocks") -> int:
+        """Load one test per block: block ``b`` gets test ``b``'s
+        scan-in state and PI sequence (X past its end) and observes
+        through its last frame.  Clears the caught words; returns the
+        longest sequence's frame count.
+
+        Raises
+        ------
+        ValueError
+            If the tests do not fill the blocks, or a block's last
+            frame lies outside the vector buffer.
+        """
+        np = self.np
+        n_blocks, n = self.n_blocks, blocks.n_frames
+        if blocks.n_blocks != n_blocks:
+            raise ValueError(f"{blocks.n_blocks} tests for {n_blocks} "
+                             f"blocks")
+        states = np.frombuffer(blocks.state_bytes, dtype=np.uint8).reshape(
+            n_blocks, len(self.ff_rows)).T[:, :, None]
+        mask = self.plan.mask[:self.block_words]
+        width = (len(self.ff_rows), self.plan.n_words)
+        self.zero[self.ff_rows] = ((states == V.ZERO) * mask).reshape(width)
+        self.one[self.ff_rows] = ((states == V.ONE) * mask).reshape(width)
+        self.caught.fill(0)
+        self._vector_rows(n)
+        self.vecs[:n] = np.frombuffer(blocks.pi_bytes, dtype=np.uint8) \
+            .reshape(n_blocks, n, self.n_pi).transpose(1, 0, 2) \
+            .reshape(n, n_blocks * self.n_pi)
+        self.block_last[:] = blocks.last
+        if int(self.block_last.max()) >= len(self.vecs):
+            raise ValueError("a block's last frame lies outside the "
+                             "vector buffer")
+        return n
 
     def run(self, n_frames: int, observe_po: bool, scan_out: bool,
             scan_observe: Optional[Sequence[int]],
@@ -993,9 +891,9 @@ class _Arena:
         # The kernel adds to the frames cell rather than overwriting it.
         self._frames[0] = 0
         self._lib.repro_run_pass(
-            *self._head, self._vecs_p, 0, n_frames - 1, int(observe_po),
-            int(scan_out), -1 if key is None else len(key), self._obs_p,
-            *(self._rec_p if records else (ffi.NULL, ffi.NULL)),
+            *self._head, self._vecs_p, 0, n_frames - 1, *self._blocks,
+            int(observe_po), int(scan_out), -1 if key is None else len(key),
+            self._obs_p, *(self._rec_p if records else (ffi.NULL, ffi.NULL)),
             *self._tail)
         return int(self._frames[0])
 
@@ -1012,6 +910,19 @@ class _Arena:
         bit stands for none)."""
         fids: List[int] = self.fault_of[self.bits(words)].tolist()
         return fids if not fids or fids[0] >= 0 else fids[1:]
+
+    def faults_by_block(self) -> List[List[int]]:
+        """Per block, the fault indices of its caught machines."""
+        np = self.np
+        bits = np.unpackbits(
+            self.caught.astype("<u8", copy=False).view(np.uint8),
+            bitorder="little").reshape(self.n_blocks, -1)
+        blocks, pos = np.nonzero(bits)
+        fids: List[int] = self.fault_of[pos].tolist()
+        bounds = np.searchsorted(
+            blocks, np.arange(self.n_blocks + 1)).tolist()
+        return [fids[bounds[b]:bounds[b + 1]]
+                for b in range(self.n_blocks)]
 
     def saturated(self) -> bool:
         """Whether every live machine is caught."""
@@ -1196,18 +1107,22 @@ class ArrayBackend:
         #: Lazily built circuit-constant kernel arguments (see
         #: :meth:`_circuit_args`).
         self._circuit_kargs: Optional[Tuple[Any, ...]] = None
-        # Fault-free injection plans for the good lane pass, keyed by
-        # word width (circuit-wide, so safely shared across simulators).
-        self._empty_plans: Dict[int, _ChunkPlan] = {}
+        #: Fanin count of the gate driving each net (0 for source
+        #: nets): the bound of a branch pin.
+        self.net_arity = np.zeros(circuit.n_nets, dtype=np.int64)
+        self.net_arity[self.g_out[:self.n_gates]] = np.diff(self.g_foff)
 
     def universe(self, sim: "FaultSimulator") -> _Universe:
         """A new fault-universe plan of ``sim`` (see :class:`_Universe`)."""
         return _Universe(self, sim)
 
-    def arena(self, sim: "FaultSimulator", chunk: "_Chunk") -> _Arena:
-        """A plan of ``chunk``, built once, with its arena: the kernel
-        store of a consumer whose target is fixed."""
-        return _Arena(self, _ChunkPlan(self, chunk), sim.counters)
+    def arena(self, sim: "FaultSimulator", chunk: "_Chunk",
+              n_blocks: int = 1) -> _Arena:
+        """A plan of ``chunk`` over ``n_blocks`` blocks, built once,
+        with its arena: the kernel store of a consumer whose target is
+        fixed."""
+        return _Arena(self, _ChunkPlan(self, chunk, n_blocks),
+                      sim.counters)
 
     # ------------------------------------------------------------------
     def _init_state(self, plan: _ChunkPlan,
@@ -1236,9 +1151,8 @@ class ArrayBackend:
 
     # ------------------------------------------------------------------
     # Pointer casts dominate short kernel calls (a TDF capture runs two
-    # segments per launch frame, a trial pass two lane calls), so the
-    # circuit-constant and plan-constant arguments are cast once and
-    # reused by every entry point.
+    # segments per launch frame), so the circuit-constant and
+    # plan-constant arguments are cast once and reused by every call.
     def _circuit_args(self) -> Tuple[Any, ...]:
         """The circuit-constant kernel arguments: gate tables, then
         the PI / PO / flip-flop id lists with their counts."""
@@ -1296,233 +1210,8 @@ class ArrayBackend:
             _u64p(ffi, zero), _u64p(ffi, one), p_mask, p_mask, W,
             *self._circuit_args(), *p_sites,
             ffi.cast("unsigned char*", vec_arr.ctypes.data),
-            start, last, int(observe_po), int(scan_out), -1,
+            start, last, 1, ffi.NULL, int(observe_po), int(scan_out), -1,
             _i32p(ffi, scan_obs), ffi.NULL, ffi.NULL,
             _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
             _u64p(ffi, scr_o), _u64p(ffi, caught), stop, frames)
         return int(status), int(stop[0]), int(frames[0])
-
-    # ------------------------------------------------------------------
-    def run_lane_chunk(
-        self, sim: "FaultSimulator", chunk: "_LaneChunk",
-        n_frames: int,
-        pi_words: Sequence[Sequence[Tuple[int, int]]],
-        acts: Sequence[int], ends: Sequence[int],
-        init_words: Sequence[Tuple[int, int]],
-        good_po: Sequence[Sequence[Tuple[int, int]]],
-        good_scan: Sequence[Optional[Sequence[Tuple[int, int]]]],
-        slot_pos: Sequence[int], observe_po: bool,
-    ) -> Tuple[int, int]:
-        """One chunk of :meth:`FaultSimulator.detect_trials` on the C
-        kernel (per-lane PI words, ragged ``acts`` / ``ends`` masks).
-
-        All lane words arrive *unreplicated* (one block wide); the block
-        replication across fault groups happens here, in big-int
-        arithmetic, before the one-shot array conversion.  Returns
-        ``(caught, frames_done)`` with ``caught`` a big-int over the
-        chunk's ``n_groups * n_lanes`` bits.
-        """
-        np = self.np
-        counters = sim.counters
-        counters.np_passes += 1
-        n_bits = chunk.n_groups * chunk.n_lanes
-        plan = _ChunkPlan(self, chunk, n_bits)
-        W = plan.n_words
-        rep = chunk.replication
-        n_nets = self.circuit.n_nets
-        aligned = chunk.n_lanes % 64 == 0
-        wb = chunk.n_lanes // 64
-
-        def rep_rows(rows: Sequence[int]) -> Any:
-            # With lane blocks on 64-bit boundaries the group
-            # replication is an exact array tile of the one-block
-            # rows, skipping the per-row big-int multiply and bytes
-            # round-trip (the top cost of wide trial chunks).
-            if aligned:
-                return np.tile(_rows_array(np, rows, wb),
-                               (1, chunk.n_groups))
-            return _rows_array(np, [r * rep for r in rows], W)
-
-        zero = np.zeros((n_nets, W), dtype=np.uint64)
-        one = np.zeros((n_nets, W), dtype=np.uint64)
-        for (z, o), nid in zip(init_words, self.circuit.ff_ids):
-            if z:
-                zero[nid] = (np.tile(V.word_to_array(z, wb),
-                                     chunk.n_groups) if aligned
-                             else V.word_to_array(z * rep, W))
-            if o:
-                one[nid] = (np.tile(V.word_to_array(o, wb),
-                                    chunk.n_groups) if aligned
-                            else V.word_to_array(o * rep, W))
-        pi_z = rep_rows([pz for frame in pi_words for pz, _ in frame])
-        pi_o = rep_rows([po for frame in pi_words for _, po in frame])
-        act_arr = rep_rows(acts)
-        end_arr = rep_rows(ends)
-        if observe_po:
-            gp_z = rep_rows(
-                [gz for frame in good_po for gz, _ in frame])
-            gp_o = rep_rows(
-                [go for frame in good_po for _, go in frame])
-        else:
-            gp_z = np.zeros((1, W), dtype=np.uint64)
-            gp_o = np.zeros((1, W), dtype=np.uint64)
-        n_slots = (len(slot_pos)
-                   if any(s is not None for s in good_scan) else 0)
-        if n_slots:
-            sc_rows_z: List[int] = []
-            sc_rows_o: List[int] = []
-            for frame_scan in good_scan:
-                if frame_scan is None:
-                    sc_rows_z.extend([0] * n_slots)
-                    sc_rows_o.extend([0] * n_slots)
-                else:
-                    for gz, go in frame_scan:
-                        sc_rows_z.append(gz)
-                        sc_rows_o.append(go)
-            sc_z = rep_rows(sc_rows_z)
-            sc_o = rep_rows(sc_rows_o)
-        else:
-            sc_z = np.zeros((1, W), dtype=np.uint64)
-            sc_o = np.zeros((1, W), dtype=np.uint64)
-        slot_arr = np.asarray(list(slot_pos) or [0], dtype=np.int32)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros_like(scr_z)
-        caught_arr = np.zeros(W, dtype=np.uint64)
-        ffi, lib = self._kernel  # type: ignore[misc]
-        frames = ffi.new("long*")
-        p_mask, p_sites = self._plan_args(plan)
-        lib.repro_run_lane_pass(
-            _u64p(ffi, zero), _u64p(ffi, one), p_mask, W,
-            *self._circuit_args(), *p_sites,
-            n_frames,
-            _u64p(ffi, pi_z), _u64p(ffi, pi_o), _u64p(ffi, act_arr),
-            _u64p(ffi, end_arr),
-            int(observe_po), _u64p(ffi, gp_z), _u64p(ffi, gp_o),
-            n_slots, _i32p(ffi, slot_arr), _u64p(ffi, sc_z),
-            _u64p(ffi, sc_o),
-            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
-            _u64p(ffi, scr_o), _u64p(ffi, caught_arr), frames)
-        frames_done = int(frames[0])
-        counters.note_words(frames_done,
-                            chunk.n_groups * chunk.n_lanes)
-        return V.array_to_word(caught_arr), frames_done
-
-    # ------------------------------------------------------------------
-    def _empty_plan_for(self, W: int) -> _ChunkPlan:
-        """Cached no-fault plan of ``W`` words for the good lane pass
-        (a site-free chunk; the pass supplies its own lane mask)."""
-        plan = self._empty_plans.get(W)
-        if plan is None:
-            from .fault_sim import _Chunk
-            plan = _ChunkPlan(self, _Chunk(indices=[], mask=0),
-                              n_bits=64 * W)
-            self._empty_plans[W] = plan
-        return plan
-
-    def run_good_lane_pass(
-        self, sim: "FaultSimulator", n_lanes: int, n_frames: int,
-        pi_words: Sequence[Sequence[Tuple[int, int]]],
-        ends: Sequence[int],
-        init_words: Sequence[Tuple[int, int]],
-        observe_po: bool, slot_pos: Sequence[int], scan_out: bool,
-    ) -> Tuple[List[List[Tuple[int, int]]],
-               List[Optional[List[Tuple[int, int]]]]]:
-        """The fault-free reference pass of
-        :meth:`FaultSimulator.detect_trials` on the C kernel.
-
-        Consumes the caller-built per-frame PI lane words and returns
-        ``(po_frames, scan_frames)`` in exactly the big-int format of
-        :meth:`FaultSimulator._good_trial_pass` -- per-frame per-PO
-        good lane word pairs, and captured scan-slot word pairs on
-        frames where some trial ends (``None`` elsewhere).  This pass
-        dominated batched Phase-4 trials when it ran frame by frame
-        in Python; one kernel call replaces the whole loop.
-        """
-        np = self.np
-        counters = sim.counters
-        counters.np_passes += 1
-        W = max(1, (n_lanes + 63) // 64)
-        mask = V.word_to_array((1 << n_lanes) - 1, W)
-        n_nets = self.circuit.n_nets
-        zero = np.zeros((n_nets, W), dtype=np.uint64)
-        one = np.zeros((n_nets, W), dtype=np.uint64)
-        for (z, o), nid in zip(init_words, self.circuit.ff_ids):
-            if z:
-                zero[nid] = V.word_to_array(z, W)
-            if o:
-                one[nid] = V.word_to_array(o, W)
-        pi_z = _rows_array(
-            np, [pz for frame in pi_words for pz, _ in frame], W)
-        pi_o = _rows_array(
-            np, [po for frame in pi_words for _, po in frame], W)
-        n_po = len(self.circuit.po_ids)
-        if observe_po:
-            gp_z = np.zeros((max(1, n_frames * n_po), W),
-                            dtype=np.uint64)
-        else:
-            gp_z = np.zeros((1, W), dtype=np.uint64)
-        gp_o = np.zeros_like(gp_z)
-        slots = list(slot_pos) if scan_out else []
-        n_slots = len(slots)
-        sc_z = np.zeros((max(1, n_frames * n_slots), W),
-                        dtype=np.uint64)
-        sc_o = np.zeros_like(sc_z)
-        slot_arr = np.asarray(slots or [0], dtype=np.int32)
-        ns_zero = np.zeros((max(1, len(self.circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros_like(scr_z)
-        ffi, lib = self._kernel  # type: ignore[misc]
-        # The good pass takes the stem and branch tables only.
-        _, (site, st_f0, st_f1, st_keep, _, _, _, br_start, br_count,
-            br_pin, br_f0, br_f1, br_keep, _, _, _, _, _) = \
-            self._plan_args(self._empty_plan_for(W))
-        lib.repro_run_good_lane_pass(
-            _u64p(ffi, zero), _u64p(ffi, one), _u64p(ffi, mask), W,
-            *self._circuit_args(),
-            site, st_f0, st_f1, st_keep,
-            br_start, br_count, br_pin, br_f0, br_f1, br_keep,
-            n_frames,
-            _u64p(ffi, pi_z), _u64p(ffi, pi_o),
-            int(observe_po), _u64p(ffi, gp_z), _u64p(ffi, gp_o),
-            n_slots, _i32p(ffi, slot_arr), _u64p(ffi, sc_z),
-            _u64p(ffi, sc_o),
-            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
-            _u64p(ffi, scr_o))
-        counters.note_words(n_frames, n_lanes)
-
-        def _rows_to_words(arr: Any, n_rows: int) -> List[int]:
-            if W == 1:
-                words: List[int] = arr[:n_rows, 0].tolist()
-                return words
-            return [V.array_to_word(arr[r]) for r in range(n_rows)]
-
-        po_frames: List[List[Tuple[int, int]]] = []
-        if observe_po:
-            gz = _rows_to_words(gp_z, n_frames * n_po)
-            go = _rows_to_words(gp_o, n_frames * n_po)
-            for f in range(n_frames):
-                base = f * n_po
-                po_frames.append(list(zip(gz[base:base + n_po],
-                                          go[base:base + n_po])))
-        else:
-            po_frames = [[] for _ in range(n_frames)]
-        scan_frames: List[Optional[List[Tuple[int, int]]]] = []
-        if n_slots:
-            sz = _rows_to_words(sc_z, n_frames * n_slots)
-            so = _rows_to_words(sc_o, n_frames * n_slots)
-            for f in range(n_frames):
-                if ends[f]:
-                    base = f * n_slots
-                    scan_frames.append(
-                        list(zip(sz[base:base + n_slots],
-                                 so[base:base + n_slots])))
-                else:
-                    scan_frames.append(None)
-        else:
-            scan_frames = [None] * n_frames
-        return po_frames, scan_frames

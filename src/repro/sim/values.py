@@ -21,12 +21,10 @@ Array encoding
 --------------
 The numpy backend (:mod:`repro.sim.npsim`) stores the same packed
 machines as ``uint64`` arrays: big-int bit ``w`` lives in bit
-``w % 64`` of array word ``w // 64`` (little-endian word order).
-:func:`word_to_array` / :func:`array_to_word` convert losslessly in
-both directions, so scoreboard masks, detection bits and
-:class:`~repro.sim.counters.SimCounters` accounting stay
-backend-agnostic -- every cross-backend boundary goes through these
-two functions.
+``w % 64`` of array word ``w // 64`` (little-endian word order), so
+:func:`array_to_word` converts losslessly; scoreboard masks,
+detection sets and :class:`~repro.sim.counters.SimCounters`
+accounting stay backend-agnostic.
 """
 
 from __future__ import annotations
@@ -109,8 +107,8 @@ def pack_lanes(values: Sequence[int]) -> Tuple[int, int]:
 
     Lane ``k`` of the word carries ``values[k]``.  This is the
     transposed counterpart of :func:`pack_scalar` (which broadcasts one
-    scalar to every machine): candidate-parallel simulation packs one
-    *candidate scan-in state* per lane, so each lane starts from its
+    scalar to every machine): lane-batched good-machine simulation
+    packs one *test's* value per lane, so each lane starts from its
     own flip-flop value.
     """
     zero = 0
@@ -125,29 +123,9 @@ def pack_lanes(values: Sequence[int]) -> Tuple[int, int]:
     return zero, one
 
 
-def word_to_array(word: int, n_words: int) -> Any:
-    """Expand a packed big-int into a ``uint64`` array of ``n_words``.
-
-    Bit ``w`` of ``word`` becomes bit ``w % 64`` of element
-    ``w // 64``.  Raises ValueError when ``word`` needs more than
-    ``n_words * 64`` bits; raises an actionable ImportError without
-    numpy (install the ``fast`` extra).
-    """
-    from .npsim import require_numpy
-    np = require_numpy()
-    try:
-        data = word.to_bytes(n_words * 8, "little")
-    except OverflowError:
-        raise ValueError(
-            f"word needs more than {n_words} uint64 words") from None
-    return np.frombuffer(data, dtype="<u8").copy()
-
-
 def array_to_word(arr: Any) -> int:
-    """Collapse a ``uint64`` array back into one packed big-int.
-
-    Exact inverse of :func:`word_to_array` for same-length arrays.
-    """
+    """Collapse a ``uint64`` array into one packed big-int: bit
+    ``w % 64`` of element ``w // 64`` becomes bit ``w``."""
     import numpy as np
     return int.from_bytes(
         np.ascontiguousarray(arr, dtype="<u8").tobytes(), "little")

@@ -6,11 +6,14 @@ from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError
 from repro.atpg import random_gen
 from repro.circuits import synth
+from repro.sim import fault_sim, npsim
 from repro.sim.counters import SimCounters
-from repro.sim.fault_sim import FUSED_CAP, FaultSimulator
+from repro.sim.fault_sim import (FUSED_CAP, _SANITIZE_SPOT_BUDGET,
+                                 FaultSimulator)
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
+from tests.reference import KERNEL, production_circuit, reference_circuit
 
 
 @pytest.fixture(autouse=True)
@@ -124,12 +127,70 @@ class TestChunkChecks:
         with pytest.raises(SanitizerError, match="universe"):
             sanitizer.check_chunk(chunk, "test")
 
-    def test_real_lane_chunks_pass(self, monkeypatch):
+    def test_real_trial_chunks_pass(self, monkeypatch):
+        """detect_trials checks every chunk it builds, and its chunks
+        (two faults each at fused_cap=8 over 4 trials) are clean."""
         _arm(monkeypatch)
-        sim, _, fs = _sim()
-        chunks = sim._build_lane_chunks(list(range(min(8, len(fs)))), 4)
-        for chunk in chunks:
-            sanitizer.check_lane_chunk(chunk, "test")
+        sim, cc, fs = _sim(fused_cap=8)
+        checked = []
+        real = sanitizer.check_chunk
+
+        def spy(chunk, context="detect"):
+            checked.append((len(chunk.indices), context))
+            real(chunk, context)
+
+        monkeypatch.setattr(sanitizer, "check_chunk", spy)
+        vectors = random_gen.random_sequence(cc, 3, seed=2)
+        sim.detect_trials([(None, vectors[:k]) for k in range(1, 5)],
+                          target=range(min(8, len(fs))))
+        sizes = [n for n, ctx in checked
+                 if ctx == "FaultSimulator.detect_trials"]
+        assert sizes == [2, 2, 2, 2]
+        assert sanitizer.violations() == []
+
+
+class TestTrialCrossCheck:
+    @pytest.mark.parametrize("kernel", [True, False],
+                             ids=["kernel", "bigint"])
+    def test_dropped_detection_caught(self, kernel, monkeypatch):
+        """With the per-block decode made to drop one detection, the
+        trial cross-check against one reference detect per trial
+        raises, on either store."""
+        if kernel and not KERNEL:
+            pytest.skip("the C kernel is unavailable")
+        net = synth.generate("sani", 4, 3, 5, 40, seed=5)
+        sim = FaultSimulator(production_circuit(net, kernel),
+                             FaultSet.collapsed(net))
+        store = npsim._Arena if kernel else fault_sim._WordArena
+        real = store.faults_by_block
+
+        def lossy(self):
+            blocks = real(self)
+            for fids in blocks:
+                if fids:
+                    fids.pop()
+                    break
+            return blocks
+
+        cc = reference_circuit(net)
+        trials = [(random_gen.random_state(cc, seed=k),
+                   random_gen.random_sequence(cc, 1 + k % 3, seed=k))
+                  for k in range(5)]
+        _arm(monkeypatch)
+        assert any(sim.detect_trials(trials))  # clean without the patch
+        monkeypatch.setattr(store, "faults_by_block", lossy)
+        with pytest.raises(SanitizerError,
+                           match="fused-chunked-agreement"):
+            sim.detect_trials(trials)
+
+    def test_budget(self, monkeypatch):
+        """Only the first few calls per simulator are cross-checked."""
+        _arm(monkeypatch)
+        sim, cc, _ = _sim()
+        trials = [(None, random_gen.random_sequence(cc, 4, seed=3))]
+        for _ in range(_SANITIZE_SPOT_BUDGET + 2):
+            sim.detect_trials(trials)
+        assert sim._sanitize_trial_spots_left == 0
         assert sanitizer.violations() == []
 
 

@@ -1,7 +1,7 @@
 """Tests for the synthetic benchmark generator."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis import analyze_xinit
 from repro.circuits import synth, validate
@@ -66,15 +66,17 @@ class TestQuality:
         import random
         net = synth.generate("i", 4, 3, 5, 40, seed=seed)
         xres = analyze_xinit(net)
-        if xres.status == "not-synchronizable":
-            # Known generator weakness (e.g. seed 4941): cross-cone
-            # rewiring can defeat the sync wrappers, so no input
-            # sequence initializes the circuit from all-X.  The static
-            # analyzer proves it; fixing the generator is tracked
-            # separately.
-            rule = xres.to_diagnostics()[0].rule
-            pytest.xfail(f"seed {seed}: static analyzer flags {rule} "
-                         f"(flagged FFs {list(xres.flagged)})")
+        # Known generator weakness (e.g. seeds 4941, 25262): cross-cone
+        # rewiring can defeat the sync wrappers, so no input sequence
+        # initializes the circuit from all-X.  The static analyzer
+        # proves it (see test_seed_4941_statically_flagged); fixing the
+        # generator is tracked separately.  Such a seed is discarded
+        # and Hypothesis draws another, so the property is still
+        # checked on every example that runs.  Ending the test with an
+        # xfail instead would leave the remaining examples unchecked,
+        # and Hypothesis would replay the stored seed on every later
+        # run.
+        assume(xres.status != "not-synchronizable")
         cc = CompiledCircuit(net)
         rng = random.Random(0)
         # Initialization is probabilistic (the sync wrappers fire on

@@ -208,12 +208,27 @@ class TestDedup:
 
 class TestFusedCapAtConstruction:
     def test_cap_bounds_lane_groups(self, monkeypatch):
-        """The lane packer honours the per-simulator cap."""
+        """The trial packer honours the per-simulator cap: a chunk of
+        a 4-trial pass holds at most ``16 // 4`` faults."""
         _, cc, fs = circuit_for(3)
         sim = FaultSimulator(cc, fs, fused_cap=16)
-        assert sim._lane_groups_per_word(4) == 4
-        chunks = sim._build_lane_chunks(range(10), n_lanes=4)
-        assert len(chunks) == 3  # ceil(10 / 4) balanced words
-        assert max(c.n_groups for c in chunks) - \
-            min(c.n_groups for c in chunks) <= 1
-        assert sum(c.n_groups for c in chunks) == 10
+        built = []
+        real = sim._run_stores
+
+        def spy(chunks, n_blocks=1):
+            built.append((list(chunks), n_blocks))
+            return real(chunks, n_blocks)
+
+        monkeypatch.setattr(sim, "_run_stores", spy)
+        rng = random.Random(0)
+        trials = [(V.random_binary_vector(_N_FF, rng),
+                   [V.random_binary_vector(_N_PI, rng)])
+                  for _ in range(4)]
+        reps = sorted(set(fs.rep_of))[:10]
+        sim.detect_trials(trials, target=reps)
+        [(chunks, n_blocks)] = built
+        assert n_blocks == 4
+        assert len(chunks) == 3  # ceil(10 / 4) balanced chunks
+        sizes = [len(c.indices) for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert sum(sizes) == 10

@@ -84,18 +84,60 @@ class TestDetectTrials:
 
     @pytest.mark.parametrize("n_lanes", [1, 63, 64, 65])
     def test_lane_count_boundaries(self, n_lanes):
-        """Exactness at the word-packing boundaries."""
+        """Exactness at the word-packing boundaries: 1 to 65 trials,
+        and targets of 62, 63 and 64 faults, whose blocks hold 63, 64
+        and 65 machines (one and two words) below 65 trials."""
         production, reference, fs = circuits_for(0)
         rng = random.Random(n_lanes)
         n_ff = len(reference.ff_ids)
         trials = [_trial(rng, n_ff, max_frames=3)
                   for _ in range(n_lanes)]
         ref = FaultSimulator(reference, fs)
-        scalar = [ref.detect(list(v), s, early_exit=False)
+        assert len(fs) > 64
+        for target in (None, *(sorted(rng.sample(range(len(fs)), n))
+                               for n in (62, 63, 64))):
+            scalar = [ref.detect(list(v), s, target=target,
+                                 early_exit=False)
+                      for s, v in trials]
+            for circuit in [reference] + production:
+                sim = FaultSimulator(circuit, fs)
+                assert sim.detect_trials(trials, target=target) == scalar
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 9), data=st.data())
+    def test_small_caps_partial_scan_and_adi(self, seed, data):
+        """Down to one fault per block and many chunks, under partial
+        scan with a partial scan-out and an installed ADI order, ragged
+        X-laden trials (empty ones included) == one reference detect
+        per trial."""
+        production, reference, fs = circuits_for(seed)
+        rng = random.Random(data.draw(st.integers(0, 999)))
+        n_ff = len(reference.ff_ids)
+        scanned = sorted(rng.sample(range(n_ff), rng.randrange(1, n_ff)))
+        observe = sorted(rng.sample(scanned, rng.randrange(1, len(scanned)
+                                                           + 1)))
+        n_trials = data.draw(st.integers(1, 12))
+        cap = data.draw(st.integers(2, 3 * n_trials))
+        trials = []
+        for _ in range(n_trials):
+            _, vectors = _trial(rng, n_ff, max_frames=4)
+            trials.append((V.random_binary_vector(len(scanned), rng)
+                           if rng.random() < 0.8 else None, vectors))
+        adi = {f: rng.randrange(0, 5) for f in range(len(fs))}
+        scan_out = data.draw(st.booleans())
+        target = sorted(rng.sample(range(len(fs)),
+                                   rng.randrange(1, len(fs))))
+        ref = FaultSimulator(reference, fs, scan_positions=scanned)
+        scalar = [ref.detect(list(v), s, target=target, scan_out=scan_out,
+                             scan_observe=observe)
                   for s, v in trials]
-        for circuit in [reference] + production:
-            sim = FaultSimulator(circuit, fs)
-            assert sim.detect_trials(trials) == scalar
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs, scan_positions=scanned,
+                                 fused_cap=cap)
+            sim.set_adi_order(adi)
+            assert sim.detect_trials(trials, target=target,
+                                     scan_out=scan_out,
+                                     scan_observe=observe) == scalar
 
     def test_counters_and_partial_observe(self):
         production, reference, fs = circuits_for(1)

@@ -530,9 +530,10 @@ class TestKernelConfiguration:
         ids=["s27", "synthetic-cap8"])
     def test_no_interpreter_frames(self, net, cap, monkeypatch):
         """With the kernel loaded, no fault-simulation frame of
-        ``detect``, ``run_with_records``, an incremental run or Phase 2
-        runs on the interpreter: with ``eval_frame`` made to raise,
-        every call completes, with the reference's results."""
+        ``detect``, ``run_with_records``, an incremental run, Phase 2,
+        ``detect_trials``, ``detect_candidates`` or a PPSFP block runs
+        on the interpreter: with ``eval_frame`` made to raise, every
+        call completes, with the reference's results."""
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         circuit = production_circuit(net, kernel=True)
 
@@ -560,11 +561,64 @@ class TestKernelConfiguration:
             omitted = omit_vectors(sim, ScanTest(init, tuple(vectors)),
                                    required)
             out.append((omitted.test, omitted.detected, omitted.trials))
+            states = [V.random_binary_vector(net.num_ffs, rng)
+                      for _ in range(5)]
+            out.append(sim.detect_trials(
+                [(state, vectors[:k]) for k, state in enumerate(states)]))
+            out.append(sim.detect_candidates(vectors[:4], states))
+            out.append(CombPatternSim(sim).detect_block(
+                [(state, vector) for state, vector in zip(states, vectors)]))
             return out, len(sim._build_chunks(sorted(required)))
 
         got, n_chunks = script(circuit)
         assert got == script(reference_circuit(net))[0]
         assert (n_chunks > 1) == (cap == 8)
+
+
+def _corrupt_stem_site(np, backend, plan):
+    plan.stem_site[plan.stem_site.argmax()] = len(plan.st_f0)
+
+
+def _corrupt_contiguity(np, backend, plan):
+    wide = np.zeros((len(plan.st_f0), 2 * plan.n_words), dtype=np.uint64)
+    wide[:, ::2] = plan.st_f0
+    plan.st_f0 = wide[:, ::2]
+
+
+def _corrupt_branch_pin(np, backend, plan):
+    net = int(np.flatnonzero(plan.br_count)[0])
+    plan.br_pin[plan.br_start[net]] = backend.net_arity[net]
+
+
+def _corrupt_word_count(np, backend, plan):
+    plan.mask = np.zeros(plan.n_words + 1, dtype=np.uint64)
+
+
+def _corrupt_block_count(np, backend, plan):
+    plan.n_blocks = plan.n_words + 1
+
+
+class TestPlanValidation:
+    @needs_kernel
+    @pytest.mark.parametrize("corrupt", [
+        _corrupt_stem_site, _corrupt_contiguity, _corrupt_branch_pin,
+        _corrupt_word_count, _corrupt_block_count],
+        ids=["stem-site", "non-contiguous", "branch-pin", "word-count",
+             "block-count"])
+    def test_malformed_plan_raises_before_the_kernel(self, corrupt):
+        """A corrupted plan raises ValueError when its arena is built,
+        before any pointer to it reaches the kernel."""
+        net = synth.generate("plan", 4, 3, 5, 40, seed=5)
+        circuit = production_circuit(net, kernel=True)
+        backend = circuit.array_backend
+        fs = FaultSet.collapsed(net)
+        chunk = FaultSimulator(circuit, fs)._build_chunks(range(len(fs)))[0]
+        plan = npsim._ChunkPlan(backend, chunk, n_blocks=3)
+        assert len(plan.st_f0) > 1 and plan.br_count.any()
+        npsim._Arena(backend, plan, SimCounters())  # the intact plan
+        corrupt(backend.np, backend, plan)
+        with pytest.raises(ValueError, match="malformed kernel plan"):
+            npsim._Arena(backend, plan, SimCounters())
 
 
 class TestNumpyRepack:
