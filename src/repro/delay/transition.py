@@ -28,55 +28,56 @@ Launches are read off one lane-batched good-machine pass
 (:func:`repro.sim.logicsim.simulate_lanes`): a whole test set runs at
 once, test ``k`` in lane ``k``, and a net launches in frame ``t`` of
 test ``k`` when lane ``k`` of its frame-``t-1`` and frame-``t`` words
-hold the two values of the transition.  The simulator then packs all
-launches of a frame into bit-parallel words and carries them through
-the remaining frames together, with early exit once a word's faults
-are all detected.  The circuit decides which route executes that
-plan:
+hold the two values of the transition.  A fault one test detects is
+not graded on the later ones.  The circuit decides the route:
 
-* **packed** (when the circuit has an array backend): every launch
-  of a frame goes into one multi-word ``uint64`` array chunk executed
-  by the C pass kernel of :mod:`repro.sim.npsim` -- one kernel call
-  for the launch frame (injection stems force the late value,
-  scan-out only if it is also the last frame) and one for the
-  fault-free propagation suffix (stem-free plan, primary outputs
-  observed every frame, final state scanned out).  The kernel writes
-  the captured next state back into the shared arrays between calls,
-  so the two segments compose into the exact scalar pass.
-* **scalar** (otherwise): per-net Python big-int words, at most
-  ``_SCALAR_WIDTH - 1`` faults per word, one ``eval_frame`` call per
-  frame per word -- exactly the semantics of the stuck-at big-int
-  path.
+* **packed** (when the circuit has an array backend): the trail is
+  converted once into ``uint64`` arrays and each test's launches --
+  a launch is a fault and a frame that launches it -- are listed
+  with numpy in frame order.  Every launch is its own faulty
+  machine.  A dense pass takes the next ``FUSED_CAP - 1`` launches
+  of the test (skipping faults an earlier pass detected), starts at
+  its first launch frame from the good state the trail holds, and
+  runs to the end of the test in one call of the C pass kernel of
+  :mod:`repro.sim.npsim`, whose per-frame injection rows force each
+  machine's stem only in that machine's launch frame.  Primary
+  outputs are observed every frame and the scan-out at the last; a
+  machine matches the good one until it is forced, so it can only
+  be caught from its launch frame on.
+* **scalar** (otherwise): the launches of one frame at a time, at
+  most ``_SCALAR_WIDTH - 1`` faults per Python big-int word, each
+  word run from that frame's good state to the end of the test, one
+  ``eval_frame`` call per frame -- exactly the semantics of the
+  stuck-at big-int path.
 
-Detection is independent of how launches are grouped into words
-(every fault's machine evolves in its own bit-lane and the saturation
-break only fires once *all* lanes are caught), so the two routes are
-byte-identical; ``tests/delay/test_transition.py`` proves it against
-the reference circuit with a hypothesis equivalence suite and --
-under ``REPRO_SANITIZE=1`` -- the packed route spot-checks its first
-few captures against a scalar recomputation, reporting
+A fault is detected when any of its launches is, and every machine
+evolves in its own bit-lane while the saturation break only fires
+once *all* are caught, so the two routes are byte-identical;
+``tests/delay/test_transition.py`` proves it against the reference
+circuit with hypothesis equivalence suites, and -- under
+``REPRO_SANITIZE=1`` -- the packed route recomputes its first few
+passes on the scalar route, one launch frame at a time, reporting
 ``delay-agreement`` violations through
 :mod:`repro.analysis.sanitizer`.
 """
 
 from __future__ import annotations
 
-import copy
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import sanitizer
 from ..circuits.netlist import Netlist
 from ..core.scan_test import ScanTest, ScanTestSet
+from ..sim import fault_sim, npsim
 from ..sim import values as V
 from ..sim.counters import SimCounters
 from ..sim.fault_sim import _Chunk
 from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
                             simulate_lanes)
 
-#: Packed launch-group captures cross-checked against the scalar route
-#: per simulator when the sanitizer is armed.
+#: Packed passes cross-checked against the scalar route per simulator
+#: when the sanitizer is armed.
 _SANITIZE_SPOT_BUDGET = 3
 
 #: Word width (launched faults + the good machine) of the scalar route.
@@ -112,9 +113,9 @@ def all_transition_faults(netlist: Netlist) -> List[TransitionFault]:
 class TransitionSim:
     """Transition-fault simulator bound to one circuit.
 
-    Captures take the packed route when the circuit has an array
-    backend and the scalar route otherwise; :attr:`route` reports
-    which.  Pass the workbench's shared
+    Launches are graded on the packed route when the circuit has an
+    array backend and on the scalar route otherwise; :attr:`route`
+    reports which.  Pass the workbench's shared
     :class:`~repro.sim.counters.SimCounters` to surface
     ``tdf_passes`` / ``tdf_words`` / ``tdf_s`` in the engine counters
     table.
@@ -133,43 +134,76 @@ class TransitionSim:
             else SimCounters()
         ids = circuit.netlist.net_ids
         self._nid: List[int] = [ids[f.net] for f in self.faults]
-        self._src_ids = frozenset(circuit.pi_ids) | \
-            frozenset(circuit.ff_ids)
         self._backend = circuit.array_backend
         self.route = "packed" if self._backend is not None else "scalar"
-        self._plain_plans: "OrderedDict[int, Any]" = OrderedDict()
-        self._stem_site_buf: Optional[Any] = None
-        self._stem_dirty: List[int] = []
+        if self._backend is not None:
+            np = self._backend.np
+            self._nids = np.asarray(self._nid, dtype=np.intp)
+            self._rising = np.asarray([f.rising for f in self.faults],
+                                      dtype=bool)
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
-
-    #: Stem-free propagation plans retained, keyed by launch-group
-    #: size (they are a pure function of the word width).
-    _PLAIN_PLAN_CACHE_SIZE = 8
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,
                     target: Optional[Set[int]] = None) -> Set[int]:
-        """Transition-fault indices detected by one scan test."""
+        """Transition-fault indices detected by one scan test.
+
+        Raises
+        ------
+        ValueError
+            If ``target`` holds an index outside the fault list, or
+            the test does not fit the circuit.
+        """
+        n_faults = len(self.faults)
         if target is None:
-            target = set(range(len(self.faults)))
+            target = set(range(n_faults))
+        outside = [i for i in target if not 0 <= i < n_faults]
+        if outside:
+            raise ValueError(f"transition-fault target {outside[0]} "
+                             f"outside the {n_faults} faults")
         with self.counters.phase_timer("tdf"):
             frames = simulate_lanes(self.circuit,
                                     [(test.scan_in, test.vectors)])
-            return self._detect_lane(test, frames, 0, target)
+            return self._detect_tests([test], frames, target)
+
+    def _detect_tests(self, tests: Sequence[ScanTest],
+                      frames: Sequence[LaneFrame],
+                      target: Iterable[int]) -> Set[int]:
+        """Faults of ``target`` that ``tests``, test ``k`` riding in
+        lane ``k`` of the good-machine ``frames``, detect; a fault one
+        test detects is not graded again on the later ones."""
+        if self._backend is None:
+            remaining = set(target)
+            detected: Set[int] = set()
+            for lane, test in enumerate(tests):
+                if not remaining:
+                    break
+                caught = self._detect_lane(test, frames, lane, remaining)
+                detected |= caught
+                remaining -= caught
+            return detected
+        np = self._backend.np
+        wanted = np.zeros(len(self.faults), dtype=bool)
+        wanted[list(target)] = True
+        alive = wanted.copy()
+        trail = _trail_arrays(np, frames, len(tests))
+        for lane, test in enumerate(tests):
+            if not alive.any():
+                break
+            if test.length >= 2:
+                self._grade_dense(test, frames, trail, lane, alive)
+        return set(np.flatnonzero(wanted & ~alive).tolist())
 
     def _detect_lane(self, test: ScanTest, frames: Sequence[LaneFrame],
                      lane: int, target: Set[int]) -> Set[int]:
         """Faults of ``target`` that ``test``, riding in lane ``lane``
-        of the good-machine ``frames``, detects."""
+        of the good-machine ``frames``, detects (scalar route)."""
         remaining = set(target)
         detected: Set[int] = set()
         if test.length < 2 or not remaining:
             return detected
         bit = 1 << lane
         ff_d_ids = self.circuit.ff_d_ids
-        packed = self._backend is not None
-        vec_arr = self._backend._vec_array(test.vectors) if packed \
-            else None
         for t in range(1, test.length):
             prev_zero, prev_one = frames[t - 1]
             cur_zero, cur_one = frames[t]
@@ -186,18 +220,13 @@ class TransitionSim:
             # The state the launch frame starts from: what frame t - 1
             # captured.
             state = lane_vector(frames[t - 1], ff_d_ids, lane)
-            if packed:
-                caught = self._capture_packed(test, state, t,
-                                              sorted(launched), vec_arr)
-            else:
-                caught = self._capture_and_propagate(test, state, t,
-                                                     sorted(launched))
+            caught = self._capture_and_propagate(test, state, t,
+                                                 sorted(launched))
             detected |= caught
             remaining -= caught
             if not remaining:
                 break
         return detected
-
     def _capture_and_propagate(self, test: ScanTest, state: V.Vector,
                                launch: int,
                                launched: Sequence[int],
@@ -267,146 +296,109 @@ class TransitionSim:
         return detected
 
     # ------------------------------------------------------------------
-    def _capture_packed(self, test: ScanTest, state: V.Vector,
-                        launch: int,
-                        launched: Sequence[int],
-                        vec_arr: Any) -> Set[int]:
-        """Kernel check for one launch frame (packed route).
+    def _grade_dense(self, test: ScanTest, frames: Sequence[LaneFrame],
+                     trail: Tuple[Any, Any], lane: int,
+                     alive: Any) -> None:
+        """Grade ``test``, riding in lane ``lane`` of the good-machine
+        trail, against the faults ``alive`` marks, and clear the ones
+        it detects (packed route).
 
-        All launches go into one multi-word chunk: segment one runs
-        just the launch frame with the late values forced through the
-        injection-stem plan, segment two propagates fault-free through
-        the remaining frames on the same arrays (the kernel's
-        next-state write-back carries the error state across the
-        boundary).  Saturation in segment one means every lane is
-        already caught and the suffix is skipped.
-        """
-        from ..sim import npsim
-        backend = self._backend
-        np = backend.np
-        circuit = self.circuit
-        last = test.length - 1
-        group = list(launched)
-        site_of: Dict[int, int] = {}
-        bits0: List[List[int]] = []   # slow-to-rise: stuck-at-0 bits
-        bits1: List[List[int]] = []   # slow-to-fall: stuck-at-1 bits
-        for pos, fid in enumerate(group):
-            nid = self._nid[fid]
-            i = site_of.setdefault(nid, len(bits0))
-            if i == len(bits0):
-                bits0.append([])
-                bits1.append([])
-            (bits0 if self.faults[fid].rising else bits1)[i].append(
-                pos + 1)
-        plan = self._stem_plan(len(group), site_of, bits0, bits1)
-        zero, one = backend._init_state(plan, state)
-        W = plan.n_words
-        caught_arr = np.zeros(W, dtype=np.uint64)
-        ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
-                           dtype=np.uint64)
-        ns_one = np.zeros_like(ns_zero)
-        counters = self.counters
-        counters.np_passes += 1
-        counters.tdf_passes += 1
-        status, _, frames_run = backend._kernel_segment(
-            plan, zero, one, vec_arr, launch, launch, True,
-            launch == last, ns_zero, ns_one, caught_arr)
-        if launch < last and status != npsim._STATUS_SATURATED:
-            plain = self._plain_plan(len(group))
-            _, _, more = backend._kernel_segment(
-                plain, zero, one, vec_arr, launch + 1, last, True,
-                True, ns_zero, ns_one, caught_arr)
-            frames_run += more
-        counters.tdf_words += frames_run
-        caught = V.array_to_word(caught_arr) & ~1
-        detected = {fid for pos, fid in enumerate(group)
-                    if caught & (1 << (pos + 1))}
-        if sanitizer.enabled() and self._sanitize_spots_left > 0:
-            self._sanitize_spots_left -= 1
-            self._spot_check(test, state, launch, group, detected)
-        return detected
-
-    def _plain_plan(self, n_group: int) -> Any:
-        """The stem-free propagation plan for a launch group of
-        ``n_group`` faults (LRU-cached: it depends only on the word
-        width, which depends only on the group size)."""
-        plan = self._plain_plans.get(n_group)
-        if plan is None:
-            from ..sim import npsim
-            # TDF injection only ever forces whole stems (see
-            # _stem_plan), so the template chunk carries no sites.
-            chunk = _Chunk(indices=list(range(n_group)),
-                           mask=(1 << (n_group + 1)) - 1)
-            plan = npsim._ChunkPlan(self._backend, chunk)
-            self._plain_plans[n_group] = plan
-            if len(self._plain_plans) > self._PLAIN_PLAN_CACHE_SIZE:
-                self._plain_plans.popitem(last=False)
-        else:
-            self._plain_plans.move_to_end(n_group)
-        return plan
-
-    def _stem_plan(self, n_group: int, site_of: Dict[int, int],
-                   bits0: Sequence[Sequence[int]],
-                   bits1: Sequence[Sequence[int]]) -> Any:
-        """The launch-frame plan for one group: the cached stem-free
-        template shallow-copied with only the stem arrays patched.
-
-        A full :class:`~repro.sim.npsim._ChunkPlan` rebuild per launch
-        frame is the packed route's hot spot (per-net site tables and
-        big-int row conversions each time); everything except the
-        stems is a pure function of the group size, and the stem rows
-        are set bit-by-bit straight into ``uint64`` words (``bits0`` /
-        ``bits1`` hold the stuck-at-0 / stuck-at-1 machine-bit
-        positions per stem site).  The copy's ``chunk`` still reports
-        empty stems; the kernel reads only the patched arrays.  The
-        per-net site table is a single reused buffer -- entries
-        dirtied by the previous launch frame are cleared here, so the
-        plan returned by the last call stays valid until the next
-        one.
+        Every launch -- a fault and a frame in which the test launches
+        it -- is its own machine.  The launches are taken in frame
+        order, at most ``FUSED_CAP - 1`` to a pass, and a pass skips
+        the faults an earlier one detected.
         """
         np = self._backend.np
-        plan = copy.copy(self._plain_plan(n_group))
-        plan._kptrs = None   # the template's casts point at its arrays
-        site = self._stem_site_buf
-        if site is None or len(site) != self.circuit.n_nets:
-            site = np.full(self.circuit.n_nets, -1, dtype=np.int32)
-            self._stem_site_buf = site
-        for nid in self._stem_dirty:
-            site[nid] = -1
-        self._stem_dirty = list(site_of)
-        W = plan.n_words
-        n_sites = len(bits0)
-        f0 = np.zeros((max(1, n_sites), W), dtype=np.uint64)
-        f1 = np.zeros_like(f0)
-        for i in range(n_sites):
-            for b in bits0[i]:
-                f0[i, b >> 6] |= np.uint64(1 << (b & 63))
-            for b in bits1[i]:
-                f1[i, b >> 6] |= np.uint64(1 << (b & 63))
-        for nid, i in site_of.items():
-            site[nid] = i
-        plan.stem_site = site
-        plan.st_f0 = f0
-        plan.st_f1 = f1
-        plan.st_keep = plan.mask[None, :] & ~(f0 | f1)
-        src = [nid for nid in site_of if nid in self._src_ids]
-        plan.src_stem_ids = np.asarray(src, dtype=np.int32)
-        plan.src_stem_site = np.asarray(
-            [site_of[nid] for nid in src], dtype=np.int32)
-        return plan
+        word, shift = divmod(lane, 64)
+        zero, one = (((rows[:test.length, :, word] >> np.uint64(shift)) &
+                      np.uint64(1)).astype(bool) for rows in trail)
+        fids = np.flatnonzero(alive)
+        nids = self._nids[fids]
+        rise = zero[:-1, nids] & one[1:, nids]
+        fall = one[:-1, nids] & zero[1:, nids]
+        frame, k = np.nonzero(np.where(self._rising[fids], rise, fall))
+        at, fid = frame + 1, fids[k]
+        vectors = np.asarray(test.vectors, dtype=np.uint8).reshape(
+            test.length, -1)
+        cap = fault_sim.FUSED_CAP - 1
+        while len(fid):
+            pending = alive[fid]
+            at, fid = at[pending], fid[pending]
+            if len(fid):
+                caught = self._dense_pass(test, frames, (zero, one), lane,
+                                          vectors, at[:cap], fid[:cap])
+                alive[caught] = False
+                at, fid = at[cap:], fid[cap:]
 
-    def _spot_check(self, test: ScanTest, state: V.Vector,
-                    launch: int, group: Sequence[int],
-                    detected: Set[int]) -> None:
-        """Scalar shadow recomputation of one packed capture."""
-        scalar = self._capture_and_propagate(test, state, launch, group,
-                                             count=False)
-        if scalar != detected:
-            sanitizer.report_violation(
-                "delay-agreement",
-                f"packed/scalar TDF mismatch at launch frame "
-                f"{launch}: packed {sorted(detected)}, scalar "
-                f"{sorted(scalar)}")
+    def _dense_pass(self, test: ScanTest, frames: Sequence[LaneFrame],
+                    lane_bits: Tuple[Any, Any], lane: int, vectors: Any,
+                    at: Any, fid: Any) -> Any:
+        """One kernel pass over the launches ``(at[i], fid[i])``, in
+        frame order; returns the faults it detects.
+
+        Machine bit ``i + 1`` is launch ``i``.  The pass starts at the
+        first launch frame ``a`` from the good state frame ``a - 1``
+        captured (X where the good machine holds X), forces each
+        machine's stem only in its launch frame (``inj_on`` row
+        ``at[i] - a``), observes the POs every frame and the scan-out
+        at the last, and stops once every machine is caught.
+        """
+        np = self._backend.np
+        backend = self._backend
+        n_machines = len(fid)
+        n_words = (n_machines + 64) // 64
+        start = int(at[0])
+        n_frames = test.length - start
+        bit = np.arange(1, n_machines + 1)
+        launched = self._nids[fid]
+        flags = np.zeros(self.circuit.n_nets, dtype=bool)
+        flags[launched] = True
+        nets = np.flatnonzero(flags)
+        site = np.searchsorted(nets, launched)
+        rising = self._rising[fid]
+        plan = npsim._ChunkPlan(backend, _Chunk(
+            indices=fid.tolist(), mask=(1 << (n_machines + 1)) - 1))
+        plan.force_stems(
+            backend, nets,
+            _bit_rows(np, site[rising], bit[rising], len(nets), n_words),
+            _bit_rows(np, site[~rising], bit[~rising], len(nets), n_words),
+            _bit_rows(np, at - start, bit, n_frames, n_words))
+        arena = npsim._Arena(backend, plan, self.counters)
+        zero, one = (rows[start - 1, self.circuit.ff_d_ids]
+                     for rows in lane_bits)
+        arena.load_scan_in(np.where(zero, V.ZERO, np.where(one, V.ONE,
+                                                           V.X)))
+        arena.load_vectors(vectors[start:])
+        self.counters.tdf_passes += 1
+        self.counters.tdf_words += arena.run(n_frames, True, True, None)
+        hit = self._caught(arena)
+        if sanitizer.enabled() and self._sanitize_spots_left > 0:
+            self._sanitize_spots_left -= 1
+            self._spot_check(test, frames, lane, at, fid, hit)
+        return fid[hit]
+
+    @staticmethod
+    def _caught(arena: Any) -> Any:
+        """The pass positions of the launches a dense pass caught."""
+        return arena.bits(arena.caught) - 1
+
+    def _spot_check(self, test: ScanTest, frames: Sequence[LaneFrame],
+                    lane: int, at: Any, fid: Any, hit: Any) -> None:
+        """Scalar shadow recomputation of one dense pass, one launch
+        frame at a time, each from the good state its previous frame
+        captured."""
+        caught = set(zip(at[hit].tolist(), fid[hit].tolist()))
+        for t in sorted(set(at.tolist())):
+            launched = fid[at == t].tolist()
+            state = lane_vector(frames[t - 1], self.circuit.ff_d_ids, lane)
+            scalar = self._capture_and_propagate(test, state, t, launched,
+                                                 count=False)
+            packed = {f for f in launched if (t, f) in caught}
+            if scalar != packed:
+                sanitizer.report_violation(
+                    "delay-agreement",
+                    f"packed/scalar TDF mismatch at launch frame {t}: "
+                    f"packed {sorted(packed)}, scalar {sorted(scalar)}")
 
     # ------------------------------------------------------------------
     def detect_test_set(self, test_set: ScanTestSet) -> Set[int]:
@@ -416,19 +408,12 @@ class TransitionSim:
         set; tests shorter than two vectors launch nothing and are
         left out of it.
         """
-        remaining = set(range(len(self.faults)))
-        detected: Set[int] = set()
         with self.counters.phase_timer("tdf"):
             tests = [test for test in test_set if test.length >= 2]
             frames = simulate_lanes(
                 self.circuit, [(t.scan_in, t.vectors) for t in tests])
-            for lane, test in enumerate(tests):
-                if not remaining:
-                    break
-                caught = self._detect_lane(test, frames, lane, remaining)
-                detected |= caught
-                remaining -= caught
-        return detected
+            return self._detect_tests(tests, frames,
+                                      range(len(self.faults)))
 
     def coverage_percent(self, test_set: ScanTestSet) -> float:
         """Transition-fault coverage of a test set, in percent."""
@@ -436,6 +421,30 @@ class TransitionSim:
             return 0.0
         return 100.0 * len(self.detect_test_set(test_set)) / \
             len(self.faults)
+
+
+def _trail_arrays(np: Any, frames: Sequence[LaneFrame],
+                  n_lanes: int) -> Tuple[Any, Any]:
+    """A lane pass's frames as ``(frames, nets, lane words)`` uint64
+    ``zero`` and ``one`` arrays (lane ``k`` in bit ``k % 64`` of word
+    ``k // 64``), converted one frame at a time."""
+    n_words = max(1, (n_lanes + 63) // 64)
+    n_nets = len(frames[0][0]) if frames else 0
+    zero = np.empty((len(frames), n_nets, n_words), dtype=np.uint64)
+    one = np.empty_like(zero)
+    for f, (z, o) in enumerate(frames):
+        zero[f] = npsim._rows_array(np, z, n_words)
+        one[f] = npsim._rows_array(np, o, n_words)
+    return zero, one
+
+
+def _bit_rows(np: Any, rows: Any, bits: Any, n_rows: int,
+              n_words: int) -> Any:
+    """An ``(n_rows, n_words)`` uint64 array with machine bit
+    ``bits[i]`` set in row ``rows[i]``."""
+    flags = np.zeros((n_rows, 64 * n_words), dtype=bool)
+    flags[rows, bits] = True
+    return np.packbits(flags, axis=1, bitorder="little").view("<u8")
 
 
 def _diff(zero: int, one: int) -> int:

@@ -85,11 +85,13 @@ ADI is off).  All three render as dashes for legacy checkpoints.
 
 Transition-fault counters
 -------------------------
-``tdf_passes`` counts launch-group capture passes by the
+``tdf_passes`` counts the faulty-machine passes of the
 transition-fault simulator (:class:`~repro.delay.transition.
-TransitionSim` -- one per packed word of launched faults carried
-through the remaining frames), ``tdf_words`` the word evaluations
-those passes performed (frames simulated per pass, summed), and
+TransitionSim`): on the packed route one per dense kernel pass (a
+window of one test's launches, each its own machine, carried to the
+end of the test; each also counts one ``np_passes``), on the scalar
+route one per big-int word of one frame's launched faults.
+``tdf_words`` counts the frames those passes simulated, summed, and
 ``tdf_s`` the simulator's wall clock (via ``phase_timer("tdf")``).
 The lane-batched good-machine pass is excluded: these counters
 measure the faulty-capture work the wide-word packing actually

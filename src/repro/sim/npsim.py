@@ -39,15 +39,19 @@ With numpy, cffi and a C compiler present, every fault-simulation
 pass runs here; otherwise
 :attr:`repro.sim.logicsim.CompiledCircuit.array_backend` is ``None``
 and everything runs on big-int words
-(:func:`kernel_unavailable_reason` says why).  The kernel has one
-entry point, ``repro_run_pass``, and mirrors the word arena's pass
-loop operation for operation -- load, source stems, topological gate
+(:func:`kernel_unavailable_reason` says why).  The kernel's C
+source, ``kernel.c``, ships beside this module.  It has one entry
+point, ``repro_run_pass``, and mirrors the word arena's pass loop
+operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
 next-state capture with flip-flop branch blends, PO / scan
 observation, the ``caught`` bookkeeping and the saturation break --
 so detection sets are byte-identical either way (enforced by the
 production-vs-reference equivalence suites and the sanitizer's
-shadow checks).
+shadow checks).  Only the kernel takes per-frame injection rows
+(``inj_on``), which the transition-fault passes of
+:mod:`repro.delay.transition` use; without the kernel those run on
+their own scalar route.
 
 numpy and cffi are optional dependencies: install the ``fast`` extra
 (``pip install repro[fast]``).
@@ -102,288 +106,14 @@ def numpy_available() -> bool:
 # The circuit-independent C kernel
 # ----------------------------------------------------------------------
 # One C function runs a whole pass (many frames) over the array state.
-# It is generated once -- the circuit travels in plan arrays, not in
-# the source -- so the process pays a single sub-second compile no
-# matter how many circuits it simulates.  Opcode values mirror
-# logicsim's OP_* constants (asserted at backend build time).
+# Its source, kernel.c, ships beside this module and is compiled once
+# -- the circuit travels in plan arrays, not in the source -- so the
+# process pays a single sub-second compile no matter how many circuits
+# it simulates.
 
-_KERNEL_SOURCE = r"""
-typedef unsigned long long u64;
-
-static void repro_blend(u64* z, u64* o, const u64* f0, const u64* f1,
-                        const u64* keep, long W) {
-    long w;
-    for (w = 0; w < W; w++) {
-        z[w] = (z[w] & keep[w]) | f0[w];
-        o[w] = (o[w] & keep[w]) | f1[w];
-    }
-}
-
-static void repro_diff_acc(const u64* z, const u64* o, u64* acc,
-                           long W) {
-    long w;
-    if (o[0] & 1ULL) {
-        for (w = 0; w < W; w++) acc[w] |= z[w];
-    } else if (z[0] & 1ULL) {
-        for (w = 0; w < W; w++) acc[w] |= o[w];
-    }
-}
-
-/* The scan-out diff of one block (words [at, at + BW) of each row)
-   over the observed next-state rows: every flip-flop when
-   n_scan_obs < 0, else the listed positions. */
-static void repro_scan_diff(const u64* ns_zero, const u64* ns_one,
-                            long W, long n_ff, long n_scan_obs,
-                            const int* scan_obs, u64* acc, long at,
-                            long BW) {
-    long i, n = n_scan_obs < 0 ? n_ff : n_scan_obs;
-    for (i = 0; i < n; i++) {
-        long r = n_scan_obs < 0 ? i : (long)scan_obs[i];
-        repro_diff_acc(ns_zero + r * W + at, ns_one + r * W + at,
-                       acc + at, BW);
-    }
-}
-
-/* One frame of gate evaluation in topological order, with fanout-
-   branch overrides and post-gate stem forcing. */
-static void repro_eval_gates(
-    u64* zero, u64* one, const u64* mask, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    u64* scr_z, u64* scr_o)
-{
-    long g, i, w, b;
-    for (g = 0; g < n_gates; g++) {
-        long out = g_out[g];
-        long s = g_foff[g], e = g_foff[g + 1];
-        long k = e - s;
-        const u64* fz[64];
-        const u64* fo[64];
-        u64* zz = zero + out * W;
-        u64* oo = one + out * W;
-        int op = g_op[g];
-        long bc = br_count[out];
-        int ssite = stem_site[out];
-        for (i = 0; i < k; i++) {
-            fz[i] = zero + (long)g_fan[s + i] * W;
-            fo[i] = one + (long)g_fan[s + i] * W;
-        }
-        if (bc) {
-            /* Fanout-branch overrides: force this gate's view of
-               the overridden fanin pins (scratch copies). */
-            u64 copied = 0;
-            for (b = br_start[out]; b < br_start[out] + bc; b++) {
-                long pin = br_pin[b];
-                u64* cz = scr_z + pin * W;
-                u64* co = scr_o + pin * W;
-                if (!((copied >> pin) & 1ULL)) {
-                    for (w = 0; w < W; w++) {
-                        cz[w] = fz[pin][w];
-                        co[w] = fo[pin][w];
-                    }
-                    fz[pin] = cz;
-                    fo[pin] = co;
-                    copied |= 1ULL << pin;
-                }
-                repro_blend(cz, co, br_f0 + b * W, br_f1 + b * W,
-                            br_keep + b * W, W);
-            }
-        }
-        switch (op) {
-        case 0: case 1:                  /* AND / NAND */
-            for (w = 0; w < W; w++) { zz[w] = 0; oo[w] = mask[w]; }
-            for (i = 0; i < k; i++)
-                for (w = 0; w < W; w++) {
-                    zz[w] |= fz[i][w];
-                    oo[w] &= fo[i][w];
-                }
-            break;
-        case 2: case 3:                  /* OR / NOR */
-            for (w = 0; w < W; w++) { zz[w] = mask[w]; oo[w] = 0; }
-            for (i = 0; i < k; i++)
-                for (w = 0; w < W; w++) {
-                    zz[w] &= fz[i][w];
-                    oo[w] |= fo[i][w];
-                }
-            break;
-        case 4: case 5:                  /* XOR / XNOR pairwise */
-            for (w = 0; w < W; w++) {
-                zz[w] = fz[0][w];
-                oo[w] = fo[0][w];
-            }
-            for (i = 1; i < k; i++)
-                for (w = 0; w < W; w++) {
-                    u64 nz = (zz[w] & fz[i][w]) | (oo[w] & fo[i][w]);
-                    u64 no = (zz[w] & fo[i][w]) | (oo[w] & fz[i][w]);
-                    zz[w] = nz;
-                    oo[w] = no;
-                }
-            break;
-        case 6: case 7:                  /* NOT / BUF */
-            for (w = 0; w < W; w++) {
-                zz[w] = fz[0][w];
-                oo[w] = fo[0][w];
-            }
-            break;
-        case 8:                          /* CONST0 */
-            for (w = 0; w < W; w++) { zz[w] = mask[w]; oo[w] = 0; }
-            break;
-        default:                         /* CONST1 */
-            for (w = 0; w < W; w++) { zz[w] = 0; oo[w] = mask[w]; }
-        }
-        if (op == 1 || op == 3 || op == 5 || op == 6) {
-            /* Inverting gate: swap the value rails. */
-            for (w = 0; w < W; w++) {
-                u64 t = zz[w];
-                zz[w] = oo[w];
-                oo[w] = t;
-            }
-        }
-        if (ssite >= 0)
-            repro_blend(zz, oo, st_f0 + (long)ssite * W,
-                        st_f1 + (long)ssite * W,
-                        st_keep + (long)ssite * W, W);
-    }
-}
-
-/* A pass over frames start_frame..last_frame.  The W words of a row
-   are n_blocks blocks of W / n_blocks words; each block is one test
-   with its own fault-free machine at its bit 0 and the plan's faulty
-   machines after it.  vecs holds frames x blocks x PIs values, and
-   block b observes its POs through frame block_last[b] and its
-   scan-out at that frame (a NULL block_last: every block ends at
-   last_frame).  Records mode fills per-frame PO and scan-out diff
-   rows instead and never stops early. */
-int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, const u64* live, long W,
-    long n_gates, const int* g_op, const int* g_out,
-    const long* g_foff, const int* g_fan,
-    long n_pi, const int* pi_ids,
-    long n_po, const int* po_ids,
-    long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    const unsigned char* vecs,
-    long start_frame, long last_frame,
-    long n_blocks, const long* block_last,
-    int observe_po, int scan_out,
-    long n_scan_obs, const int* scan_obs,
-    u64* rec_po, u64* rec_scan,
-    u64* ns_zero, u64* ns_one,
-    u64* scr_z, u64* scr_o,
-    u64* caught, long* stop_frame, long* frames_done)
-{
-    long f, p, i, w, b;
-    long BW = W / n_blocks;
-    for (f = start_frame; f <= last_frame; f++) {
-        /* Load primary inputs, each block under its own mask words
-           (pack_scalar semantics: 0 -> zero row, 1 -> one row, X ->
-           neither). */
-        for (p = 0; p < n_pi; p++) {
-            u64* z = zero + (long)pi_ids[p] * W;
-            u64* o = one + (long)pi_ids[p] * W;
-            for (b = 0; b < n_blocks; b++) {
-                unsigned char v = vecs[(f * n_blocks + b) * n_pi + p];
-                for (w = b * BW; w < (b + 1) * BW; w++) {
-                    z[w] = (v == 0) ? mask[w] : 0;
-                    o[w] = (v == 1) ? mask[w] : 0;
-                }
-            }
-        }
-        /* Stems on source nets (PIs and FF outputs), every frame. */
-        for (i = 0; i < n_src_stem; i++) {
-            long nid = src_stem_ids[i];
-            long s = src_stem_site[i];
-            repro_blend(zero + nid * W, one + nid * W,
-                        st_f0 + s * W, st_f1 + s * W,
-                        st_keep + s * W, W);
-        }
-        /* Gates in topological order. */
-        repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, scr_z, scr_o);
-        (*frames_done)++;
-        /* Next state: captured FF data values + FF branch blends. */
-        for (i = 0; i < n_ff; i++) {
-            const u64* dz = zero + (long)ffd_ids[i] * W;
-            const u64* dn = one + (long)ffd_ids[i] * W;
-            u64* nz = ns_zero + i * W;
-            u64* no = ns_one + i * W;
-            for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
-        }
-        for (b = 0; b < n_ffbr; b++)
-            repro_blend(ns_zero + (long)ffbr_pos[b] * W,
-                        ns_one + (long)ffbr_pos[b] * W,
-                        ffbr_f0 + b * W, ffbr_f1 + b * W,
-                        ffbr_keep + b * W, W);
-        if (rec_po) {
-            /* Records mode: per-frame PO and scan-out diff words, no
-               early exit, flip-flops always advance. */
-            u64* rp = rec_po + f * W;
-            u64* rs = rec_scan + f * W;
-            for (w = 0; w < W; w++) { rp[w] = 0; rs[w] = 0; }
-            for (b = 0; b < n_blocks; b++) {
-                for (i = 0; i < n_po; i++)
-                    repro_diff_acc(zero + (long)po_ids[i] * W + b * BW,
-                                   one + (long)po_ids[i] * W + b * BW,
-                                   rp + b * BW, BW);
-                repro_scan_diff(ns_zero, ns_one, W, n_ff, n_scan_obs,
-                                scan_obs, rs, b * BW, BW);
-            }
-        } else {
-            /* Detect mode: each block adds its PO diffs through its
-               last frame and its scan-out diff at that frame to the
-               caught machines. */
-            int sat = 1;
-            for (b = 0; b < n_blocks; b++) {
-                long last = block_last ? block_last[b] : last_frame;
-                if (observe_po && f <= last)
-                    for (i = 0; i < n_po; i++)
-                        repro_diff_acc(
-                            zero + (long)po_ids[i] * W + b * BW,
-                            one + (long)po_ids[i] * W + b * BW,
-                            caught + b * BW, BW);
-                if (scan_out && f == last)
-                    repro_scan_diff(ns_zero, ns_one, W, n_ff,
-                                    n_scan_obs, scan_obs, caught,
-                                    b * BW, BW);
-                caught[b * BW] &= ~1ULL;
-            }
-            /* Saturated once every live faulty machine is caught:
-               machines outside `live` ride along but never hold a
-               pass open. */
-            for (b = 0; b < n_blocks && sat; b++)
-                for (w = b * BW; w < (b + 1) * BW && sat; w++) {
-                    u64 m = w == b * BW ? live[w] & ~1ULL : live[w];
-                    if ((caught[w] & m) != m) sat = 0;
-                }
-            if (sat) { *stop_frame = f; return 1; }
-        }
-        for (i = 0; i < n_ff; i++) {
-            u64* z = zero + (long)ff_ids[i] * W;
-            u64* o = one + (long)ff_ids[i] * W;
-            for (w = 0; w < W; w++) {
-                z[w] = ns_zero[i * W + w];
-                o[w] = ns_one[i * W + w];
-            }
-        }
-    }
-    *stop_frame = last_frame + 1;
-    return 0;
-}
-"""
+#: The kernel's C source (package data, read when the kernel loads).
+_KERNEL_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "kernel.c")
 
 _KERNEL_CDEF = """
 typedef unsigned long long u64;
@@ -402,6 +132,7 @@ int repro_run_pass(
     const u64* br_keep,
     long n_ffbr, const int* ffbr_pos,
     const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
+    const u64* inj_on,
     const unsigned char* vecs,
     long start_frame, long last_frame,
     long n_blocks, const long* block_last,
@@ -412,10 +143,6 @@ int repro_run_pass(
     u64* scr_z, u64* scr_o,
     u64* caught, long* stop_frame, long* frames_done);
 """
-
-#: Kernel pass-loop return codes.
-_STATUS_DONE = 0
-_STATUS_SATURATED = 1
 
 #: Compiler flags of the kernel build (part of the cache key).
 _CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -435,10 +162,22 @@ def _find_cc() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc")
 
 
-def _kernel_cache_path() -> Optional[str]:
+def _kernel_source() -> str:
+    """The kernel's C source text.
+
+    Raises
+    ------
+    OSError
+        If ``kernel.c`` is missing or unreadable.
+    """
+    with open(_KERNEL_PATH) as handle:
+        return handle.read()
+
+
+def _kernel_cache_path(source: str) -> Optional[str]:
     """Cross-process kernel cache: ``$REPRO_KERNEL_CACHE/<hash>.so``.
 
-    The filename is keyed on the kernel source, its cdef, the ``$CC``
+    The filename is keyed on the kernel ``source``, its cdef, the ``$CC``
     value and the compile flags, so a restored cache directory (CI
     persists it across jobs) can never dlopen a shared object built
     from different source or by a different compiler -- a change to
@@ -450,7 +189,7 @@ def _kernel_cache_path() -> Optional[str]:
     root = os.environ.get("REPRO_KERNEL_CACHE")
     if not root:
         return None
-    key = "\0".join((_KERNEL_CDEF, _KERNEL_SOURCE,
+    key = "\0".join((_KERNEL_CDEF, source,
                      os.environ.get("CC", ""), *_CFLAGS))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(root, f"repro_kernel-{digest}.so")
@@ -461,7 +200,8 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
 
     Returns ``(ffi, lib)`` or ``None`` (reason in
     :func:`kernel_unavailable_reason`).  Never raises: a missing
-    compiler or cffi just disables the fast path.  The build
+    compiler, cffi or kernel source just disables the fast path.  The
+    source is read here, not at import.  The build
     directory is removed once the library is loaded (and published
     to the cache, when one is configured); a loaded shared object
     stays mapped after its file is unlinked.
@@ -475,7 +215,12 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
     except ImportError:
         _KERNEL_ERROR = "cffi is not installed"
         return None
-    cached = _kernel_cache_path()
+    try:
+        source = _kernel_source()
+    except OSError as exc:
+        _KERNEL_ERROR = f"kernel source unreadable: {exc}"
+        return None
+    cached = _kernel_cache_path(source)
     if cached is not None and os.path.exists(cached):
         try:
             ffi = FFI()
@@ -495,7 +240,7 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
         so_path = os.path.join(tmpdir, "repro_kernel.so")
         try:
             with open(c_path, "w") as handle:
-                handle.write(_KERNEL_SOURCE)
+                handle.write(source)
             subprocess.run([cc, *_CFLAGS, "-o", so_path, c_path],
                            check=True, capture_output=True, timeout=120)
             ffi = FFI()
@@ -529,8 +274,9 @@ def kernel_unavailable_reason(
         circuit: "Optional[CompiledCircuit]" = None) -> Optional[str]:
     """Why pass chunks cannot run on the C kernel, or ``None``.
 
-    Without ``circuit`` this reports on the host: numpy, cffi and a C
-    compiler (or a cached kernel) are all needed.  With ``circuit`` it
+    Without ``circuit`` this reports on the host: numpy, cffi, the
+    kernel source and a C compiler (or a cached kernel) are all
+    needed.  With ``circuit`` it
     also reports a gate with more than :data:`MAX_FANIN` fanins, which
     keeps that circuit on big-int words.
     """
@@ -587,15 +333,20 @@ class _ChunkPlan:
     bit 0 and its faulty machines.  Every row repeats one block's
     words ``n_blocks`` times, so each block carries the same machines
     (one test per block in a multi-trial pass, see
-    :meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`).  The
-    transition-fault capture templates (:mod:`repro.delay.transition`)
-    are single-block plans of site-free :class:`_Chunk` instances.
+    :meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`).
+
+    Every site forces its machines in every frame unless the plan has
+    ``inj_on`` rows, one row of words per pass frame: then frame ``f``
+    forces only the machines set in row ``f``.  A transition-fault
+    pass (:mod:`repro.delay.transition`) is such a plan: a site-free
+    single-block chunk given stem sites by :meth:`force_stems`.
     """
 
     def __init__(self, backend: "ArrayBackend", chunk: "_Chunk",
                  n_blocks: int = 1) -> None:
         np = backend.np
-        self.chunk = chunk
+        #: The fault index of machine bit ``i + 1`` of each block.
+        self.indices: Sequence[int] = chunk.indices
         self.n_blocks = n_blocks
         block_words = (len(chunk.indices) + 64) // 64
         self.n_words = block_words * n_blocks
@@ -644,10 +395,23 @@ class _ChunkPlan:
         self.ffbr_f1 = rows([m1 for _, _, m1 in chunk.ff_branch])
         self.ffbr_keep = rows([chunk.mask & ~(m0 | m1)
                                for _, m0, m1 in chunk.ff_branch])
-        #: Lazily built kernel arguments of this plan; reset to
-        #: ``None`` whenever the arrays are swapped after construction
-        #: (see :meth:`ArrayBackend._plan_args`).
-        self._kptrs: Optional[Tuple[Any, Tuple[Any, ...]]] = None
+        self.inj_on: Optional[Any] = None
+
+    def force_stems(self, backend: "ArrayBackend", nets: Any, st_f0: Any,
+                    st_f1: Any, inj_on: Any) -> None:
+        """Give a site-free single-block plan its stem sites as arrays:
+        stem row ``s`` forces net ``nets[s]`` (distinct nets) to 0 on
+        the machines of ``st_f0[s]`` and to 1 on those of
+        ``st_f1[s]``, and pass frame ``f`` forces only the machines set
+        in row ``f`` of ``inj_on``."""
+        np = backend.np
+        self.stem_site[nets] = np.arange(len(nets), dtype=np.int32)
+        self.st_f0, self.st_f1 = st_f0, st_f1
+        self.st_keep = self.mask & ~(st_f0 | st_f1)
+        src = nets[backend.is_source[nets]]
+        self.src_stem_ids = src.astype(np.int32)
+        self.src_stem_site = self.stem_site[src]
+        self.inj_on = inj_on
 
 
 #: A plan's ``uint64`` row arrays, in groups that share a row count.
@@ -661,10 +425,11 @@ _PLAN_INDEX = ("stem_site", "src_stem_ids", "src_stem_site", "br_start",
 def _check_plan(backend: "ArrayBackend", plan: _ChunkPlan) -> None:
     """Raise :class:`ValueError` unless the kernel can safely run
     ``plan``: every array has the dtype, C-contiguity and word count
-    the kernel assumes, and every index it follows stays inside the
-    array it indexes (stem sites and source stems, branch row ranges
-    and pins, flip-flop branch positions), with a block count that
-    divides the words."""
+    the kernel assumes (``inj_on``, when present, included), and every
+    index it follows stays inside the array it indexes (stem sites and
+    source stems, branch row ranges and pins, flip-flop branch
+    positions), with a block count that divides the words.  The
+    arena checks each pass's length against the ``inj_on`` rows."""
     np = backend.np
     W, n_nets = plan.n_words, backend.circuit.n_nets
 
@@ -673,7 +438,9 @@ def _check_plan(backend: "ArrayBackend", plan: _ChunkPlan) -> None:
 
     if plan.n_blocks < 1 or W < 1 or W % plan.n_blocks:
         raise bad(f"{plan.n_blocks} blocks over {W} words")
-    for name in ("mask",) + sum(_PLAN_ROWS, ()):
+    rows = sum(_PLAN_ROWS, ()) + (("inj_on",) if plan.inj_on is not None
+                                  else ())
+    for name in ("mask",) + rows:
         arr = getattr(plan, name)
         if (arr.dtype != np.uint64 or not arr.flags.c_contiguous or
                 arr.ndim != (1 if name == "mask" else 2) or
@@ -762,11 +529,11 @@ class _Arena:
         W = plan.n_words
         self.plan = plan
         self.ff_rows = backend.ff_rows
-        self.n_machines = len(plan.chunk.indices)
+        self.n_machines = len(plan.indices)
         self.n_blocks = plan.n_blocks
         self.block_words = W // plan.n_blocks
         self.fault_of = np.full(64 * self.block_words, -1, dtype=np.int64)
-        self.fault_of[1:self.n_machines + 1] = plan.chunk.indices
+        self.fault_of[1:self.n_machines + 1] = plan.indices
         self.zero = np.zeros((circuit.n_nets, W), dtype=np.uint64)
         self.one = np.zeros_like(self.zero)
         self.ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
@@ -870,12 +637,23 @@ class _Arena:
         """One kernel pass over the first ``n_frames`` loaded vectors;
         returns the frames it ran.  With ``records`` the pass fills
         ``rec_po`` / ``rec_scan`` row by row and never stops early.
-        The caller validates ``scan_observe``."""
+        The caller validates ``scan_observe``.
+
+        Raises
+        ------
+        ValueError
+            If the pass is longer than the vector buffer or than the
+            plan's ``inj_on`` rows.
+        """
         np, ffi = self.np, self._ffi
         self.counters.np_passes += 1
         if n_frames > len(self.vecs):
             raise ValueError(f"{n_frames}-frame pass over a "
                              f"{len(self.vecs)}-frame vector buffer")
+        inj_on = self.plan.inj_on
+        if inj_on is not None and n_frames > len(inj_on):
+            raise ValueError(f"{n_frames}-frame pass over {len(inj_on)} "
+                             f"injection rows")
         if records and n_frames > len(self.rec_po):
             rows = max(n_frames, 2 * len(self.rec_po))
             self.rec_po = np.zeros((rows, self.plan.n_words),
@@ -959,7 +737,7 @@ class _Arena:
         weights = (self.fault_of >= 0).astype(self.np.int64)
         if expand is not None:
             weights[1:self.n_machines + 1] = [
-                len(expand[fid]) for fid in self.plan.chunk.indices]
+                len(expand[fid]) for fid in self.plan.indices]
         self._weights = weights
 
     def weight(self, words: Any) -> int:
@@ -1111,6 +889,10 @@ class ArrayBackend:
         #: nets): the bound of a branch pin.
         self.net_arity = np.zeros(circuit.n_nets, dtype=np.int64)
         self.net_arity[self.g_out[:self.n_gates]] = np.diff(self.g_foff)
+        #: Whether each net is a source net (a PI or a flip-flop
+        #: output), whose stem the kernel forces before the gates.
+        self.is_source = np.zeros(circuit.n_nets, dtype=bool)
+        self.is_source[circuit.pi_ids + circuit.ff_ids] = True
 
     def universe(self, sim: "FaultSimulator") -> _Universe:
         """A new fault-universe plan of ``sim`` (see :class:`_Universe`)."""
@@ -1125,34 +907,8 @@ class ArrayBackend:
                       sim.counters)
 
     # ------------------------------------------------------------------
-    def _init_state(self, plan: _ChunkPlan,
-                    init_state: V.Vector) -> Tuple[Any, Any]:
-        """Array state with the flip-flop rows packed from a vector
-        (:func:`repro.sim.values.pack_scalar` semantics)."""
-        np = self.np
-        W = plan.n_words
-        zero = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        one = np.zeros((self.circuit.n_nets, W), dtype=np.uint64)
-        for nid, val in zip(self.circuit.ff_ids, init_state):
-            if val == V.ZERO:
-                zero[nid] = plan.mask
-            elif val == V.ONE:
-                one[nid] = plan.mask
-        return zero, one
-
-    def _vec_array(self, vectors: Sequence[V.Vector]) -> Any:
-        """The PI sequence as a ``(n_frames, n_pi)`` uint8 array
-        (0 / 1 / X scalars; width-independent)."""
-        np = self.np
-        arr = np.asarray(vectors, dtype=np.uint8)
-        if arr.ndim == 1:  # zero PIs
-            arr = arr.reshape(len(vectors), 0)
-        return np.ascontiguousarray(arr)
-
-    # ------------------------------------------------------------------
-    # Pointer casts dominate short kernel calls (a TDF capture runs two
-    # segments per launch frame), so the circuit-constant and
-    # plan-constant arguments are cast once and reused by every call.
+    # The circuit-constant arguments are cast once per backend and
+    # shared by every arena; a plan's are cast once, by its arena.
     def _circuit_args(self) -> Tuple[Any, ...]:
         """The circuit-constant kernel arguments: gate tables, then
         the PI / PO / flip-flop id lists with their counts."""
@@ -1173,45 +929,18 @@ class ArrayBackend:
     def _plan_args(self, plan: _ChunkPlan) -> Tuple[Any, Tuple[Any, ...]]:
         """``(mask, sites)``: a plan's word mask and its injection
         tables (stems, source stems, branches, flip-flop branches,
-        with their counts) as kernel arguments, cached on the plan."""
-        if plan._kptrs is None:
-            ffi, _ = self._kernel  # type: ignore[misc]
-            plan._kptrs = (_u64p(ffi, plan.mask), (
-                _i32p(ffi, plan.stem_site), _u64p(ffi, plan.st_f0),
-                _u64p(ffi, plan.st_f1), _u64p(ffi, plan.st_keep),
-                len(plan.src_stem_ids), _i32p(ffi, plan.src_stem_ids),
-                _i32p(ffi, plan.src_stem_site),
-                _i32p(ffi, plan.br_start), _i32p(ffi, plan.br_count),
-                _i32p(ffi, plan.br_pin), _u64p(ffi, plan.br_f0),
-                _u64p(ffi, plan.br_f1), _u64p(ffi, plan.br_keep),
-                plan.n_ffbr, _i32p(ffi, plan.ffbr_pos),
-                _u64p(ffi, plan.ffbr_f0), _u64p(ffi, plan.ffbr_f1),
-                _u64p(ffi, plan.ffbr_keep)))
-        return plan._kptrs
-
-    def _kernel_segment(
-        self, plan: _ChunkPlan, zero: Any, one: Any, vec_arr: Any,
-        start: int, last: int, observe_po: bool, scan_out: bool,
-        ns_zero: Any, ns_one: Any, caught: Any,
-    ) -> Tuple[int, int, int]:
-        """One kernel call on caller-owned arrays, every machine of the
-        plan live (the transition-fault captures); returns ``(status,
-        stop_frame, frames)``."""
-        np = self.np
-        ffi, lib = self._kernel  # type: ignore[misc]
-        W = plan.n_words
-        scan_obs = np.zeros(1, dtype=np.int32)
-        scr_z = np.zeros((self.max_arity, W), dtype=np.uint64)
-        scr_o = np.zeros((self.max_arity, W), dtype=np.uint64)
-        stop = ffi.new("long*")
-        frames = ffi.new("long*")
-        p_mask, p_sites = self._plan_args(plan)
-        status = lib.repro_run_pass(
-            _u64p(ffi, zero), _u64p(ffi, one), p_mask, p_mask, W,
-            *self._circuit_args(), *p_sites,
-            ffi.cast("unsigned char*", vec_arr.ctypes.data),
-            start, last, 1, ffi.NULL, int(observe_po), int(scan_out), -1,
-            _i32p(ffi, scan_obs), ffi.NULL, ffi.NULL,
-            _u64p(ffi, ns_zero), _u64p(ffi, ns_one), _u64p(ffi, scr_z),
-            _u64p(ffi, scr_o), _u64p(ffi, caught), stop, frames)
-        return int(status), int(stop[0]), int(frames[0])
+        with their counts, and the ``inj_on`` rows) as kernel
+        arguments."""
+        ffi, _ = self._kernel  # type: ignore[misc]
+        return _u64p(ffi, plan.mask), (
+            _i32p(ffi, plan.stem_site), _u64p(ffi, plan.st_f0),
+            _u64p(ffi, plan.st_f1), _u64p(ffi, plan.st_keep),
+            len(plan.src_stem_ids), _i32p(ffi, plan.src_stem_ids),
+            _i32p(ffi, plan.src_stem_site),
+            _i32p(ffi, plan.br_start), _i32p(ffi, plan.br_count),
+            _i32p(ffi, plan.br_pin), _u64p(ffi, plan.br_f0),
+            _u64p(ffi, plan.br_f1), _u64p(ffi, plan.br_keep),
+            plan.n_ffbr, _i32p(ffi, plan.ffbr_pos),
+            _u64p(ffi, plan.ffbr_f0), _u64p(ffi, plan.ffbr_f1),
+            _u64p(ffi, plan.ffbr_keep),
+            ffi.NULL if plan.inj_on is None else _u64p(ffi, plan.inj_on))

@@ -6,6 +6,8 @@ from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError
 from repro.atpg import random_gen
 from repro.circuits import synth
+from repro.core.scan_test import ScanTest, ScanTestSet
+from repro.delay.transition import TransitionSim
 from repro.sim import fault_sim, npsim
 from repro.sim.counters import SimCounters
 from repro.sim.fault_sim import (FUSED_CAP, _SANITIZE_SPOT_BUDGET,
@@ -192,6 +194,32 @@ class TestTrialCrossCheck:
             sim.detect_trials(trials)
         assert sim._sanitize_trial_spots_left == 0
         assert sanitizer.violations() == []
+
+
+class TestDelayCrossCheck:
+    def test_dropped_detection_caught(self, monkeypatch):
+        """With the dense-pass decode made to drop one detection, the
+        scalar recomputation of the first packed TDF passes raises."""
+        if not KERNEL:
+            pytest.skip("the C kernel is unavailable")
+        net = synth.generate("tdfsan", 4, 3, 5, 30, seed=5)
+        cc = reference_circuit(net)
+        tests = ScanTestSet(net.num_ffs, [
+            ScanTest(random_gen.random_state(cc, seed=k),
+                     tuple(random_gen.random_sequence(cc, 8, seed=k)))
+            for k in range(3)])
+        real = TransitionSim._caught
+
+        def lossy(arena):
+            return real(arena)[1:]
+
+        _arm(monkeypatch)
+        sim = TransitionSim(production_circuit(net, kernel=True))
+        assert sim.detect_test_set(tests)  # clean without the patch
+        monkeypatch.setattr(TransitionSim, "_caught", staticmethod(lossy))
+        sim = TransitionSim(production_circuit(net, kernel=True))
+        with pytest.raises(SanitizerError, match="delay-agreement"):
+            sim.detect_test_set(tests)
 
 
 class TestEndToEnd:

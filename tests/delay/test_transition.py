@@ -1,6 +1,7 @@
 """Tests for transition-fault simulation."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from repro.core.scan_test import ScanTest, ScanTestSet
 from repro.delay import transition as transition_mod
 from repro.delay.transition import (TransitionFault, TransitionSim,
                                     all_transition_faults)
+from repro.sim import fault_sim
 from repro.sim import values as V
 from repro.sim.counters import SimCounters
 from repro.sim.logicsim import CompiledCircuit, simulate_lanes
@@ -158,6 +160,21 @@ class TestTestSets:
         if full:
             some = set(sorted(full)[:3])
             assert sim.detect_test(test, some) == some
+
+    def test_out_of_range_target_rejected(self, s27):
+        """A target index that names no fault raises on every route,
+        also -1 when the last fault, which it would wrap to, is
+        detected."""
+        rng = random.Random(0)
+        vectors = tuple(V.random_binary_vector(4, rng) for _ in range(8))
+        test = ScanTest(V.random_binary_vector(3, rng), vectors)
+        for circuit in production_circuits(s27) + [reference_circuit(s27)]:
+            sim = TransitionSim(circuit)
+            last = len(sim.faults) - 1
+            assert last in sim.detect_test(test)
+            for bad in (-1, last + 1, 10 ** 6):
+                with pytest.raises(ValueError, match="outside"):
+                    sim.detect_test(test, {0, bad})
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +348,101 @@ class TestRouteEquivalence:
         assert counts[0] == counts[1]
 
 
+def _edge_test(rng, n_frames, x_rate):
+    """A scan test whose PI 0 holds one value until the last frame and
+    flips there (a launch at the last frame only), whose PI 1 toggles
+    every frame (each of its faults launched in several frames, rising
+    and falling on one net), and whose other PIs and scan-in are
+    random, X at ``x_rate``."""
+    def value():
+        return V.X if rng.random() < x_rate else rng.choice((V.ZERO, V.ONE))
+
+    held = rng.choice((V.ZERO, V.ONE))
+    vectors = tuple(
+        (1 - held if t == n_frames - 1 else held, t % 2) +
+        tuple(value() for _ in range(_N_PI - 2)) for t in range(n_frames))
+    return ScanTest(tuple(value() for _ in range(_N_FF)), vectors)
+
+
+def _launches(sim, test):
+    """Every ``(frame, fault)`` launch of ``test``, read off a one-lane
+    good-machine pass."""
+    frames = simulate_lanes(sim.circuit, [(test.scan_in, test.vectors)])
+    out = []
+    for t in range(1, test.length):
+        (pz, po), (cz, co) = frames[t - 1], frames[t]
+        for fid, fault in enumerate(sim.faults):
+            nid = sim.circuit.netlist.net_ids[fault.net]
+            if (pz[nid] & co[nid] if fault.rising else po[nid] & cz[nid]) & 1:
+                out.append((t, fid))
+    return out
+
+
+class TestDenseWindows:
+    """The packed route grades a test's launches in frame order, at
+    most ``FUSED_CAP - 1`` to a pass, each forced only in its launch
+    frame; at a cap of 8 a test runs many windows and later windows
+    skip the faults earlier ones detected."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=eq_seeds, data=st.data())
+    def test_small_cap_matches_reference(self, seed, data):
+        rng = random.Random(data.draw(st.integers(0, 999)))
+        x_rate = data.draw(st.sampled_from((0.0, 0.25)))
+        tests = [_edge_test(rng, data.draw(st.integers(2, 12)), x_rate)
+                 for _ in range(2)]
+        production, reference = sims_for(seed)
+        want = [reference.detect_test(test) for test in tests]
+        with mock.patch.object(fault_sim, "FUSED_CAP", 8):
+            for sim in production:
+                assert [sim.detect_test(test) for test in tests] == want
+                assert sim.detect_test_set(
+                    ScanTestSet(_N_FF, tests)) == want[0] | want[1]
+        if tests[0].length <= 6:
+            net = reference.circuit.netlist
+            assert want[0] == {i for i, f in enumerate(reference.faults)
+                               if oracle_detects(net, f, tests[0])}
+
+    @needs_packed
+    def test_windows_prune_and_cover_the_edges(self, monkeypatch):
+        """One stimulus of the hypothesis case, checked to hold every
+        edge it is built for: several windows, later ones pruned, a
+        launch at the last frame only, one fault launched in several
+        frames, rising and falling faults on one net, launches on PI
+        and flip-flop-output nets, and X in the scan-in and vectors."""
+        production, reference = sims_for(0)
+        sim = production[0]
+        circuit = sim.circuit
+        test = _edge_test(random.Random(1), 12, 0.25)
+        launches = _launches(reference, test)
+        frames_of = {}
+        for t, fid in launches:
+            frames_of.setdefault(fid, []).append(t)
+        assert any(ts == [test.length - 1] for ts in frames_of.values())
+        assert any(len(ts) > 1 for ts in frames_of.values())
+        nets = {}
+        for fid in frames_of:
+            fault = reference.faults[fid]
+            nets.setdefault(fault.net, set()).add(fault.rising)
+        assert {True, False} in nets.values()
+        launched = {circuit.netlist.net_ids[net] for net in nets}
+        assert launched & set(circuit.pi_ids)
+        assert launched & set(circuit.ff_ids)
+        assert V.X in test.scan_in and any(V.X in v for v in test.vectors)
+        passes = []
+        real = TransitionSim._dense_pass
+
+        def spy(self, *args):
+            passes.append(len(args[-1]))
+            return real(self, *args)
+
+        monkeypatch.setattr(fault_sim, "FUSED_CAP", 8)
+        monkeypatch.setattr(TransitionSim, "_dense_pass", spy)
+        assert sim.detect_test(test) == reference.detect_test(test)
+        assert len(passes) > 2 and max(passes) == 7
+        assert sum(passes) < len(launches)
+
+
 class TestLanePass:
     """The lane-batched good-machine pass behind ``detect_test_set``:
     read lane by lane, it must detect per test exactly what the
@@ -346,13 +458,22 @@ class TestLanePass:
             for test, found in zip(tests, want):
                 assert found == {i for i, f in enumerate(reference.faults)
                                  if oracle_detects(net, f, test)}
+        blank = ScanTest((V.X,) * net.num_ffs,
+                         ((V.X,) * net.num_inputs,) * 2)
         for circuit in production_circuits(net):
             sim = TransitionSim(circuit)
-            frames = simulate_lanes(
-                circuit, [(t.scan_in, t.vectors) for t in tests])
-            every = set(range(len(sim.faults)))
-            assert [sim._detect_lane(t, frames, lane, every)
-                    for lane, t in enumerate(tests)] == want
+            if circuit.array_backend is None:
+                frames = simulate_lanes(
+                    circuit, [(t.scan_in, t.vectors) for t in tests])
+                every = set(range(len(sim.faults)))
+                assert [sim._detect_lane(t, frames, lane, every)
+                        for lane, t in enumerate(tests)] == want
+            else:
+                # Test k in lane 64 + k (lane word 1 or 2), behind
+                # all-X tests that launch nothing.
+                assert [sim.detect_test_set(ScanTestSet(
+                    net.num_ffs, [blank] * (64 + k) + [t]))
+                    for k, t in enumerate(tests)] == want
             assert [sim.detect_test(t) for t in tests] == want
             assert sim.detect_test_set(
                 ScanTestSet(net.num_ffs, tests)) == set().union(*want)

@@ -598,27 +598,47 @@ def _corrupt_block_count(np, backend, plan):
     plan.n_blocks = plan.n_words + 1
 
 
+def _corrupt_inj_on_width(np, backend, plan):
+    plan.inj_on = np.zeros((4, plan.n_words + 1), dtype=np.uint64)
+
+
+def _corrupt_inj_on_contiguity(np, backend, plan):
+    plan.inj_on = np.zeros((4, 2 * plan.n_words), dtype=np.uint64)[:, ::2]
+
+
+def _short_inj_on(np, backend, plan):
+    plan.inj_on = np.zeros((3, plan.n_words), dtype=np.uint64)
+
+
 class TestPlanValidation:
     @needs_kernel
     @pytest.mark.parametrize("corrupt", [
         _corrupt_stem_site, _corrupt_contiguity, _corrupt_branch_pin,
-        _corrupt_word_count, _corrupt_block_count],
+        _corrupt_word_count, _corrupt_block_count, _corrupt_inj_on_width,
+        _corrupt_inj_on_contiguity, _short_inj_on],
         ids=["stem-site", "non-contiguous", "branch-pin", "word-count",
-             "block-count"])
+             "block-count", "inj-on-width", "inj-on-non-contiguous",
+             "inj-on-rows"])
     def test_malformed_plan_raises_before_the_kernel(self, corrupt):
         """A corrupted plan raises ValueError when its arena is built,
-        before any pointer to it reaches the kernel."""
+        and a pass longer than the plan's injection rows when it is
+        run: before any pointer to it reaches the kernel."""
         net = synth.generate("plan", 4, 3, 5, 40, seed=5)
         circuit = production_circuit(net, kernel=True)
         backend = circuit.array_backend
+        np = backend.np
         fs = FaultSet.collapsed(net)
         chunk = FaultSimulator(circuit, fs)._build_chunks(range(len(fs)))[0]
         plan = npsim._ChunkPlan(backend, chunk, n_blocks=3)
         assert len(plan.st_f0) > 1 and plan.br_count.any()
         npsim._Arena(backend, plan, SimCounters())  # the intact plan
-        corrupt(backend.np, backend, plan)
-        with pytest.raises(ValueError, match="malformed kernel plan"):
-            npsim._Arena(backend, plan, SimCounters())
+        corrupt(np, backend, plan)
+        with pytest.raises(ValueError, match="malformed kernel plan|"
+                           "4-frame pass over 3 injection rows"):
+            arena = npsim._Arena(backend, plan, SimCounters())
+            arena.load_vectors(np.zeros((4, 3 * net.num_inputs),
+                                        dtype=np.uint8))
+            arena.run(4, True, True, None)
 
 
 class TestNumpyRepack:

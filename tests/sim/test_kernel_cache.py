@@ -8,7 +8,12 @@ import sys
 import pytest
 
 import repro
+from repro.atpg import random_gen
+from repro.circuits import synth
 from repro.sim import npsim
+from repro.sim.fault_sim import FaultSimulator
+from repro.sim.faults import FaultSet
+from repro.sim.logicsim import CompiledCircuit
 
 
 def _reset_kernel_state(monkeypatch):
@@ -24,16 +29,38 @@ def _reset_kernel_state(monkeypatch):
 
 def test_no_env_means_no_cache(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL_CACHE", raising=False)
-    assert npsim._kernel_cache_path() is None
+    assert npsim._kernel_cache_path(npsim._kernel_source()) is None
 
 
 def test_path_is_keyed_on_source(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-    first = npsim._kernel_cache_path()
+    source = npsim._kernel_source()
+    first = npsim._kernel_cache_path(source)
     assert first is not None and first.startswith(str(tmp_path))
-    monkeypatch.setattr(npsim, "_KERNEL_SOURCE",
-                        npsim._KERNEL_SOURCE + "\n/* v2 */\n")
-    assert npsim._kernel_cache_path() != first
+    assert npsim._kernel_cache_path(source + "\n/* v2 */\n") != first
+
+
+def test_missing_source_disables_the_kernel(monkeypatch, tmp_path):
+    """Without kernel.c the kernel reports itself unavailable and the
+    big-int path runs, with the reference's results."""
+    if not npsim.numpy_available():
+        pytest.skip("numpy not installed")
+    pytest.importorskip("cffi")
+    _reset_kernel_state(monkeypatch)
+    monkeypatch.setattr(npsim, "_KERNEL_PATH", str(tmp_path / "gone.c"))
+    assert npsim._load_kernel() is None
+    assert npsim.kernel_unavailable_reason().startswith(
+        "kernel source unreadable")
+    net = synth.generate("nosrc", 4, 3, 5, 30, seed=1)
+    faults = FaultSet.collapsed(net)
+    circuit = CompiledCircuit(net)
+    assert circuit.array_backend is None
+    vectors = random_gen.random_sequence(circuit, 8, seed=1)
+    sim = FaultSimulator(circuit, faults)
+    reference = CompiledCircuit(net, _reference=True)
+    assert sim.detect(vectors, None) == \
+        FaultSimulator(reference, faults).detect(vectors, None)
+    assert sim.counters.np_passes == 0
 
 
 def test_publish_then_hit_without_a_compiler(monkeypatch, tmp_path):
@@ -45,7 +72,7 @@ def test_publish_then_hit_without_a_compiler(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
     _reset_kernel_state(monkeypatch)
     assert npsim._load_kernel() is not None
-    cached = npsim._kernel_cache_path()
+    cached = npsim._kernel_cache_path(npsim._kernel_source())
     assert cached is not None and os.path.exists(cached)
     # Second process (simulated): cache hit must not need a compiler.
     _reset_kernel_state(monkeypatch)
@@ -59,11 +86,12 @@ def test_path_is_keyed_on_compiler(monkeypatch, tmp_path):
     sanitizing wrapper, say) is never loaded for another."""
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
     monkeypatch.delenv("CC", raising=False)
-    default = npsim._kernel_cache_path()
+    source = npsim._kernel_source()
+    default = npsim._kernel_cache_path(source)
     monkeypatch.setenv("CC", "gcc")
-    gcc = npsim._kernel_cache_path()
+    gcc = npsim._kernel_cache_path(source)
     monkeypatch.setenv("CC", "/opt/wrappers/asan-cc")
-    wrapped = npsim._kernel_cache_path()
+    wrapped = npsim._kernel_cache_path(source)
     assert len({default, gcc, wrapped}) == 3
 
 
