@@ -7,9 +7,11 @@ equivalence suites, but never checked in production runs:
 * **packing disjointness** (``lane-disjoint``) -- every chunk a pass
   packs covers its good bit 0 plus one machine per fault, no injection
   mask claims the good machine or a bit outside the chunk, and no site
-  forces a machine to both 0 and 1 (checked on every chunk of
-  ``detect``'s word arenas, the fault-universe plan and every
-  ``detect_trials`` pass);
+  forces a machine to both 0 and 1 (checked on every chunk of the
+  big-int word arenas' one-off passes); on the C kernel, where a pass
+  is a machine list, every list of a one-off pass or a per-run store
+  holds distinct fault indices inside the fault set and none of a
+  proven-untestable class;
 * **scoreboard soundness** -- a fault retired by the cross-phase
   scoreboard is never simulated again as a target ("never required by a
   later phase"), and every retired fault is in the final detected set
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Set, Tuple
+from typing import (AbstractSet, Any, Dict, Iterable, List, Mapping,
+                    Sequence, Set, Tuple)
 
 from .diagnostics import ERROR, Diagnostic
 
@@ -153,6 +156,32 @@ def check_chunk(chunk: Any, context: str = "detect") -> None:
     _mask_pairs("stem", chunk.stems, chunk.mask & ~1, context)
     _branch_masks("branch", chunk.branch, chunk.mask & ~1, context)
     _ff_branch_masks(chunk.ff_branch, chunk.mask & ~1, context)
+
+
+def check_machines(machines: Sequence[int], faults: Any,
+                   untestable: AbstractSet[int], context: str) -> None:
+    """Packing invariants of one kernel machine list: distinct fault
+    indices of ``faults`` (a ``FaultSet``), none in a class whose
+    representative is in ``untestable``."""
+    n = len(faults)
+    outside = sorted(f for f in machines if not 0 <= f < n)
+    if outside:
+        report_violation(
+            "lane-disjoint",
+            f"{context}: machine list holds {len(outside)} fault "
+            f"index(es) outside the {n} faults: {outside[:10]}")
+        return
+    if len(set(machines)) != len(machines):
+        report_violation(
+            "lane-disjoint",
+            f"{context}: machine list gives a fault more than one "
+            f"machine")
+    dropped = sorted(f for f in machines if faults.rep_of[f] in untestable)
+    if dropped:
+        report_violation(
+            "lane-disjoint",
+            f"{context}: machine list holds {len(dropped)} fault(s) of "
+            f"proven-untestable classes: {dropped[:10]}")
 
 
 def check_fresh_targets(scoreboard: Any, target: Iterable[int],

@@ -120,7 +120,7 @@ def generate_sequence(
     previous: Optional[V.Vector] = None
     stagnant = 0
     steps_evaluated = 0
-    n_target = sum(len(c.indices) for c in inc.chunks)
+    n_target = sum(len(group) for group in inc.groups)
 
     while len(sequence) < max_length and len(inc.detected) < n_target:
         if stagnant and stagnant % burst_after == 0:
@@ -182,7 +182,7 @@ def _targeted_phase(circuit, faults, inc, sequence, max_length,
         return 0  # not initialized: nothing deterministic to do
     extender = TargetedExtender(circuit.netlist, depth=unroll_depth,
                                 seed=seed, x_fill=x_fill)
-    all_target = {fid for chunk in inc.chunks for fid in chunk.indices}
+    all_target = {fid for group in inc.groups for fid in group}
     attempts = 0
     for fid in sorted(all_target - inc.detected):
         if attempts >= target_attempts or len(sequence) >= max_length:

@@ -22,12 +22,14 @@ Word packing follows the simulator's policy: the whole required set
 rides in one fused word, so each tentative omission costs a single
 suffix pass.  The required set is packed once per run, each chunk
 into a pass store of its own (:meth:`FaultSimulator._run_stores`: a
-C-kernel arena when the circuit has an array backend, else a big-int
-word arena), and every checkpoint is kept in its store's own format.
-An accepted omission rebuilds the trail with one-frame passes.  The
-run does not use the simulator's fault-universe plan: the injection
-sites of faults outside the required set would run on every frame of
-every trial.
+C-kernel store bound to the chunk's machines when the circuit has an
+array backend, else a big-int word arena), and every checkpoint is
+kept in its store's own format.  An accepted omission rebuilds the
+trail with one-frame passes.  Since the stores hold exactly the
+required faults, a trial keeps ``F_SO`` if and only if every store
+catches all of its machines: a trial is decided by the stores'
+saturation, and only the baseline and the final test are decoded
+into fault sets.
 Every tentative omission bumps
 :attr:`~repro.sim.counters.SimCounters.omission_trials` and the
 suffix passes are accounted as words/frames on the simulator's
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence, Set
 
 from ..sim import values as V
-from ..sim.fault_sim import FaultSimulator, _Chunk
+from ..sim.fault_sim import FaultSimulator
 from .scan_test import ScanTest
 
 
@@ -77,9 +79,9 @@ class _CheckpointedRun:
     """
 
     def __init__(self, sim: FaultSimulator, scan_in: V.Vector,
-                 chunks: List[_Chunk]) -> None:
+                 groups: List[List[int]]) -> None:
         self.sim = sim
-        self.stores = sim._run_stores(chunks)
+        self.stores = sim._run_stores(groups)
         state = sim.embed_state(scan_in)
         init = []
         for store in self.stores:
@@ -90,8 +92,25 @@ class _CheckpointedRun:
     def detected_by(self, start_frame: int,
                     suffix: Sequence[V.Vector]) -> Set[int]:
         """Faults detected by checkpoint-prefix + ``suffix`` test."""
-        sim = self.sim
+        self._simulate(start_frame, suffix)
         detected: Set[int] = set()
+        for store in self.stores:
+            detected.update(store.faults_in(store.caught))
+        return detected
+
+    def keeps_all(self, start_frame: int,
+                  suffix: Sequence[V.Vector]) -> bool:
+        """Whether checkpoint-prefix + ``suffix`` catches every packed
+        machine: the verdict of a trial over exactly the required
+        faults, with no decoding."""
+        self._simulate(start_frame, suffix)
+        return all(store.saturated() for store in self.stores)
+
+    def _simulate(self, start_frame: int,
+                  suffix: Sequence[V.Vector]) -> None:
+        """Leave in each store's ``caught`` what checkpoint-prefix +
+        ``suffix`` catches."""
+        sim = self.sim
         for ci, store in enumerate(self.stores):
             store.restore(self.states[start_frame][ci])
             if not suffix:
@@ -107,8 +126,6 @@ class _CheckpointedRun:
                 sim.counters.note_words(frames, store.n_machines)
                 if ci == 0:
                     sim.counters.frames += frames
-            detected.update(store.faults_in(store.caught))
-        return detected
 
     def rebuild(self, start_frame: int,
                 suffix: Sequence[V.Vector]) -> None:
@@ -170,8 +187,7 @@ def omit_vectors(
         If the input test does not detect all required faults.
     """
     vectors: List[V.Vector] = [tuple(v) for v in test.vectors]
-    chunks = sim._build_chunks(sorted(required))
-    run = _CheckpointedRun(sim, test.scan_in, chunks)
+    run = _CheckpointedRun(sim, test.scan_in, sim._groups(sorted(required)))
     run.rebuild(0, vectors)
     baseline = run.detected_by(len(vectors), [])
     if not required <= baseline:
@@ -193,8 +209,7 @@ def omit_vectors(
                 suffix = vectors[position + 1:]
                 trials += 1
                 sim.counters.omission_trials += 1
-                detected = run.detected_by(start, suffix)
-                if required <= detected:
+                if run.keeps_all(start, suffix):
                     vectors = vectors[:start] + suffix
                     run.rebuild(start, suffix)
                     removed_this_pass += block

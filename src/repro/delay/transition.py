@@ -39,8 +39,11 @@ not graded on the later ones.  The circuit decides the route:
   of the test (skipping faults an earlier pass detected), starts at
   its first launch frame from the good state the trail holds, and
   runs to the end of the test in one call of the C pass kernel of
-  :mod:`repro.sim.npsim`, whose per-frame injection rows force each
-  machine's stem only in that machine's launch frame.  Primary
+  :mod:`repro.sim.npsim`.  The simulator's fault-site table (built
+  once) makes a launch a stem site forcing the transition's initial
+  value, and the pass's machine list gives each machine its launch
+  frame, the only frame it forces in; every pass runs in one kernel
+  store the simulator keeps.  Primary
   outputs are observed every frame and the scan-out at the last; a
   machine matches the good one until it is forced, so it can only
   be caught from its launch frame on.
@@ -72,7 +75,6 @@ from ..core.scan_test import ScanTest, ScanTestSet
 from ..sim import fault_sim, npsim
 from ..sim import values as V
 from ..sim.counters import SimCounters
-from ..sim.fault_sim import _Chunk
 from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
                             simulate_lanes)
 
@@ -141,6 +143,12 @@ class TransitionSim:
             self._nids = np.asarray(self._nid, dtype=np.intp)
             self._rising = np.asarray([f.rising for f in self.faults],
                                       dtype=bool)
+            # A launch forces its stem to the transition's initial
+            # value; every dense pass shares one kernel store.
+            self._store = self._backend.store(self._backend.site_table(
+                [(npsim.SITE_STEM, nid, 0, 0 if f.rising else 1)
+                 for nid, f in zip(self._nid, self.faults)]),
+                self.counters)
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
 
     # ------------------------------------------------------------------
@@ -336,51 +344,35 @@ class TransitionSim:
         """One kernel pass over the launches ``(at[i], fid[i])``, in
         frame order; returns the faults it detects.
 
-        Machine bit ``i + 1`` is launch ``i``.  The pass starts at the
-        first launch frame ``a`` from the good state frame ``a - 1``
-        captured (X where the good machine holds X), forces each
-        machine's stem only in its launch frame (``inj_on`` row
-        ``at[i] - a``), observes the POs every frame and the scan-out
-        at the last, and stops once every machine is caught.
+        Machine bit ``i + 1`` is launch ``i``: fault ``fid[i]`` of the
+        site table, forcing only in pass frame ``at[i] - a``.  The pass
+        starts at the first launch frame ``a`` from the good state
+        frame ``a - 1`` captured (X where the good machine holds X),
+        observes the POs every frame and the scan-out at the last, and
+        stops once every machine is caught.
         """
         np = self._backend.np
-        backend = self._backend
-        n_machines = len(fid)
-        n_words = (n_machines + 64) // 64
         start = int(at[0])
         n_frames = test.length - start
-        bit = np.arange(1, n_machines + 1)
-        launched = self._nids[fid]
-        flags = np.zeros(self.circuit.n_nets, dtype=bool)
-        flags[launched] = True
-        nets = np.flatnonzero(flags)
-        site = np.searchsorted(nets, launched)
-        rising = self._rising[fid]
-        plan = npsim._ChunkPlan(backend, _Chunk(
-            indices=fid.tolist(), mask=(1 << (n_machines + 1)) - 1))
-        plan.force_stems(
-            backend, nets,
-            _bit_rows(np, site[rising], bit[rising], len(nets), n_words),
-            _bit_rows(np, site[~rising], bit[~rising], len(nets), n_words),
-            _bit_rows(np, at - start, bit, n_frames, n_words))
-        arena = npsim._Arena(backend, plan, self.counters)
+        store = self._store
+        store.bind(fid, frames=at - start)
         zero, one = (rows[start - 1, self.circuit.ff_d_ids]
                      for rows in lane_bits)
-        arena.load_scan_in(np.where(zero, V.ZERO, np.where(one, V.ONE,
+        store.load_scan_in(np.where(zero, V.ZERO, np.where(one, V.ONE,
                                                            V.X)))
-        arena.load_vectors(vectors[start:])
+        store.load_vectors(vectors[start:])
         self.counters.tdf_passes += 1
-        self.counters.tdf_words += arena.run(n_frames, True, True, None)
-        hit = self._caught(arena)
+        self.counters.tdf_words += store.run(n_frames, True, True, None)
+        hit = self._caught(store)
         if sanitizer.enabled() and self._sanitize_spots_left > 0:
             self._sanitize_spots_left -= 1
             self._spot_check(test, frames, lane, at, fid, hit)
         return fid[hit]
 
     @staticmethod
-    def _caught(arena: Any) -> Any:
+    def _caught(store: Any) -> Any:
         """The pass positions of the launches a dense pass caught."""
-        return arena.bits(arena.caught) - 1
+        return store.bits(store.caught) - 1
 
     def _spot_check(self, test: ScanTest, frames: Sequence[LaneFrame],
                     lane: int, at: Any, fid: Any, hit: Any) -> None:
@@ -436,15 +428,6 @@ def _trail_arrays(np: Any, frames: Sequence[LaneFrame],
         zero[f] = npsim._rows_array(np, z, n_words)
         one[f] = npsim._rows_array(np, o, n_words)
     return zero, one
-
-
-def _bit_rows(np: Any, rows: Any, bits: Any, n_rows: int,
-              n_words: int) -> Any:
-    """An ``(n_rows, n_words)`` uint64 array with machine bit
-    ``bits[i]`` set in row ``rows[i]``."""
-    flags = np.zeros((n_rows, 64 * n_words), dtype=bool)
-    flags[rows, bits] = True
-    return np.packbits(flags, axis=1, bitorder="little").view("<u8")
 
 
 def _diff(zero: int, one: int) -> int:

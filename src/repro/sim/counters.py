@@ -23,9 +23,8 @@ Counting convention
 * ``machines`` -- total faulty-machine bits across evaluated words;
   ``machines / words`` is the effective packing density (fusion
   pushes this toward the full fault-set size; a small ``fused_cap``
-  caps it).  A part of the C kernel's fault-universe plan counts its
-  live (target) machines, so at the default cap these counts equal
-  the big-int path's.
+  caps it).  The C kernel and the big-int path pack a pass into the
+  same chunks, so these counts are the same on both.
 * ``faults_dropped`` -- faults retired from simulation because a
   scoreboard already knew them detected.
 * ``detect_passes`` / ``record_passes`` / ``candidate_passes`` --
@@ -58,8 +57,8 @@ the phase timers, these render as dashes for legacy checkpoints.
 Backend counters
 ----------------
 ``np_passes`` counts the passes executed by the C kernel
-(:mod:`repro.sim.npsim`), one per chunk or fault-universe part a call
-runs (a multi-trial pass runs one per chunk, with no separate
+(:mod:`repro.sim.npsim`), one per chunk a call runs (a multi-trial
+pass runs one per chunk, with no separate
 fault-free pass); a Phase-2 rebuild runs one one-frame pass per chunk
 and rebuilt frame -- zero when everything ran on big-int
 words, so it doubles as a cheap "did the kernel actually run?" probe

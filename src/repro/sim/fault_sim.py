@@ -20,17 +20,18 @@ Execution: every pass of :meth:`detect`, :meth:`run_with_records`
 and :meth:`detect_trials`, every :class:`IncrementalFaultSim` step and
 every Phase-2 suffix trial and rebuild frame runs in a *pass store*;
 the consumers are written once, against the one interface both stores
-share.  When the circuit has an array backend
+share.  Both stores chunk a pass the same way (:meth:`_groups`:
+balanced groups of the target, fault ``k`` of a group at machine bit
+``k + 1``).  When the circuit has an array backend
 (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
-cffi and a C compiler present) the stores are the C kernel's arenas of
-:mod:`repro.sim.npsim` over ``uint64`` arrays: :meth:`detect` and
-:meth:`run_with_records` share the simulator's fault-universe plan,
-built on first use (every representative sits at a fixed machine bit
-in a part of at most ``fused_cap`` machines, and a call marks its
-targets live), while an incremental simulation, a Phase-2 run and a
-multi-trial pass each keep an arena per chunk of their own target.
-Otherwise the stores are word arenas (:class:`_WordArena`): one
-chunk's words as big-ints, evaluated by
+cffi and a C compiler present) the stores are the C kernel's stores of
+:mod:`repro.sim.npsim` over ``uint64`` arrays, and a pass is a machine
+list over the simulator's fault-site table, built once:
+:meth:`detect`, :meth:`run_with_records` and :meth:`detect_trials`
+bind each chunk's list, in turn, to one store the simulator keeps,
+while an incremental simulation and a Phase-2 run each keep a store
+per chunk of their own target.  Otherwise the stores are word arenas
+(:class:`_WordArena`): one chunk's words as big-ints, evaluated by
 :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame` in a loop that
 mirrors the kernel's.  Only the two store factories,
 :meth:`FaultSimulator._pass_stores` and
@@ -92,21 +93,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from . import values as V
 from ..analysis import sanitizer
 from .counters import SimCounters
 from .faults import Fault, FaultSet
 from .logicsim import CompiledCircuit, check_state, check_vectors
+from .npsim import SITE_BRANCH, SITE_FF, SITE_STEM
 from .scoreboard import FaultScoreboard
 
 #: Machine-bit cap per fused word: the size of one part of a packing
 #: (the good bit included).  Beyond this the per-digit cost of big-int
 #: ops outweighs the saved passes, so passes fall back to balanced
-#: parts of at most this many machines; the fault-universe plan of the
-#: kernel route is split the same way.
+#: parts of at most this many machines, on either store.
 FUSED_CAP = 4096
 
 #: Under ``REPRO_SANITIZE`` each simulator cross-checks its first few
@@ -137,7 +138,7 @@ class _TrialBlocks:
     The scan-in states and the PI sequences are kept as block-major
     bytes (a sequence padded with X past its end), with each test's
     last frame.  :meth:`FaultSimulator.detect_trials` builds them once
-    and every chunk's store loads them: a kernel arena as arrays, a
+    and every chunk's store loads them: a kernel store as arrays, a
     word arena as selector words (:meth:`words`), memoised per block
     stride.
     """
@@ -235,15 +236,14 @@ class _WordArena:
     :class:`repro.sim.npsim._Arena`, with the same interface.
 
     It holds the per-net word pairs (the flip-flop entries carry state
-    between calls), the ``caught`` and ``live`` words and the record
-    words of the last records-mode pass.  :meth:`run` mirrors
-    ``repro_run_pass`` step for step in both of its modes, so
+    between calls), the ``caught`` word and the record words of the
+    last records-mode pass.  :meth:`run` mirrors ``repro_run_pass``
+    step for step in both of its modes, so
     :meth:`FaultSimulator.detect`, :meth:`FaultSimulator.run_with_records`,
     :class:`IncrementalFaultSim`, Phase 2's checkpointed run and
     :meth:`FaultSimulator.detect_trials` are each written once, against
-    either store.  ``live`` is always the whole chunk.  A checkpoint
-    (:meth:`save`) is the flip-flop zero and one words and ``caught``,
-    as big-ints.
+    either store.  A checkpoint (:meth:`save`) is the flip-flop zero
+    and one words and ``caught``, as big-ints.
 
     With ``n_blocks`` blocks the chunk's machines repeat once per block
     at a stride of whole 64-bit words (``stride`` bits), as on the
@@ -271,7 +271,6 @@ class _WordArena:
             self.branch = {out: [(pin, m0 * tile, m1 * tile)
                                  for pin, m0, m1 in entries]
                            for out, entries in chunk.branch.items()}
-        self.live = mask
         self.caught = 0
         self.zero = [0] * circuit.n_nets
         self.one = [0] * circuit.n_nets
@@ -330,7 +329,7 @@ class _WordArena:
         the frames it ran.
 
         Detect mode adds the PO diffs (and, with ``scan_out``, the last
-        frame's scan-out diff) to ``caught`` and stops once every live
+        frame's scan-out diff) to ``caught`` and stops once every
         machine is caught, without advancing the flip-flops past that
         frame; after a block load each block observes through its own
         last frame.  With ``records`` the pass fills ``rec_po`` /
@@ -342,7 +341,7 @@ class _WordArena:
         pi_ids, po_ids, ff_ids, ffd_ids = (circuit.pi_ids, circuit.po_ids,
                                            circuit.ff_ids, circuit.ff_d_ids)
         obs = range(len(ff_ids)) if scan_observe is None else scan_observe
-        want = self.live & ~tile
+        want = mask & ~tile
         caught = self.caught
         if records:
             self.rec_po = [0] * n_frames
@@ -389,8 +388,8 @@ class _WordArena:
         return n_frames
 
     def saturated(self) -> bool:
-        """Whether every live machine is caught."""
-        want = self.live & ~self.tile
+        """Whether every machine is caught."""
+        want = self.mask & ~self.tile
         return (self.caught & want) == want
 
     def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
@@ -567,6 +566,8 @@ class FaultSimulator:
                     self.scan_positions[0] < 0 or
                     self.scan_positions[-1] >= len(circuit.ff_ids)):
                 raise ValueError("scan position out of range")
+            if len(set(self.scan_positions)) < len(self.scan_positions):
+                raise ValueError("a flip-flop is scanned twice")
             self.n_state_vars = len(self.scan_positions)
         net = circuit.netlist
         ids = net.net_ids
@@ -582,10 +583,11 @@ class FaultSimulator:
         #: Representative indices of proven-untestable classes (set
         #: via :meth:`set_untestable`); excluded from every pass.
         self._untestable: frozenset = frozenset()
-        #: The kernel route's fault-universe plan of :meth:`detect`
-        #: and :meth:`run_with_records` (an ``npsim._Universe``), built
-        #: on first use and dropped whenever the packing changes.
-        self._universe: Optional[Any] = None
+        #: The kernel route's fault-site table and the pass store the
+        #: one-off passes share (an ``npsim._Arena``), built on first
+        #: use.
+        self._sites: Optional[Any] = None
+        self._store: Optional[Any] = None
         # Precompute per-fault injection spec:
         #   ("stem", net_id) | ("branch", out_net_id, pin) | ("ff", ff_pos)
         self._spec: List[Tuple[Any, ...]] = []
@@ -616,7 +618,6 @@ class FaultSimulator:
         that share a simulator across runs must clear it when done.
         """
         self._adi_order = scores
-        self._universe = None
 
     # ------------------------------------------------------------------
     def set_untestable(self, indices: Optional[Sequence[int]]) -> None:
@@ -631,7 +632,6 @@ class FaultSimulator:
         tracked per class representative.  Pass ``None`` (or an empty
         sequence) to clear.
         """
-        self._universe = None
         if not indices:
             self._untestable = frozenset()
             return
@@ -725,55 +725,88 @@ class FaultSimulator:
         chunk.src_stem_ids = [
             nid for nid in chunk.stems if nid in self._source_ids]
 
-    def _build_chunks(self, indices: Sequence[int],
-                      per: Optional[int] = None) -> List[_Chunk]:
-        """Balanced chunks over ``indices``, each of at most ``per``
-        faults (default: :meth:`resolve_width` machines): fault ``k``
-        of a chunk is machine bit ``k + 1`` (bit 0 is the good
-        machine)."""
-        chunks: List[_Chunk] = []
+    def _groups(self, indices: Sequence[int],
+                per: Optional[int] = None) -> List[List[int]]:
+        """The machine groups of a pass over ``indices``: balanced
+        groups of at most ``per`` faults (default: :meth:`resolve_width`
+        machines), fault ``k`` of a group at machine bit ``k + 1`` (bit
+        0 is the good machine).  Both stores chunk a pass this way."""
         if per is None:
             per = self.resolve_width(len(indices)) - 1
-        for group in self._balanced_groups(indices, per):
-            chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
-            self._inject(chunk, [2 << pos for pos in range(len(group))])
-            chunks.append(chunk)
-        return chunks
+        return self._balanced_groups(indices, per)
+
+    def _chunk(self, group: List[int]) -> _Chunk:
+        """A machine group with its big-int injection tables."""
+        chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
+        self._inject(chunk, [2 << pos for pos in range(len(group))])
+        return chunk
+
+    def _build_chunks(self, indices: Sequence[int],
+                      per: Optional[int] = None) -> List[_Chunk]:
+        """The chunks of :meth:`_groups`, with their big-int injection
+        tables."""
+        return [self._chunk(group) for group in self._groups(indices, per)]
 
     # ------------------------------------------------------------------
-    # The two pass stores: kernel arenas and big-int word arenas
+    # The two pass stores: kernel stores and big-int word arenas
     # ------------------------------------------------------------------
 
-    def _pass_stores(self, sim_target: Sequence[int]
-                     ) -> List[Tuple[Any, int]]:
-        """The stores one :meth:`detect` or :meth:`run_with_records`
-        call runs, with their live-machine counts: the parts of the
-        fault-universe plan ``sim_target`` makes live (the plan is
-        built on first use), or fresh word arenas over its chunks."""
+    def _site_table(self, backend: Any) -> Any:
+        """The kernel's fault-site table of this simulator's faults,
+        built and checked on first use."""
+        if self._sites is None:
+            kinds = {"stem": SITE_STEM, "branch": SITE_BRANCH,
+                     "ff": SITE_FF}
+            self._sites = backend.site_table([
+                (kinds[spec[0]], spec[1], spec[2] if len(spec) > 2 else 0,
+                 1 if fault.stuck else 0)
+                for spec, fault in zip(self._spec, self.faults)])
+        return self._sites
+
+    def _pass_stores(self, sim_target: Sequence[int], context: str,
+                     per: Optional[int] = None,
+                     n_blocks: int = 1) -> Iterator[Any]:
+        """The stores of one pass over ``sim_target``, one per chunk of
+        :meth:`_groups` (over ``n_blocks`` blocks), each yielded in
+        turn: on the kernel the one store every such pass of this
+        simulator shares, bound to the chunk's machines (so a store
+        must be done with before the next is taken), otherwise a fresh
+        word arena."""
         backend = self.circuit.array_backend
-        if backend is not None:
-            if self._universe is None:
-                self._universe = backend.universe(self)
-            parts: List[Tuple[Any, int]] = self._universe.select(sim_target)
-            return parts
-        stores: List[Tuple[Any, int]] = []
-        for chunk in self._build_chunks(sim_target):
+        check = sanitizer.enabled()
+        if backend is None:
+            for chunk in self._build_chunks(sim_target, per):
+                if check:
+                    sanitizer.check_chunk(chunk, context)
+                yield _WordArena(self, chunk, n_blocks)
+            return
+        if self._store is None:
+            self._store = backend.store(self._site_table(backend),
+                                        self.counters)
+        for group in self._groups(sim_target, per):
+            if check:
+                sanitizer.check_machines(group, self.faults,
+                                         self._untestable, context)
+            self._store.bind(group, n_blocks)
+            yield self._store
+
+    def _run_stores(self, groups: Sequence[List[int]]) -> List[Any]:
+        """One store per machine group of a fixed target, kept for a
+        whole run (an incremental simulation, a Phase-2 omission): a
+        kernel store bound once to the group, or a word arena."""
+        backend = self.circuit.array_backend
+        if backend is None:
+            return [_WordArena(self, self._chunk(group)) for group in groups]
+        stores = []
+        for group in groups:
             if sanitizer.enabled():
-                sanitizer.check_chunk(chunk, "FaultSimulator.detect")
-            stores.append((_WordArena(self, chunk), len(chunk.indices)))
+                sanitizer.check_machines(group, self.faults,
+                                         self._untestable,
+                                         "FaultSimulator run")
+            store = backend.store(self._site_table(backend), self.counters)
+            store.bind(group)
+            stores.append(store)
         return stores
-
-    def _run_stores(self, chunks: Sequence[_Chunk],
-                    n_blocks: int = 1) -> List[Any]:
-        """One store of ``n_blocks`` blocks per chunk of a fixed
-        target, kept for a whole run (an incremental simulation, a
-        Phase-2 omission, a multi-trial pass): a kernel arena with its
-        own plan, or a word arena."""
-        backend = self.circuit.array_backend
-        if backend is not None:
-            return [backend.arena(self, chunk, n_blocks)
-                    for chunk in chunks]
-        return [_WordArena(self, chunk, n_blocks) for chunk in chunks]
 
     def _scan_observe(self, scan_observe: Optional[Sequence[int]]
                       ) -> Optional[Sequence[int]]:
@@ -864,20 +897,20 @@ class FaultSimulator:
         init_state = self.embed_state(init_state)
         scan_observe = self._scan_observe(scan_observe)
         sim_target, expand = self._prepare_target(target)
-        if sanitizer.enabled() and retire_to is not None:
+        if retire_to is not None and sanitizer.enabled():
             sanitizer.check_fresh_targets(retire_to, target,
                                           "FaultSimulator.detect")
         counters = self.counters
         counters.detect_passes += 1
         detected: Set[int] = set()
         longest = 0
-        for store, n_live in self._pass_stores(sim_target):
+        for store in self._pass_stores(sim_target, "FaultSimulator.detect"):
             n_frames = store.load_vectors(vectors)
             store.load_scan_in(init_state)
             frames = store.run(n_frames, observe_po, scan_out,
                                scan_observe)
-            counters.note_words(frames, n_live)
-            detected.update(store.faults_in(store.caught & store.live))
+            counters.note_words(frames, store.n_machines)
+            detected.update(store.faults_in(store.caught))
             longest = max(longest, frames)
         counters.frames += longest
         if (sanitizer.enabled() and not self._sanitize_shadow and
@@ -956,11 +989,12 @@ class FaultSimulator:
         counters.frames += n_frames
         po_first: Dict[int, int] = {}
         scan_diff: List[Set[int]] = [set() for _ in range(n_frames)]
-        for store, n_live in self._pass_stores(sim_target):
+        for store in self._pass_stores(sim_target,
+                                       "FaultSimulator.run_with_records"):
             store.load_vectors(vectors)
             store.load_scan_in(init_state)
             store.run(n_frames, True, True, scan_observe, records=True)
-            counters.note_words(n_frames, n_live)
+            counters.note_words(n_frames, store.n_machines)
             store.records(n_frames, po_first, scan_diff)
         if expand is not None:
             # Members share the representative's per-frame behavior
@@ -1055,16 +1089,13 @@ class FaultSimulator:
             return results
         blocks = _TrialBlocks(states, sequences, len(self.circuit.ff_ids),
                               len(self.circuit.pi_ids))
-        chunks = self._build_chunks(sim_target,
-                                    max(1, self.fused_cap // n_trials))
-        if sanitizer.enabled():
-            for chunk in chunks:
-                sanitizer.check_chunk(chunk, "FaultSimulator.detect_trials")
         longest = 0
-        for chunk, store in zip(chunks, self._run_stores(chunks, n_trials)):
+        for store in self._pass_stores(
+                sim_target, "FaultSimulator.detect_trials",
+                max(1, self.fused_cap // n_trials), n_trials):
             frames = store.run(store.load_blocks(blocks), observe_po,
                                scan_out, scan_observe)
-            counters.note_words(frames, len(chunk.indices) * n_trials)
+            counters.note_words(frames, store.n_machines * n_trials)
             longest = max(longest, frames)
             for hits, fids in zip(results, store.faults_by_block()):
                 hits.update(fids)
@@ -1139,7 +1170,7 @@ class IncrementalFaultSim:
     be evaluated (:meth:`preview`) or committed (:meth:`apply`) in one
     combinational evaluation per chunk.  Its target is fixed, so its
     chunks are packed once, on creation, each into a store of its own
-    (a kernel arena or a word arena, see
+    (a kernel store or a word arena, see
     :meth:`FaultSimulator._run_stores`) that keeps the chunk's state
     across steps.  Every step is a one-frame records-mode pass; the
     store's ``caught`` word holds the machines already PO-caught.
@@ -1158,8 +1189,9 @@ class IncrementalFaultSim:
             target = range(len(parent.faults))
         sim_target, expand = parent._prepare_target(target)
         self._expand = expand
-        self.chunks = parent._build_chunks(sim_target)
-        self._stores = parent._run_stores(self.chunks)
+        #: The simulated fault indices, one group per store.
+        self.groups: List[List[int]] = parent._groups(sim_target)
+        self._stores = parent._run_stores(self.groups)
         for store in self._stores:
             store.load_scan_in(init_state)
             store.bit_weights(expand)

@@ -1,28 +1,47 @@
 /* The C pass kernel of repro.sim.npsim: one circuit-independent
    entry point, repro_run_pass, runs a whole fault-simulation pass
-   over the uint64 rows and plan arrays npsim hands it.  npsim
-   compiles this file with cffi once per process; its cdef declares
-   repro_run_pass with the same signature.  Opcode values mirror
-   logicsim's OP_* constants. */
+   over the uint64 rows npsim hands it.  npsim compiles this file with
+   cffi once per process; its cdef declares repro_run_pass with the
+   same signature.  Opcode values mirror logicsim's OP_* constants.
+
+   A pass's faulty machines are a list: machine bit k + 1 of every
+   block is fault machines[k], whose entry in the fault-site table
+   (four ints per fault: kind, net or flip-flop position, pin, value)
+   says where it forces which value.  Kinds: 0 a stem (the net's
+   value), 1 a fanout branch (pin `pin` of the gate driving the net),
+   2 a flip-flop data-pin branch (the captured next state). */
 typedef unsigned long long u64;
 
-/* Force the machines of f0 to 0 and those of f1 to 1 (keep = mask &
-   ~(f0 | f1)): all of them with a NULL `on`, else only the machines
-   set in `on`. */
-static void repro_blend(u64* z, u64* o, const u64* f0, const u64* f1,
-                        const u64* keep, const u64* on, long W) {
-    long w;
-    if (!on) {
-        for (w = 0; w < W; w++) {
-            z[w] = (z[w] & keep[w]) | f0[w];
-            o[w] = (o[w] & keep[w]) | f1[w];
-        }
-        return;
+/* Force machine k's bit of every block of the rows z / o to v. */
+static void repro_force(u64* z, u64* o, long k, int v, long BW,
+                        long n_blocks) {
+    long w = (k + 1) >> 6, b;
+    u64 bit = 1ULL << ((k + 1) & 63);
+    for (b = 0; b < n_blocks; b++, w += BW) {
+        z[w] = v ? z[w] & ~bit : z[w] | bit;
+        o[w] = v ? o[w] | bit : o[w] & ~bit;
     }
-    for (w = 0; w < W; w++) {
-        u64 hold = keep[w] | ~on[w];
-        z[w] = (z[w] & hold) | (f0[w] & on[w]);
-        o[w] = (o[w] & hold) | (f1[w] & on[w]);
+}
+
+/* A pass's machine lists: each site's machines are linked from its
+   head through next[k].  repro_force_list forces those of one list
+   that force in frame f -- every one without `frames`, else those of
+   that frame -- on the rows z / o; a branch machine forces its pin's
+   rows, pin * W words on. */
+typedef struct {
+    const int* sites; const int* machines; const int* frames;
+    const int* next; long f, BW, n_blocks, W;
+} repro_list;
+
+static void repro_force_list(const repro_list* L, long head, u64* z,
+                             u64* o) {
+    long k;
+    for (k = head; k >= 0; k = L->next[k]) {
+        const int* s = L->sites + 4L * L->machines[k];
+        if (!L->frames || L->frames[k] == L->f)
+            repro_force(z + (s[0] == 1 ? s[2] * L->W : 0),
+                        o + (s[0] == 1 ? s[2] * L->W : 0), k, s[3],
+                        L->BW, L->n_blocks);
     }
 }
 
@@ -52,60 +71,49 @@ static void repro_scan_diff(const u64* ns_zero, const u64* ns_one,
 }
 
 /* One frame of gate evaluation in topological order, with fanout-
-   branch overrides and post-gate stem forcing (of the machines `on`
-   selects; none at all unless `force`). */
+   branch overrides (scratch copies of the overridden fanin rows) and
+   post-gate stem forcing, when `force`. */
 static void repro_eval_gates(
     u64* zero, u64* one, const u64* mask, long W,
     long n_gates, const int* g_op, const int* g_out,
     const long* g_foff, const int* g_fan,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep, const u64* on, int force,
-    u64* scr_z, u64* scr_o)
+    const repro_list* L, const int* stem_head, const int* br_head,
+    int force, u64* scr_z, u64* scr_o)
 {
-    long g, i, w, b;
+    long g, i, w, k;
     for (g = 0; g < n_gates; g++) {
         long out = g_out[g];
         long s = g_foff[g], e = g_foff[g + 1];
-        long k = e - s;
+        long n = e - s;
         const u64* fz[64];
         const u64* fo[64];
         u64* zz = zero + out * W;
         u64* oo = one + out * W;
         int op = g_op[g];
-        long bc = force ? br_count[out] : 0;
-        int ssite = force ? stem_site[out] : -1;
-        for (i = 0; i < k; i++) {
+        for (i = 0; i < n; i++) {
             fz[i] = zero + (long)g_fan[s + i] * W;
             fo[i] = one + (long)g_fan[s + i] * W;
         }
-        if (bc) {
-            /* Fanout-branch overrides: force this gate's view of
-               the overridden fanin pins (scratch copies). */
+        if (force && br_head[out] >= 0) {
             u64 copied = 0;
-            for (b = br_start[out]; b < br_start[out] + bc; b++) {
-                long pin = br_pin[b];
-                u64* cz = scr_z + pin * W;
-                u64* co = scr_o + pin * W;
+            for (k = br_head[out]; k >= 0; k = L->next[k]) {
+                long pin = L->sites[4L * L->machines[k] + 2];
                 if (!((copied >> pin) & 1ULL)) {
                     for (w = 0; w < W; w++) {
-                        cz[w] = fz[pin][w];
-                        co[w] = fo[pin][w];
+                        scr_z[pin * W + w] = fz[pin][w];
+                        scr_o[pin * W + w] = fo[pin][w];
                     }
-                    fz[pin] = cz;
-                    fo[pin] = co;
+                    fz[pin] = scr_z + pin * W;
+                    fo[pin] = scr_o + pin * W;
                     copied |= 1ULL << pin;
                 }
-                repro_blend(cz, co, br_f0 + b * W, br_f1 + b * W,
-                            br_keep + b * W, on, W);
             }
+            repro_force_list(L, br_head[out], scr_z, scr_o);
         }
         switch (op) {
         case 0: case 1:                  /* AND / NAND */
             for (w = 0; w < W; w++) { zz[w] = 0; oo[w] = mask[w]; }
-            for (i = 0; i < k; i++)
+            for (i = 0; i < n; i++)
                 for (w = 0; w < W; w++) {
                     zz[w] |= fz[i][w];
                     oo[w] &= fo[i][w];
@@ -113,7 +121,7 @@ static void repro_eval_gates(
             break;
         case 2: case 3:                  /* OR / NOR */
             for (w = 0; w < W; w++) { zz[w] = mask[w]; oo[w] = 0; }
-            for (i = 0; i < k; i++)
+            for (i = 0; i < n; i++)
                 for (w = 0; w < W; w++) {
                     zz[w] &= fz[i][w];
                     oo[w] |= fo[i][w];
@@ -124,7 +132,7 @@ static void repro_eval_gates(
                 zz[w] = fz[0][w];
                 oo[w] = fo[0][w];
             }
-            for (i = 1; i < k; i++)
+            for (i = 1; i < n; i++)
                 for (w = 0; w < W; w++) {
                     u64 nz = (zz[w] & fz[i][w]) | (oo[w] & fo[i][w]);
                     u64 no = (zz[w] & fo[i][w]) | (oo[w] & fz[i][w]);
@@ -152,59 +160,71 @@ static void repro_eval_gates(
                 oo[w] = t;
             }
         }
-        if (ssite >= 0)
-            repro_blend(zz, oo, st_f0 + (long)ssite * W,
-                        st_f1 + (long)ssite * W,
-                        st_keep + (long)ssite * W, on, W);
+        if (force)
+            repro_force_list(L, stem_head[out], zz, oo);
     }
 }
 
-/* A pass over frames start_frame..last_frame.  The W words of a row
-   are n_blocks blocks of W / n_blocks words; each block is one test
-   with its own fault-free machine at its bit 0 and the plan's faulty
-   machines after it.  vecs holds frames x blocks x PIs values, and
-   block b observes its POs through frame block_last[b] and its
-   scan-out at that frame (a NULL block_last: every block ends at
-   last_frame).  Records mode fills per-frame PO and scan-out diff
-   rows instead and never stops early.  Every site forces its
-   machines in every frame when inj_on is NULL; otherwise inj_on
-   holds one row of W words per frame and frame f forces only the
-   machines set in row f. */
-int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, const u64* live, long W,
+/* A pass over frames 0..n_frames - 1; returns the frames it ran.  The
+   W words of a row are n_blocks blocks of W / n_blocks words; each
+   block is one test with its own fault-free machine at its bit 0 and
+   the n_machines listed machines after it (`mask`, W words of
+   scratch, gets those bits).  vecs holds frames x blocks x PIs
+   values, and block b observes its POs through frame block_last[b]
+   and its scan-out at that frame (a NULL block_last: every block
+   ends at the last frame).  Detect mode stops once every machine is
+   caught; records mode fills per-frame PO and scan-out diff rows
+   instead and never stops early.  Every machine forces in every
+   frame when `frames` is NULL, else machine k only in frame
+   frames[k].  `links` is scratch of 2 n_nets + n_ff + n_machines
+   ints: the per-site machine lists, built once per call. */
+long repro_run_pass(
+    u64* zero, u64* one, u64* mask, long W,
     long n_gates, const int* g_op, const int* g_out,
     const long* g_foff, const int* g_fan,
     long n_pi, const int* pi_ids,
     long n_po, const int* po_ids,
     long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    const u64* inj_on,
-    const unsigned char* vecs,
-    long start_frame, long last_frame,
+    long n_nets, const int* sites,
+    long n_machines, const int* machines, const int* frames,
+    int* links,
+    const unsigned char* vecs, long n_frames,
     long n_blocks, const long* block_last,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
-    u64* caught, long* stop_frame, long* frames_done)
+    u64* caught)
 {
-    long f, p, i, w, b;
-    long BW = W / n_blocks;
-    for (f = start_frame; f <= last_frame; f++) {
-        /* The machines this frame forces; a frame that forces none
-           skips every blend. */
-        const u64* on = inj_on ? inj_on + f * W : 0;
-        int force = !on;
-        for (w = 0; on && w < W && !force; w++)
-            force = on[w] != 0;
+    long f, p, i, w, b, k;
+    long BW = W / n_blocks, first = 0, last = n_frames - 1;
+    int* stem_head = links;
+    int* br_head = links + n_nets;
+    int* ff_head = links + 2 * n_nets;
+    int* next = ff_head + n_ff;
+    repro_list L;
+    L.sites = sites; L.machines = machines; L.frames = frames;
+    L.next = next; L.BW = BW; L.n_blocks = n_blocks; L.W = W;
+    for (w = 0; w < W; w++) {
+        long lo = (w % BW) * 64, n = n_machines + 1 - lo;
+        mask[w] = n >= 64 ? ~0ULL : n > 0 ? (1ULL << n) - 1 : 0;
+    }
+    for (i = 0; i < 2 * n_nets + n_ff; i++) links[i] = -1;
+    if (frames) { first = n_frames; last = -1; }
+    for (k = 0; k < n_machines; k++) {
+        const int* s = sites + 4L * machines[k];
+        int* head = (s[0] == 2 ? ff_head : s[0] == 1 ? br_head
+                     : stem_head) + s[1];
+        next[k] = *head;
+        *head = (int)k;
+        if (frames && frames[k] < first) first = frames[k];
+        if (frames && frames[k] > last) last = frames[k];
+    }
+    for (f = 0; f < n_frames; f++) {
+        /* A frame outside every machine's frame skips the forcing. */
+        int force = f >= first && f <= last;
+        L.f = f;
         /* Load primary inputs, each block under its own mask words
            (pack_scalar semantics: 0 -> zero row, 1 -> one row, X ->
            neither). */
@@ -219,34 +239,26 @@ int repro_run_pass(
                 }
             }
         }
-        /* Stems on source nets (PIs and FF outputs), every frame. */
-        for (i = 0; force && i < n_src_stem; i++) {
-            long nid = src_stem_ids[i];
-            long s = src_stem_site[i];
-            repro_blend(zero + nid * W, one + nid * W,
-                        st_f0 + s * W, st_f1 + s * W,
-                        st_keep + s * W, on, W);
+        /* Stems on source nets (PIs and FF outputs). */
+        for (p = 0; force && p < n_pi + n_ff; p++) {
+            long nid = p < n_pi ? pi_ids[p] : ff_ids[p - n_pi];
+            repro_force_list(&L, stem_head[nid], zero + nid * W,
+                             one + nid * W);
         }
         /* Gates in topological order. */
         repro_eval_gates(zero, one, mask, W, n_gates, g_op, g_out,
-                         g_foff, g_fan, stem_site, st_f0, st_f1,
-                         st_keep, br_start, br_count, br_pin,
-                         br_f0, br_f1, br_keep, on, force, scr_z,
-                         scr_o);
-        (*frames_done)++;
-        /* Next state: captured FF data values + FF branch blends. */
+                         g_foff, g_fan, &L, stem_head, br_head, force,
+                         scr_z, scr_o);
+        /* Next state: captured FF data values + FF branch forcing. */
         for (i = 0; i < n_ff; i++) {
             const u64* dz = zero + (long)ffd_ids[i] * W;
             const u64* dn = one + (long)ffd_ids[i] * W;
             u64* nz = ns_zero + i * W;
             u64* no = ns_one + i * W;
             for (w = 0; w < W; w++) { nz[w] = dz[w]; no[w] = dn[w]; }
+            if (force)
+                repro_force_list(&L, ff_head[i], nz, no);
         }
-        for (b = 0; force && b < n_ffbr; b++)
-            repro_blend(ns_zero + (long)ffbr_pos[b] * W,
-                        ns_one + (long)ffbr_pos[b] * W,
-                        ffbr_f0 + b * W, ffbr_f1 + b * W,
-                        ffbr_keep + b * W, on, W);
         if (rec_po) {
             /* Records mode: per-frame PO and scan-out diff words, no
                early exit, flip-flops always advance. */
@@ -264,31 +276,27 @@ int repro_run_pass(
         } else {
             /* Detect mode: each block adds its PO diffs through its
                last frame and its scan-out diff at that frame to the
-               caught machines. */
+               caught machines; saturated once every machine is. */
             int sat = 1;
             for (b = 0; b < n_blocks; b++) {
-                long last = block_last ? block_last[b] : last_frame;
-                if (observe_po && f <= last)
+                long end = block_last ? block_last[b] : n_frames - 1;
+                if (observe_po && f <= end)
                     for (i = 0; i < n_po; i++)
                         repro_diff_acc(
                             zero + (long)po_ids[i] * W + b * BW,
                             one + (long)po_ids[i] * W + b * BW,
                             caught + b * BW, BW);
-                if (scan_out && f == last)
+                if (scan_out && f == end)
                     repro_scan_diff(ns_zero, ns_one, W, n_ff,
                                     n_scan_obs, scan_obs, caught,
                                     b * BW, BW);
                 caught[b * BW] &= ~1ULL;
             }
-            /* Saturated once every live faulty machine is caught:
-               machines outside `live` ride along but never hold a
-               pass open. */
-            for (b = 0; b < n_blocks && sat; b++)
-                for (w = b * BW; w < (b + 1) * BW && sat; w++) {
-                    u64 m = w == b * BW ? live[w] & ~1ULL : live[w];
-                    if ((caught[w] & m) != m) sat = 0;
-                }
-            if (sat) { *stop_frame = f; return 1; }
+            for (w = 0; w < W && sat; w++) {
+                u64 m = w % BW ? mask[w] : mask[w] & ~1ULL;
+                if ((caught[w] & m) != m) sat = 0;
+            }
+            if (sat) return f + 1;
         }
         for (i = 0; i < n_ff; i++) {
             u64* z = zero + (long)ff_ids[i] * W;
@@ -299,6 +307,5 @@ int repro_run_pass(
             }
         }
     }
-    *stop_frame = last_frame + 1;
-    return 0;
+    return n_frames;
 }

@@ -10,29 +10,30 @@ become a pair of ``(n_nets, n_words)`` ``uint64`` arrays (net-major
 -- see DESIGN.md section 13 for the layout rationale) and the whole
 pass loop runs in a *circuit-independent* C kernel, compiled once
 per process with cffi and the system C compiler.  The circuit
-(opcode/fanin tables) and a plan's injection sites (stem /
-fanout-branch / flip-flop-branch forcing masks) are handed over as
-dense plan arrays, so a frame costs a few microseconds with zero
-per-frame Python work; Python regains control only at pass
-boundaries.
+(opcode/fanin tables) is handed over once per backend, so a frame
+costs a few microseconds with zero per-frame Python work; Python
+regains control only at pass boundaries.
 
-The set-up of a pass is paid once per plan, not once per call.  A
-simulator's ``detect`` and ``run_with_records`` calls share one
-*fault-universe plan* (:class:`_Universe`): every simulated
-representative has a fixed machine bit, and a call selects its
-targets with a live-machine mask.  An incremental (sequence-
-generation) simulation and a Phase-2 checkpointed run each build a
-plan of their own fixed target once, and a multi-trial pass one plan
-per chunk whose words repeat in one block per trial.  Every plan owns
-an :class:`_Arena`: its buffers and kernel pointers are created once,
-after the plan is validated (:func:`_check_plan`), and reused by every
-call.  Detections are decoded from the caught and record words with
-numpy.  The arena is a *pass store*: it saves
-and restores the flip-flop rows and ``caught`` (Phase-2 checkpoints
-stay arrays; a rebuild records its trail with one-frame calls),
-weighs and decodes machine bits and reads the good state, so the
-consumers in :mod:`repro.sim.fault_sim` and :mod:`repro.core.omission`
-are written once against it and its big-int twin,
+A pass costs a list, not a plan.  Each simulator builds a
+*fault-site table* once (:meth:`ArrayBackend.site_table`: per fault,
+a stem, fanout-branch or flip-flop data-pin site and the value it
+forces), checked when it is built.  A pass is then a *machine list*:
+machine bit ``k + 1`` of every block is fault ``faults[k]`` of the
+table (for a transition launch, forcing only in one pass frame), and
+the kernel derives its forcing from the table and the list inside
+the call.  The list is range-checked when a store binds it
+(:meth:`_Arena.bind`), before the kernel indexes anything with it.
+A store (:class:`_Arena`) holds the buffers and kernel pointers;
+they grow to the widest pass bound so far and are cast only when
+they grow, so a simulator's one-off passes share one store and a
+consumer with state of its own (an incremental simulation, a Phase-2
+run) keeps one per chunk.  Detections are decoded from the caught
+and record words with numpy.  The store saves and restores the
+flip-flop rows and ``caught`` (Phase-2 checkpoints stay arrays; a
+rebuild records its trail with one-frame calls), weighs and decodes
+machine bits and reads the good state, so the consumers in
+:mod:`repro.sim.fault_sim` and :mod:`repro.core.omission` are written
+once against it and its big-int twin,
 :class:`repro.sim.fault_sim._WordArena`.
 
 With numpy, cffi and a C compiler present, every fault-simulation
@@ -44,12 +45,12 @@ source, ``kernel.c``, ships beside this module.  It has one entry
 point, ``repro_run_pass``, and mirrors the word arena's pass loop
 operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
-next-state capture with flip-flop branch blends, PO / scan
+next-state capture with flip-flop branch forcing, PO / scan
 observation, the ``caught`` bookkeeping and the saturation break --
 so detection sets are byte-identical either way (enforced by the
 production-vs-reference equivalence suites and the sanitizer's
-shadow checks).  Only the kernel takes per-frame injection rows
-(``inj_on``), which the transition-fault passes of
+shadow checks).  Only the kernel forces a machine in one frame and
+not the others, which the transition-fault passes of
 :mod:`repro.delay.transition` use; without the kernel those run on
 their own scalar route.
 
@@ -72,7 +73,7 @@ from . import values as V
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .counters import SimCounters
-    from .fault_sim import FaultSimulator, _Chunk, _TrialBlocks
+    from .fault_sim import _TrialBlocks
     from .logicsim import CompiledCircuit
 
 
@@ -117,31 +118,24 @@ _KERNEL_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 _KERNEL_CDEF = """
 typedef unsigned long long u64;
-int repro_run_pass(
-    u64* zero, u64* one, const u64* mask, const u64* live, long W,
+long repro_run_pass(
+    u64* zero, u64* one, u64* mask, long W,
     long n_gates, const int* g_op, const int* g_out,
     const long* g_foff, const int* g_fan,
     long n_pi, const int* pi_ids,
     long n_po, const int* po_ids,
     long n_ff, const int* ff_ids, const int* ffd_ids,
-    const int* stem_site,
-    const u64* st_f0, const u64* st_f1, const u64* st_keep,
-    long n_src_stem, const int* src_stem_ids, const int* src_stem_site,
-    const int* br_start, const int* br_count,
-    const int* br_pin, const u64* br_f0, const u64* br_f1,
-    const u64* br_keep,
-    long n_ffbr, const int* ffbr_pos,
-    const u64* ffbr_f0, const u64* ffbr_f1, const u64* ffbr_keep,
-    const u64* inj_on,
-    const unsigned char* vecs,
-    long start_frame, long last_frame,
+    long n_nets, const int* sites,
+    long n_machines, const int* machines, const int* frames,
+    int* links,
+    const unsigned char* vecs, long n_frames,
     long n_blocks, const long* block_last,
     int observe_po, int scan_out,
     long n_scan_obs, const int* scan_obs,
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
-    u64* caught, long* stop_frame, long* frames_done);
+    u64* caught);
 """
 
 #: Compiler flags of the kernel build (part of the cache key).
@@ -294,8 +288,11 @@ def kernel_unavailable_reason(
 
 
 # ----------------------------------------------------------------------
-# Per-chunk injection plan
+# Fault-site tables, machine lists and the kernel pass store
 # ----------------------------------------------------------------------
+
+#: Site kinds of a fault-site table entry (``kernel.c`` reads them).
+SITE_STEM, SITE_BRANCH, SITE_FF = 0, 1, 2
 
 
 def _u64p(ffi: Any, arr: Any) -> Any:
@@ -320,281 +317,211 @@ def _rows_array(np: Any, words: Sequence[int], n_words: int) -> Any:
         len(words), n_words).copy()
 
 
-class _ChunkPlan:
-    """Dense array form of one :class:`_Chunk`'s injection data, tiled
-    over ``n_blocks`` blocks.
-
-    Blend order mirrors the big-int engine exactly: branch entries
-    apply in their list order, flip-flop branch entries likewise, and
-    every blend uses its own ``keep = mask & ~(m0 | m1)`` -- so
-    repeated sites on one pin compose identically.
-
-    A block is the whole number of words that hold the chunk's good
-    bit 0 and its faulty machines.  Every row repeats one block's
-    words ``n_blocks`` times, so each block carries the same machines
-    (one test per block in a multi-trial pass, see
-    :meth:`repro.sim.fault_sim.FaultSimulator.detect_trials`).
-
-    Every site forces its machines in every frame unless the plan has
-    ``inj_on`` rows, one row of words per pass frame: then frame ``f``
-    forces only the machines set in row ``f``.  A transition-fault
-    pass (:mod:`repro.delay.transition`) is such a plan: a site-free
-    single-block chunk given stem sites by :meth:`force_stems`.
-    """
-
-    def __init__(self, backend: "ArrayBackend", chunk: "_Chunk",
-                 n_blocks: int = 1) -> None:
-        np = backend.np
-        #: The fault index of machine bit ``i + 1`` of each block.
-        self.indices: Sequence[int] = chunk.indices
-        self.n_blocks = n_blocks
-        block_words = (len(chunk.indices) + 64) // 64
-        self.n_words = block_words * n_blocks
-        n_nets = backend.circuit.n_nets
-
-        def rows(words: Sequence[int]) -> Any:
-            arr = _rows_array(np, words, block_words)
-            return arr if n_blocks == 1 else np.tile(arr, (1, n_blocks))
-
-        self.mask = rows([chunk.mask])[0]
-        stems = list(chunk.stems.items())
-        self.stem_site = np.full(n_nets, -1, dtype=np.int32)
-        for i, (nid, _) in enumerate(stems):
-            self.stem_site[nid] = i
-        self.st_f0 = rows([m0 for _, (m0, _) in stems])
-        self.st_f1 = rows([m1 for _, (_, m1) in stems])
-        self.st_keep = rows([chunk.mask & ~(m0 | m1)
-                             for _, (m0, m1) in stems])
-        self.src_stem_ids = np.asarray(chunk.src_stem_ids,
-                                       dtype=np.int32)
-        self.src_stem_site = np.asarray(
-            [int(self.stem_site[nid]) for nid in chunk.src_stem_ids],
-            dtype=np.int32)
-
-        self.br_start = np.zeros(n_nets, dtype=np.int32)
-        self.br_count = np.zeros(n_nets, dtype=np.int32)
-        br_pin: List[int] = []
-        br_rows: List[Tuple[int, int]] = []
-        for out, entries in chunk.branch.items():
-            self.br_start[out] = len(br_pin)
-            self.br_count[out] = len(entries)
-            for pin, m0, m1 in entries:
-                br_pin.append(pin)
-                br_rows.append((m0, m1))
-        self.br_pin = np.asarray(br_pin or [0], dtype=np.int32)
-        self.br_f0 = rows([m0 for m0, _ in br_rows])
-        self.br_f1 = rows([m1 for _, m1 in br_rows])
-        self.br_keep = rows([chunk.mask & ~(m0 | m1)
-                             for m0, m1 in br_rows])
-
-        self.n_ffbr = len(chunk.ff_branch)
-        self.ffbr_pos = np.asarray(
-            [pos for pos, _, _ in chunk.ff_branch] or [0],
-            dtype=np.int32)
-        self.ffbr_f0 = rows([m0 for _, m0, _ in chunk.ff_branch])
-        self.ffbr_f1 = rows([m1 for _, _, m1 in chunk.ff_branch])
-        self.ffbr_keep = rows([chunk.mask & ~(m0 | m1)
-                               for _, m0, m1 in chunk.ff_branch])
-        self.inj_on: Optional[Any] = None
-
-    def force_stems(self, backend: "ArrayBackend", nets: Any, st_f0: Any,
-                    st_f1: Any, inj_on: Any) -> None:
-        """Give a site-free single-block plan its stem sites as arrays:
-        stem row ``s`` forces net ``nets[s]`` (distinct nets) to 0 on
-        the machines of ``st_f0[s]`` and to 1 on those of
-        ``st_f1[s]``, and pass frame ``f`` forces only the machines set
-        in row ``f`` of ``inj_on``."""
-        np = backend.np
-        self.stem_site[nets] = np.arange(len(nets), dtype=np.int32)
-        self.st_f0, self.st_f1 = st_f0, st_f1
-        self.st_keep = self.mask & ~(st_f0 | st_f1)
-        src = nets[backend.is_source[nets]]
-        self.src_stem_ids = src.astype(np.int32)
-        self.src_stem_site = self.stem_site[src]
-        self.inj_on = inj_on
-
-
-#: A plan's ``uint64`` row arrays, in groups that share a row count.
-_PLAN_ROWS = (("st_f0", "st_f1", "st_keep"), ("br_f0", "br_f1", "br_keep"),
-              ("ffbr_f0", "ffbr_f1", "ffbr_keep"))
-#: A plan's ``int32`` index arrays.
-_PLAN_INDEX = ("stem_site", "src_stem_ids", "src_stem_site", "br_start",
-               "br_count", "br_pin", "ffbr_pos")
-
-
-def _check_plan(backend: "ArrayBackend", plan: _ChunkPlan) -> None:
-    """Raise :class:`ValueError` unless the kernel can safely run
-    ``plan``: every array has the dtype, C-contiguity and word count
-    the kernel assumes (``inj_on``, when present, included), and every
-    index it follows stays inside the array it indexes (stem sites and
-    source stems, branch row ranges and pins, flip-flop branch
-    positions), with a block count that divides the words.  The
-    arena checks each pass's length against the ``inj_on`` rows."""
-    np = backend.np
-    W, n_nets = plan.n_words, backend.circuit.n_nets
-
-    def bad(what: str) -> ValueError:
-        return ValueError(f"malformed kernel plan: {what}")
-
-    if plan.n_blocks < 1 or W < 1 or W % plan.n_blocks:
-        raise bad(f"{plan.n_blocks} blocks over {W} words")
-    rows = sum(_PLAN_ROWS, ()) + (("inj_on",) if plan.inj_on is not None
-                                  else ())
-    for name in ("mask",) + rows:
-        arr = getattr(plan, name)
-        if (arr.dtype != np.uint64 or not arr.flags.c_contiguous or
-                arr.ndim != (1 if name == "mask" else 2) or
-                arr.shape[-1] != W):
-            raise bad(f"{name} is not a C-contiguous uint64 array of "
-                      f"{W}-word rows")
-    for name in _PLAN_INDEX:
-        arr = getattr(plan, name)
-        if (arr.dtype != np.int32 or not arr.flags.c_contiguous or
-                arr.ndim != 1):
-            raise bad(f"{name} is not a C-contiguous int32 vector")
-    n_rows: List[int] = []
-    for group in _PLAN_ROWS:
-        counts = {len(getattr(plan, name)) for name in group}
-        if len(counts) != 1:
-            raise bad(f"{'/'.join(group)} row counts differ")
-        n_rows.append(counts.pop())
-    n_stems, n_br, n_ffbr = n_rows
-
-    def inside(arr: Any, low: int, high: int) -> bool:
-        return not len(arr) or (int(arr.min()) >= low and
-                                int(arr.max()) < high)
-
-    if (len(plan.stem_site) != n_nets or
-            not inside(plan.stem_site, -1, n_stems)):
-        raise bad("a stem site lies outside the stem rows")
-    if (len(plan.src_stem_site) != len(plan.src_stem_ids) or
-            not inside(plan.src_stem_ids, 0, n_nets) or
-            not inside(plan.src_stem_site, 0, n_stems)):
-        raise bad("a source stem lies outside the nets or stem rows")
-    start, count = plan.br_start, plan.br_count
-    if (len(start) != n_nets or len(count) != n_nets or
-            len(plan.br_pin) != n_br or not inside(count, 0, n_br + 1)):
-        raise bad("branch tables do not match the nets or rows")
-    nets = np.flatnonzero(count)
-    if len(nets):
-        first = start[nets].astype(np.int64)
-        width = count[nets].astype(np.int64)
-        if first.min() < 0 or (first + width).max() > n_br:
-            raise bad("a branch range runs past the branch rows")
-        # Each branch row's pin, against its gate's fanin count.
-        rows = np.repeat(first - np.cumsum(width) + width, width) + \
-            np.arange(int(width.sum()))
-        pins = plan.br_pin[rows]
-        if (pins < 0).any() or (
-                pins >= np.repeat(backend.net_arity[nets], width)).any():
-            raise bad("a branch pin lies past its gate's fanins")
-    if (not 0 <= plan.n_ffbr <= n_ffbr or len(plan.ffbr_pos) != n_ffbr or
-            not inside(plan.ffbr_pos[:plan.n_ffbr], 0,
-                       len(backend.circuit.ff_ids))):
-        raise bad("a flip-flop branch lies outside the flip-flops")
+def _block_mask(np: Any, n_machines: int, n_words: int) -> Any:
+    """The ``n_words`` mask words of one block: bit 0 (the good
+    machine) and one bit per machine after it."""
+    mask = np.zeros(n_words, dtype=np.uint64)
+    full, rest = divmod(n_machines + 1, 64)
+    mask[:full] = ~np.uint64(0)
+    if rest:
+        mask[full] = (1 << rest) - 1
+    return mask
 
 
 class _Arena:
-    """The buffers and kernel arguments of one plan, created once: the
-    kernel's pass store (its big-int twin, with the same interface, is
-    :class:`repro.sim.fault_sim._WordArena`).
+    """A kernel pass store: the buffers of ``repro_run_pass`` calls
+    over one fault-site table (its big-int twin, with the same
+    interface, is :class:`repro.sim.fault_sim._WordArena`).
 
-    Every ``repro_run_pass`` call of the plan runs in these buffers:
-    the per-net state rows (the flip-flop rows carry state between
-    calls), the next-state and branch-scratch rows, the ``caught`` and
-    ``live`` words and the stop-frame / frame-count cells, each cast
-    to a kernel pointer here.  The vector and record buffers grow on
-    demand and are recast only when they grow.  ``live`` starts as
-    the plan's whole mask; a universe part narrows it per call.
-    ``fault_of[b]`` is the fault index at machine bit ``b`` of a block
-    (``-1`` for the good bit and the padding).  A checkpoint
-    (:meth:`save`) is the flip-flop rows and ``caught``, as arrays.
-    Every :meth:`run` counts one kernel pass in ``counters``.
+    :meth:`bind` gives the store a pass's machine list: machine bit
+    ``k + 1`` of every block is fault ``faults[k]`` of the table, a
+    block is the whole number of words that hold it and the good bit
+    0, and with ``frames`` machine ``k`` forces only in pass frame
+    ``frames[k]``.  The list is range-checked there, before the kernel
+    indexes the table with it; the table itself was checked when it
+    was built (:meth:`ArrayBackend.site_table`).  Every buffer -- the
+    per-net state rows, next-state and branch-scratch rows, the mask,
+    ``caught``, vector, record and list buffers -- grows to the widest
+    pass bound so far and is cast to a kernel pointer only when it
+    grows, so one store serves any number of passes of any width: a
+    simulator's one-off passes share one, and a consumer with state
+    of its own (an incremental simulation, a Phase-2 run) binds one
+    per chunk, once.  The row attributes (``zero``, ``one``,
+    ``caught``, ``rec_po``, ...) are views of the bound width.
 
-    A plan of several blocks runs one test per block: such a store
-    only loads (:meth:`load_blocks`), runs and decodes per block
-    (:meth:`faults_by_block`).  The plan is validated
-    (:func:`_check_plan`) before any pointer to it is cast.
+    The flip-flop rows carry state between calls of one binding; a
+    checkpoint (:meth:`save`) is the flip-flop rows and ``caught``, as
+    arrays.  ``fault_of[b]`` is the fault index at machine bit ``b`` of
+    a block (``-1`` for the good bit and the padding).  A store bound
+    over several blocks runs one test per block: it only loads
+    (:meth:`load_blocks`), runs and decodes per block
+    (:meth:`faults_by_block`).  Every :meth:`run` counts one kernel
+    pass in ``counters``.
     """
 
-    def __init__(self, backend: "ArrayBackend", plan: _ChunkPlan,
+    def __init__(self, backend: "ArrayBackend", sites: Any,
                  counters: "SimCounters") -> None:
-        _check_plan(backend, plan)
         np = backend.np
         self.np = np
         self.counters = counters
-        ffi, self._lib = backend._kernel  # type: ignore[misc]
-        self._ffi = ffi
+        self._ffi, self._lib = backend._kernel  # type: ignore[misc]
+        ffi = self._ffi
         circuit = backend.circuit
-        W = plan.n_words
-        self.plan = plan
+        self.sites = sites
         self.ff_rows = backend.ff_rows
-        self.n_machines = len(plan.indices)
-        self.n_blocks = plan.n_blocks
-        self.block_words = W // plan.n_blocks
-        self.fault_of = np.full(64 * self.block_words, -1, dtype=np.int64)
-        self.fault_of[1:self.n_machines + 1] = plan.indices
-        self.zero = np.zeros((circuit.n_nets, W), dtype=np.uint64)
-        self.one = np.zeros_like(self.zero)
-        self.ns_zero = np.zeros((max(1, len(circuit.ff_ids)), W),
-                                dtype=np.uint64)
-        self.ns_one = np.zeros_like(self.ns_zero)
-        self.scr_z = np.zeros((backend.max_arity, W), dtype=np.uint64)
-        self.scr_o = np.zeros_like(self.scr_z)
-        self.caught = np.zeros(W, dtype=np.uint64)
-        self.live = plan.mask.copy()
-        self._weights: Any = None
-        self._frames = ffi.new("long*")
-        p_mask, p_sites = backend._plan_args(plan)
-        self._head = (_u64p(ffi, self.zero), _u64p(ffi, self.one), p_mask,
-                      _u64p(ffi, self.live), W, *backend._circuit_args(),
-                      *p_sites)
-        self._tail = (_u64p(ffi, self.ns_zero), _u64p(ffi, self.ns_one),
-                      _u64p(ffi, self.scr_z), _u64p(ffi, self.scr_o),
-                      _u64p(ffi, self.caught), ffi.new("long*"),
-                      self._frames)
         self.n_pi = len(circuit.pi_ids)
-        self.vecs = np.zeros((0, self.n_blocks * self.n_pi), dtype=np.uint8)
+        self._n_nets = circuit.n_nets
+        self._n_ff = len(circuit.ff_ids)
+        self._arity = backend.max_arity
+        self._head = (*backend._circuit_args(), self._n_nets,
+                      _i32p(ffi, sites))
+        self._width = 0              # words per row the buffers hold
+        self._vec_buf = np.zeros(0, dtype=np.uint8)
         self._vecs_p = ffi.NULL
-        # Each block's last frame; a single block ends where the pass
-        # does.
-        self.block_last = np.zeros(self.n_blocks, dtype=np.int64)
-        self._blocks = (self.n_blocks, ffi.NULL if self.n_blocks == 1 else
-                        ffi.cast("long*", self.block_last.ctypes.data))
-        self.rec_po = np.zeros((0, W), dtype=np.uint64)
-        self.rec_scan = np.zeros_like(self.rec_po)
-        self._rec_p = (ffi.NULL, ffi.NULL)
+        self._last_buf = np.zeros(0, dtype=np.int64)
+        self._last_p = ffi.NULL
         self._obs_key: Optional[Tuple[int, ...]] = None
-        self._obs = np.zeros(1, dtype=np.int32)
-        self._obs_p = _i32p(ffi, self._obs)
+        self._obs_p = ffi.NULL
+        #: Per machine count, the block mask and the scan-in lookup.
+        self._masks: Dict[int, Tuple[Any, Any]] = {}
+        self._grow_list(0)
+        self.bind(())
 
-    def _vector_rows(self, n: int) -> None:
-        """Grow the vector buffer to at least ``n`` frames."""
-        if n > len(self.vecs):
-            self.vecs = self.np.zeros((max(n, 2 * len(self.vecs)),
-                                       self.vecs.shape[1]),
-                                      dtype=self.np.uint8)
+    def _grow_rows(self, width: int) -> None:
+        """Reallocate the row buffers for ``width`` words per row."""
+        np, ffi = self.np, self._ffi
+        self._width = width
+        self._views: Dict[int, Tuple[Any, Any, Any]] = {}
+        self._rec_rows = 0           # frames the record buffers hold
+        self._rec_po = self._rec_scan = np.zeros(0, dtype=np.uint64)
+        self._rec_p = (ffi.NULL, ffi.NULL)
+
+        def rows(n_rows: int) -> Tuple[Any, Any]:
+            buf = np.zeros(n_rows * width, dtype=np.uint64)
+            return buf, _u64p(ffi, buf)
+
+        self._zero, p_zero = rows(self._n_nets)
+        self._one, p_one = rows(self._n_nets)
+        self._caught, p_caught = rows(1)
+        # The mask, next-state and branch-scratch rows are the
+        # kernel's own; holding them keeps the pointers valid.
+        self._scratch = [rows(n) for n in (1,) + (max(1, self._n_ff),) * 2
+                         + (self._arity,) * 2]
+        p_mask, *p_scratch = (p for _, p in self._scratch)
+        self._rows_p = (p_zero, p_one, p_mask)
+        self._tail = (*p_scratch, p_caught)
+
+    def _grow_list(self, n: int) -> None:
+        """Reallocate the machine-list buffers for ``n`` machines."""
+        np, ffi = self.np, self._ffi
+        self._list = np.zeros(n, dtype=np.int32)
+        self._frame_list = np.zeros(n, dtype=np.int32)
+        self._links = np.zeros(2 * self._n_nets + self._n_ff + n,
+                               dtype=np.int32)
+        self._fault_buf = np.full(64 * (n // 64 + 1), -1, dtype=np.int64)
+        self._list_p = (_i32p(ffi, self._list), _i32p(ffi, self._frame_list),
+                        _i32p(ffi, self._links))
+
+    def bind(self, faults: Sequence[int], n_blocks: int = 1,
+             frames: Optional[Any] = None) -> None:
+        """Make ``faults`` the machine list of the next passes, over
+        ``n_blocks`` blocks; with ``frames``, machine ``k`` forces only
+        in pass frame ``frames[k]``.  The rows hold no state until a
+        load.
+
+        Raises
+        ------
+        ValueError
+            If a fault index lies outside the site table (a negative
+            one included), a frame is negative, or ``frames`` and
+            ``faults`` differ in length.
+        """
+        np = self.np
+        arr = np.asarray(faults, dtype=np.int64)
+        n = len(arr)
+        # A negative index reads as a huge unsigned one.
+        if n and int(arr.view(np.uint64).max()) >= len(self.sites):
+            raise ValueError(f"malformed machine list: a fault index "
+                             f"outside the {len(self.sites)} sites")
+        at = None if frames is None else np.asarray(frames, dtype=np.int64)
+        if at is not None and (len(at) != n or (n and int(at.min()) < 0)):
+            raise ValueError("malformed machine list: frames do not match "
+                             "the machines or lie before the pass")
+        block_words = n // 64 + 1
+        width = block_words * n_blocks
+        if width > self._width:
+            self._grow_rows(width)
+        if n > len(self._list):
+            self._grow_list(n)
+        if n_blocks > len(self._last_buf):
+            self._last_buf = np.zeros(n_blocks, dtype=np.int64)
+            self._last_p = self._ffi.cast("long*",
+                                          self._last_buf.ctypes.data)
+        self._list[:n] = arr
+        self._frames_p, self._last_force = self._ffi.NULL, -1
+        if at is not None:
+            self._frame_list[:n] = at
+            self._frames_p = self._list_p[1]
+            self._last_force = int(at.max()) if n else -1
+        self.n_machines, self.n_blocks = n, n_blocks
+        self.block_words, self.n_words = block_words, width
+        masks = self._masks.get(n)
+        if masks is None:
+            mask = _block_mask(np, n, block_words)
+            lookup = np.zeros((2, 3, block_words), dtype=np.uint64)
+            lookup[0, V.ZERO] = lookup[1, V.ONE] = mask
+            masks = self._masks[n] = (mask, lookup)
+        self.block_mask, self._scan_lookup = masks
+        self.fault_of = self._fault_buf[:64 * block_words]
+        self.fault_of[1:n + 1] = arr
+        self.fault_of[n + 1:] = -1
+        views = self._views.get(width)
+        if views is None:
+            size = self._n_nets * width
+            views = self._views[width] = (
+                self._zero[:size].reshape(self._n_nets, width),
+                self._one[:size].reshape(self._n_nets, width),
+                self._caught[:width])
+        self.zero, self.one, self.caught = views
+        self._weights: Any = None
+        self._want: Optional[List[int]] = None
+
+    def _vector_rows(self, n: int) -> Any:
+        """A view of the vector buffer as ``n`` frames of
+        ``n_blocks x n_pi`` values, grown to hold them."""
+        row = self.n_blocks * self.n_pi
+        if n * row > len(self._vec_buf):
+            self._vec_buf = self.np.zeros(max(n * row,
+                                              2 * len(self._vec_buf)),
+                                          dtype=self.np.uint8)
             self._vecs_p = self._ffi.cast("unsigned char*",
-                                          self.vecs.ctypes.data)
+                                          self._vec_buf.ctypes.data)
+        return self._vec_buf[:n * row].reshape(n, row)
 
     def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
         """Copy a PI sequence into the vector buffer (frame 0 first);
         returns its frame count."""
         n = len(vectors)
-        self._vector_rows(n)
         if n:
-            self.vecs[:n] = vectors
+            self._vector_rows(n)[:] = vectors
         return n
 
     def load_scan_in(self, state: V.Vector) -> None:
         """Pack the flip-flop rows from a scan-in vector
         (:func:`repro.sim.values.pack_scalar` semantics) and clear the
-        caught words."""
-        np = self.np
-        values = np.asarray(state, dtype=np.uint8)[:, None]
-        mask = self.plan.mask
-        self.zero[self.ff_rows] = (values == V.ZERO) * mask
-        self.one[self.ff_rows] = (values == V.ONE) * mask
+        caught words.
+
+        Raises
+        ------
+        ValueError
+            If a value is not 0, 1 or X.
+        """
+        values = self.np.asarray(state, dtype=self.np.intp)
+        # A negative value reads as a huge unsigned one.
+        if len(values) and int(values.view(self.np.uintp).max()) > V.X:
+            raise ValueError("invalid scalar value in a scan-in state")
+        self.zero[self.ff_rows] = self._scan_lookup[0, values]
+        self.one[self.ff_rows] = self._scan_lookup[1, values]
         self.caught.fill(0)
 
     def load_blocks(self, blocks: "_TrialBlocks") -> int:
@@ -607,7 +534,7 @@ class _Arena:
         ------
         ValueError
             If the tests do not fill the blocks, or a block's last
-            frame lies outside the vector buffer.
+            frame lies outside the loaded vectors.
         """
         np = self.np
         n_blocks, n = self.n_blocks, blocks.n_frames
@@ -616,19 +543,20 @@ class _Arena:
                              f"blocks")
         states = np.frombuffer(blocks.state_bytes, dtype=np.uint8).reshape(
             n_blocks, len(self.ff_rows)).T[:, :, None]
-        mask = self.plan.mask[:self.block_words]
-        width = (len(self.ff_rows), self.plan.n_words)
+        width = (len(self.ff_rows), self.n_words)
+        mask = self.block_mask
         self.zero[self.ff_rows] = ((states == V.ZERO) * mask).reshape(width)
         self.one[self.ff_rows] = ((states == V.ONE) * mask).reshape(width)
         self.caught.fill(0)
-        self._vector_rows(n)
-        self.vecs[:n] = np.frombuffer(blocks.pi_bytes, dtype=np.uint8) \
-            .reshape(n_blocks, n, self.n_pi).transpose(1, 0, 2) \
-            .reshape(n, n_blocks * self.n_pi)
-        self.block_last[:] = blocks.last
-        if int(self.block_last.max()) >= len(self.vecs):
+        self._vector_rows(n)[:] = np.frombuffer(
+            blocks.pi_bytes, dtype=np.uint8).reshape(
+                n_blocks, n, self.n_pi).transpose(1, 0, 2).reshape(
+                    n, n_blocks * self.n_pi)
+        last = self._last_buf[:n_blocks]
+        last[:] = blocks.last
+        if int(last.max()) >= n:
             raise ValueError("a block's last frame lies outside the "
-                             "vector buffer")
+                             "loaded vectors")
         return n
 
     def run(self, n_frames: int, observe_po: bool, scan_out: bool,
@@ -642,38 +570,55 @@ class _Arena:
         Raises
         ------
         ValueError
-            If the pass is longer than the vector buffer or than the
-            plan's ``inj_on`` rows.
+            If the pass is longer than the vector buffer, a machine's
+            frame lies past its end, or the block count does not
+            divide the words into blocks that hold the machines.
         """
-        np, ffi = self.np, self._ffi
+        ffi = self._ffi
         self.counters.np_passes += 1
-        if n_frames > len(self.vecs):
-            raise ValueError(f"{n_frames}-frame pass over a "
-                             f"{len(self.vecs)}-frame vector buffer")
-        inj_on = self.plan.inj_on
-        if inj_on is not None and n_frames > len(inj_on):
-            raise ValueError(f"{n_frames}-frame pass over {len(inj_on)} "
-                             f"injection rows")
-        if records and n_frames > len(self.rec_po):
-            rows = max(n_frames, 2 * len(self.rec_po))
-            self.rec_po = np.zeros((rows, self.plan.n_words),
-                                   dtype=np.uint64)
-            self.rec_scan = np.zeros_like(self.rec_po)
-            self._rec_p = (_u64p(ffi, self.rec_po),
-                           _u64p(ffi, self.rec_scan))
+        W, n_blocks, n = self.n_words, self.n_blocks, self.n_machines
+        if (n_blocks < 1 or W % n_blocks or W > self._width or
+                64 * (W // n_blocks) <= n or n > len(self._list) or
+                n_blocks > max(1, len(self._last_buf))):
+            raise ValueError(f"malformed kernel pass: {n} machines in "
+                             f"{n_blocks} blocks over {W} words")
+        if n_frames * n_blocks * self.n_pi > len(self._vec_buf):
+            raise ValueError(f"{n_frames}-frame pass over a shorter "
+                             f"vector buffer")
+        if self._last_force >= n_frames:
+            raise ValueError(f"malformed machine list: a machine forces "
+                             f"in frame {self._last_force} of a "
+                             f"{n_frames}-frame pass")
+        rec = (ffi.NULL, ffi.NULL)
+        if records:
+            if n_frames > self._rec_rows:
+                self._grow_records(n_frames)
+            size = n_frames * W
+            self.rec_po = self._rec_po[:size].reshape(n_frames, W)
+            self.rec_scan = self._rec_scan[:size].reshape(n_frames, W)
+            rec = self._rec_p
         key = None if scan_observe is None else tuple(scan_observe)
         if key != self._obs_key:
-            self._obs = np.asarray(key or (0,), dtype=np.int32)
+            self._obs = self.np.asarray(key or (0,), dtype=self.np.int32)
             self._obs_p = _i32p(ffi, self._obs)
             self._obs_key = key
-        # The kernel adds to the frames cell rather than overwriting it.
-        self._frames[0] = 0
-        self._lib.repro_run_pass(
-            *self._head, self._vecs_p, 0, n_frames - 1, *self._blocks,
+        frames: int = self._lib.repro_run_pass(
+            *self._rows_p, W, *self._head, n, self._list_p[0],
+            self._frames_p, self._list_p[2], self._vecs_p, n_frames,
+            n_blocks, ffi.NULL if n_blocks == 1 else self._last_p,
             int(observe_po), int(scan_out), -1 if key is None else len(key),
-            self._obs_p, *(self._rec_p if records else (ffi.NULL, ffi.NULL)),
-            *self._tail)
-        return int(self._frames[0])
+            self._obs_p, *rec, *self._tail)
+        return frames
+
+    def _grow_records(self, n_frames: int) -> None:
+        """Reallocate the record buffers for ``n_frames`` frames of the
+        buffers' row width."""
+        np, ffi = self.np, self._ffi
+        self._rec_rows = max(n_frames, 2 * self._rec_rows)
+        self._rec_po = np.zeros(self._rec_rows * self._width,
+                                dtype=np.uint64)
+        self._rec_scan = np.zeros_like(self._rec_po)
+        self._rec_p = (_u64p(ffi, self._rec_po), _u64p(ffi, self._rec_scan))
 
     def bits(self, words: Any) -> Any:
         """Ascending machine-bit positions set in a word row (bit ``b``
@@ -703,10 +648,13 @@ class _Arena:
                 for b in range(self.n_blocks)]
 
     def saturated(self) -> bool:
-        """Whether every live machine is caught."""
-        want = self.live.copy()
-        want[0] &= ~self.np.uint64(1)
-        return bool(((self.caught & want) == want).all())
+        """Whether every machine is caught."""
+        want = self._want
+        if want is None:
+            words = self.np.tile(self.block_mask, self.n_blocks)
+            words[::self.block_words] &= ~self.np.uint64(1)
+            want = self._want = words.tolist()
+        return all(c & w == w for c, w in zip(self.caught.tolist(), want))
 
     def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
         """Add to ``caught`` what a scan-out of the current flip-flop
@@ -737,12 +685,16 @@ class _Arena:
         weights = (self.fault_of >= 0).astype(self.np.int64)
         if expand is not None:
             weights[1:self.n_machines + 1] = [
-                len(expand[fid]) for fid in self.plan.indices]
+                len(expand[fid])
+                for fid in self._list[:self.n_machines].tolist()]
         self._weights = weights
 
     def weight(self, words: Any) -> int:
         """The faults the machine bits of ``words`` stand for."""
-        return int(self._weights[self.bits(words)].sum())
+        np = self.np
+        return int(np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8),
+            bitorder="little") @ self._weights)
 
     def good_state(self) -> V.Vector:
         """The fault-free machine's flip-flop state."""
@@ -753,20 +705,18 @@ class _Arena:
 
     def records(self, n_frames: int, po_first: Dict[int, int],
                 scan_diff: List[Set[int]]) -> None:
-        """Decode the last records-mode pass for the live faults: each
-        one's first PO-detecting frame into ``po_first`` and, per
-        frame, those a scan-out there detects into ``scan_diff``."""
+        """Decode the last records-mode pass: each fault's first
+        PO-detecting frame into ``po_first`` and, per frame, the faults
+        a scan-out there detects into ``scan_diff``."""
         np = self.np
         if not n_frames:
             return
-        live = self.live.copy()
-        live[0] &= ~np.uint64(1)
 
         def bit_matrix(rec: Any) -> Any:
             # Row f, column b: machine bit b differs at frame f.
             return np.unpackbits(
-                (rec[:n_frames] & live).astype("<u8", copy=False)
-                .view(np.uint8), axis=1, bitorder="little")
+                rec[:n_frames].astype("<u8", copy=False).view(np.uint8),
+                axis=1, bitorder="little")
 
         po_bits = bit_matrix(self.rec_po)
         seen = np.flatnonzero(po_bits.any(axis=0))
@@ -779,65 +729,6 @@ class _Arena:
             if bounds[frame] < bounds[frame + 1]:
                 scan_diff[frame].update(
                     fids[bounds[frame]:bounds[frame + 1]])
-
-
-class _Universe:
-    """A simulator's fault-universe plan for ``detect`` and
-    ``run_with_records``.
-
-    Every representative the simulator can simulate (proven-untestable
-    classes left out) has a fixed machine bit: ``_build_chunks`` runs
-    once over all of them, giving balanced parts of at most
-    ``fused_cap`` machines, and each part is one plan with its arena.
-    A call sets each part's ``live`` words to its target's bits plus
-    the good bit and skips the parts with no live bit; every word of
-    the other parts runs, and a part stops once its live machines are
-    caught.
-    """
-
-    def __init__(self, backend: "ArrayBackend",
-                 sim: "FaultSimulator") -> None:
-        from ..analysis import sanitizer
-        np = backend.np
-        self.np = np
-        reps, _ = sim._prepare_target(range(len(sim.faults)))
-        self.parts: List[_Arena] = []
-        # Per fault: its part and machine bit (bit 0, the good
-        # machine's, marks a fault outside the universe).
-        self.part_of = np.zeros(len(sim.faults), dtype=np.intp)
-        self.bit_of = np.zeros(len(sim.faults), dtype=np.intp)
-        for k, chunk in enumerate(sim._build_chunks(reps)):
-            if sanitizer.enabled():
-                sanitizer.check_chunk(chunk, "FaultSimulator universe")
-            idx = np.asarray(chunk.indices, dtype=np.intp)
-            self.part_of[idx] = k
-            self.bit_of[idx] = np.arange(1, len(idx) + 1)
-            self.parts.append(_Arena(backend, _ChunkPlan(backend, chunk),
-                                     sim.counters))
-
-    def select(self, target: Sequence[int]) -> List[Tuple[_Arena, int]]:
-        """Point the ``live`` words of every part ``target`` touches
-        at it; returns those parts, in order, with their live-machine
-        counts."""
-        np = self.np
-        t = np.asarray(target, dtype=np.intp)
-        if not len(t):
-            return []
-        bits = self.bit_of[t]
-        if bits.min() == 0:
-            raise ValueError("target fault outside the simulator's "
-                             "universe")
-        parts = self.part_of[t] if len(self.parts) > 1 else None
-        selected: List[Tuple[_Arena, int]] = []
-        for k in ([0] if parts is None else np.unique(parts).tolist()):
-            arena = self.parts[k]
-            flags = np.zeros(len(arena.fault_of), dtype=bool)
-            flags[bits if parts is None else bits[parts == k]] = True
-            n_live = int(np.count_nonzero(flags))
-            flags[0] = True   # the good machine
-            arena.live[:] = np.packbits(flags, bitorder="little").view("<u8")
-            selected.append((arena, n_live))
-        return selected
 
 
 # ----------------------------------------------------------------------
@@ -889,26 +780,56 @@ class ArrayBackend:
         #: nets): the bound of a branch pin.
         self.net_arity = np.zeros(circuit.n_nets, dtype=np.int64)
         self.net_arity[self.g_out[:self.n_gates]] = np.diff(self.g_foff)
-        #: Whether each net is a source net (a PI or a flip-flop
-        #: output), whose stem the kernel forces before the gates.
-        self.is_source = np.zeros(circuit.n_nets, dtype=bool)
-        self.is_source[circuit.pi_ids + circuit.ff_ids] = True
 
-    def universe(self, sim: "FaultSimulator") -> _Universe:
-        """A new fault-universe plan of ``sim`` (see :class:`_Universe`)."""
-        return _Universe(self, sim)
+    def site_table(self, entries: Any) -> Any:
+        """A checked fault-site table: one ``(kind, place, pin, value)``
+        row per fault, as a C-contiguous ``(n, 4)`` int32 array.
 
-    def arena(self, sim: "FaultSimulator", chunk: "_Chunk",
-              n_blocks: int = 1) -> _Arena:
-        """A plan of ``chunk`` over ``n_blocks`` blocks, built once,
-        with its arena: the kernel store of a consumer whose target is
-        fixed."""
-        return _Arena(self, _ChunkPlan(self, chunk, n_blocks),
-                      sim.counters)
+        A stem (:data:`SITE_STEM`) forces net ``place``; a fanout
+        branch (:data:`SITE_BRANCH`) forces pin ``pin`` of the gate
+        driving net ``place``; a flip-flop data-pin branch
+        (:data:`SITE_FF`) forces the next state of flip-flop position
+        ``place``.  ``value`` is the forced value.  Built once per
+        simulator; every kernel pass indexes it with a checked machine
+        list (:meth:`_Arena.bind`).
+
+        Raises
+        ------
+        ValueError
+            If a kind is unknown, a net is not below ``n_nets``, a pin
+            is not below the fanin count of the gate driving its net, a
+            flip-flop position is not below the flip-flop count or a
+            value is not 0 or 1.
+        """
+        np = self.np
+        table = np.asarray(entries, dtype=np.int64).reshape(-1, 4)
+        kind, place, pin, value = table.T
+        n_nets, n_ff = self.circuit.n_nets, len(self.circuit.ff_ids)
+        on_net = (kind != SITE_FF) & (place >= 0) & (place < n_nets)
+        arity = self.net_arity[np.where(on_net, place, 0)]
+        checks = (
+            ("an unknown site kind", (kind >= SITE_STEM) & (kind <= SITE_FF)),
+            ("a net outside the circuit", (kind == SITE_FF) | on_net),
+            ("a branch pin past its gate's fanins",
+             (kind != SITE_BRANCH) | ((pin >= 0) & (pin < arity))),
+            ("a flip-flop position outside the flip-flops",
+             (kind != SITE_FF) | ((place >= 0) & (place < n_ff))),
+            ("a forced value other than 0 or 1", (value == 0) | (value == 1)))
+        for what, ok in checks:
+            if not ok.all():
+                row = int(np.flatnonzero(~ok)[0])
+                raise ValueError(f"malformed fault-site table: entry {row} "
+                                 f"has {what}")
+        return np.ascontiguousarray(table, dtype=np.int32)
+
+    def store(self, sites: Any, counters: "SimCounters") -> _Arena:
+        """A new kernel pass store over the site table ``sites`` (see
+        :class:`_Arena`)."""
+        return _Arena(self, sites, counters)
 
     # ------------------------------------------------------------------
     # The circuit-constant arguments are cast once per backend and
-    # shared by every arena; a plan's are cast once, by its arena.
+    # shared by every store.
     def _circuit_args(self) -> Tuple[Any, ...]:
         """The circuit-constant kernel arguments: gate tables, then
         the PI / PO / flip-flop id lists with their counts."""
@@ -925,22 +846,3 @@ class ArrayBackend:
                 len(c.ff_ids), _i32p(ffi, self.ff_ids),
                 _i32p(ffi, self.ffd_ids))
         return self._circuit_kargs
-
-    def _plan_args(self, plan: _ChunkPlan) -> Tuple[Any, Tuple[Any, ...]]:
-        """``(mask, sites)``: a plan's word mask and its injection
-        tables (stems, source stems, branches, flip-flop branches,
-        with their counts, and the ``inj_on`` rows) as kernel
-        arguments."""
-        ffi, _ = self._kernel  # type: ignore[misc]
-        return _u64p(ffi, plan.mask), (
-            _i32p(ffi, plan.stem_site), _u64p(ffi, plan.st_f0),
-            _u64p(ffi, plan.st_f1), _u64p(ffi, plan.st_keep),
-            len(plan.src_stem_ids), _i32p(ffi, plan.src_stem_ids),
-            _i32p(ffi, plan.src_stem_site),
-            _i32p(ffi, plan.br_start), _i32p(ffi, plan.br_count),
-            _i32p(ffi, plan.br_pin), _u64p(ffi, plan.br_f0),
-            _u64p(ffi, plan.br_f1), _u64p(ffi, plan.br_keep),
-            plan.n_ffbr, _i32p(ffi, plan.ffbr_pos),
-            _u64p(ffi, plan.ffbr_f0), _u64p(ffi, plan.ffbr_f1),
-            _u64p(ffi, plan.ffbr_keep),
-            ffi.NULL if plan.inj_on is None else _u64p(ffi, plan.inj_on))

@@ -130,18 +130,25 @@ class TestChunkChecks:
             sanitizer.check_chunk(chunk, "test")
 
     def test_real_trial_chunks_pass(self, monkeypatch):
-        """detect_trials checks every chunk it builds, and its chunks
-        (two faults each at fused_cap=8 over 4 trials) are clean."""
+        """detect_trials checks every chunk it packs -- a big-int chunk
+        or a kernel machine list -- and its chunks (two faults each at
+        fused_cap=8 over 4 trials) are clean."""
         _arm(monkeypatch)
         sim, cc, fs = _sim(fused_cap=8)
         checked = []
-        real = sanitizer.check_chunk
+        real_chunk = sanitizer.check_chunk
+        real_machines = sanitizer.check_machines
 
         def spy(chunk, context="detect"):
             checked.append((len(chunk.indices), context))
-            real(chunk, context)
+            real_chunk(chunk, context)
+
+        def spy_machines(machines, faults, untestable, context):
+            checked.append((len(machines), context))
+            real_machines(machines, faults, untestable, context)
 
         monkeypatch.setattr(sanitizer, "check_chunk", spy)
+        monkeypatch.setattr(sanitizer, "check_machines", spy_machines)
         vectors = random_gen.random_sequence(cc, 3, seed=2)
         sim.detect_trials([(None, vectors[:k]) for k in range(1, 5)],
                           target=range(min(8, len(fs))))

@@ -209,26 +209,28 @@ class TestDedup:
 class TestFusedCapAtConstruction:
     def test_cap_bounds_lane_groups(self, monkeypatch):
         """The trial packer honours the per-simulator cap: a chunk of
-        a 4-trial pass holds at most ``16 // 4`` faults."""
-        _, cc, fs = circuit_for(3)
-        sim = FaultSimulator(cc, fs, fused_cap=16)
-        built = []
-        real = sim._run_stores
+        a 4-trial pass holds at most ``16 // 4`` faults, on either
+        store."""
+        production, cc, fs = circuit_for(3)
+        for circuit in [cc] + production:
+            sim = FaultSimulator(circuit, fs, fused_cap=16)
+            built = []
+            real = sim._pass_stores
 
-        def spy(chunks, n_blocks=1):
-            built.append((list(chunks), n_blocks))
-            return real(chunks, n_blocks)
+            def spy(sim_target, context, per=None, n_blocks=1):
+                for store in real(sim_target, context, per, n_blocks):
+                    built.append((store.n_machines, store.n_blocks))
+                    yield store
 
-        monkeypatch.setattr(sim, "_run_stores", spy)
-        rng = random.Random(0)
-        trials = [(V.random_binary_vector(_N_FF, rng),
-                   [V.random_binary_vector(_N_PI, rng)])
-                  for _ in range(4)]
-        reps = sorted(set(fs.rep_of))[:10]
-        sim.detect_trials(trials, target=reps)
-        [(chunks, n_blocks)] = built
-        assert n_blocks == 4
-        assert len(chunks) == 3  # ceil(10 / 4) balanced chunks
-        sizes = [len(c.indices) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 10
+            monkeypatch.setattr(sim, "_pass_stores", spy)
+            rng = random.Random(0)
+            trials = [(V.random_binary_vector(_N_FF, rng),
+                       [V.random_binary_vector(_N_PI, rng)])
+                      for _ in range(4)]
+            reps = sorted(set(fs.rep_of))[:10]
+            sim.detect_trials(trials, target=reps)
+            assert {n_blocks for _, n_blocks in built} == {4}
+            assert len(built) == 3  # ceil(10 / 4) balanced chunks
+            sizes = [size for size, _ in built]
+            assert max(sizes) - min(sizes) <= 1
+            assert sum(sizes) == 10

@@ -3,7 +3,7 @@
 Production runs each pass chunk on the C kernel when it loads and on
 big-int words otherwise; the reference is a circuit with no array
 backend (see :mod:`tests.reference`).  Wide-word
-fusion, multi-part packing, the kernel's fault-universe plan and
+fusion, multi-part packing, the kernel's shared pass stores and
 the kernel itself are pure execution strategies -- none of them may
 change a single detection.  These properties drive random circuits, fused caps, scan
 configurations, restricted targets and X-laden vectors through both
@@ -23,6 +23,7 @@ from repro.circuits.netlist import Netlist
 from repro.core.combine import _detections
 from repro.core.omission import _CheckpointedRun, omit_vectors
 from repro.core.scan_test import ScanTest, ScanTestSet
+from repro.delay.transition import TransitionSim
 from repro.sim.comb_sim import CombPatternSim
 from repro.sim import fault_sim as fault_sim_mod
 from repro.sim import npsim
@@ -499,7 +500,7 @@ class TestOmissionCheckpoints:
         init = random_gen.random_state(circuit, seed=2)
         required = sorted(sim.detect(vectors, init))
         chunks = sim._build_chunks(required)
-        run = _CheckpointedRun(sim, init, chunks)
+        run = _CheckpointedRun(sim, init, [c.indices for c in chunks])
         run.rebuild(0, vectors)
 
         reference = FaultSimulator(reference_circuit(circuit.netlist), fs)
@@ -575,70 +576,109 @@ class TestKernelConfiguration:
         assert (n_chunks > 1) == (cap == 8)
 
 
-def _corrupt_stem_site(np, backend, plan):
-    plan.stem_site[plan.stem_site.argmax()] = len(plan.st_f0)
+def _entry_of_kind(entries, kind):
+    return next(entry for entry in entries if entry[0] == kind)
 
 
-def _corrupt_contiguity(np, backend, plan):
-    wide = np.zeros((len(plan.st_f0), 2 * plan.n_words), dtype=np.uint64)
-    wide[:, ::2] = plan.st_f0
-    plan.st_f0 = wide[:, ::2]
+def _negative_index(backend, entries):
+    return {"faults": [0, -1]}
 
 
-def _corrupt_branch_pin(np, backend, plan):
-    net = int(np.flatnonzero(plan.br_count)[0])
-    plan.br_pin[plan.br_start[net]] = backend.net_arity[net]
+def _index_past_the_table(backend, entries):
+    return {"faults": [0, len(entries)]}
 
 
-def _corrupt_word_count(np, backend, plan):
-    plan.mask = np.zeros(plan.n_words + 1, dtype=np.uint64)
+def _stem_at_a_negative_net(backend, entries):
+    _entry_of_kind(entries, npsim.SITE_STEM)[1] = -1
+    return {}
 
 
-def _corrupt_block_count(np, backend, plan):
-    plan.n_blocks = plan.n_words + 1
+def _net_past_the_circuit(backend, entries):
+    _entry_of_kind(entries, npsim.SITE_STEM)[1] = backend.circuit.n_nets
+    return {}
 
 
-def _corrupt_inj_on_width(np, backend, plan):
-    plan.inj_on = np.zeros((4, plan.n_words + 1), dtype=np.uint64)
+def _branch_pin_past_fanins(backend, entries):
+    entry = _entry_of_kind(entries, npsim.SITE_BRANCH)
+    entry[2] = int(backend.net_arity[entry[1]])
+    return {}
 
 
-def _corrupt_inj_on_contiguity(np, backend, plan):
-    plan.inj_on = np.zeros((4, 2 * plan.n_words), dtype=np.uint64)[:, ::2]
+def _flip_flop_past_the_chain(backend, entries):
+    entries[0][:2] = [npsim.SITE_FF, len(backend.circuit.ff_ids)]
+    return {}
 
 
-def _short_inj_on(np, backend, plan):
-    plan.inj_on = np.zeros((3, plan.n_words), dtype=np.uint64)
+def _site_value_not_binary(backend, entries):
+    entries[0][3] = 2
+    return {}
+
+
+def _frame_past_the_pass(backend, entries):
+    return {"frames": [4] * len(entries)}
+
+
+def _negative_frame(backend, entries):
+    return {"frames": [-1] + [0] * (len(entries) - 1)}
+
+
+def _blocks_not_dividing_the_words(backend, entries):
+    def tweak(store):
+        store.n_blocks = store.n_words + 1
+    return {"tweak": tweak}
+
+
+def _words_past_the_buffers(backend, entries):
+    def tweak(store):
+        store.n_words += store.n_blocks
+    return {"tweak": tweak}
 
 
 class TestPlanValidation:
     @needs_kernel
     @pytest.mark.parametrize("corrupt", [
-        _corrupt_stem_site, _corrupt_contiguity, _corrupt_branch_pin,
-        _corrupt_word_count, _corrupt_block_count, _corrupt_inj_on_width,
-        _corrupt_inj_on_contiguity, _short_inj_on],
-        ids=["stem-site", "non-contiguous", "branch-pin", "word-count",
-             "block-count", "inj-on-width", "inj-on-non-contiguous",
-             "inj-on-rows"])
+        _negative_index, _index_past_the_table, _stem_at_a_negative_net,
+        _net_past_the_circuit, _branch_pin_past_fanins,
+        _flip_flop_past_the_chain, _site_value_not_binary,
+        _frame_past_the_pass, _negative_frame,
+        _blocks_not_dividing_the_words, _words_past_the_buffers],
+        ids=["index-negative", "index-too-large", "stem-site",
+             "net-outside", "branch-pin", "ff-position", "site-value",
+             "frame-outside", "frame-negative", "block-count",
+             "word-count"])
     def test_malformed_plan_raises_before_the_kernel(self, corrupt):
-        """A corrupted plan raises ValueError when its arena is built,
-        and a pass longer than the plan's injection rows when it is
-        run: before any pointer to it reaches the kernel."""
+        """A malformed fault-site table raises ValueError when it is
+        built, a malformed machine list when a store binds it, and a
+        machine frame past the pass or a block count that does not
+        divide the words into blocks the buffers hold when the pass
+        runs: before the kernel indexes anything with them."""
         net = synth.generate("plan", 4, 3, 5, 40, seed=5)
         circuit = production_circuit(net, kernel=True)
         backend = circuit.array_backend
         np = backend.np
         fs = FaultSet.collapsed(net)
-        chunk = FaultSimulator(circuit, fs)._build_chunks(range(len(fs)))[0]
-        plan = npsim._ChunkPlan(backend, chunk, n_blocks=3)
-        assert len(plan.st_f0) > 1 and plan.br_count.any()
-        npsim._Arena(backend, plan, SimCounters())  # the intact plan
-        corrupt(np, backend, plan)
-        with pytest.raises(ValueError, match="malformed kernel plan|"
-                           "4-frame pass over 3 injection rows"):
-            arena = npsim._Arena(backend, plan, SimCounters())
-            arena.load_vectors(np.zeros((4, 3 * net.num_inputs),
+        entries = FaultSimulator(circuit, fs)._site_table(backend).tolist()
+        assert {entry[0] for entry in entries} >= {npsim.SITE_STEM,
+                                                   npsim.SITE_BRANCH}
+
+        def run_pass(entries, faults=range(len(entries)),
+                     frames=[k % 4 for k in range(len(entries))],
+                     tweak=None):
+            store = backend.store(backend.site_table(entries),
+                                  SimCounters())
+            store.bind(faults, n_blocks=3, frames=frames)
+            store.load_vectors(np.zeros((4, 3 * net.num_inputs),
                                         dtype=np.uint8))
-            arena.run(4, True, True, None)
+            if tweak is not None:
+                tweak(store)
+            store.run(4, True, True, None)
+
+        run_pass([list(entry) for entry in entries])  # the intact pass
+        changes = corrupt(backend, entries)
+        if "faults" in changes and "frames" not in changes:
+            changes["frames"] = None
+        with pytest.raises(ValueError, match="malformed"):
+            run_pass(entries, **changes)
 
 
 class TestNumpyRepack:
@@ -707,9 +747,9 @@ def _interleaved_calls(circuit, fs, fused_cap):
 
 
 class TestRepeatedKernelCalls:
-    """Every kernel-route plan reuses its buffers and cells across calls
-    (the simulator's fault universe, an incremental run's arenas, a
-    Phase-2 run's arenas), so no call may leak into the next: repeated
+    """Every kernel store reuses its buffers across calls (the store a
+    simulator's one-off passes share, an incremental run's stores, a
+    Phase-2 run's stores), so no call may leak into the next: repeated
     and interleaved calls on one simulator give the reference's
     results, and at the default fused cap its work counters too."""
 
@@ -727,12 +767,61 @@ class TestRepeatedKernelCalls:
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_small_cap_matches_reference(self, seed):
-        """With a cap of 8 machines the universe has many parts."""
+        """With a cap of 8 machines every pass has many chunks."""
         production, reference, fs = circuit_for(seed)
         want, _ = _interleaved_calls(reference, fs, FUSED_CAP)
         for circuit in production:
             got, _ = _interleaved_calls(circuit, fs, 8)
             assert got == want
+
+
+def _width_calls(circuit, fs):
+    """One fixed script whose kernel passes grow and shrink, on one
+    simulator and one transition simulator: targets of 5 faults, then
+    the full set, then 5 again; multi-trial passes of 1, 8, 64, 8 and
+    1 blocks; transition passes over the launches of tests of 2 to 30
+    vectors and back.  ``detect``, ``run_with_records``,
+    ``detect_trials`` and the transition passes interleave, so a
+    shared store runs every width after every other.  Returns every
+    result, in order."""
+    sim = FaultSimulator(circuit, fs)
+    tsim = TransitionSim(circuit)
+    rng = random.Random(23)
+    n_ff = len(circuit.ff_ids)
+
+    def vectors(n):
+        return [V.random_binary_vector(_N_PI, rng) for _ in range(n)]
+
+    results = []
+    for size, n_trials, length in ((5, 1, 2), (len(fs), 8, 9),
+                                   (len(fs), 64, 30), (len(fs), 8, 9),
+                                   (5, 1, 3)):
+        target = sorted(rng.sample(range(len(fs)), size))
+        seq = vectors(length)
+        init = V.random_binary_vector(n_ff, rng)
+        results.append(sim.detect(seq, init, target=target))
+        records = sim.run_with_records(seq, init, target=target)
+        results.append([records.detected_with_scanout_at(frame)
+                        for frame in range(length)])
+        trials = [(V.random_binary_vector(n_ff, rng),
+                   vectors(1 + k % length)) for k in range(n_trials)]
+        results.append(sim.detect_trials(trials, target=target))
+        results.append(tsim.detect_test(ScanTest(init, tuple(seq))))
+        results.append(sim.detect(seq[:1], None, target=target,
+                                  scan_out=False))
+    return results
+
+
+class TestGrowingAndShrinkingPasses:
+    @pytest.mark.parametrize("seed", [2, 6])
+    def test_widths_match_reference(self, seed):
+        """The kernel's one-off passes share one store per simulator,
+        whose buffers grow to the widest pass: passes of every width,
+        in any order, give the reference's results."""
+        production, reference, fs = circuit_for(seed)
+        want = _width_calls(reference, fs)
+        for circuit in production:
+            assert _width_calls(circuit, fs) == want
 
 
 class TestEngineSelection:

@@ -184,6 +184,36 @@ class TestConsistency:
                     sim.detect_trials([(V.vec("000"), [V.vec("1111")])],
                                       scan_observe=observe)
 
+    def test_invalid_scan_in_value_raises(self, s27):
+        """A scan-in value other than 0, 1 or X raises ValueError in
+        every configuration, as ``pack_scalar`` does on big-int words
+        (a kernel store must not read it as some other value)."""
+        faults = FaultSet.collapsed(s27)
+        for circuit in production_circuits(s27):
+            sim = FaultSimulator(circuit, faults)
+            for state in ((0, 1, 3), (0, -2, 1)):
+                with pytest.raises(ValueError, match="invalid scalar"):
+                    sim.detect([V.vec("1111")], state)
+
+    def test_duplicate_scan_position_raises(self, s27):
+        """A flip-flop listed twice in a partial-scan chain raises
+        ValueError, as an out-of-range one does: scanned twice, its
+        first scan-in value would be silently lost (``embed_state``
+        would keep only the last), and so would the comb-set
+        generator's."""
+        from repro.atpg import comb_set
+
+        faults = FaultSet.collapsed(s27)
+        for circuit in production_circuits(s27):
+            with pytest.raises(ValueError, match="scanned twice"):
+                FaultSimulator(circuit, faults, scan_positions=[0, 0])
+            with pytest.raises(ValueError, match="scanned twice"):
+                comb_set.generate(circuit, faults, seed=1,
+                                  scan_positions=[2, 1, 2])
+            sim = FaultSimulator(circuit, faults, scan_positions=[2, 0])
+            assert sim.n_state_vars == 2
+            assert sim.embed_state((0, 1)) == (0, V.X, 1)
+
 
 class TestRecords:
     def test_matches_truncated_sims(self, s27):
