@@ -6,7 +6,7 @@ and prints the regenerated rows (compare them against the paper's
 tables -- see EXPERIMENTS.md for the recorded side-by-side).
 
 The suite runs on the default simulation path: the C kernel when
-numpy, cffi and a C compiler are present, big-int words otherwise.
+cffi and a C compiler are present, big-int words otherwise.
 
 Set ``REPRO_BENCH_FULL=1`` to run all reproduced circuits instead of
 the quick subset (slower by an order of magnitude).

@@ -2,7 +2,7 @@
 ``BENCH_collapse.json``.
 
 Every mode runs on the default simulation path -- the C kernel when
-numpy, cffi and a C compiler are present, big-int words otherwise;
+cffi and a C compiler are present, big-int words otherwise;
 the two give the same results.  Host-time numbers for that path come
 from the end-to-end benchmark in ``benchmarks/e2e``.
 
@@ -76,11 +76,13 @@ from repro.sim.logicsim import CompiledCircuit
 
 
 
-def _numpy_version() -> Optional[str]:
-    """The installed numpy version, or ``None`` when absent."""
-    if not npsim.numpy_available():
+def _cffi_version() -> Optional[str]:
+    """The installed cffi version, or ``None`` when absent."""
+    try:
+        import cffi
+    except ImportError:
         return None
-    return npsim.require_numpy().__version__
+    return str(cffi.__version__)
 
 
 
@@ -324,7 +326,7 @@ def build_adi_payload(quick: bool, seed: int = 1) -> Dict[str, Any]:
             "adi_census_size": len(comb.adi),
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "numpy": _numpy_version(),
+            "cffi": _cffi_version(),
             "np_kernel": npsim.kernel_unavailable_reason() is None,
         },
         "baseline": baseline,

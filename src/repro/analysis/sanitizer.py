@@ -24,9 +24,13 @@ equivalence suites, but never checked in production runs:
   trial detects (each spot-checked on the first few calls per
   simulator, on bounded targets).
 
-With ``REPRO_SANITIZE`` unset (or ``0``) every hook is a cheap boolean
-check away from free.  With ``REPRO_SANITIZE=1`` a violated invariant
-raises :class:`SanitizerError` at the point of violation.  With
+The setting is sampled once per engine object: a ``FaultSimulator``,
+``TransitionSim``, ``ActivityEngine`` or ``FaultScoreboard`` reads
+:func:`enabled` when it is built and keeps the answer, so arm (or
+disarm) the sanitizer before building the objects it should check.
+With ``REPRO_SANITIZE`` unset (or ``0``) every hook is then a cheap
+attribute check away from free.  With ``REPRO_SANITIZE=1`` a violated
+invariant raises :class:`SanitizerError` at the point of violation.  With
 ``REPRO_SANITIZE=collect`` violations are recorded but not raised, so a
 run can be swept and the violations read back via :func:`violations` /
 :func:`to_diagnostics` as structured diagnostics.
@@ -45,8 +49,9 @@ ENV_VAR = "REPRO_SANITIZE"
 
 
 def enabled() -> bool:
-    """True when the sanitizer is armed (read from the environment on
-    every call, so workers and tests can flip it dynamically)."""
+    """True when the sanitizer is armed.  Read from the environment on
+    every call; the engine objects call it once, when they are built,
+    and keep the answer (see the module docstring)."""
     return os.environ.get(ENV_VAR, "") not in ("", "0")
 
 
@@ -101,7 +106,7 @@ def report_violation(invariant: str, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# invariant checks (callers guard with ``if sanitizer.enabled():``)
+# invariant checks (callers guard them with the setting they sampled)
 # ----------------------------------------------------------------------
 
 def _mask_pair(label: str, key: Any, m0: int, m1: int,

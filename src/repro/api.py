@@ -81,8 +81,8 @@ class Workbench:
                     static_analysis: bool = True) -> "Workbench":
         """Build the standard toolchain for one circuit.
 
-        Fault-simulation passes run on the C kernel when numpy, cffi
-        and a C compiler are present, and on big-int words otherwise;
+        Fault-simulation passes run on the C kernel when cffi and a
+        C compiler are present, and on big-int words otherwise;
         results are the same either way (see
         :attr:`repro.sim.logicsim.CompiledCircuit.array_backend`).
 

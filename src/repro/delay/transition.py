@@ -32,10 +32,11 @@ hold the two values of the transition.  A fault one test detects is
 not graded on the later ones.  The circuit decides the route:
 
 * **packed** (when the circuit has an array backend): the trail is
-  converted once into ``uint64`` arrays and each test's launches --
-  a launch is a fault and a frame that launches it -- are listed
-  with numpy in frame order.  Every launch is its own faulty
-  machine.  A dense pass takes the next ``FUSED_CAP - 1`` launches
+  converted once into net-major bytes, one blob per rail, and each
+  test's launches -- a launch is a fault and a frame that launches
+  it -- are listed in frame order from its lane's bits, read into
+  Python ints a byte per net and frame.  Every launch is its own
+  faulty machine.  A dense pass takes the next ``FUSED_CAP - 1`` launches
   of the test (skipping faults an earlier pass detected), starts at
   its first launch frame from the good state the trail holds, and
   runs to the end of the test in one call of the C pass kernel of
@@ -67,7 +68,7 @@ passes on the scalar route, one launch frame at a time, reporting
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis import sanitizer
 from ..circuits.netlist import Netlist
@@ -75,6 +76,7 @@ from ..core.scan_test import ScanTest, ScanTestSet
 from ..sim import fault_sim, npsim
 from ..sim import values as V
 from ..sim.counters import SimCounters
+from ..sim.fault_sim import _set_bits
 from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
                             simulate_lanes)
 
@@ -84,6 +86,13 @@ _SANITIZE_SPOT_BUDGET = 3
 
 #: Word width (launched faults + the good machine) of the scalar route.
 _SCALAR_WIDTH = 128
+
+#: Per bit ``j``, the byte translation that reads bit ``j`` of every
+#: byte as 0 or 1.
+_LANE_BIT = tuple(bytes((i >> j) & 1 for i in range(256)) for j in range(8))
+
+#: The byte translation that reads every nonzero byte as 1.
+_NONZERO = bytes(int(i != 0) for i in range(256))
 
 
 @dataclass(frozen=True)
@@ -138,11 +147,20 @@ class TransitionSim:
         self._nid: List[int] = [ids[f.net] for f in self.faults]
         self._backend = circuit.array_backend
         self.route = "packed" if self._backend is not None else "scalar"
+        #: Whether the sanitizer is armed, sampled once, here.
+        self._sanitize = sanitizer.enabled()
         if self._backend is not None:
-            np = self._backend.np
-            self._nids = np.asarray(self._nid, dtype=np.intp)
-            self._rising = np.asarray([f.rising for f in self.faults],
-                                      dtype=bool)
+            n_nets = circuit.n_nets
+            rising: List[List[int]] = [[] for _ in range(n_nets)]
+            falling: List[List[int]] = [[] for _ in range(n_nets)]
+            for fid, (nid, f) in enumerate(zip(self._nid, self.faults)):
+                (rising if f.rising else falling)[nid].append(fid)
+            #: Per launch byte (1 rising, 2 falling: a fault of kind
+            #: ``k`` is byte ``1 << k``) and net, the faults of that
+            #: kind on the net.  A net never rises and falls at once.
+            self._launch_faults: Tuple[List[Tuple[int, ...]], ...] = (
+                [()] * n_nets, [tuple(r) for r in rising],
+                [tuple(f) for f in falling])
             # A launch forces its stem to the transition's initial
             # value; every dense pass shares one kernel store.
             self._store = self._backend.store(self._backend.site_table(
@@ -190,17 +208,15 @@ class TransitionSim:
                 detected |= caught
                 remaining -= caught
             return detected
-        np = self._backend.np
-        wanted = np.zeros(len(self.faults), dtype=bool)
-        wanted[list(target)] = True
-        alive = wanted.copy()
-        trail = _trail_arrays(np, frames, len(tests))
+        wanted = set(target)
+        live = _Live(self, wanted)
+        trail = _Trail(frames, len(tests))
         for lane, test in enumerate(tests):
-            if not alive.any():
+            if not live.n_alive:
                 break
             if test.length >= 2:
-                self._grade_dense(test, frames, trail, lane, alive)
-        return set(np.flatnonzero(wanted & ~alive).tolist())
+                self._grade_dense(test, frames, trail, lane, live)
+        return {fid for fid in wanted if not live.alive[fid]}
 
     def _detect_lane(self, test: ScanTest, frames: Sequence[LaneFrame],
                      lane: int, target: Set[int]) -> Set[int]:
@@ -305,83 +321,72 @@ class TransitionSim:
 
     # ------------------------------------------------------------------
     def _grade_dense(self, test: ScanTest, frames: Sequence[LaneFrame],
-                     trail: Tuple[Any, Any], lane: int,
-                     alive: Any) -> None:
+                     trail: _Trail, lane: int, live: _Live) -> None:
         """Grade ``test``, riding in lane ``lane`` of the good-machine
-        trail, against the faults ``alive`` marks, and clear the ones
-        it detects (packed route).
+        trail, against the faults ``live`` holds alive, and kill the
+        ones it detects (packed route).
 
         Every launch -- a fault and a frame in which the test launches
         it -- is its own machine.  The launches are taken in frame
-        order, at most ``FUSED_CAP - 1`` to a pass, and a pass skips
-        the faults an earlier one detected.
+        order, faults ascending within a frame, at most ``FUSED_CAP -
+        1`` to a pass, and a pass skips the faults an earlier one
+        detected.
         """
-        np = self._backend.np
-        word, shift = divmod(lane, 64)
-        zero, one = (((rows[:test.length, :, word] >> np.uint64(shift)) &
-                      np.uint64(1)).astype(bool) for rows in trail)
-        fids = np.flatnonzero(alive)
-        nids = self._nids[fids]
-        rise = zero[:-1, nids] & one[1:, nids]
-        fall = one[:-1, nids] & zero[1:, nids]
-        frame, k = np.nonzero(np.where(self._rising[fids], rise, fall))
-        at, fid = frame + 1, fids[k]
-        vectors = np.asarray(test.vectors, dtype=np.uint8).reshape(
-            test.length, -1)
+        at, fids = live.launches(trail, lane, test.length)
         cap = fault_sim.FUSED_CAP - 1
-        while len(fid):
-            pending = alive[fid]
-            at, fid = at[pending], fid[pending]
-            if len(fid):
-                caught = self._dense_pass(test, frames, (zero, one), lane,
-                                          vectors, at[:cap], fid[:cap])
-                alive[caught] = False
-                at, fid = at[cap:], fid[cap:]
+        alive = live.alive
+        while fids:
+            if not all(map(alive.__getitem__, fids)):
+                keep = [i for i, fid in enumerate(fids) if alive[fid]]
+                at, fids = [at[i] for i in keep], [fids[i] for i in keep]
+                if not fids:
+                    break
+            live.kill(self._dense_pass(test, frames, lane, at[:cap],
+                                       fids[:cap]))
+            at, fids = at[cap:], fids[cap:]
 
     def _dense_pass(self, test: ScanTest, frames: Sequence[LaneFrame],
-                    lane_bits: Tuple[Any, Any], lane: int, vectors: Any,
-                    at: Any, fid: Any) -> Any:
-        """One kernel pass over the launches ``(at[i], fid[i])``, in
+                    lane: int, at: Sequence[int],
+                    fids: Sequence[int]) -> List[int]:
+        """One kernel pass over the launches ``(at[i], fids[i])``, in
         frame order; returns the faults it detects.
 
-        Machine bit ``i + 1`` is launch ``i``: fault ``fid[i]`` of the
+        Machine bit ``i + 1`` is launch ``i``: fault ``fids[i]`` of the
         site table, forcing only in pass frame ``at[i] - a``.  The pass
         starts at the first launch frame ``a`` from the good state
         frame ``a - 1`` captured (X where the good machine holds X),
         observes the POs every frame and the scan-out at the last, and
         stops once every machine is caught.
         """
-        np = self._backend.np
-        start = int(at[0])
-        n_frames = test.length - start
+        start = at[0]
         store = self._store
-        store.bind(fid, frames=at - start)
-        zero, one = (rows[start - 1, self.circuit.ff_d_ids]
-                     for rows in lane_bits)
-        store.load_scan_in(np.where(zero, V.ZERO, np.where(one, V.ONE,
-                                                           V.X)))
-        store.load_vectors(vectors[start:])
+        store.bind(fids, frames=[t - start for t in at])
+        store.load_scan_in(lane_vector(frames[start - 1],
+                                       self.circuit.ff_d_ids, lane))
+        store.load_vectors(test.vectors[start:])
         self.counters.tdf_passes += 1
-        self.counters.tdf_words += store.run(n_frames, True, True, None)
+        self.counters.tdf_words += store.run(test.length - start, True,
+                                             True, None)
         hit = self._caught(store)
-        if sanitizer.enabled() and self._sanitize_spots_left > 0:
+        if self._sanitize and self._sanitize_spots_left > 0:
             self._sanitize_spots_left -= 1
-            self._spot_check(test, frames, lane, at, fid, hit)
-        return fid[hit]
+            self._spot_check(test, frames, lane, at, fids, hit)
+        return [fids[i] for i in hit]
 
     @staticmethod
-    def _caught(store: Any) -> Any:
+    def _caught(store: npsim._Arena) -> List[int]:
         """The pass positions of the launches a dense pass caught."""
-        return store.bits(store.caught) - 1
+        return [b - 1 for b in _set_bits(store.caught)]
 
     def _spot_check(self, test: ScanTest, frames: Sequence[LaneFrame],
-                    lane: int, at: Any, fid: Any, hit: Any) -> None:
+                    lane: int, at: Sequence[int], fids: Sequence[int],
+                    hit: Sequence[int]) -> None:
         """Scalar shadow recomputation of one dense pass, one launch
         frame at a time, each from the good state its previous frame
         captured."""
-        caught = set(zip(at[hit].tolist(), fid[hit].tolist()))
-        for t in sorted(set(at.tolist())):
-            launched = fid[at == t].tolist()
+        caught = {(at[i], fids[i]) for i in hit}
+        for t in sorted(set(at)):
+            launched = [fid for a, fid in zip(at, fids) if a == t]
             state = lane_vector(frames[t - 1], self.circuit.ff_d_ids, lane)
             scalar = self._capture_and_propagate(test, state, t, launched,
                                                  count=False)
@@ -415,19 +420,102 @@ class TransitionSim:
             len(self.faults)
 
 
-def _trail_arrays(np: Any, frames: Sequence[LaneFrame],
-                  n_lanes: int) -> Tuple[Any, Any]:
-    """A lane pass's frames as ``(frames, nets, lane words)`` uint64
-    ``zero`` and ``one`` arrays (lane ``k`` in bit ``k % 64`` of word
-    ``k // 64``), converted one frame at a time."""
-    n_words = max(1, (n_lanes + 63) // 64)
-    n_nets = len(frames[0][0]) if frames else 0
-    zero = np.empty((len(frames), n_nets, n_words), dtype=np.uint64)
-    one = np.empty_like(zero)
-    for f, (z, o) in enumerate(frames):
-        zero[f] = npsim._rows_array(np, z, n_words)
-        one[f] = npsim._rows_array(np, o, n_words)
-    return zero, one
+class _Trail:
+    """A lane pass's frames as net-major bytes, one blob per rail: byte
+    ``(f * n_nets + n) * size + lane // 8`` holds bit ``lane % 8`` of
+    net ``n``'s lane word in frame ``f`` (``size`` bytes a word)."""
+
+    def __init__(self, frames: Sequence[LaneFrame], n_lanes: int) -> None:
+        self.size = size = max(1, (n_lanes + 7) // 8)
+        self.n_nets = len(frames[0][0]) if frames else 0
+        self.zero = b"".join([w.to_bytes(size, "little")
+                              for z, _ in frames for w in z])
+        self.one = b"".join([w.to_bytes(size, "little")
+                             for _, o in frames for w in o])
+
+    def lane(self, lane: int, length: int) -> Tuple[int, int]:
+        """Lane ``lane``'s zero and one rails in frames ``0 .. length -
+        1``, as ints whose bit ``8 * (f * n_nets + n)`` is net ``n``'s
+        value in frame ``f``."""
+        at, pick, size = lane // 8, _LANE_BIT[lane % 8], self.size
+        end = length * self.n_nets * size
+        return (int.from_bytes(self.zero[at:end:size].translate(pick),
+                               "little"),
+                int.from_bytes(self.one[at:end:size].translate(pick),
+                               "little"))
+
+
+class _Live:
+    """The faults still alive in a packed-route grading: a flag per
+    fault and, per kind (rising, falling), a byte per net that is 1
+    while a fault of that kind on the net is alive."""
+
+    def __init__(self, sim: TransitionSim, target: Iterable[int]) -> None:
+        self.sim = sim
+        self.alive = bytearray(len(sim.faults))
+        self.n_alive = 0
+        n_nets = sim.circuit.n_nets
+        self.nets = (bytearray(n_nets), bytearray(n_nets))
+        for fid in target:
+            if not self.alive[fid]:
+                self.alive[fid] = 1
+                self.n_alive += 1
+                self.nets[_kind(sim.faults[fid])][sim._nid[fid]] = 1
+
+    def kill(self, fids: Iterable[int]) -> None:
+        """Mark ``fids`` detected."""
+        sim, alive = self.sim, self.alive
+        for fid in fids:
+            if alive[fid]:
+                alive[fid] = 0
+                self.n_alive -= 1
+                kind, nid = _kind(sim.faults[fid]), sim._nid[fid]
+                if not any(alive[g]
+                           for g in sim._launch_faults[1 << kind][nid]):
+                    self.nets[kind][nid] = 0
+
+    def launches(self, trail: _Trail, lane: int,
+                 length: int) -> Tuple[List[int], List[int]]:
+        """The launches in frames ``1 .. length - 1`` of lane ``lane``
+        on the nets and kinds of the alive faults, as two lists, the
+        launch frames and the faults: in frame order, faults ascending
+        within a frame.  A rising fault on net ``n`` launches in frame
+        ``t`` when ``n`` is 0 in frame ``t - 1`` and 1 in frame ``t``; a
+        falling one the other way round.  A detected fault that shares
+        its net and kind with an alive one is listed too; the passes
+        skip it."""
+        n_nets = trail.n_nets
+        zero, one = trail.lane(lane, length)
+        rising, falling = (int.from_bytes(bytes(nets) * (length - 1),
+                                          "little") for nets in self.nets)
+        # Byte t * n_nets + n: bit 0 set when net n launches a rising
+        # fault in frame t + 1, bit 1 a falling one.
+        step = 8 * n_nets
+        hits = ((zero & (one >> step) & rising) |
+                ((one & (zero >> step) & falling) << 1)).to_bytes(
+                    (length - 1) * n_nets, "little")
+        faults_of = self.sim._launch_faults
+        at: List[int] = []
+        fids: List[int] = []
+        find = hits.translate(_NONZERO).find
+        for t in range(1, length):
+            lo, hi = (t - 1) * n_nets, t * n_nets
+            p = find(1, lo, hi)
+            if p < 0:
+                continue
+            group: List[int] = []
+            while p >= 0:
+                group += faults_of[hits[p]][p - lo]
+                p = find(1, p + 1, hi)
+            group.sort()
+            at += [t] * len(group)
+            fids += group
+        return at, fids
+
+
+def _kind(fault: TransitionFault) -> int:
+    """0 for a slow-to-rise fault, 1 for a slow-to-fall one."""
+    return 0 if fault.rising else 1
 
 
 def _diff(zero: int, one: int) -> int:

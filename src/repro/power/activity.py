@@ -251,6 +251,8 @@ class ActivityEngine:
         self.counters = counters if counters is not None \
             else SimCounters()
         self._cache: Dict[ScanTest, TestPower] = {}
+        #: Whether the sanitizer is armed, sampled once, here.
+        self._sanitize = sanitizer.enabled()
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
 
     # ------------------------------------------------------------------
@@ -295,7 +297,7 @@ class ActivityEngine:
                 frames=test.length,
             )
             self.counters.power_words += test.length
-            if sanitizer.enabled() and self._sanitize_spots_left > 0:
+            if self._sanitize and self._sanitize_spots_left > 0:
                 self._sanitize_spots_left -= 1
                 self._spot_check(test, state, toggles, result)
             self._cache[test] = result

@@ -20,13 +20,15 @@ Execution: every pass of :meth:`detect`, :meth:`run_with_records`
 and :meth:`detect_trials`, every :class:`IncrementalFaultSim` step and
 every Phase-2 suffix trial and rebuild frame runs in a *pass store*;
 the consumers are written once, against the one interface both stores
-share.  Both stores chunk a pass the same way (:meth:`_groups`:
-balanced groups of the target, fault ``k`` of a group at machine bit
-``k + 1``).  When the circuit has an array backend
-(:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- numpy,
-cffi and a C compiler present) the stores are the C kernel's stores of
-:mod:`repro.sim.npsim` over ``uint64`` arrays, and a pass is a machine
-list over the simulator's fault-site table, built once:
+share, and they decode their machine bits once, as Python ints
+(:class:`_Store`).  Both stores chunk a pass the same way
+(:meth:`_groups`: balanced groups of the target, fault ``k`` of a
+group at machine bit ``k + 1``).  When the circuit has an array
+backend (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` --
+cffi and a C compiler present) the stores are the C kernel's stores
+of :mod:`repro.sim.npsim` over ``uint64`` rows in cffi memory, and a
+pass is a machine list over the simulator's fault-site table, built
+once:
 :meth:`detect`, :meth:`run_with_records` and :meth:`detect_trials`
 bind each chunk's list, in turn, to one store the simulator keeps,
 while an incremental simulation and a Phase-2 run each keep a store
@@ -92,7 +94,7 @@ captured by the final frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -101,7 +103,6 @@ from ..analysis import sanitizer
 from .counters import SimCounters
 from .faults import Fault, FaultSet
 from .logicsim import CompiledCircuit, check_state, check_vectors
-from .npsim import SITE_BRANCH, SITE_FF, SITE_STEM
 from .scoreboard import FaultScoreboard
 
 #: Machine-bit cap per fused word: the size of one part of a packing
@@ -135,12 +136,20 @@ class _Chunk:
 class _TrialBlocks:
     """The tests of one multi-trial pass, test ``b`` in block ``b``.
 
-    The scan-in states and the PI sequences are kept as block-major
-    bytes (a sequence padded with X past its end), with each test's
-    last frame.  :meth:`FaultSimulator.detect_trials` builds them once
-    and every chunk's store loads them: a kernel store as arrays, a
-    word arena as selector words (:meth:`words`), memoised per block
+    The scan-in states are kept as block-major bytes and the PI
+    sequences as frame-major bytes (frames x blocks x PIs, the layout
+    the kernel reads; a sequence is padded with X past its end), both
+    checked to hold only 0, 1 and X, with each test's last frame.
+    :meth:`FaultSimulator.detect_trials` builds them once and every
+    chunk's store loads them: a kernel store the PI bytes as they are
+    and the scan-in rows from :meth:`state_words`, a word arena
+    everything as selector words (:meth:`words`), memoised per block
     stride.
+
+    Raises
+    ------
+    ValueError
+        If a scan-in or PI value is not 0, 1 or X.
     """
 
     def __init__(self, states: Sequence[V.Vector],
@@ -150,11 +159,24 @@ class _TrialBlocks:
         self.n_ff, self.n_pi = n_ff, n_pi
         self.last = [len(seq) - 1 for seq in sequences]
         self.n_frames = n = max(self.last) + 1
-        self.state_bytes = bytes(chain.from_iterable(states))
+        self.state_bytes = V.scalar_bytes(chain.from_iterable(states))
         pad = (V.X,) * n_pi
-        self.pi_bytes = bytes(chain.from_iterable(chain.from_iterable(
-            chain(seq, repeat(pad, n - len(seq))) for seq in sequences)))
+        self.pi_bytes = V.scalar_bytes(chain.from_iterable(
+            seq[f] if f < len(seq) else pad
+            for f in range(n) for seq in sequences))
+        self._states: Dict[int, List[Tuple[int, int]]] = {}
         self._words: Dict[int, Tuple[Any, ...]] = {}
+
+    def state_words(self, stride: int) -> List[Tuple[int, int]]:
+        """Per flip-flop, the ``(zero, one)`` selector words of its
+        scan-in values at a block stride of ``stride`` bits: bit
+        ``b * stride`` is set where block ``b``'s value is 0 / is 1."""
+        memo = self._states.get(stride)
+        if memo is None:
+            memo = self._states[stride] = [
+                _spread(self.state_bytes[i::self.n_ff], stride // 8)
+                for i in range(self.n_ff)]
+        return memo
 
     def words(self, stride: int) -> Tuple[Any, ...]:
         """Selector words at a block stride of ``stride`` bits, where
@@ -164,21 +186,22 @@ class _TrialBlocks:
         per frame the blocks still running and those ending there."""
         memo = self._words.get(stride)
         if memo is None:
-            step, n, n_pi = stride // 8, self.n_frames, self.n_pi
-            states = [_spread(self.state_bytes[i::self.n_ff], step)
-                      for i in range(self.n_ff)]
-            frames = [[_spread(self.pi_bytes[f * n_pi + p::n * n_pi], step)
-                       for p in range(n_pi)] for f in range(n)]
-            ends = [0] * n
+            step, n_pi = stride // 8, self.n_pi
+            row = self.n_blocks * n_pi
+            frames = [[_spread(self.pi_bytes[f * row + p:(f + 1) * row:n_pi],
+                               step)
+                       for p in range(n_pi)] for f in range(self.n_frames)]
+            ends = [0] * self.n_frames
             for b, last in enumerate(self.last):
                 if last >= 0:
                     ends[last] |= 1 << (b * stride)
-            runs = [0] * n
+            runs = [0] * self.n_frames
             running = 0
-            for f in range(n - 1, -1, -1):
+            for f in range(self.n_frames - 1, -1, -1):
                 running |= ends[f]
                 runs[f] = running
-            memo = self._words[stride] = (states, frames, runs, ends)
+            memo = self._words[stride] = (self.state_words(stride), frames,
+                                          runs, ends)
         return memo
 
 
@@ -231,7 +254,110 @@ def _diff_or(zero: Sequence[int], one: Sequence[int],
     return acc
 
 
-class _WordArena:
+class _Store:
+    """What the two pass stores share: the decoding of their machine
+    bits, on Python ints.
+
+    A store's machines are a list, ``machines``: machine bit ``k + 1``
+    of every block is fault ``machines[k]`` and bit 0 the block's good
+    machine, and a block is ``stride`` bits, the whole number of
+    64-bit words that hold them.  ``caught``, the words handed to
+    :meth:`faults_in` and :meth:`weight` and the rows ``rec_po`` /
+    ``rec_scan`` of the last records-mode pass are ints in that layout
+    on either store, and :meth:`_ff_words` gives the flip-flop rows
+    the same way, so every decoding below is written once.
+    """
+
+    caught: int
+    rec_po: List[int]
+    rec_scan: List[int]
+
+    def _set_machines(self, machines: Sequence[int], n_blocks: int) -> None:
+        """Take ``machines`` over ``n_blocks`` blocks."""
+        self.machines = machines
+        self.n_machines = n = len(machines)
+        self.n_blocks = n_blocks
+        self.stride = 64 * (n // 64 + 1)
+        self._want: Optional[int] = None
+        self._weights: Optional[List[int]] = None
+
+    def _tile(self) -> int:
+        """Bit 0 of every block."""
+        stride = self.stride
+        return (((1 << (self.n_blocks * stride)) - 1) //
+                ((1 << stride) - 1))
+
+    def _ff_words(self) -> Tuple[List[int], List[int]]:
+        """The zero and one words of each flip-flop's row."""
+        raise NotImplementedError
+
+    def faults_in(self, words: int) -> List[int]:
+        """Fault indices at the machine bits set in ``words`` (the good
+        bit stands for none)."""
+        machines = self.machines
+        return [machines[b - 1] for b in _set_bits(words) if b]
+
+    def faults_by_block(self) -> List[List[int]]:
+        """Per block, the fault indices of its caught machines."""
+        machines, stride = self.machines, self.stride
+        out: List[List[int]] = [[] for _ in range(self.n_blocks)]
+        for bit in _set_bits(self.caught):
+            b, k = divmod(bit, stride)
+            if k:
+                out[b].append(machines[k - 1])
+        return out
+
+    def saturated(self) -> bool:
+        """Whether every machine is caught."""
+        want = self._want
+        if want is None:
+            want = self._want = ((1 << (self.n_machines + 1)) - 2) * \
+                self._tile()
+        return (self.caught & want) == want
+
+    def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
+        """Add to ``caught`` what a scan-out of the current flip-flop
+        state detects."""
+        zero, one = self._ff_words()
+        self.caught |= _diff_or(zero, one, range(len(zero))
+                                if scan_observe is None else scan_observe)
+
+    def good_state(self) -> V.Vector:
+        """The fault-free machine's flip-flop state."""
+        zero, one = self._ff_words()
+        return tuple(V.word_scalar(z, o) for z, o in zip(zero, one))
+
+    def bit_weights(self, expand: Optional[Dict[int, List[int]]]) -> None:
+        """Weigh each machine by the requested faults it stands for: its
+        class's member count under translation (``expand``), else 1."""
+        self._weights = (None if expand is None else
+                         [len(expand[fid]) for fid in self.machines])
+
+    def weight(self, words: int) -> int:
+        """The faults the machine bits of ``words`` stand for."""
+        if self._weights is None:
+            return bin(words >> 1).count("1")
+        weights = self._weights
+        return sum(weights[b - 1] for b in _set_bits(words) if b)
+
+    def records(self, n_frames: int, po_first: Dict[int, int],
+                scan_diff: List[Set[int]]) -> None:
+        """Decode the last records-mode pass: each fault's first
+        PO-detecting frame into ``po_first`` and, per frame, the faults
+        a scan-out there detects into ``scan_diff``."""
+        rec_po, rec_scan = self.rec_po, self.rec_scan
+        seen = 0
+        for frame in range(n_frames):
+            fresh = rec_po[frame] & ~seen
+            if fresh:
+                for fid in self.faults_in(fresh):
+                    po_first[fid] = frame
+                seen |= fresh
+            if rec_scan[frame]:
+                scan_diff[frame].update(self.faults_in(rec_scan[frame]))
+
+
+class _WordArena(_Store):
     """One chunk's machines on big-int words: the twin of the kernel's
     :class:`repro.sim.npsim._Arena`, with the same interface.
 
@@ -258,11 +384,8 @@ class _WordArena:
         circuit = sim.circuit
         self.circuit = circuit
         self.chunk = chunk
-        self.n_machines = len(chunk.indices)
-        self.n_blocks = n_blocks
-        self.stride = 64 * ((self.n_machines + 64) // 64)
-        self.tile = tile = (((1 << (n_blocks * self.stride)) - 1) //
-                            ((1 << self.stride) - 1))
+        self._set_machines(chunk.indices, n_blocks)
+        self.tile = tile = self._tile()
         self.mask = mask = chunk.mask * tile
         self.stems, self.branch = chunk.stems, chunk.branch
         if n_blocks > 1:
@@ -277,9 +400,8 @@ class _WordArena:
         self.vecs: Sequence[V.Vector] = ()
         # Per-frame (PI words, running, ending) of a block load.
         self._blocks: Optional[Tuple[Any, Any, Any]] = None
-        self.rec_po: List[int] = []
-        self.rec_scan: List[int] = []
-        self._weights: Optional[List[int]] = None
+        self.rec_po = []
+        self.rec_scan = []
         # Source-stem and flip-flop-branch blends: (row, m0, m1, keep).
         self._src = [(nid, m0, m1, mask & ~(m0 | m1))
                      for nid in chunk.src_stem_ids
@@ -290,7 +412,15 @@ class _WordArena:
 
     def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
         """Take a PI sequence (frame 0 first); returns its frame
-        count."""
+        count.
+
+        Raises
+        ------
+        ValueError
+            If a value is not 0, 1 or X (checked here, so a pass that
+            stops before a frame cannot let that frame's values by).
+        """
+        V.scalar_bytes(chain.from_iterable(vectors))
         self.vecs = vectors
         self._blocks = None
         return len(vectors)
@@ -387,24 +517,14 @@ class _WordArena:
         self.caught = caught
         return n_frames
 
-    def saturated(self) -> bool:
-        """Whether every machine is caught."""
-        want = self.mask & ~self.tile
-        return (self.caught & want) == want
-
-    def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
-        """Add to ``caught`` what a scan-out of the current flip-flop
-        state detects."""
+    def _ff_words(self) -> Tuple[List[int], List[int]]:
         ff_ids = self.circuit.ff_ids
-        rows = (ff_ids if scan_observe is None
-                else [ff_ids[pos] for pos in scan_observe])
-        self.caught |= _diff_or(self.zero, self.one, rows)
+        return ([self.zero[nid] for nid in ff_ids],
+                [self.one[nid] for nid in ff_ids])
 
     def save(self) -> Tuple[List[int], List[int], int]:
         """A checkpoint of the flip-flop words and ``caught``."""
-        ff_ids = self.circuit.ff_ids
-        return ([self.zero[nid] for nid in ff_ids],
-                [self.one[nid] for nid in ff_ids], self.caught)
+        return (*self._ff_words(), self.caught)
 
     def restore(self, checkpoint: Tuple[List[int], List[int], int]
                 ) -> None:
@@ -413,56 +533,6 @@ class _WordArena:
         zero, one = self.zero, self.one
         for nid, z, o in zip(self.circuit.ff_ids, ff_zero, ff_one):
             zero[nid], one[nid] = z, o
-
-    def faults_in(self, words: int) -> List[int]:
-        """Fault indices at the machine bits set in ``words`` (the good
-        bit stands for none)."""
-        indices = self.chunk.indices
-        return [indices[b - 1] for b in _set_bits(words) if b]
-
-    def faults_by_block(self) -> List[List[int]]:
-        """Per block, the fault indices of its caught machines."""
-        indices, stride = self.chunk.indices, self.stride
-        out: List[List[int]] = [[] for _ in range(self.n_blocks)]
-        for bit in _set_bits(self.caught):
-            b, k = divmod(bit, stride)
-            out[b].append(indices[k - 1])
-        return out
-
-    def bit_weights(self, expand: Optional[Dict[int, List[int]]]) -> None:
-        """Weigh each machine by the requested faults it stands for: its
-        class's member count under translation (``expand``), else 1."""
-        self._weights = (None if expand is None else
-                         [len(expand[fid]) for fid in self.chunk.indices])
-
-    def weight(self, words: int) -> int:
-        """The faults the machine bits of ``words`` stand for."""
-        if self._weights is None:
-            return bin(words >> 1).count("1")
-        weights = self._weights
-        return sum(weights[b - 1] for b in _set_bits(words) if b)
-
-    def good_state(self) -> V.Vector:
-        """The fault-free machine's flip-flop state."""
-        zero, one = self.zero, self.one
-        return tuple(V.word_scalar(zero[nid], one[nid])
-                     for nid in self.circuit.ff_ids)
-
-    def records(self, n_frames: int, po_first: Dict[int, int],
-                scan_diff: List[Set[int]]) -> None:
-        """Decode the last records-mode pass: each fault's first
-        PO-detecting frame into ``po_first`` and, per frame, the faults
-        a scan-out there detects into ``scan_diff``."""
-        seen = 0
-        for frame in range(n_frames):
-            fresh = self.rec_po[frame] & ~seen
-            if fresh:
-                for fid in self.faults_in(fresh):
-                    po_first[fid] = frame
-                seen |= fresh
-            if self.rec_scan[frame]:
-                scan_diff[frame].update(
-                    self.faults_in(self.rec_scan[frame]))
 
 
 @dataclass
@@ -573,6 +643,8 @@ class FaultSimulator:
         ids = net.net_ids
         self._source_ids = set(circuit.pi_ids) | set(circuit.ff_ids)
         self._ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
+        #: Whether the sanitizer is armed, sampled once, here.
+        self._sanitize = sanitizer.enabled()
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_trial_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_shadow = False
@@ -755,6 +827,7 @@ class FaultSimulator:
         """The kernel's fault-site table of this simulator's faults,
         built and checked on first use."""
         if self._sites is None:
+            from .npsim import SITE_BRANCH, SITE_FF, SITE_STEM
             kinds = {"stem": SITE_STEM, "branch": SITE_BRANCH,
                      "ff": SITE_FF}
             self._sites = backend.site_table([
@@ -773,7 +846,7 @@ class FaultSimulator:
         must be done with before the next is taken), otherwise a fresh
         word arena."""
         backend = self.circuit.array_backend
-        check = sanitizer.enabled()
+        check = self._sanitize
         if backend is None:
             for chunk in self._build_chunks(sim_target, per):
                 if check:
@@ -799,7 +872,7 @@ class FaultSimulator:
             return [_WordArena(self, self._chunk(group)) for group in groups]
         stores = []
         for group in groups:
-            if sanitizer.enabled():
+            if self._sanitize:
                 sanitizer.check_machines(group, self.faults,
                                          self._untestable,
                                          "FaultSimulator run")
@@ -897,7 +970,7 @@ class FaultSimulator:
         init_state = self.embed_state(init_state)
         scan_observe = self._scan_observe(scan_observe)
         sim_target, expand = self._prepare_target(target)
-        if retire_to is not None and sanitizer.enabled():
+        if retire_to is not None and self._sanitize:
             sanitizer.check_fresh_targets(retire_to, target,
                                           "FaultSimulator.detect")
         counters = self.counters
@@ -913,7 +986,7 @@ class FaultSimulator:
             detected.update(store.faults_in(store.caught))
             longest = max(longest, frames)
         counters.frames += longest
-        if (sanitizer.enabled() and not self._sanitize_shadow and
+        if (self._sanitize and not self._sanitize_shadow and
                 self._sanitize_spots_left > 0 and vectors):
             # Shadow at representative level: reps are fixed points of
             # the translation, so the shadow's own re-translation is
@@ -1100,7 +1173,7 @@ class FaultSimulator:
             for hits, fids in zip(results, store.faults_by_block()):
                 hits.update(fids)
         counters.frames += longest
-        if (sanitizer.enabled() and not self._sanitize_shadow and
+        if (self._sanitize and not self._sanitize_shadow and
                 self._sanitize_trial_spots_left > 0):
             self._sanitize_trials(states, sequences, sorted(sim_target),
                                   scan_out, observe_po, scan_observe,
@@ -1152,6 +1225,13 @@ class FaultSimulator:
                   else self.faults.indices(target_faults))
         detected = self.detect(vectors, init_state, target, **kwargs)
         return {self.faults[i] for i in detected}
+
+
+def _check_step(circuit: CompiledCircuit, vector: V.Vector) -> None:
+    """Check one vector of an incremental step: its width and, also
+    when no store will load it, its values."""
+    check_vectors(circuit, [vector])
+    V.scalar_bytes(vector)
 
 
 @dataclass
@@ -1207,8 +1287,15 @@ class IncrementalFaultSim:
         return store.rec_po[0], store.rec_scan[0]
 
     def preview(self, vector: V.Vector) -> StepPreview:
-        """Evaluate a candidate next vector without committing it."""
-        check_vectors(self.parent.circuit, [vector])
+        """Evaluate a candidate next vector without committing it.
+
+        Raises
+        ------
+        ValueError
+            If the vector does not have one value per primary input or
+            a value is not 0, 1 or X, whatever the run's target.
+        """
+        _check_step(self.parent.circuit, vector)
         new_po = 0
         sdiff_total = 0
         for store in self._stores:
@@ -1220,8 +1307,14 @@ class IncrementalFaultSim:
         return StepPreview(new_po, sdiff_total)
 
     def apply(self, vector: V.Vector) -> Set[int]:
-        """Commit a vector; returns the newly PO-detected fault indices."""
-        check_vectors(self.parent.circuit, [vector])
+        """Commit a vector; returns the newly PO-detected fault indices.
+
+        Raises
+        ------
+        ValueError
+            As :meth:`preview`.
+        """
+        _check_step(self.parent.circuit, vector)
         newly: Set[int] = set()
         for store in self._stores:
             po_diff, _ = self._step(store, vector)

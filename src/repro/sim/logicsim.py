@@ -111,8 +111,8 @@ class CompiledCircuit:
         circuit's pass chunks on the C kernel, or ``None``.
 
         Resolved once, on first use.  ``None`` means every pass runs
-        on big-int words: numpy, cffi or a C compiler is missing, or a
-        gate has more fanins than the kernel holds
+        on big-int words: cffi or a C compiler is missing, or a gate
+        has more fanins than the kernel holds
         (:func:`repro.sim.npsim.kernel_unavailable_reason` says
         which), or this is the reference circuit.
         """

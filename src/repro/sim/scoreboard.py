@@ -52,6 +52,8 @@ class FaultScoreboard:
         self.n_faults = n_faults
         self.counters = counters
         self.enabled = enabled
+        #: Whether the sanitizer is armed, sampled once, here.
+        self._sanitize = sanitizer.enabled()
         self._retired: Set[int] = set()
         #: Accidental Detection Index per fault (Pomeranz & Reddy,
         #: arXiv:0710.4637): how many random-phase patterns detected
@@ -72,7 +74,7 @@ class FaultScoreboard:
         """
         if not self.enabled:
             return 0
-        before = set(self._retired) if sanitizer.enabled() else None
+        before = set(self._retired) if self._sanitize else None
         fresh = set(fault_ids) - self._retired
         for fid in fresh:
             if not 0 <= fid < self.n_faults:

@@ -17,20 +17,23 @@ This encoding makes 3-valued gate evaluation a handful of big-int
 bitwise operations, independent of how many machines are packed in a
 word.
 
-Array encoding
---------------
-The numpy backend (:mod:`repro.sim.npsim`) stores the same packed
-machines as ``uint64`` arrays: big-int bit ``w`` lives in bit
-``w % 64`` of array word ``w // 64`` (little-endian word order), so
-:func:`array_to_word` converts losslessly; scoreboard masks,
-detection sets and :class:`~repro.sim.counters.SimCounters`
-accounting stay backend-agnostic.
+Kernel encoding
+---------------
+The C kernel's pass stores (:mod:`repro.sim.npsim`) keep the same
+packed machines in ``uint64`` rows of cffi memory: big-int bit ``w``
+lives in bit ``w % 64`` of row word ``w // 64`` (little-endian word
+order), so a row's bytes are the little-endian bytes of its big-int
+and ``int.from_bytes(row, "little")`` converts it losslessly.  Their
+scalar inputs are bytes, one per value, checked by
+:func:`scalar_bytes`; scoreboard masks, detection sets and
+:class:`~repro.sim.counters.SimCounters` accounting stay
+store-agnostic.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 ZERO = 0
 ONE = 1
@@ -123,12 +126,27 @@ def pack_lanes(values: Sequence[int]) -> Tuple[int, int]:
     return zero, one
 
 
-def array_to_word(arr: Any) -> int:
-    """Collapse a ``uint64`` array into one packed big-int: bit
-    ``w % 64`` of element ``w // 64`` becomes bit ``w``."""
-    import numpy as np
-    return int.from_bytes(
-        np.ascontiguousarray(arr, dtype="<u8").tobytes(), "little")
+#: The bytes of the three scalar values.
+_SCALARS = bytes((ZERO, ONE, X))
+
+
+def scalar_bytes(values: Iterable[int]) -> bytes:
+    """``values`` as bytes, one per value, each checked to be 0, 1 or
+    X.
+
+    Raises
+    ------
+    ValueError
+        If a value is not 0, 1 or X.
+    """
+    try:
+        data = bytes(values)
+    except (TypeError, ValueError):
+        raise ValueError("invalid scalar value: not a byte") from None
+    bad = data.translate(None, _SCALARS)
+    if bad:
+        raise ValueError(f"invalid scalar value {bad[0]!r}")
+    return data
 
 
 def random_binary_vector(width: int, rng: random.Random) -> Vector:

@@ -168,6 +168,7 @@ class TestTrialCrossCheck:
         if kernel and not KERNEL:
             pytest.skip("the C kernel is unavailable")
         net = synth.generate("sani", 4, 3, 5, 40, seed=5)
+        _arm(monkeypatch)  # a simulator samples the setting when built
         sim = FaultSimulator(production_circuit(net, kernel),
                              FaultSet.collapsed(net))
         store = npsim._Arena if kernel else fault_sim._WordArena
@@ -185,7 +186,6 @@ class TestTrialCrossCheck:
         trials = [(random_gen.random_state(cc, seed=k),
                    random_gen.random_sequence(cc, 1 + k % 3, seed=k))
                   for k in range(5)]
-        _arm(monkeypatch)
         assert any(sim.detect_trials(trials))  # clean without the patch
         monkeypatch.setattr(store, "faults_by_block", lossy)
         with pytest.raises(SanitizerError,

@@ -19,7 +19,7 @@ from tests.reference import (KERNEL, mixed_scan_tests, production_circuit,
                              production_circuits, reference_circuit)
 
 needs_packed = pytest.mark.skipif(
-    not KERNEL, reason="packed TDF route needs numpy + C kernel")
+    not KERNEL, reason="packed TDF route needs cffi + C kernel")
 
 
 def oracle_detects(netlist, fault, test):

@@ -1,17 +1,17 @@
 """Production vs reference: the circuits every equivalence test compares.
 
-Production is one code path in two configurations.  With numpy, cffi
-and a C compiler, every fault-simulation pass chunk runs on the C
-kernel; without them -- or for a circuit the kernel cannot hold --
-everything runs on big-int words through the interpreting
-``eval_frame``.  The reference is a circuit with no array backend
+Production is one code path in two configurations.  With cffi and a
+C compiler, every fault-simulation pass chunk runs on the C kernel;
+without them -- or for a circuit the kernel cannot hold -- everything
+runs on big-int words through the interpreting ``eval_frame``.  The
+reference is a circuit with no array backend
 (``CompiledCircuit(netlist, _reference=True)``), so it runs every
 pass on big-int words.
 
 :func:`production_circuits` returns one circuit per configuration this
 host can run: the kernel configuration when the kernel loads, and
 always the big-int one (the kernel made unavailable, exactly as on a
-numpy-free host).  The equivalence tests run each of them against
+host without cffi).  The equivalence tests run each of them against
 :func:`reference_circuit` on the same stimuli.
 """
 

@@ -472,13 +472,20 @@ class TestNumpyBackendEquivalence:
 
 
 def _checkpoint_words(checkpoint):
-    """A Phase-2 checkpoint as big-ints, whichever store made it."""
+    """A Phase-2 checkpoint as big-ints, whichever store made it: a
+    kernel store's is three ``bytes``, each rail's flip-flop rows back
+    to back and the caught words, all rows as long as the caught
+    words."""
     zero, one, caught = checkpoint
     if isinstance(caught, int):
         return list(zero), list(one), caught
-    return ([V.array_to_word(row) for row in zero],
-            [V.array_to_word(row) for row in one],
-            V.array_to_word(caught))
+    size = len(caught)
+
+    def rows(span):
+        return [int.from_bytes(span[i:i + size], "little")
+                for i in range(0, len(span), size)]
+
+    return rows(zero), rows(one), int.from_bytes(caught, "little")
 
 
 class TestOmissionCheckpoints:
@@ -655,9 +662,9 @@ class TestPlanValidation:
         net = synth.generate("plan", 4, 3, 5, 40, seed=5)
         circuit = production_circuit(net, kernel=True)
         backend = circuit.array_backend
-        np = backend.np
         fs = FaultSet.collapsed(net)
-        entries = FaultSimulator(circuit, fs)._site_table(backend).tolist()
+        table = list(FaultSimulator(circuit, fs)._site_table(backend))
+        entries = [table[i:i + 4] for i in range(0, len(table), 4)]
         assert {entry[0] for entry in entries} >= {npsim.SITE_STEM,
                                                    npsim.SITE_BRANCH}
 
@@ -667,8 +674,7 @@ class TestPlanValidation:
             store = backend.store(backend.site_table(entries),
                                   SimCounters())
             store.bind(faults, n_blocks=3, frames=frames)
-            store.load_vectors(np.zeros((4, 3 * net.num_inputs),
-                                        dtype=np.uint8))
+            store.load_vectors([(V.ZERO,) * (3 * net.num_inputs)] * 4)
             if tweak is not None:
                 tweak(store)
             store.run(4, True, True, None)
@@ -867,18 +873,26 @@ class TestEngineSelection:
         assert got == [FaultSimulator(reference, fs).detect(
             vectors, init, early_exit=False)] * len(got)
 
-    def test_missing_numpy_raises_actionable_error(self, monkeypatch):
-        """Without numpy, require_numpy raises an actionable error,
-        while circuits silently run on big-int words and say why."""
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.raises(npsim.MissingNumpyError,
-                           match=r"repro\[fast\]"):
-            npsim.require_numpy()
+    def test_missing_cffi_runs_on_bigint_words(self, monkeypatch):
+        """Without cffi the kernel reports itself unavailable and says
+        why, while circuits silently run on big-int words, with the
+        reference's results."""
+        monkeypatch.setattr(npsim, "_KERNEL", None)
+        monkeypatch.setattr(npsim, "_KERNEL_ERROR", None)
+        monkeypatch.setattr(npsim, "_KERNEL_TRIED", False)
+        monkeypatch.setitem(sys.modules, "cffi", None)
+        assert npsim.kernel_unavailable_reason() == "cffi is not installed"
         net = synth.generate("noeq", 3, 2, 3, 15, seed=0)
         circuit = CompiledCircuit(net)
         assert circuit.array_backend is None
         assert npsim.kernel_unavailable_reason(circuit) == \
-            "numpy is not installed"
+            "cffi is not installed"
+        fs = FaultSet.collapsed(net)
+        sim = FaultSimulator(circuit, fs)
+        vectors = random_gen.random_sequence(circuit, 6, seed=1)
+        assert sim.detect(vectors, None) == FaultSimulator(
+            reference_circuit(net), fs).detect(vectors, None)
+        assert sim.counters.np_passes == 0
 
     def test_sanitizer_shadow_is_cross_backend(self, monkeypatch):
         """With the sanitizer armed, a production detect is spot

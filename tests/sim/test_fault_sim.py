@@ -17,7 +17,8 @@ from repro.sim import values as V
 from repro.sim.fault_sim import FaultSimulator
 from repro.sim.faults import Fault, FaultSet
 from repro.sim.logicsim import CompiledCircuit, simulate_sequence
-from tests.reference import production_circuits, reference_circuit
+from tests.reference import (KERNEL, production_circuit, production_circuits,
+                             reference_circuit)
 
 FAULT_NET = "__fault__"
 
@@ -390,3 +391,63 @@ class TestIncremental:
                 inc.preview(short)
             with pytest.raises(ValueError, match="vector width"):
                 inc.apply(short + (V.ONE, V.ONE))
+
+
+#: An s27 input vector holding a value that is not 0, 1 or X.
+_BAD_VECTOR = (V.ZERO, V.ONE, 3, V.ZERO)
+
+_both_configs = pytest.mark.parametrize("kernel", [True, False],
+                                        ids=["kernel", "bigint"])
+
+
+def _s27_sim(kernel):
+    """A simulator of s27's collapsed faults in one configuration."""
+    if kernel and not KERNEL:
+        pytest.skip("the C kernel is unavailable")
+    net = library.s27()
+    return FaultSimulator(production_circuit(net, kernel),
+                          FaultSet.collapsed(net))
+
+
+class TestScalarValuesChecked:
+    """A value other than 0, 1 and X raises ValueError at every entry
+    point, in both configurations: it is checked when it is loaded,
+    never read as X, and never passed over by a pass that stops
+    early."""
+
+    STATE = (V.ZERO, V.ONE, V.ZERO)
+    FIRST = (V.ZERO, V.ONE, V.ZERO, V.ZERO)
+
+    @_both_configs
+    def test_detect(self, kernel):
+        """Also in a frame after the pass has caught every target."""
+        sim = _s27_sim(kernel)
+        caught = sorted(sim.detect([self.FIRST], self.STATE,
+                                   scan_out=False))
+        assert caught
+        with pytest.raises(ValueError, match="invalid scalar value 3"):
+            sim.detect([self.FIRST, _BAD_VECTOR], self.STATE, target=caught)
+        with pytest.raises(ValueError, match="invalid scalar value 3"):
+            sim.detect([_BAD_VECTOR], self.STATE)
+
+    @_both_configs
+    def test_detect_trials(self, kernel):
+        """In a PI sequence and in a scan-in state."""
+        sim = _s27_sim(kernel)
+        with pytest.raises(ValueError, match="invalid scalar value 3"):
+            sim.detect_trials([(self.STATE, [_BAD_VECTOR])])
+        with pytest.raises(ValueError, match="invalid scalar value 3"):
+            sim.detect_trials([(self.STATE, [self.FIRST]),
+                               ((V.ZERO, 3, V.ONE), [self.FIRST])])
+
+    @_both_configs
+    def test_incremental_steps(self, kernel):
+        """Also in a run left with no machine to step."""
+        sim = _s27_sim(kernel)
+        for target in (None, []):
+            inc = sim.incremental(self.STATE, target=target)
+            with pytest.raises(ValueError, match="invalid scalar value 3"):
+                inc.preview(_BAD_VECTOR)
+            with pytest.raises(ValueError, match="invalid scalar value 3"):
+                inc.apply(_BAD_VECTOR)
+            assert inc.n_frames == 0

@@ -43,8 +43,6 @@ def test_path_is_keyed_on_source(monkeypatch, tmp_path):
 def test_missing_source_disables_the_kernel(monkeypatch, tmp_path):
     """Without kernel.c the kernel reports itself unavailable and the
     big-int path runs, with the reference's results."""
-    if not npsim.numpy_available():
-        pytest.skip("numpy not installed")
     pytest.importorskip("cffi")
     _reset_kernel_state(monkeypatch)
     monkeypatch.setattr(npsim, "_KERNEL_PATH", str(tmp_path / "gone.c"))
@@ -65,8 +63,6 @@ def test_missing_source_disables_the_kernel(monkeypatch, tmp_path):
 
 def test_publish_then_hit_without_a_compiler(monkeypatch, tmp_path):
     """A compile publishes the .so; the next load needs no compiler."""
-    if not npsim.numpy_available():
-        pytest.skip("numpy not installed")
     if npsim.kernel_unavailable_reason() is not None:
         pytest.skip(npsim.kernel_unavailable_reason())
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
@@ -98,8 +94,6 @@ def test_path_is_keyed_on_compiler(monkeypatch, tmp_path):
 def test_missing_compiler_over_populated_cache(monkeypatch, tmp_path):
     """A ``$CC`` that names no compiler reports so, even when the cache
     holds a kernel built by another compiler."""
-    if not npsim.numpy_available():
-        pytest.skip("numpy not installed")
     if npsim.kernel_unavailable_reason() is not None:
         pytest.skip(npsim.kernel_unavailable_reason())
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
@@ -137,8 +131,6 @@ assert sim.counters.np_passes > 0
 def test_compile_leaves_no_build_directory(tmp_path):
     """A process that compiles the kernel removes its build directory
     once the library is loaded, and the kernel still runs."""
-    if not npsim.numpy_available():
-        pytest.skip("numpy not installed")
     if npsim.kernel_unavailable_reason() is not None:
         pytest.skip(npsim.kernel_unavailable_reason())
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -149,3 +141,64 @@ def test_compile_leaves_no_build_directory(tmp_path):
     subprocess.run([sys.executable, "-c", _COMPILE_AND_RUN], env=env,
                    check=True, timeout=300)
     assert not list(tmp_path.glob("repro-np-kernel-*"))
+
+
+_WITHOUT_NUMPY = """
+import sys
+
+
+class BlockNumpy:
+    # A meta-path finder under which `import numpy` fails.
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(name + " is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockNumpy())
+
+from unittest import mock
+
+from repro.circuits import suite
+from repro.experiments import reporting, runner
+from repro.sim import npsim
+
+
+def results(run):
+    # A run's results: everything but its timings, its counters and
+    # the name of the TDF route that ran.
+    def strip(value):
+        if isinstance(value, dict):
+            return {key: strip(item) for key, item in value.items()
+                    if key not in ("seconds", "counters", "engine")}
+        if isinstance(value, list):
+            return [strip(item) for item in value]
+        return value
+    return strip(reporting.run_to_dict(run))
+
+
+assert npsim.kernel_unavailable_reason() is None
+run = runner.run_circuit(suite.profile("s27"), seed=1, delay=True)
+assert run.counters["np_passes"] > 0
+assert "numpy" not in sys.modules
+with mock.patch.object(npsim, "kernel_unavailable_reason",
+                       lambda circuit=None: "kernel disabled"):
+    reference = runner.run_circuit(suite.profile("s27"), seed=1,
+                                   delay=True)
+assert reference.counters["np_passes"] == 0
+assert results(run) == results(reference)
+"""
+
+
+def test_kernel_runs_without_numpy():
+    """With numpy made unimportable, the kernel loads and a whole
+    paper-table job with delay grading runs its passes on it, with the
+    big-int configuration's results, and never imports numpy."""
+    if npsim.kernel_unavailable_reason() is not None:
+        pytest.skip(npsim.kernel_unavailable_reason())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], env=env,
+                   check=True, timeout=300)
