@@ -22,7 +22,11 @@ equivalence suites, but never checked in production runs:
   identical fault sets, and every trial of a production
   ``detect_trials`` pass detects what one reference ``detect`` of that
   trial detects (each spot-checked on the first few calls per
-  simulator, on bounded targets).
+  simulator, on bounded targets);
+* **early omission decisions** (``omission-early-decision``) -- a
+  Phase-2 trial that its store's trail decided before the suffix's last
+  frame gets the same verdict from a run of the whole suffix without
+  the trail (the first few such trials per simulator).
 
 The setting is sampled once per engine object: a ``FaultSimulator``,
 ``TransitionSim``, ``ActivityEngine`` or ``FaultScoreboard`` reads

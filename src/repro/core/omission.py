@@ -23,13 +23,24 @@ rides in one fused word, so each tentative omission costs a single
 suffix pass.  The required set is packed once per run, each chunk
 into a pass store of its own (:meth:`FaultSimulator._run_stores`: a
 C-kernel store bound to the chunk's machines when the circuit has an
-array backend, else a big-int word arena), and every checkpoint is
-kept in its store's own format.  An accepted omission rebuilds the
-trail with one-frame passes.  Since the stores hold exactly the
-required faults, a trial keeps ``F_SO`` if and only if every store
-catches all of its machines: a trial is decided by the stores'
-saturation, and only the baseline and the final test are decoded
-into fault sets.
+array backend, else a big-int word arena), and the checkpoints of the
+current sequence are kept in each store as a *trail*: per
+checkpoint, the flip-flop rows and ``later``, the machines the
+current sequence still catches after it.  An accepted omission
+rewrites the trail past its start with one records-mode pass.  Since
+the stores hold exactly the required faults, a trial keeps ``F_SO``
+if and only if every store catches all of its machines: a trial is
+decided by the stores' saturation, and only the baseline and the
+final test are decoded into fault sets.
+
+A trial need not run its whole suffix.  The suffix is the current
+sequence's tail, so after each trial frame the current sequence is
+at a known checkpoint; once the trial's good machine and a faulty
+machine ``m`` are both in the trail's state there, ``m`` catches from
+then on exactly what ``later`` says.  So the pass stops, rejected, as
+soon as such a machine is uncaught and outside ``later``, and
+accepts once every machine is caught or sure to be: the full-suffix
+verdict, after a fraction of its frames (DESIGN.md section 13).
 Every tentative omission bumps
 :attr:`~repro.sim.counters.SimCounters.omission_trials` and the
 suffix passes are accounted as words/frames on the simulator's
@@ -39,8 +50,9 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Set
+from typing import Any, List, Optional, Sequence, Set
 
+from ..analysis import sanitizer
 from ..sim import values as V
 from ..sim.fault_sim import FaultSimulator
 from .scan_test import ScanTest
@@ -70,87 +82,157 @@ class OmissionResult:
 
 
 class _CheckpointedRun:
-    """Per-chunk frame checkpoints for suffix-only re-simulation.
+    """Phase 2's checkpoints of the current sequence, for suffix-only
+    re-simulation.
 
-    ``states[f]`` holds, per chunk, its store's checkpoint *after*
-    frame ``f`` (index 0 is the scan-in state, before any frame): the
-    flip-flop state and the cumulative PO-detection mask up to and
-    including frame ``f``.
+    Checkpoint ``c`` is the state after the sequence's first ``c``
+    frames (checkpoint 0 is the scan-in state).  Per store, the store's
+    trail (``keep_trail``) holds each checkpoint's flip-flop rows and
+    its ``later`` words: the machines the current sequence still
+    catches after it, by a PO diff of vectors ``c..L-1`` or the
+    scan-out at checkpoint ``L``.  Alongside, ``po[ci][f]`` holds store
+    ``ci``'s PO diff words of frame ``f`` and ``caught[ci][c]`` the
+    machines PO-caught before checkpoint ``c``.  The trail is sized
+    once, for ``n_checkpoints`` checkpoints: omission only shortens
+    the sequence.  Each store's vectors hold the current sequence, so
+    a trial runs its suffix from an offset into them, with no load.
     """
 
     def __init__(self, sim: FaultSimulator, scan_in: V.Vector,
-                 groups: List[List[int]]) -> None:
+                 groups: List[List[int]], n_checkpoints: int) -> None:
         self.sim = sim
         self.stores = sim._run_stores(groups)
+        self.length = 0
+        self.po: List[List[int]] = [[] for _ in self.stores]
+        self.caught: List[List[int]] = [[0] for _ in self.stores]
         state = sim.embed_state(scan_in)
-        init = []
         for store in self.stores:
+            store.keep_trail(n_checkpoints)
             store.load_scan_in(state)
-            init.append(store.save())
-        self.states: List[List[Any]] = [init]
+            store.save_row(0)
+
+    def _restore(self, ci: int, store: Any, start_frame: int) -> None:
+        """Load checkpoint ``start_frame`` into store ``ci``."""
+        store.restore_row(start_frame)
+        store.caught = self.caught[ci][start_frame]
 
     def detected_by(self, start_frame: int,
                     suffix: Sequence[V.Vector]) -> Set[int]:
         """Faults detected by checkpoint-prefix + ``suffix`` test."""
-        self._simulate(start_frame, suffix)
+        sim = self.sim
         detected: Set[int] = set()
-        for store in self.stores:
+        for ci, store in enumerate(self.stores):
+            self._restore(ci, store, start_frame)
+            if not suffix:
+                store.caught |= store.scan_diff(sim.scan_positions)
+            elif not store.saturated():
+                # Loaded past the current sequence, which stays.
+                store.load_vectors(suffix, at=self.length)
+                self._run(ci, store, self.length, len(suffix))
             detected.update(store.faults_in(store.caught))
         return detected
 
-    def keeps_all(self, start_frame: int,
-                  suffix: Sequence[V.Vector]) -> bool:
-        """Whether checkpoint-prefix + ``suffix`` catches every packed
-        machine: the verdict of a trial over exactly the required
-        faults, with no decoding."""
-        self._simulate(start_frame, suffix)
-        return all(store.saturated() for store in self.stores)
+    def keeps_all(self, start_frame: int, position: int) -> bool:
+        """Whether the current sequence without its vectors
+        ``start_frame..position`` catches every packed machine: the
+        verdict of a trial over exactly the required faults, with no
+        decoding.
 
-    def _simulate(self, start_frame: int,
-                  suffix: Sequence[V.Vector]) -> None:
-        """Leave in each store's ``caught`` what checkpoint-prefix +
-        ``suffix`` catches."""
+        The trial's suffix is the current sequence's tail, so trial
+        frame ``j`` reaches the current sequence's checkpoint
+        ``position + 2 + j``; each pass meets the trail there and stops
+        as soon as its verdict is sure (see the stores' ``run``).  The
+        first store that fails decides the trial."""
         sim = self.sim
+        n_frames = self.length - position - 1
         for ci, store in enumerate(self.stores):
-            store.restore(self.states[start_frame][ci])
-            if not suffix:
+            self._restore(ci, store, start_frame)
+            if not n_frames:
                 # Scan-out right at the checkpoint.
-                store.observe_scan(sim.scan_positions)
+                store.caught |= store.scan_diff(sim.scan_positions)
             elif not store.saturated():
                 # A chunk the untouched prefix already PO-detects
-                # entirely needs no simulation.  Otherwise: PO
-                # observation every frame, scan-out after the last,
-                # until this chunk's verdict cannot change.
-                n_frames = store.load_vectors(suffix)
-                frames = store.run(n_frames, True, True, sim.scan_positions)
-                sim.counters.note_words(frames, store.n_machines)
-                if ci == 0:
-                    sim.counters.frames += frames
+                # entirely needs no simulation.
+                frames = self._run(ci, store, position + 1, n_frames,
+                                   trail=position + 2)
+                if (sim._sanitize and frames < n_frames and
+                        sim._sanitize_omission_spots_left > 0):
+                    self._sanitize_decision(ci, store, start_frame,
+                                            position + 1, n_frames)
+            if not store.saturated():
+                return False
+        return True
+
+    def _run(self, ci: int, store: Any, first: int, n_frames: int,
+             trail: Optional[int] = None) -> int:
+        """Run store ``ci``'s loaded vectors ``first..first+n_frames-1``
+        from its restored checkpoint: PO observation every frame,
+        scan-out after the last, until the store's verdict cannot
+        change; with ``trail``, against the trail from that row.
+        Returns the frames it ran."""
+        sim = self.sim
+        frames: int = store.run(n_frames, True, True, sim.scan_positions,
+                                trail=trail, later=trail is not None,
+                                first=first)
+        sim.counters.note_words(frames, store.n_machines)
+        if ci == 0:
+            sim.counters.frames += frames
+        return frames
+
+    def _sanitize_decision(self, ci: int, store: Any, start_frame: int,
+                           first: int, n_frames: int) -> None:
+        """Re-run a trial the trail decided before its last frame to
+        the end without the trail: the verdicts must agree, and the
+        store keeps the re-run's.  Budgeted per simulator, as the other
+        spot checks are."""
+        sim = self.sim
+        sim._sanitize_omission_spots_left -= 1
+        early = store.saturated()
+        self._restore(ci, store, start_frame)
+        store.run(n_frames, True, True, sim.scan_positions, first=first)
+        if store.saturated() != early:
+            sanitizer.report_violation(
+                "omission-early-decision",
+                f"Phase-2 trial from checkpoint {start_frame} with "
+                f"{n_frames} vectors left: the trail "
+                f"{'kept' if early else 'lost'} every required fault of "
+                f"store {ci}, the whole suffix did not")
 
     def rebuild(self, start_frame: int,
                 suffix: Sequence[V.Vector]) -> None:
-        """Adopt prefix+suffix as the new current sequence, extending
-        checkpoints past ``start_frame`` frame by frame: one one-frame
-        records-mode pass per vector, as an incremental step (it never
-        stops early, so the flip-flops always advance), its PO diff
-        added to the cumulative ``caught``."""
+        """Adopt prefix+suffix as the new current sequence: per store,
+        load ``suffix`` after the prefix's vectors, restore checkpoint
+        ``start_frame``, write the trail rows past it with one
+        records-mode pass (records never stop early, so the flip-flops
+        always advance), extend the cumulative caught words from its PO
+        diffs, and recompute every ``later`` row backward over the kept
+        PO rows."""
         sim = self.sim
-        del self.states[start_frame + 1:]
-        trails = []
+        self.length = start_frame + len(suffix)
         for ci, store in enumerate(self.stores):
-            store.restore(self.states[start_frame][ci])
-            trail = []
-            for vector in suffix:
-                store.load_vectors((vector,))
-                store.run(1, True, True, None, records=True)
-                store.caught |= store.rec_po[0]
-                trail.append(store.save())
+            po, caught = self.po[ci], self.caught[ci]
+            del po[start_frame:], caught[start_frame + 1:]
+            self._restore(ci, store, start_frame)
+            if suffix:
+                n_frames = store.load_vectors(suffix, at=start_frame)
+                store.run(n_frames, True, True, sim.scan_positions,
+                          records=True, trail=start_frame + 1,
+                          first=start_frame)
+                po += store.rec_po
+                acc = caught[-1]
+                for word in store.rec_po:
+                    acc |= word
+                    caught.append(acc)
+                end = store.rec_scan[-1]
+            else:
+                end = store.scan_diff(sim.scan_positions)
+            later = [end] * (len(po) + 1)
+            for f in range(len(po) - 1, -1, -1):
+                later[f] = later[f + 1] | po[f]
+            store.set_later(later)
             sim.counters.note_words(len(suffix), store.n_machines)
             if ci == 0:
                 sim.counters.frames += len(suffix)
-            trails.append(trail)
-        for f in range(len(suffix)):
-            self.states.append([trail[f] for trail in trails])
 
 
 def omit_vectors(
@@ -184,10 +266,15 @@ def omit_vectors(
     Raises
     ------
     ValueError
-        If the input test does not detect all required faults.
+        If ``initial_block`` is below 1, or the input test does not
+        detect all required faults.
     """
+    if initial_block < 1:
+        raise ValueError(f"initial_block must be at least 1, not "
+                         f"{initial_block}")
     vectors: List[V.Vector] = [tuple(v) for v in test.vectors]
-    run = _CheckpointedRun(sim, test.scan_in, sim._groups(sorted(required)))
+    run = _CheckpointedRun(sim, test.scan_in, sim._groups(sorted(required)),
+                           len(vectors) + 1)
     run.rebuild(0, vectors)
     baseline = run.detected_by(len(vectors), [])
     if not required <= baseline:
@@ -206,10 +293,10 @@ def omit_vectors(
             block = block_cap
             while block >= 1:
                 start = position - block + 1
-                suffix = vectors[position + 1:]
                 trials += 1
                 sim.counters.omission_trials += 1
-                if run.keeps_all(start, suffix):
+                if run.keeps_all(start, position):
+                    suffix = vectors[position + 1:]
                     vectors = vectors[:start] + suffix
                     run.rebuild(start, suffix)
                     removed_this_pass += block

@@ -59,8 +59,8 @@ Backend counters
 ``np_passes`` counts the passes executed by the C kernel
 (:mod:`repro.sim.npsim`), one per chunk a call runs (a multi-trial
 pass runs one per chunk, with no separate
-fault-free pass); a Phase-2 rebuild runs one one-frame pass per chunk
-and rebuilt frame -- zero when everything ran on big-int
+fault-free pass); a Phase-2 rebuild runs one records-mode pass per
+chunk -- zero when everything ran on big-int
 words, so it doubles as a cheap "did the kernel actually run?" probe
 for tests and benchmarks.  Legacy checkpoints lack the key and
 render as dashes.

@@ -315,12 +315,12 @@ class _Store:
                 self._tile()
         return (self.caught & want) == want
 
-    def observe_scan(self, scan_observe: Optional[Sequence[int]]) -> None:
-        """Add to ``caught`` what a scan-out of the current flip-flop
-        state detects."""
+    def scan_diff(self, scan_observe: Optional[Sequence[int]]) -> int:
+        """The machines a scan-out of the current flip-flop state
+        detects."""
         zero, one = self._ff_words()
-        self.caught |= _diff_or(zero, one, range(len(zero))
-                                if scan_observe is None else scan_observe)
+        return _diff_or(zero, one, range(len(zero))
+                        if scan_observe is None else scan_observe)
 
     def good_state(self) -> V.Vector:
         """The fault-free machine's flip-flop state."""
@@ -410,9 +410,9 @@ class _WordArena(_Store):
                        mask & ~((m0 | m1) * tile))
                       for pos, m0, m1 in chunk.ff_branch]
 
-    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
-        """Take a PI sequence (frame 0 first); returns its frame
-        count.
+    def load_vectors(self, vectors: Sequence[V.Vector], at: int = 0) -> int:
+        """Take a PI sequence from frame ``at`` on (the frames before
+        ``at`` stay); returns its frame count.
 
         Raises
         ------
@@ -421,7 +421,7 @@ class _WordArena(_Store):
             stops before a frame cannot let that frame's values by).
         """
         V.scalar_bytes(chain.from_iterable(vectors))
-        self.vecs = vectors
+        self.vecs = [*self.vecs[:at], *vectors] if at else vectors
         self._blocks = None
         return len(vectors)
 
@@ -454,9 +454,10 @@ class _WordArena(_Store):
 
     def run(self, n_frames: int, observe_po: bool, scan_out: bool,
             scan_observe: Optional[Sequence[int]],
-            records: bool = False) -> int:
-        """One pass over the first ``n_frames`` loaded vectors; returns
-        the frames it ran.
+            records: bool = False, trail: Optional[int] = None,
+            later: bool = False, first: int = 0) -> int:
+        """One pass over ``n_frames`` loaded vectors from frame
+        ``first``; returns the frames it ran.
 
         Detect mode adds the PO diffs (and, with ``scan_out``, the last
         frame's scan-out diff) to ``caught`` and stops once every
@@ -464,6 +465,16 @@ class _WordArena(_Store):
         frame; after a block load each block observes through its own
         last frame.  With ``records`` the pass fills ``rec_po`` /
         ``rec_scan`` frame by frame and never stops early.
+
+        With ``trail``, frame ``f`` meets trail row ``trail + f``
+        (:meth:`keep_trail`), as on the kernel: a records-mode pass
+        writes its captured flip-flop words there; with ``later`` too,
+        a detect-mode pass takes every machine whose captured words
+        and good machine's equal the row's to catch from there on
+        exactly the row's ``later`` words, and stops once that makes
+        its verdict sure: unsaturated, with ``caught`` as it was, when
+        such a machine is uncaught and outside them; saturated when
+        every machine is caught or such a machine inside them.
         """
         circuit, blocks = self.circuit, self._blocks
         zero, one, mask, tile = self.zero, self.one, self.mask, self.tile
@@ -473,12 +484,13 @@ class _WordArena(_Store):
         obs = range(len(ff_ids)) if scan_observe is None else scan_observe
         want = mask & ~tile
         caught = self.caught
+        decide = trail if later else None   # frame 0's row, to decide by
         if records:
             self.rec_po = [0] * n_frames
             self.rec_scan = [0] * n_frames
         for f in range(n_frames):
             if blocks is None:
-                for nid, val in zip(pi_ids, self.vecs[f]):
+                for nid, val in zip(pi_ids, self.vecs[first + f]):
                     zero[nid], one[nid] = V.pack_scalar(val, mask)
             else:
                 for nid, (z, o) in zip(pi_ids, blocks[0][f]):
@@ -495,6 +507,8 @@ class _WordArena(_Store):
             if records:
                 self.rec_po[f] = _diff_or(zero, one, po_ids)
                 self.rec_scan[f] = _diff_or(ns_zero, ns_one, obs)
+                if trail is not None:
+                    self._trail[trail + f] = (ns_zero, ns_one)
             else:
                 if blocks is None:
                     if observe_po:
@@ -509,6 +523,21 @@ class _WordArena(_Store):
                     if scan_out and ending:
                         caught |= ending & _diff_or(ns_zero, ns_one, obs,
                                                     tile, block)
+                if decide is not None:
+                    t_zero, t_one = self._trail[decide + f]
+                    eq = mask
+                    for nz, no, tz, to in zip(ns_zero, ns_one, t_zero,
+                                              t_one):
+                        eq &= ~((nz ^ tz) | (no ^ to))
+                    if eq & 1:
+                        eq &= want
+                        words = self._later[decide + f]
+                        if eq & ~caught & ~words:
+                            self.caught = caught
+                            return f + 1
+                        if (caught | eq & words) & want == want:
+                            self.caught = caught | want
+                            return f + 1
                 if (caught & want) == want:
                     self.caught = caught
                     return f + 1
@@ -525,6 +554,29 @@ class _WordArena(_Store):
     def save(self) -> Tuple[List[int], List[int], int]:
         """A checkpoint of the flip-flop words and ``caught``."""
         return (*self._ff_words(), self.caught)
+
+    def keep_trail(self, n_rows: int) -> None:
+        """Give the store a trail of ``n_rows`` checkpoints: per
+        checkpoint, the flip-flop zero and one words and one ``later``
+        word (see :meth:`run`)."""
+        n_ff = len(self.circuit.ff_ids)
+        self._trail: List[Tuple[List[int], List[int]]] = \
+            [([0] * n_ff, [0] * n_ff)] * n_rows
+        self._later = [0] * n_rows
+
+    def save_row(self, row: int) -> None:
+        """Copy the flip-flop words into trail row ``row``."""
+        self._trail[row] = self._ff_words()
+
+    def restore_row(self, row: int) -> None:
+        """Load trail row ``row`` into the flip-flop words."""
+        zero, one = self.zero, self.one
+        for nid, z, o in zip(self.circuit.ff_ids, *self._trail[row]):
+            zero[nid], one[nid] = z, o
+
+    def set_later(self, words: Sequence[int]) -> None:
+        """Make ``words`` the trail's ``later`` words, from row 0."""
+        self._later[:len(words)] = words
 
     def restore(self, checkpoint: Tuple[List[int], List[int], int]
                 ) -> None:
@@ -647,6 +699,7 @@ class FaultSimulator:
         self._sanitize = sanitizer.enabled()
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_trial_spots_left = _SANITIZE_SPOT_BUDGET
+        self._sanitize_omission_spots_left = _SANITIZE_SPOT_BUDGET
         self._sanitize_shadow = False
         #: Optional fault-ordering hint for multi-chunk packing (set
         #: via :meth:`set_adi_order`); ``None`` keeps the default

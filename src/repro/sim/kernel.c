@@ -45,6 +45,38 @@ static void repro_force_list(const repro_list* L, long head, u64* z,
     }
 }
 
+/* One frame against the trail: tz / to are the current sequence's
+   captured rows at the checkpoint this frame reaches, later the
+   machines that sequence still catches after it.  When the good
+   machine's rows equal the trail's, both rails, a machine whose rows
+   do too catches from here on exactly what later says.  Returns 1
+   once the verdict is sure: such a machine is uncaught and outside
+   later (caught is left as it is), or every machine is caught or in
+   later with equal rows (caught gets every machine). */
+static int repro_rejoin(const u64* nz, const u64* no, const u64* tz,
+                        const u64* to, const u64* later,
+                        const u64* mask, u64* caught, long W,
+                        long n_ff) {
+    long i, w;
+    int sure = 1;
+    for (w = 0; w < W; w++) {
+        u64 m = w ? mask[w] : mask[w] & ~1ULL, eq = mask[w];
+        for (i = 0; i < n_ff && eq; i++)
+            eq &= ~((nz[i * W + w] ^ tz[i * W + w]) |
+                    (no[i * W + w] ^ to[i * W + w]));
+        if (w == 0 && !(eq & 1ULL))
+            return 0;
+        eq &= m;
+        if (eq & ~caught[w] & ~later[w])
+            return 1;
+        if (((caught[w] | (eq & later[w])) & m) != m)
+            sure = 0;
+    }
+    for (w = 0; w < W && sure; w++)
+        caught[w] |= w ? mask[w] : mask[w] & ~1ULL;
+    return sure;
+}
+
 static void repro_diff_acc(const u64* z, const u64* o, u64* acc,
                            long W) {
     long w;
@@ -177,7 +209,16 @@ static void repro_eval_gates(
    instead and never stops early.  Every machine forces in every
    frame when `frames` is NULL, else machine k only in frame
    frames[k].  `links` is scratch of 2 n_nets + n_ff + n_machines
-   ints: the per-site machine lists, built once per call. */
+   ints: the per-site machine lists, built once per call.
+
+   A one-block pass may take a trail: rows of n_ff x W words per
+   frame in trail_zero / trail_one, W words per frame in later.
+   Records mode writes frame f's captured rows (after flip-flop
+   branch forcing) to trail row f.  Detect mode with later, after
+   frame f's detection step, checks the captured rows against trail
+   row f (repro_rejoin) and stops once that makes the verdict sure:
+   unsaturated when a machine can no longer be caught, saturated when
+   every machine is caught or sure to be. */
 long repro_run_pass(
     u64* zero, u64* one, u64* mask, long W,
     long n_gates, const int* g_op, const int* g_out,
@@ -195,7 +236,8 @@ long repro_run_pass(
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
-    u64* caught)
+    u64* caught,
+    u64* trail_zero, u64* trail_one, const u64* later)
 {
     long f, p, i, w, b, k;
     long BW = W / n_blocks, first = 0, last = n_frames - 1;
@@ -273,6 +315,11 @@ long repro_run_pass(
                 repro_scan_diff(ns_zero, ns_one, W, n_ff, n_scan_obs,
                                 scan_obs, rs, b * BW, BW);
             }
+            if (trail_zero)
+                for (i = 0; i < n_ff * W; i++) {
+                    trail_zero[f * n_ff * W + i] = ns_zero[i];
+                    trail_one[f * n_ff * W + i] = ns_one[i];
+                }
         } else {
             /* Detect mode: each block adds its PO diffs through its
                last frame and its scan-out diff at that frame to the
@@ -292,6 +339,11 @@ long repro_run_pass(
                                     b * BW, BW);
                 caught[b * BW] &= ~1ULL;
             }
+            if (later &&
+                repro_rejoin(ns_zero, ns_one, trail_zero + f * n_ff * W,
+                             trail_one + f * n_ff * W, later + f * W,
+                             mask, caught, W, n_ff))
+                return f + 1;
             for (w = 0; w < W && sat; w++) {
                 u64 m = w % BW ? mask[w] : mask[w] & ~1ULL;
                 if ((caught[w] & m) != m) sat = 0;

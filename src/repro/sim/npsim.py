@@ -33,11 +33,13 @@ are decoded with ``int.from_bytes``, and one decoding, in
 :class:`repro.sim.fault_sim._Store`, serves this store and its
 big-int twin, :class:`repro.sim.fault_sim._WordArena`.  The
 flip-flop rows are one contiguous span of the state rows, so saving
-and restoring them (a Phase-2 checkpoint is three ``bytes``; a
-rebuild records its trail with one-frame calls) and loading a
-scan-in state are slice copies.  The consumers in
-:mod:`repro.sim.fault_sim` and :mod:`repro.core.omission` are thus
-written once against either store.
+and restoring them and loading a scan-in state are slice copies.  A
+Phase-2 run keeps its checkpoints as a *trail* of flip-flop rows and
+``later`` words in cffi memory (:meth:`_Arena.keep_trail`), which a
+records-mode pass writes and a trial pass reads, inside the kernel.
+The consumers in :mod:`repro.sim.fault_sim` and
+:mod:`repro.core.omission` are thus written once against either
+store.
 
 With cffi and a C compiler present, every fault-simulation pass
 runs here; otherwise
@@ -112,7 +114,8 @@ long repro_run_pass(
     u64* rec_po, u64* rec_scan,
     u64* ns_zero, u64* ns_one,
     u64* scr_z, u64* scr_o,
-    u64* caught);
+    u64* caught,
+    u64* trail_zero, u64* trail_one, const u64* later);
 """
 
 #: Compiler flags of the kernel build (part of the cache key).
@@ -359,10 +362,13 @@ class _Arena(_Store):
         self._links = ffi.new("int[]", 2 * self._n_nets + self._n_ff + n)
 
     def _grow_vectors(self, size: int) -> None:
-        """Reallocate the vector buffer for ``size`` values."""
+        """Reallocate the vector buffer for ``size`` values, keeping
+        the values it holds."""
+        held = self._vec_bytes[0:self._vec_cap] if self._vec_cap else b""
         self._vec_cap = max(size, 2 * self._vec_cap)
         self._vecs = self._ffi.new("unsigned char[]", self._vec_cap)
         self._vec_bytes = self._ffi.buffer(self._vecs)
+        self._vec_bytes[0:len(held)] = held
 
     def bind(self, faults: Sequence[int], n_blocks: int = 1,
              frames: Optional[Sequence[int]] = None) -> None:
@@ -407,32 +413,92 @@ class _Arena(_Store):
         size = 8 * width
         self._span = (size * self._ff_lo, size * (self._ff_lo + self._n_ff))
         self._scan_rows: Optional[Tuple[Any, Any, bytes]] = None
+        self._trail: Tuple[Any, ...] = ()
+        self._trail_shape = (0, width)
 
-    def load_vectors(self, vectors: Sequence[V.Vector]) -> int:
-        """Copy a PI sequence into the vector buffer (frame 0 first;
-        a frame holds ``n_blocks x n_pi`` values); returns its frame
-        count.
+    def keep_trail(self, n_rows: int) -> None:
+        """Give the binding a trail of ``n_rows`` checkpoints: per
+        checkpoint, the flip-flop rows of both rails and one row of
+        ``later`` words (see :meth:`run`)."""
+        ffi, W = self._ffi, self.n_words
+        size = max(1, n_rows * self._n_ff * W)
+        self._trail = (ffi.new("u64[]", size), ffi.new("u64[]", size),
+                       ffi.new("u64[]", max(1, n_rows * W)))
+        self._later_bytes = ffi.buffer(self._trail[2])
+        self._trail_shape = (n_rows, W)
+
+    def _trail_row(self, row: int) -> Tuple[Any, Any, Any, Any, int]:
+        """Trail row ``row`` and the flip-flop rows, each rail's, and
+        the size of one in bytes.
 
         Raises
         ------
         ValueError
-            If a value is not 0, 1 or X, or a frame holds the wrong
-            number of values.
+            If the trail holds no row ``row``.
+        """
+        if not 0 <= row < self._trail_shape[0]:
+            raise ValueError(f"trail row {row} outside the "
+                             f"{self._trail_shape[0]} rows of the trail")
+        size = self._n_ff * self.n_words
+        at = self._ff_lo * self.n_words
+        return (self._trail[0] + row * size, self._trail[1] + row * size,
+                self._zero + at, self._one + at, 8 * size)
+
+    def save_row(self, row: int) -> None:
+        """Copy the flip-flop rows into trail row ``row``."""
+        zero, one, ff_zero, ff_one, size = self._trail_row(row)
+        self._ffi.memmove(zero, ff_zero, size)
+        self._ffi.memmove(one, ff_one, size)
+
+    def restore_row(self, row: int) -> None:
+        """Load trail row ``row`` into the flip-flop rows."""
+        zero, one, ff_zero, ff_one, size = self._trail_row(row)
+        self._ffi.memmove(ff_zero, zero, size)
+        self._ffi.memmove(ff_one, one, size)
+
+    def set_later(self, words: Sequence[int]) -> None:
+        """Make ``words`` the trail's ``later`` rows, from row 0.
+
+        Raises
+        ------
+        ValueError
+            If the trail holds fewer rows.
+        """
+        if len(words) > self._trail_shape[0]:
+            raise ValueError(f"{len(words)} later rows for a trail of "
+                             f"{self._trail_shape[0]}")
+        size = 8 * self.n_words
+        data = b"".join([word.to_bytes(size, "little") for word in words])
+        self._later_bytes[0:len(data)] = data
+
+    def load_vectors(self, vectors: Sequence[V.Vector], at: int = 0) -> int:
+        """Copy a PI sequence into the vector buffer from frame ``at``
+        on (a frame holds ``n_blocks x n_pi`` values; the frames before
+        ``at`` stay); returns its frame count.
+
+        Raises
+        ------
+        ValueError
+            If a value is not 0, 1 or X, a frame holds the wrong number
+            of values, or ``at`` is negative.
         """
         n = len(vectors)
         data = V.scalar_bytes(chain.from_iterable(vectors))
-        if len(data) != n * self.n_blocks * self.n_pi:
+        size = self.n_blocks * self.n_pi
+        if len(data) != n * size or at < 0:
             raise ValueError(f"{n} frames of {len(data)} values for "
                              f"{self.n_blocks} blocks of {self.n_pi} "
-                             f"primary inputs")
-        self._load_vector_bytes(data)
+                             f"primary inputs from frame {at}")
+        self._load_vector_bytes(data, at * size)
         return n
 
-    def _load_vector_bytes(self, data: bytes) -> None:
-        """Copy checked vector bytes into the vector buffer."""
-        if len(data) > self._vec_cap:
-            self._grow_vectors(len(data))
-        self._vec_bytes[0:len(data)] = data
+    def _load_vector_bytes(self, data: bytes, start: int = 0) -> None:
+        """Copy checked vector bytes into the vector buffer from byte
+        ``start`` on."""
+        end = start + len(data)
+        if end > self._vec_cap:
+            self._grow_vectors(end)
+        self._vec_bytes[start:end] = data
 
     def load_scan_in(self, state: V.Vector) -> None:
         """Pack the flip-flop rows from a scan-in vector
@@ -497,18 +563,28 @@ class _Arena(_Store):
 
     def run(self, n_frames: int, observe_po: bool, scan_out: bool,
             scan_observe: Optional[Sequence[int]],
-            records: bool = False) -> int:
-        """One kernel pass over the first ``n_frames`` loaded vectors;
-        returns the frames it ran.  With ``records`` the pass fills
-        ``rec_po`` / ``rec_scan`` row by row and never stops early.
-        The caller validates ``scan_observe``.
+            records: bool = False, trail: Optional[int] = None,
+            later: bool = False, first: int = 0) -> int:
+        """One kernel pass over ``n_frames`` loaded vectors from frame
+        ``first``; returns the frames it ran.  With ``records`` the pass
+        fills ``rec_po`` / ``rec_scan`` row by row and never stops
+        early.  The caller validates ``scan_observe``.
+
+        With ``trail``, frame ``f`` of a one-block pass meets trail row
+        ``trail + f`` (:meth:`keep_trail`): a records-mode pass writes
+        its captured flip-flop rows there; with ``later`` too, a
+        detect-mode pass compares them with the row and stops once its
+        ``later`` words make the verdict sure (``repro_rejoin`` in
+        ``kernel.c``).
 
         Raises
         ------
         ValueError
             If the pass is longer than the vector buffer, a machine's
-            frame lies past its end, or the block count does not
-            divide the words into blocks that hold the machines.
+            frame lies past its end, the block count does not divide
+            the words into blocks that hold the machines, or a trail
+            pass would meet rows past the trail, has more than one
+            block or takes ``later`` rows without trail rows.
         """
         ffi = self._ffi
         self.counters.np_passes += 1
@@ -518,9 +594,10 @@ class _Arena(_Store):
                 n_blocks > max(1, self._last_cap)):
             raise ValueError(f"malformed kernel pass: {n} machines in "
                              f"{n_blocks} blocks over {W} words")
-        if n_frames * n_blocks * self.n_pi > self._vec_cap:
-            raise ValueError(f"{n_frames}-frame pass over a shorter "
-                             f"vector buffer")
+        if first < 0 or \
+                (first + n_frames) * n_blocks * self.n_pi > self._vec_cap:
+            raise ValueError(f"{n_frames}-frame pass from frame {first} "
+                             f"over a shorter vector buffer")
         if self._last_force >= n_frames:
             raise ValueError(f"malformed machine list: a machine forces "
                              f"in frame {self._last_force} of a "
@@ -530,6 +607,9 @@ class _Arena(_Store):
             if n_frames > self._rec_rows:
                 self._grow_records(n_frames)
             rec = self._rec
+        rows: Tuple[Any, ...] = (ffi.NULL, ffi.NULL, ffi.NULL)
+        if trail is not None or later:
+            rows = self._trail_pass(n_frames, trail, later)
         key = None if scan_observe is None else tuple(scan_observe)
         if key != self._obs_key:
             self._obs = ffi.new("int[]", key or (0,))
@@ -537,10 +617,11 @@ class _Arena(_Store):
         mask, *scratch = self._scratch
         frames: int = self._lib.repro_run_pass(
             self._zero, self._one, mask, W, *self._head, n, self._list,
-            self._frames_p, self._links, self._vecs, n_frames, n_blocks,
+            self._frames_p, self._links,
+            self._vecs + first * n_blocks * self.n_pi, n_frames, n_blocks,
             ffi.NULL if n_blocks == 1 else self._last, int(observe_po),
             int(scan_out), -1 if key is None else len(key), self._obs,
-            *rec, *scratch, self._caught)
+            *rec, *scratch, self._caught, *rows)
         if records:
             size = 8 * W
             po, scan = self._rec_bytes
@@ -551,6 +632,34 @@ class _Arena(_Store):
                                             "little")
                              for f in range(n_frames)]
         return frames
+
+    def _trail_pass(self, n_frames: int, trail: Optional[int],
+                    later: bool) -> Tuple[Any, Any, Any]:
+        """The kernel's trail pointers of a pass from trail row
+        ``trail``: both rails' rows and, with ``later``, the later
+        words.
+
+        Raises
+        ------
+        ValueError
+            As :meth:`run`, for a malformed trail pass.
+        """
+        n_rows, width = self._trail_shape
+        W = self.n_words
+        if trail is None:
+            raise ValueError("malformed trail pass: later rows without "
+                             "trail rows")
+        if self.n_blocks != 1:
+            raise ValueError(f"malformed trail pass: {self.n_blocks} "
+                             f"blocks")
+        if W != width or not 0 <= trail <= n_rows - n_frames:
+            raise ValueError(f"malformed trail pass: rows {trail} to "
+                             f"{trail + n_frames - 1} of a trail of "
+                             f"{n_rows}")
+        size = self._n_ff * W
+        zero, one, words = self._trail
+        return (zero + trail * size, one + trail * size,
+                words + trail * W if later else self._ffi.NULL)
 
     def _grow_records(self, n_frames: int) -> None:
         """Reallocate the record buffers for ``n_frames`` frames of the

@@ -113,21 +113,24 @@ def pack_lanes(values: Sequence[int]) -> Tuple[int, int]:
     scalar to every machine): lane-batched good-machine simulation
     packs one *test's* value per lane, so each lane starts from its
     own flip-flop value.
+
+    Raises
+    ------
+    ValueError
+        If a value is not 0, 1 or X.
     """
-    zero = 0
-    one = 0
-    for k, value in enumerate(values):
-        if value == ZERO:
-            zero |= 1 << k
-        elif value == ONE:
-            one |= 1 << k
-        elif value != X:
-            raise ValueError(f"invalid scalar value {value!r}")
-    return zero, one
+    data = scalar_bytes(values)[::-1]       # lane 0 last: the low bit
+    if not data:
+        return 0, 0
+    return (int(data.translate(_LANE_DIGITS[0]), 2),
+            int(data.translate(_LANE_DIGITS[1]), 2))
 
 
 #: The bytes of the three scalar values.
 _SCALARS = bytes((ZERO, ONE, X))
+#: Byte translations to the binary digit of a lane's zero / one rail.
+_LANE_DIGITS = tuple(bytes(b"01"[i == v] for i in range(256))
+                     for v in (ZERO, ONE))
 
 
 def scalar_bytes(values: Iterable[int]) -> bytes:

@@ -5,7 +5,9 @@ import pytest
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError
 from repro.atpg import random_gen
-from repro.circuits import synth
+from repro.circuits import library, synth
+from repro.core import omission
+from repro.core.omission import omit_vectors
 from repro.core.scan_test import ScanTest, ScanTestSet
 from repro.delay.transition import TransitionSim
 from repro.sim import fault_sim, npsim
@@ -201,6 +203,55 @@ class TestTrialCrossCheck:
             sim.detect_trials(trials)
         assert sim._sanitize_trial_spots_left == 0
         assert sanitizer.violations() == []
+
+
+def _omission_case(kernel):
+    """A simulator and a Phase-2 input on the s27 benchmark: a
+    30-vector test and the faults it detects."""
+    net = library.s27()
+    sim = FaultSimulator(production_circuit(net, kernel),
+                         FaultSet.collapsed(net))
+    cc = reference_circuit(net)
+    test = ScanTest(random_gen.random_state(cc, seed=2),
+                    tuple(random_gen.random_sequence(cc, 30, seed=1)))
+    return sim, test, sim.detect(list(test.vectors), test.scan_in)
+
+
+class TestOmissionCrossCheck:
+    @pytest.mark.parametrize("kernel", [True, False],
+                             ids=["kernel", "bigint"])
+    def test_clean_run_consumes_budget(self, kernel, monkeypatch):
+        """Phase 2 re-runs its first early-decided trials without the
+        trail, and they agree."""
+        if kernel and not KERNEL:
+            pytest.skip("the C kernel is unavailable")
+        _arm(monkeypatch)  # a simulator samples the setting when built
+        sim, test, required = _omission_case(kernel)
+        omit_vectors(sim, test, required)
+        assert sim._sanitize_omission_spots_left == 0
+        assert sanitizer.violations() == []
+
+    @pytest.mark.parametrize("kernel", [True, False],
+                             ids=["kernel", "bigint"])
+    def test_corrupt_later_rows_caught(self, kernel, monkeypatch):
+        """With every trail's ``later`` rows made to claim that every
+        machine is still caught, a trial the trail accepts early
+        disagrees with its run to the end, on either store."""
+        if kernel and not KERNEL:
+            pytest.skip("the C kernel is unavailable")
+        real = omission._CheckpointedRun.rebuild
+
+        def corrupt(self, start_frame, suffix):
+            real(self, start_frame, suffix)
+            for store in self.stores:
+                every = (1 << (store.n_machines + 1)) - 2
+                store.set_later([every] * (self.length + 1))
+
+        monkeypatch.setattr(omission._CheckpointedRun, "rebuild", corrupt)
+        _arm(monkeypatch)
+        sim, test, required = _omission_case(kernel)
+        with pytest.raises(SanitizerError, match="omission-early-decision"):
+            omit_vectors(sim, test, required)
 
 
 class TestDelayCrossCheck:

@@ -103,6 +103,19 @@ class TestKnobs:
                               result.test.scan_in, early_exit=False)
         assert required <= check
 
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_block_below_one_raises(self, s27_bench, block):
+        """A block size below 1 would try no omission at all."""
+        wb = s27_bench
+        vectors = random_gen.random_sequence(wb.circuit, 30, seed=1)
+        scan_in = random_gen.random_state(wb.circuit, seed=2)
+        test = ScanTest(tuple(scan_in), tuple(vectors))
+        required = wb.sim.detect(vectors, scan_in)
+        with pytest.raises(ValueError, match="initial_block"):
+            omit_vectors(wb.sim, test, required, initial_block=block)
+        assert omit_vectors(wb.sim, test, required,
+                            initial_block=1).omitted > 0
+
     def test_synthetic_circuit(self, mid_bench):
         wb = mid_bench
         test, required = make_case(wb, 50, 10)

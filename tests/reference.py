@@ -18,13 +18,14 @@ host without cffi).  The equivalence tests run each of them against
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Set, Tuple
 from unittest import mock
 
 from repro.circuits.netlist import Netlist
 from repro.core.scan_test import ScanTest
 from repro.sim import npsim
 from repro.sim import values as V
+from repro.sim.fault_sim import FaultSimulator
 from repro.sim.logicsim import CompiledCircuit
 
 #: True when this host runs pass chunks on the C kernel.
@@ -75,3 +76,44 @@ def mixed_scan_tests(netlist: Netlist, seed: int,
                         for _ in range(netlist.num_inputs))
                   for _ in range(rng.randint(1, 6)))))
     return tests + tests[:3]
+
+
+def serial_omit_vectors(sim: FaultSimulator, test: ScanTest,
+                        required: Set[int], initial_block: int = 16,
+                        passes: int = 2
+                        ) -> Tuple[ScanTest, Set[int], int, int]:
+    """Phase 2's oracle: the block-first sweep from the tail of
+    :func:`repro.core.omission.omit_vectors`, with every tentative test
+    re-simulated from its scan-in by one reference ``detect`` (no
+    checkpoints, no trail).  A drop is accepted only if the shortened
+    test still detects ``required``.  Returns the shortened test, the
+    required faults it detects, the trials and the vectors omitted."""
+    reference = FaultSimulator(reference_circuit(sim.circuit.netlist),
+                               sim.faults, scan_positions=sim.scan_positions)
+    target = sorted(required)
+
+    def detected(vectors: List[V.Vector]) -> Set[int]:
+        return reference.detect(vectors, test.scan_in, target=target)
+
+    vectors = list(test.vectors)
+    trials = omitted = 0
+    for _ in range(passes):
+        dropped = 0
+        position = len(vectors) - 1
+        while position >= 0 and len(vectors) > 1:
+            block = min(initial_block, position + 1, len(vectors) - 1)
+            while block >= 1:
+                start = position - block + 1
+                shorter = vectors[:start] + vectors[position + 1:]
+                trials += 1
+                if required <= detected(shorter):
+                    vectors = shorter
+                    dropped += block
+                    break
+                block //= 2
+            position = start - 1 if block else position - 1
+        omitted += dropped
+        if not dropped:
+            break
+    return (ScanTest(test.scan_in, tuple(vectors)), detected(vectors),
+            trials, omitted)

@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.atpg import random_gen
-from repro.circuits import library, synth
+from repro.circuits import library, suite, synth
 from repro.circuits.netlist import Netlist
+from repro.core import omission, proposed
 from repro.core.combine import _detections
 from repro.core.omission import _CheckpointedRun, omit_vectors
 from repro.core.scan_test import ScanTest, ScanTestSet
@@ -34,7 +35,8 @@ from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
 from tests.reference import (KERNEL, production_circuit,
-                             production_circuits, reference_circuit)
+                             production_circuits, reference_circuit,
+                             serial_omit_vectors)
 
 _N_PI = 4
 
@@ -471,21 +473,14 @@ class TestNumpyBackendEquivalence:
             assert run(circuit) == want
 
 
-def _checkpoint_words(checkpoint):
-    """A Phase-2 checkpoint as big-ints, whichever store made it: a
-    kernel store's is three ``bytes``, each rail's flip-flop rows back
-    to back and the caught words, all rows as long as the caught
-    words."""
-    zero, one, caught = checkpoint
-    if isinstance(caught, int):
-        return list(zero), list(one), caught
-    size = len(caught)
-
-    def rows(span):
-        return [int.from_bytes(span[i:i + size], "little")
-                for i in range(0, len(span), size)]
-
-    return rows(zero), rows(one), int.from_bytes(caught, "little")
+def _later_row(store, row):
+    """Trail row ``row``'s ``later`` words, whichever store holds them:
+    a word arena keeps ints, a kernel store rows of its row width."""
+    if isinstance(store, fault_sim_mod._WordArena):
+        return store._later[row]
+    size = 8 * store.n_words
+    return int.from_bytes(store._later_bytes[row * size:(row + 1) * size],
+                          "little")
 
 
 class TestOmissionCheckpoints:
@@ -494,40 +489,173 @@ class TestOmissionCheckpoints:
         ids=lambda c: "kernel" if c.array_backend is not None
         else "bigint")
     def test_checkpoints_follow_the_machines(self, circuit):
-        """Every checkpoint of a rebuild holds the machines' state after
-        its frame and their PO detections up to it -- also in a chunk
-        that is fully PO-caught partway through the rebuild, whose
-        later checkpoints must still advance (a pass that stops once
-        every machine is caught would leave the flip-flops behind).
-        The empty-suffix scan-out at each checkpoint matches a scan-out
-        of the simulated prefix."""
+        """Every trail row holds the machines' state after its frame and
+        their PO detections up to it -- also in a chunk that is fully
+        PO-caught partway through the rebuild, whose later rows must
+        still advance (a pass that stops once every machine is caught
+        would leave the flip-flops behind).  Its ``later`` words are
+        what the rest of the sequence catches, and the empty-suffix
+        scan-out at each checkpoint matches a scan-out of the simulated
+        prefix, as does any other suffix.  So after a rebuild from
+        frame 0, one that drops two vectors in the middle and one that
+        drops the tail."""
         fs = FaultSet.collapsed(circuit.netlist)
         sim = FaultSimulator(circuit, fs, fused_cap=2)
         vectors = random_gen.random_sequence(circuit, 10, seed=1)
         init = random_gen.random_state(circuit, seed=2)
         required = sorted(sim.detect(vectors, init))
         chunks = sim._build_chunks(required)
-        run = _CheckpointedRun(sim, init, [c.indices for c in chunks])
-        run.rebuild(0, vectors)
-
+        run = _CheckpointedRun(sim, init, [c.indices for c in chunks],
+                               len(vectors) + 1)
         reference = FaultSimulator(reference_circuit(circuit.netlist), fs)
         caught_early = 0
-        for frame in range(len(vectors) + 1):
-            for chunk, checkpoint in zip(chunks, run.states[frame]):
-                prefix = fault_sim_mod._WordArena(reference, chunk)
-                prefix.load_scan_in(init)
-                prefix.load_vectors(vectors[:frame])
-                prefix.run(frame, True, True, None, records=True)
-                po = 0
-                for word in prefix.rec_po:
-                    po |= word
-                assert _checkpoint_words(checkpoint) == \
-                    (*prefix.save()[:2], po)
-                if po == chunk.mask & ~1 and frame < len(vectors):
-                    caught_early += 1
-            assert run.detected_by(frame, []) == \
-                reference.detect(vectors[:frame], init, target=required)
+        for start, suffix in ((0, vectors), (4, vectors[6:]), (6, [])):
+            run.rebuild(start, suffix)
+            vectors = vectors[:start] + suffix
+            assert run.length == len(vectors)
+            records = []
+            for chunk in chunks:
+                arena = fault_sim_mod._WordArena(reference, chunk)
+                arena.load_scan_in(init)
+                arena.load_vectors(vectors)
+                arena.run(len(vectors), True, True, None, records=True)
+                records.append((arena.rec_po, arena.rec_scan))
+            for frame in range(len(vectors) + 1):
+                for ci, (chunk, store) in enumerate(zip(chunks, run.stores)):
+                    rec_po, rec_scan = records[ci]
+                    po = 0
+                    for word in rec_po[:frame]:
+                        po |= word
+                    later = rec_scan[-1] if vectors else 0
+                    for word in rec_po[frame:]:
+                        later |= word
+                    prefix = fault_sim_mod._WordArena(reference, chunk)
+                    prefix.load_scan_in(init)
+                    prefix.load_vectors(vectors[:frame])
+                    prefix.run(frame, True, True, None, records=True)
+                    if not vectors:
+                        later = prefix.scan_diff(None)
+                    store.restore_row(frame)
+                    assert store._ff_words() == prefix._ff_words()
+                    assert run.caught[ci][frame] == po
+                    assert _later_row(store, frame) == later
+                    if po == chunk.mask & ~1 and frame < len(vectors):
+                        caught_early += 1
+                assert run.detected_by(frame, []) == \
+                    reference.detect(vectors[:frame], init, target=required)
+                other = vectors[::-1]
+                assert run.detected_by(frame, other) == reference.detect(
+                    vectors[:frame] + other, init, target=required)
         assert caught_early > 0   # the saturated case did occur
+
+    @pytest.mark.parametrize("circuit", production_circuits(
+        synth.generate("equiv", _N_PI, 3, 5, 30, seed=3)),
+        ids=lambda c: "kernel" if c.array_backend is not None
+        else "bigint")
+    def test_trials_read_the_current_sequence(self, circuit):
+        """A trial runs its suffix from the current sequence the stores
+        hold, also after ``detected_by`` ran another suffix: over the
+        faults the first five vectors PO-detect, some one-vector drops
+        keep them all and some do not, each as the reference says."""
+        fs = FaultSet.collapsed(circuit.netlist)
+        sim = FaultSimulator(circuit, fs, fused_cap=5)
+        vectors = random_gen.random_sequence(circuit, 10, seed=1)
+        init = random_gen.random_state(circuit, seed=2)
+        reference = FaultSimulator(reference_circuit(circuit.netlist), fs)
+        early = sorted(reference.detect(vectors[:5], init, scan_out=False))
+        run = _CheckpointedRun(sim, init, sim._groups(early),
+                               len(vectors) + 1)
+        run.rebuild(0, vectors)
+        run.detected_by(1, vectors[::-1])
+        verdicts = [run.keeps_all(position, position)
+                    for position in range(len(vectors))]
+        assert verdicts == [
+            set(early) <= reference.detect(
+                vectors[:position] + vectors[position + 1:], init,
+                target=early)
+            for position in range(len(vectors))]
+        assert True in verdicts and False in verdicts
+
+    @needs_kernel
+    def test_short_trail_raises(self):
+        """A trail shorter than a rebuild's rows raises ValueError before
+        the kernel writes past it."""
+        circuit, reference, fs = production_for(3, True)
+        sim = FaultSimulator(circuit, fs)
+        vectors = random_gen.random_sequence(reference, 10, seed=1)
+        run = _CheckpointedRun(sim, random_gen.random_state(reference, seed=2),
+                               [list(range(len(fs)))], 5)
+        with pytest.raises(ValueError, match="malformed trail pass"):
+            run.rebuild(0, vectors)
+
+    def test_trail_decides_trials(self, monkeypatch):
+        """On b01 at seed 1, Phase 2 runs under half the frames it runs
+        with the trail withheld from its trials, with identical
+        results: the trail ends most trials early."""
+        netlist = suite.profile("b01").build()
+
+        def phase2(withhold):
+            frames = []
+            run_pass = omission._CheckpointedRun._run
+            omit = proposed.omit_vectors
+
+            def run_without_trail(self, ci, store, first, n_frames,
+                                  trail=None):
+                return run_pass(self, ci, store, first, n_frames)
+
+            def counted(sim, *args, **kwargs):
+                before = sim.counters.frames
+                result = omit(sim, *args, **kwargs)
+                frames.append(sim.counters.frames - before)
+                return result
+
+            wb = api.Workbench.for_netlist(netlist)
+            with monkeypatch.context() as patch:
+                patch.setattr(proposed, "omit_vectors", counted)
+                if withhold:
+                    patch.setattr(omission._CheckpointedRun, "_run",
+                                  run_without_trail)
+                result = api.compact_tests(netlist, seed=1, workbench=wb,
+                                           run_phase4=False)
+            return (result.test_set, result.final_detected,
+                    wb.counters.omission_trials), sum(frames)
+
+        (got, frames), (want, withheld) = phase2(False), phase2(True)
+        assert got == want
+        assert 0 < 2 * frames < withheld
+
+
+class TestSerialOmissionOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=circuit_seeds, cap=st.sampled_from([2, 5, FUSED_CAP]),
+           partial=st.booleans(), block=st.integers(1, 16),
+           passes=st.integers(1, 2), data=st.data())
+    def test_omission_matches_serial_oracle(self, seed, cap, partial, block,
+                                            passes, data):
+        """Phase 2 on its trails gives the serial oracle's shortened
+        test, detections, trials and omitted count in both production
+        configurations: from X-laden scan-ins, under full or partial
+        scan, with the required set split over several stores (caps 2
+        and 5) or fused in one, at every initial block size and one or
+        two sweeps."""
+        production, reference, fs = circuit_for(seed)
+        rng = random.Random(data.draw(st.integers(0, 999)))
+        vectors = _vectors(data, rng, data.draw(st.integers(2, 14)))
+        n_ff = len(reference.ff_ids)
+        positions = (sorted(rng.sample(range(n_ff), rng.randint(1, n_ff)))
+                     if partial else None)
+        init = tuple(rng.choice((V.ZERO, V.ONE, V.X)) for _ in
+                     range(n_ff if positions is None else len(positions)))
+        test = ScanTest(init, tuple(tuple(v) for v in vectors))
+        oracle = FaultSimulator(reference, fs, scan_positions=positions)
+        required = oracle.detect(vectors, init)
+        want = serial_omit_vectors(oracle, test, required, block, passes)
+        for circuit in production:
+            sim = FaultSimulator(circuit, fs, scan_positions=positions,
+                                 fused_cap=cap)
+            got = omit_vectors(sim, test, set(required),
+                               initial_block=block, passes=passes)
+            assert (got.test, got.detected, got.trials, got.omitted) == want
 
 
 class TestKernelConfiguration:
@@ -641,6 +769,18 @@ def _words_past_the_buffers(backend, entries):
     return {"tweak": tweak}
 
 
+def _trail_rows_past_the_trail(backend, entries):
+    return {"blocks": 1, "rows": 4, "records": True, "trail": 1}
+
+
+def _trail_over_blocks(backend, entries):
+    return {"rows": 5, "trail": 1, "later": True}
+
+
+def _later_without_trail_rows(backend, entries):
+    return {"blocks": 1, "rows": 5, "later": True}
+
+
 class TestPlanValidation:
     @needs_kernel
     @pytest.mark.parametrize("corrupt", [
@@ -648,16 +788,21 @@ class TestPlanValidation:
         _net_past_the_circuit, _branch_pin_past_fanins,
         _flip_flop_past_the_chain, _site_value_not_binary,
         _frame_past_the_pass, _negative_frame,
-        _blocks_not_dividing_the_words, _words_past_the_buffers],
+        _blocks_not_dividing_the_words, _words_past_the_buffers,
+        _trail_rows_past_the_trail, _trail_over_blocks,
+        _later_without_trail_rows],
         ids=["index-negative", "index-too-large", "stem-site",
              "net-outside", "branch-pin", "ff-position", "site-value",
              "frame-outside", "frame-negative", "block-count",
-             "word-count"])
+             "word-count", "trail-rows", "trail-blocks",
+             "later-without-rows"])
     def test_malformed_plan_raises_before_the_kernel(self, corrupt):
         """A malformed fault-site table raises ValueError when it is
         built, a malformed machine list when a store binds it, and a
-        machine frame past the pass or a block count that does not
-        divide the words into blocks the buffers hold when the pass
+        machine frame past the pass, a block count that does not
+        divide the words into blocks the buffers hold, a trail pass
+        that would meet rows past its trail or runs over several
+        blocks, or ``later`` rows without trail rows when the pass
         runs: before the kernel indexes anything with them."""
         net = synth.generate("plan", 4, 3, 5, 40, seed=5)
         circuit = production_circuit(net, kernel=True)
@@ -670,16 +815,24 @@ class TestPlanValidation:
 
         def run_pass(entries, faults=range(len(entries)),
                      frames=[k % 4 for k in range(len(entries))],
-                     tweak=None):
+                     blocks=3, rows=None, tweak=None, **trail):
             store = backend.store(backend.site_table(entries),
                                   SimCounters())
-            store.bind(faults, n_blocks=3, frames=frames)
-            store.load_vectors([(V.ZERO,) * (3 * net.num_inputs)] * 4)
+            store.bind(faults, n_blocks=blocks, frames=frames)
+            if rows is not None:
+                store.keep_trail(rows)
+            store.load_vectors([(V.ZERO,) * (blocks * net.num_inputs)] * 4)
             if tweak is not None:
                 tweak(store)
-            store.run(4, True, True, None)
+            store.run(4, True, True, None, **trail)
 
-        run_pass([list(entry) for entry in entries])  # the intact pass
+        # The intact passes: a plain one, and trail passes over the
+        # last four rows of a five-row trail.
+        run_pass([list(entry) for entry in entries])
+        run_pass([list(entry) for entry in entries], blocks=1, rows=5,
+                 records=True, trail=1)
+        run_pass([list(entry) for entry in entries], blocks=1, rows=5,
+                 trail=1, later=True)
         changes = corrupt(backend, entries)
         if "faults" in changes and "frames" not in changes:
             changes["frames"] = None

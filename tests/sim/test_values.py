@@ -47,6 +47,24 @@ class TestPacking:
         zero, one = V.pack_scalar(value, mask)
         assert V.word_scalar(zero, one, machine) == value
 
+    @given(st.lists(st.sampled_from([V.ZERO, V.ONE, V.X]), max_size=300))
+    def test_pack_lanes_per_value(self, values):
+        """Lane ``k`` of the pair carries ``values[k]``, as packing one
+        value at a time defines it."""
+        zero = one = 0
+        for k, value in enumerate(values):
+            if value == V.ZERO:
+                zero |= 1 << k
+            elif value == V.ONE:
+                one |= 1 << k
+        assert V.pack_lanes(values) == (zero, one)
+
+    @pytest.mark.parametrize("values", [[V.ONE, 7], [V.X, -1], [V.ZERO, 256],
+                                        [V.ONE, None]])
+    def test_pack_lanes_bad_value(self, values):
+        with pytest.raises(ValueError, match="invalid scalar value"):
+            V.pack_lanes(values)
+
     def test_word_scalar_default_machine(self):
         assert V.word_scalar(1, 0) == V.ZERO
         assert V.word_scalar(0, 1) == V.ONE
