@@ -4,14 +4,14 @@ The wide-word fault-simulation engines (DESIGN.md sections 8-9) rest on
 invariants that are argued in prose and sampled by the hypothesis
 equivalence suites, but never checked in production runs:
 
-* **packing disjointness** (``lane-disjoint``) -- every chunk a pass
-  packs covers its good bit 0 plus one machine per fault, no injection
-  mask claims the good machine or a bit outside the chunk, and no site
-  forces a machine to both 0 and 1 (checked on every chunk of the
-  big-int word arenas' one-off passes); on the C kernel, where a pass
-  is a machine list, every list of a one-off pass or a per-run store
-  holds distinct fault indices inside the fault set and none of a
-  proven-untestable class;
+* **packing disjointness** (``lane-disjoint``) -- a pass is a machine
+  list over the simulator's fault-site rows, on either pass store (the
+  C kernel's or a big-int word arena); every list of a one-off pass or
+  a per-run store holds distinct fault indices inside the fault set
+  and none of a proven-untestable class.  The stores build every
+  forcing mask from such a list, one bit per machine, so no mask can
+  claim the good machine or a bit outside the pass, or force a machine
+  both ways;
 * **scoreboard soundness** -- a fault retired by the cross-phase
   scoreboard is never simulated again as a target ("never required by a
   later phase"), and every retired fault is in the final detected set
@@ -26,7 +26,11 @@ equivalence suites, but never checked in production runs:
 * **early omission decisions** (``omission-early-decision``) -- a
   Phase-2 trial that its store's trail decided before the suffix's last
   frame gets the same verdict from a run of the whole suffix without
-  the trail (the first few such trials per simulator).
+  the trail (the first few such trials per simulator);
+* **transition-fault agreement** (``delay-agreement``) -- a dense
+  transition-fault pass catches the same launches as a re-run of it,
+  one launch frame at a time, on a simulator over the reference
+  circuit (the first few passes per transition simulator).
 
 The setting is sampled once per engine object: a ``FaultSimulator``,
 ``TransitionSim``, ``ActivityEngine`` or ``FaultScoreboard`` reads
@@ -44,8 +48,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (AbstractSet, Any, Dict, Iterable, List, Mapping,
-                    Sequence, Set, Tuple)
+from typing import AbstractSet, Any, Iterable, List, Sequence, Set
 
 from .diagnostics import ERROR, Diagnostic
 
@@ -113,73 +116,13 @@ def report_violation(invariant: str, message: str) -> None:
 # invariant checks (callers guard them with the setting they sampled)
 # ----------------------------------------------------------------------
 
-def _mask_pair(label: str, key: Any, m0: int, m1: int,
-               universe: int, context: str) -> None:
-    if m0 & m1:
-        report_violation(
-            "lane-disjoint",
-            f"{context}: {label}[{key!r}] forces the same machine "
-            f"bit(s) to both 0 and 1 (overlap {bin(m0 & m1)})")
-    if (m0 | m1) & ~universe:
-        report_violation(
-            "lane-disjoint",
-            f"{context}: {label}[{key!r}] claims machine bits "
-            f"outside its universe {bin(universe)}")
-
-
-def _mask_pairs(label: str,
-                masks: Mapping[Any, Tuple[int, int]],
-                universe: int, context: str) -> None:
-    """``masks``: net id -> (force-to-0 mask, force-to-1 mask)."""
-    for key, (m0, m1) in masks.items():
-        _mask_pair(label, key, m0, m1, universe, context)
-
-
-def _branch_masks(label: str,
-                  branch: Mapping[Any, Iterable[Tuple[int, int, int]]],
-                  universe: int, context: str) -> None:
-    """``branch``: net id -> [(pin, force-0 mask, force-1 mask), ...]."""
-    for key, entries in branch.items():
-        for pin, m0, m1 in entries:
-            _mask_pair(label, (key, pin), m0, m1, universe, context)
-
-
-def _ff_branch_masks(entries: Iterable[Tuple[int, int, int]],
-                     universe: int, context: str) -> None:
-    """``entries``: [(flip-flop position, force-0, force-1), ...]."""
-    for pos, m0, m1 in entries:
-        _mask_pair("ff_branch", pos, m0, m1, universe, context)
-
-
-def check_chunk(chunk: Any, context: str = "detect") -> None:
-    """Packing invariants of one scalar ``_Chunk`` (good bit 0 plus one
-    faulty machine per index)."""
-    want = (1 << (len(chunk.indices) + 1)) - 1
-    if chunk.mask != want:
-        report_violation(
-            "lane-disjoint",
-            f"{context}: chunk mask {bin(chunk.mask)} does not cover "
-            f"good bit + {len(chunk.indices)} machines")
-    # Bit 0 is the good machine: no injection may claim it (the
-    # universe excludes it), and no machine bit may be forced both ways.
-    _mask_pairs("stem", chunk.stems, chunk.mask & ~1, context)
-    _branch_masks("branch", chunk.branch, chunk.mask & ~1, context)
-    _ff_branch_masks(chunk.ff_branch, chunk.mask & ~1, context)
-
-
 def check_machines(machines: Sequence[int], faults: Any,
                    untestable: AbstractSet[int], context: str) -> None:
-    """Packing invariants of one kernel machine list: distinct fault
+    """Packing invariants of one machine list: distinct fault
     indices of ``faults`` (a ``FaultSet``), none in a class whose
-    representative is in ``untestable``."""
-    n = len(faults)
-    outside = sorted(f for f in machines if not 0 <= f < n)
-    if outside:
-        report_violation(
-            "lane-disjoint",
-            f"{context}: machine list holds {len(outside)} fault "
-            f"index(es) outside the {n} faults: {outside[:10]}")
-        return
+    representative is in ``untestable``.  The list is one a pass store
+    has bound, so its indices lie inside the fault set: the store's
+    bind raises ``ValueError`` for any other."""
     if len(set(machines)) != len(machines):
         report_violation(
             "lane-disjoint",

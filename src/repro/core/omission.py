@@ -266,12 +266,14 @@ def omit_vectors(
     Raises
     ------
     ValueError
-        If ``initial_block`` is below 1, or the input test does not
-        detect all required faults.
+        If ``initial_block`` or ``passes`` is below 1, or the input
+        test does not detect all required faults.
     """
     if initial_block < 1:
         raise ValueError(f"initial_block must be at least 1, not "
                          f"{initial_block}")
+    if passes < 1:
+        raise ValueError(f"passes must be at least 1, not {passes}")
     vectors: List[V.Vector] = [tuple(v) for v in test.vectors]
     run = _CheckpointedRun(sim, test.scan_in, sim._groups(sorted(required)),
                            len(vectors) + 1)
@@ -283,7 +285,7 @@ def omit_vectors(
 
     trials = 0
     removed_total = 0
-    for _ in range(max(1, passes)):
+    for _ in range(passes):
         removed_this_pass = 0
         position = len(vectors) - 1
         while position >= 0 and len(vectors) > 1:

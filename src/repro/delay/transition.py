@@ -22,70 +22,60 @@ scan test with a length-1 sequence therefore detects **zero**
 transition faults -- which is exactly why the [4]-style single-vector
 test sets fare poorly here and the paper's long-sequence sets shine.
 
-Simulation routes
------------------
+Simulation
+----------
 Launches are read off one lane-batched good-machine pass
 (:func:`repro.sim.logicsim.simulate_lanes`): a whole test set runs at
 once, test ``k`` in lane ``k``, and a net launches in frame ``t`` of
 test ``k`` when lane ``k`` of its frame-``t-1`` and frame-``t`` words
 hold the two values of the transition.  A fault one test detects is
-not graded on the later ones.  The circuit decides the route:
+not graded on the later ones.
 
-* **packed** (when the circuit has an array backend): the trail is
-  converted once into net-major bytes, one blob per rail, and each
-  test's launches -- a launch is a fault and a frame that launches
-  it -- are listed in frame order from its lane's bits, read into
-  Python ints a byte per net and frame.  Every launch is its own
-  faulty machine.  A dense pass takes the next ``FUSED_CAP - 1`` launches
-  of the test (skipping faults an earlier pass detected), starts at
-  its first launch frame from the good state the trail holds, and
-  runs to the end of the test in one call of the C pass kernel of
-  :mod:`repro.sim.npsim`.  The simulator's fault-site table (built
-  once) makes a launch a stem site forcing the transition's initial
-  value, and the pass's machine list gives each machine its launch
-  frame, the only frame it forces in; every pass runs in one kernel
-  store the simulator keeps.  Primary
-  outputs are observed every frame and the scan-out at the last; a
-  machine matches the good one until it is forced, so it can only
-  be caught from its launch frame on.
-* **scalar** (otherwise): the launches of one frame at a time, at
-  most ``_SCALAR_WIDTH - 1`` faults per Python big-int word, each
-  word run from that frame's good state to the end of the test, one
-  ``eval_frame`` call per frame -- exactly the semantics of the
-  stuck-at big-int path.
+The trail is converted once into net-major bytes, one blob per rail,
+and each test's launches -- a launch is a fault and a frame that
+launches it -- are listed in frame order from its lane's bits, read
+into Python ints a byte per net and frame.  Every launch is its own
+faulty machine.  A dense pass takes the next ``FUSED_CAP - 1``
+launches of the test (skipping faults an earlier pass detected),
+starts at its first launch frame from the good state the trail
+holds, and runs to the end of the test in one pass store of
+:mod:`repro.sim.fault_sim`: the C kernel's (:mod:`repro.sim.npsim`)
+when the circuit has an array backend, else a big-int word arena,
+the same passes either way.  The simulator's fault-site rows (built
+once) make a launch a stem site forcing the transition's initial
+value, and the pass's machine list gives each machine its launch
+frame, the only frame it forces in; every pass runs in one store the
+simulator keeps.  Primary outputs are observed every frame and the
+scan-out at the last; a machine matches the good one until it is
+forced, so it can only be caught from its launch frame on.
 
-A fault is detected when any of its launches is, and every machine
-evolves in its own bit-lane while the saturation break only fires
-once *all* are caught, so the two routes are byte-identical;
-``tests/delay/test_transition.py`` proves it against the reference
-circuit with hypothesis equivalence suites, and -- under
-``REPRO_SANITIZE=1`` -- the packed route recomputes its first few
-passes on the scalar route, one launch frame at a time, reporting
-``delay-agreement`` violations through
-:mod:`repro.analysis.sanitizer`.
+A fault is detected when any of its launches is.
+``tests/delay/test_transition.py`` checks the passes against a serial
+oracle, one fault and one launch frame at a time, and against the
+reference circuit with hypothesis equivalence suites; under
+``REPRO_SANITIZE=1`` the first few passes re-run one launch frame at a
+time on a simulator over the reference circuit, reporting
+``delay-agreement`` violations through :mod:`repro.analysis.sanitizer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..analysis import sanitizer
 from ..circuits.netlist import Netlist
 from ..core.scan_test import ScanTest, ScanTestSet
-from ..sim import fault_sim, npsim
-from ..sim import values as V
+from ..sim import fault_sim
 from ..sim.counters import SimCounters
 from ..sim.fault_sim import _set_bits
 from ..sim.logicsim import (CompiledCircuit, LaneFrame, lane_vector,
                             simulate_lanes)
 
-#: Packed passes cross-checked against the scalar route per simulator
-#: when the sanitizer is armed.
+#: Dense passes cross-checked against the reference circuit per
+#: simulator when the sanitizer is armed.
 _SANITIZE_SPOT_BUDGET = 3
-
-#: Word width (launched faults + the good machine) of the scalar route.
-_SCALAR_WIDTH = 128
 
 #: Per bit ``j``, the byte translation that reads bit ``j`` of every
 #: byte as 0 or 1.
@@ -124,12 +114,12 @@ def all_transition_faults(netlist: Netlist) -> List[TransitionFault]:
 class TransitionSim:
     """Transition-fault simulator bound to one circuit.
 
-    Launches are graded on the packed route when the circuit has an
-    array backend and on the scalar route otherwise; :attr:`route`
-    reports which.  Pass the workbench's shared
-    :class:`~repro.sim.counters.SimCounters` to surface
-    ``tdf_passes`` / ``tdf_words`` / ``tdf_s`` in the engine counters
-    table.
+    Its dense passes run on the circuit's pass store: the C kernel's
+    when the circuit has an array backend, else a big-int word arena.
+    :attr:`route` names that store, ``"packed"`` or ``"scalar"``.  Pass
+    the workbench's shared :class:`~repro.sim.counters.SimCounters` to
+    surface ``tdf_passes`` / ``tdf_words`` / ``tdf_s`` in the engine
+    counters table.
     """
 
     def __init__(self, circuit: CompiledCircuit,
@@ -145,29 +135,32 @@ class TransitionSim:
             else SimCounters()
         ids = circuit.netlist.net_ids
         self._nid: List[int] = [ids[f.net] for f in self.faults]
-        self._backend = circuit.array_backend
-        self.route = "packed" if self._backend is not None else "scalar"
         #: Whether the sanitizer is armed, sampled once, here.
         self._sanitize = sanitizer.enabled()
-        if self._backend is not None:
-            n_nets = circuit.n_nets
-            rising: List[List[int]] = [[] for _ in range(n_nets)]
-            falling: List[List[int]] = [[] for _ in range(n_nets)]
-            for fid, (nid, f) in enumerate(zip(self._nid, self.faults)):
-                (rising if f.rising else falling)[nid].append(fid)
-            #: Per launch byte (1 rising, 2 falling: a fault of kind
-            #: ``k`` is byte ``1 << k``) and net, the faults of that
-            #: kind on the net.  A net never rises and falls at once.
-            self._launch_faults: Tuple[List[Tuple[int, ...]], ...] = (
-                [()] * n_nets, [tuple(r) for r in rising],
-                [tuple(f) for f in falling])
-            # A launch forces its stem to the transition's initial
-            # value; every dense pass shares one kernel store.
-            self._store = self._backend.store(self._backend.site_table(
-                [(npsim.SITE_STEM, nid, 0, 0 if f.rising else 1)
-                 for nid, f in zip(self._nid, self.faults)]),
-                self.counters)
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
+        self._shadow: Optional[TransitionSim] = None
+        n_nets = circuit.n_nets
+        rising: List[List[int]] = [[] for _ in range(n_nets)]
+        falling: List[List[int]] = [[] for _ in range(n_nets)]
+        for fid, (nid, f) in enumerate(zip(self._nid, self.faults)):
+            (rising if f.rising else falling)[nid].append(fid)
+        #: Per launch byte (1 rising, 2 falling: a fault of kind ``k``
+        #: is byte ``1 << k``) and net, the faults of that kind on the
+        #: net.  A net never rises and falls at once.
+        self._launch_faults: Tuple[List[Tuple[int, ...]], ...] = (
+            [()] * n_nets, [tuple(r) for r in rising],
+            [tuple(f) for f in falling])
+        # A launch forces its stem to the transition's initial value;
+        # every dense pass shares one store.
+        sites = [(fault_sim.SITE_STEM, nid, 0, 0 if f.rising else 1)
+                 for nid, f in zip(self._nid, self.faults)]
+        backend: Any = circuit.array_backend
+        #: The store the dense passes run on: ``"packed"`` for the C
+        #: kernel's, ``"scalar"`` for a big-int word arena.
+        self.route = "scalar" if backend is None else "packed"
+        self._store: Any = (
+            fault_sim._WordArena(circuit, sites) if backend is None
+            else backend.store(backend.site_table(sites), self.counters))
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,
@@ -198,16 +191,6 @@ class TransitionSim:
         """Faults of ``target`` that ``tests``, test ``k`` riding in
         lane ``k`` of the good-machine ``frames``, detect; a fault one
         test detects is not graded again on the later ones."""
-        if self._backend is None:
-            remaining = set(target)
-            detected: Set[int] = set()
-            for lane, test in enumerate(tests):
-                if not remaining:
-                    break
-                caught = self._detect_lane(test, frames, lane, remaining)
-                detected |= caught
-                remaining -= caught
-            return detected
         wanted = set(target)
         live = _Live(self, wanted)
         trail = _Trail(frames, len(tests))
@@ -218,113 +201,12 @@ class TransitionSim:
                 self._grade_dense(test, frames, trail, lane, live)
         return {fid for fid in wanted if not live.alive[fid]}
 
-    def _detect_lane(self, test: ScanTest, frames: Sequence[LaneFrame],
-                     lane: int, target: Set[int]) -> Set[int]:
-        """Faults of ``target`` that ``test``, riding in lane ``lane``
-        of the good-machine ``frames``, detects (scalar route)."""
-        remaining = set(target)
-        detected: Set[int] = set()
-        if test.length < 2 or not remaining:
-            return detected
-        bit = 1 << lane
-        ff_d_ids = self.circuit.ff_d_ids
-        for t in range(1, test.length):
-            prev_zero, prev_one = frames[t - 1]
-            cur_zero, cur_one = frames[t]
-            launched: List[int] = []
-            for fid in remaining:
-                nid = self._nid[fid]
-                if self.faults[fid].rising:
-                    if prev_zero[nid] & cur_one[nid] & bit:
-                        launched.append(fid)
-                elif prev_one[nid] & cur_zero[nid] & bit:
-                    launched.append(fid)
-            if not launched:
-                continue
-            # The state the launch frame starts from: what frame t - 1
-            # captured.
-            state = lane_vector(frames[t - 1], ff_d_ids, lane)
-            caught = self._capture_and_propagate(test, state, t,
-                                                 sorted(launched))
-            detected |= caught
-            remaining -= caught
-            if not remaining:
-                break
-        return detected
-    def _capture_and_propagate(self, test: ScanTest, state: V.Vector,
-                               launch: int,
-                               launched: Sequence[int],
-                               count: bool = True) -> Set[int]:
-        """Bit-parallel check for one launch frame (scalar route).
-
-        Frame ``launch`` starts from the good-machine ``state`` and is
-        evaluated with the late-transition values forced
-        (stuck-at-old); the resulting error state then runs through
-        the remaining frames fault-free, observed at primary outputs
-        each frame and at the final captured state.  ``count=False``
-        suppresses the counter bumps (the sanitizer's shadow
-        recomputation must not distort the measurements).
-        """
-        circuit = self.circuit
-        detected: Set[int] = set()
-        last = test.length - 1
-        per = _SCALAR_WIDTH - 1
-        for start in range(0, len(launched), per):
-            group = launched[start:start + per]
-            mask = (1 << (len(group) + 1)) - 1
-            stems: Dict[int, Tuple[int, int]] = {}
-            for pos, fid in enumerate(group):
-                bit = 1 << (pos + 1)
-                nid = self._nid[fid]
-                # Slow-to-rise: value stays at old 0 -> stuck-at-0 now.
-                m0, m1 = (bit, 0) if self.faults[fid].rising else (0, bit)
-                old0, old1 = stems.get(nid, (0, 0))
-                stems[nid] = (old0 | m0, old1 | m1)
-            zero = [0] * circuit.n_nets
-            one = [0] * circuit.n_nets
-            for nid, val in zip(circuit.ff_ids, state):
-                zero[nid], one[nid] = V.pack_scalar(val, mask)
-            if count:
-                self.counters.tdf_passes += 1
-            frames_run = 0
-            caught = 0
-            for t in range(launch, test.length):
-                for nid, val in zip(circuit.pi_ids, test.vectors[t]):
-                    zero[nid], one[nid] = V.pack_scalar(val, mask)
-                if t == launch:
-                    for nid, (m0, m1) in stems.items():
-                        keep = mask & ~(m0 | m1)
-                        zero[nid] = (zero[nid] & keep) | m0
-                        one[nid] = (one[nid] & keep) | m1
-                    circuit.eval_frame(zero, one, mask, stems)
-                else:
-                    circuit.eval_frame(zero, one, mask)
-                frames_run += 1
-                for nid in circuit.po_ids:
-                    caught |= _diff(zero[nid], one[nid])
-                if t == last:
-                    for nid in circuit.ff_d_ids:
-                        caught |= _diff(zero[nid], one[nid])
-                caught &= ~1
-                if caught == mask & ~1:
-                    break
-                captured = [(zero[nid], one[nid])
-                            for nid in circuit.ff_d_ids]
-                for nid, (z, o) in zip(circuit.ff_ids, captured):
-                    zero[nid], one[nid] = z, o
-            if count:
-                self.counters.tdf_words += frames_run
-            for pos, fid in enumerate(group):
-                if caught & (1 << (pos + 1)):
-                    detected.add(fid)
-        return detected
-
     # ------------------------------------------------------------------
     def _grade_dense(self, test: ScanTest, frames: Sequence[LaneFrame],
                      trail: _Trail, lane: int, live: _Live) -> None:
         """Grade ``test``, riding in lane ``lane`` of the good-machine
         trail, against the faults ``live`` holds alive, and kill the
-        ones it detects (packed route).
+        ones it detects.
 
         Every launch -- a fault and a frame in which the test launches
         it -- is its own machine.  The launches are taken in frame
@@ -348,11 +230,11 @@ class TransitionSim:
     def _dense_pass(self, test: ScanTest, frames: Sequence[LaneFrame],
                     lane: int, at: Sequence[int],
                     fids: Sequence[int]) -> List[int]:
-        """One kernel pass over the launches ``(at[i], fids[i])``, in
-        frame order; returns the faults it detects.
+        """One pass over the launches ``(at[i], fids[i])``, in frame
+        order; returns the faults it detects.
 
         Machine bit ``i + 1`` is launch ``i``: fault ``fids[i]`` of the
-        site table, forcing only in pass frame ``at[i] - a``.  The pass
+        site rows, forcing only in pass frame ``at[i] - a``.  The pass
         starts at the first launch frame ``a`` from the good state
         frame ``a - 1`` captured (X where the good machine holds X),
         observes the POs every frame and the scan-out at the last, and
@@ -374,28 +256,36 @@ class TransitionSim:
         return [fids[i] for i in hit]
 
     @staticmethod
-    def _caught(store: npsim._Arena) -> List[int]:
+    def _caught(store: fault_sim._Store) -> List[int]:
         """The pass positions of the launches a dense pass caught."""
         return [b - 1 for b in _set_bits(store.caught)]
 
     def _spot_check(self, test: ScanTest, frames: Sequence[LaneFrame],
                     lane: int, at: Sequence[int], fids: Sequence[int],
                     hit: Sequence[int]) -> None:
-        """Scalar shadow recomputation of one dense pass, one launch
-        frame at a time, each from the good state its previous frame
-        captured."""
+        """Re-run one dense pass one launch frame at a time, each from
+        the good state its previous frame captured, on a shadow over
+        the reference circuit (the interpreter, no array backend): it
+        must catch the same launches.  The shadow is built once, keeps
+        its own counters and runs no spot checks of its own."""
+        shadow = self._shadow
+        if shadow is None:
+            shadow = self._shadow = TransitionSim(
+                CompiledCircuit(self.circuit.netlist, _reference=True),
+                self.faults)
+            shadow._sanitize = False
         caught = {(at[i], fids[i]) for i in hit}
         for t in sorted(set(at)):
             launched = [fid for a, fid in zip(at, fids) if a == t]
-            state = lane_vector(frames[t - 1], self.circuit.ff_d_ids, lane)
-            scalar = self._capture_and_propagate(test, state, t, launched,
-                                                 count=False)
-            packed = {f for f in launched if (t, f) in caught}
-            if scalar != packed:
+            want = set(shadow._dense_pass(test, frames, lane,
+                                          [t] * len(launched), launched))
+            got = {f for f in launched if (t, f) in caught}
+            if got != want:
                 sanitizer.report_violation(
                     "delay-agreement",
-                    f"packed/scalar TDF mismatch at launch frame {t}: "
-                    f"packed {sorted(packed)}, scalar {sorted(scalar)}")
+                    f"dense TDF pass disagrees with the reference at "
+                    f"launch frame {t}: dense {sorted(got)}, reference "
+                    f"{sorted(want)}")
 
     # ------------------------------------------------------------------
     def detect_test_set(self, test_set: ScanTestSet) -> Set[int]:
@@ -446,7 +336,7 @@ class _Trail:
 
 
 class _Live:
-    """The faults still alive in a packed-route grading: a flag per
+    """The faults still alive in a grading: a flag per
     fault and, per kind (rising, falling), a byte per net that is 1
     while a fault of that kind on the net is alive."""
 
@@ -517,11 +407,3 @@ def _kind(fault: TransitionFault) -> int:
     """0 for a slow-to-rise fault, 1 for a slow-to-fall one."""
     return 0 if fault.rising else 1
 
-
-def _diff(zero: int, one: int) -> int:
-    """Machines whose binary value differs from the good bit-0 value."""
-    if one & 1:
-        return zero
-    if zero & 1:
-        return one
-    return 0

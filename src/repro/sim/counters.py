@@ -86,10 +86,11 @@ Transition-fault counters
 -------------------------
 ``tdf_passes`` counts the faulty-machine passes of the
 transition-fault simulator (:class:`~repro.delay.transition.
-TransitionSim`): on the packed route one per dense kernel pass (a
-window of one test's launches, each its own machine, carried to the
-end of the test; each also counts one ``np_passes``), on the scalar
-route one per big-int word of one frame's launched faults.
+TransitionSim`): one per dense pass (a window of one test's launches,
+each its own machine, carried to the end of the test), the same
+passes on the kernel and on big-int words, so the count is identical
+in both configurations; on the kernel each also counts one
+``np_passes``.
 ``tdf_words`` counts the frames those passes simulated, summed, and
 ``tdf_s`` the simulator's wall clock (via ``phase_timer("tdf")``).
 The lane-batched good-machine pass is excluded: these counters

@@ -21,23 +21,23 @@ and :meth:`detect_trials`, every :class:`IncrementalFaultSim` step and
 every Phase-2 suffix trial and rebuild frame runs in a *pass store*;
 the consumers are written once, against the one interface both stores
 share, and they decode their machine bits once, as Python ints
-(:class:`_Store`).  Both stores chunk a pass the same way
-(:meth:`_groups`: balanced groups of the target, fault ``k`` of a
-group at machine bit ``k + 1``).  When the circuit has an array
-backend (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` --
-cffi and a C compiler present) the stores are the C kernel's stores
-of :mod:`repro.sim.npsim` over ``uint64`` rows in cffi memory, and a
-pass is a machine list over the simulator's fault-site table, built
-once:
-:meth:`detect`, :meth:`run_with_records` and :meth:`detect_trials`
-bind each chunk's list, in turn, to one store the simulator keeps,
-while an incremental simulation and a Phase-2 run each keep a store
-per chunk of their own target.  Otherwise the stores are word arenas
-(:class:`_WordArena`): one chunk's words as big-ints, evaluated by
+(:class:`_Store`).  A pass is a *machine list* over the simulator's
+fault-site rows (one ``(kind, place, pin, value)`` row per fault,
+built once): both stores chunk a pass the same way (:meth:`_groups`:
+balanced groups of the target, fault ``k`` of a group at machine bit
+``k + 1``) and bind each list under the same checks.  One factory,
+:meth:`FaultSimulator._new_store`, picks the store.  When the circuit
+has an array backend
+(:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- cffi and
+a C compiler present) it is a C-kernel store of :mod:`repro.sim.npsim`
+over ``uint64`` rows in cffi memory, over the site table built and
+checked once; otherwise a word arena (:class:`_WordArena`): the
+machines' words as big-ints, evaluated by
 :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame` in a loop that
-mirrors the kernel's.  Only the two store factories,
-:meth:`FaultSimulator._pass_stores` and
-:meth:`FaultSimulator._run_stores`, tell the two apart.  They are
+mirrors the kernel's.  :meth:`detect`, :meth:`run_with_records` and
+:meth:`detect_trials` bind each chunk's list, in turn, to one store
+the simulator keeps, while an incremental simulation and a Phase-2 run
+each keep a store per chunk of their own target.  The stores are
 result-identical: per-machine logic values do not depend on how words
 are stored, and the production-vs-reference equivalence suites plus
 the ``REPRO_SANITIZE`` shadow checks enforce it.
@@ -93,7 +93,7 @@ captured by the final frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
@@ -119,18 +119,12 @@ _SANITIZE_SPOT_BUDGET = 3
 #: negligible.
 _SANITIZE_SPOT_TARGET_CAP = 256
 
-
-@dataclass
-class _Chunk:
-    """Injection data for one word of packed faulty machines."""
-
-    indices: List[int]                 # global fault index of bit w+1
-    mask: int                          # all machine bits incl. good bit 0
-    stems: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    branch: Dict[int, List[Tuple[int, int, int]]] = field(
-        default_factory=dict)
-    ff_branch: List[Tuple[int, int, int]] = field(default_factory=list)
-    src_stem_ids: List[int] = field(default_factory=list)
+#: Site kinds of a fault-site row ``(kind, place, pin, value)``: a stem
+#: forces net ``place``, a fanout branch pin ``pin`` of the gate driving
+#: net ``place``, a flip-flop data-pin branch the next state of
+#: flip-flop position ``place``; ``value`` is the forced value.
+#: ``kernel.c`` reads the same values.
+SITE_STEM, SITE_BRANCH, SITE_FF = 0, 1, 2
 
 
 class _TrialBlocks:
@@ -272,14 +266,52 @@ class _Store:
     rec_po: List[int]
     rec_scan: List[int]
 
-    def _set_machines(self, machines: Sequence[int], n_blocks: int) -> None:
-        """Take ``machines`` over ``n_blocks`` blocks."""
+    def _set_machines(self, faults: Sequence[int], n_blocks: int,
+                      frames: Optional[Sequence[int]], n_sites: int
+                      ) -> Tuple[List[int], Optional[List[int]]]:
+        """Take the machine list ``faults`` over ``n_blocks`` blocks,
+        machine ``k`` forcing only in pass frame ``frames[k]`` when
+        ``frames`` is given; returns the machines and their frames.
+        Both stores' ``bind`` check a list here, before anything is
+        indexed with it.
+
+        Raises
+        ------
+        ValueError
+            If a fault index lies outside the ``n_sites`` sites (a
+            negative one included), a frame is negative, or ``frames``
+            and ``faults`` differ in length.
+        """
+        machines = list(faults)
+        n = len(machines)
+        if n and (min(machines) < 0 or max(machines) >= n_sites):
+            raise ValueError(f"malformed machine list: a fault index "
+                             f"outside the {n_sites} sites")
+        at = None if frames is None else list(frames)
+        if at is not None and (len(at) != n or (n and min(at) < 0)):
+            raise ValueError("malformed machine list: frames do not match "
+                             "the machines or lie before the pass")
         self.machines = machines
-        self.n_machines = n = len(machines)
+        self.n_machines = n
         self.n_blocks = n_blocks
         self.stride = 64 * (n // 64 + 1)
+        self._last_force = max(at) if at else -1
         self._want: Optional[int] = None
         self._weights: Optional[List[int]] = None
+        return machines, at
+
+    def _check_forcing(self, n_frames: int) -> None:
+        """Check that no machine forces past an ``n_frames``-frame pass.
+
+        Raises
+        ------
+        ValueError
+            If a machine's frame lies past the pass.
+        """
+        if self._last_force >= n_frames:
+            raise ValueError(f"malformed machine list: a machine forces "
+                             f"in frame {self._last_force} of a "
+                             f"{n_frames}-frame pass")
 
     def _tile(self) -> int:
         """Bit 0 of every block."""
@@ -357,58 +389,108 @@ class _Store:
                 scan_diff[frame].update(self.faults_in(rec_scan[frame]))
 
 
+#: One frame's forcing in a word arena: the stem masks and branch
+#: overrides :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame`
+#: takes, then the source-stem and flip-flop-branch blends, each
+#: ``(row, m0, m1, keep)``.
+_Forcing = Tuple[Dict[int, Tuple[int, int]],
+                 Dict[int, List[Tuple[int, int, int]]],
+                 List[Tuple[int, int, int, int]],
+                 List[Tuple[int, int, int, int]]]
+
+#: The forcing of a frame in which no machine forces.
+_NO_FORCING: _Forcing = ({}, {}, [], [])
+
+
 class _WordArena(_Store):
-    """One chunk's machines on big-int words: the twin of the kernel's
+    """A pass store on big-int words: the twin of the kernel's
     :class:`repro.sim.npsim._Arena`, with the same interface.
 
-    It holds the per-net word pairs (the flip-flop entries carry state
+    It is built over the same fault-site rows (``(kind, place, pin,
+    value)`` per fault, see :data:`SITE_STEM`), and :meth:`bind` takes
+    the same machine lists under the same checks, forcing machine
+    ``k`` only in pass frame ``frames[k]`` when frames are given.  It
+    holds the per-net word pairs (the flip-flop entries carry state
     between calls), the ``caught`` word and the record words of the
     last records-mode pass.  :meth:`run` mirrors ``repro_run_pass``
     step for step in both of its modes, so
     :meth:`FaultSimulator.detect`, :meth:`FaultSimulator.run_with_records`,
-    :class:`IncrementalFaultSim`, Phase 2's checkpointed run and
-    :meth:`FaultSimulator.detect_trials` are each written once, against
-    either store.  A checkpoint (:meth:`save`) is the flip-flop zero
-    and one words and ``caught``, as big-ints.
+    :class:`IncrementalFaultSim`, Phase 2's checkpointed run,
+    :meth:`FaultSimulator.detect_trials` and the transition-fault
+    passes of :mod:`repro.delay.transition` are each written once,
+    against either store.  A checkpoint (:meth:`save`) is the
+    flip-flop zero and one words and ``caught``, as big-ints.
 
-    With ``n_blocks`` blocks the chunk's machines repeat once per block
+    Bound over ``n_blocks`` blocks, the machines repeat once per block
     at a stride of whole 64-bit words (``stride`` bits), as on the
-    kernel: ``tile`` has bit 0 of every block, and the injection masks
-    are the chunk's times ``tile``.  Such a store loads one test per
+    kernel: ``tile`` has bit 0 of every block, and a machine's forcing
+    masks are its bit times ``tile``.  Such a store loads one test per
     block (:meth:`load_blocks`), runs, and decodes per block
     (:meth:`faults_by_block`).
     """
 
-    def __init__(self, sim: "FaultSimulator", chunk: _Chunk,
-                 n_blocks: int = 1) -> None:
-        circuit = sim.circuit
+    def __init__(self, circuit: CompiledCircuit,
+                 sites: Sequence[Tuple[int, int, int, int]]) -> None:
         self.circuit = circuit
-        self.chunk = chunk
-        self._set_machines(chunk.indices, n_blocks)
-        self.tile = tile = self._tile()
-        self.mask = mask = chunk.mask * tile
-        self.stems, self.branch = chunk.stems, chunk.branch
-        if n_blocks > 1:
-            self.stems = {nid: (m0 * tile, m1 * tile)
-                          for nid, (m0, m1) in chunk.stems.items()}
-            self.branch = {out: [(pin, m0 * tile, m1 * tile)
-                                 for pin, m0, m1 in entries]
-                           for out, entries in chunk.branch.items()}
+        self._sites = sites
+        self._sources = set(circuit.pi_ids) | set(circuit.ff_ids)
         self.caught = 0
         self.zero = [0] * circuit.n_nets
         self.one = [0] * circuit.n_nets
         self.vecs: Sequence[V.Vector] = ()
-        # Per-frame (PI words, running, ending) of a block load.
-        self._blocks: Optional[Tuple[Any, Any, Any]] = None
         self.rec_po = []
         self.rec_scan = []
-        # Source-stem and flip-flop-branch blends: (row, m0, m1, keep).
-        self._src = [(nid, m0, m1, mask & ~(m0 | m1))
-                     for nid in chunk.src_stem_ids
-                     for m0, m1 in (self.stems[nid],)]
-        self._ffbr = [(pos, m0 * tile, m1 * tile,
-                       mask & ~((m0 | m1) * tile))
-                      for pos, m0, m1 in chunk.ff_branch]
+        self.bind(())
+
+    def bind(self, faults: Sequence[int], n_blocks: int = 1,
+             frames: Optional[Sequence[int]] = None) -> None:
+        """Make ``faults`` the machine list of the next passes, over
+        ``n_blocks`` blocks: machine bit ``k + 1`` of every block is
+        fault ``faults[k]``.  With ``frames``, machine ``k`` forces only
+        in pass frame ``frames[k]``, else in every frame.  Drops any
+        earlier block load.
+
+        Raises
+        ------
+        ValueError
+            If a fault index lies outside the site rows (a negative one
+            included), a frame is negative, or ``frames`` and
+            ``faults`` differ in length.
+        """
+        machines, at = self._set_machines(faults, n_blocks, frames,
+                                          len(self._sites))
+        self.tile = tile = self._tile()
+        self._block = (1 << (self.n_machines + 1)) - 1
+        self.mask = self._block * tile
+        # Per-frame (PI words, running, ending) of a block load.
+        self._blocks: Optional[Tuple[Any, Any, Any]] = None
+        picks: Dict[Optional[int], List[Tuple[int, int]]] = {}
+        for k, fid in enumerate(machines):
+            picks.setdefault(None if at is None else at[k], []).append(
+                (tile << (k + 1), fid))
+        self._per_frame = at is not None
+        self._forcing = {f: self._force(pick) for f, pick in picks.items()}
+
+    def _force(self, picks: Sequence[Tuple[int, int]]) -> _Forcing:
+        """The forcing of the machine bits ``bits`` by fault ``fid``,
+        for each ``(bits, fid)`` of ``picks``."""
+        mask, sites = self.mask, self._sites
+        stems: Dict[int, Tuple[int, int]] = {}
+        branch: Dict[int, List[Tuple[int, int, int]]] = {}
+        ffbr: List[Tuple[int, int, int, int]] = []
+        for bits, fid in picks:
+            kind, place, pin, value = sites[fid]
+            m0, m1 = (0, bits) if value else (bits, 0)
+            if kind == SITE_STEM:
+                old0, old1 = stems.get(place, (0, 0))
+                stems[place] = (old0 | m0, old1 | m1)
+            elif kind == SITE_BRANCH:
+                branch.setdefault(place, []).append((pin, m0, m1))
+            else:
+                ffbr.append((place, m0, m1, mask & ~bits))
+        src = [(nid, m0, m1, mask & ~(m0 | m1))
+               for nid, (m0, m1) in stems.items() if nid in self._sources]
+        return stems, branch, src, ffbr
 
     def load_vectors(self, vectors: Sequence[V.Vector], at: int = 0) -> int:
         """Take a PI sequence from frame ``at`` on (the frames before
@@ -442,7 +524,7 @@ class _WordArena(_Store):
             raise ValueError(f"{blocks.n_blocks} tests for "
                              f"{self.n_blocks} blocks")
         states, frames, runs, ends = blocks.words(self.stride)
-        block = self.chunk.mask
+        block = self._block
         for nid, (z, o) in zip(self.circuit.ff_ids, states):
             self.zero[nid], self.one[nid] = z * block, o * block
         self.caught = 0
@@ -464,7 +546,9 @@ class _WordArena(_Store):
         machine is caught, without advancing the flip-flops past that
         frame; after a block load each block observes through its own
         last frame.  With ``records`` the pass fills ``rec_po`` /
-        ``rec_scan`` frame by frame and never stops early.
+        ``rec_scan`` frame by frame and never stops early.  Pass frame
+        ``f`` takes the forcing of the machines bound to it (of every
+        machine, for a list bound without frames).
 
         With ``trail``, frame ``f`` meets trail row ``trail + f``
         (:meth:`keep_trail`), as on the kernel: a records-mode pass
@@ -475,10 +559,17 @@ class _WordArena(_Store):
         its verdict sure: unsaturated, with ``caught`` as it was, when
         such a machine is uncaught and outside them; saturated when
         every machine is caught or such a machine inside them.
+
+        Raises
+        ------
+        ValueError
+            If a machine's frame lies past the pass.
         """
+        self._check_forcing(n_frames)
         circuit, blocks = self.circuit, self._blocks
         zero, one, mask, tile = self.zero, self.one, self.mask, self.tile
-        stems, branch, block = self.stems, self.branch, self.chunk.mask
+        forcing, per_frame, block = self._forcing, self._per_frame, \
+            self._block
         pi_ids, po_ids, ff_ids, ffd_ids = (circuit.pi_ids, circuit.po_ids,
                                            circuit.ff_ids, circuit.ff_d_ids)
         obs = range(len(ff_ids)) if scan_observe is None else scan_observe
@@ -495,13 +586,15 @@ class _WordArena(_Store):
             else:
                 for nid, (z, o) in zip(pi_ids, blocks[0][f]):
                     zero[nid], one[nid] = z, o
-            for nid, m0, m1, keep in self._src:
+            stems, branch, src, ffbr = forcing.get(
+                f if per_frame else None, _NO_FORCING)
+            for nid, m0, m1, keep in src:
                 zero[nid] = (zero[nid] & keep) | m0
                 one[nid] = (one[nid] & keep) | m1
             circuit.eval_frame(zero, one, mask, stems, branch)
             ns_zero = [zero[nid] for nid in ffd_ids]
             ns_one = [one[nid] for nid in ffd_ids]
-            for pos, m0, m1, keep in self._ffbr:
+            for pos, m0, m1, keep in ffbr:
                 ns_zero[pos] = (ns_zero[pos] & keep) | m0
                 ns_one[pos] = (ns_one[pos] & keep) | m1
             if records:
@@ -691,10 +784,6 @@ class FaultSimulator:
             if len(set(self.scan_positions)) < len(self.scan_positions):
                 raise ValueError("a flip-flop is scanned twice")
             self.n_state_vars = len(self.scan_positions)
-        net = circuit.netlist
-        ids = net.net_ids
-        self._source_ids = set(circuit.pi_ids) | set(circuit.ff_ids)
-        self._ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
         #: Whether the sanitizer is armed, sampled once, here.
         self._sanitize = sanitizer.enabled()
         self._sanitize_spots_left = _SANITIZE_SPOT_BUDGET
@@ -708,24 +797,26 @@ class FaultSimulator:
         #: Representative indices of proven-untestable classes (set
         #: via :meth:`set_untestable`); excluded from every pass.
         self._untestable: frozenset = frozenset()
-        #: The kernel route's fault-site table and the pass store the
-        #: one-off passes share (an ``npsim._Arena``), built on first
-        #: use.
-        self._sites: Optional[Any] = None
+        #: The kernel's fault-site table (built on first use, on the
+        #: kernel only) and the pass store the one-off passes share.
+        self._table: Optional[Any] = None
         self._store: Optional[Any] = None
-        # Precompute per-fault injection spec:
-        #   ("stem", net_id) | ("branch", out_net_id, pin) | ("ff", ff_pos)
-        self._spec: List[Tuple[Any, ...]] = []
+        #: The fault-site row of each fault: a stem, a fanout branch
+        #: (a gate's input pin) or a flip-flop data pin, and the value
+        #: the fault forces there.
+        net = circuit.netlist
+        ids = net.net_ids
+        ff_pos = {name: i for i, name in enumerate(net.flip_flops)}
+        self._sites: List[Tuple[int, int, int, int]] = []
         for fault in faults:
+            value = 1 if fault.stuck else 0
             if fault.pin is None:
-                self._spec.append(("stem", ids[fault.net]))
+                row = (SITE_STEM, ids[fault.net], 0, value)
+            elif net.gates[fault.pin[0]].gtype == "DFF":
+                row = (SITE_FF, ff_pos[fault.pin[0]], 0, value)
             else:
-                gate_name, pin = fault.pin
-                gate = net.gates[gate_name]
-                if gate.gtype == "DFF":
-                    self._spec.append(("ff", self._ff_pos[gate_name]))
-                else:
-                    self._spec.append(("branch", ids[gate_name], pin))
+                row = (SITE_BRANCH, ids[fault.pin[0]], fault.pin[1], value)
+            self._sites.append(row)
 
     # ------------------------------------------------------------------
     def set_adi_order(self, scores: Optional[Dict[int, int]]) -> None:
@@ -832,24 +923,6 @@ class FaultSimulator:
             start += size
         return groups
 
-    def _inject(self, chunk: _Chunk, sites: Sequence[int]) -> None:
-        """Fill ``chunk``'s injection tables: fault ``chunk.indices[k]``
-        forces the machine bits ``sites[k]`` at its stem, fanout
-        branch or flip-flop data pin."""
-        for fid, bits in zip(chunk.indices, sites):
-            spec = self._spec[fid]
-            m0, m1 = (0, bits) if self.faults[fid].stuck else (bits, 0)
-            if spec[0] == "stem":
-                old0, old1 = chunk.stems.get(spec[1], (0, 0))
-                chunk.stems[spec[1]] = (old0 | m0, old1 | m1)
-            elif spec[0] == "branch":
-                chunk.branch.setdefault(spec[1], []).append(
-                    (spec[2], m0, m1))
-            else:  # ff data-pin branch fault
-                chunk.ff_branch.append((spec[1], m0, m1))
-        chunk.src_stem_ids = [
-            nid for nid in chunk.stems if nid in self._source_ids]
-
     def _groups(self, indices: Sequence[int],
                 per: Optional[int] = None) -> List[List[int]]:
         """The machine groups of a pass over ``indices``: balanced
@@ -860,77 +933,52 @@ class FaultSimulator:
             per = self.resolve_width(len(indices)) - 1
         return self._balanced_groups(indices, per)
 
-    def _chunk(self, group: List[int]) -> _Chunk:
-        """A machine group with its big-int injection tables."""
-        chunk = _Chunk(indices=group, mask=(1 << (len(group) + 1)) - 1)
-        self._inject(chunk, [2 << pos for pos in range(len(group))])
-        return chunk
-
-    def _build_chunks(self, indices: Sequence[int],
-                      per: Optional[int] = None) -> List[_Chunk]:
-        """The chunks of :meth:`_groups`, with their big-int injection
-        tables."""
-        return [self._chunk(group) for group in self._groups(indices, per)]
-
     # ------------------------------------------------------------------
-    # The two pass stores: kernel stores and big-int word arenas
+    # The pass stores: kernel stores and big-int word arenas
     # ------------------------------------------------------------------
 
-    def _site_table(self, backend: Any) -> Any:
-        """The kernel's fault-site table of this simulator's faults,
-        built and checked on first use."""
-        if self._sites is None:
-            from .npsim import SITE_BRANCH, SITE_FF, SITE_STEM
-            kinds = {"stem": SITE_STEM, "branch": SITE_BRANCH,
-                     "ff": SITE_FF}
-            self._sites = backend.site_table([
-                (kinds[spec[0]], spec[1], spec[2] if len(spec) > 2 else 0,
-                 1 if fault.stuck else 0)
-                for spec, fault in zip(self._spec, self.faults)])
-        return self._sites
+    def _new_store(self) -> Any:
+        """A new pass store over this simulator's fault sites, bound to
+        no machines: a kernel store over the site table (built and
+        checked on first use) when the circuit has an array backend,
+        else a word arena."""
+        backend: Any = self.circuit.array_backend
+        if backend is None:
+            return _WordArena(self.circuit, self._sites)
+        if self._table is None:
+            self._table = backend.site_table(self._sites)
+        return backend.store(self._table, self.counters)
 
     def _pass_stores(self, sim_target: Sequence[int], context: str,
                      per: Optional[int] = None,
                      n_blocks: int = 1) -> Iterator[Any]:
-        """The stores of one pass over ``sim_target``, one per chunk of
-        :meth:`_groups` (over ``n_blocks`` blocks), each yielded in
-        turn: on the kernel the one store every such pass of this
-        simulator shares, bound to the chunk's machines (so a store
-        must be done with before the next is taken), otherwise a fresh
-        word arena."""
-        backend = self.circuit.array_backend
-        check = self._sanitize
-        if backend is None:
-            for chunk in self._build_chunks(sim_target, per):
-                if check:
-                    sanitizer.check_chunk(chunk, context)
-                yield _WordArena(self, chunk, n_blocks)
-            return
+        """The store of one pass over ``sim_target``, yielded once per
+        chunk of :meth:`_groups` (over ``n_blocks`` blocks): the one
+        store every such pass of this simulator shares, bound to the
+        chunk's machines, so a chunk must be done with before the next
+        is taken."""
         if self._store is None:
-            self._store = backend.store(self._site_table(backend),
-                                        self.counters)
+            self._store = self._new_store()
+        store = self._store
         for group in self._groups(sim_target, per):
-            if check:
+            store.bind(group, n_blocks)
+            if self._sanitize:
                 sanitizer.check_machines(group, self.faults,
                                          self._untestable, context)
-            self._store.bind(group, n_blocks)
-            yield self._store
+            yield store
 
     def _run_stores(self, groups: Sequence[List[int]]) -> List[Any]:
-        """One store per machine group of a fixed target, kept for a
-        whole run (an incremental simulation, a Phase-2 omission): a
-        kernel store bound once to the group, or a word arena."""
-        backend = self.circuit.array_backend
-        if backend is None:
-            return [_WordArena(self, self._chunk(group)) for group in groups]
+        """One store per machine group of a fixed target, bound once and
+        kept for a whole run (an incremental simulation, a Phase-2
+        omission)."""
         stores = []
         for group in groups:
+            store = self._new_store()
+            store.bind(group)
             if self._sanitize:
                 sanitizer.check_machines(group, self.faults,
                                          self._untestable,
                                          "FaultSimulator run")
-            store = backend.store(self._site_table(backend), self.counters)
-            store.bind(group)
             stores.append(store)
         return stores
 
@@ -1304,7 +1352,7 @@ class IncrementalFaultSim:
     combinational evaluation per chunk.  Its target is fixed, so its
     chunks are packed once, on creation, each into a store of its own
     (a kernel store or a word arena, see
-    :meth:`FaultSimulator._run_stores`) that keeps the chunk's state
+    :meth:`FaultSimulator._new_store`) that keeps the chunk's state
     across steps.  Every step is a one-frame records-mode pass; the
     store's ``caught`` word holds the machines already PO-caught.
 

@@ -307,14 +307,26 @@ class FaultSet:
         proven-untestable representatives -- from the simulated set;
         sound because a proven-untestable fault appears in no
         detection set, ever.
+
+        Raises
+        ------
+        ValueError
+            If a target index lies outside the fault list (a negative
+            one included) and the set has class structure; an identity
+            set hands its target on as it is, and a pass store rejects
+            such an index when it binds it.
         """
         if self._identity:
             if not drop:
                 return target, None
             return [f for f in target if f not in drop], None
         rep_of = self.rep_of
+        n = len(rep_of)
         expand: Dict[int, List[int]] = {}
         for f in target:
+            if not 0 <= f < n:
+                raise ValueError(f"target fault {f} outside the {n} "
+                                 f"faults")
             rep = rep_of[f]
             if drop and rep in drop:
                 continue

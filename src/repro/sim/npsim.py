@@ -23,7 +23,8 @@ machine bit ``k + 1`` of every block is fault ``faults[k]`` of the
 table (for a transition launch, forcing only in one pass frame), and
 the kernel derives its forcing from the table and the list inside
 the call.  The list is range-checked when a store binds it
-(:meth:`_Arena.bind`), before the kernel indexes anything with it.
+(:meth:`_Arena.bind`, by the check it shares with the big-int word
+arena), before the kernel indexes anything with it.
 A store (:class:`_Arena`) holds the buffers the kernel reads and
 writes; they grow to the widest pass bound so far, so a simulator's
 one-off passes share one store and a consumer with state of its own
@@ -37,9 +38,9 @@ and restoring them and loading a scan-in state are slice copies.  A
 Phase-2 run keeps its checkpoints as a *trail* of flip-flop rows and
 ``later`` words in cffi memory (:meth:`_Arena.keep_trail`), which a
 records-mode pass writes and a trial pass reads, inside the kernel.
-The consumers in :mod:`repro.sim.fault_sim` and
-:mod:`repro.core.omission` are thus written once against either
-store.
+The consumers in :mod:`repro.sim.fault_sim`,
+:mod:`repro.core.omission` and :mod:`repro.delay.transition` are thus
+written once against either store.
 
 With cffi and a C compiler present, every fault-simulation pass
 runs here; otherwise
@@ -51,13 +52,12 @@ point, ``repro_run_pass``, and mirrors the word arena's pass loop
 operation for operation -- load, source stems, topological gate
 evaluation with branch overrides and post-gate stem forcing,
 next-state capture with flip-flop branch forcing, PO / scan
-observation, the ``caught`` bookkeeping and the saturation break --
-so detection sets are byte-identical either way (enforced by the
-production-vs-reference equivalence suites and the sanitizer's
-shadow checks).  Only the kernel forces a machine in one frame and
-not the others, which the transition-fault passes of
-:mod:`repro.delay.transition` use; without the kernel those run on
-their own scalar route.
+observation, the ``caught`` bookkeeping and the saturation break,
+and forcing a machine only in its one frame when the list gives
+frames, as the transition-fault passes of
+:mod:`repro.delay.transition` do -- so detection sets are
+byte-identical either way (enforced by the production-vs-reference
+equivalence suites and the sanitizer's shadow checks).
 
 cffi is an optional dependency: install the ``fast`` extra
 (``pip install repro[fast]``).
@@ -74,7 +74,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from . import values as V
-from .fault_sim import _Store
+from .fault_sim import SITE_BRANCH, SITE_FF, SITE_STEM, _Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .counters import SimCounters
@@ -269,10 +269,6 @@ def kernel_unavailable_reason(
 # Fault-site tables, machine lists and the kernel pass store
 # ----------------------------------------------------------------------
 
-#: Site kinds of a fault-site table entry (``kernel.c`` reads them).
-SITE_STEM, SITE_BRANCH, SITE_FF = 0, 1, 2
-
-
 class _Arena(_Store):
     """A kernel pass store: the buffers of ``repro_run_pass`` calls
     over one fault-site table (its big-int twin, with the same
@@ -382,17 +378,11 @@ class _Arena(_Store):
         ValueError
             If a fault index lies outside the site table (a negative
             one included), a frame is negative, or ``frames`` and
-            ``faults`` differ in length.
+            ``faults`` differ in length (the check both stores share).
         """
-        machines = list(faults)
+        machines, at = self._set_machines(faults, n_blocks, frames,
+                                          self._n_sites)
         n = len(machines)
-        if n and (min(machines) < 0 or max(machines) >= self._n_sites):
-            raise ValueError(f"malformed machine list: a fault index "
-                             f"outside the {self._n_sites} sites")
-        at = None if frames is None else list(frames)
-        if at is not None and (len(at) != n or (n and min(at) < 0)):
-            raise ValueError("malformed machine list: frames do not match "
-                             "the machines or lie before the pass")
         block_words = n // 64 + 1
         width = block_words * n_blocks
         if width > self._width:
@@ -403,12 +393,10 @@ class _Arena(_Store):
             self._last_cap = n_blocks
             self._last = self._ffi.new("long[]", n_blocks)
         self._list[0:n] = machines
-        self._frames_p, self._last_force = self._ffi.NULL, -1
+        self._frames_p = self._ffi.NULL
         if at is not None:
             self._frame_list[0:n] = at
             self._frames_p = self._frame_list
-            self._last_force = max(at) if n else -1
-        self._set_machines(machines, n_blocks)
         self.n_words = width
         size = 8 * width
         self._span = (size * self._ff_lo, size * (self._ff_lo + self._n_ff))
@@ -598,10 +586,7 @@ class _Arena(_Store):
                 (first + n_frames) * n_blocks * self.n_pi > self._vec_cap:
             raise ValueError(f"{n_frames}-frame pass from frame {first} "
                              f"over a shorter vector buffer")
-        if self._last_force >= n_frames:
-            raise ValueError(f"malformed machine list: a machine forces "
-                             f"in frame {self._last_force} of a "
-                             f"{n_frames}-frame pass")
+        self._check_forcing(n_frames)
         rec = (ffi.NULL, ffi.NULL)
         if records:
             if n_frames > self._rec_rows:

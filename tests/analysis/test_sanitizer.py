@@ -17,7 +17,8 @@ from repro.sim.fault_sim import (FUSED_CAP, _SANITIZE_SPOT_BUDGET,
 from repro.sim.faults import FaultSet
 from repro.sim.logicsim import CompiledCircuit
 from repro.sim.scoreboard import FaultScoreboard
-from tests.reference import KERNEL, production_circuit, reference_circuit
+from tests.reference import (KERNEL, production_circuit,
+                             production_circuits, reference_circuit)
 
 
 @pytest.fixture(autouse=True)
@@ -105,58 +106,46 @@ def _sim(fused_cap=FUSED_CAP, seed=5):
 
 
 class TestChunkChecks:
-    def test_real_chunks_pass(self, monkeypatch):
+    def test_bad_machine_lists_caught(self, monkeypatch):
+        """A machine list that gives a fault two machines, or holds a
+        fault of a proven-untestable class, is a ``lane-disjoint``
+        violation; a list of distinct simulated faults is clean."""
         _arm(monkeypatch)
-        sim, _, fs = _sim(fused_cap=8)
-        for chunk in sim._build_chunks(list(range(len(fs)))):
-            sanitizer.check_chunk(chunk, "test")
-        assert sanitizer.violations() == []
-
-    def test_tampered_stem_caught(self, monkeypatch):
-        _arm(monkeypatch)
-        sim, _, fs = _sim(fused_cap=8)
-        chunk = sim._build_chunks(list(range(len(fs))))[0]
-        net_id, (m0, m1) = next(iter(chunk.stems.items()))
-        # Force one machine bit to both 0 and 1.
-        chunk.stems[net_id] = (m0 | 2, m1 | 2)
-        with pytest.raises(SanitizerError, match="lane-disjoint"):
-            sanitizer.check_chunk(chunk, "test")
-
-    def test_good_bit_claim_caught(self, monkeypatch):
-        _arm(monkeypatch)
-        sim, _, fs = _sim(fused_cap=8)
-        chunk = sim._build_chunks(list(range(len(fs))))[0]
-        net_id, (m0, m1) = next(iter(chunk.stems.items()))
-        chunk.stems[net_id] = (m0 | 1, m1)  # claims the good machine
-        with pytest.raises(SanitizerError, match="universe"):
-            sanitizer.check_chunk(chunk, "test")
+        _, _, fs = _sim()
+        sanitizer.check_machines([0, 1, 2], fs, frozenset(), "test")
+        with pytest.raises(SanitizerError, match="more than one machine"):
+            sanitizer.check_machines([0, 1, 1], fs, frozenset(), "test")
+        with pytest.raises(SanitizerError, match="proven-untestable"):
+            sanitizer.check_machines([0, 1], fs,
+                                     frozenset({fs.rep_of[1]}), "test")
+        assert [v.invariant for v in sanitizer.violations()] == \
+            ["lane-disjoint"] * 2
 
     def test_real_trial_chunks_pass(self, monkeypatch):
-        """detect_trials checks every chunk it packs -- a big-int chunk
-        or a kernel machine list -- and its chunks (two faults each at
-        fused_cap=8 over 4 trials) are clean."""
+        """detect_trials checks the machine list of every chunk it binds,
+        on either store, and its chunks (two faults each at fused_cap=8
+        over 4 trials) are clean."""
         _arm(monkeypatch)
-        sim, cc, fs = _sim(fused_cap=8)
+        net = synth.generate("sani", 4, 3, 5, 40, seed=5)
+        fs = FaultSet.collapsed(net)
         checked = []
-        real_chunk = sanitizer.check_chunk
         real_machines = sanitizer.check_machines
-
-        def spy(chunk, context="detect"):
-            checked.append((len(chunk.indices), context))
-            real_chunk(chunk, context)
 
         def spy_machines(machines, faults, untestable, context):
             checked.append((len(machines), context))
             real_machines(machines, faults, untestable, context)
 
-        monkeypatch.setattr(sanitizer, "check_chunk", spy)
         monkeypatch.setattr(sanitizer, "check_machines", spy_machines)
-        vectors = random_gen.random_sequence(cc, 3, seed=2)
-        sim.detect_trials([(None, vectors[:k]) for k in range(1, 5)],
-                          target=range(min(8, len(fs))))
-        sizes = [n for n, ctx in checked
-                 if ctx == "FaultSimulator.detect_trials"]
-        assert sizes == [2, 2, 2, 2]
+        vectors = random_gen.random_sequence(reference_circuit(net), 3,
+                                             seed=2)
+        for circuit in production_circuits(net):
+            checked.clear()
+            sim = FaultSimulator(circuit, fs, fused_cap=8)
+            sim.detect_trials([(None, vectors[:k]) for k in range(1, 5)],
+                              target=range(min(8, len(fs))))
+            sizes = [n for n, ctx in checked
+                     if ctx == "FaultSimulator.detect_trials"]
+            assert sizes == [2, 2, 2, 2]
         assert sanitizer.violations() == []
 
 
@@ -256,28 +245,30 @@ class TestOmissionCrossCheck:
 
 class TestDelayCrossCheck:
     def test_dropped_detection_caught(self, monkeypatch):
-        """With the dense-pass decode made to drop one detection, the
-        scalar recomputation of the first packed TDF passes raises."""
-        if not KERNEL:
-            pytest.skip("the C kernel is unavailable")
+        """With a simulator's dense-pass decode made to drop one
+        detection, the re-run of its first passes on the reference
+        circuit, one launch frame at a time, raises: on either store.
+        Only the production simulator's decode is patched, not its
+        shadow's."""
         net = synth.generate("tdfsan", 4, 3, 5, 30, seed=5)
         cc = reference_circuit(net)
         tests = ScanTestSet(net.num_ffs, [
             ScanTest(random_gen.random_state(cc, seed=k),
                      tuple(random_gen.random_sequence(cc, 8, seed=k)))
             for k in range(3)])
-        real = TransitionSim._caught
 
-        def lossy(arena):
-            return real(arena)[1:]
+        def lossy(store):
+            return TransitionSim._caught(store)[1:]
 
         _arm(monkeypatch)
-        sim = TransitionSim(production_circuit(net, kernel=True))
-        assert sim.detect_test_set(tests)  # clean without the patch
-        monkeypatch.setattr(TransitionSim, "_caught", staticmethod(lossy))
-        sim = TransitionSim(production_circuit(net, kernel=True))
-        with pytest.raises(SanitizerError, match="delay-agreement"):
-            sim.detect_test_set(tests)
+        for circuit in production_circuits(net):
+            sim = TransitionSim(circuit)
+            assert sim.detect_test_set(tests)  # clean without the patch
+            assert sim._shadow is not None
+            sim = TransitionSim(circuit)
+            sim._caught = lossy
+            with pytest.raises(SanitizerError, match="delay-agreement"):
+                sim.detect_test_set(tests)
 
 
 class TestEndToEnd:

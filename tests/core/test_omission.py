@@ -116,6 +116,19 @@ class TestKnobs:
         assert omit_vectors(wb.sim, test, required,
                             initial_block=1).omitted > 0
 
+    @pytest.mark.parametrize("passes", [0, -2])
+    def test_passes_below_one_raises(self, s27_bench, passes):
+        """``passes`` counts the sweeps, so fewer than one sweep is an
+        error, not one sweep in disguise."""
+        wb = s27_bench
+        vectors = random_gen.random_sequence(wb.circuit, 30, seed=1)
+        scan_in = random_gen.random_state(wb.circuit, seed=2)
+        test = ScanTest(tuple(scan_in), tuple(vectors))
+        required = wb.sim.detect(vectors, scan_in)
+        with pytest.raises(ValueError, match="passes"):
+            omit_vectors(wb.sim, test, required, passes=passes)
+        assert omit_vectors(wb.sim, test, required, passes=1).omitted > 0
+
     def test_synthetic_circuit(self, mid_bench):
         wb = mid_bench
         test, required = make_case(wb, 50, 10)

@@ -87,6 +87,13 @@ def oracle_detects(netlist, fault, test):
     return False
 
 
+def oracle_set(netlist, faults, test):
+    """The indices of ``faults`` that :func:`oracle_detects` says
+    ``test`` detects."""
+    return {i for i, fault in enumerate(faults)
+            if oracle_detects(netlist, fault, test)}
+
+
 class TestModel:
     def test_fault_enumeration(self, s27):
         faults = all_transition_faults(s27)
@@ -178,7 +185,8 @@ class TestTestSets:
 
 
 # ----------------------------------------------------------------------
-# Routes: the packed (wide-word kernel) and scalar (big-int) captures
+# The dense passes on either store: the kernel's ("packed") and a
+# big-int word arena ("scalar")
 # ----------------------------------------------------------------------
 
 _N_PI = 4
@@ -255,9 +263,9 @@ class TestRouteSelection:
 
 
 class TestRouteEquivalence:
-    """Both production routes must be byte-identical to the reference
-    -- including X-laden stimuli, restricted targets and multi-word
-    launch groups."""
+    """Both production configurations must detect what the serial
+    oracle and the reference circuit detect -- including X-laden
+    stimuli, restricted targets and multi-word launch groups."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=eq_seeds, data=st.data())
@@ -266,7 +274,8 @@ class TestRouteEquivalence:
         vectors = _vectors(data, rng, data.draw(st.integers(1, 10)))
         test = ScanTest(V.random_binary_vector(_N_FF, rng), vectors)
         production, reference = sims_for(seed)
-        want = reference.detect_test(test)
+        want = oracle_set(reference.circuit.netlist, reference.faults, test)
+        assert reference.detect_test(test) == want
         for sim in production:
             assert sim.detect_test(test) == want
 
@@ -310,42 +319,65 @@ class TestRouteEquivalence:
         for circuit in production_circuits(net):
             assert TransitionSim(circuit).detect_test_set(ts) == want
 
-    @needs_packed
+    def test_counters_identical_across_stores(self):
+        """Both stores run the same dense passes: ``tdf_passes`` and
+        ``tdf_words`` are the reference circuit's in both production
+        configurations, and only the kernel counts kernel passes."""
+        net = synth.generate("tdfwide", 5, 4, 8, 80, seed=11)
+        rng = random.Random(2)
+        tests = ScanTestSet(net.num_ffs, [
+            ScanTest(V.random_binary_vector(net.num_ffs, rng),
+                     tuple(V.random_binary_vector(5, rng)
+                           for _ in range(12)))
+            for _ in range(3)])
+        reference = TransitionSim(reference_circuit(net))
+        want = reference.detect_test_set(tests)
+        counts = (reference.counters.tdf_passes,
+                  reference.counters.tdf_words)
+        assert counts[0] > 0 and reference.counters.np_passes == 0
+        for circuit in production_circuits(net):
+            sim = TransitionSim(circuit)
+            assert sim.detect_test_set(tests) == want
+            c = sim.counters
+            assert (c.tdf_passes, c.tdf_words) == counts
+            assert (c.np_passes > 0) == (circuit.array_backend is not None)
+
     def test_sanitizer_spot_checks_packed_captures(self, monkeypatch):
-        """With REPRO_SANITIZE armed the packed route recomputes its
-        first captures on the scalar shadow; agreement means no
+        """With REPRO_SANITIZE armed, each configuration re-runs its
+        first dense passes on the reference circuit; agreement means no
         violation is reported and the spot budget is consumed."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         net = synth.generate("tdfsan", 4, 3, 5, 30, seed=5)
-        sim = TransitionSim(production_circuit(net, kernel=True))
         rng = random.Random(9)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(10))
-        sim.detect_test(ScanTest(V.random_binary_vector(net.num_ffs, rng),
-                                 vectors))
-        assert sim._sanitize_spots_left < \
-            transition_mod._SANITIZE_SPOT_BUDGET
+        test = ScanTest(V.random_binary_vector(net.num_ffs, rng), vectors)
+        for circuit in production_circuits(net):
+            sim = TransitionSim(circuit)
+            sim.detect_test(test)
+            assert sim._sanitize_spots_left < \
+                transition_mod._SANITIZE_SPOT_BUDGET
 
-    @needs_packed
     def test_shadow_does_not_distort_counters(self, monkeypatch):
-        """The sanitizer's scalar shadow recomputation must not bump
-        the TDF counters: armed and unarmed runs count the same."""
+        """The sanitizer's shadow keeps its own counters: armed and
+        unarmed runs count the same, in either configuration."""
         net = synth.generate("tdfsan", 4, 3, 5, 30, seed=6)
         rng = random.Random(3)
         vectors = tuple(V.random_binary_vector(4, rng)
                         for _ in range(8))
         test = ScanTest(V.random_binary_vector(net.num_ffs, rng), vectors)
-        counts = []
-        for armed in (False, True):
-            if armed:
-                monkeypatch.setenv("REPRO_SANITIZE", "1")
-            else:
-                monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-            sim = TransitionSim(production_circuit(net, kernel=True))
-            sim.detect_test(test)
-            counts.append((sim.counters.tdf_passes,
-                           sim.counters.tdf_words))
-        assert counts[0] == counts[1]
+        for circuit in production_circuits(net):
+            counts = []
+            for armed in (False, True):
+                if armed:
+                    monkeypatch.setenv("REPRO_SANITIZE", "1")
+                else:
+                    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+                sim = TransitionSim(circuit)
+                sim.detect_test(test)
+                counts.append((sim.counters.tdf_passes,
+                               sim.counters.tdf_words))
+            assert counts[0] == counts[1]
 
 
 def _edge_test(rng, n_frames, x_rate):
@@ -379,10 +411,10 @@ def _launches(sim, test):
 
 
 class TestDenseWindows:
-    """The packed route grades a test's launches in frame order, at
-    most ``FUSED_CAP - 1`` to a pass, each forced only in its launch
-    frame; at a cap of 8 a test runs many windows and later windows
-    skip the faults earlier ones detected."""
+    """A test's launches are graded in frame order, at most
+    ``FUSED_CAP - 1`` to a pass, each forced only in its launch frame;
+    at a cap of 8 a test runs many windows and later windows skip the
+    faults earlier ones detected."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=eq_seeds, data=st.data())
@@ -392,18 +424,15 @@ class TestDenseWindows:
         tests = [_edge_test(rng, data.draw(st.integers(2, 12)), x_rate)
                  for _ in range(2)]
         production, reference = sims_for(seed)
-        want = [reference.detect_test(test) for test in tests]
+        net = reference.circuit.netlist
+        want = [oracle_set(net, reference.faults, test) for test in tests]
+        assert [reference.detect_test(test) for test in tests] == want
         with mock.patch.object(fault_sim, "FUSED_CAP", 8):
             for sim in production:
                 assert [sim.detect_test(test) for test in tests] == want
                 assert sim.detect_test_set(
                     ScanTestSet(_N_FF, tests)) == want[0] | want[1]
-        if tests[0].length <= 6:
-            net = reference.circuit.netlist
-            assert want[0] == {i for i, f in enumerate(reference.faults)
-                               if oracle_detects(net, f, tests[0])}
 
-    @needs_packed
     def test_windows_prune_and_cover_the_edges(self, monkeypatch):
         """One stimulus of the hypothesis case, checked to hold every
         edge it is built for: several windows, later ones pruned, a
@@ -411,8 +440,7 @@ class TestDenseWindows:
         frames, rising and falling faults on one net, launches on PI
         and flip-flop-output nets, and X in the scan-in and vectors."""
         production, reference = sims_for(0)
-        sim = production[0]
-        circuit = sim.circuit
+        circuit = reference.circuit
         test = _edge_test(random.Random(1), 12, 0.25)
         launches = _launches(reference, test)
         frames_of = {}
@@ -429,6 +457,7 @@ class TestDenseWindows:
         assert launched & set(circuit.pi_ids)
         assert launched & set(circuit.ff_ids)
         assert V.X in test.scan_in and any(V.X in v for v in test.vectors)
+        want = reference.detect_test(test)
         passes = []
         real = TransitionSim._dense_pass
 
@@ -438,42 +467,34 @@ class TestDenseWindows:
 
         monkeypatch.setattr(fault_sim, "FUSED_CAP", 8)
         monkeypatch.setattr(TransitionSim, "_dense_pass", spy)
-        assert sim.detect_test(test) == reference.detect_test(test)
-        assert len(passes) > 2 and max(passes) == 7
-        assert sum(passes) < len(launches)
+        for sim in production:
+            passes.clear()
+            assert sim.detect_test(test) == want
+            assert len(passes) > 2 and max(passes) == 7
+            assert sum(passes) < len(launches)
 
 
 class TestLanePass:
     """The lane-batched good-machine pass behind ``detect_test_set``:
-    read lane by lane, it must detect per test exactly what the
-    reference detects test by test."""
+    read lane by lane, it must detect per test exactly what the serial
+    oracle and the reference detect test by test."""
 
     @pytest.mark.parametrize("n_tests", [6, 70])
     def test_per_test_sets_match_reference(self, n_tests):
         net = synth.generate("tdflane", 4, 3, 5, 30, seed=4)
         tests = mixed_scan_tests(net, n_tests, n_tests)
         reference = TransitionSim(reference_circuit(net))
-        want = [reference.detect_test(t) for t in tests]
-        if n_tests < 10:
-            for test, found in zip(tests, want):
-                assert found == {i for i, f in enumerate(reference.faults)
-                                 if oracle_detects(net, f, test)}
+        want = [oracle_set(net, reference.faults, t) for t in tests]
+        assert [reference.detect_test(t) for t in tests] == want
         blank = ScanTest((V.X,) * net.num_ffs,
                          ((V.X,) * net.num_inputs,) * 2)
         for circuit in production_circuits(net):
             sim = TransitionSim(circuit)
-            if circuit.array_backend is None:
-                frames = simulate_lanes(
-                    circuit, [(t.scan_in, t.vectors) for t in tests])
-                every = set(range(len(sim.faults)))
-                assert [sim._detect_lane(t, frames, lane, every)
-                        for lane, t in enumerate(tests)] == want
-            else:
-                # Test k in lane 64 + k (lane word 1 or 2), behind
-                # all-X tests that launch nothing.
-                assert [sim.detect_test_set(ScanTestSet(
-                    net.num_ffs, [blank] * (64 + k) + [t]))
-                    for k, t in enumerate(tests)] == want
+            # Test k in lane 64 + k (lane word 1 or 2), behind all-X
+            # tests that launch nothing.
+            assert [sim.detect_test_set(ScanTestSet(
+                net.num_ffs, [blank] * (64 + k) + [t]))
+                for k, t in enumerate(tests)] == want
             assert [sim.detect_test(t) for t in tests] == want
             assert sim.detect_test_set(
                 ScanTestSet(net.num_ffs, tests)) == set().union(*want)

@@ -83,6 +83,11 @@ def _vectors(data, rng, n):
     return out
 
 
+def _vectors_binary(rng, n):
+    """``n`` random binary vectors."""
+    return [V.random_binary_vector(_N_PI, rng) for _ in range(n)]
+
+
 def _target(data, rng, n_faults):
     """``None`` (every fault) or a random restricted target."""
     if data.draw(st.booleans()):
@@ -216,7 +221,7 @@ class TestWidthPolicy:
         fs = FaultSet.collapsed(net)
         sim = FaultSimulator(cc, fs)
         assert sim.resolve_width(50) == 51
-        assert len(sim._build_chunks(range(50))) == 1
+        assert len(sim._groups(range(50))) == 1
 
     def test_auto_balances_above_cap(self):
         net = synth.generate("wp", 3, 2, 4, 20, seed=0)
@@ -227,8 +232,7 @@ class TestWidthPolicy:
         assert sim.resolve_width(250) == 85  # ceil(250/3) + good machine
         # And over the real fault list: chunks within one of each other.
         small = FaultSimulator(cc, fs, fused_cap=len(fs) // 2)
-        chunks = small._build_chunks(range(len(fs)))
-        sizes = [len(c.indices) for c in chunks]
+        sizes = [len(group) for group in small._groups(range(len(fs)))]
         assert len(sizes) >= 2
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == len(fs)
@@ -504,24 +508,31 @@ class TestOmissionCheckpoints:
         vectors = random_gen.random_sequence(circuit, 10, seed=1)
         init = random_gen.random_state(circuit, seed=2)
         required = sorted(sim.detect(vectors, init))
-        chunks = sim._build_chunks(required)
-        run = _CheckpointedRun(sim, init, [c.indices for c in chunks],
-                               len(vectors) + 1)
+        groups = sim._groups(required)
+        run = _CheckpointedRun(sim, init, groups, len(vectors) + 1)
         reference = FaultSimulator(reference_circuit(circuit.netlist), fs)
+
+        def arena(group):
+            """A reference word arena bound to ``group``."""
+            store = reference._new_store()
+            assert isinstance(store, fault_sim_mod._WordArena)
+            store.bind(group)
+            return store
+
         caught_early = 0
         for start, suffix in ((0, vectors), (4, vectors[6:]), (6, [])):
             run.rebuild(start, suffix)
             vectors = vectors[:start] + suffix
             assert run.length == len(vectors)
             records = []
-            for chunk in chunks:
-                arena = fault_sim_mod._WordArena(reference, chunk)
-                arena.load_scan_in(init)
-                arena.load_vectors(vectors)
-                arena.run(len(vectors), True, True, None, records=True)
-                records.append((arena.rec_po, arena.rec_scan))
+            for group in groups:
+                whole = arena(group)
+                whole.load_scan_in(init)
+                whole.load_vectors(vectors)
+                whole.run(len(vectors), True, True, None, records=True)
+                records.append((whole.rec_po, whole.rec_scan))
             for frame in range(len(vectors) + 1):
-                for ci, (chunk, store) in enumerate(zip(chunks, run.stores)):
+                for ci, (group, store) in enumerate(zip(groups, run.stores)):
                     rec_po, rec_scan = records[ci]
                     po = 0
                     for word in rec_po[:frame]:
@@ -529,7 +540,7 @@ class TestOmissionCheckpoints:
                     later = rec_scan[-1] if vectors else 0
                     for word in rec_po[frame:]:
                         later |= word
-                    prefix = fault_sim_mod._WordArena(reference, chunk)
+                    prefix = arena(group)
                     prefix.load_scan_in(init)
                     prefix.load_vectors(vectors[:frame])
                     prefix.run(frame, True, True, None, records=True)
@@ -539,7 +550,8 @@ class TestOmissionCheckpoints:
                     assert store._ff_words() == prefix._ff_words()
                     assert run.caught[ci][frame] == po
                     assert _later_row(store, frame) == later
-                    if po == chunk.mask & ~1 and frame < len(vectors):
+                    if po == (1 << (len(group) + 1)) - 2 and \
+                            frame < len(vectors):
                         caught_early += 1
                 assert run.detected_by(frame, []) == \
                     reference.detect(vectors[:frame], init, target=required)
@@ -704,7 +716,7 @@ class TestKernelConfiguration:
             out.append(sim.detect_candidates(vectors[:4], states))
             out.append(CombPatternSim(sim).detect_block(
                 [(state, vector) for state, vector in zip(states, vectors)]))
-            return out, len(sim._build_chunks(sorted(required)))
+            return out, len(sim._groups(sorted(required)))
 
         got, n_chunks = script(circuit)
         assert got == script(reference_circuit(net))[0]
@@ -808,8 +820,7 @@ class TestPlanValidation:
         circuit = production_circuit(net, kernel=True)
         backend = circuit.array_backend
         fs = FaultSet.collapsed(net)
-        table = list(FaultSimulator(circuit, fs)._site_table(backend))
-        entries = [table[i:i + 4] for i in range(0, len(table), 4)]
+        entries = [list(row) for row in FaultSimulator(circuit, fs)._sites]
         assert {entry[0] for entry in entries} >= {npsim.SITE_STEM,
                                                    npsim.SITE_BRANCH}
 
@@ -838,6 +849,79 @@ class TestPlanValidation:
             changes["frames"] = None
         with pytest.raises(ValueError, match="malformed"):
             run_pass(entries, **changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"faults": [0, -1]}, {"faults": [0, "past"]},
+        {"frames": [0]}, {"frames": [-1, 0, 0]}, {"frames": [0, 4, 0]}],
+        ids=["index-negative", "index-too-large", "frames-mismatched",
+             "frame-negative", "frame-outside"])
+    def test_malformed_machine_list_raises_on_every_store(self, changes):
+        """A malformed machine list raises the same ValueError on the
+        kernel's store and on a word arena: a fault index outside the
+        sites (a negative one included) or frames that do not match the
+        machines or lie before the pass when the store binds it, and a
+        frame past the pass when the pass runs."""
+        net = synth.generate("plan", 4, 3, 5, 40, seed=5)
+        fs = FaultSet.collapsed(net)
+        messages = []
+        for circuit in production_circuits(net):
+            sim = FaultSimulator(circuit, fs)
+            faults = [len(fs) if f == "past" else f
+                      for f in changes.get("faults", [0, 1, 2])]
+            frames = changes.get("frames", None)
+            store = sim._new_store()
+            store.bind([0, 1, 2], frames=[0, 1, 3])
+            store.load_scan_in((V.ZERO,) * net.num_ffs)
+            store.load_vectors([(V.ONE,) * net.num_inputs] * 4)
+            store.run(4, True, True, None)   # the intact list runs
+            with pytest.raises(ValueError, match="malformed machine list") \
+                    as raised:
+                store.bind(faults, frames=frames)
+                store.load_scan_in((V.ZERO,) * net.num_ffs)
+                store.load_vectors([(V.ONE,) * net.num_inputs] * 4)
+                store.run(4, True, True, None)
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1
+
+
+def _forced_pass(circuit, fs, frames, vectors, init):
+    """Every fault of ``fs`` as one machine, forcing in ``frames``: the
+    records-mode rows of a pass over ``vectors`` from ``init``, then the
+    caught words and frame count of a detect-mode pass."""
+    store = FaultSimulator(circuit, fs)._new_store()
+    store.bind(range(len(fs)), frames=frames)
+    store.load_scan_in(init)
+    store.load_vectors(vectors)
+    store.run(len(vectors), True, True, None, records=True)
+    rows = (list(store.rec_po), list(store.rec_scan))
+    store.load_scan_in(init)
+    n_frames = store.run(len(vectors), True, True, None)
+    return rows, store.caught, n_frames
+
+
+class TestForcingFrames:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stores_force_alike(self, seed):
+        """A machine list with frames forces each machine only in its
+        own frame, at stem, fanout-branch and flip-flop-branch sites
+        alike (s27 has all three): both production stores give the
+        reference word arena's record rows, caught words and frame
+        count, which differ from those of the same list forcing in
+        every frame."""
+        net = library.s27()
+        production, reference = production_circuits(net), \
+            reference_circuit(net)
+        fs = FaultSet.collapsed(net)
+        kinds = {row[0] for row in FaultSimulator(reference, fs)._sites}
+        assert kinds == {npsim.SITE_STEM, npsim.SITE_BRANCH, npsim.SITE_FF}
+        rng = random.Random(seed)
+        vectors = _vectors_binary(rng, 6)
+        init = V.random_binary_vector(len(reference.ff_ids), rng)
+        frames = [rng.randrange(6) for _ in range(len(fs))]
+        want = _forced_pass(reference, fs, frames, vectors, init)
+        assert want != _forced_pass(reference, fs, None, vectors, init)
+        for circuit in production:
+            assert _forced_pass(circuit, fs, frames, vectors, init) == want
 
 
 class TestNumpyRepack:

@@ -451,3 +451,48 @@ class TestScalarValuesChecked:
             with pytest.raises(ValueError, match="invalid scalar value 3"):
                 inc.apply(_BAD_VECTOR)
             assert inc.n_frames == 0
+
+
+class TestTargetsOutsideTheFaults:
+    """A target index that names no fault raises ValueError at every
+    entry point, in both configurations and on both fault-set kinds:
+    ``-1`` does not wrap to the last fault, and one past the end does
+    not escape as an IndexError.  An identity set's machine list is
+    checked when a store binds it, a set with classes already when its
+    target is collapsed."""
+
+    STATE = (V.ZERO, V.ONE, V.ZERO)
+    VECTORS = [(V.ZERO, V.ONE, V.ZERO, V.ZERO), (V.ONE, V.ONE, V.ZERO, V.X)]
+
+    @staticmethod
+    def _sims(kernel):
+        if kernel and not KERNEL:
+            pytest.skip("the C kernel is unavailable")
+        net = library.s27()
+        circuit = production_circuit(net, kernel)
+        return [FaultSimulator(circuit, faults)
+                for faults in (FaultSet.collapsed(net),
+                               FaultSet.uncollapsed(net))]
+
+    @_both_configs
+    def test_every_entry_point_rejects(self, kernel):
+        sims = self._sims(kernel)
+        assert [len(sim.faults) for sim in sims] == [32, 52]
+        for sim in sims:
+            assert sim.faults.has_classes == (len(sim.faults) == 52)
+            for bad in (-1, len(sim.faults)):
+                calls = [
+                    lambda: sim.detect(self.VECTORS, self.STATE,
+                                       target=[bad]),
+                    lambda: sim.run_with_records(self.VECTORS, self.STATE,
+                                                 target=[0, bad]),
+                    lambda: sim.detect_trials(
+                        [(self.STATE, self.VECTORS)], target=[bad]),
+                    lambda: sim.incremental(self.STATE, target=[bad])]
+                for call in calls:
+                    with pytest.raises(ValueError, match="outside"):
+                        call()
+            # A target inside the fault set still runs.
+            last = len(sim.faults) - 1
+            assert sim.detect(self.VECTORS, self.STATE, target=[0, last]) \
+                <= {0, last}
