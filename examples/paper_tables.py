@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scenario: regenerate the paper's tables on a chosen circuit set.
 
-The same machinery the benchmarks use, exposed as a script: runs both
+The machinery of ``repro-compact tables``, as a script: runs both
 arms of the proposed procedure plus both baselines and prints Tables
 1-5 and the at-speed extension table.
 
@@ -22,10 +22,10 @@ def main() -> None:
     profiles = [suite.profile(name) for name in names]
     print(f"running circuits: {', '.join(names)} "
           f"(this fault-simulates everything twice; be patient)\n")
-    runs = run_suite(profiles, seed=1, with_transition=True,
+    runs = run_suite(profiles, seed=1, delay=True,
                      verbose=True)
     print()
-    print(render_all(all_tables(runs, with_transition=True)))
+    print(render_all(all_tables(runs, with_delay=True)))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ Two suite flavours:
 
 * :func:`paper_suite` -- one profile per paper circuit we reproduce
   (small and mid-size rows of Tables 1-5).
-* :func:`quick_suite` -- a fast subset for CI and pytest benchmarks.
+* :func:`quick_suite` -- a fast subset for CI and the paper-shape tests.
 
 The per-profile ``paper`` dict carries the numbers printed in the paper
 so the experiment reports can show paper-vs-measured side by side.
@@ -168,7 +168,7 @@ _PROFILES: List[CircuitProfile] = [
 
 _BY_NAME = {p.name: p for p in _PROFILES}
 
-#: Circuits small enough for CI / pytest-benchmark runs.
+#: Circuits small enough for CI and tier-1 tests.
 _QUICK_NAMES = ("s27", "b02", "b01", "b06", "s298")
 
 
@@ -178,7 +178,7 @@ def paper_suite() -> List[CircuitProfile]:
 
 
 def quick_suite() -> List[CircuitProfile]:
-    """The fast subset used by default in benchmarks and CI."""
+    """The fast subset used by default in tests and CI."""
     return [_BY_NAME[n] for n in _QUICK_NAMES]
 
 

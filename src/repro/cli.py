@@ -9,7 +9,7 @@ Subcommands::
     repro-compact lint [targets ...]           # static netlist analysis
     repro-compact analyze [targets ...]        # static fault-space pass
     repro-compact doctor DIR [--strict]        # verify/repair a run dir
-    repro-compact bench-info                   # how to run the benches
+    repro-compact bench-info                   # where the benchmarks are
 
 ``lint`` runs the static analyzer (:mod:`repro.analysis`) over suite
 circuits, ``.bench`` files and/or generated synthetic circuits
@@ -468,9 +468,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_info(_args: argparse.Namespace) -> int:
-    print("Benchmarks live under benchmarks/ -- run them with:\n"
-          "  pytest benchmarks/ --benchmark-only\n"
-          "Set REPRO_BENCH_FULL=1 for the full (slow) suite.")
+    print("End-to-end timings live under benchmarks/e2e -- run them "
+          "with:\n"
+          "  python3 benchmarks/e2e/run.py --workload all\n"
+          "The paper's table shapes and quality gates are tests:\n"
+          "  pytest tests/experiments/test_paper_shape.py "
+          "tests/core/test_adi.py \\\n"
+          "    tests/sim/test_collapse_equivalence.py "
+          "tests/power/test_xfill_gate.py\n"
+          "`repro-compact tables` prints the tables.")
     return 0
 
 

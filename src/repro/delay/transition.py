@@ -154,13 +154,12 @@ class TransitionSim:
         # every dense pass shares one store.
         sites = [(fault_sim.SITE_STEM, nid, 0, 0 if f.rising else 1)
                  for nid, f in zip(self._nid, self.faults)]
-        backend: Any = circuit.array_backend
         #: The store the dense passes run on: ``"packed"`` for the C
         #: kernel's, ``"scalar"`` for a big-int word arena.
-        self.route = "scalar" if backend is None else "packed"
-        self._store: Any = (
-            fault_sim._WordArena(circuit, sites) if backend is None
-            else backend.store(backend.site_table(sites), self.counters))
+        self.route = "scalar" if circuit.array_backend is None \
+            else "packed"
+        self._store: Any = fault_sim.store_factory(circuit, sites,
+                                                   self.counters)()
 
     # ------------------------------------------------------------------
     def detect_test(self, test: ScanTest,

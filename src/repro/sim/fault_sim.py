@@ -25,14 +25,14 @@ share, and they decode their machine bits once, as Python ints
 fault-site rows (one ``(kind, place, pin, value)`` row per fault,
 built once): both stores chunk a pass the same way (:meth:`_groups`:
 balanced groups of the target, fault ``k`` of a group at machine bit
-``k + 1``) and bind each list under the same checks.  One factory,
-:meth:`FaultSimulator._new_store`, picks the store.  When the circuit
-has an array backend
-(:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` -- cffi and
-a C compiler present) it is a C-kernel store of :mod:`repro.sim.npsim`
-over ``uint64`` rows in cffi memory, over the site table built and
-checked once; otherwise a word arena (:class:`_WordArena`): the
-machines' words as big-ints, evaluated by
+``k + 1``) and bind each list under the same checks.  One function,
+:func:`store_factory`, picks the store for the stuck-at simulator and
+the transition-fault grader alike.  When the circuit has an array
+backend (:attr:`repro.sim.logicsim.CompiledCircuit.array_backend` --
+cffi and a C compiler present) it is a C-kernel store of
+:mod:`repro.sim.npsim` over ``uint64`` rows in cffi memory, over the
+site table built and checked once; otherwise a word arena
+(:class:`_WordArena`): the machines' words as big-ints, evaluated by
 :meth:`~repro.sim.logicsim.CompiledCircuit.eval_frame` in a loop that
 mirrors the kernel's.  :meth:`detect`, :meth:`run_with_records` and
 :meth:`detect_trials` bind each chunk's list, in turn, to one store
@@ -95,8 +95,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from . import values as V
 from ..analysis import sanitizer
@@ -248,6 +248,21 @@ def _diff_or(zero: Sequence[int], one: Sequence[int],
     return acc
 
 
+def _check_sites(faults: Sequence[int], n_sites: int) -> None:
+    """Check that every fault index of a machine list names one of the
+    ``n_sites`` sites.
+
+    Raises
+    ------
+    ValueError
+        If a fault index lies outside the sites (a negative one
+        included).
+    """
+    if faults and (min(faults) < 0 or max(faults) >= n_sites):
+        raise ValueError(f"malformed machine list: a fault index "
+                         f"outside the {n_sites} sites")
+
+
 class _Store:
     """What the two pass stores share: the decoding of their machine
     bits, on Python ints.
@@ -263,6 +278,7 @@ class _Store:
     """
 
     caught: int
+    n_pi: int
     rec_po: List[int]
     rec_scan: List[int]
 
@@ -284,9 +300,7 @@ class _Store:
         """
         machines = list(faults)
         n = len(machines)
-        if n and (min(machines) < 0 or max(machines) >= n_sites):
-            raise ValueError(f"malformed machine list: a fault index "
-                             f"outside the {n_sites} sites")
+        _check_sites(machines, n_sites)
         at = None if frames is None else list(frames)
         if at is not None and (len(at) != n or (n and min(at) < 0)):
             raise ValueError("malformed machine list: frames do not match "
@@ -299,6 +313,23 @@ class _Store:
         self._want: Optional[int] = None
         self._weights: Optional[List[int]] = None
         return machines, at
+
+    def _check_load(self, n_frames: int, n_values: int, at: int) -> int:
+        """Check a load of ``n_frames`` PI frames of ``n_values`` values
+        in all from frame ``at``; returns the values a frame holds.
+
+        Raises
+        ------
+        ValueError
+            If a frame does not hold ``n_blocks x n_pi`` values, or
+            ``at`` is negative.
+        """
+        size = self.n_blocks * self.n_pi
+        if n_values != n_frames * size or at < 0:
+            raise ValueError(f"{n_frames} frames of {n_values} values for "
+                             f"{self.n_blocks} blocks of {self.n_pi} "
+                             f"primary inputs from frame {at}")
+        return size
 
     def _check_forcing(self, n_frames: int) -> None:
         """Check that no machine forces past an ``n_frames``-frame pass.
@@ -418,8 +449,9 @@ class _WordArena(_Store):
     :class:`IncrementalFaultSim`, Phase 2's checkpointed run,
     :meth:`FaultSimulator.detect_trials` and the transition-fault
     passes of :mod:`repro.delay.transition` are each written once,
-    against either store.  A checkpoint (:meth:`save`) is the
-    flip-flop zero and one words and ``caught``, as big-ints.
+    against either store.  A checkpoint is a trail row
+    (:meth:`keep_trail`): the flip-flop zero and one words, as
+    big-ints.
 
     Bound over ``n_blocks`` blocks, the machines repeat once per block
     at a stride of whole 64-bit words (``stride`` bits), as on the
@@ -433,6 +465,7 @@ class _WordArena(_Store):
                  sites: Sequence[Tuple[int, int, int, int]]) -> None:
         self.circuit = circuit
         self._sites = sites
+        self.n_pi = len(circuit.pi_ids)
         self._sources = set(circuit.pi_ids) | set(circuit.ff_ids)
         self.caught = 0
         self.zero = [0] * circuit.n_nets
@@ -500,9 +533,12 @@ class _WordArena(_Store):
         ------
         ValueError
             If a value is not 0, 1 or X (checked here, so a pass that
-            stops before a frame cannot let that frame's values by).
+            stops before a frame cannot let that frame's values by), a
+            frame holds the wrong number of values, or ``at`` is
+            negative.
         """
-        V.scalar_bytes(chain.from_iterable(vectors))
+        self._check_load(len(vectors), len(V.scalar_bytes(
+            chain.from_iterable(vectors))), at)
         self.vecs = [*self.vecs[:at], *vectors] if at else vectors
         self._blocks = None
         return len(vectors)
@@ -644,10 +680,6 @@ class _WordArena(_Store):
         return ([self.zero[nid] for nid in ff_ids],
                 [self.one[nid] for nid in ff_ids])
 
-    def save(self) -> Tuple[List[int], List[int], int]:
-        """A checkpoint of the flip-flop words and ``caught``."""
-        return (*self._ff_words(), self.caught)
-
     def keep_trail(self, n_rows: int) -> None:
         """Give the store a trail of ``n_rows`` checkpoints: per
         checkpoint, the flip-flop zero and one words and one ``later``
@@ -671,13 +703,27 @@ class _WordArena(_Store):
         """Make ``words`` the trail's ``later`` words, from row 0."""
         self._later[:len(words)] = words
 
-    def restore(self, checkpoint: Tuple[List[int], List[int], int]
-                ) -> None:
-        """Load a checkpoint into the flip-flop words and ``caught``."""
-        ff_zero, ff_one, self.caught = checkpoint
-        zero, one = self.zero, self.one
-        for nid, z, o in zip(self.circuit.ff_ids, ff_zero, ff_one):
-            zero[nid], one[nid] = z, o
+
+def store_factory(circuit: CompiledCircuit,
+                  sites: Sequence[Tuple[int, int, int, int]],
+                  counters: SimCounters) -> Callable[[], Any]:
+    """The maker of a circuit's pass stores over the fault-site rows
+    ``sites``, each new store bound to no machines: kernel stores over
+    one site table, built and checked here, when the circuit has an
+    array backend (their passes counted in ``counters``), else word
+    arenas.
+
+    Raises
+    ------
+    ValueError
+        If a site row is malformed (see
+        :meth:`repro.sim.npsim.ArrayBackend.site_table`).
+    """
+    backend: Any = circuit.array_backend
+    if backend is None:
+        return lambda: _WordArena(circuit, sites)
+    table = backend.site_table(sites)
+    return lambda: backend.store(table, counters)
 
 
 @dataclass
@@ -797,9 +843,10 @@ class FaultSimulator:
         #: Representative indices of proven-untestable classes (set
         #: via :meth:`set_untestable`); excluded from every pass.
         self._untestable: frozenset = frozenset()
-        #: The kernel's fault-site table (built on first use, on the
-        #: kernel only) and the pass store the one-off passes share.
-        self._table: Optional[Any] = None
+        #: The maker of the simulator's pass stores
+        #: (:func:`store_factory`, on first use) and the store the
+        #: one-off passes share.
+        self._make_store: Optional[Callable[[], Any]] = None
         self._store: Optional[Any] = None
         #: The fault-site row of each fault: a stem, a fanout branch
         #: (a gate's input pin) or a flip-flop data pin, and the value
@@ -939,15 +986,11 @@ class FaultSimulator:
 
     def _new_store(self) -> Any:
         """A new pass store over this simulator's fault sites, bound to
-        no machines: a kernel store over the site table (built and
-        checked on first use) when the circuit has an array backend,
-        else a word arena."""
-        backend: Any = self.circuit.array_backend
-        if backend is None:
-            return _WordArena(self.circuit, self._sites)
-        if self._table is None:
-            self._table = backend.site_table(self._sites)
-        return backend.store(self._table, self.counters)
+        no machines (see :func:`store_factory`)."""
+        if self._make_store is None:
+            self._make_store = store_factory(self.circuit, self._sites,
+                                             self.counters)
+        return self._make_store()
 
     def _pass_stores(self, sim_target: Sequence[int], context: str,
                      per: Optional[int] = None,
@@ -1260,6 +1303,8 @@ class FaultSimulator:
         counters.trial_passes += 1
         counters.trial_lanes += n_trials
         if not any(sequences) or not sim_target:
+            # No store binds the target, so check it as a bind would.
+            _check_sites(sim_target, len(self._sites))
             return results
         blocks = _TrialBlocks(states, sequences, len(self.circuit.ff_ids),
                               len(self.circuit.pi_ids))
@@ -1351,10 +1396,12 @@ class IncrementalFaultSim:
     be evaluated (:meth:`preview`) or committed (:meth:`apply`) in one
     combinational evaluation per chunk.  Its target is fixed, so its
     chunks are packed once, on creation, each into a store of its own
-    (a kernel store or a word arena, see
-    :meth:`FaultSimulator._new_store`) that keeps the chunk's state
-    across steps.  Every step is a one-frame records-mode pass; the
-    store's ``caught`` word holds the machines already PO-caught.
+    (a kernel store or a word arena, see :func:`store_factory`) that
+    keeps the chunk's state across steps.  Every step is a one-frame
+    records-mode pass, which leaves ``caught`` as it was; the store's
+    ``caught`` word holds the machines already PO-caught.  A preview
+    keeps the flip-flop state in trail row 0 and restores it after
+    its step.
 
     Detection here is PO-only (the no-scan setting of the paper's
     ``T0`` generation); a preview also reports how many undetected
@@ -1374,6 +1421,7 @@ class IncrementalFaultSim:
         self.groups: List[List[int]] = parent._groups(sim_target)
         self._stores = parent._run_stores(self.groups)
         for store in self._stores:
+            store.keep_trail(1)
             store.load_scan_in(init_state)
             store.bit_weights(expand)
         self.detected: Set[int] = set()
@@ -1400,11 +1448,11 @@ class IncrementalFaultSim:
         new_po = 0
         sdiff_total = 0
         for store in self._stores:
-            saved = store.save()
+            store.save_row(0)
             po_diff, scan_diff = self._step(store, vector)
             new_po += store.weight(po_diff & ~store.caught)
             sdiff_total += store.weight(scan_diff & ~store.caught)
-            store.restore(saved)
+            store.restore_row(0)
         return StepPreview(new_po, sdiff_total)
 
     def apply(self, vector: V.Vector) -> Set[int]:

@@ -33,11 +33,12 @@ Python sees a store's words as ints: ``caught`` and the record rows
 are decoded with ``int.from_bytes``, and one decoding, in
 :class:`repro.sim.fault_sim._Store`, serves this store and its
 big-int twin, :class:`repro.sim.fault_sim._WordArena`.  The
-flip-flop rows are one contiguous span of the state rows, so saving
-and restoring them and loading a scan-in state are slice copies.  A
-Phase-2 run keeps its checkpoints as a *trail* of flip-flop rows and
-``later`` words in cffi memory (:meth:`_Arena.keep_trail`), which a
-records-mode pass writes and a trial pass reads, inside the kernel.
+flip-flop rows are one contiguous span of the state rows, so copying
+them to and from a trail row and loading a scan-in state are single
+copies.  A Phase-2 run keeps its checkpoints as a *trail* of
+flip-flop rows and ``later`` words in cffi memory
+(:meth:`_Arena.keep_trail`), which a records-mode pass writes and a
+trial pass reads, inside the kernel.
 The consumers in :mod:`repro.sim.fault_sim`,
 :mod:`repro.core.omission` and :mod:`repro.delay.transition` are thus
 written once against either store.
@@ -297,8 +298,8 @@ class _Arena(_Store):
     run (after the PIs, by
     :meth:`repro.circuits.netlist.Netlist.compile`), so their rows are
     one span of each rail's bytes: the flip-flop rows carry state
-    between calls of one binding, and a checkpoint (:meth:`save`) is
-    the two rails' spans and the caught words, as ``bytes``.  A store
+    between calls of one binding, and a checkpoint is a trail row
+    (:meth:`keep_trail`), a copy of both rails' spans.  A store
     bound over several blocks runs one test per block: it only loads
     (:meth:`load_blocks`), runs and decodes per block
     (:meth:`faults_by_block`).  Every :meth:`run` counts one kernel
@@ -472,11 +473,7 @@ class _Arena(_Store):
         """
         n = len(vectors)
         data = V.scalar_bytes(chain.from_iterable(vectors))
-        size = self.n_blocks * self.n_pi
-        if len(data) != n * size or at < 0:
-            raise ValueError(f"{n} frames of {len(data)} values for "
-                             f"{self.n_blocks} blocks of {self.n_pi} "
-                             f"primary inputs from frame {at}")
+        size = self._check_load(n, len(data), at)
         self._load_vector_bytes(data, at * size)
         return n
 
@@ -673,16 +670,6 @@ class _Arena(_Store):
                  for i in range(0, b - a, size)],
                 [int.from_bytes(one[i:i + size], "little")
                  for i in range(0, b - a, size)])
-
-    def save(self) -> Tuple[bytes, bytes, bytes]:
-        """A checkpoint of the flip-flop rows and ``caught``."""
-        (a, b), (zero, one, caught) = self._span, self._bytes
-        return zero[a:b], one[a:b], caught[0:8 * self.n_words]
-
-    def restore(self, checkpoint: Tuple[bytes, bytes, bytes]) -> None:
-        """Load a checkpoint into the flip-flop rows and ``caught``."""
-        (a, b), (zero, one, caught) = self._span, self._bytes
-        zero[a:b], one[a:b], caught[0:8 * self.n_words] = checkpoint
 
 
 # ----------------------------------------------------------------------

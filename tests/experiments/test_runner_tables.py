@@ -1,7 +1,7 @@
 """Tests for the experiment runner and the paper-table builders.
 
-Everything here runs on s27 only (sub-second) -- the real suite runs
-live in ``benchmarks/``.
+Everything here runs on s27 only (sub-second) -- the quick-suite runs
+and the paper's table shapes live in ``test_paper_shape.py``.
 """
 
 import pytest

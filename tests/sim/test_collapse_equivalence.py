@@ -7,7 +7,8 @@ the detections to the members.  Against the really-uncollapsed set
 (``collapse=False``) every reported quantity -- detection sets,
 per-test detections, records, coverage -- must match exactly, on
 random synthetic circuits, on the reference and both production
-configurations, with and without the untestable-fault exclusion.
+configurations, with and without the untestable-fault exclusion --
+and, on a whole proposed-procedure run, with fewer per-fault passes.
 """
 
 import random
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.faultspace import analyze_faultspace
-from repro.atpg import random_gen
+from repro.atpg import comb_set as comb_set_mod, random_gen
 from repro.circuits import synth
 from repro.circuits.netlist import Netlist
 from repro.core.omission import omit_vectors
+from repro.core.proposed import run as run_proposed
 from repro.core.scan_test import ScanTest
 from repro.sim import values as V
 from repro.sim.comb_sim import CombPatternSim
@@ -172,6 +174,52 @@ class TestCollapsedOmissionIdentical:
                                set(required))
             assert (got.test, got.detected, got.trials, got.omitted) == \
                 (want.test, want.detected, want.trials, want.omitted)
+
+
+@pytest.fixture(scope="module")
+def benchq():
+    """benchq (8 PI, 6 PO, 12 FF, 90 gates), its comb set over the
+    uncollapsed universe and a random ``T0`` of 40 vectors: the stimuli
+    both arms of the collapse gate share."""
+    net = synth.generate("benchq", 8, 6, 12, 90, seed=7)
+    circuit = CompiledCircuit(net)
+    universe = FaultSet.uncollapsed(net, collapse=False)
+    comb = comb_set_mod.generate(circuit, universe, seed=1)
+    t0 = random_gen.random_sequence(circuit, 40, seed=1)
+    return circuit, comb.tests, t0
+
+
+def _proposed_run(circuit, comb_tests, t0, collapse):
+    """The proposed procedure over the uncollapsed universe, simulating
+    every fault (``collapse=False``) or one representative per class
+    with the proven-untestable classes dropped; returns the fault set,
+    the counters and the run's detection sets, tests and cycles."""
+    net = circuit.netlist
+    faults = FaultSet.uncollapsed(net, collapse=collapse)
+    sim = FaultSimulator(circuit, faults)
+    if collapse:
+        untestable = analyze_faultspace(net).untestable_indices(faults)
+        if untestable:
+            sim.set_untestable(sorted(untestable))
+    result = run_proposed(sim, CombPatternSim(sim), t0, comb_tests)
+    final = result.compacted_set or result.test_set
+    return faults, sim.counters, (
+        frozenset(result.seq_detected), frozenset(result.final_detected),
+        tuple(final.tests), final.clock_cycles())
+
+
+class TestCollapseGate:
+    def test_fewer_passes_identical_results(self, benchq):
+        """Representative-only simulation reproduces the uncollapsed
+        run exactly -- detection sets, final tests, clock cycles --
+        with strictly fewer per-fault comb passes and machine bits."""
+        universe, plain, want = _proposed_run(*benchq, collapse=False)
+        faults, collapsed, got = _proposed_run(*benchq, collapse=True)
+        # Precondition: there is something to collapse.
+        assert faults.n_classes < len(universe)
+        assert got == want
+        assert collapsed.comb_passes < plain.comb_passes
+        assert collapsed.machines < plain.machines
 
 
 class TestUntestableExclusion:

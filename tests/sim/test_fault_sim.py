@@ -453,6 +453,22 @@ class TestScalarValuesChecked:
             assert inc.n_frames == 0
 
 
+class TestVectorLoads:
+    @_both_configs
+    def test_malformed_load_rejected(self, kernel):
+        """A load from a negative frame, or of a frame with the wrong
+        number of values, raises ValueError on either store (a word
+        arena kept all but the last frame of a negative load)."""
+        store = _s27_sim(kernel)._new_store()
+        store.bind([0, 1])
+        assert store.load_vectors([(V.ZERO,) * 4] * 3) == 3
+        with pytest.raises(ValueError, match="1 frames of 4 values for "
+                           "1 blocks of 4 primary inputs from frame -1"):
+            store.load_vectors([(V.ONE,) * 4], at=-1)
+        with pytest.raises(ValueError, match="1 frames of 3 values"):
+            store.load_vectors([(V.ONE,) * 3])
+
+
 class TestTargetsOutsideTheFaults:
     """A target index that names no fault raises ValueError at every
     entry point, in both configurations and on both fault-set kinds:
@@ -488,6 +504,8 @@ class TestTargetsOutsideTheFaults:
                                                  target=[0, bad]),
                     lambda: sim.detect_trials(
                         [(self.STATE, self.VECTORS)], target=[bad]),
+                    lambda: sim.detect_trials([(self.STATE, [])],
+                                              target=[bad]),
                     lambda: sim.incremental(self.STATE, target=[bad])]
                 for call in calls:
                     with pytest.raises(ValueError, match="outside"):
