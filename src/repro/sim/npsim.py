@@ -9,10 +9,12 @@ slow path.  This module re-hosts a pass on rows: per-net words
 become a pair of ``n_nets x n_words`` ``uint64`` row blocks in cffi
 memory (net-major -- see DESIGN.md section 13 for the layout
 rationale) and the whole pass loop runs in a *circuit-independent*
-C kernel, compiled once per process with cffi and the system C
-compiler.  The circuit (opcode/fanin tables) is handed over once
-per backend, so a frame costs a few microseconds with zero
-per-frame Python work; Python regains control only at pass
+C kernel, built with cffi and the system C compiler by the first
+process on a source tree and loaded by every later one (the build is
+kept in ``__pycache__`` beside ``kernel.c``, or under
+``$REPRO_KERNEL_CACHE``).  The circuit (opcode/fanin tables) is
+handed over once per backend, so a frame costs a few microseconds
+with zero per-frame Python work; Python regains control only at pass
 boundaries.
 
 A pass costs a list, not a plan.  Each simulator builds a
@@ -66,8 +68,10 @@ cffi is an optional dependency: install the ``fast`` extra
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -88,8 +92,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ----------------------------------------------------------------------
 # One C function runs a whole pass (many frames) over the array state.
 # Its source, kernel.c, ships beside this module and is compiled once
-# -- the circuit travels in plan arrays, not in the source -- so the
-# process pays a single sub-second compile no matter how many circuits
+# -- the circuit travels in plan arrays, not in the source -- and the
+# build is published for later processes, so only the first process
+# on a source tree pays the sub-second compile, however many circuits
 # it simulates.
 
 #: The kernel's C source (package data, read when the kernel loads).
@@ -123,18 +128,29 @@ long repro_run_pass(
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
 #: Process-lifetime kernel cache: (ffi, lib) or an unavailability
-#: reason string.  Compiled lazily on first backend construction.
+#: reason string.  Loaded lazily on first backend construction.
 _KERNEL: Optional[Tuple[Any, Any]] = None
 _KERNEL_ERROR: Optional[str] = None
 _KERNEL_TRIED = False
 
 
-def _find_cc() -> Optional[str]:
-    """The C compiler to use: ``$CC``, then ``cc``, then ``gcc``."""
-    env = os.environ.get("CC")
-    if env:
-        return env if os.path.sep in env else shutil.which(env)
-    return shutil.which("cc") or shutil.which("gcc")
+def _find_cc() -> Optional[List[str]]:
+    """The C compiler command: ``$CC``, then ``cc``, then ``gcc``.
+
+    ``$CC`` is split into words as make and setuptools split it
+    (``ccache gcc``, ``gcc -m64``): its first word names the program,
+    and the rest go before the kernel's own flags.  ``None`` when no
+    program is found (or ``$CC`` does not parse).
+    """
+    try:
+        words = shlex.split(os.environ.get("CC", ""))
+    except ValueError:
+        return None
+    if not words:
+        cc = shutil.which("cc") or shutil.which("gcc")
+        return [cc] if cc else None
+    program = words[0] if os.path.sep in words[0] else shutil.which(words[0])
+    return [program, *words[1:]] if program else None
 
 
 def _kernel_source() -> str:
@@ -149,21 +165,22 @@ def _kernel_source() -> str:
         return handle.read()
 
 
-def _kernel_cache_path(source: str) -> Optional[str]:
-    """Cross-process kernel cache: ``$REPRO_KERNEL_CACHE/<hash>.so``.
+def _kernel_cache_path(source: str) -> str:
+    """Where the kernel build is kept for later processes.
 
-    The filename is keyed on the kernel ``source``, its cdef, the ``$CC``
-    value and the compile flags, so a restored cache directory (CI
-    persists it across jobs) can never dlopen a shared object built
-    from different source or by a different compiler -- a change to
-    any of them simply misses the cache and recompiles (and a ``$CC``
-    that names no compiler reports that, whatever the cache holds).
-    Unset env means no cache: every process compiles the kernel
-    itself.
+    ``repro_kernel-<key>.so`` in ``$REPRO_KERNEL_CACHE`` when that is
+    set, else in the ``__pycache__`` directory beside ``kernel.c``
+    (where cffi's own ``verify()`` keeps its builds), so deleting the
+    tree deletes the build.  The key hashes the kernel ``source``, its
+    cdef, the raw ``$CC`` text and the compile flags, so a restored
+    cache directory (CI persists it across jobs) can never dlopen a
+    shared object built from different source or by a different
+    compiler -- a change to any of them simply misses the cache and
+    recompiles (and a ``$CC`` that names no compiler reports that,
+    whatever the cache holds).
     """
-    root = os.environ.get("REPRO_KERNEL_CACHE")
-    if not root:
-        return None
+    root = (os.environ.get("REPRO_KERNEL_CACHE")
+            or os.path.join(os.path.dirname(_KERNEL_PATH), "__pycache__"))
     key = "\0".join((_KERNEL_CDEF, source,
                      os.environ.get("CC", ""), *_CFLAGS))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
@@ -171,15 +188,19 @@ def _kernel_cache_path(source: str) -> Optional[str]:
 
 
 def _load_kernel() -> Optional[Tuple[Any, Any]]:
-    """Compile and dlopen the pass kernel once per process.
+    """Load the pass kernel once per process, compiling it on a miss.
 
     Returns ``(ffi, lib)`` or ``None`` (reason in
     :func:`kernel_unavailable_reason`).  Never raises: a missing
     compiler, cffi or kernel source just disables the fast path.  The
-    source is read here, not at import.  The build
-    directory is removed once the library is loaded (and published
-    to the cache, when one is configured); a loaded shared object
-    stays mapped after its file is unlinked.
+    source is read here, not at import.  A build kept at
+    :func:`_kernel_cache_path` is dlopened without a compiler; one
+    that does not load (a corrupt or foreign file) is rebuilt and
+    replaced.  A compile runs in a temporary build directory, removed
+    once the library is loaded and published (a loaded shared object
+    stays mapped after its file is unlinked).  Publishing is an atomic
+    copy and rename; where it fails (a read-only tree, a full disk)
+    nothing is left behind, and the next process compiles too.
     """
     global _KERNEL, _KERNEL_ERROR, _KERNEL_TRIED
     if _KERNEL_TRIED:
@@ -196,15 +217,14 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
         _KERNEL_ERROR = f"kernel source unreadable: {exc}"
         return None
     cached = _kernel_cache_path(source)
-    if cached is not None and os.path.exists(cached):
+    if os.path.exists(cached):
+        ffi = FFI()
+        ffi.cdef(_KERNEL_CDEF)
         try:
-            ffi = FFI()
-            ffi.cdef(_KERNEL_CDEF)
-            lib = ffi.dlopen(cached)
-            _KERNEL = (ffi, lib)
+            _KERNEL = (ffi, ffi.dlopen(cached))
             return _KERNEL
-        except Exception:  # pragma: no cover - corrupt cache entry
-            pass  # fall through to a fresh compile
+        except OSError:
+            pass  # a corrupt or foreign file: compile and replace it
     cc = _find_cc()
     if cc is None:
         _KERNEL_ERROR = "no C compiler found (set $CC)"
@@ -216,24 +236,34 @@ def _load_kernel() -> Optional[Tuple[Any, Any]]:
         try:
             with open(c_path, "w") as handle:
                 handle.write(source)
-            subprocess.run([cc, *_CFLAGS, "-o", so_path, c_path],
+            subprocess.run([*cc, *_CFLAGS, "-o", so_path, c_path],
                            check=True, capture_output=True, timeout=120)
             ffi = FFI()
             ffi.cdef(_KERNEL_CDEF)
             lib = ffi.dlopen(so_path)
+        except subprocess.CalledProcessError as exc:
+            # The compiler's last five lines (600 characters at most),
+            # naming kernel.c rather than the build directory's copy.
+            lines = exc.stderr.decode(errors="replace").replace(
+                c_path, _KERNEL_PATH).strip().splitlines()
+            tail = "\n".join(lines[-5:])[-600:]
+            _KERNEL_ERROR = (f"kernel build failed: {cc[0]} exited with "
+                             f"status {exc.returncode}"
+                             + (f":\n{tail}" if tail else ""))
+            return None
         except Exception as exc:  # pragma: no cover - toolchain-specific
             _KERNEL_ERROR = f"kernel build failed: {exc}"
             return None
-        if cached is not None:
-            try:
-                os.makedirs(os.path.dirname(cached), exist_ok=True)
-                # Atomic publish: concurrent processes may race here,
-                # but every writer produces an identical file.
-                tmp_copy = f"{cached}.tmp-{os.getpid()}"
-                shutil.copy(so_path, tmp_copy)
-                os.replace(tmp_copy, cached)
-            except OSError:  # pragma: no cover - read-only cache dir
-                pass
+        # Atomic publish: concurrent processes may race here, but every
+        # writer produces an identical file.
+        tmp_copy = f"{cached}.tmp-{os.getpid()}"
+        try:
+            os.makedirs(os.path.dirname(cached), exist_ok=True)
+            shutil.copy(so_path, tmp_copy)
+            os.replace(tmp_copy, cached)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_copy)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
     _KERNEL = (ffi, lib)

@@ -1,7 +1,10 @@
-"""The cross-process C-kernel cache (``$REPRO_KERNEL_CACHE``) and the
-kernel build."""
+"""The cross-process C-kernel cache (``__pycache__`` beside
+``kernel.c``, or ``$REPRO_KERNEL_CACHE``) and the kernel build."""
 
+import errno
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -27,9 +30,156 @@ def _reset_kernel_state(monkeypatch):
     monkeypatch.setattr(npsim, "_KERNEL_TRIED", False)
 
 
-def test_no_env_means_no_cache(monkeypatch):
+def _assert_kernel_runs():
+    """A fresh circuit runs its passes on the loaded kernel, with the
+    reference's results."""
+    net = synth.generate("cache", 4, 3, 5, 30, seed=1)
+    faults = FaultSet.collapsed(net)
+    circuit = CompiledCircuit(net)
+    assert circuit.array_backend is not None
+    vectors = random_gen.random_sequence(circuit, 8, seed=1)
+    sim = FaultSimulator(circuit, faults)
+    reference = CompiledCircuit(net, _reference=True)
+    assert sim.detect(vectors, None) == \
+        FaultSimulator(reference, faults).detect(vectors, None)
+    assert sim.counters.np_passes > 0
+
+
+@pytest.fixture
+def kernel_copy(monkeypatch, tmp_path):
+    """A virgin kernel state reading a copy of kernel.c under
+    ``tmp_path``, with the default cache in force and build directories
+    made under ``tmp_path / "tmp"``: a load publishes into
+    ``tmp_path / "__pycache__"`` (returned), never into the real tree.
+    """
+    if npsim.kernel_unavailable_reason() is not None:
+        pytest.skip(npsim.kernel_unavailable_reason())
+    shutil.copy(npsim._KERNEL_PATH, tmp_path / "kernel.c")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(npsim, "_KERNEL_PATH", str(tmp_path / "kernel.c"))
+    monkeypatch.setattr(npsim.tempfile, "tempdir", str(tmp_path / "tmp"))
     monkeypatch.delenv("REPRO_KERNEL_CACHE", raising=False)
-    assert npsim._kernel_cache_path(npsim._kernel_source()) is None
+    _reset_kernel_state(monkeypatch)
+    yield tmp_path / "__pycache__"
+    assert not list((tmp_path / "tmp").iterdir())
+
+
+def test_cache_defaults_to_pycache_beside_the_source(monkeypatch,
+                                                     tmp_path):
+    """Unset, ``$REPRO_KERNEL_CACHE`` means the ``__pycache__``
+    directory beside kernel.c; set, it holds the same file name."""
+    source = npsim._kernel_source()
+    monkeypatch.delenv("REPRO_KERNEL_CACHE", raising=False)
+    default = npsim._kernel_cache_path(source)
+    assert os.path.dirname(default) == os.path.join(
+        os.path.dirname(npsim._KERNEL_PATH), "__pycache__")
+    name = os.path.basename(default)
+    assert name.startswith("repro_kernel-") and name.endswith(".so")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    assert npsim._kernel_cache_path(source) == str(tmp_path / name)
+
+
+def test_first_load_publishes_beside_the_source(kernel_copy,
+                                                monkeypatch):
+    """The first load publishes into ``__pycache__`` beside kernel.c,
+    and a later process loads that build without a compiler."""
+    assert npsim._load_kernel() is not None
+    published = npsim._kernel_cache_path(npsim._kernel_source())
+    assert [str(p) for p in kernel_copy.iterdir()] == [published]
+    _reset_kernel_state(monkeypatch)
+    monkeypatch.setattr(npsim, "_find_cc", lambda: None)
+    assert npsim._load_kernel() is not None
+    assert npsim.kernel_unavailable_reason() is None
+    _assert_kernel_runs()
+
+
+def test_corrupt_build_is_replaced(kernel_copy):
+    """A file under the key that does not load is rebuilt and
+    replaced, and the kernel runs."""
+    kernel_copy.mkdir()
+    published = npsim._kernel_cache_path(npsim._kernel_source())
+    with open(published, "wb") as handle:
+        handle.write(b"not a shared object\n" * 64)
+    assert npsim._load_kernel() is not None
+    with open(published, "rb") as handle:
+        assert handle.read(4) == b"\x7fELF"
+    assert [str(p) for p in kernel_copy.iterdir()] == [published]
+    _assert_kernel_runs()
+
+
+def test_unwritable_cache_directory_still_loads(kernel_copy):
+    """A regular file where ``__pycache__`` should be: the kernel
+    compiles and runs, nothing is published and nothing is left."""
+    kernel_copy.write_bytes(b"in the way")
+    assert npsim._load_kernel() is not None
+    _assert_kernel_runs()
+    assert kernel_copy.read_bytes() == b"in the way"
+    assert sorted(p.name for p in kernel_copy.parent.iterdir()) == \
+        ["__pycache__", "kernel.c", "tmp"]
+
+
+def test_failed_publish_leaves_no_temporary_copy(kernel_copy,
+                                                 monkeypatch):
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(npsim.os, "replace", no_space)
+    assert npsim._load_kernel() is not None
+    assert not list(kernel_copy.iterdir())
+    _assert_kernel_runs()
+
+
+@pytest.mark.parametrize("program", ["name", "path"])
+def test_cc_with_arguments_builds_the_kernel(kernel_copy, monkeypatch,
+                                             program):
+    """``$CC`` is split into words: a program and its arguments."""
+    gcc = shutil.which("gcc") or pytest.skip("no gcc on $PATH")
+    monkeypatch.setenv(
+        "CC", ("gcc" if program == "name" else shlex.quote(gcc))
+        + " -std=c99")
+    assert npsim._load_kernel() is not None
+    assert npsim.kernel_unavailable_reason() is None
+    _assert_kernel_runs()
+
+
+@pytest.mark.parametrize("cc", ["no-such-cc -std=c99", 'gcc "-std=c99'],
+                         ids=["no-program", "unbalanced-quote"])
+def test_cc_first_word_names_no_program(kernel_copy, monkeypatch, cc):
+    monkeypatch.setenv("CC", cc)
+    assert npsim._load_kernel() is None
+    assert npsim.kernel_unavailable_reason() == \
+        "no C compiler found (set $CC)"
+
+
+_FAILING_CC = """#!/bin/sh
+for i in 1 2 3 4 5 6 7 8; do echo "noise $i" >&2; done
+printf '%02000d\\n' 0 >&2
+echo "args: $*" >&2
+echo "kernel.c:12: error: something specific went wrong" >&2
+exit 1
+"""
+
+
+def test_failed_compile_reports_the_compiler_message(kernel_copy,
+                                                     monkeypatch,
+                                                     tmp_path):
+    """The reason keeps the compiler's last lines, bounded in length,
+    with kernel.c named instead of the deleted build copy; ``$CC``'s
+    extra words reach the compiler first."""
+    script = tmp_path / "failing-cc"
+    script.write_text(_FAILING_CC)
+    script.chmod(0o755)
+    monkeypatch.setenv("CC", f"{shlex.quote(str(script))} -DREPRO_X")
+    assert npsim._load_kernel() is None
+    reason = npsim.kernel_unavailable_reason()
+    head = f"kernel build failed: {script} exited with status 1:\n"
+    assert reason.startswith(head)
+    assert len(reason) <= len(head) + 600
+    lines = reason[len(head):].splitlines()
+    assert lines[-1] == "kernel.c:12: error: something specific went wrong"
+    assert lines[-2].startswith("args: -DREPRO_X -O2 -shared -fPIC -o ")
+    assert lines[-2].endswith(" " + npsim._KERNEL_PATH)
+    assert "noise" not in reason
 
 
 def test_path_is_keyed_on_source(monkeypatch, tmp_path):
@@ -128,19 +278,49 @@ assert sim.counters.np_passes > 0
 """
 
 
-def test_compile_leaves_no_build_directory(tmp_path):
-    """A process that compiles the kernel removes its build directory
-    once the library is loaded, and the kernel still runs."""
-    if npsim.kernel_unavailable_reason() is not None:
-        pytest.skip(npsim.kernel_unavailable_reason())
+def _cold_env(tmp_path):
+    """This process's environment with ``repro`` importable, and empty
+    ``$TMPDIR`` and ``$REPRO_KERNEL_CACHE`` directories under
+    ``tmp_path``: a process started with it compiles the kernel."""
+    tmp, cache = tmp_path / "tmp", tmp_path / "cache"
+    tmp.mkdir()
+    cache.mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env = dict(os.environ, TMPDIR=str(tmp), REPRO_KERNEL_CACHE=str(cache))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    env.pop("REPRO_KERNEL_CACHE", None)
+    return env
+
+
+def test_compile_leaves_no_build_directory(tmp_path):
+    """A process that compiles the kernel (its cache directory is
+    empty) publishes one build, removes its build directory once the
+    library is loaded, and the kernel still runs."""
+    if npsim.kernel_unavailable_reason() is not None:
+        pytest.skip(npsim.kernel_unavailable_reason())
+    env = _cold_env(tmp_path)
     subprocess.run([sys.executable, "-c", _COMPILE_AND_RUN], env=env,
                    check=True, timeout=300)
-    assert not list(tmp_path.glob("repro-np-kernel-*"))
+    assert len(list((tmp_path / "cache").glob("repro_kernel-*.so"))) == 1
+    assert not list((tmp_path / "cache").glob("*.tmp-*"))
+    assert not list((tmp_path / "tmp").glob("repro-np-kernel-*"))
+
+
+def test_concurrent_first_loads_publish_one_build(tmp_path):
+    """Processes that compile at once each run the kernel, and their
+    atomic publishes leave one build and no partial copy."""
+    if npsim.kernel_unavailable_reason() is not None:
+        pytest.skip(npsim.kernel_unavailable_reason())
+    env = _cold_env(tmp_path)
+    procs = [subprocess.Popen([sys.executable, "-c", _COMPILE_AND_RUN],
+                              env=env) for _ in range(3)]
+    try:
+        assert [proc.wait(timeout=300) for proc in procs] == [0, 0, 0]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert len(list((tmp_path / "cache").glob("repro_kernel-*.so"))) == 1
+    assert not list((tmp_path / "cache").glob("*.tmp-*"))
 
 
 _WITHOUT_NUMPY = """
