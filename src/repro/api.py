@@ -10,7 +10,7 @@ in one call.  Power users compose the pieces from :mod:`repro.core`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .analysis.diagnostics import Diagnostic
 from .analysis.faultspace import FaultSpaceReport
@@ -156,7 +156,6 @@ def compact_tests(
     x_fill: str = "random",
     power_budget: Optional[float] = None,
     observer: Optional[PhaseObserver] = None,
-    resume: Optional[Dict[str, Any]] = None,
     adi: bool = False,
     adi_scores: Optional[Dict[int, int]] = None,
     scoap: bool = False,
@@ -192,11 +191,8 @@ def compact_tests(
         merges over the budget and Phase 3 breaks ties toward
         lower-power tests (see :mod:`repro.power.constrain`); fault
         coverage is never sacrificed.
-    observer, resume:
-        Phase-boundary hooks and salvaged resume state, forwarded to
-        :func:`repro.core.proposed.run`.  When ``resume`` names a
-        completed Phase 2 (or later), ``T0`` generation is skipped
-        entirely -- the salvaged state already embodies it.
+    observer:
+        Phase-entry hook, forwarded to :func:`repro.core.proposed.run`.
     adi:
         Enable Accidental-Detection-Index guidance: the random phase
         of combinational test generation doubles as the ADI census
@@ -227,7 +223,6 @@ def compact_tests(
         On an unknown ``t0_source`` or X-fill strategy.
     """
     wb = workbench or Workbench.for_netlist(netlist)
-    resume_phase = int(resume["phase"]) if resume else 0
     if comb_tests is None:
         comb_result = generate_comb_set(netlist, seed=seed,
                                         workbench=wb,
@@ -236,9 +231,7 @@ def compact_tests(
         if adi and adi_scores is None:
             adi_scores = comb_result.adi
     if t0 is None:
-        if resume_phase >= 2:
-            t0 = ()
-        elif t0_source == "seqgen":
+        if t0_source == "seqgen":
             hints = [t.pi for t in comb_tests]
             t0 = seqgen.generate_sequence(
                 wb.circuit, wb.faults, max_length=t0_length, seed=seed,
@@ -263,7 +256,7 @@ def compact_tests(
                         run_phase4=run_phase4,
                         merge_filter=merge_filter,
                         topoff_power_key=power_key,
-                        observer=observer, resume=resume,
+                        observer=observer,
                         adi=adi, adi_scores=adi_scores,
                         scoap_scores=scoap_scores)
 

@@ -53,19 +53,16 @@ isolated worker subprocess, ``--timeout`` bounds a job's wall clock,
 ``--stall-timeout`` kills a worker whose heartbeat goes quiet,
 ``--retries`` re-runs failures with backoff, ``--jobs`` runs workers in
 parallel, and ``--run-dir``/``--resume`` checkpoint completed circuits
-so an interrupted campaign picks up where it left off.  When jobs
-ultimately fail, the tables still render for the surviving circuits
-(failed rows are annotated; jobs that left phase-boundary salvage
-behind render as ``PARTIAL(phase k/4)`` with the coverage columns the
-salvage can answer), a job-summary table is printed, and the exit code
-is 1.
+so an interrupted campaign picks up where it left off; a retried job
+recomputes from scratch.  When jobs ultimately fail, the tables still
+render for the surviving circuits (failed rows are annotated), a
+job-summary table is printed, and the exit code is 1.
 
 ``doctor`` verifies a ``--run-dir``: every CRC-enveloped line of
-``runs.jsonl``/``journal.jsonl`` is checked, corrupt lines are moved
-to ``quarantine/`` and the files repaired in place, salvage files are
-verified the same way, and salvage orphaned by a completed checkpoint
-is removed.  ``--strict`` exits non-zero when anything was quarantined
-(the CI posture); ``--json`` prints the report machine-readably.
+``runs.jsonl``/``journal.jsonl`` is checked, and corrupt lines are
+moved to ``quarantine/`` and the files repaired in place.  ``--strict``
+exits non-zero when anything was quarantined (the CI posture);
+``--json`` prints the report machine-readably.
 """
 
 from __future__ import annotations
@@ -142,11 +139,10 @@ def _cmd_circuit(args: argparse.Namespace) -> int:
                                   config=_harness_config(args))
     print(render_all(all_tables(outcome.runs,
                                 with_delay=args.delay,
-                                failures=outcome.failures,
-                                partials=outcome.partials)))
+                                failures=outcome.failures)))
     print()
-    print(paper_comparison(outcome.runs, failures=outcome.failures,
-                           partials=outcome.partials).render())
+    print(paper_comparison(outcome.runs,
+                           failures=outcome.failures).render())
     print()
     print(engine_counters_table(outcome.runs).render())
     return _finish_outcome(outcome)
@@ -167,11 +163,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
                                   config=_harness_config(args),
                                   verbose=True)
     tables = all_tables(outcome.runs, with_delay=args.delay,
-                        failures=outcome.failures,
-                        partials=outcome.partials)
+                        failures=outcome.failures)
     tables.append(paper_comparison(outcome.runs,
-                                   failures=outcome.failures,
-                                   partials=outcome.partials))
+                                   failures=outcome.failures))
     tables.append(engine_counters_table(outcome.runs))
     print(render_all(tables))
     if args.json:
@@ -450,7 +444,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    from .experiments.salvage import doctor
+    from .experiments.store import doctor
     run_dir = Path(args.run_dir)
     if not run_dir.is_dir():
         print(f"error: no such run dir {args.run_dir!r}", file=sys.stderr)
@@ -650,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_doctor = sub.add_parser(
         "doctor", help="verify and repair a --run-dir (quarantine "
-                       "corrupt records, drop orphaned salvage)")
+                       "corrupt records)")
     p_doctor.add_argument("run_dir", metavar="DIR",
                           help="the campaign's --run-dir")
     p_doctor.add_argument("--strict", action="store_true",

@@ -20,7 +20,7 @@ and the clock-cycle counts before and after Phase 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..analysis import sanitizer
 from ..atpg.comb_set import CombTest
@@ -36,26 +36,16 @@ from .topoff import top_off
 
 
 class PhaseObserver:
-    """Phase-boundary hooks for supervision and salvage.
+    """Phase-entry hook for supervision.
 
-    :func:`run` calls :meth:`enter` when a pipeline phase begins and
-    :meth:`completed` when a phase boundary commits, passing a state
-    dict holding everything needed to resume *from* that boundary (the
-    same dict shape :meth:`run`'s ``resume`` parameter accepts, minus
-    the ``phase`` key).  The harness uses this to stream heartbeats
-    and persist salvage; the default implementation does nothing, so
+    :func:`run` calls :meth:`enter` when a pipeline phase begins.  The
+    harness uses this to stream heartbeats and to enact phase-scoped
+    chaos directives; the default implementation does nothing, so
     library callers pay nothing.
-
-    Hooks run on the worker's hot path between phases -- they must not
-    mutate the state they are handed.
     """
 
     def enter(self, phase: str) -> None:  # pragma: no cover - trivial
         """``phase`` is one of ``"phase1"`` .. ``"phase4"``."""
-
-    def completed(self, phase: str,
-                  state: Dict[str, Any]) -> None:  # pragma: no cover
-        """A phase boundary committed; ``state`` is resumable."""
 
 
 @dataclass
@@ -118,7 +108,6 @@ def run(
     merge_filter: Optional[Callable[[ScanTest], bool]] = None,
     topoff_power_key: Optional[Callable[[int], float]] = None,
     observer: Optional[PhaseObserver] = None,
-    resume: Optional[Dict[str, Any]] = None,
     adi: bool = False,
     adi_scores: Optional[Dict[int, int]] = None,
     scoap_scores: Optional[Dict[int, int]] = None,
@@ -169,18 +158,8 @@ def run(
         default to ``None``, keeping the pipeline byte-identical to
         the paper reproduction.
     observer:
-        Optional :class:`PhaseObserver` receiving phase-entry and
-        phase-boundary callbacks (heartbeats and salvage).
-    resume:
-        Optional phase-boundary state dict as previously handed to
-        ``observer.completed`` (plus a ``"phase"`` key: the furthest
-        completed phase, 2 or 3).  Every completed phase is skipped
-        and its committed artifacts restored -- including the
-        scoreboard ledger via
-        :meth:`~repro.sim.scoreboard.FaultScoreboard.restore` -- so
-        the remaining phases produce byte-identical results without
-        re-simulating.  With ``resume``, ``t0`` may be empty (its
-        length is taken from the saved state).
+        Optional :class:`PhaseObserver` receiving phase-entry
+        callbacks (heartbeats and phase-scoped chaos).
     adi:
         Enable Accidental-Detection-Index guidance (Pomeranz & Reddy,
         arXiv:0710.4637): ``adi_scores`` are recorded on the
@@ -209,10 +188,9 @@ def run(
     Raises
     ------
     ValueError
-        If ``t0`` (absent a resume state) or ``comb_tests`` is empty.
+        If ``t0`` or ``comb_tests`` is empty.
     """
-    resume_phase = int(resume["phase"]) if resume else 0
-    if not t0 and resume_phase < 2:
+    if not t0:
         raise ValueError("initial sequence T0 is empty")
     if not comb_tests:
         raise ValueError("combinational test set is empty")
@@ -241,119 +219,75 @@ def run(
         pack_order = {f: -d for f, d in scoap_scores.items()}
     sim.set_adi_order(pack_order)
     try:
+        if observer is not None:
+            observer.enter("phase1")
+        selected = [False] * len(comb_tests)
+        current: List[V.Vector] = [tuple(v) for v in t0]
+        with timers.phase_timer("phase1"):
+            t0_detected = detect_no_scan(sim, current, sorted(target))
+        f0 = set(t0_detected)
+        tau = None
+        tau_detected = set()
+        logs = []
 
-        if resume_phase >= 2:
-            assert resume is not None
-            tau = resume["tau"]
-            tau_detected = set(resume["tau_detected"])
-            t0_detected = set(resume["t0_detected"])
-            t0_length = resume["t0_length"]
-            logs = list(resume["iterations"])
-            scoreboard.restore(resume["retired"])
-        else:
-            if observer is not None:
-                observer.enter("phase1")
-            selected = [False] * len(comb_tests)
-            current: List[V.Vector] = [tuple(v) for v in t0]
+        entered_phase2 = False
+        for _ in range(max(1, max_iterations)):
             with timers.phase_timer("phase1"):
-                t0_detected = detect_no_scan(sim, current, sorted(target))
-            f0 = set(t0_detected)
-            tau = None
-            tau_detected = set()
-            logs = []
-
-            entered_phase2 = False
-            for _ in range(max(1, max_iterations)):
-                with timers.phase_timer("phase1"):
-                    phase1 = run_phase1(sim, current, comb_tests, selected,
-                                        target=target, f0=f0,
-                                        scan_out_rule=scan_out_rule,
-                                        adi=adi_map,
-                                        scoap=scoap_scores)
-                candidate = ScanTest(phase1.scan_in, phase1.vectors)
-                if observer is not None and not entered_phase2:
-                    entered_phase2 = True
-                    observer.enter("phase2")
-                with timers.phase_timer("phase2"):
-                    omission = omit_vectors(sim, candidate, phase1.f_so,
-                                            passes=omission_passes)
-                logs.append(IterationLog(
-                    scan_in_index=phase1.chosen_index,
-                    u_so=phase1.u_so,
-                    length_before=len(current),
-                    length_after=omission.test.length,
-                    detected_before=len(phase1.f_so),
-                    detected_after=len(omission.detected),
-                ))
-                tau = omission.test
-                tau_detected = omission.detected
-                if phase1.chose_selected:
-                    break
-                selected[phase1.chosen_index] = True
-                current = list(tau.vectors)
-                # Next iteration's Step 1 runs on the new sequence.
-                with timers.phase_timer("phase1"):
-                    f0 = detect_no_scan(sim, current, sorted(target))
-
-            assert tau is not None
-            # tau_seq is committed now: retire its known detections (from
-            # the omission pass over F_SO) so the full-target pass below
-            # carries only the still-unknown faults in its injection word.
-            scoreboard.retire(tau_detected & target)
-            if observer is not None:
-                observer.completed("phase2", {
-                    "tau": tau,
-                    "tau_detected": set(tau_detected),
-                    "t0_detected": set(t0_detected),
-                    "t0_length": t0_length,
-                    "iterations": list(logs),
-                    "retired": scoreboard.retired_snapshot(),
-                })
+                phase1 = run_phase1(sim, current, comb_tests, selected,
+                                    target=target, f0=f0,
+                                    scan_out_rule=scan_out_rule,
+                                    adi=adi_map,
+                                    scoap=scoap_scores)
+            candidate = ScanTest(phase1.scan_in, phase1.vectors)
+            if observer is not None and not entered_phase2:
+                entered_phase2 = True
+                observer.enter("phase2")
+            with timers.phase_timer("phase2"):
+                omission = omit_vectors(sim, candidate, phase1.f_so,
+                                        passes=omission_passes)
+            logs.append(IterationLog(
+                scan_in_index=phase1.chosen_index,
+                u_so=phase1.u_so,
+                length_before=len(current),
+                length_after=omission.test.length,
+                detected_before=len(phase1.f_so),
+                detected_after=len(omission.detected),
+            ))
+            tau = omission.test
+            tau_detected = omission.detected
+            if phase1.chose_selected:
+                break
+            selected[phase1.chosen_index] = True
+            current = list(tau.vectors)
+            # Next iteration's Step 1 runs on the new sequence.
+            with timers.phase_timer("phase1"):
+                f0 = detect_no_scan(sim, current, sorted(target))
 
         assert tau is not None
-        if resume_phase >= 3:
-            assert resume is not None
-            test_set = resume["test_set"]
-            seq_detected = set(resume["seq_detected"])
-            final_detected = set(resume["final_detected"])
-            added_tests = resume["added_tests"]
-            uncovered = set(resume["uncovered"])
-        else:
-            if observer is not None:
-                observer.enter("phase3")
-            with timers.phase_timer("phase3"):
-                # Full detection set of tau_seq over the target faults.
-                seq_detected = scoreboard.retired_within(target)
-                seq_detected |= sim.detect(list(tau.vectors), tau.scan_in,
-                                           target=scoreboard.active(target),
-                                           retire_to=scoreboard)
+        # tau_seq is committed now: retire its known detections (from
+        # the omission pass over F_SO) so the full-target pass below
+        # carries only the still-unknown faults in its injection word.
+        scoreboard.retire(tau_detected & target)
 
-                undetected = target - seq_detected
-                topoff = top_off(comb_sim, comb_tests, undetected,
-                                 retire_to=scoreboard,
-                                 power_key=topoff_power_key,
-                                 adi=adi_map,
-                                 counters=sim.counters,
-                                 scoap=scoap_scores)
-            n_sv = sim.n_state_vars
-            test_set = ScanTestSet(n_sv, [tau] + list(topoff.tests))
-            final_detected = seq_detected | topoff.covered
-            added_tests = len(topoff.tests)
-            uncovered = topoff.uncovered
-            if observer is not None:
-                observer.completed("phase3", {
-                    "tau": tau,
-                    "tau_detected": set(tau_detected),
-                    "t0_detected": set(t0_detected),
-                    "t0_length": t0_length,
-                    "iterations": list(logs),
-                    "retired": scoreboard.retired_snapshot(),
-                    "test_set": test_set,
-                    "seq_detected": set(seq_detected),
-                    "final_detected": set(final_detected),
-                    "added_tests": added_tests,
-                    "uncovered": set(uncovered),
-                })
+        if observer is not None:
+            observer.enter("phase3")
+        with timers.phase_timer("phase3"):
+            # Full detection set of tau_seq over the target faults.
+            seq_detected = scoreboard.retired_within(target)
+            seq_detected |= sim.detect(list(tau.vectors), tau.scan_in,
+                                       target=scoreboard.active(target),
+                                       retire_to=scoreboard)
+
+            undetected = target - seq_detected
+            topoff = top_off(comb_sim, comb_tests, undetected,
+                             retire_to=scoreboard,
+                             power_key=topoff_power_key,
+                             adi=adi_map,
+                             counters=sim.counters,
+                             scoap=scoap_scores)
+        n_sv = sim.n_state_vars
+        test_set = ScanTestSet(n_sv, [tau] + list(topoff.tests))
+        final_detected = seq_detected | topoff.covered
 
         compacted = None
         combine_stats = None
@@ -385,8 +319,8 @@ def run(
             t0_detected=t0_detected,
             seq_detected=seq_detected,
             final_detected=final_detected,
-            added_tests=added_tests,
-            uncovered=uncovered,
+            added_tests=len(topoff.tests),
+            uncovered=topoff.uncovered,
             iterations=logs,
             combine_stats=combine_stats,
         )

@@ -5,13 +5,13 @@ Two execution layers:
 * :mod:`~repro.experiments.runner` -- simple serial in-process runs;
 * :mod:`~repro.experiments.harness` -- resilient campaigns with worker
   isolation, per-job timeouts, stall detection, retries and
-  checkpoint-resume with phase-boundary salvage.
+  checkpoint-resume.
 
 Supporting modules:
 
-* :mod:`~repro.experiments.salvage` -- the self-verifying run store
-  (CRC-enveloped JSONL, quarantine-and-repair loading, phase-boundary
-  salvage state, :func:`doctor`);
+* :mod:`~repro.experiments.store` -- the self-verifying run store
+  (CRC-enveloped JSONL, quarantine-and-repair loading,
+  :func:`doctor`);
 * :mod:`~repro.experiments.supervision` -- in-worker heartbeats, phase
   hooks and scoped chaos directives.
 """
@@ -23,8 +23,8 @@ from .reporting import (Table, atomic_write_text, dump_json,
                         run_from_dict, run_to_dict)
 from .runner import (ArmResult, CircuitRun, resolve_profiles, run_circuit,
                      run_circuit_by_name, run_suite)
-from .salvage import (CorruptLine, DoctorReport, PartialRun, SalvageStore,
-                      decode_line, doctor, encode_line, load_jsonl)
+from .store import (CorruptLine, DoctorReport, decode_line, doctor,
+                    encode_line, load_jsonl)
 from .supervision import (ChaosDirective, ChaosError, ProgressReporter,
                           WorkerHooks, chaos_from_env, parse_chaos)
 from .tables import (all_tables, paper_comparison, table1, table2, table3,
@@ -37,8 +37,8 @@ __all__ = [
     "run_circuit_by_name", "run_suite",
     "HarnessConfig", "JobRecord", "JobSpec", "RunStore", "SuiteOutcome",
     "run_jobs", "run_suite_resilient",
-    "CorruptLine", "DoctorReport", "PartialRun", "SalvageStore",
-    "decode_line", "doctor", "encode_line", "load_jsonl",
+    "CorruptLine", "DoctorReport", "decode_line", "doctor",
+    "encode_line", "load_jsonl",
     "ChaosDirective", "ChaosError", "ProgressReporter", "WorkerHooks",
     "chaos_from_env", "parse_chaos",
     "all_tables", "paper_comparison", "table1", "table2", "table3",

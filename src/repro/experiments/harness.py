@@ -11,8 +11,9 @@ fault-simulation sweep needs:
   an out-of-control computation cannot take the campaign down;
 * a per-job wall-clock **timeout** kills hung workers;
 * failed and timed-out jobs are **retried** with exponential backoff,
-  optionally perturbing the seed on the final attempt (a different
-  random ``T0`` often steers around a pathological case);
+  optionally perturbing the seed on the final attempt when no run dir
+  is set (a different random ``T0`` often steers around a
+  pathological case);
 * every outcome is recorded as a structured :class:`JobRecord`
   (``ok`` / ``failed`` / ``timeout`` / ``stall`` / ``skipped-resume``
   / ``skipped-lint``, attempt count, seconds, traceback, last-seen
@@ -23,11 +24,8 @@ fault-simulation sweep needs:
   worker whose heartbeat goes quiet for ``stall_timeout`` seconds --
   catching a genuinely hung worker long before the wall-clock fuse,
   while a slow-but-alive one keeps running;
-* at every phase boundary the worker persists **salvage** state (see
-  :mod:`repro.experiments.salvage`); a retry resumes from the last
-  completed phase byte-identically instead of recomputing, and a job
-  that ultimately fails with salvage on disk is reported as a
-  :class:`~repro.experiments.salvage.PartialRun`;
+* a retry recomputes the job from scratch, so a retry under the job's
+  own seed gives a result byte-identical to an uninterrupted run's;
 * completed runs are **checkpointed** incrementally to a JSONL run
   store, so an interrupted or partially failed campaign resumes from
   the checkpoint instead of recomputing;
@@ -42,12 +40,11 @@ Run-store layout (``run_dir``)::
 
     runs.jsonl      one completed CircuitRun per line (checkpoint)
     journal.jsonl   one JobRecord per finished job, every invocation
-    salvage/        per-job phase-boundary state (deleted on success)
     quarantine/     corrupt records moved aside by loads and `doctor`
 
 ``runs.jsonl`` and ``journal.jsonl`` are append-only; every line is
 wrapped in the versioned, CRC32-trailed envelope of
-:mod:`repro.experiments.salvage`.  A corrupt line -- truncated
+:mod:`repro.experiments.store`.  A corrupt line -- truncated
 trailing write, bit rot, a partial overwrite -- is **quarantined** on
 load: moved to ``quarantine/`` and removed from the store, so the
 affected job (and only it) is recomputed on resume.  Legacy
@@ -71,12 +68,7 @@ mode deterministically -- the fault-injection surface the tests use:
     a garbage line is appended to ``runs.jsonl`` before the attempt
     (the attempt itself then runs normally),
 ``"crash@phaseN"`` / ``"stall@phaseN"``
-    enacted inside the pipeline when phase ``N`` begins -- after the
-    previous phase's salvage flushed,
-``"corrupt-salvage"``
-    every salvage flush is damaged on disk and the worker dies at the
-    first phase boundary; the retry must quarantine the rot and
-    recompute fresh.
+    enacted inside the pipeline when phase ``N`` begins.
 
 The same directives are reachable without code through the
 ``REPRO_CHAOS`` environment variable
@@ -91,7 +83,7 @@ import random
 import time
 import traceback
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -100,15 +92,11 @@ from ..circuits.suite import CircuitProfile
 from . import reporting
 from .reporting import Table
 from .runner import CircuitRun, resolve_profiles, run_circuit_by_name
-from .salvage import (RESULT_KNOBS, PartialRun, SalvageStore,
-                      SalvageWriter, encode_line, load_jsonl,
-                      salvage_usable)
+from .store import encode_line, load_jsonl
 from .supervision import (CHAOS_KINDS, ProgressReporter, WorkerHooks,
                           chaos_from_env, freeze, parse_chaos)
 
-#: Added to the base seed when the final retry perturbs it.  Never
-#: applied when usable salvage exists -- a perturbed seed would mix
-#: two random streams into one result.
+#: Added to the base seed when the final retry perturbs it.
 SEED_PERTURBATION = 7919
 
 _POLL_INTERVAL = 0.02
@@ -120,13 +108,20 @@ CHAOS_DIRECTIVES = CHAOS_KINDS
 
 ChaosFn = Callable[["JobSpec", int], Optional[str]]
 
+#: The result-shaping job knobs: a checkpoint is reused only when it
+#: was produced under the same value of every one.
+#: Simulation settings change no result, so none is listed; the knobs
+#: older runs recorded for them (``engine``, ``width``,
+#: ``candidate_scan``, ``trial_batch``) are ignored.
+RESULT_KNOBS = ("x_fill", "power_budget", "adi", "scoap")
+
 #: Knob values assumed when a (modern, knob-recording) checkpoint
-#: predates a :data:`~repro.experiments.salvage.RESULT_KNOBS` entry --
-#: the knob's default, under which the checkpoint was necessarily
-#: produced.  ``delay`` is not a result knob: it is measurement-only
-#: (never changes the produced test sets), so a delay-bearing
-#: checkpoint also serves a plain request; the reverse direction is
-#: the dedicated report-presence check in :func:`_checkpoint_usable`.
+#: predates a :data:`RESULT_KNOBS` entry -- the knob's default, under
+#: which the checkpoint was necessarily produced.  ``delay`` is not a
+#: result knob: it is measurement-only (never changes the produced
+#: test sets), so a delay-bearing checkpoint also serves a plain
+#: request; the reverse direction is the dedicated report-presence
+#: check in :func:`_checkpoint_usable`.
 _KNOB_DEFAULTS: Dict[str, Any] = {"adi": False, "scoap": False}
 
 
@@ -185,9 +180,6 @@ class JobRecord:
     #: Last heartbeat-reported position (``arm/phase``), for the job
     #: summary; None when the worker never reported.
     progress: Optional[str] = None
-    #: Furthest phase any arm's salvage completed when the job
-    #: ultimately failed (0: nothing salvaged).
-    salvaged_phase: int = 0
 
     def __post_init__(self) -> None:
         self.lint_rules = tuple(self.lint_rules)
@@ -240,8 +232,7 @@ class HarnessConfig:
     jobs:
         Worker subprocesses running concurrently.
     run_dir:
-        Checkpoint directory; None disables checkpointing (and
-        phase-boundary salvage, which lives under it).
+        Checkpoint directory; None disables checkpointing.
     resume:
         Reuse completed runs found in ``run_dir`` instead of
         recomputing them (recorded as ``skipped-resume``).
@@ -254,9 +245,10 @@ class HarnessConfig:
     backoff_cap:
         Upper bound on any single retry delay.
     perturb_final_seed:
-        On the last attempt, offset the seed by ``SEED_PERTURBATION``.
-        Skipped when the job has salvage on disk -- resuming salvaged
-        phases under a different seed would corrupt the result.
+        On the last attempt, offset the seed by ``SEED_PERTURBATION``
+        (the attempt recomputes the job from scratch under that seed).
+        Never applied with a ``run_dir``: its checkpoints are keyed by
+        the job's own seed.
     isolate:
         Run jobs in subprocesses (default).  ``False`` keeps the old
         in-process behavior with retry/backoff/checkpoint support but
@@ -294,10 +286,6 @@ class SuiteOutcome:
 
     runs: List[CircuitRun]
     records: List[JobRecord] = field(default_factory=list)
-    #: Ultimately-failed jobs that left salvage behind, keyed by
-    #: circuit: phase-level progress and known coverage figures (the
-    #: ``PARTIAL(phase k/4)`` table rows).
-    partials: Dict[str, PartialRun] = field(default_factory=dict)
 
     @property
     def failed_records(self) -> List[JobRecord]:
@@ -331,13 +319,11 @@ class SuiteOutcome:
         """One row per job, for the end-of-campaign report."""
         table = Table("Job summary",
                       ["circuit", "seed", "status", "attempts",
-                       "seconds", "progress", "salvaged", "lint"])
+                       "seconds", "progress", "lint"])
         for record in self.records:
-            salvaged = (f"phase {record.salvaged_phase}/4"
-                        if record.salvaged_phase else None)
             table.add_row(record.circuit, record.seed, record.status,
                           record.attempts, record.seconds,
-                          record.progress, salvaged,
+                          record.progress,
                           ",".join(record.lint_rules) or None)
         return table
 
@@ -350,7 +336,7 @@ class RunStore:
     """Append-only JSONL checkpoint of completed runs + job journal.
 
     Every appended line carries the versioned CRC32 envelope of
-    :mod:`repro.experiments.salvage`; loads verify each line and
+    :mod:`repro.experiments.store`; loads verify each line and
     **quarantine** (move to ``quarantine/``, repair the store) any
     that fail, so corruption costs one recompute, never the campaign.
     Legacy pre-envelope lines load unchanged.
@@ -364,11 +350,6 @@ class RunStore:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.runs_path = self.run_dir / self.RUNS_NAME
         self.journal_path = self.run_dir / self.JOURNAL_NAME
-
-    @property
-    def salvage(self) -> SalvageStore:
-        """The per-job phase-boundary salvage store under this dir."""
-        return SalvageStore(self.run_dir)
 
     def append_run(self, spec: JobSpec, run: CircuitRun) -> None:
         line = encode_line({"circuit": spec.circuit, "seed": spec.seed,
@@ -405,12 +386,19 @@ class RunStore:
 
     def load_records(self) -> List[JobRecord]:
         """Every JobRecord ever journalled (corrupt lines
-        quarantined)."""
+        quarantined).
+
+        Keys that are not :class:`JobRecord` fields are dropped, so a
+        line that an older build wrote with a since-removed field
+        still loads.
+        """
+        names = {f.name for f in fields(JobRecord)}
         records: List[JobRecord] = []
         payloads, _corrupt = load_jsonl(self.journal_path, self.run_dir)
         for payload in payloads:
+            known = {k: v for k, v in payload.items() if k in names}
             try:
-                records.append(JobRecord(**payload))
+                records.append(JobRecord(**known))
             except Exception:
                 continue
         return records
@@ -426,26 +414,24 @@ class RunStore:
 # ----------------------------------------------------------------------
 
 def _result_knobs(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """The :data:`~repro.experiments.salvage.RESULT_KNOBS` of a spec
+    """The :data:`RESULT_KNOBS` of a spec
     dict, with the :class:`JobSpec` default for any it lacks."""
     defaults = JobSpec(circuit="")
     return {name: spec.get(name, getattr(defaults, name))
             for name in RESULT_KNOBS}
 
 
-def _build_hooks(circuit: str, seed: int, directive: Optional[str],
-                 run_dir: Optional[str], knobs: Dict[str, Any],
-                 conn: Any, heartbeat_interval: float,
+def _build_hooks(directive: Optional[str], conn: Any,
+                 heartbeat_interval: float,
                  isolated: bool) -> WorkerHooks:
     """Assemble one attempt's supervision bundle (worker side).
 
     Unscoped immediate directives (hang/crash/exit) are enacted right
-    here, before any work; phase-scoped ones and ``corrupt-salvage``
-    ride into the hooks and fire inside the pipeline.
+    here, before any work; phase-scoped ones ride into the hooks and
+    fire inside the pipeline.
     """
     chaos = parse_chaos(directive) if directive else None
-    if chaos is not None and chaos.phase is None \
-            and chaos.kind != "corrupt-salvage":
+    if chaos is not None and chaos.phase is None:
         if chaos.kind == "hang":
             freeze()  # no heartbeats ever: the stall timeout's case
         elif chaos.kind == "crash":
@@ -453,19 +439,12 @@ def _build_hooks(circuit: str, seed: int, directive: Optional[str],
         elif chaos.kind == "exit":
             os._exit(13)
         chaos = None
-    salvage = None
-    if run_dir is not None:
-        salvage = SalvageWriter(
-            SalvageStore(run_dir), circuit, seed, knobs,
-            corrupt_after_write=(chaos is not None
-                                 and chaos.kind == "corrupt-salvage"))
     reporter = ProgressReporter(conn, heartbeat_interval)
-    return WorkerHooks(reporter, salvage, chaos, isolated=isolated)
+    return WorkerHooks(reporter, chaos, isolated=isolated)
 
 
 def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
                  directive: Optional[str],
-                 run_dir: Optional[str] = None,
                  heartbeat_interval: float = 1.0) -> None:
     """Subprocess body: run one circuit job, send the result back.
 
@@ -478,9 +457,8 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
     reporter = None
     try:
         knobs = _result_knobs(spec_dict)
-        hooks = _build_hooks(
-            spec_dict["circuit"], seed, directive, run_dir, knobs, conn,
-            heartbeat_interval, isolated=True)
+        hooks = _build_hooks(directive, conn, heartbeat_interval,
+                             isolated=True)
         reporter = hooks.reporter
         reporter.start()
         run = run_circuit_by_name(
@@ -509,21 +487,17 @@ def _worker_main(conn, spec_dict: Dict[str, Any], seed: int,
 
 
 def _run_attempt_inline(spec: JobSpec, seed: int,
-                        directive: Optional[str],
-                        store: Optional[RunStore]) -> Tuple[str, Any]:
+                        directive: Optional[str]) -> Tuple[str, Any]:
     """One attempt without process isolation (``isolate=False``).
 
-    Phase-boundary salvage works inline too (it only needs the run
-    dir); heartbeats go nowhere (no pipe) but phase-scoped chaos still
+    Heartbeats go nowhere (no pipe) but phase-scoped chaos still
     fires, with ``stall`` degrading to a raise -- an inline worker
     cannot be killed from outside.
     """
     try:
         if directive in ("crash", "exit", "hang"):
             raise RuntimeError(f"chaos: injected {directive} (in-process)")
-        run_dir = str(store.run_dir) if store is not None else None
-        hooks = _build_hooks(spec.circuit, seed, directive, run_dir,
-                             _result_knobs(asdict(spec)), conn=None,
+        hooks = _build_hooks(directive, conn=None,
                              heartbeat_interval=0.0, isolated=False)
         run = run_circuit_by_name(
             spec.circuit, seed=seed, arms=spec.arms,
@@ -567,18 +541,17 @@ class _ActiveWorker:
         self.last_beat = started
 
 
-def _attempt_seed(spec: JobSpec, attempt: int, config: HarnessConfig,
-                  has_salvage: bool = False) -> int:
+def _attempt_seed(spec: JobSpec, attempt: int,
+                  config: HarnessConfig) -> int:
     """The seed this attempt runs under.
 
-    The final-retry perturbation is skipped when salvage exists:
-    salvaged phases were computed under the base seed, and resuming
-    them under a perturbed one would splice two random streams into
-    one result.
+    A run dir keys every checkpoint and journal line by the job's own
+    seed, so with one set no attempt is perturbed: a result produced
+    under another seed would be resumed as this one's.
     """
     total = config.retries + 1
-    if (config.perturb_final_seed and total > 1 and attempt == total
-            and not has_salvage):
+    if (config.perturb_final_seed and config.run_dir is None
+            and total > 1 and attempt == total):
         return spec.seed + SEED_PERTURBATION
     return spec.seed
 
@@ -672,7 +645,6 @@ def run_jobs(specs: Sequence[JobSpec],
 
     results: Dict[Tuple[str, int], CircuitRun] = {}
     records: List[JobRecord] = []
-    partials: Dict[str, PartialRun] = {}
     pending: List[_JobState] = []
     lint_cache: Dict[str, Tuple[str, ...]] = {}
 
@@ -711,14 +683,12 @@ def run_jobs(specs: Sequence[JobSpec],
         pending.append(_JobState(spec))
 
     if config.isolate:
-        _run_isolated(pending, config, store, results, records,
-                      partials, verbose)
+        _run_isolated(pending, config, store, results, records, verbose)
     else:
-        _run_inline(pending, config, store, results, records,
-                    partials, verbose)
+        _run_inline(pending, config, store, results, records, verbose)
 
     runs = [results[s.key] for s in specs if s.key in results]
-    return SuiteOutcome(runs=runs, records=records, partials=partials)
+    return SuiteOutcome(runs=runs, records=records)
 
 
 def _checkpoint_usable(run: CircuitRun, spec: JobSpec) -> bool:
@@ -760,7 +730,7 @@ def _finish(state: _JobState, status: str, payload: Any,
             config: HarnessConfig, store: Optional[RunStore],
             results: Dict[Tuple[str, int], CircuitRun],
             records: List[JobRecord], pending: List[_JobState],
-            partials: Dict[str, PartialRun], verbose: bool) -> None:
+            verbose: bool) -> None:
     """Record one finished attempt; reschedule or finalize the job."""
     spec = state.spec
     if status == "ok":
@@ -775,8 +745,6 @@ def _finish(state: _JobState, status: str, payload: Any,
         if store is not None:
             store.append_run(spec, run)
             store.append_record(record)
-            # The job checkpointed whole; its salvage is now stale.
-            store.salvage.discard(spec.circuit, spec.seed)
         if verbose:
             print(f"  {spec.circuit}: ok in {state.seconds:.1f}s "
                   f"(attempt {state.attempts})")
@@ -793,25 +761,11 @@ def _finish(state: _JobState, status: str, payload: Any,
                   f"{state.attempts}), retrying in {delay:.1f}s")
         return
 
-    salvaged_phase = 0
-    if store is not None:
-        payload_salvage = store.salvage.load(spec.circuit, spec.seed)
-        if payload_salvage is not None and salvage_usable(
-                payload_salvage, _result_knobs(asdict(spec)),
-                spec.seed):
-            partial = PartialRun.from_salvage(
-                payload_salvage,
-                reason=f"{status} after {state.attempts} attempt(s)")
-            if partial.phases_completed:
-                partials[spec.circuit] = partial
-                salvaged_phase = partial.phases_completed
-
     record = JobRecord(spec.circuit, spec.seed, status,
                        attempts=state.attempts,
                        seconds=round(state.seconds, 3),
                        error=payload,
-                       progress=state.progress,
-                       salvaged_phase=salvaged_phase)
+                       progress=state.progress)
     records.append(record)
     if store is not None:
         store.append_record(record)
@@ -820,16 +774,10 @@ def _finish(state: _JobState, status: str, payload: Any,
               f"{state.attempts} attempt(s)")
 
 
-def _has_salvage(store: Optional[RunStore], spec: JobSpec) -> bool:
-    return store is not None and store.salvage.exists(spec.circuit,
-                                                      spec.seed)
-
-
 def _run_inline(pending: List[_JobState], config: HarnessConfig,
                 store: Optional[RunStore],
                 results: Dict[Tuple[str, int], CircuitRun],
                 records: List[JobRecord],
-                partials: Dict[str, PartialRun],
                 verbose: bool) -> None:
     """Serial in-process execution (no isolation, no timeouts)."""
     while pending:
@@ -840,22 +788,18 @@ def _run_inline(pending: List[_JobState], config: HarnessConfig,
         state.attempts += 1
         directive = _chaos_directive(config, store, state.spec,
                                      state.attempts)
-        seed = _attempt_seed(state.spec, state.attempts, config,
-                             _has_salvage(store, state.spec))
+        seed = _attempt_seed(state.spec, state.attempts, config)
         started = time.monotonic()
-        status, payload = _run_attempt_inline(state.spec, seed,
-                                              directive, store)
+        status, payload = _run_attempt_inline(state.spec, seed, directive)
         state.seconds += time.monotonic() - started
         _finish(state, "ok" if status == "ok" else "failed", payload,
-                config, store, results, records, pending, partials,
-                verbose)
+                config, store, results, records, pending, verbose)
 
 
 def _run_isolated(pending: List[_JobState], config: HarnessConfig,
                   store: Optional[RunStore],
                   results: Dict[Tuple[str, int], CircuitRun],
                   records: List[JobRecord],
-                  partials: Dict[str, PartialRun],
                   verbose: bool) -> None:
     """Subprocess execution with timeouts, stall detection and bounded
     parallelism."""
@@ -869,14 +813,12 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
         state.attempts += 1
         directive = _chaos_directive(config, store, state.spec,
                                      state.attempts)
-        seed = _attempt_seed(state.spec, state.attempts, config,
-                             _has_salvage(store, state.spec))
-        run_dir = str(store.run_dir) if store is not None else None
+        seed = _attempt_seed(state.spec, state.attempts, config)
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_worker_main,
             args=(child_conn, asdict(state.spec), seed, directive,
-                  run_dir, config.heartbeat_interval),
+                  config.heartbeat_interval),
             daemon=True)
         proc.start()
         child_conn.close()
@@ -890,7 +832,7 @@ def _run_isolated(pending: List[_JobState], config: HarnessConfig,
         worker.conn.close()
         worker.state.seconds += time.monotonic() - worker.started
         _finish(worker.state, status, payload, config, store, results,
-                records, pending, partials, verbose)
+                records, pending, verbose)
 
     def drain(worker: _ActiveWorker) -> bool:
         """Consume pipe messages; True if the worker was settled.

@@ -74,7 +74,7 @@ class CircuitRun:
     #: :class:`repro.delay.clocking.DelayReport`.
     delay: Optional[DelayReport] = None
     #: The knobs this run was produced under (the result-shaping
-    #: :data:`repro.experiments.salvage.RESULT_KNOBS` plus ``delay``).
+    #: :data:`repro.experiments.harness.RESULT_KNOBS` plus ``delay``).
     #: The harness compares these against a resumed job's spec so a
     #: checkpoint written under different knobs is recomputed, not
     #: reused.  Empty for runs restored from pre-knob checkpoints;
@@ -151,10 +151,7 @@ def run_circuit(
         (the default) keeps the run byte-identical.
     hooks:
         Optional :class:`repro.experiments.supervision.WorkerHooks`:
-        heartbeat updates, phase-boundary salvage flushes, and -- on a
-        retry -- salvaged state to resume each arm from (a completed
-        arm is reused outright; a mid-pipeline arm resumes past its
-        completed phases).
+        heartbeat updates and phase-scoped chaos.
     """
     started = time.time()
     netlist = profile.build()
@@ -163,46 +160,31 @@ def run_circuit(
                                  x_fill=x_fill)
     if hooks is not None:
         hooks.bind_counters(wb.counters, len(wb.faults))
-        hooks.job_meta({
-            "n_ffs": netlist.num_ffs,
-            "n_gates": netlist.num_gates,
-            "n_faults": len(wb.faults),
-            "n_detectable": len(comb.detectable),
-            "comb_tests": len(comb.tests),
-            "n_untestable": wb.n_untestable,
-        })
 
     arm_results: Dict[str, ArmResult] = {}
     for source in arms:
         t0_started = time.time()
-        if hooks is not None:
-            salvaged = hooks.completed_arm(source)
-            if salvaged is not None:
-                arm_results[source] = salvaged
-                continue
         if source == "seqgen":
             length = profile.seq_budget
         elif source == "random":
             length = profile.t0_length
         else:
             raise ValueError(f"unknown arm {source!r}")
-        observer = resume = None
+        observer = None
         if hooks is not None:
             observer = hooks.arm_observer(source)
-            resume = hooks.arm_resume(source)
         result = api.compact_tests(
             netlist, seed=seed, t0_source=source, t0_length=length,
             comb_tests=comb.tests, workbench=wb,
             x_fill=x_fill, power_budget=power_budget,
-            observer=observer, resume=resume, adi=adi,
+            observer=observer, adi=adi,
             adi_scores=comb.adi if adi else None,
             scoap=scoap)
-        arm_result = ArmResult(
+        arm_results[source] = ArmResult(
             t0_source=source, t0_length=length, result=result,
             seconds=time.time() - t0_started)
-        arm_results[source] = arm_result
         if hooks is not None:
-            hooks.arm_completed(source, arm_result)
+            hooks.arm_completed(source)
 
     baseline4 = None
     dynamic = None

@@ -17,17 +17,14 @@ last-seen phase in the job summary.
 **Phase hooks.**  :class:`WorkerHooks` is the worker-side bundle the
 runner threads through the pipeline: it adapts the
 :class:`~repro.core.proposed.PhaseObserver` protocol into heartbeat
-updates and :class:`~repro.experiments.salvage.SalvageWriter` flushes,
-and hands back salvaged resume state on retries.
+updates and enacts phase-scoped chaos.
 
 **Phase-scoped chaos.**  Fault-injection directives gain an ``@phase``
 suffix (``crash@phase3``, ``stall@phase2``) enacted *inside the
-pipeline* at the moment the named phase begins -- after the previous
-phase's salvage flushed -- plus ``corrupt-salvage``, which damages the
-freshly-written salvage before dying, so the retry must prove it
-quarantines rot instead of resuming from it.  Directives come from
-``HarnessConfig.chaos`` or the ``REPRO_CHAOS`` environment variable
-(``[circuit:]directive[,...]``, enacted on first attempts only).
+pipeline* at the moment the named phase begins; the retry recomputes
+the job from scratch.  Directives come from ``HarnessConfig.chaos`` or
+the ``REPRO_CHAOS`` environment variable (``[circuit:]directive[,...]``,
+enacted on first attempts only).
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..core.proposed import PhaseObserver
 from ..sim.counters import SimCounters
-from .salvage import SalvageWriter
 
 #: Directive kinds that take effect before the pipeline starts (the
 #: pre-existing chaos surface).
@@ -49,7 +45,7 @@ IMMEDIATE_KINDS = ("crash", "exit", "hang", "corrupt-checkpoint")
 PHASE_KINDS = ("crash", "stall")
 
 #: All valid directive kinds.
-CHAOS_KINDS = IMMEDIATE_KINDS + ("stall", "corrupt-salvage")
+CHAOS_KINDS = IMMEDIATE_KINDS + ("stall",)
 
 _PHASES = ("phase1", "phase2", "phase3", "phase4")
 
@@ -224,7 +220,7 @@ class ProgressReporter:
 
 
 # ----------------------------------------------------------------------
-# Worker hooks (observer + salvage + chaos, per arm)
+# Worker hooks (observer + chaos, per arm)
 # ----------------------------------------------------------------------
 
 class _ArmObserver(PhaseObserver):
@@ -246,38 +242,22 @@ class _ArmObserver(PhaseObserver):
                     self.hooks.reporter.stop()
                     freeze()
                 # Inline mode cannot be killed from outside; a raise
-                # exercises the same retry-with-salvage path.
+                # exercises the same retry path.
                 raise ChaosError(f"chaos: {directive} (inline)")
-
-    def completed(self, phase: str, state: Dict[str, Any]) -> None:
-        phase_no = int(phase[-1])
-        if self.hooks.salvage is not None:
-            self.hooks.salvage.save_arm_state(self.arm, phase_no, state)
-        self.hooks.reporter.update(arm=self.arm,
-                                   phase=f"{phase}-done")
-        directive = self.hooks.chaos
-        if directive is not None and directive.kind == "corrupt-salvage":
-            # The salvage just flushed was deliberately damaged by the
-            # writer; die now so the retry faces the rotten file.
-            self.hooks.chaos = None
-            raise ChaosError("chaos: corrupt-salvage")
 
 
 class WorkerHooks:
     """Everything the runner threads through one job attempt.
 
-    Combines the heartbeat reporter, the salvage writer (optional --
-    no run dir means no salvage) and at most one phase-scoped chaos
-    directive.  :meth:`arm_observer` / :meth:`arm_resume` /
-    :meth:`completed_arm` are the runner-facing surface.
+    Combines the heartbeat reporter and at most one phase-scoped chaos
+    directive.  :meth:`arm_observer` / :meth:`arm_completed` are the
+    runner-facing surface.
     """
 
     def __init__(self, reporter: ProgressReporter,
-                 salvage: Optional[SalvageWriter] = None,
                  chaos: Optional[ChaosDirective] = None,
                  isolated: bool = True) -> None:
         self.reporter = reporter
-        self.salvage = salvage
         self.chaos = chaos
         self.isolated = isolated
 
@@ -285,28 +265,9 @@ class WorkerHooks:
                       n_faults: int) -> None:
         self.reporter.bind_counters(counters, n_faults)
 
-    def job_meta(self, meta: Dict[str, Any]) -> None:
-        """Record job-level metadata into the salvage payload."""
-        if self.salvage is not None:
-            self.salvage.set_meta(meta)
-
     def arm_observer(self, arm: str) -> PhaseObserver:
         return _ArmObserver(self, arm)
 
-    def arm_resume(self, arm: str) -> Optional[Dict[str, Any]]:
-        """Salvaged mid-pipeline state for ``arm``, if any."""
-        if self.salvage is None:
-            return None
-        return self.salvage.arm_resume_state(arm)
-
-    def completed_arm(self, arm: str) -> Optional[Any]:
-        """A fully-completed salvaged ``ArmResult``, if any."""
-        if self.salvage is None:
-            return None
-        return self.salvage.completed_arm(arm)
-
-    def arm_completed(self, arm: str, arm_result: Any) -> None:
-        """An arm finished end to end; persist it as completed."""
-        if self.salvage is not None:
-            self.salvage.save_completed_arm(arm, arm_result)
+    def arm_completed(self, arm: str) -> None:
+        """An arm finished end to end."""
         self.reporter.update(arm=arm, phase="done")

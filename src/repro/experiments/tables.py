@@ -9,22 +9,14 @@ through :func:`paper_comparison` for EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
-                    Sequence)
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.metrics import at_speed_stats
 from .reporting import Table
 from .runner import CircuitRun
-from .salvage import PartialRun
 
 #: ``{circuit: reason}`` -- circuits whose job ultimately failed.
 Failures = Optional[Mapping[str, str]]
-
-#: ``{circuit: PartialRun}`` -- failed jobs that left salvage behind.
-Partials = Optional[Mapping[str, PartialRun]]
-
-#: Known-column extractor for a PARTIAL row (cells after the label).
-_PartialCells = Optional[Callable[[PartialRun], List[Optional[Any]]]]
 
 
 def _arm(run: CircuitRun, source: str):
@@ -32,9 +24,7 @@ def _arm(run: CircuitRun, source: str):
     return arm.result if arm else None
 
 
-def _add_failure_rows(table: Table, failures: Failures,
-                      partials: Partials = None,
-                      partial_cells: _PartialCells = None) -> None:
+def _add_failure_rows(table: Table, failures: Failures) -> None:
     """Annotate circuits that produced no run instead of dropping them.
 
     A failed job still gets a row: its name, ``FAILED(reason)`` in the
@@ -43,31 +33,16 @@ def _add_failure_rows(table: Table, failures: Failures,
     pre-flight analyzer refused to run carry a ``lint: <rule,...>``
     reason and render as ``SKIPPED(lint: <rule,...>)``: skipping a
     structurally broken circuit is deliberate, not a failure.
-
-    A failed job that left phase-boundary salvage behind renders as
-    ``PARTIAL(phase k/4)`` instead, followed by whatever coverage
-    columns ``partial_cells`` can extract from the salvaged state
-    (dashes elsewhere).
     """
-    partials = partials or {}
-    for name in sorted(set(failures or {}) | set(partials)):
-        partial = partials.get(name)
-        if partial is not None:
-            cells: List[Optional[Any]] = [name, partial.label]
-            if partial_cells is not None:
-                cells.extend(partial_cells(partial))
-        else:
-            reason = (failures or {})[name]
-            label = (f"SKIPPED({reason})" if reason.startswith("lint:")
-                     else f"FAILED({reason})")
-            cells = [name, label]
-        cells.extend([None] * (len(table.headers) - len(cells)))
-        table.add_row(*cells)
+    for name, reason in sorted((failures or {}).items()):
+        label = (f"SKIPPED({reason})" if reason.startswith("lint:")
+                 else f"FAILED({reason})")
+        table.add_row(name, label,
+                      *[None] * (len(table.headers) - 2))
 
 
 def table1(runs: Sequence[CircuitRun], source: str = "seqgen",
-           failures: Failures = None,
-           partials: Partials = None) -> Table:
+           failures: Failures = None) -> Table:
     """Table 1: faults detected by T0, by tau_seq, and by the final set.
 
     The ``untst`` column (not in the paper) counts the faults the
@@ -93,20 +68,12 @@ def table1(runs: Sequence[CircuitRun], source: str = "seqgen",
             len(res.seq_detected),
             len(res.final_detected),
         )
-    _add_failure_rows(table, failures, partials, lambda p: [
-        p.meta.get("comb_tests"),
-        p.meta.get("n_faults"),
-        p.meta.get("n_untestable"),
-        p.arm_metric(source, "t0_detected"),
-        p.arm_metric(source, "seq_detected"),
-        p.arm_metric(source, "final_detected"),
-    ])
+    _add_failure_rows(table, failures)
     return table
 
 
 def table2(runs: Sequence[CircuitRun], source: str = "seqgen",
-           failures: Failures = None,
-           partials: Partials = None) -> Table:
+           failures: Failures = None) -> Table:
     """Table 2: sequence lengths and Phase-3 additions."""
     table = Table(f"Table 2: Test lengths (T0 source: {source})",
                   ["circuit", "T0 len", "scan len", "added c.tst"])
@@ -116,16 +83,12 @@ def table2(runs: Sequence[CircuitRun], source: str = "seqgen",
             continue
         table.add_row(run.name, res.t0_length, res.seq_length,
                       res.added_tests)
-    _add_failure_rows(table, failures, partials, lambda p: [
-        p.arm_metric(source, "seq_length"),
-        p.arm_metric(source, "added_tests"),
-    ])
+    _add_failure_rows(table, failures)
     return table
 
 
 def table3(runs: Sequence[CircuitRun],
-           failures: Failures = None,
-           partials: Partials = None) -> Table:
+           failures: Failures = None) -> Table:
     """Table 3: clock cycles for every method.
 
     Columns mirror the paper: the [2,3] dynamic baseline, the [4]
@@ -159,15 +122,14 @@ def table3(runs: Sequence[CircuitRun],
             if cell is not None:
                 totals[i] += cell
                 have[i] = True
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     table.add_row("total",
                   *[totals[i] if have[i] else None for i in range(7)])
     return table
 
 
 def table4(runs: Sequence[CircuitRun],
-           failures: Failures = None,
-           partials: Partials = None) -> Table:
+           failures: Failures = None) -> Table:
     """Table 4: at-speed primary-input sequence lengths (ave / range)."""
     table = Table(
         "Table 4: At-speed test lengths",
@@ -189,13 +151,12 @@ def table4(runs: Sequence[CircuitRun],
                 stats = at_speed_stats(final)
                 cells.extend([stats.average, stats.range_str])
         table.add_row(run.name, *cells)
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     return table
 
 
 def table5(runs: Sequence[CircuitRun],
-           failures: Failures = None,
-           partials: Partials = None) -> Table:
+           failures: Failures = None) -> Table:
     """Table 5: the random-T0 arm in detail."""
     table = Table(
         "Table 5: Results for random sequences",
@@ -214,19 +175,12 @@ def table5(runs: Sequence[CircuitRun],
             res.seq_length,
             res.added_tests,
         )
-    _add_failure_rows(table, failures, partials, lambda p: [
-        p.arm_metric("random", "seq_detected"),
-        p.arm_metric("random", "final_detected"),
-        p.arm_metric("random", "t0_length"),
-        p.arm_metric("random", "seq_length"),
-        p.arm_metric("random", "added_tests"),
-    ])
+    _add_failure_rows(table, failures)
     return table
 
 
 def table_atspeed_coverage(runs: Sequence[CircuitRun],
-                           failures: Failures = None,
-                           partials: Partials = None) -> Table:
+                           failures: Failures = None) -> Table:
     """Extension E6: transition-fault coverage of the final test sets.
 
     Quantifies the paper's at-speed claim: the long-sequence test sets
@@ -242,13 +196,12 @@ def table_atspeed_coverage(runs: Sequence[CircuitRun],
             run.transition.get("seqgen"),
             run.transition.get("random"),
         )
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     return table
 
 
 def table_delay(runs: Sequence[CircuitRun],
-                failures: Failures = None,
-                partials: Partials = None) -> Table:
+                failures: Failures = None) -> Table:
     """Delay extension: at-speed quality vs clock cost per test set.
 
     The paper-style comparison: the proposed long-sequence sets (both
@@ -282,13 +235,12 @@ def table_delay(runs: Sequence[CircuitRun],
                           summary.total_cycles,
                           summary.at_speed_fraction,
                           summary.tester_cycles)
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     return table
 
 
 def table_power(runs: Sequence[CircuitRun],
-                failures: Failures = None,
-                partials: Partials = None) -> Table:
+                failures: Failures = None) -> Table:
     """Power extension: shift WTM and capture toggles per test set.
 
     Compares the proposed sets (both ``T0`` arms) against the
@@ -318,14 +270,13 @@ def table_power(runs: Sequence[CircuitRun],
                           summary.avg_shift_wtm,
                           summary.peak_capture,
                           summary.avg_capture)
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     return table
 
 
 def all_tables(runs: Sequence[CircuitRun],
                with_delay: bool = False,
-               failures: Failures = None,
-               partials: Partials = None) -> List[Table]:
+               failures: Failures = None) -> List[Table]:
     """Every paper table (plus the extensions when data is present).
 
     ``with_delay`` forces the at-speed coverage table even when no
@@ -333,31 +284,25 @@ def all_tables(runs: Sequence[CircuitRun],
     campaign still renders the table frame); the Delay cost table
     appears whenever any run carries a full
     :class:`~repro.delay.clocking.DelayReport`.  ``failures``
-    annotates circuits whose job produced no run; ``partials``
-    upgrades those annotations to ``PARTIAL(phase k/4)`` rows with
-    salvaged coverage columns.  The tables render with the surviving
-    subset either way.
+    annotates circuits whose job produced no run.  The tables render
+    with the surviving subset either way.
     """
-    tables = [table1(runs, failures=failures, partials=partials),
-              table2(runs, failures=failures, partials=partials),
-              table3(runs, failures=failures, partials=partials),
-              table4(runs, failures=failures, partials=partials),
-              table5(runs, failures=failures, partials=partials)]
+    tables = [table1(runs, failures=failures),
+              table2(runs, failures=failures),
+              table3(runs, failures=failures),
+              table4(runs, failures=failures),
+              table5(runs, failures=failures)]
     if with_delay or any(run.transition for run in runs):
-        tables.append(table_atspeed_coverage(runs, failures=failures,
-                                             partials=partials))
+        tables.append(table_atspeed_coverage(runs, failures=failures))
     if with_delay or any(run.delay is not None for run in runs):
-        tables.append(table_delay(runs, failures=failures,
-                                  partials=partials))
+        tables.append(table_delay(runs, failures=failures))
     if any(run.power is not None for run in runs):
-        tables.append(table_power(runs, failures=failures,
-                                  partials=partials))
+        tables.append(table_power(runs, failures=failures))
     return tables
 
 
 def paper_comparison(runs: Sequence[CircuitRun],
-                     failures: Failures = None,
-                     partials: Partials = None) -> Table:
+                     failures: Failures = None) -> Table:
     """Paper-published vs measured key figures, where known.
 
     Used to fill EXPERIMENTS.md; absolute values are expected to
@@ -400,5 +345,5 @@ def paper_comparison(runs: Sequence[CircuitRun],
                              b4.stats.final_cycles))
         for metric, expected, measured in rows:
             table.add_row(run.name, metric, expected, measured)
-    _add_failure_rows(table, failures, partials)
+    _add_failure_rows(table, failures)
     return table

@@ -1,8 +1,11 @@
 /* The C pass kernel of repro.sim.npsim: one circuit-independent
    entry point, repro_run_pass, runs a whole fault-simulation pass
-   over the uint64 rows npsim hands it.  npsim compiles this file with
-   cffi once per process; its cdef declares repro_run_pass with the
-   same signature.  Opcode values mirror logicsim's OP_* constants.
+   over the uint64 rows npsim hands it.  The first process on a source
+   tree builds this file with $CC and keeps the library in __pycache__
+   beside it (or under $REPRO_KERNEL_CACHE); later processes load that
+   build.  cffi only dlopens the library, and npsim's cdef declares
+   repro_run_pass with the same signature.  Opcode values mirror
+   logicsim's OP_* constants.
 
    A pass's faulty machines are a list: machine bit k + 1 of every
    block is fault machines[k], whose entry in the fault-site table

@@ -87,27 +87,6 @@ class FaultScoreboard:
             self.counters.faults_dropped += len(fresh)
         return len(fresh)
 
-    def restore(self, fault_ids: Iterable[int]) -> None:
-        """Reinstate a persisted ledger (phase-boundary salvage).
-
-        Unlike :meth:`retire` this performs no counter accounting --
-        the dropped-fault credit was earned (and counted) by the
-        original attempt, and the resuming attempt never simulated
-        these faults at all.  A disabled scoreboard restores nothing,
-        mirroring :meth:`retire`.
-        """
-        if not self.enabled:
-            return
-        fresh = set(fault_ids)
-        for fid in fresh:
-            if not 0 <= fid < self.n_faults:
-                raise ValueError(f"fault index {fid} out of range")
-        self._retired |= fresh
-
-    def retired_snapshot(self) -> Set[int]:
-        """An independent copy of the full ledger, for serialization."""
-        return set(self._retired)
-
     # ------------------------------------------------------------------
     def record_adi(self, scores: Mapping[int, int]) -> None:
         """Persist per-fault accidental-detection counts.
@@ -116,9 +95,7 @@ class FaultScoreboard:
         patterns that detected it by chance (see :attr:`adi`).  Faults
         absent from the mapping keep an implicit ADI of zero --
         exactly the random-resistant faults the ordering heuristics
-        want first.  Repeated calls accumulate, so a resumed run may
-        re-record without double bookkeeping concerns (the counts stay
-        advisory either way).
+        want first.  Repeated calls accumulate.
         """
         for fid, count in scores.items():
             if not 0 <= fid < self.n_faults:

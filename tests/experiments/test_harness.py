@@ -180,6 +180,20 @@ class TestRunStore:
         assert records[0].status == "failed"
         assert records[0].attempts == 3
 
+    def test_journal_line_with_removed_field_loads(self, tmp_path):
+        """A journal line as older builds wrote it, carrying the
+        since-removed ``salvaged_phase``, loads its record."""
+        from repro.experiments.store import encode_line
+        store = RunStore(tmp_path)
+        legacy = {"circuit": "s27", "seed": 1, "status": "timeout",
+                  "attempts": 2, "seconds": 4.0, "error": "killed",
+                  "lint_rules": [], "progress": "random/phase3",
+                  "salvaged_phase": 2}
+        store.journal_path.write_text(encode_line(legacy) + "\n")
+        assert store.load_records() == [
+            JobRecord("s27", 1, "timeout", 2, 4.0, error="killed",
+                      progress="random/phase3")]
+
     def test_missing_store_is_empty(self, tmp_path):
         store = RunStore(tmp_path / "fresh")
         assert store.load_runs() == ({}, 0)
@@ -228,6 +242,15 @@ class TestInlineMode:
             spec.seed + harness.SEED_PERTURBATION
         config.perturb_final_seed = False
         assert harness._attempt_seed(spec, 3, config) == spec.seed
+
+    def test_run_dir_keeps_the_job_seed(self, tmp_path):
+        """Checkpoints are keyed by the job's seed, so a run-dir
+        campaign never perturbs it."""
+        spec = _spec()
+        config = _cfg(retries=2, run_dir=tmp_path)
+        for attempt in (1, 2, 3):
+            assert harness._attempt_seed(spec, attempt, config) == \
+                spec.seed
 
 
 class TestIsolatedChaos:
@@ -559,8 +582,8 @@ class TestPowerSerialization:
         dicts rebuilt without the newer fields; the removed simulation
         settings a legacy checkpoint recorded do not."""
         from dataclasses import asdict
-        from repro.experiments.harness import _checkpoint_usable
-        from repro.experiments.salvage import RESULT_KNOBS
+        from repro.experiments.harness import (RESULT_KNOBS,
+                                               _checkpoint_usable)
         base = _spec(arms=("seqgen", "random"), with_baselines=True,
                      delay=True)
         different = {"x_fill": "adjacent", "power_budget": 9.0,

@@ -3,7 +3,8 @@
 The subprocess cases exercise the real spawn boundary: heartbeats
 streaming over the worker pipe, the supervisor's stall timeout killing
 silent workers, and phase-scoped chaos riding `REPRO_CHAOS` /
-``HarnessConfig.chaos`` into a worker that then resumes from salvage.
+``HarnessConfig.chaos`` into a worker whose retry recomputes the job
+from scratch.
 """
 
 import json
@@ -11,7 +12,8 @@ import json
 import pytest
 
 from repro.experiments import reporting
-from repro.experiments.harness import HarnessConfig, JobSpec, run_jobs
+from repro.experiments.harness import (HarnessConfig, JobSpec, RunStore,
+                                       run_jobs)
 from repro.experiments.supervision import (ChaosDirective, ChaosError,
                                            ProgressReporter, WorkerHooks,
                                            chaos_from_env, parse_chaos)
@@ -42,7 +44,6 @@ class TestParseChaos:
         ("exit", "exit", None),
         ("hang", "hang", None),
         ("corrupt-checkpoint", "corrupt-checkpoint", None),
-        ("corrupt-salvage", "corrupt-salvage", None),
         ("crash@phase1", "crash", "phase1"),
         ("crash@phase3", "crash", "phase3"),
         ("stall@phase2", "stall", "phase2"),
@@ -56,10 +57,11 @@ class TestParseChaos:
     @pytest.mark.parametrize("text,match", [
         ("stall", "requires a phase scope"),
         ("segfault", "unknown chaos directive"),
+        ("corrupt-salvage", "unknown chaos directive"),
         ("crash@phase9", "unknown phase"),
         ("crash@", "unknown phase"),
         ("exit@phase2", "does not accept a phase scope"),
-        ("corrupt-salvage@phase3", "does not accept a phase scope"),
+        ("corrupt-checkpoint@phase3", "does not accept a phase scope"),
     ])
     def test_invalid(self, text, match):
         with pytest.raises(ValueError, match=match):
@@ -177,16 +179,67 @@ class TestWorkerHooksInline:
         with pytest.raises(ChaosError, match="inline"):
             observer.enter("phase2")
 
-    def test_no_salvage_hooks_are_noops(self):
-        hooks = WorkerHooks(ProgressReporter(None), isolated=False)
-        assert hooks.arm_resume("random") is None
-        assert hooks.completed_arm("random") is None
-        hooks.job_meta({"n_faults": 1})
-        hooks.arm_completed("random", None)
+
+class TestRetryFromScratch:
+    """A job killed inside the pipeline is retried from scratch, and
+    the retry's result is byte-identical to an uninterrupted run.
+
+    Every campaign here has a run dir, so the final attempt keeps the
+    job's seed (default config, ``perturb_final_seed`` on).
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        outcome = run_jobs([_spec()], config=_cfg(isolate=False))
+        assert outcome.ok
+        return outcome.runs[0]
+
+    @pytest.mark.parametrize("directive", ["crash@phase3",
+                                           "crash@phase4"])
+    def test_retry_is_byte_identical(self, tmp_path, reference,
+                                     directive):
+        outcome = run_jobs(
+            [_spec()],
+            config=_cfg(isolate=False, retries=1, run_dir=tmp_path,
+                        chaos=_chaos_once(directive)))
+        assert outcome.ok
+        assert [r.status for r in outcome.records] == ["ok"]
+        assert outcome.records[0].attempts == 2
+        run = outcome.runs[0]
+        got, want = (reporting.proposed_to_dict(r.arms["random"].result)
+                     for r in (run, reference))
+        assert json.dumps(got, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
+        # The retry re-ran every phase: its work equals a fresh run's.
+        for key in ("candidate_passes", "omission_trials"):
+            assert run.counters[key] == reference.counters[key]
+            assert run.counters[key] > 0
+
+    def test_checkpoint_holds_the_job_seed_result(self, tmp_path,
+                                                  reference):
+        """What a retried run-dir job checkpoints under (circuit, seed)
+        is that seed's result, and ``--resume`` serves it as such."""
+        config = _cfg(isolate=False, retries=1, run_dir=tmp_path,
+                      chaos=_chaos_once("crash@phase3"))
+        assert run_jobs([_spec()], config=config).ok
+        stored, corrupt = RunStore(tmp_path).load_runs()
+        assert corrupt == 0
+        want = json.dumps(reporting.proposed_to_dict(
+            reference.arms["random"].result), sort_keys=True)
+        assert json.dumps(reporting.proposed_to_dict(
+            stored[("s27", 1)].arms["random"].result),
+            sort_keys=True) == want
+        resumed = run_jobs([_spec()],
+                           config=_cfg(isolate=False, run_dir=tmp_path,
+                                       resume=True))
+        assert [r.status for r in resumed.records] == ["skipped-resume"]
+        assert json.dumps(reporting.proposed_to_dict(
+            resumed.runs[0].arms["random"].result),
+            sort_keys=True) == want
 
 
 class TestIsolatedSupervision:
-    """Real subprocess workers: heartbeats, stalls, phase resumes."""
+    """Real subprocess workers: heartbeats, stalls, retries."""
 
     def test_progress_recorded_on_success(self, tmp_path):
         outcome = run_jobs([_spec()],
@@ -215,9 +268,7 @@ class TestIsolatedSupervision:
     def test_phase_stall_killed_and_resumed(self, tmp_path):
         """stall@phase2: heartbeats flow through Phase 1, go quiet at
         the Phase-2 boundary, the supervisor kills on silence, and the
-        retry resumes from the Phase-1 salvage... which does not exist
-        (only completed phases salvage), so it recomputes -- but the
-        kill itself must be a 'stall' with the last-seen phase."""
+        retry recomputes the job from scratch and succeeds."""
         outcome = run_jobs(
             [_spec()],
             config=_cfg(isolate=True, retries=1, run_dir=tmp_path,
@@ -236,12 +287,10 @@ class TestIsolatedSupervision:
             config=_cfg(isolate=True, retries=1, run_dir=tmp_path,
                         chaos=_chaos_once("crash@phase3")))
         assert outcome.ok
-        resumed = reporting.proposed_to_dict(
+        retried = reporting.proposed_to_dict(
             outcome.runs[0].arms["random"].result)
-        assert json.dumps(resumed, sort_keys=True) == \
+        assert json.dumps(retried, sort_keys=True) == \
             json.dumps(ref, sort_keys=True)
-        assert outcome.runs[0].counters["candidate_passes"] == 0
-        assert outcome.runs[0].counters["omission_trials"] == 0
 
     def test_stall_reports_last_progress(self, tmp_path):
         """The stall record carries the last heartbeat-reported
